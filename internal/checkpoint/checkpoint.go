@@ -199,25 +199,43 @@ type State struct {
 	Anomalies []netwide.Anomaly
 }
 
+// headerLen is the envelope in front of the payload: magic, then digest.
+const headerLen = len(Magic) + 8
+
+// Encoder writes snapshots through one envelope buffer it keeps between
+// calls. A daemon snapshots the same few hundred kilobytes again and
+// again; building each envelope in a new buffer grown by doubling made
+// more garbage than snapshot. The zero value is ready to use; an Encoder
+// is not safe for concurrent use (the daemon's one writer goroutine owns
+// one). The bytes written are those of the package-level Write.
+type Encoder struct {
+	buf bytes.Buffer
+}
+
 // Write writes st to w in the checksummed envelope, stamping the current
 // Version.
-func Write(w io.Writer, st *State) error {
+func (e *Encoder) Write(w io.Writer, st *State) error {
 	st.Version = Version
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
+	e.buf.Reset()
+	e.buf.WriteString(Magic)
+	var digest [8]byte
+	e.buf.Write(digest[:]) // its place; filled in once the payload is there
+	// A new gob encoder each time: a kept one would leave the type
+	// descriptors out of every snapshot but its first.
+	if err := gob.NewEncoder(&e.buf).Encode(st); err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
+	env := e.buf.Bytes()
 	h := fnv.New64a()
-	h.Write(payload.Bytes())
-	var head [16]byte
-	copy(head[:8], Magic)
-	binary.BigEndian.PutUint64(head[8:], h.Sum64())
-	if _, err := w.Write(head[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
+	h.Write(env[headerLen:])
+	binary.BigEndian.PutUint64(env[len(Magic):headerLen], h.Sum64())
+	_, err := w.Write(env)
 	return err
 }
+
+// Write writes st to w in the checksummed envelope, stamping the current
+// Version.
+func Write(w io.Writer, st *State) error { return new(Encoder).Write(w, st) }
 
 // Read reads a snapshot written by Write. The file is untrusted input — a
 // torn write, a corrupt sector, a file from a different build — so the
@@ -227,7 +245,7 @@ func Write(w io.Writer, st *State) error {
 // the state is restored into live objects, each layer checking its own.
 func Read(r io.Reader) (*State, error) {
 	br := bufio.NewReader(r)
-	var hdr [16]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("checkpoint: truncated header: %w", err)
 	}
@@ -261,13 +279,13 @@ func Read(r io.Reader) (*State, error) {
 // directory. A failure at any step (including every injected one) leaves
 // the previous checkpoint at path untouched and cleans up the temp file.
 // inj may be nil (production).
-func WriteFile(path string, st *State, inj *fault.Injector) error {
+func (e *Encoder) WriteFile(path string, st *State, inj *fault.Injector) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("checkpoint: create temp: %w", err)
 	}
-	err = Write(inj.Writer(FaultWrite, f), st)
+	err = e.Write(inj.Writer(FaultWrite, f), st)
 	if err == nil {
 		err = inj.Fire(FaultSync)
 	}
@@ -294,6 +312,12 @@ func WriteFile(path string, st *State, inj *fault.Injector) error {
 		d.Close()
 	}
 	return nil
+}
+
+// WriteFile atomically replaces path with the snapshot; see
+// Encoder.WriteFile.
+func WriteFile(path string, st *State, inj *fault.Injector) error {
+	return new(Encoder).WriteFile(path, st, inj)
 }
 
 // ReadFile reads and verifies the snapshot at path.

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"netwide"
+	"netwide/internal/checkpoint"
 	"netwide/internal/flowwire"
 )
 
@@ -225,12 +229,13 @@ func BenchmarkServerIngestParallel(b *testing.B) {
 	}
 }
 
-// benchCheckpoint measures one full snapshot — pipeline barrier round
-// trip, ledger sync, state assembly (model parameters, refit windows,
-// open bins, sequence cursors), gob encode, and the checksummed atomic
-// file replace. This is the stall the ingest path absorbs every
-// CheckpointEvery closed bins, so its cost is gated alongside the ingest
-// rate itself.
+// benchCheckpoint measures one full synchronous snapshot, CheckpointNow
+// to its return — ingest-side capture, the barrier's trip through the
+// idle pipeline (lane model parameters, refit windows), the consumer's
+// hand-off, gob encode, and the checksummed atomic file replace. The
+// bin cadence no longer makes ingest wait for any of this past the
+// capture; it is what the timer, an operator and the drain wait for, and
+// how long a snapshot stays in flight.
 func benchCheckpoint(b *testing.B, topo string) {
 	cfg := netwide.QuickConfig()
 	cfg.MeanRateBps = 4e5
@@ -289,4 +294,62 @@ func benchCheckpoint(b *testing.B, topo string) {
 func BenchmarkCheckpointSnapshot(b *testing.B) {
 	b.Run("abilene", func(b *testing.B) { benchCheckpoint(b, "abilene") })
 	b.Run("geant", func(b *testing.B) { benchCheckpoint(b, "geant") })
+}
+
+// TestCheckpointEncoderKeepsItsBuffer pins the snapshot writer's
+// allocation diet: the one Encoder the writer goroutine owns builds every
+// envelope in the buffer it kept from the last one, so a write allocates at
+// least an envelope's worth less than a one-shot checkpoint.Write (which
+// grows a new buffer by doubling every time), and the bytes are the same.
+func TestCheckpointEncoderKeepsItsBuffer(t *testing.T) {
+	run := testRun(t)
+	path := filepath.Join(t.TempDir(), "daemon.nwcp")
+	srv, err := New(run, Config{CheckpointPath: path, CheckpointEvery: 1 << 30, Stream: parityStream(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedBins(t, srv, run.Dataset(), 0, 3, 0)
+	if err := srv.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Kill()
+	st, err := checkpoint.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var oneShot, kept bytes.Buffer
+	var enc checkpoint.Encoder
+	if err := checkpoint.Write(&oneShot, st); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // the second write reuses what the first one grew
+		kept.Reset()
+		if err := enc.Write(&kept, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(oneShot.Bytes(), kept.Bytes()) {
+		t.Fatal("Encoder.Write and checkpoint.Write produced different envelopes")
+	}
+
+	perWrite := func(write func() error) (allocs float64, size uint64) {
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	}
+	oneAllocs, oneBytes := perWrite(func() error { return checkpoint.Write(io.Discard, st) })
+	keptAllocs, keptBytes := perWrite(func() error { return enc.Write(io.Discard, st) })
+	t.Logf("envelope %d B; one-shot %.0f allocs / %d B per write, kept buffer %.0f allocs / %d B", oneShot.Len(), oneAllocs, oneBytes, keptAllocs, keptBytes)
+	if keptAllocs > oneAllocs || keptBytes+uint64(oneShot.Len()) > oneBytes {
+		t.Fatalf("kept-buffer write allocates %.0f times / %d B, one-shot %.0f / %d B: want at least one %d B envelope less",
+			keptAllocs, keptBytes, oneAllocs, oneBytes, oneShot.Len())
+	}
 }

@@ -66,6 +66,14 @@ func feedBins(t *testing.T, srv *Server, ds *dataset.Dataset, from, to, partial 
 	}
 }
 
+// awaitSnapshot returns once no snapshot is on its way to disk: the bin
+// cadence only starts a snapshot, so a test that reads the bookkeeping of
+// "the snapshot those bins triggered" waits for the write to land first.
+func awaitSnapshot(srv *Server) {
+	srv.cpSlot <- struct{}{}
+	<-srv.cpSlot
+}
+
 func drainOK(t *testing.T, srv *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -143,8 +151,12 @@ func TestChaosKillRestartParity(t *testing.T) {
 		if st := srv.Stats(); st.CheckpointsWritten == 0 {
 			t.Fatalf("segment %d wrote no snapshot before the kill", i)
 		}
-		ledgerAtKill := len(srv.Anomalies())
+		atKill := srv.Stats()
 		srv.Kill()
+		// Read after the kill: a snapshot that was in flight lands while
+		// Kill waits for it, with the ledger as of its barrier — verdicts
+		// the consumer may not have folded in yet when the kill began.
+		dead := srv.Anomalies()
 
 		srv = newSrv()
 		st := srv.Stats()
@@ -157,12 +169,24 @@ func TestChaosKillRestartParity(t *testing.T) {
 		if st.RestoredBin != st.LastClosed || st.LastCheckpointBin != st.LastClosed {
 			t.Fatalf("restart %d cursor bookkeeping inconsistent: %+v", i, st)
 		}
-		// At CheckpointEvery 7 the snapshot is at most 7 closed bins stale.
-		if kill-1-st.LastClosed > 7+1 {
-			t.Fatalf("restart %d snapshot %d bins stale, cadence promises at most 8", i, kill-1-st.LastClosed)
+		// The staleness bound is CheckpointEvery bins plus the write that
+		// was in flight — which is what the lag gauge reported at the kill:
+		// the snapshot on disk is never older than the one the daemon said
+		// it had.
+		if st.LastClosed < atKill.LastCheckpointBin || kill-1-st.LastClosed > atKill.CheckpointLagBins {
+			t.Fatalf("restart %d resumed at bin %d, staler than the daemon reported at the kill (snapshot through %d, lag %d)",
+				i, st.LastClosed, atKill.LastCheckpointBin, atKill.CheckpointLagBins)
 		}
-		if len(srv.Anomalies()) > ledgerAtKill {
-			t.Fatalf("restart %d ledger grew across the crash: %d > %d", i, len(srv.Anomalies()), ledgerAtKill)
+		// The restored ledger is a prefix of the dead daemon's: nothing
+		// invented, nothing reordered.
+		restored := srv.Anomalies()
+		if len(restored) > len(dead) {
+			t.Fatalf("restart %d ledger grew across the crash: %d > %d", i, len(restored), len(dead))
+		}
+		for j, a := range restored {
+			if anomalyKey(a) != anomalyKey(dead[j]) {
+				t.Fatalf("restart %d ledger entry %d differs from the dead daemon's:\n restored %s\n dead     %s", i, j, anomalyKey(a), anomalyKey(dead[j]))
+			}
 		}
 		from = st.LastClosed + 1
 	}
@@ -231,6 +255,7 @@ func TestChaosDiskFullDegradesNotDies(t *testing.T) {
 	}
 
 	feedBins(t, srv, ds, 0, 4, 0)
+	awaitSnapshot(srv)
 	healthy := srv.Stats()
 	if healthy.CheckpointsWritten == 0 || healthy.CheckpointErr != "" {
 		t.Fatalf("healthy cadence: %+v", healthy)
@@ -238,6 +263,7 @@ func TestChaosDiskFullDegradesNotDies(t *testing.T) {
 
 	inj.Arm(checkpoint.FaultWrite, fault.Fault{Err: fault.ErrDiskFull})
 	feedBins(t, srv, ds, 4, 8, 0)
+	awaitSnapshot(srv)
 	st := srv.Stats()
 	if st.CheckpointErrors == 0 || !strings.Contains(st.CheckpointErr, "disk full") {
 		t.Fatalf("full disk not surfaced: %+v", st)
@@ -262,6 +288,7 @@ func TestChaosDiskFullDegradesNotDies(t *testing.T) {
 
 	inj.Disarm(checkpoint.FaultWrite)
 	feedBins(t, srv, ds, 8, 10, 0)
+	awaitSnapshot(srv)
 	st = srv.Stats()
 	if st.CheckpointErr != "" || st.CheckpointsWritten <= healthy.CheckpointsWritten {
 		t.Fatalf("disk recovery did not heal the error: %+v", st)

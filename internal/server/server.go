@@ -145,9 +145,14 @@ type Config struct {
 	// network model. "" disables checkpointing.
 	CheckpointPath string
 	// CheckpointEvery is the snapshot cadence in closed bins (default 1
-	// when CheckpointPath is set): a snapshot is taken after every N bins
-	// are closed and submitted. At the default every-bin cadence a restart
-	// resumes at most one bin stale.
+	// when CheckpointPath is set): a snapshot is started once N bins have
+	// been closed and submitted since the last one. Snapshots are written
+	// off the ingest path, one at a time, so N is the minimum spacing: a
+	// cadence tick that finds the previous snapshot still in flight (its
+	// barrier in the detector, or its write on the way to disk) is taken at
+	// the first bin close after it lands. A restart resumes at most N bins
+	// plus the bins that closed during one snapshot in flight stale
+	// (Stats.CheckpointLagBins).
 	CheckpointEvery int
 	// CheckpointInterval adds a wall-clock snapshot timer (0 disables it):
 	// a safety net for quiet periods when no bins close — e.g. the
@@ -272,7 +277,12 @@ type Stats struct {
 	// cold-start instead (torn, corrupt, version skew, wrong fingerprint)
 	// — the reason lands in RestoreErr. CheckpointErr carries the most
 	// recent snapshot-write failure (a full disk shows up here, not as a
-	// crash).
+	// crash). CheckpointLagBins is LastClosed − LastCheckpointBin, the bins
+	// a kill right now would have to be re-fed: up to CheckpointEvery plus
+	// what closed while a snapshot was in flight. CheckpointsCoalesced
+	// counts cadence ticks that found a snapshot still in flight and were
+	// folded into the next one; CheckpointLastWriteMs is how long the
+	// latest write took (encode, fsync, rename).
 	CheckpointsWritten  uint64 `json:"checkpoints_written,omitempty"`
 	CheckpointErrors    uint64 `json:"checkpoint_errors,omitempty"`
 	LastCheckpointBin   int    `json:"last_checkpoint_bin"`
@@ -281,6 +291,10 @@ type Stats struct {
 	CheckpointFallbacks uint64 `json:"checkpoint_fallbacks,omitempty"`
 	RestoreErr          string `json:"restore_err,omitempty"`
 	CheckpointErr       string `json:"checkpoint_err,omitempty"`
+
+	CheckpointLagBins     int     `json:"checkpoint_lag_bins,omitempty"`
+	CheckpointsCoalesced  uint64  `json:"checkpoints_coalesced,omitempty"`
+	CheckpointLastWriteMs float64 `json:"checkpoint_last_write_ms,omitempty"`
 	// Draining reports a shutdown in progress. Err carries the first FATAL
 	// error — an ingest submit failure or a detector scoring failure ("",
 	// and /healthz 200, when healthy). DegradedErr carries a background
@@ -430,23 +444,29 @@ type Server struct {
 
 	// ingestMu serializes the synchronous ingest path: the full
 	// IngestPacket body (including the out-of-mu detector submit), the
-	// drain flush, and checkpoint capture. It is always taken before mu
-	// and never by the verdict consumer or the HTTP handlers, so holding
-	// it across a detector submit cannot deadlock. Unused by the sharded
-	// pipeline, which serializes per shard instead.
+	// drain flush, and the ingest side of a checkpoint capture (a copy of
+	// the open bins and cursors, microseconds — never the encode or the
+	// disk). It is always taken before mu and never by the verdict
+	// consumer or the HTTP handlers, so holding it across a detector
+	// submit cannot deadlock. Unused by the sharded pipeline, which
+	// serializes per shard instead.
 	ingestMu sync.Mutex
-	// binsSinceCp counts bins closed since the last snapshot — the
-	// bin-driven checkpoint cadence. Atomic because the coordinator
-	// increments it while the checkpointer goroutine resets it.
+	// binsSinceCp counts bins closed that no snapshot on disk covers yet —
+	// the bin-driven checkpoint cadence. Atomic because the ingest side
+	// adds to it while the writer goroutine subtracts what it wrote.
 	binsSinceCp atomic.Int64
+	// cpSlot (capacity 1) is held from a snapshot's capture until its
+	// write has landed or failed: at most one is ever on its way to disk.
+	// The cadence only tries it, and counts a miss in cpCoalesced;
+	// CheckpointNow, Drain and Kill wait for it. cpWrite carries the
+	// completed ticket from the verdict consumer to the writer goroutine.
+	cpSlot      chan struct{}
+	cpWrite     chan *cpTicket
+	cpCoalesced atomic.Uint64
+	writerWG    sync.WaitGroup
 	// cpTimerStop ends the wall-clock checkpoint timer goroutine.
 	cpTimerStop chan struct{}
 	timerWG     sync.WaitGroup
-
-	// ledgerCond (on mu) wakes checkpoint capture when the verdict
-	// consumer grows the anomaly ledger: a snapshot waits until the ledger
-	// holds every anomaly emitted before its barrier.
-	ledgerCond *sync.Cond
 
 	// reg decodes every datagram on the synchronous path; it owns the
 	// v9/IPFIX template caches there, so it is ingestMu state. The sharded
@@ -483,9 +503,10 @@ type Server struct {
 	coordCtl  chan coordMsg
 	coordDone chan struct{}
 	shardWG   sync.WaitGroup
-	// pauseMu freezes the receiver pool for a consistent sharded
-	// checkpoint capture: receivers hold the read side per datagram, the
-	// capture takes the write side.
+	// pauseMu freezes the receiver pool while the coordinator settles the
+	// pipeline (checkpoint capture, drain flush): receivers hold the read
+	// side per datagram, the coordinator — and nobody else — takes the
+	// write side.
 	pauseMu sync.RWMutex
 	// pendingObs is the highest bin any shard has accepted routable
 	// traffic for (CAS-max); the coordinator folds it into the watermark.
@@ -494,12 +515,6 @@ type Server struct {
 	// to the coordinator.
 	resetReq atomic.Bool
 	resetBin atomic.Int64
-	// cpMu serializes sharded checkpoint captures against each other and
-	// against the drain teardown.
-	cpMu   sync.Mutex
-	cpBell chan struct{}
-	cpStop chan struct{}
-	cpWG   sync.WaitGroup
 
 	// mu guards everything below. It is never held across a detector
 	// Submit: backpressure from the pipeline must not deadlock against the
@@ -512,6 +527,7 @@ type Server struct {
 	cpWritten   uint64
 	cpErrors    uint64
 	lastCpBin   int
+	cpLastWrite time.Duration
 	restored    bool
 	restoredBin int
 	cpFallbacks uint64
@@ -562,7 +578,8 @@ func (s *Server) shardOf(engine uint32) int {
 // existing snapshot: if the file verifies (checksum, version, fingerprint
 // — including the shard count) the daemon resumes from it — restored
 // models, reopened events, refilled open bins, sequence cursors,
-// watermark, anomaly ledger — and is at most CheckpointEvery bins stale.
+// watermark, anomaly ledger — and is at most CheckpointEvery bins plus one
+// snapshot in flight stale.
 // A snapshot that fails any check triggers a cold start instead, with the
 // reason on Stats.RestoreErr: a bad file on disk must never keep the
 // collector down.
@@ -589,8 +606,10 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 		reg:  reg,
 		seq:  map[engineKey]*engineSeq{},
 		bins: map[int]*binAcc{},
+
+		cpSlot:  make(chan struct{}, 1),
+		cpWrite: make(chan *cpTicket, 1),
 	}
-	s.ledgerCond = sync.NewCond(&s.mu)
 	s.ctr.watermark.Store(-1)
 	s.ctr.lastClosed.Store(-1)
 	s.lastCpBin = -1
@@ -633,6 +652,8 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 	}
 	s.consumerWG.Add(1)
 	go s.consumeVerdicts()
+	s.writerWG.Add(1)
+	go s.writeCheckpoints()
 	return s, nil
 }
 
@@ -884,63 +905,40 @@ func (s *Server) restore(st *checkpoint.State) error {
 	return nil
 }
 
-// persist takes one snapshot around the caller-supplied assembler: barrier
-// the detector, wait for the anomaly ledger to catch up to the barrier,
-// assemble the on-disk state (under mu; the caller guarantees the ingest
-// state it reads is frozen — ingestMu on the synchronous path, a paused
-// and quiesced pipeline on the sharded one), and atomically replace the
-// snapshot file. Write failures (a full disk, an injected fault) are
-// counted and surfaced on /stats, never fatal: the daemon keeps
-// collecting, one snapshot staler.
-func (s *Server) persist(assemble func(netwide.StreamCheckpoint) *checkpoint.State) error {
-	cp, err := s.det.Checkpoint()
-	if err == nil {
-		s.mu.Lock()
-		// The barrier guarantees every pre-barrier verdict has been
-		// delivered to the consumer; wait for the consumer to fold them in
-		// so the snapshot's ledger is exactly the pre-barrier set.
-		for uint64(len(s.anoms)) < cp.Emitted {
-			s.ledgerCond.Wait()
-		}
-		st := assemble(cp)
-		s.mu.Unlock()
-		err = checkpoint.WriteFile(s.cfg.CheckpointPath, st, s.cfg.Faults)
-	}
-	s.mu.Lock()
-	if err != nil {
-		s.cpErrors++
-		s.cpErr = err.Error()
-	} else {
-		s.cpWritten++
-		s.lastCpBin = int(s.ctr.lastClosed.Load())
-		s.cpErr = ""
-	}
-	s.mu.Unlock()
-	if err == nil {
-		s.binsSinceCp.Store(0)
-	}
-	return err
+// cpTicket is one snapshot on its way to disk. The ingest side starts it
+// with what it owns — fingerprint, counters, open bins, cursors, template
+// caches — and sends it down the detector as a barrier token; the verdict
+// consumer completes it with the detector's state, the ledger and the alarm
+// count as of the barrier; the writer goroutine puts it on disk.
+type cpTicket struct {
+	st *checkpoint.State
+	// bins is binsSinceCp at capture: what the cadence stops owing once st
+	// is on disk. Bins that close while the write is in flight stay owed.
+	bins int64
+	// done receives the write's result (buffered: the cadence never reads
+	// it).
+	done chan error
 }
 
-// baseState assembles the snapshot fields common to both ingest paths:
-// fingerprint, counters, per-protocol breakdown and the anomaly ledger as
-// of the detector barrier. Callers hold mu (via persist).
-func (s *Server) baseState(cp netwide.StreamCheckpoint) *checkpoint.State {
+// newTicket starts a snapshot with the ingest side's share of it:
+// fingerprint, counters and per-protocol breakdown. The caller holds cpSlot
+// and has frozen the ingest state it reads — ingestMu on the synchronous
+// path, the settled pipeline on the sharded one — and adds the shard
+// states and template caches.
+func (s *Server) newTicket() *cpTicket {
 	ds := s.run.Dataset()
 	opts := s.detectOpts()
 	kind, _ := s.streamKind()
 	st := &checkpoint.State{
-		Topology:  ds.Top.Name,
-		ODPairs:   ds.NumODPairs(),
-		Measures:  int(dataset.NumMeasures),
-		K:         opts.K,
-		Alpha:     opts.Alpha,
-		Epoch:     s.cfg.Epoch,
-		Formats:   s.enabledFormats(),
-		Shards:    s.numShards(),
-		Updater:   string(kind),
-		Stream:    cp,
-		Anomalies: append([]netwide.Anomaly(nil), s.anoms[:cp.Emitted]...),
+		Topology: ds.Top.Name,
+		ODPairs:  ds.NumODPairs(),
+		Measures: int(dataset.NumMeasures),
+		K:        opts.K,
+		Alpha:    opts.Alpha,
+		Epoch:    s.cfg.Epoch,
+		Formats:  s.enabledFormats(),
+		Shards:   s.numShards(),
+		Updater:  string(kind),
 	}
 	sv := &st.Server
 	sv.Packets = s.ctr.packets.Load()
@@ -955,13 +953,83 @@ func (s *Server) baseState(cp netwide.StreamCheckpoint) *checkpoint.State {
 	sv.BinsClosed = int(s.ctr.binsClosed.Load())
 	sv.Watermark = int(s.ctr.watermark.Load())
 	sv.LastClosed = int(s.ctr.lastClosed.Load())
-	sv.AlarmBins = s.alarmBins
 	for f := flowwire.Format(1); f < flowwire.NumFormats; f++ {
 		if ps, seen := s.proto[f].state(f); seen {
 			sv.Protocols = append(sv.Protocols, ps)
 		}
 	}
-	return st
+	return &cpTicket{st: st, bins: s.binsSinceCp.Load(), done: make(chan error, 1)}
+}
+
+// inject sends the ticket down the detector as a barrier behind every bin
+// submitted so far, and does not wait for it: bins are submitted under the
+// same lock (or by the same coordinator) that captured the ticket, so the
+// ingest state in it and the detector state the barrier collects on its
+// way are one cut of the submission order. A refused barrier (the detector
+// is closed) settles the ticket as a failed write.
+func (s *Server) inject(t *cpTicket) *cpTicket {
+	if err := s.det.Checkpoint(t); err != nil {
+		s.finishTicket(t, err, 0)
+	}
+	return t
+}
+
+// writeCheckpoints is the one goroutine that touches the snapshot file: it
+// encodes each completed ticket and atomically replaces the file (temp
+// file, fsync, rename, directory fsync), off every ingest lock. Write
+// failures (a full disk, an injected fault) are counted and surfaced on
+// /stats, never fatal: the daemon keeps collecting, one snapshot staler.
+func (s *Server) writeCheckpoints() {
+	defer s.writerWG.Done()
+	var enc checkpoint.Encoder
+	for t := range s.cpWrite {
+		start := time.Now()
+		err := enc.WriteFile(s.cfg.CheckpointPath, t.st, s.cfg.Faults)
+		s.finishTicket(t, err, time.Since(start))
+	}
+}
+
+// finishTicket books a ticket's outcome, frees cpSlot and answers whoever
+// waits on the ticket.
+func (s *Server) finishTicket(t *cpTicket, err error, took time.Duration) {
+	s.mu.Lock()
+	if err != nil {
+		s.cpErrors++
+		s.cpErr = err.Error()
+	} else {
+		s.cpWritten++
+		// What the file covers — not the live cursor, which has moved on
+		// while the write was in flight.
+		s.lastCpBin = t.st.Server.LastClosed
+		s.cpLastWrite = took
+		s.cpErr = ""
+	}
+	s.mu.Unlock()
+	if err == nil {
+		// Only the bins this snapshot covered: the ones that closed during
+		// the write are still owed one.
+		s.binsSinceCp.Add(-t.bins)
+	}
+	<-s.cpSlot
+	t.done <- err
+}
+
+// cadenceDue counts n newly closed bins toward the snapshot cadence and
+// reports whether to start a snapshot now — in which case the caller holds
+// cpSlot. A tick that finds the previous snapshot still on its way to disk
+// is not lost: binsSinceCp keeps what is owed, and the first bin close
+// after the write lands takes it.
+func (s *Server) cadenceDue(n int) bool {
+	if s.cfg.CheckpointPath == "" || s.binsSinceCp.Add(int64(n)) < int64(s.cfg.CheckpointEvery) {
+		return false
+	}
+	select {
+	case s.cpSlot <- struct{}{}:
+		return true
+	default:
+		s.cpCoalesced.Add(1)
+		return false
+	}
 }
 
 // shardStateOf deep-copies one binning partition's in-flight state into
@@ -1046,48 +1114,58 @@ func templatesOf(regs ...*flowwire.Registry) []checkpoint.TemplateState {
 	return out
 }
 
-// checkpointSync takes one synchronous-path snapshot. Callers hold
-// ingestMu, which is what freezes the open bins, sequence cursors and
-// template cache the assembler reads.
-func (s *Server) checkpointSync() error {
-	return s.persist(func(cp netwide.StreamCheckpoint) *checkpoint.State {
-		st := s.baseState(cp)
-		st.Server.Shards = []checkpoint.ShardState{
-			shardStateOf(s.bins, s.seq, int(s.ctr.lastClosed.Load()), s.behindStreak),
-		}
-		st.Server.Templates = templatesOf(s.reg)
-		return st
-	})
+// captureSync starts one synchronous-path snapshot. Callers hold cpSlot
+// and ingestMu; the lock is what freezes the open bins, sequence cursors
+// and template cache copied here, and it is held for the copy only.
+func (s *Server) captureSync() *cpTicket {
+	t := s.newTicket()
+	t.st.Server.Shards = []checkpoint.ShardState{
+		shardStateOf(s.bins, s.seq, t.st.Server.LastClosed, s.behindStreak),
+	}
+	t.st.Server.Templates = templatesOf(s.reg)
+	return s.inject(t)
 }
 
-// CheckpointNow takes a snapshot immediately, outside the bin-driven
-// cadence — the wall-clock timer's entry point, also callable by tests and
-// operators. It fails when checkpointing is disabled or a drain is in
-// progress (the drain takes its own final snapshot).
-func (s *Server) CheckpointNow() error {
-	if s.cfg.CheckpointPath == "" {
-		return errors.New("server: checkpointing disabled (no CheckpointPath)")
-	}
-	if s.sharded() {
-		s.cpMu.Lock()
-		defer s.cpMu.Unlock()
+// snapshot takes one snapshot and returns once it is on disk (or has
+// failed): the path of CheckpointNow, the wall-clock timer and — with
+// flush, which first closes every bin through the watermark — Drain. Only
+// the capture runs under the ingest lock (or the coordinator's pause); the
+// wait for the barrier and the disk does not.
+func (s *Server) snapshot(flush bool) error {
+	s.cpSlot <- struct{}{} // waits out a snapshot still on its way to disk
+	if !flush {
 		s.mu.Lock()
 		draining := s.draining
 		s.mu.Unlock()
 		if draining {
+			<-s.cpSlot
 			return errors.New("server: draining; the drain writes the final checkpoint")
 		}
-		return s.captureSharded(false)
 	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return errors.New("server: draining; the drain writes the final checkpoint")
+	var t *cpTicket
+	if s.sharded() {
+		t = s.coordCapture(flush)
+	} else {
+		s.ingestMu.Lock()
+		if flush {
+			s.flushSync()
+		}
+		t = s.captureSync()
+		s.ingestMu.Unlock()
 	}
-	return s.checkpointSync()
+	return <-t.done
+}
+
+// CheckpointNow takes a snapshot immediately, outside the bin-driven
+// cadence — the wall-clock timer's entry point, also callable by tests and
+// operators. When it returns nil the file on disk covers every bin closed
+// before the call. It fails when checkpointing is disabled or a drain is
+// in progress (the drain takes its own final snapshot).
+func (s *Server) CheckpointNow() error {
+	if s.cfg.CheckpointPath == "" {
+		return errors.New("server: checkpointing disabled (no CheckpointPath)")
+	}
+	return s.snapshot(false)
 }
 
 // checkpointTimer snapshots every CheckpointInterval of wall-clock time —
@@ -1109,23 +1187,36 @@ func (s *Server) checkpointTimer(stop chan struct{}) {
 
 // consumeVerdicts drains the detector's verdict stream for the daemon's
 // lifetime, folding characterized anomalies and alarm counts into the
-// served state. It exits when the stream closes (after Drain).
+// served state. A checkpoint barrier arrives in the same stream: at that
+// instant the ledger and the alarm count are exactly those of the bins
+// before the barrier, so the consumer completes the ticket with them and
+// hands it to the writer (never blocks: one ticket at a time, cpSlot). It
+// exits when the stream closes (after Drain).
 func (s *Server) consumeVerdicts() {
 	defer s.consumerWG.Done()
 	for v := range s.det.Verdicts() {
 		s.mu.Lock()
+		if v.Checkpoint != nil {
+			t := v.Token.(*cpTicket)
+			t.st.Stream = *v.Checkpoint
+			t.st.Server.AlarmBins = s.alarmBins
+			// No copy: the ledger only ever grows, and appends write past
+			// the capped length the writer reads.
+			t.st.Anomalies = s.anoms[:len(s.anoms):len(s.anoms)]
+			s.mu.Unlock()
+			s.cpWrite <- t
+			continue
+		}
 		if v.Alarm() {
 			s.alarmBins++
 		}
 		s.gens = v.Generations
 		s.anoms = append(s.anoms, v.Anomalies...)
-		s.ledgerCond.Broadcast()
 		s.mu.Unlock()
 	}
 	tail := s.det.TailAnomalies()
 	s.mu.Lock()
 	s.anoms = append(s.anoms, tail...)
-	s.ledgerCond.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -1291,11 +1382,14 @@ func (s *Server) readLoop(conn *net.UDPConn) {
 }
 
 // IngestPacket runs the full per-datagram ingest path — decode, sequence
-// dedupe, OD resolution, bin accumulation, bin close, and the bin-driven
-// checkpoint cadence — synchronously on the caller's goroutine. The read
-// loop is its only caller in production; tests and benchmarks call it
-// directly to drive the daemon without a socket. ingestMu serializes
-// concurrent callers and excludes checkpoint capture mid-packet. On a
+// dedupe, OD resolution, bin accumulation, bin close — synchronously on the
+// caller's goroutine. When the bin-driven checkpoint cadence comes due it
+// only starts the snapshot: a copy of the open bins and cursors and a
+// barrier sent after the closed bins; the detector, the verdict consumer
+// and the writer goroutine finish it while ingest goes on. The read loop is
+// its only caller in production; tests and benchmarks call it directly to
+// drive the daemon without a socket. ingestMu serializes concurrent
+// callers and excludes checkpoint capture mid-packet. On a
 // sharded daemon the packet enters the pipeline through receiver 0
 // instead, and the accumulation happens asynchronously.
 func (s *Server) IngestPacket(pkt []byte) {
@@ -1392,11 +1486,21 @@ func (s *Server) IngestPacket(pkt []byte) {
 		s.ctr.binsOpen.Store(int64(len(s.bins)))
 	}
 	s.submit(closed)
-	if s.cfg.CheckpointPath != "" && len(closed) > 0 {
-		if s.binsSinceCp.Add(int64(len(closed))) >= int64(s.cfg.CheckpointEvery) {
-			s.checkpointSync()
-		}
+	if len(closed) > 0 && s.cadenceDue(len(closed)) {
+		s.captureSync()
 	}
+}
+
+// flushSync closes every open bin through the watermark itself, grace
+// abandoned — the drain's final close. Callers hold ingestMu.
+func (s *Server) flushSync() {
+	closed := detachBins(s.bins, int(s.ctr.watermark.Load()))
+	if len(closed) > 0 {
+		s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
+		s.ctr.binsClosed.Add(int64(len(closed)))
+		s.ctr.binsOpen.Store(int64(len(s.bins)))
+	}
+	s.submit(closed)
 }
 
 const (
@@ -1750,6 +1854,12 @@ func (s *Server) Stats() Stats {
 	st.CheckpointFallbacks = s.cpFallbacks
 	st.RestoreErr = s.restoreErr
 	st.CheckpointErr = s.cpErr
+	if s.cfg.CheckpointPath != "" {
+		// Read after lastCpBin, which never runs ahead of it.
+		st.CheckpointLagBins = int(s.ctr.lastClosed.Load()) - s.lastCpBin
+		st.CheckpointsCoalesced = s.cpCoalesced.Load()
+		st.CheckpointLastWriteMs = float64(s.cpLastWrite) / float64(time.Millisecond)
+	}
 	st.Draining = s.draining
 	if s.firstError != nil {
 		st.Err = s.firstError.Error()
@@ -1828,46 +1938,25 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.readersWG.Wait()
 
-	if s.sharded() {
-		// An in-flight bin-cadence capture may still hold cpMu; stop the
-		// checkpointer, then take cpMu for the whole teardown so nothing
-		// interleaves with the flush and the final snapshot.
-		if s.cpStop != nil {
-			close(s.cpStop)
-			s.cpWG.Wait()
-		}
-		s.cpMu.Lock()
-		s.syncShards() // receiver-enqueued batches all binned
-		s.coordFlush() // every bin through the watermark sealed, merged, submitted
-		if s.cfg.CheckpointPath != "" {
-			s.captureSharded(true)
-		}
-		s.stopCoordinator()
-		s.stopShards()
-		s.cpMu.Unlock()
-	} else {
-		// The read loop has exited and the socket is closed: no new bins
-		// can appear. Flush the tail, then persist the final snapshot — it
-		// carries every closed bin, so a restart after a clean drain
-		// resumes zero bins stale. ingestMu excludes a straggling direct
-		// IngestPacket caller.
+	// The readers have exited and the sockets are closed: no new bins can
+	// appear. Flush the tail — every receiver-enqueued batch binned, every
+	// bin through the watermark closed and submitted — and, when
+	// checkpointing, persist the final snapshot and wait for it: it carries
+	// every closed bin, so a restart after a clean drain resumes zero bins
+	// stale. Failures land on Stats. ingestMu excludes a straggling direct
+	// IngestPacket caller.
+	switch {
+	case s.cfg.CheckpointPath != "":
+		s.snapshot(true)
+	case s.sharded():
+		s.coordDo(ctlFlush)
+	default:
 		s.ingestMu.Lock()
-		closed := detachBins(s.bins, int(s.ctr.watermark.Load()))
-		if len(closed) > 0 {
-			s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
-			s.ctr.binsClosed.Add(int64(len(closed)))
-			s.ctr.binsOpen.Store(int64(len(s.bins)))
-		}
-		s.submit(closed)
-		if s.cfg.CheckpointPath != "" {
-			s.checkpointSync()
-		}
+		s.flushSync()
 		s.ingestMu.Unlock()
 	}
-
-	s.det.Close()
-	s.consumerWG.Wait() // verdict stream fully drained, tail folded in
-	s.det.Wait()        // settle background refits before reading errors
+	s.reap()
+	s.det.Wait() // settle background refits before reading errors
 	if err := s.det.Err(); err != nil {
 		// Fatal only: a refit failure means the daemon ran degraded, not
 		// that the drain failed — it stays on Stats.DegradedErr.
@@ -1920,25 +2009,31 @@ func (s *Server) Kill() {
 	} else if ln != nil {
 		ln.Close()
 	}
-	if s.sharded() {
-		// Let an in-flight capture finish against a live pipeline, then
-		// tear the pipeline down with no flush — whatever the shards still
-		// held is lost, exactly like a crash.
-		if s.cpStop != nil {
-			close(s.cpStop)
-			s.cpWG.Wait()
-		}
-		s.cpMu.Lock()
-		s.stopCoordinator()
-		s.stopShards()
-		s.cpMu.Unlock()
-	}
-	// Reap the detector goroutines so a killed daemon leaks nothing into
-	// the test process; the verdicts it delivers on the way down land in a
-	// ledger nobody will read again.
-	s.det.Close()
-	s.consumerWG.Wait()
+	// Let a snapshot on its way to disk land (or fail) against a live
+	// pipeline, and keep its slot so no other starts; then tear down with
+	// no flush — whatever the bins still held is lost, exactly like a
+	// crash. Reaping the goroutines keeps a killed daemon from leaking into
+	// the test process; the verdicts the detector delivers on the way down
+	// land in a ledger nobody will read again.
+	s.cpSlot <- struct{}{}
+	defer func() { <-s.cpSlot }()
+	s.reap()
 	s.det.Wait()
+}
+
+// reap stops the sharded pipeline (when there is one), closes the detector
+// and waits for the verdict consumer and the snapshot writer to finish
+// what was in flight — the shared tail of Drain and Kill.
+func (s *Server) reap() {
+	if s.sharded() {
+		s.coordDo(ctlStop)
+		<-s.coordDone
+		s.stopShards()
+	}
+	s.det.Close()
+	s.consumerWG.Wait() // verdict stream fully drained, tail folded in
+	close(s.cpWrite)
+	s.writerWG.Wait()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

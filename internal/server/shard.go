@@ -27,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"netwide"
 	"netwide/internal/checkpoint"
 	"netwide/internal/flowwire"
 	"netwide/internal/traffic"
@@ -115,17 +114,21 @@ type sealReply struct {
 const (
 	ctlQuiesce = iota
 	ctlFlush
+	ctlCapture
 	ctlStop
 )
 
 // coordMsg is a control-plane request to the coordinator. ctlQuiesce
-// drains every outstanding epoch and parks the coordinator until resume
-// closes (checkpoint capture); ctlFlush seals everything through the
-// watermark and drains (the graceful drain); ctlStop exits the loop.
+// settles the pipeline — receivers paused, shard queues and outstanding
+// epochs drained — and resumes it; ctlFlush also seals everything through
+// the watermark (the graceful drain); ctlCapture settles (and flushes, when
+// flush is set), starts a checkpoint ticket from the settled state and
+// sends it back on ticket; ctlStop exits the loop. The others close reply.
 type coordMsg struct {
 	kind   int
+	flush  bool
 	reply  chan struct{}
-	resume chan struct{}
+	ticket chan *cpTicket
 }
 
 // recPool recycles decoded-record slices across receivers and shards.
@@ -164,14 +167,11 @@ func (s *Server) buildPipeline() error {
 	s.coordBell = make(chan struct{}, 1)
 	s.coordCtl = make(chan coordMsg)
 	s.coordDone = make(chan struct{})
-	s.cpBell = make(chan struct{}, 1)
-	s.cpStop = make(chan struct{})
 	return nil
 }
 
-// startPipeline launches the shard workers, the coordinator and (when
-// checkpointing) the checkpointer, seeding the coordinator's cursors from
-// whatever restore left behind.
+// startPipeline launches the shard workers and the coordinator, seeding
+// the coordinator's cursors from whatever restore left behind.
 func (s *Server) startPipeline() {
 	watermark := int(s.ctr.watermark.Load())
 	sealTarget := int(s.ctr.lastClosed.Load())
@@ -186,10 +186,6 @@ func (s *Server) startPipeline() {
 		go s.shardLoop(w)
 	}
 	go s.coordinate(watermark, sealTarget)
-	if s.cfg.CheckpointPath != "" {
-		s.cpWG.Add(1)
-		go s.checkpointer()
-	}
 }
 
 // receiverLoop drains one socket until Drain or Kill closes it.
@@ -210,7 +206,7 @@ func (s *Server) receiverLoop(r *receiver) {
 // and route the batch to its engine's shard. The channel send applies
 // backpressure when the shard is behind — by design, the receiver slows
 // rather than the queue growing without bound. pauseMu's read side makes
-// a datagram atomic with respect to checkpoint capture: the capture's
+// a datagram atomic with respect to checkpoint capture: the coordinator's
 // write lock waits out in-flight datagrams, then finds every batch either
 // fully routed or not started.
 func (s *Server) ingestOn(r *receiver, pkt []byte) {
@@ -390,14 +386,18 @@ type epochState struct {
 }
 
 // coordinate is the merge layer: the single owner of the watermark, the
-// seal schedule and the detector submit order. It starts from the
-// restored cursors (watermark, sealTarget) so a warm start never re-seals
-// what the snapshot already closed.
+// seal schedule, the detector submit order and — because a snapshot's
+// ingest state must be one cut of that order — checkpoint capture. It
+// starts from the restored cursors (watermark, sealTarget) so a warm start
+// never re-seals what the snapshot already closed.
 func (s *Server) coordinate(watermark, sealTarget int) {
 	defer close(s.coordDone)
 	var (
 		epochs    []*epochState
 		nextEpoch uint64
+		// closedSince counts bins submitted that the checkpoint cadence has
+		// not been told of yet.
+		closedSince int
 	)
 	issueSeal := func(through int) {
 		ep := &epochState{id: nextEpoch, through: through, pending: len(s.shards), bins: map[int]*binAcc{}}
@@ -420,14 +420,7 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 		s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
 		s.ctr.binsClosed.Add(int64(len(closed)))
 		s.submit(closed)
-		if s.cfg.CheckpointPath != "" {
-			if s.binsSinceCp.Add(int64(len(closed))) >= int64(s.cfg.CheckpointEvery) {
-				select {
-				case s.cpBell <- struct{}{}:
-				default:
-				}
-			}
-		}
+		closedSince += len(closed)
 	}
 	fold := func(rep sealReply) {
 		for _, ep := range epochs {
@@ -485,6 +478,45 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 			completeReady()
 		}
 	}
+	// settle brings the pipeline to a barrier — receivers paused, shard
+	// queues drained, every closeable bin sealed, merged and submitted (with
+	// flush: every bin through the watermark itself, grace abandoned — no
+	// more traffic is coming to fill it) — so that the shards' state is
+	// exactly "everything through sealTarget submitted, the rest open". The
+	// caller releases pauseMu.
+	settle := func(flush bool) {
+		s.pauseMu.Lock()
+		s.syncShards()
+		step()
+		drainEpochs()
+		if flush && watermark > sealTarget {
+			issueSeal(watermark)
+			drainEpochs()
+		}
+	}
+	// capture starts one sharded snapshot (the caller holds cpSlot): with
+	// the pipeline settled, the counters, every shard's partition state and
+	// the template caches all describe the same instant, and the barrier is
+	// injected right behind the last submitted bin. The pause lasts for the
+	// copy; the barrier's trip and the disk are waited for elsewhere.
+	capture := func(flush bool) *cpTicket {
+		settle(flush)
+		defer s.pauseMu.Unlock()
+		s.binsSinceCp.Add(int64(closedSince))
+		closedSince = 0
+		t := s.newTicket()
+		snap := make(chan checkpoint.ShardState, 1)
+		for _, w := range s.shards {
+			w.ch <- shardMsg{kind: msgCapture, snap: snap}
+			t.st.Server.Shards = append(t.st.Server.Shards, <-snap)
+		}
+		regs := make([]*flowwire.Registry, len(s.recvs))
+		for i, r := range s.recvs {
+			regs[i] = r.reg
+		}
+		t.st.Server.Templates = templatesOf(regs...)
+		return s.inject(t)
+	}
 	for {
 		select {
 		case <-s.coordBell:
@@ -496,48 +528,22 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 			step()
 		case msg := <-s.coordCtl:
 			switch msg.kind {
-			case ctlQuiesce:
-				// Settle the pipeline to a barrier: close what the
-				// watermark allows, then drain every outstanding epoch so
-				// the shards' post-quiesce state is exactly "everything
-				// through sealTarget submitted, the rest open".
-				step()
-				drainEpochs()
+			case ctlQuiesce, ctlFlush:
+				settle(msg.kind == ctlFlush)
+				s.pauseMu.Unlock()
 				close(msg.reply)
-				<-msg.resume
-			case ctlFlush:
-				// The drain's final close: everything through the
-				// watermark itself, grace abandoned — no more traffic is
-				// coming to fill it.
-				step()
-				if watermark > sealTarget {
-					drainEpochs()
-					issueSeal(watermark)
-				}
-				drainEpochs()
-				close(msg.reply)
+			case ctlCapture:
+				msg.ticket <- capture(msg.flush)
 			case ctlStop:
 				close(msg.reply)
 				return
 			}
 		}
-	}
-}
-
-// checkpointer serializes the bin-cadence snapshots off the coordinator's
-// critical path: the coordinator only rings a bell, and captures that
-// would overlap collapse into one.
-func (s *Server) checkpointer() {
-	defer s.cpWG.Done()
-	for {
-		select {
-		case <-s.cpStop:
-			return
-		case <-s.cpBell:
-			// Failures land on Stats (persist's contract); a capture
-			// declined because a drain started is equally fine — the drain
-			// writes the final snapshot.
-			s.CheckpointNow()
+		if n := closedSince; n > 0 {
+			closedSince = 0
+			if s.cadenceDue(n) {
+				capture(false)
+			}
 		}
 	}
 }
@@ -554,70 +560,25 @@ func (s *Server) syncShards() {
 	}
 }
 
+// coordDo runs one control request on the coordinator and waits for it.
+func (s *Server) coordDo(kind int) {
+	reply := make(chan struct{})
+	s.coordCtl <- coordMsg{kind: kind, reply: reply}
+	<-reply
+}
+
 // quiesce settles the whole pipeline to a consistent barrier — receivers
 // paused, shard queues drained, every closeable bin sealed, merged and
 // submitted — then resumes it. Tests and benchmarks use it to read
-// deterministic stats; checkpoint capture uses the same sequence with the
-// pause held longer.
-func (s *Server) quiesce() {
-	s.pauseMu.Lock()
-	defer s.pauseMu.Unlock()
-	s.syncShards()
-	reply := make(chan struct{})
-	resume := make(chan struct{})
-	s.coordCtl <- coordMsg{kind: ctlQuiesce, reply: reply, resume: resume}
-	<-reply
-	close(resume)
-}
+// deterministic stats; checkpoint capture settles the same way.
+func (s *Server) quiesce() { s.coordDo(ctlQuiesce) }
 
-// captureSharded takes one sharded snapshot: pause the receivers (unless
-// the drain already stopped them), drain the shard queues, park the
-// coordinator at its barrier, deep-copy every shard's partition state,
-// and persist. The pause guarantees the captured counters, shard states,
-// template caches and detector barrier all describe the same instant.
-func (s *Server) captureSharded(final bool) error {
-	if !final {
-		s.pauseMu.Lock()
-		defer s.pauseMu.Unlock()
-	}
-	s.syncShards()
-	reply := make(chan struct{})
-	resume := make(chan struct{})
-	s.coordCtl <- coordMsg{kind: ctlQuiesce, reply: reply, resume: resume}
-	<-reply
-	defer close(resume)
-	states := make([]checkpoint.ShardState, len(s.shards))
-	for i, w := range s.shards {
-		snap := make(chan checkpoint.ShardState, 1)
-		w.ch <- shardMsg{kind: msgCapture, snap: snap}
-		states[i] = <-snap
-	}
-	regs := make([]*flowwire.Registry, 0, len(s.recvs))
-	for _, r := range s.recvs {
-		regs = append(regs, r.reg)
-	}
-	return s.persist(func(cp netwide.StreamCheckpoint) *checkpoint.State {
-		st := s.baseState(cp)
-		st.Server.Shards = states
-		st.Server.Templates = templatesOf(regs...)
-		return st
-	})
-}
-
-// coordFlush runs the drain's final seal: everything through the
-// watermark, merged and submitted. Callers have already stopped the
-// receivers and synced the shard queues.
-func (s *Server) coordFlush() {
-	reply := make(chan struct{})
-	s.coordCtl <- coordMsg{kind: ctlFlush, reply: reply}
-	<-reply
-}
-
-func (s *Server) stopCoordinator() {
-	reply := make(chan struct{})
-	s.coordCtl <- coordMsg{kind: ctlStop, reply: reply}
-	<-reply
-	<-s.coordDone
+// coordCapture has the coordinator start one snapshot (see capture in
+// coordinate) and returns its ticket. The caller holds cpSlot.
+func (s *Server) coordCapture(flush bool) *cpTicket {
+	ticket := make(chan *cpTicket, 1)
+	s.coordCtl <- coordMsg{kind: ctlCapture, flush: flush, ticket: ticket}
+	return <-ticket
 }
 
 func (s *Server) stopShards() {

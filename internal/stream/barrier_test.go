@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math/rand/v2"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"netwide/internal/engine"
 	"netwide/internal/fault"
@@ -56,7 +58,7 @@ func TestBarrierOrderedAmongSubmits(t *testing.T) {
 	cuts := map[int]bool{0: true, 23: true, n: true} // barrier before bin 0, before 23, after all
 	for bin := 0; bin < n; bin++ {
 		if cuts[bin] {
-			if err := pipe.Barrier(); err != nil {
+			if err := pipe.Barrier(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -64,7 +66,7 @@ func TestBarrierOrderedAmongSubmits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pipe.Barrier(); err != nil {
+	if err := pipe.Barrier(nil); err != nil {
 		t.Fatal(err)
 	}
 	pipe.Close()
@@ -105,7 +107,7 @@ func TestBarrierOrderedAmongSubmits(t *testing.T) {
 		}
 		nextBin++
 	}
-	if pipe.Barrier() == nil {
+	if pipe.Barrier(nil) == nil {
 		t.Fatal("barrier after Close succeeded")
 	}
 }
@@ -141,7 +143,7 @@ func TestBarrierRestoreParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := head.Barrier(); err != nil {
+	if err := head.Barrier(nil); err != nil {
 		t.Fatal(err)
 	}
 	head.Close()
@@ -213,7 +215,7 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pipe.Barrier(); err != nil {
+	if err := pipe.Barrier(nil); err != nil {
 		t.Fatal(err)
 	}
 	pipe.Close()
@@ -248,9 +250,19 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rDone := collect(restored)
-	for bin := n; bin < n+2*cfg.RefitEvery+2*cfg.BatchSize; bin++ {
+	startGen := bar.Lanes[0].Updater.Model.Gen
+	// The refit runs on its own goroutine: keep feeding until it has been
+	// adopted (a fixed 28 bins were all scored before it finished, two runs
+	// in five on a busy host), then one more batch for it to score.
+	tail := -1
+	for bin, deadline := n, time.Now().Add(30*time.Second); tail != 0 && time.Now().Before(deadline); bin++ {
 		if err := restored.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
 			t.Fatal(err)
+		}
+		if tail > 0 {
+			tail--
+		} else if restored.Generations()[0] > startGen {
+			tail = 2 * cfg.BatchSize
 		}
 	}
 	restored.Close()
@@ -258,7 +270,6 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rvs := <-rDone
-	startGen := bar.Lanes[0].Updater.Model.Gen
 	advanced := false
 	for _, v := range rvs {
 		if v.Gens[0] > startGen {
@@ -357,6 +368,91 @@ func TestNewRestoredValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := NewRestored(tc.states, tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// stateCounter wraps a lane's lifecycle and counts the State deep copies
+// asked of it.
+type stateCounter struct {
+	engine.Updater
+	states *atomic.Int64
+}
+
+func (c stateCounter) State() engine.UpdaterState {
+	c.states.Add(1)
+	return c.Updater.State()
+}
+
+// TestBarrierTokensInOrderAndNoUninvitedState pins what an injector that
+// does not wait for its barrier relies on: barriers come out of the verdict
+// stream carrying the token they went in with, exactly at their place among
+// the bins and never reordering them — under batched scoring and under the
+// in-band lifecycle, which flushes every bin — and a pipeline nobody sent a
+// barrier through never copies a lane's state.
+func TestBarrierTokensInOrderAndNoUninvitedState(t *testing.T) {
+	const p, lanes, n = 8, 3, 200
+	for _, kind := range []engine.UpdaterKind{engine.UpdaterRefit, engine.UpdaterIncremental} {
+		for _, cuts := range []map[int]bool{nil, {0: true, 1: true, 17: true, 18: true, 150: true}} {
+			rng := rand.New(rand.NewPCG(171, 172))
+			var states atomic.Int64
+			ups := make([]engine.Updater, lanes)
+			for i := range ups {
+				up, err := engine.NewUpdater(kind, fitLane(t, rng, 300, p), engine.UpdaterConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ups[i] = stateCounter{up, &states}
+			}
+			pipe, err := newPipeline(ups, Config{BatchSize: 7, Updater: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := synth(rand.New(rand.NewPCG(173, 174)), n, p, 2)
+			done := collect(pipe)
+			for bin := 0; bin < n; bin++ {
+				if cuts[bin] {
+					// Two in a row: nothing lies between them, and they must
+					// still come out in the order they went in.
+					for _, tok := range []int{bin, -bin - 1} {
+						if err := pipe.Barrier(tok); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pipe.Close()
+			if err := pipe.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			got := <-done
+			if len(got) != n+2*len(cuts) {
+				t.Fatalf("%s: got %d verdicts, want %d bins + %d barriers", kind, len(got), n, 2*len(cuts))
+			}
+			nextBin, lastTok := 0, -1
+			for i, v := range got {
+				switch {
+				case v.Barrier == nil:
+					if v.Bin != nextBin {
+						t.Fatalf("%s: verdict %d has bin %d, want %d", kind, i, v.Bin, nextBin)
+					}
+					nextBin++
+				case v.Barrier.Token == -nextBin-1:
+					if lastTok != nextBin || got[i-1].Barrier == nil {
+						t.Fatalf("%s: verdict %d: second barrier of cut %d came before the first", kind, i, nextBin)
+					}
+				case v.Barrier.Token != nextBin || !cuts[nextBin]:
+					t.Fatalf("%s: verdict %d: barrier with token %v surfaced before bin %d", kind, i, v.Barrier.Token, nextBin)
+				default:
+					lastTok = nextBin
+				}
+			}
+			if want := int64(2 * len(cuts) * lanes); states.Load() != want {
+				t.Fatalf("%s: %d lane State copies for %d barriers over %d lanes, want %d", kind, states.Load(), 2*len(cuts), lanes, want)
+			}
 		}
 	}
 }

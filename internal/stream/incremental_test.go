@@ -29,7 +29,7 @@ func TestIncrementalPipelineScoresInBand(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pipe.Barrier(); err != nil {
+	if err := pipe.Barrier(nil); err != nil {
 		t.Fatal(err)
 	}
 	pipe.Close()
@@ -103,7 +103,7 @@ func TestIncrementalRestoreParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := head.Barrier(); err != nil {
+	if err := head.Barrier(nil); err != nil {
 		t.Fatal(err)
 	}
 	head.Close()

@@ -101,8 +101,9 @@ type Sample struct {
 	// barrier marks a checkpoint barrier control message (injected by
 	// Barrier, never constructible by callers): it flows through the same
 	// channels as data, so its position in the verdict stream is exactly
-	// its position in the submission order.
-	barrier bool
+	// its position in the submission order. The lanes fill it in as it
+	// passes them.
+	barrier *Barrier
 }
 
 // LaneState is one lane's recovery state, captured at a Barrier: the full
@@ -120,6 +121,10 @@ type LaneState struct {
 // been scored and emitted, nothing after it has.
 type Barrier struct {
 	Lanes []LaneState
+	// Token is whatever the caller handed to Pipeline.Barrier, returned
+	// untouched: the injector does not wait for its barrier, so this is how
+	// the verdict consumer tells which request a barrier answers.
+	Token any
 }
 
 // Verdict is the merged scoring of one bin across every lane. Verdicts are
@@ -169,19 +174,20 @@ type laneTask struct {
 	seq     int
 	bin     int
 	x       []float64
-	barrier bool
+	barrier *Barrier
 }
 
 // laneResult is one scored vector en route to the aggregator. A barrier
-// result carries the lane's captured state instead of a scoring.
+// result carries the barrier — the lane's state already captured into its
+// slot — instead of a scoring.
 type laneResult struct {
-	lane  int
-	seq   int
-	bin   int
-	pt    engine.Point
-	gen   uint64
-	att   []identify.Attribution
-	state *LaneState
+	lane    int
+	seq     int
+	bin     int
+	pt      engine.Point
+	gen     uint64
+	att     []identify.Attribution
+	barrier *Barrier
 }
 
 // lane is one detector worker: a model lifecycle (the updater owns the
@@ -397,15 +403,16 @@ func (p *Pipeline) Submit(s Sample) error {
 // captures each lane's state after the lane has scored everything before
 // it, and surfaces in the verdict stream as a Verdict with a non-nil
 // Barrier field, ordered exactly where this call fell among the Submits.
-// Like Submit it blocks when the pipeline is Buffer bins behind, and fails
-// after Close.
-func (p *Pipeline) Barrier() error {
+// It does not wait for that verdict: token rides along on Barrier.Token for
+// the consumer to recognise it by. Like Submit it blocks when the pipeline
+// is Buffer bins behind, and fails after Close.
+func (p *Pipeline) Barrier(token any) error {
 	p.closeMu.Lock()
 	defer p.closeMu.Unlock()
 	if p.closed {
 		return errors.New("stream: barrier after Close")
 	}
-	p.in <- Sample{barrier: true}
+	p.in <- Sample{barrier: &Barrier{Lanes: make([]LaneState, len(p.lanes)), Token: token}}
 	return nil
 }
 
@@ -450,9 +457,9 @@ func (p *Pipeline) dispatch() {
 	for s := range p.in {
 		seq := p.seq
 		p.seq++
-		if s.barrier {
+		if s.barrier != nil {
 			for _, l := range p.lanes {
-				l.in <- laneTask{seq: seq, barrier: true}
+				l.in <- laneTask{seq: seq, barrier: s.barrier}
 			}
 			continue
 		}
@@ -517,12 +524,14 @@ func (p *Pipeline) laneWorker(l *lane) {
 		batch, vecs = batch[:0], vecs[:0]
 	}
 	for t := range l.in {
-		if t.barrier {
+		if t.barrier != nil {
 			// Score everything before the barrier first, so the captured
 			// state (model, window, tracker, refit phase) is exactly the
-			// state as of the last pre-barrier bin.
+			// state as of the last pre-barrier bin. Each lane writes its own
+			// slot; the send to the aggregator publishes it.
 			flush()
-			p.agg <- laneResult{lane: l.id, seq: t.seq, bin: -1, state: &LaneState{Updater: l.up.State()}}
+			t.barrier.Lanes[l.id] = LaneState{Updater: l.up.State()}
+			p.agg <- laneResult{lane: l.id, seq: t.seq, bin: -1, barrier: t.barrier}
 			continue
 		}
 		batch = append(batch, t)
@@ -593,11 +602,8 @@ func (p *Pipeline) aggregate() {
 	for r := range p.agg {
 		pt, ok := pending[r.seq]
 		if !ok {
-			if r.state != nil {
-				pt = &partial{
-					v:    Verdict{Bin: -1, Barrier: &Barrier{Lanes: make([]LaneState, len(p.lanes))}},
-					left: len(p.lanes),
-				}
+			if r.barrier != nil {
+				pt = &partial{v: Verdict{Bin: -1, Barrier: r.barrier}, left: len(p.lanes)}
 			} else {
 				pt = &partial{
 					v: Verdict{
@@ -611,9 +617,7 @@ func (p *Pipeline) aggregate() {
 			}
 			pending[r.seq] = pt
 		}
-		if r.state != nil {
-			pt.v.Barrier.Lanes[r.lane] = *r.state
-		} else {
+		if r.barrier == nil {
 			pt.v.Points[r.lane] = r.pt
 			pt.v.Gens[r.lane] = r.gen
 			pt.v.Attribs[r.lane] = r.att

@@ -97,6 +97,13 @@ type StreamVerdict struct {
 	// ends are delivered by TailAnomalies (Replay folds them onto its
 	// final verdict). Nil on most bins.
 	Anomalies []Anomaly
+	// Checkpoint is non-nil on a barrier verdict — the answer to a
+	// Checkpoint call, delivered in the verdict stream exactly where the
+	// call fell among the Submits: every verdict before it has been
+	// received, none after it has been started. A barrier verdict scores
+	// nothing (Bin is -1, the rest zero); Token is the caller's own.
+	Checkpoint *StreamCheckpoint
+	Token      any
 }
 
 // Alarm reports whether any measure flagged the bin.
@@ -123,12 +130,10 @@ type StreamDetector struct {
 	agg *events.Aggregator
 	// emitted counts anomalies delivered on verdicts so far, cumulative
 	// across restores. Owned by the characterize goroutine; a checkpoint
-	// carries the value as of its barrier, which is how a consumer keeping
-	// an anomaly ledger knows when the ledger has caught up to a snapshot.
+	// carries the value as of its barrier, so a consumer keeping an anomaly
+	// ledger can check that the ledger it holds when the barrier verdict
+	// arrives is the one the snapshot describes.
 	emitted uint64
-	// cpReply carries checkpoint snapshots from the characterize goroutine
-	// back to Checkpoint (one outstanding barrier at a time; binMu).
-	cpReply chan StreamCheckpoint
 	// tail holds the anomalies still open when the stream ended, flushed
 	// and characterized. Written by the characterize goroutine before it
 	// closes out, so reading it after the Verdicts channel closes is safe.
@@ -151,9 +156,9 @@ type LaneCheckpoint struct {
 }
 
 // StreamCheckpoint is the StreamDetector's full recovery state, captured
-// at a consistent point in the submission order by Checkpoint: every
-// verdict before the point has been characterized and delivered, nothing
-// after it has started. All fields are plain data — gob-encodable, no
+// at a consistent point in the submission order by a Checkpoint barrier:
+// every verdict before the point has been characterized and delivered,
+// nothing after it has started. All fields are plain data — gob-encodable, no
 // live pointers — so the snapshot can cross a process boundary.
 type StreamCheckpoint struct {
 	Lanes []LaneCheckpoint
@@ -165,8 +170,8 @@ type StreamCheckpoint struct {
 	Started bool
 	// Emitted is the cumulative count of anomalies delivered on verdicts
 	// before the snapshot point (across restores): a consumer mirroring
-	// anomalies into a ledger persists the snapshot only once its ledger
-	// holds exactly this many.
+	// anomalies into a ledger holds exactly this many when the barrier
+	// verdict reaches it.
 	Emitted uint64
 }
 
@@ -203,11 +208,10 @@ func (r *Run) NewStreamDetector(opts DetectOptions, cfg StreamConfig) (*StreamDe
 		return nil, fmt.Errorf("netwide: stream pipeline: %w", err)
 	}
 	d := &StreamDetector{
-		pipe:    pipe,
-		out:     make(chan StreamVerdict, 64),
-		run:     r,
-		agg:     events.NewAggregator(),
-		cpReply: make(chan StreamCheckpoint),
+		pipe: pipe,
+		out:  make(chan StreamVerdict, 64),
+		run:  r,
+		agg:  events.NewAggregator(),
 	}
 	go d.characterize()
 	return d, nil
@@ -256,7 +260,6 @@ func (r *Run) RestoreStreamDetector(cp StreamCheckpoint, cfg StreamConfig) (*Str
 		run:     r,
 		agg:     agg,
 		emitted: cp.Emitted,
-		cpReply: make(chan StreamCheckpoint),
 		lastBin: cp.LastBin,
 		started: cp.Started,
 	}
@@ -264,23 +267,30 @@ func (r *Run) RestoreStreamDetector(cp StreamCheckpoint, cfg StreamConfig) (*Str
 	return d, nil
 }
 
-// Checkpoint captures the detector's full recovery state at a consistent
-// point in the submission order: it injects a barrier behind every bin
-// submitted so far and returns once the pipeline has scored, aggregated
-// and delivered all of them. The verdict stream must be draining (as any
-// live consumer does) or Checkpoint deadlocks behind the undelivered
-// verdicts it is waiting on. Serializes with concurrent Submits; fails
+// barrierToken is what a Checkpoint barrier carries through the pipeline:
+// Submit's cursor as of the injection, and the caller's own token.
+type barrierToken struct {
+	lastBin int
+	started bool
+	user    any
+}
+
+// Checkpoint asks for the detector's full recovery state at this point in
+// the submission order: it injects a barrier behind every bin submitted so
+// far and returns without waiting for it (it blocks only as Submit does,
+// when the pipeline is full). The barrier rides the verdict stream past the
+// lanes and the characterization chain, and comes out of Verdicts as a
+// StreamVerdict whose Checkpoint field holds the state and whose Token is
+// the one given here — after every verdict submitted before the call and
+// before any submitted after it. Serializes with concurrent Submits; fails
 // after Close.
-func (d *StreamDetector) Checkpoint() (StreamCheckpoint, error) {
+func (d *StreamDetector) Checkpoint(token any) error {
 	d.binMu.Lock()
 	defer d.binMu.Unlock()
-	if err := d.pipe.Barrier(); err != nil {
-		return StreamCheckpoint{}, fmt.Errorf("netwide: checkpoint: %w", err)
+	if err := d.pipe.Barrier(barrierToken{d.lastBin, d.started, token}); err != nil {
+		return fmt.Errorf("netwide: checkpoint: %w", err)
 	}
-	cp := <-d.cpReply
-	cp.LastBin = d.lastBin
-	cp.Started = d.started
-	return cp, nil
+	return nil
 }
 
 // characterize relabels the internal verdict stream with the public types
@@ -300,8 +310,9 @@ func (d *StreamDetector) characterize() {
 			// A checkpoint barrier: everything before it has been delivered
 			// (this goroutine delivered it), nothing after it has been
 			// touched, so the aggregator + emitted count snapshot here is
-			// consistent with the lane states the barrier carries.
-			d.cpReply <- d.snapshot(v.Barrier)
+			// consistent with the lane states the barrier carries. It goes
+			// on down the same channel, keeping its place in the order.
+			d.out <- d.barrierVerdict(v.Barrier)
 			continue
 		}
 		sv := StreamVerdict{Bin: v.Bin}
@@ -330,12 +341,17 @@ func (d *StreamDetector) characterize() {
 	close(d.out)
 }
 
-// snapshot assembles a StreamCheckpoint from a pipeline barrier plus the
-// characterize-side state. Runs on the characterize goroutine.
-func (d *StreamDetector) snapshot(bar *stream.Barrier) StreamCheckpoint {
-	cp := StreamCheckpoint{
+// barrierVerdict turns a pipeline barrier into the verdict that answers its
+// Checkpoint call: the lane states the barrier collected, the
+// characterize-side state as of this point in the stream, Submit's cursor
+// as of the injection. Runs on the characterize goroutine.
+func (d *StreamDetector) barrierVerdict(bar *stream.Barrier) StreamVerdict {
+	tok := bar.Token.(barrierToken)
+	cp := &StreamCheckpoint{
 		Lanes:   make([]LaneCheckpoint, len(bar.Lanes)),
 		Agg:     d.agg.State(),
+		LastBin: tok.lastBin,
+		Started: tok.started,
 		Emitted: d.emitted,
 	}
 	for i, ls := range bar.Lanes {
@@ -343,7 +359,7 @@ func (d *StreamDetector) snapshot(bar *stream.Barrier) StreamCheckpoint {
 		// so the checkpoint can outlive the pipeline.
 		cp.Lanes[i] = LaneCheckpoint{Updater: ls.Updater}
 	}
-	return cp
+	return StreamVerdict{Bin: -1, Checkpoint: cp, Token: tok.user}
 }
 
 // TailAnomalies returns the characterized anomalies that were still open

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"sort"
-	"sync"
 	"testing"
 
 	"netwide"
@@ -20,35 +19,39 @@ import (
 
 // runDetector feeds bins [from, to) of the run into det, checkpointing
 // just before each bin listed in cuts (so cut c snapshots with bins
-// [from, c) characterized). Returns verdicts in order, the captured
-// checkpoints keyed by cut bin, and the flushed tail anomalies.
+// [from, c) characterized; the cut bin is the barrier's token). Returns the
+// data verdicts in order and the captured checkpoints keyed by cut bin. A
+// barrier verdict must arrive exactly between the verdicts of bins c-1 and
+// c: Checkpoint does not wait for it, the verdict stream carries it.
 func runDetector(t *testing.T, run *netwide.Run, det *netwide.StreamDetector, from, to int, cuts ...int) ([]netwide.StreamVerdict, map[int]netwide.StreamCheckpoint) {
 	t.Helper()
 	cutSet := map[int]bool{}
 	for _, c := range cuts {
 		cutSet[c] = true
 	}
-	var (
-		mu  sync.Mutex
-		got []netwide.StreamVerdict
-	)
+	var got []netwide.StreamVerdict
+	cps := map[int]netwide.StreamCheckpoint{}
 	done := make(chan struct{})
 	go func() {
+		defer close(done)
+		next := from
 		for v := range det.Verdicts() {
-			mu.Lock()
+			if v.Checkpoint != nil {
+				if cut := v.Token.(int); cut != next || v.Bin != -1 || v.Alarm() {
+					t.Errorf("barrier for cut %d arrived before bin %d as %+v", cut, next, v)
+				}
+				cps[v.Token.(int)] = *v.Checkpoint
+				continue
+			}
 			got = append(got, v)
-			mu.Unlock()
+			next = v.Bin + 1
 		}
-		close(done)
 	}()
 	ds := run.Dataset()
-	cps := map[int]netwide.StreamCheckpoint{}
 	takeCp := func(bin int) {
-		cp, err := det.Checkpoint()
-		if err != nil {
+		if err := det.Checkpoint(bin); err != nil {
 			t.Fatalf("checkpoint before bin %d: %v", bin, err)
 		}
-		cps[bin] = cp
 	}
 	for bin := from; bin < to; bin++ {
 		if cutSet[bin] {
@@ -70,6 +73,9 @@ func runDetector(t *testing.T, run *netwide.Run, det *netwide.StreamDetector, fr
 		t.Fatal(err)
 	}
 	<-done
+	if len(cps) != len(cutSet) {
+		t.Fatalf("%d of %d barriers came back on the verdict stream", len(cps), len(cutSet))
+	}
 	return got, cps
 }
 
