@@ -88,7 +88,7 @@ func main() {
 		trainBins = flag.Int("trainbins", 0, "leading bins of the dataset to train on (0 = all bins)")
 		k         = flag.Int("k", 4, "normal subspace dimension")
 		alpha     = flag.Float64("alpha", 0.001, "detection false-alarm rate")
-		batch     = flag.Int("batch", 16, "vectors scored per model application")
+		batch     = flag.Int("batch", 16, "most vectors scored per model application (a backlog fills it; an idle detector scores each bin at once)")
 		updater   = flag.String("updater", "refit", "model lifecycle: refit (generation swaps every -refit bins) or incremental (per-bin subspace tracking, at most one bin stale)")
 		refit     = flag.Int("refit", 0, "bins between background model refits (0 = never); under -updater incremental, the drift-correction cadence")
 		window    = flag.Int("window", 0, "rolling refit window in bins (required when -refit > 0); under -updater incremental, the tracker's forgetting horizon")

@@ -42,7 +42,7 @@ func main() {
 		k       = flag.Int("k", 4, "normal subspace dimension")
 		alpha   = flag.Float64("alpha", 0.001, "detection false-alarm rate")
 		train   = flag.Int("train", 0, "training bins (0 = first half of the run)")
-		batch   = flag.Int("batch", 16, "vectors scored per model application")
+		batch   = flag.Int("batch", 16, "most vectors scored per model application (a backlog fills it; an idle detector scores each bin at once)")
 		updater = flag.String("updater", "refit", "model lifecycle: refit (generation swaps every -refit bins) or incremental (per-bin subspace tracking, at most one bin stale)")
 		refit   = flag.Int("refit", 288, "bins between background refits (0 = never); under -updater incremental, the drift-correction cadence")
 		window  = flag.Int("window", 0, "rolling refit window in bins (0 = training length); under -updater incremental, the tracker's forgetting horizon")

@@ -244,6 +244,24 @@ func TestPerCellAllocsBounded(t *testing.T) {
 	}
 }
 
+func TestBinAttributesAllocsBounded(t *testing.T) {
+	// Summarizing a cell costs the per-cell path above plus the summary and
+	// its twelve fixed-capacity sketches (two allocations each) — and
+	// nothing per record: the classifier runs this for every OD of every
+	// event, behind every streamed verdict. A sketch that allocates on
+	// eviction puts this in the hundreds.
+	d := quickDataset(t)
+	od := topology.ODPair{Origin: topology.CHIN, Dest: topology.LOSA}
+	bin := 0
+	avg := testing.AllocsPerRun(50, func() {
+		d.BinAttributes(od, bin)
+		bin = (bin + 1) % d.Bins
+	})
+	if avg > 40 {
+		t.Fatalf("BinAttributes allocates %.1f/op, want <= 40", avg)
+	}
+}
+
 func TestInjectedAlphaVisibleInMatrix(t *testing.T) {
 	// Build a dataset with exactly one huge ALPHA and check the B matrix
 	// spikes at its cell.

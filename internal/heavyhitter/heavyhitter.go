@@ -17,10 +17,14 @@ import (
 
 // Sketch tracks approximate weighted counts for the heaviest keys of a
 // stream. The zero value is unusable; construct with New.
+//
+// The counters live in one flat slice whose capacity is the sketch's: the
+// classifier feeds twelve sketches per flow record, so Add must neither
+// allocate nor walk a map. At a few dozen counters a linear scan is the
+// fastest lookup there is.
 type Sketch struct {
-	capacity int
-	counts   map[uint64]*entry
-	total    float64
+	entries []entry // live counters, in no particular order
+	total   float64
 }
 
 type entry struct {
@@ -37,7 +41,7 @@ func New(capacity int) *Sketch {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("heavyhitter: capacity %d must be positive", capacity))
 	}
-	return &Sketch{capacity: capacity, counts: make(map[uint64]*entry, capacity)}
+	return &Sketch{entries: make([]entry, 0, capacity)}
 }
 
 // Add records weight w for key. Zero or negative weights are ignored.
@@ -46,33 +50,42 @@ func (s *Sketch) Add(key uint64, w float64) {
 		return
 	}
 	s.total += w
-	if e, ok := s.counts[key]; ok {
-		e.count += w
-		return
-	}
-	if len(s.counts) < s.capacity {
-		s.counts[key] = &entry{key: key, count: w}
-		return
-	}
-	// Evict the minimum-count entry, inheriting its count as error bound.
-	min := s.minEntry()
-	delete(s.counts, min.key)
-	s.counts[key] = &entry{key: key, count: min.count + w, errOff: min.count}
+	s.fold(entry{key: key, count: w}, false)
 }
 
-// minEntry returns the minimum-count entry, ties broken by smallest key so
-// eviction — and through it the sketch contents — is deterministic and
-// independent of map iteration order. Two independent summarizations of
-// the same stream (the batch and streaming characterization paths) must
-// agree exactly.
-func (s *Sketch) minEntry() *entry {
-	var min *entry
-	for _, e := range s.counts {
-		if min == nil || e.count < min.count || (e.count == min.count && e.key < min.key) {
-			min = e
+// fold adds e's count and error to key's counter, taking a free counter or
+// evicting the minimum when key has none. The evicted minimum's count
+// becomes the newcomer's error bound. Merge sets keepHeavier: a folded
+// counter no heavier than the minimum is dropped instead (its mass still
+// counts toward the total, and every surviving minimum absorbs the
+// uncertainty).
+//
+// The minimum is taken by (count, then smallest key), so eviction — and
+// through it the sketch contents — is deterministic: two independent
+// summarizations of the same stream (the batch and streaming
+// characterization paths) must agree exactly.
+func (s *Sketch) fold(e entry, keepHeavier bool) {
+	min := -1
+	for i := range s.entries {
+		c := &s.entries[i]
+		if c.key == e.key {
+			c.count += e.count
+			c.errOff += e.errOff
+			return
+		}
+		if min < 0 || c.count < s.entries[min].count || (c.count == s.entries[min].count && c.key < s.entries[min].key) {
+			min = i
 		}
 	}
-	return min
+	if len(s.entries) < cap(s.entries) {
+		s.entries = append(s.entries, e)
+		return
+	}
+	m := &s.entries[min]
+	if keepHeavier && e.count <= m.count {
+		return
+	}
+	*m = entry{key: e.key, count: m.count + e.count, errOff: m.count + e.errOff}
 }
 
 // Total returns the total weight added.
@@ -106,8 +119,8 @@ func (it Item) GuaranteedFraction(total float64) float64 {
 // Top returns up to n items sorted by descending estimated count, ties
 // broken by key for determinism.
 func (s *Sketch) Top(n int) []Item {
-	items := make([]Item, 0, len(s.counts))
-	for _, e := range s.counts {
+	items := make([]Item, 0, len(s.entries))
+	for _, e := range s.entries {
 		items = append(items, Item{Key: e.key, Count: e.count, Err: e.errOff})
 	}
 	sort.Slice(items, func(i, j int) bool {
@@ -139,35 +152,15 @@ func (s *Sketch) Dominant(frac float64) (uint64, bool) {
 // 5-minute bins). Merging keeps the error bounds conservative: counts and
 // error offsets add.
 func (s *Sketch) Merge(other *Sketch) {
-	// Fold in ascending key order: with eviction deterministic (minEntry),
-	// the merged sketch is a pure function of the two operands.
-	keys := make([]uint64, 0, len(other.counts))
-	for k := range other.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		e := other.counts[k]
-		if mine, ok := s.counts[e.key]; ok {
-			mine.count += e.count
-			mine.errOff += e.errOff
-			continue
-		}
-		if len(s.counts) < s.capacity {
-			s.counts[e.key] = &entry{key: e.key, count: e.count, errOff: e.errOff}
-			continue
-		}
-		min := s.minEntry()
-		if e.count <= min.count {
-			// Dropped entry: its mass still counts toward the total, and
-			// every surviving minimum absorbs the uncertainty.
-			continue
-		}
-		delete(s.counts, min.key)
-		s.counts[e.key] = &entry{key: e.key, count: min.count + e.count, errOff: min.count + e.errOff}
+	// Fold in ascending key order: with eviction deterministic (fold), the
+	// merged sketch is a pure function of the two operands.
+	in := append([]entry(nil), other.entries...)
+	sort.Slice(in, func(i, j int) bool { return in[i].key < in[j].key })
+	for _, e := range in {
+		s.fold(e, true)
 	}
 	s.total += other.total
 }
 
 // Len returns the number of live counters.
-func (s *Sketch) Len() int { return len(s.counts) }
+func (s *Sketch) Len() int { return len(s.entries) }

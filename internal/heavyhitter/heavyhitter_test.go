@@ -1,7 +1,9 @@
 package heavyhitter
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -184,5 +186,174 @@ func TestPropHeavyHitterRetained(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSketch is the map-based Space-Saving sketch the flat one replaced,
+// kept verbatim as the reference: eviction takes the (count, then smallest
+// key) minimum, Merge folds in ascending key order. The flat sketch must
+// hold exactly the same counters after any sequence of operations, because
+// every classification downstream is a function of them.
+type refSketch struct {
+	capacity int
+	counts   map[uint64]*entry
+	total    float64
+}
+
+func newRef(capacity int) *refSketch {
+	return &refSketch{capacity: capacity, counts: make(map[uint64]*entry, capacity)}
+}
+
+func (s *refSketch) add(key uint64, w float64) {
+	if w <= 0 {
+		return
+	}
+	s.total += w
+	if e, ok := s.counts[key]; ok {
+		e.count += w
+		return
+	}
+	if len(s.counts) < s.capacity {
+		s.counts[key] = &entry{key: key, count: w}
+		return
+	}
+	min := s.minEntry()
+	delete(s.counts, min.key)
+	s.counts[key] = &entry{key: key, count: min.count + w, errOff: min.count}
+}
+
+func (s *refSketch) minEntry() *entry {
+	var min *entry
+	for _, e := range s.counts {
+		if min == nil || e.count < min.count || (e.count == min.count && e.key < min.key) {
+			min = e
+		}
+	}
+	return min
+}
+
+func (s *refSketch) merge(other *refSketch) {
+	keys := make([]uint64, 0, len(other.counts))
+	for k := range other.counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, k := range keys {
+		e := other.counts[k]
+		if mine, ok := s.counts[e.key]; ok {
+			mine.count += e.count
+			mine.errOff += e.errOff
+			continue
+		}
+		if len(s.counts) < s.capacity {
+			s.counts[e.key] = &entry{key: e.key, count: e.count, errOff: e.errOff}
+			continue
+		}
+		min := s.minEntry()
+		if e.count <= min.count {
+			continue
+		}
+		delete(s.counts, min.key)
+		s.counts[e.key] = &entry{key: e.key, count: min.count + e.count, errOff: min.count + e.errOff}
+	}
+	s.total += other.total
+}
+
+func (s *refSketch) top() []Item {
+	items := make([]Item, 0, len(s.counts))
+	for _, e := range s.counts {
+		items = append(items, Item{Key: e.key, Count: e.count, Err: e.errOff})
+	}
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].Count != items[j].Count {
+			return items[i].Count > items[j].Count
+		}
+		return items[i].Key < items[j].Key
+	})
+	return items
+}
+
+// sameAsRef compares everything a caller can read off a sketch, exactly:
+// the counters are sums of the same small integers in the same order, so
+// there is no tolerance to grant.
+func sameAsRef(t *testing.T, what string, s *Sketch, ref *refSketch) {
+	t.Helper()
+	if s.Total() != ref.total {
+		t.Fatalf("%s: total %v, reference %v", what, s.Total(), ref.total)
+	}
+	got, want := s.Top(ref.capacity), ref.top()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d counters, reference %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: counter %d is %+v, reference %+v", what, i, got[i], want[i])
+		}
+	}
+	for _, frac := range []float64{0.05, 0.2, 0.5} {
+		k, dom := s.Dominant(frac)
+		var rk uint64
+		rdom := false
+		if len(want) > 0 {
+			rk, rdom = want[0].Key, want[0].GuaranteedFraction(ref.total) >= frac
+		}
+		if k != rk || dom != rdom {
+			t.Fatalf("%s: Dominant(%v) = (%d, %v), reference (%d, %v)", what, frac, k, dom, rk, rdom)
+		}
+	}
+}
+
+// TestFlatMatchesMapReference drives the flat sketch and the map-based
+// reference with the same random weighted streams — few distinct weights so
+// counts tie constantly and the (count, key) tie-break decides evictions,
+// key ranges both below and far above the capacity, Merges of independently
+// built sketches interleaved with the Adds — and demands identical
+// contents after every step.
+func TestFlatMatchesMapReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 32} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(capacity)))
+			keys := 1 + rng.IntN(4*capacity+2)
+			weights := 1 + rng.IntN(3)
+			feed := func(s *Sketch, ref *refSketch, n int) {
+				for i := 0; i < n; i++ {
+					k, w := uint64(rng.IntN(keys)), float64(rng.IntN(weights+1)) // 0 = ignored
+					s.Add(k, w)
+					ref.add(k, w)
+				}
+			}
+			s, ref := New(capacity), newRef(capacity)
+			for step := 0; step < 30; step++ {
+				what := fmt.Sprintf("cap %d seed %d step %d", capacity, seed, step)
+				if rng.IntN(4) == 0 {
+					o, oref := New(capacity), newRef(capacity)
+					feed(o, oref, rng.IntN(6*capacity))
+					s.Merge(o)
+					ref.merge(oref)
+					sameAsRef(t, what+" (merge operand)", o, oref) // Merge must not disturb its operand
+				} else {
+					feed(s, ref, 1+rng.IntN(3*capacity))
+				}
+				sameAsRef(t, what, s, ref)
+			}
+		}
+	}
+}
+
+// TestAddDoesNotAllocate: the classifier calls Add twelve times per flow
+// record, so once the sketch is full neither a hit nor an eviction may
+// touch the heap.
+func TestAddDoesNotAllocate(t *testing.T) {
+	s := New(32)
+	for k := uint64(0); k < 32; k++ {
+		s.Add(k, 1)
+	}
+	k := uint64(0)
+	if avg := testing.AllocsPerRun(1000, func() {
+		s.Add(k%32, 1)   // hit
+		s.Add(1000+k, 1) // miss: evicts the minimum
+		k++
+	}); avg != 0 {
+		t.Fatalf("Add on a full sketch allocates %.1f/op, want 0", avg)
 	}
 }

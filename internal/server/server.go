@@ -295,6 +295,15 @@ type Stats struct {
 	CheckpointLagBins     int     `json:"checkpoint_lag_bins,omitempty"`
 	CheckpointsCoalesced  uint64  `json:"checkpoints_coalesced,omitempty"`
 	CheckpointLastWriteMs float64 `json:"checkpoint_last_write_ms,omitempty"`
+	// ScoringBacklogBins is the number of closed bins the detector holds
+	// without a consumed verdict: submitted, but not yet scored,
+	// characterized and folded into the anomaly ledger. VerdictLagMs is how
+	// long the most recently answered bin took from submit to ledger. An
+	// idle detector answers each bin as it arrives, so both sit near zero;
+	// a backlog that keeps growing means scoring or classification cannot
+	// keep up with the bin rate, and every alarm is that late.
+	ScoringBacklogBins int     `json:"scoring_backlog_bins,omitempty"`
+	VerdictLagMs       float64 `json:"verdict_lag_ms,omitempty"`
 	// Draining reports a shutdown in progress. Err carries the first FATAL
 	// error — an ingest submit failure or a detector scoring failure ("",
 	// and /healthz 200, when healthy). DegradedErr carries a background
@@ -528,6 +537,11 @@ type Server struct {
 	cpErrors    uint64
 	lastCpBin   int
 	cpLastWrite time.Duration
+	// submitAt holds the submit time of every bin the detector has not
+	// answered yet, oldest first: verdicts come back in submission order,
+	// so the consumer pops one per verdict into verdictLag.
+	submitAt    []time.Time
+	verdictLag  time.Duration
 	restored    bool
 	restoredBin int
 	cpFallbacks uint64
@@ -1210,6 +1224,7 @@ func (s *Server) consumeVerdicts() {
 		if v.Alarm() {
 			s.alarmBins++
 		}
+		s.verdictLag, s.submitAt = time.Since(s.submitAt[0]), s.submitAt[1:]
 		s.gens = v.Generations
 		s.anoms = append(s.anoms, v.Anomalies...)
 		s.mu.Unlock()
@@ -1747,6 +1762,9 @@ func detachBins(bins map[int]*binAcc, limit int) []submittedBin {
 // detector's non-decreasing contract holds.
 func (s *Server) submit(closed []submittedBin) {
 	for _, sb := range closed {
+		s.mu.Lock()
+		s.submitAt = append(s.submitAt, time.Now())
+		s.mu.Unlock()
 		if err := s.det.Submit(sb.bin, sb.acc.bytes, sb.acc.packets, sb.acc.flows); err != nil {
 			s.fail(fmt.Errorf("server: submit bin %d: %w", sb.bin, err))
 			return
@@ -1860,6 +1878,8 @@ func (s *Server) Stats() Stats {
 		st.CheckpointsCoalesced = s.cpCoalesced.Load()
 		st.CheckpointLastWriteMs = float64(s.cpLastWrite) / float64(time.Millisecond)
 	}
+	st.ScoringBacklogBins = len(s.submitAt)
+	st.VerdictLagMs = float64(s.verdictLag) / float64(time.Millisecond)
 	st.Draining = s.draining
 	if s.firstError != nil {
 		st.Err = s.firstError.Error()

@@ -198,6 +198,11 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 	if st.BinsClosed != bins || st.BinsOpen != 0 {
 		t.Fatalf("closed %d bins (open %d), want %d closed after drain", st.BinsClosed, st.BinsOpen, bins)
 	}
+	// Every submitted bin has been answered by the time Drain returns, and
+	// answering them was timed.
+	if st.ScoringBacklogBins != 0 || st.VerdictLagMs <= 0 {
+		t.Fatalf("after drain scoring_backlog_bins %d, verdict_lag_ms %v; want 0 and a measured lag", st.ScoringBacklogBins, st.VerdictLagMs)
+	}
 	// The per-protocol breakdown must attribute every packet and
 	// record to this format, with no loss in its own sequence unit.
 	ps, ok := st.Protocols[format.String()]

@@ -6,13 +6,15 @@
 // IP-flows in the paper's setup, but any set of fitted engine.Model lanes
 // works). Each submitted Sample — one 5-minute timebin carrying one
 // traffic vector per lane — is fanned out over channels to the lane
-// workers, which score vectors in batches (engine.Model.ScoreBatch, two
-// dense matrix products per batch instead of per-vector accessor
-// arithmetic) and attribute every alarm to its responsible OD flows
-// against the model generation that scored it (identify.AttributeLive). A
-// single aggregator merges the per-lane verdicts back into one stream of
-// per-bin Verdicts, emitted strictly in submission order regardless of how
-// lane scheduling interleaves.
+// workers, which score whatever has queued up, at most Config.BatchSize
+// vectors at a time (engine.Model.ScoreBatch, two dense matrix products
+// per batch instead of per-vector accessor arithmetic; a lane whose queue
+// is empty scores the bin it holds rather than wait for more) and
+// attribute every alarm to its responsible OD flows against the model
+// generation that scored it (identify.AttributeLive). A single aggregator
+// merges the per-lane verdicts back into one stream of per-bin Verdicts,
+// emitted strictly in submission order regardless of how lane scheduling
+// interleaves.
 //
 // Each lane keeps its model current through a pluggable engine.Updater —
 // the model lifecycle. Under the default refit lifecycle the updater
@@ -45,11 +47,14 @@ import (
 
 // Config tunes a Pipeline. The zero value gets sensible defaults.
 type Config struct {
-	// BatchSize is the number of vectors a lane worker scores per model
-	// application (default 16). Larger batches amortize the projection
-	// products but add up to BatchSize bins of verdict latency. Lanes
-	// running an in-band updater score bin-by-bin regardless — a bin must
-	// be scored before the model absorbs it.
+	// BatchSize is the most vectors a lane worker scores per model
+	// application (default 16). Batching is load-adaptive: a lane scores
+	// what it holds as soon as its queue is empty, so an idle pipeline
+	// answers every bin at once and only a backlogged one fills whole
+	// batches, which amortize the projection products exactly when
+	// throughput is what matters. Verdicts do not depend on where the batch
+	// boundaries fall. Lanes running an in-band updater score bin-by-bin
+	// regardless — a bin must be scored before the model absorbs it.
 	BatchSize int
 	// Buffer is the per-channel depth between pipeline stages (default
 	// 4*BatchSize): how far the dispatcher may run ahead of a slow lane.
@@ -73,6 +78,10 @@ type Config struct {
 	// background paths (currently FaultRefit). Nil in production.
 	Faults *fault.Injector
 }
+
+// batchHook, when non-nil, sees the size of every batch a lane is about to
+// score. Tests set it before building a pipeline; nil in production.
+var batchHook func(n int)
 
 // FaultRefit is the injection point consulted before every background
 // refit: arm a Delay for a slow refit, an Err for a failing one.
@@ -478,8 +487,9 @@ func (p *Pipeline) dispatch() {
 // incremental tracker) advances the scoring model inside Observe, so the
 // worker flushes — scores — each bin before observing it: a bin must never
 // be scored by a model that has already absorbed it. An out-of-band
-// updater leaves the model alone between refit swaps, so the worker keeps
-// the full scoring batch.
+// updater leaves the model alone between refit swaps, so the worker batches:
+// it flushes when the batch is full or its queue is empty — BatchSize-row
+// products under backlog, no waiting for later bins when idle.
 //
 // Scoring and attribution failures do not panic: a panic on a background
 // goroutine would kill the whole process on the first malformed batch. The
@@ -499,6 +509,9 @@ func (p *Pipeline) laneWorker(l *lane) {
 	flush := func() {
 		if len(batch) == 0 {
 			return
+		}
+		if batchHook != nil {
+			batchHook(len(batch))
 		}
 		m := l.up.Model()
 		var err error
@@ -536,7 +549,7 @@ func (p *Pipeline) laneWorker(l *lane) {
 		}
 		batch = append(batch, t)
 		vecs = append(vecs, t.x)
-		if inBand || len(batch) >= p.cfg.BatchSize {
+		if inBand || len(batch) >= p.cfg.BatchSize || len(l.in) == 0 {
 			flush()
 		}
 		p.observe(l, t.x)

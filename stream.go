@@ -20,7 +20,9 @@ type StreamConfig struct {
 	// TrainBins is how many leading bins of the run train the per-measure
 	// models (0 = all bins).
 	TrainBins int
-	// BatchSize is the number of vectors scored per model application.
+	// BatchSize is the most vectors scored per model application: the
+	// upper bound a backlogged detector fills. An idle one scores each bin
+	// as it arrives, so a larger value never delays a verdict.
 	BatchSize int
 	// Updater selects the model lifecycle: "refit" (or "") for the
 	// generation-swap default, "incremental" for per-bin subspace tracking
@@ -48,8 +50,8 @@ type StreamConfig struct {
 // why it is an explicit call rather than a per-detector option.
 func SetMathWorkers(n int) int { return mat.SetWorkers(n) }
 
-// DefaultStreamConfig trains on the first week, scores in batches of 16,
-// and refits nightly on a rolling one-week window.
+// DefaultStreamConfig trains on the first week, scores in batches of up to
+// 16, and refits nightly on a rolling one-week window.
 func DefaultStreamConfig() StreamConfig {
 	return StreamConfig{
 		TrainBins:  7 * 288, // one week of 5-minute bins
@@ -110,16 +112,16 @@ type StreamVerdict struct {
 func (v StreamVerdict) Alarm() bool { return v.Measures != "" }
 
 // StreamDetector scores live traffic across all three measures
-// concurrently: one detector lane per measure fed over channels, batched
-// scoring, a single ordered verdict stream, and background rolling refits
-// that swap models in without stalling scoring. Beyond raw per-measure
-// alarms it runs the paper's full characterization chain at streaming
-// time — OD attribution, cross-measure event aggregation, classification,
-// ground-truth matching — and delivers the results on StreamVerdict
-// .Anomalies. It is the streaming counterpart of Run.Detect +
-// Run.Characterize, built on the same internal/engine model and the same
-// identification and classification code, so a replayed run characterizes
-// identically to the batch path.
+// concurrently: one detector lane per measure fed over channels, scoring
+// batched under load and immediate when idle, a single ordered verdict
+// stream, and background rolling refits that swap models in without
+// stalling scoring. Beyond raw per-measure alarms it runs the paper's full
+// characterization chain at streaming time — OD attribution, cross-measure
+// event aggregation, classification, ground-truth matching — and delivers
+// the results on StreamVerdict.Anomalies. It is the streaming counterpart
+// of Run.Detect + Run.Characterize, built on the same internal/engine
+// model and the same identification and classification code, so a
+// replayed run characterizes identically to the batch path.
 type StreamDetector struct {
 	pipe *stream.Pipeline
 	out  chan StreamVerdict
