@@ -5,14 +5,16 @@
 // per-engine sequence cursors and the watermark — so a restart replays
 // nothing and loses at most the bins that closed after the last snapshot.
 //
-// The on-disk envelope is the same idiom as the dataset's .nwds files:
-// 8 magic bytes, the 8-byte big-endian FNV-64a digest of the gob payload,
-// then the payload. The digest is verified before a single byte reaches
-// gob, because gob alone cannot detect payload corruption — a flipped bit
-// inside a float decodes "successfully" into a different float, and a
-// restored detector would then alarm differently from the one that
-// crashed. A checkpoint that fails any check is reported as an error; the
-// caller's contract is to fall back to a cold start, never to crash.
+// The file is a fixed 24-byte header — magic, format version, payload
+// length, CRC-32C of the payload — and then the payload in this package's own
+// flat little-endian codec (codec.go; DESIGN.md E22 has the byte layout).
+// Every header field is verified before a payload byte is interpreted: a
+// flipped bit inside a float would otherwise decode "successfully" into a
+// different float, and a restored detector would then alarm differently from
+// the one that crashed. The decoder is a bounded cursor: no length read from
+// the file is believed before the bytes it implies are known to be there. A
+// checkpoint that fails any check is reported as an error; the caller's
+// contract is to fall back to a cold start, never to crash.
 //
 // WriteFile is atomic: the snapshot lands in a temp file, is fsynced,
 // and only then renamed over the previous checkpoint — a crash mid-write
@@ -20,12 +22,10 @@
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -35,33 +35,26 @@ import (
 )
 
 // Magic opens a checkpoint file.
-const Magic = "NWCPv1\r\n"
+const Magic = "NWCPv2\r\n"
 
-// Version is the current snapshot format version. A mismatch is a
-// restore error (and therefore a cold start), not a migration: the
-// snapshot is a cache of recoverable state, so the safe response to an
-// unknown format is to rebuild from scratch.
-//
-// Version 2 generalized the collector's wire layer from NetFlow v5 to the
-// format-agnostic flowwire decoders: engine cursors became (format, 32-bit
-// engine) keyed, per-protocol ingest counters were added, and v9/IPFIX
-// template caches became restore state. Version 1 snapshots cold-start.
-//
-// Version 3 sharded the accumulation state: open bins, engine cursors and
-// the behind-streak moved from ServerState into per-shard ShardState
-// entries, and the shard count joined the fingerprint (binning partitions
-// OD pairs by export engine, so a snapshot only restores into a daemon
-// with the same shard layout — a mismatch cold-starts). Version 2
-// snapshots cold-start.
-//
-// Version 4 made the model lifecycle pluggable: each lane's recovery state
-// became a full engine.UpdaterState (scoring model plus rolling window
-// plus, under the incremental lifecycle, the subspace tracker's mean, axis
-// and trace vectors), and the updater kind joined the fingerprint — a
-// snapshot captured under one lifecycle cannot silently resume under
-// another. Version 3 snapshots carried a bare model/window/since triple
-// with no tracker state, so they cold-start.
-const Version = 4
+// gobMagic opened the files of format versions 1 to 4 (an FNV-64a digest and
+// a gob payload behind it). They are recognised only to be named in the error.
+const gobMagic = "NWCPv1\r\n"
+
+// Version is the current snapshot format version. There is one rule for
+// every other file, older or newer: a magic or version that is not the
+// current one is a restore error, and therefore a cold start with the reason
+// on /stats — never a migration. The snapshot is a cache of recoverable
+// state, so the safe response to an unknown format is to rebuild from
+// scratch. Any change to the bytes codec.go writes bumps it
+// (TestGoldenBytes fails until it does).
+const Version = 5
+
+// MaxFileSize is the largest file ReadFile and Read accept. The default
+// lifecycle's snapshot at geant is 22 MB (three rolling one-week windows);
+// the cap only keeps a wrong path — a sparse file, a device — from being read
+// into memory.
+const MaxFileSize = 1 << 30
 
 // Fault injection points consulted by WriteFile.
 const (
@@ -199,79 +192,96 @@ type State struct {
 	Anomalies []netwide.Anomaly
 }
 
-// headerLen is the envelope in front of the payload: magic, then digest.
-const headerLen = len(Magic) + 8
+// The header: magic, then version, payload length and the payload's CRC-32C,
+// little-endian.
+const (
+	offVersion = len(Magic)
+	offLength  = offVersion + 4
+	offCRC     = offLength + 8
+	headerLen  = offCRC + 4
+)
 
-// Encoder writes snapshots through one envelope buffer it keeps between
-// calls. A daemon snapshots the same few hundred kilobytes again and
-// again; building each envelope in a new buffer grown by doubling made
-// more garbage than snapshot. The zero value is ready to use; an Encoder
-// is not safe for concurrent use (the daemon's one writer goroutine owns
-// one). The bytes written are those of the package-level Write.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Encoder writes snapshots through one buffer it keeps between calls. A
+// daemon snapshots the same few hundred kilobytes (or, with a rolling
+// window, tens of megabytes) again and again; once the buffer has grown to
+// fit, a snapshot allocates nothing. The zero value is ready to use; an
+// Encoder is not safe for concurrent use (the daemon's one writer goroutine
+// owns one). The bytes written are those of the package-level Write.
 type Encoder struct {
-	buf bytes.Buffer
+	w writer
 }
 
-// Write writes st to w in the checksummed envelope, stamping the current
-// Version.
+// Write writes st to w as one Write call, stamping the current Version. It
+// fails, before writing anything, on a state the format cannot hold (a
+// ragged matrix).
 func (e *Encoder) Write(w io.Writer, st *State) error {
 	st.Version = Version
-	e.buf.Reset()
-	e.buf.WriteString(Magic)
-	var digest [8]byte
-	e.buf.Write(digest[:]) // its place; filled in once the payload is there
-	// A new gob encoder each time: a kept one would leave the type
-	// descriptors out of every snapshot but its first.
-	if err := gob.NewEncoder(&e.buf).Encode(st); err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
+	e.w.buf = append(e.w.buf[:0], Magic...)
+	e.w.buf = append(e.w.buf, make([]byte, headerLen-len(Magic))...) // filled in below
+	e.w.err = nil
+	e.w.state(st)
+	if e.w.err != nil {
+		return e.w.err
 	}
-	env := e.buf.Bytes()
-	h := fnv.New64a()
-	h.Write(env[headerLen:])
-	binary.BigEndian.PutUint64(env[len(Magic):headerLen], h.Sum64())
-	_, err := w.Write(env)
+	file := e.w.buf
+	binary.LittleEndian.PutUint32(file[offVersion:], Version)
+	binary.LittleEndian.PutUint64(file[offLength:], uint64(len(file)-headerLen))
+	binary.LittleEndian.PutUint32(file[offCRC:], crc32.Checksum(file[headerLen:], castagnoli))
+	_, err := w.Write(file)
 	return err
 }
 
-// Write writes st to w in the checksummed envelope, stamping the current
-// Version.
+// Write writes st to w, stamping the current Version.
 func Write(w io.Writer, st *State) error { return new(Encoder).Write(w, st) }
 
-// Read reads a snapshot written by Write. The file is untrusted input — a
-// torn write, a corrupt sector, a file from a different build — so the
-// magic, the digest and the version are all verified before the payload is
-// believed, and any failure is a descriptive error, never a panic. Deeper
-// semantic validation (model shapes, aggregator invariants) happens when
-// the state is restored into live objects, each layer checking its own.
+// Read reads a snapshot written by Write. See decode for what is checked.
 func Read(r io.Reader) (*State, error) {
-	br := bufio.NewReader(r)
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated header: %w", err)
+	var file bytes.Buffer
+	if _, err := file.ReadFrom(io.LimitReader(r, MaxFileSize+1)); err != nil {
+		return nil, fmt.Errorf("checkpoint: read: %w", err)
 	}
-	if string(hdr[:8]) != Magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q: not a checkpoint file", hdr[:8])
+	return decode(file.Bytes())
+}
+
+// decode verifies and decodes one whole snapshot file. The file is untrusted
+// input — a torn write, a corrupt sector, a file from a different build — so
+// magic, version, length and checksum are verified, in that order, before
+// the payload is believed, and any failure is a descriptive error, never a
+// panic. The payload decoder checks shapes against the fingerprint; deeper
+// semantic validation (model values, aggregator invariants) happens when the
+// state is restored into live objects, each layer checking its own.
+func decode(file []byte) (*State, error) {
+	if len(file) > MaxFileSize {
+		return nil, fmt.Errorf("checkpoint: file larger than the %d-byte cap: not a checkpoint file", MaxFileSize)
 	}
-	body, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated file: %w", err)
+	if len(file) >= len(Magic) && string(file[:len(Magic)]) != Magic {
+		if string(file[:len(Magic)]) == gobMagic {
+			return nil, fmt.Errorf("checkpoint: snapshot in the gob format of versions 1-4, want version %d", Version)
+		}
+		return nil, fmt.Errorf("checkpoint: bad magic %q: not a checkpoint file", file[:len(Magic)])
 	}
-	h := fnv.New64a()
-	h.Write(body)
-	if want := binary.BigEndian.Uint64(hdr[8:]); h.Sum64() != want {
-		return nil, fmt.Errorf("checkpoint: checksum mismatch (stored %016x, computed %016x): corrupt or truncated file", want, h.Sum64())
+	if len(file) < headerLen {
+		return nil, fmt.Errorf("checkpoint: truncated header: %d bytes, want %d", len(file), headerLen)
 	}
-	var st State
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("checkpoint: corrupt payload: %w", err)
+	if v := binary.LittleEndian.Uint32(file[offVersion:]); v != Version {
+		return nil, fmt.Errorf("checkpoint: snapshot version %d, want %d", v, Version)
 	}
-	if st.Version != Version {
-		return nil, fmt.Errorf("checkpoint: snapshot version %d, want %d", st.Version, Version)
+	payload := file[headerLen:]
+	if n := binary.LittleEndian.Uint64(file[offLength:]); n != uint64(len(payload)) {
+		return nil, fmt.Errorf("checkpoint: header promises a %d-byte payload, file holds %d: truncated or corrupt file", n, len(payload))
 	}
-	if st.Topology == "" || st.ODPairs <= 0 || st.Measures <= 0 {
-		return nil, fmt.Errorf("checkpoint: snapshot missing fingerprint (topology %q, %d OD pairs, %d measures)", st.Topology, st.ODPairs, st.Measures)
+	if want, got := binary.LittleEndian.Uint32(file[offCRC:]), crc32.Checksum(payload, castagnoli); got != want {
+		return nil, fmt.Errorf("checkpoint: checksum mismatch (stored %08x, computed %08x): corrupt file", want, got)
 	}
-	return &st, nil
+	st := &State{Version: Version}
+	r := reader{buf: payload, name: "payload"}
+	r.state(st)
+	if r.err != nil {
+		return nil, r.err
+	}
+	return st, nil
 }
 
 // WriteFile atomically replaces path with the snapshot: write to a temp
@@ -320,12 +330,24 @@ func WriteFile(path string, st *State, inj *fault.Injector) error {
 	return new(Encoder).WriteFile(path, st, inj)
 }
 
-// ReadFile reads and verifies the snapshot at path.
+// ReadFile reads and verifies the snapshot at path: one read sized by the
+// file's length, under MaxFileSize.
 func ReadFile(path string) (*State, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > MaxFileSize {
+		return nil, fmt.Errorf("checkpoint: %s is %d bytes, over the %d-byte cap: not a checkpoint file", path, fi.Size(), MaxFileSize)
+	}
+	file := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, file); err != nil {
+		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
+	}
+	return decode(file)
 }

@@ -13,41 +13,83 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"netwide"
+	"netwide/internal/engine"
+	"netwide/internal/events"
 	"netwide/internal/fault"
 )
 
-// sampleState builds a small but structurally honest snapshot.
+// sampleState builds a tiny snapshot with every part of the format in it:
+// two OD pairs, one measure, one incremental lane with a window and a
+// tracker, an open bin, an engine cursor, a template, an open event, a
+// buffered detection and one anomaly. TestGoldenBytes pins its bytes.
 func sampleState() *State {
 	return &State{
-		Topology: "abilene",
-		ODPairs:  121,
-		Measures: 3,
-		K:        10,
+		Topology: "tiny",
+		ODPairs:  2,
+		Measures: 1,
+		K:        1,
 		Alpha:    0.001,
 		Epoch:    1700000000,
+		Formats:  []uint8{1, 3},
 		Shards:   1,
+		Updater:  "incremental",
 		Server: ServerState{
 			Packets:    12345,
 			Records:    67890,
 			Watermark:  412,
 			LastClosed: 411,
 			BinsClosed: 412,
+			AlarmBins:  7,
 			Shards: []ShardState{{
 				OpenBins: []OpenBin{
 					{Bin: 412, Records: 7, Bytes: []float64{1, 2}, Packets: []float64{3, 4}, Flows: []float64{5, 6}},
 				},
 				Engines: []EngineState{
-					{ID: 3, Next: 90001, Recent: []uint32{88000, 89000, 90000}, Pos: 0},
+					{Format: 1, ID: 3, Next: 90001, Recent: []uint32{88000, 89000, 90000}, Pos: 0},
 				},
 				SealedThrough: 411,
 			}},
+			Protocols: []ProtoState{{Format: 1, Packets: 12345, Records: 67890}},
+			Templates: []TemplateState{{Format: 3, Source: 9, ID: 256, Fields: []TemplateField{{ID: 8, Length: 4}, {ID: 1, Enterprise: 29305, Length: 8}}}},
 		},
+		Stream: netwide.StreamCheckpoint{
+			Lanes: []netwide.LaneCheckpoint{{Updater: engine.UpdaterState{
+				Kind: engine.UpdaterIncremental,
+				Model: engine.ModelState{
+					Opts: engine.Options{K: 1, Alpha: 0.001}, Gen: 2, Updates: 40,
+					QLimit: 1.5, T2Limit: 9.25, N: 288, TotalVar: 3,
+					Mean:        []float64{10, 20},
+					Eigenvalues: []float64{2.5},
+					Components:  [][]float64{{0.6}, {0.8}},
+				},
+				Window:  [][]float64{{9, 19}, {11, 21}, {10, 20}},
+				Since:   5,
+				Tracker: &engine.TrackerState{N: 100, Horizon: 288, TotalVar: 3, Mean: []float64{10, 20}, Axes: [][]float64{{1.5, 2}}},
+			}}},
+			Agg: events.AggregatorState{
+				Open:    []events.Event{{Measures: events.SetB, StartBin: 409, EndBin: 410, ODs: []int{0, 1}, ODResidual: map[int]float64{1: -2.5, 0: 4}}},
+				CurBin:  411,
+				CurDets: []events.Detection{{Measure: 0, Bin: 411, ODs: []int{1}, Residuals: []float64{-1.25}}},
+				Started: true,
+			},
+			LastBin: 411,
+			Started: true,
+			Emitted: 1,
+		},
+		Anomalies: []netwide.Anomaly{{
+			Class: "ALPHA", Measures: "BP", StartBin: 100, EndBin: 101, Duration: 10 * time.Minute,
+			ODs: []string{"a->b"}, Why: "one dominant flow", Truth: "alpha a->b", TruthType: "ALPHA",
+		}},
 	}
 }
 
@@ -66,62 +108,63 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sampleState()
-	if st.Topology != want.Topology || st.ODPairs != want.ODPairs || st.Epoch != want.Epoch {
-		t.Fatalf("fingerprint mangled: %+v", st)
-	}
-	if st.Server.Records != want.Server.Records || st.Server.Watermark != want.Server.Watermark {
-		t.Fatalf("counters mangled: %+v", st.Server)
-	}
-	if len(st.Server.Shards) != 1 || st.Shards != 1 {
-		t.Fatalf("shard state mangled: %+v", st.Server.Shards)
-	}
-	sh := st.Server.Shards[0]
-	if len(sh.OpenBins) != 1 || sh.OpenBins[0].Bytes[1] != 2 {
-		t.Fatalf("open bins mangled: %+v", sh.OpenBins)
-	}
-	if len(sh.Engines) != 1 || sh.Engines[0].Next != 90001 {
-		t.Fatalf("engine cursors mangled: %+v", sh.Engines)
-	}
-	if sh.SealedThrough != 411 {
-		t.Fatalf("sealed-through mangled: %+v", sh)
+	want.Version = Version
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("round trip changed the state:\n got %+v\nwant %+v", st, want)
 	}
 }
 
 func TestReadTruncated(t *testing.T) {
 	raw := savedBytes(t)
-	// Every envelope boundary: empty, mid-magic, end of magic, mid-digest,
-	// end of header, mid-payload, one byte short.
-	for _, n := range []int{0, 1, 7, 8, 12, 16, 17, len(raw) / 2, len(raw) - 1} {
-		if _, err := Read(bytes.NewReader(raw[:n])); err == nil {
+	// Every envelope boundary: empty, mid-magic, end of magic, mid-version,
+	// mid-length, mid-checksum, end of header, mid-payload, one byte short.
+	for _, n := range []int{0, 1, 7, 8, 10, 16, 22, 24, 25, len(raw) / 2, len(raw) - 1} {
+		_, err := Read(bytes.NewReader(raw[:n]))
+		if err == nil {
 			t.Fatalf("snapshot truncated to %d of %d bytes read silently", n, len(raw))
 		}
+		if !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("snapshot truncated to %d bytes: undiagnostic error %q", n, err)
+		}
+	}
+	// And the other way: bytes the header does not account for.
+	if _, err := Read(bytes.NewReader(append(raw, 0))); err == nil || !strings.Contains(err.Error(), "payload") {
+		t.Fatalf("snapshot with a trailing byte: %v", err)
 	}
 }
 
 func TestReadBitFlip(t *testing.T) {
 	raw := savedBytes(t)
-	for _, off := range []int{0, 9, 20, len(raw) / 2, len(raw) - 1} {
+	for off, want := range map[int]string{
+		0:            "magic",
+		9:            "version",
+		17:           "truncated or corrupt", // the length no longer matches the file
+		21:           "checksum",
+		headerLen:    "checksum",
+		len(raw) / 2: "checksum",
+		len(raw) - 1: "checksum",
+	} {
 		bad := append([]byte(nil), raw...)
 		bad[off] ^= 0x08
 		_, err := Read(bytes.NewReader(bad))
 		if err == nil {
 			t.Fatalf("bit flip at %d read silently", off)
 		}
-		if !strings.Contains(err.Error(), "checksum") && !strings.Contains(err.Error(), "corrupt") && !strings.Contains(err.Error(), "magic") {
-			t.Fatalf("bit flip at %d: undiagnostic error %q", off, err)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("bit flip at %d: error %q does not mention %q", off, err, want)
 		}
 	}
 }
 
 func TestReadGarbageAndWrongFile(t *testing.T) {
-	if _, err := Read(strings.NewReader("this is not a checkpoint")); err == nil {
-		t.Fatal("garbage read silently")
+	if _, err := Read(strings.NewReader("this is not a checkpoint")); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("garbage: %v", err)
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty file read silently")
 	}
-	// A dataset file has the same envelope shape with different magic; it
-	// must be rejected on the magic, not decoded as a snapshot.
+	// A dataset file has its own magic; it must be rejected on the magic,
+	// not decoded as a snapshot.
 	nwds := append([]byte("NWDSv2\r\n"), savedBytes(t)[8:]...)
 	if _, err := Read(bytes.NewReader(nwds)); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("dataset-magic file: %v", err)
@@ -129,37 +172,62 @@ func TestReadGarbageAndWrongFile(t *testing.T) {
 }
 
 func TestReadVersionSkew(t *testing.T) {
-	raw := encodeWithVersion(t, sampleState(), Version+1)
-	if _, err := Read(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future-version snapshot: %v", err)
+	for _, v := range []uint32{Version + 1, Version - 1, 0} {
+		raw := savedBytes(t)
+		binary.LittleEndian.PutUint32(raw[offVersion:], v)
+		if _, err := Read(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version-%d snapshot: %v", v, err)
+		}
 	}
 }
 
-func TestReadMissingFingerprint(t *testing.T) {
+// TestReadGobSnapshot: a file of format versions 1-4 — the gob payload behind
+// an FNV digest this package wrote until version 5 — is turned away by name.
+// The daemon cold-starts on it with a reason an operator can act on, not
+// with a checksum error that sends them looking for a bad disk.
+func TestReadGobSnapshot(t *testing.T) {
 	st := sampleState()
-	st.Topology = ""
-	raw := encodeWithVersion(t, st, Version)
-	if _, err := Read(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("fingerprint-less snapshot: %v", err)
-	}
-}
-
-// encodeWithVersion builds the envelope by hand so tests can stamp an
-// arbitrary version or an otherwise-invalid state (Write always stamps the
-// current version).
-func encodeWithVersion(t *testing.T, st *State, version int) []byte {
-	t.Helper()
-	st.Version = version
+	st.Version = 4
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
 	h.Write(payload.Bytes())
-	out := make([]byte, 16, 16+payload.Len())
-	copy(out[:8], Magic)
-	binary.BigEndian.PutUint64(out[8:], h.Sum64())
-	return append(out, payload.Bytes()...)
+	old := binary.BigEndian.AppendUint64([]byte(gobMagic), h.Sum64())
+	old = append(old, payload.Bytes()...)
+	_, err := Read(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "versions 1-4") || strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("gob snapshot: %v", err)
+	}
+}
+
+// envelope wraps payload in a header that verifies, so a test can hand the
+// payload decoder bytes Write would never produce.
+func envelope(payload []byte) []byte {
+	file := append([]byte(Magic), make([]byte, headerLen-len(Magic))...)
+	binary.LittleEndian.PutUint32(file[offVersion:], Version)
+	binary.LittleEndian.PutUint64(file[offLength:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(file[offCRC:], crc32.Checksum(payload, castagnoli))
+	return append(file, payload...)
+}
+
+func TestReadMissingFingerprint(t *testing.T) {
+	for name, strip := range map[string]func(*State){
+		"topology": func(st *State) { st.Topology = "" },
+		"OD pairs": func(st *State) { st.ODPairs = 0 },
+		"measures": func(st *State) { st.Measures = -1 },
+	} {
+		st := sampleState()
+		strip(st)
+		var buf bytes.Buffer
+		if err := Write(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("snapshot without %s: %v", name, err)
+		}
+	}
 }
 
 func TestWriteFileAtomicReplace(t *testing.T) {

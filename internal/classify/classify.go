@@ -14,7 +14,8 @@ package classify
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"netwide/internal/anomaly"
 	"netwide/internal/dataset"
@@ -116,13 +117,17 @@ type Verdict struct {
 	MaxZ float64
 }
 
-// Classifier labels events against a dataset.
+// Classifier labels events against a dataset. It is not safe for
+// concurrent use: baselines are cached, and computed in scratch it keeps.
 type Classifier struct {
 	DS *dataset.Dataset
 	// P is the dominance threshold (DominanceP if zero).
 	P float64
 	// colStats caches per-(measure, od) seasonal baselines.
 	colStats [dataset.NumMeasures]map[int]*seasonalBaseline
+	// scratch holds one OD column and, behind it, one time of day's values
+	// while baseline works on them.
+	scratch []float64
 }
 
 // New returns a classifier over the dataset.
@@ -143,23 +148,29 @@ func (c *Classifier) baseline(m dataset.Measure, od int) *seasonalBaseline {
 	if s, ok := c.colStats[m][od]; ok {
 		return s
 	}
-	col := c.DS.Matrix(m).Col(od)
-	sb := &seasonalBaseline{}
-	// Per time-of-day medians (288 bins per day).
-	perTod := make([][]float64, todBins)
+	mx := c.DS.Matrix(m)
+	n := mx.Rows()
+	days := (n + todBins - 1) / todBins
+	if cap(c.scratch) < n+days {
+		c.scratch = make([]float64, n+days)
+	}
+	col, day := c.scratch[:n], c.scratch[n:n+days]
+	for i := range col {
+		col[i] = mx.At(i, od)
+	}
+	sb := &seasonalBaseline{med: make([]float64, todBins)}
+	for tod := range sb.med {
+		xs := day[:0]
+		for i := tod; i < n; i += todBins {
+			xs = append(xs, col[i])
+		}
+		slices.Sort(xs)
+		sb.med[tod] = medianSorted(xs)
+	}
 	for i, v := range col {
-		tod := i % todBins
-		perTod[tod] = append(perTod[tod], v)
+		col[i] = math.Abs(v - sb.med[i%todBins])
 	}
-	sb.med = make([]float64, todBins)
-	for tod, xs := range perTod {
-		sb.med[tod] = median(xs)
-	}
-	dev := make([]float64, len(col))
-	for i, v := range col {
-		dev[i] = math.Abs(v - sb.med[i%todBins])
-	}
-	sb.mad = median(dev) * 1.4826
+	sb.mad = medianSelect(col) * 1.4826
 	c.colStats[m][od] = sb
 	return sb
 }
@@ -181,17 +192,67 @@ func (sb *seasonalBaseline) z(x float64, bin int) float64 {
 	return math.Abs(x-sb.med[bin%todBins]) / mad
 }
 
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
+// medianSorted is the median of ascending xs (0 when empty).
+func medianSorted(xs []float64) float64 {
+	n := len(xs)
 	if n == 0 {
 		return 0
 	}
 	if n%2 == 1 {
-		return s[n/2]
+		return xs[n/2]
 	}
-	return 0.5 * (s[n/2-1] + s[n/2])
+	return 0.5 * (xs[n/2-1] + xs[n/2])
+}
+
+// medianSelect is the median of xs, which it reorders: a quickselect for
+// the upper middle element, then, for an even count, the largest of what
+// was left below it. The same two order statistics a sort would give.
+func medianSelect(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	k := n / 2
+	for lo, hi := 0, n-1; lo < hi; {
+		// Median-of-three pivot, then Hoare partition.
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			lo, hi = k, k // j < k < i: xs[k] equals the pivot, in place
+		}
+	}
+	if n%2 == 1 {
+		return xs[k]
+	}
+	return 0.5 * (slices.Max(xs[:k]) + xs[k])
 }
 
 // attributes merges the per-cell attribute summaries of the event.
@@ -236,8 +297,18 @@ func (c *Classifier) maxAbsZ(ev events.Event) float64 {
 	return maxZ
 }
 
+// classified counts Classify calls, process-wide.
+var classified atomic.Uint64
+
+// Classified returns how many events this process has classified so far,
+// over every Classifier. A classification costs milliseconds (it regenerates
+// the event's flow records), so a test can assert that a path which should
+// not classify — a daemon being killed — did not.
+func Classified() uint64 { return classified.Load() }
+
 // Classify labels one event.
 func (c *Classifier) Classify(ev events.Event) Verdict {
+	classified.Add(1)
 	p := c.P
 	if p == 0 {
 		p = DominanceP

@@ -192,10 +192,11 @@ func fit(train *mat.Matrix, opts Options, warm *mat.PCA, gen uint64) (*Model, er
 // ModelState is the serializable form of one model generation: everything
 // Restore needs to reassemble a scoring-equivalent *Model in a fresh
 // process — the fitted PCA (mean, spectrum, axes), both detection
-// thresholds, and the generation counter. It is plain data (gob/JSON
-// friendly) by construction; the retained training window is deliberately
-// excluded (the streaming pipeline checkpoints its rolling refit window
-// separately, which is the live superset).
+// thresholds, and the generation counter. It is plain data by construction
+// (internal/checkpoint's codec writes it field by field: a new field needs a
+// line there); the retained training window is deliberately excluded (the
+// streaming pipeline checkpoints its rolling refit window separately, which
+// is the live superset).
 type ModelState struct {
 	Opts Options
 	Gen  uint64
@@ -242,6 +243,19 @@ func (m *Model) State() ModelState {
 	return st
 }
 
+// MaxRestored bounds the magnitude of every value a restore accepts (the
+// server holds restored open-bin traffic to it too). A
+// checkpoint is untrusted, and a value can be finite and still poison the
+// model: a mean of 1e296 passes an IsInf test and turns the tracked trace
+// into +Inf at the next bin's (x - mean)². No traffic statistic, nor its
+// square or cube, comes within a hundred orders of magnitude of this.
+const MaxRestored = 1e100
+
+// restorable reports whether v is a number a restored model may hold:
+// not NaN, not infinite, not absurd. The error messages call all three
+// "non-finite".
+func restorable(v float64) bool { return math.Abs(v) <= MaxRestored }
+
 // Restore reassembles a Model from a State captured by State — the crash
 // recovery path. The state is untrusted input (it crossed a disk): every
 // shape and value is validated before it can reach a scoring path, and a
@@ -271,20 +285,28 @@ func Restore(st ModelState) (*Model, error) {
 			return nil, fmt.Errorf("engine: restore: component row %d has %d cols, want %d", i, len(row), len(st.Eigenvalues))
 		}
 		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+			if !restorable(v) {
 				return nil, fmt.Errorf("engine: restore: non-finite component in row %d", i)
 			}
 		}
 	}
 	for _, v := range st.Mean {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !restorable(v) {
 			return nil, errors.New("engine: restore: non-finite mean")
 		}
 	}
-	if !(st.QLimit > 0) || math.IsInf(st.QLimit, 0) {
+	for _, v := range st.Eigenvalues {
+		if !restorable(v) {
+			return nil, errors.New("engine: restore: non-finite eigenvalue")
+		}
+	}
+	if !restorable(st.TotalVar) {
+		return nil, errors.New("engine: restore: non-finite total variance")
+	}
+	if !(st.QLimit > 0) || !restorable(st.QLimit) {
 		return nil, fmt.Errorf("engine: restore: Q limit %v not a positive finite threshold", st.QLimit)
 	}
-	if !(st.T2Limit > 0) || math.IsInf(st.T2Limit, 0) {
+	if !(st.T2Limit > 0) || !restorable(st.T2Limit) {
 		return nil, fmt.Errorf("engine: restore: T2 limit %v not a positive finite threshold", st.T2Limit)
 	}
 	comps, err := mat.NewFromRows(st.Components)

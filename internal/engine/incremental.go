@@ -360,7 +360,7 @@ func restoreIncremental(m *Model, st UpdaterState, cfg UpdaterConfig) (*Incremen
 		return nil, fmt.Errorf("engine: restore: tracker mean length %d, want %d", len(tr.Mean), p)
 	}
 	for _, v := range tr.Mean {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !restorable(v) {
 			return nil, errors.New("engine: restore: non-finite tracker mean")
 		}
 	}
@@ -376,7 +376,7 @@ func restoreIncremental(m *Model, st UpdaterState, cfg UpdaterConfig) (*Incremen
 	if tr.N < 2 || tr.N > tr.Horizon {
 		return nil, fmt.Errorf("engine: restore: tracker count %d outside [2,%d]", tr.N, tr.Horizon)
 	}
-	if math.IsNaN(tr.TotalVar) || math.IsInf(tr.TotalVar, 0) || tr.TotalVar < 0 {
+	if !restorable(tr.TotalVar) || tr.TotalVar < 0 {
 		return nil, errors.New("engine: restore: tracker trace not finite and non-negative")
 	}
 	if cfg.Window > 0 && tr.Horizon != cfg.Window {

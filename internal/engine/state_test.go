@@ -109,6 +109,9 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		{"ragged component row", func(st *ModelState) { st.Components[2] = st.Components[2][:1] }},
 		{"NaN mean", func(st *ModelState) { st.Mean[0] = math.NaN() }},
 		{"NaN component", func(st *ModelState) { st.Components[1][1] = math.NaN() }},
+		// Finite, and still poison: squared at the next bin it is +Inf.
+		{"absurd mean", func(st *ModelState) { st.Mean[0] = 3e296 }},
+		{"absurd total variance", func(st *ModelState) { st.TotalVar = 1e200 }},
 		{"negative eigenvalue", func(st *ModelState) { st.Eigenvalues[0] = -1 }},
 		{"Inf eigenvalue", func(st *ModelState) { st.Eigenvalues[0] = math.Inf(1) }},
 		{"zero Q limit", func(st *ModelState) { st.QLimit = 0 }},

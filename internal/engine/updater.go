@@ -177,7 +177,8 @@ type Updater interface {
 }
 
 // UpdaterState is the serializable recovery state of an Updater: plain
-// data, gob-friendly, validated on restore like any untrusted input.
+// data, validated on restore like any untrusted input. internal/checkpoint's
+// codec writes it field by field: a new field needs a line there.
 type UpdaterState struct {
 	Kind  UpdaterKind
 	Model ModelState
@@ -241,10 +242,8 @@ func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (Updater, error) {
 		if st.Since < 0 {
 			return nil, fmt.Errorf("engine: negative restored refit phase %d", st.Since)
 		}
-		for i, row := range st.Window {
-			if len(row) != m.P() {
-				return nil, fmt.Errorf("engine: restored window row %d has length %d, want %d", i, len(row), m.P())
-			}
+		if err := finiteRows(st.Window, m.P(), "window"); err != nil {
+			return nil, err
 		}
 		// Deep-copy the window: the state crossed a process boundary and the
 		// caller may reuse or mutate it after the restore.
@@ -449,7 +448,7 @@ func finiteRows(rows [][]float64, p int, what string) error {
 			return fmt.Errorf("engine: restore: %s row %d has length %d, want %d", what, i, len(row), p)
 		}
 		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+			if !restorable(v) {
 				return fmt.Errorf("engine: restore: non-finite value in %s row %d", what, i)
 			}
 		}

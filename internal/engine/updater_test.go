@@ -455,6 +455,13 @@ func TestRestoreUpdaterValidation(t *testing.T) {
 		{"tracker on refit state", func(st *UpdaterState) { st.Kind = UpdaterRefit }},
 		{"short mean", func(st *UpdaterState) { st.Tracker.Mean = st.Tracker.Mean[:3] }},
 		{"NaN mean", func(st *UpdaterState) { st.Tracker.Mean[0] = math.NaN() }},
+		// What FuzzRestore found: finite, accepted, and +Inf in the trace
+		// one bin later.
+		{"absurd mean", func(st *UpdaterState) { st.Tracker.Mean[1] = 3e296 }},
+		{"NaN in window", func(st *UpdaterState) {
+			st.Window[0] = append([]float64(nil), st.Window[0]...)
+			st.Window[0][0] = math.NaN()
+		}},
 		{"no axes", func(st *UpdaterState) { st.Tracker.Axes = nil }},
 		{"too many axes", func(st *UpdaterState) {
 			for len(st.Tracker.Axes) <= len(st.Model.Mean) {

@@ -334,7 +334,8 @@ func (a *Aggregator) ingest() {
 
 // AggregatorState is the serializable snapshot of an Aggregator — the
 // open (still extendable) events plus the buffered current bin. All fields
-// are deep copies and gob-friendly, sized for the checkpoint envelope: open
+// are deep copies and plain data (internal/checkpoint's codec writes them
+// field by field: a new field needs a line there), sized for a snapshot: open
 // events are bounded by the active anomaly count, never by stream length.
 type AggregatorState struct {
 	// Open holds the still-extendable events in creation order (merge ties

@@ -3,6 +3,7 @@ package flowwire
 import (
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"netwide/internal/flow"
@@ -544,5 +545,43 @@ func TestParseFormat(t *testing.T) {
 	}
 	if _, err := ParseFormat("netflow11"); err == nil {
 		t.Fatal("bogus format accepted")
+	}
+}
+
+// TestV5DecodeMatchesFlowDecode: the daemon's v5 decoder fills Records
+// straight from the wire; it must accept, reject and decode exactly as the
+// full-fidelity decoder followed by normalize does — on the shapes the v5
+// fuzz target is seeded with and on packets of random record bytes.
+func TestV5DecodeMatchesFlowDecode(t *testing.T) {
+	valid, err := EncodeV5Packet(V5Header{SysUptime: 1, UnixSecs: 2, FlowSequence: 3, EngineID: 4, SamplingInterval: 100}, testFlows(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, _ := EncodeV5Packet(V5Header{}, nil)
+	hostile := append([]byte(nil), valid[:V5HeaderLen]...)
+	binary.BigEndian.PutUint16(hostile[2:], 0xFFFF)
+	pkts := [][]byte{valid, valid[:V5HeaderLen], valid[:len(valid)-1], append(append([]byte(nil), valid...), 0xFF), empty, hostile, nil}
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= V5MaxRecordsPerPacket; n++ {
+		pkt := make([]byte, V5HeaderLen+n*V5RecordLen)
+		rng.Read(pkt)
+		binary.BigEndian.PutUint16(pkt[0:], V5Version)
+		binary.BigEndian.PutUint16(pkt[2:], uint16(n))
+		pkts = append(pkts, pkt)
+	}
+	for i, pkt := range pkts {
+		_, flows, wantErr := DecodeV5PacketAppend(nil, pkt)
+		_, recs, err := v5Decoder{}.Decode(pkt, nil)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("packet %d: Decode error %v, DecodeV5PacketAppend error %v", i, err, wantErr)
+		}
+		if len(recs) != len(flows) {
+			t.Fatalf("packet %d: %d records, want %d", i, len(recs), len(flows))
+		}
+		for j, f := range flows {
+			if recs[j] != f.normalize() {
+				t.Fatalf("packet %d record %d: %+v, want %+v", i, j, recs[j], f.normalize())
+			}
+		}
 	}
 }

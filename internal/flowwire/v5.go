@@ -215,9 +215,19 @@ func (v5Decoder) Decode(pkt []byte, dst []Record) (Batch, []Record, error) {
 	if err != nil {
 		return Batch{}, dst, err
 	}
+	// Straight from the wire: the detector needs five of a v5 record's
+	// fifteen fields, and this loop runs once per record the daemon ingests.
+	// It must agree with decodeV5Record(...).normalize().
 	dst = slices.Grow(dst, int(h.Count))
-	for i := 0; i < int(h.Count); i++ {
-		dst = append(dst, decodeV5Record(pkt[V5HeaderLen+i*V5RecordLen:]).normalize())
+	be := binary.BigEndian
+	for rec := pkt[V5HeaderLen:]; len(rec) >= V5RecordLen; rec = rec[V5RecordLen:] {
+		dst = append(dst, Record{
+			Src:     ipaddr.Addr(be.Uint32(rec[0:])),
+			Dst:     ipaddr.Addr(be.Uint32(rec[4:])),
+			Packets: uint64(be.Uint32(rec[16:])),
+			Bytes:   uint64(be.Uint32(rec[20:])),
+			Flows:   1,
+		})
 	}
 	return Batch{
 		Format:     FormatNetFlowV5,

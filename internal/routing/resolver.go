@@ -26,6 +26,13 @@ import (
 type Resolver struct {
 	ingress Trie[topology.PoP]
 	egress  Trie[topology.PoP]
+	// flat is the snapshot compiled for lookup once it is complete; every
+	// Resolve goes through it, the tries stay as the record of what was
+	// announced. One table serves both directions: BuildResolver, the only
+	// writer, announces every prefix into both tries, and the table ignores
+	// the bits anonymization zeroes, so a raw source and an anonymized
+	// destination resolve alike (TestFlatMatchesTrie holds it to both tries).
+	flat flatTable
 	// UnresolvedFraction is the probability that a flow cannot be resolved
 	// (missing config/BGP coverage) and is dropped from OD aggregation.
 	UnresolvedFraction float64
@@ -68,19 +75,23 @@ func BuildResolver(top *topology.Topology, overrides map[string]topology.PoP, un
 			r.egress.Insert(p, home)
 		}
 	}
+	var err error
+	if r.flat, err = compileFlat(&r.egress); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
 // ResolveSrc returns the ingress PoP for a flow source address.
 func (r *Resolver) ResolveSrc(src ipaddr.Addr) (topology.PoP, bool) {
-	return r.ingress.Lookup(src)
+	return r.flat.lookup(src)
 }
 
 // ResolveDst returns the egress PoP for a flow destination address. The
 // address is anonymized first — the resolver only ever sees what the
 // measurement system would export.
 func (r *Resolver) ResolveDst(dst ipaddr.Addr) (topology.PoP, bool) {
-	return r.egress.Lookup(dst.Anonymize())
+	return r.flat.lookup(dst.Anonymize())
 }
 
 // Resolve maps a (src, dst) address pair to its OD pair. The rng drives the

@@ -19,6 +19,7 @@ import (
 
 	"netwide"
 	"netwide/internal/checkpoint"
+	"netwide/internal/classify"
 	"netwide/internal/dataset"
 	"netwide/internal/fault"
 	"netwide/internal/flowwire"
@@ -74,7 +75,7 @@ func awaitSnapshot(srv *Server) {
 	<-srv.cpSlot
 }
 
-func drainOK(t *testing.T, srv *Server) {
+func drainOK(t testing.TB, srv *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -649,5 +650,60 @@ func sortStrings(s []string) {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
+	}
+}
+
+// TestKillClassifiesNothing: a kill drops the ledger, so the events the
+// aggregator still held open must not be classified on the way down — each
+// classification regenerates the event's flow records, and that was most of
+// a kill's cost. The drained twin shows the same stop point does hold open
+// events, and that a drain still classifies them.
+func TestKillClassifiesNothing(t *testing.T) {
+	run := testRun(t)
+	// Stop feeding inside the first anomaly of three bins or more: its first
+	// bins are closed and scored, its last are not, so the aggregator holds
+	// it open.
+	if err := run.Detect(netwide.DefaultDetectOptions()); err != nil {
+		t.Fatal(err)
+	}
+	stopAt := -1
+	for _, a := range run.Characterize() {
+		if a.EndBin-a.StartBin >= 2 {
+			stopAt = a.EndBin
+			break
+		}
+	}
+	if stopAt < 0 {
+		t.Fatal("no anomaly of three bins in the run")
+	}
+	stopped := func() *Server {
+		srv, err := New(run, Config{Stream: parityStream(run)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedBins(t, srv, run.Dataset(), 0, stopAt, 0)
+		// Every closed bin's verdict consumed: what is classified from here
+		// on is the shutdown's doing.
+		for deadline := time.Now().Add(30 * time.Second); srv.Stats().ScoringBacklogBins > 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("detector never caught up with the fed bins")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return srv
+	}
+
+	srv := stopped()
+	before := classify.Classified()
+	drainOK(t, srv)
+	if classify.Classified() == before {
+		t.Fatalf("no event was open at bin %d: the drain classified nothing and the test shows nothing", stopAt)
+	}
+
+	srv = stopped()
+	before = classify.Classified()
+	srv.Kill()
+	if n := classify.Classified() - before; n != 0 {
+		t.Fatalf("Kill classified %d events for a ledger nobody will read", n)
 	}
 }

@@ -54,7 +54,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -549,6 +548,7 @@ type Server struct {
 	cpErr       string
 	started     bool
 	draining    bool
+	killed      bool // draining by Kill: the ledger dies with the daemon
 	firstError  error
 }
 
@@ -787,7 +787,9 @@ func (s *Server) restore(st *checkpoint.State) error {
 			}
 			for _, vec := range [][]float64{ob.Bytes, ob.Packets, ob.Flows} {
 				for _, v := range vec {
-					if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					// Finite is not enough: 1e300 bytes in a bin overflows
+					// the tracker's arithmetic one bin later.
+					if !(v >= 0 && v <= engine.MaxRestored) {
 						return fmt.Errorf("snapshot open bin %d carries non-finite or negative traffic", ob.Bin)
 					}
 				}
@@ -1228,6 +1230,14 @@ func (s *Server) consumeVerdicts() {
 		s.gens = v.Generations
 		s.anoms = append(s.anoms, v.Anomalies...)
 		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	killed := s.killed
+	s.mu.Unlock()
+	if killed {
+		// Nobody will read this ledger again: leave the events that were
+		// still open unclassified.
+		return
 	}
 	tail := s.det.TailAnomalies()
 	s.mu.Lock()
@@ -2008,7 +2018,7 @@ func (s *Server) Kill() {
 		s.mu.Unlock()
 		return
 	}
-	s.draining = true
+	s.draining, s.killed = true, true
 	conns := s.conns
 	stop := s.cpTimerStop
 	s.cpTimerStop = nil
@@ -2034,7 +2044,8 @@ func (s *Server) Kill() {
 	// no flush — whatever the bins still held is lost, exactly like a
 	// crash. Reaping the goroutines keeps a killed daemon from leaking into
 	// the test process; the verdicts the detector delivers on the way down
-	// land in a ledger nobody will read again.
+	// land in a ledger nobody will read again, which is why the consumer
+	// does not ask for the tail.
 	s.cpSlot <- struct{}{}
 	defer func() { <-s.cpSlot }()
 	s.reap()

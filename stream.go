@@ -136,10 +136,14 @@ type StreamDetector struct {
 	// ledger can check that the ledger it holds when the barrier verdict
 	// arrives is the one the snapshot describes.
 	emitted uint64
-	// tail holds the anomalies still open when the stream ended, flushed
-	// and characterized. Written by the characterize goroutine before it
-	// closes out, so reading it after the Verdicts channel closes is safe.
-	tail []Anomaly
+	// tailEvents holds the events still open when the stream ended, flushed
+	// but not yet classified, and cl the classifier that will do it.
+	// Written by the characterize goroutine before it closes out, so
+	// TailAnomalies may read them once the Verdicts channel has closed.
+	tailEvents []events.Event
+	cl         *classify.Classifier
+	tailOnce   sync.Once
+	tail       []Anomaly
 	// binMu guards lastBin: the cross-bin event aggregation needs bins in
 	// time order, so Submit enforces the contract at the edge instead of
 	// letting a violation surface as a panic in a background goroutine.
@@ -160,8 +164,10 @@ type LaneCheckpoint struct {
 // StreamCheckpoint is the StreamDetector's full recovery state, captured
 // at a consistent point in the submission order by a Checkpoint barrier:
 // every verdict before the point has been characterized and delivered,
-// nothing after it has started. All fields are plain data — gob-encodable, no
-// live pointers — so the snapshot can cross a process boundary.
+// nothing after it has started. All fields are plain data, no live pointers,
+// so the snapshot can cross a process boundary; internal/checkpoint's codec
+// writes them field by field, and a field added here needs a line there
+// (its TestCodecRoundTripsEveryField fails until it has one).
 type StreamCheckpoint struct {
 	Lanes []LaneCheckpoint
 	// Agg is the event aggregator mid-state: anomalies still open (they
@@ -302,7 +308,7 @@ func (d *StreamDetector) Checkpoint(token any) error {
 // ground-truth-matched the moment it closes. Verdicts are forwarded as
 // soon as they are characterized — live consumers see bin B's verdict
 // without waiting for bin B+1; events still open when the stream ends are
-// flushed into TailAnomalies.
+// flushed and left for TailAnomalies to classify, if anyone asks.
 func (d *StreamDetector) characterize() {
 	agg := d.agg
 	cl := classify.New(d.run.ds)
@@ -339,7 +345,7 @@ func (d *StreamDetector) characterize() {
 		d.emitted += uint64(len(sv.Anomalies))
 		d.out <- sv
 	}
-	d.tail = d.finish(cl, specs, agg.Flush())
+	d.tailEvents, d.cl = agg.Flush(), cl
 	close(d.out)
 }
 
@@ -367,8 +373,17 @@ func (d *StreamDetector) barrierVerdict(bar *stream.Barrier) StreamVerdict {
 // TailAnomalies returns the characterized anomalies that were still open
 // when the stream ended — events the close-on-unextendable rule could not
 // finish inside the verdict stream. It is valid once the Verdicts channel
-// has closed (after Close and a full drain, or after Replay returns).
-func (d *StreamDetector) TailAnomalies() []Anomaly { return d.tail }
+// has closed (after Close and a full drain, or after Replay returns). The
+// events are classified on the first call, not when the stream ends: a
+// consumer that is shutting down without a ledger to keep (a killed daemon)
+// never calls, and never pays for a classification nobody will read.
+func (d *StreamDetector) TailAnomalies() []Anomaly {
+	d.tailOnce.Do(func() {
+		d.tail = d.finish(d.cl, d.run.ds.Ledger.Specs(), d.tailEvents)
+		d.tailEvents, d.cl = nil, nil
+	})
+	return d.tail
+}
 
 // finish classifies a batch of closed events and converts them to public
 // Anomalies. Events reaching outside the run's bins (possible only with
