@@ -10,9 +10,10 @@
 // threshold and the Hotelling T² control limit derived from it, and the
 // cached normal-subspace basis used by batch scoring. Refit produces the
 // next generation from a new training window, warm-starting the partial
-// PCA from the previous generation's basis: nightly refits of
-// slowly-drifting traffic start next to the fixed point of the subspace
-// iteration and converge in a couple of sweeps instead of from scratch.
+// PCA from the previous generation's basis: a refit of a window the basis
+// already fits starts at the fixed point of the subspace iteration and
+// stops in a couple of sweeps; a nightly refit of real traffic keeps the
+// leading axes and re-converges the trailing ones (mat.FitPCAPartialWarm).
 package engine
 
 import (
@@ -138,8 +139,12 @@ func (m *Model) Refit(train *mat.Matrix) (*Model, error) {
 // n > p, the paper's regime), otherwise a partial fit of the top 2k+8
 // axes — several times the k the method consumes, which pins down the head
 // of the residual spectrum; the flat-tail model in ResidualMoments covers
-// the rest of the Q-threshold inputs. A previous generation's PCA, when
-// given, warm-starts the partial iteration.
+// the rest of the Q-threshold inputs. The partial fit iterates on the p x p
+// Gram matrix when that is the smaller operand (a cold fit with p ≤ n: a
+// geant week) and on the data matrix otherwise; a previous generation's
+// PCA, when given, warm-starts it, and a warm start forms the Gram matrix
+// only once it has run as many data-form sweeps as that costs — a refit
+// that converges in two or three never pays for it.
 func fitPCA(X *mat.Matrix, k int, warm *mat.PCA) (*mat.PCA, error) {
 	n, p := X.Rows(), X.Cols()
 	if p <= MaxFullPCAVars && n > p {
@@ -344,6 +349,18 @@ func (m *Model) Limits() (qLimit, t2Limit float64) { return m.qLimit, m.t2Limit 
 
 // PCA exposes the fitted principal component analysis.
 func (m *Model) PCA() *mat.PCA { return m.pca }
+
+// FitWarning reports a fit that stopped short of its tolerance: the
+// partial-PCA iteration ran out of sweeps with its convergence test unmet.
+// The model still scores — its axes are the best iterate reached and its
+// thresholds are consistent with them — so callers treat this as the
+// degraded condition a failed refit is, not as a failed fit.
+func (m *Model) FitWarning() error {
+	if !m.pca.Unconverged {
+		return nil
+	}
+	return fmt.Errorf("engine: partial PCA unconverged after %d sweeps (generation %d keeps its last iterate)", m.pca.Sweeps, m.gen)
+}
 
 // Train returns the training window the model was fitted on — the
 // caller's matrix, not a copy; treat it as read-only. Only generation 0

@@ -216,3 +216,45 @@ func TestWarmRefitAgreesWithCold(t *testing.T) {
 	t.Run("geant", func(t *testing.T) { warmCase(t, 700, 529) })
 	t.Run("synthetic50", func(t *testing.T) { warmCase(t, 400, 2500) })
 }
+
+// TestFitWarningFlagsUnconvergedFit: a partial fit that runs out of sweeps
+// still yields a scoring model, and says so; a converged one is silent.
+func TestFitWarningFlagsUnconvergedFit(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 62))
+	good, err := Fit(synthTraffic(rng, 700, 529, 2), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := good.PCA().Sweeps; s < 2 || s > 40 {
+		t.Fatalf("traffic-like fit took %d sweeps", s)
+	}
+	if err := good.FitWarning(); err != nil {
+		t.Fatalf("converged fit warns: %v", err)
+	}
+	// White noise: no spectral gap for the iteration to converge on.
+	noise := mat.New(2016, 529)
+	for i := 0; i < noise.Rows(); i++ {
+		row := noise.RowView(i)
+		for j := range row {
+			row[j] = rng.NormFloat64()
+		}
+	}
+	m, err := Fit(noise, DefaultOptions())
+	if err != nil {
+		t.Fatalf("an unconverged fit must degrade, not fail: %v", err)
+	}
+	if err := m.FitWarning(); err == nil {
+		t.Fatalf("fit stopped at the sweep cap (%d sweeps) without a warning", m.PCA().Sweeps)
+	}
+	if _, err := m.Score(noise.Row(0)); err != nil {
+		t.Fatalf("unconverged model cannot score: %v", err)
+	}
+	// The flag describes a fit, not a model's state: it is not restored.
+	back, err := Restore(m.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.FitWarning(); err != nil {
+		t.Fatalf("restored model warns: %v", err)
+	}
+}

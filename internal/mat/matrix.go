@@ -3,12 +3,15 @@
 // eigendecomposition, and PCA helpers.
 //
 // The package is deliberately minimal and stdlib-only. The problem sizes in
-// this repository are tiny by numerical-computing standards (the covariance
-// of the Abilene OD-flow matrix is 121x121), so clarity and robustness are
-// preferred over cache blocking or SIMD. The two superlinear kernels — Mul
-// and Gram, and through them Covariance, FitPCA and ProjectionSplit — do
-// split their row ranges across goroutines when the flop count warrants it;
-// see SetWorkers for the tunable pool size.
+// this repository are small by numerical-computing standards (the
+// covariance of the Abilene OD-flow matrix is 121x121, geant's 529x529), so
+// clarity and robustness are preferred over cache blocking, assembly or
+// SIMD. The superlinear kernels — Mul, Gram, MulABt and MulAtB, and through
+// them Covariance, FitPCA, FitPCAPartial and ProjectionSplit — split their
+// row ranges across goroutines when the flop count warrants it (see
+// SetWorkers for the tunable pool size), and the three accumulation kernels
+// under the fits are register-tiled in plain Go, bit-identical to the
+// simple loops they replaced (parallel.go).
 package mat
 
 import (

@@ -85,19 +85,105 @@ func mulRange(out, a, b *Matrix, lo, hi int) {
 	}
 }
 
+// The three accumulation kernels below — gramUpper, MulABt's and MulAtB's —
+// are register-tiled: one pass over the operands feeds several output
+// elements, so each loaded value is used four or eight times instead of
+// once. Tiling changes which elements are computed together, never the
+// order in which one element's products are added: every output is still
+// the left-to-right sum over the same index sequence as the untiled loop
+// (kept as the reference in kernels_test.go), so for finite input the
+// results are bit-identical to it — including where the compiler fuses
+// multiply-adds, since tile and reference fuse the same expressions. The
+// reference skips zero multiplicands; for finite input adding their ±0
+// products changes no bit, and the tiles do not test for them.
+
+// atbRange accumulates rows [lo, hi) of a and b into out += aᵀb, four input
+// rows and two output rows per pass. With upper set (a and b the same
+// matrix) only columns from the diagonal rightwards are touched in each
+// output row, which leaves the first sub-diagonal holding a value the
+// caller's mirrorUpper overwrites with itself.
+func atbRange(out, a, b *Matrix, lo, hi int, upper bool) {
+	ac, bc := a.cols, b.cols
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1 := a.data[i*ac:(i+1)*ac], a.data[(i+1)*ac:(i+2)*ac]
+		a2, a3 := a.data[(i+2)*ac:(i+3)*ac], a.data[(i+3)*ac:(i+4)*ac]
+		j := 0
+		for ; j+2 <= ac; j += 2 {
+			c0 := 0
+			if upper {
+				c0 = j
+			}
+			o0 := out.data[j*bc+c0 : (j+1)*bc]
+			o1 := out.data[(j+1)*bc+c0 : (j+2)*bc][:len(o0)]
+			x0 := b.data[i*bc+c0 : (i+1)*bc][:len(o0)]
+			x1 := b.data[(i+1)*bc+c0 : (i+2)*bc][:len(o0)]
+			x2 := b.data[(i+2)*bc+c0 : (i+3)*bc][:len(o0)]
+			x3 := b.data[(i+3)*bc+c0 : (i+4)*bc][:len(o0)]
+			p0, p1, p2, p3 := a0[j], a1[j], a2[j], a3[j]
+			q0, q1, q2, q3 := a0[j+1], a1[j+1], a2[j+1], a3[j+1]
+			for c := range o0 {
+				v0, v1, v2, v3 := x0[c], x1[c], x2[c], x3[c]
+				o0[c] = o0[c] + p0*v0 + p1*v1 + p2*v2 + p3*v3
+				o1[c] = o1[c] + q0*v0 + q1*v1 + q2*v2 + q3*v3
+			}
+		}
+		if j < ac { // odd last output row: untiled, same order
+			atbRows(out, a, b, i, i+4, j, upper)
+		}
+	}
+	atbRows(out, a, b, i, hi, 0, upper)
+}
+
+// atbRows is atbRange one rank-1 update at a time, for output rows from
+// jlo on: the tile's edges.
+func atbRows(out, a, b *Matrix, lo, hi, jlo int, upper bool) {
+	ac, bc := a.cols, b.cols
+	for i := lo; i < hi; i++ {
+		arow := a.data[i*ac : (i+1)*ac]
+		for j := jlo; j < ac; j++ {
+			c0 := 0
+			if upper {
+				c0 = j
+			}
+			av := arow[j]
+			orow := out.data[j*bc+c0 : (j+1)*bc]
+			brow := b.data[i*bc+c0 : (i+1)*bc][:len(orow)]
+			for c, bv := range brow {
+				orow[c] += av * bv
+			}
+		}
+	}
+}
+
 // gramUpper accumulates the upper triangle of m[lo:hi]^T m[lo:hi] into out
 // (cols x cols). Callers sum partial results and mirror the triangle.
-func gramUpper(out *Matrix, m *Matrix, lo, hi int) {
+func gramUpper(out *Matrix, m *Matrix, lo, hi int) { atbRange(out, m, m, lo, hi, true) }
+
+// abtRange computes rows [lo, hi) of out = a*bᵀ, four dot products sharing
+// one pass over the row of a.
+func abtRange(out, a, b *Matrix, lo, hi int) {
+	n := a.cols
 	for i := lo; i < hi; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for a, va := range row {
-			if va == 0 {
-				continue
+		arow := a.data[i*n : (i+1)*n]
+		orow := out.data[i*out.cols : (i+1)*out.cols]
+		j := 0
+		for ; j+4 <= len(orow); j += 4 {
+			b0 := b.data[j*n : (j+1)*n][:len(arow)]
+			b1 := b.data[(j+1)*n : (j+2)*n][:len(arow)]
+			b2 := b.data[(j+2)*n : (j+3)*n][:len(arow)]
+			b3 := b.data[(j+3)*n : (j+4)*n][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
 			}
-			orow := out.data[a*out.cols : (a+1)*out.cols]
-			for b := a; b < len(row); b++ {
-				orow[b] += va * row[b]
-			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(orow); j++ {
+			orow[j] = Dot(arow, b.data[j*n:(j+1)*n])
 		}
 	}
 }
@@ -146,15 +232,7 @@ func MulABt(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("mat: MulABt dimension mismatch %dx%d * (%dx%d)T", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := New(a.rows, b.rows)
-	kernel := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j := range orow {
-				orow[j] = Dot(arow, b.data[j*b.cols:(j+1)*b.cols])
-			}
-		}
-	}
+	kernel := func(lo, hi int) { abtRange(out, a, b, lo, hi) }
 	w := Workers()
 	if w <= 1 || a.rows*a.cols*b.rows < parallelFlopThreshold {
 		kernel(0, a.rows)
@@ -174,25 +252,10 @@ func MulAtB(a, b *Matrix) *Matrix {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("mat: MulAtB dimension mismatch (%dx%d)T * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	accumulate := func(out *Matrix, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			brow := b.data[i*b.cols : (i+1)*b.cols]
-			for j, av := range arow {
-				if av == 0 {
-					continue
-				}
-				orow := out.data[j*out.cols : (j+1)*out.cols]
-				for c, bv := range brow {
-					orow[c] += av * bv
-				}
-			}
-		}
-	}
 	w := Workers()
 	if w <= 1 || a.rows*a.cols*b.cols < parallelFlopThreshold {
 		out := New(a.cols, b.cols)
-		accumulate(out, 0, a.rows)
+		atbRange(out, a, b, 0, a.rows, false)
 		return out
 	}
 	if w > a.rows {
@@ -212,7 +275,7 @@ func MulAtB(a, b *Matrix) *Matrix {
 		wg.Add(1)
 		go func(p *Matrix, lo, hi int) {
 			defer wg.Done()
-			accumulate(p, lo, hi)
+			atbRange(p, a, b, lo, hi, false)
 		}(p, lo, hi)
 		slot++
 	}

@@ -25,8 +25,14 @@ type PCA struct {
 	// TotalVar is the covariance trace: the total variance across all p
 	// variables, whether or not their axes were computed.
 	TotalVar float64
-	n        int // number of observations used in the fit
-	vars     int // number of variables p (columns of the fitted data)
+	// Sweeps is the number of subspace-iteration sweeps a partial fit ran
+	// (0 for a full fit or a reassembled PCA); Unconverged reports that it
+	// stopped at the sweep cap with the convergence test still unmet, so
+	// the trailing axes are looser than the tolerance promises.
+	Sweeps      int
+	Unconverged bool
+	n           int // number of observations used in the fit
+	vars        int // number of variables p (columns of the fitted data)
 }
 
 // FitPCA computes the PCA of X. If center is true the column means are

@@ -7,38 +7,57 @@ import (
 	"math/rand/v2"
 )
 
-// FitPCAPartial computes the top-m principal components of X without ever
-// forming the p x p covariance — the large-p path of the subspace method.
+// FitPCAPartial computes the top-m principal components of X without an
+// eigendecomposition of the p x p covariance — the large-p path of the
+// subspace method.
 //
 // The full FitPCA runs a Jacobi eigendecomposition of the covariance, which
 // is O(p³) per sweep: fine at Abilene's p = 121, hopeless at the p = 10⁴⁺
 // OD-matrix widths of the synthetic scale-sweep topologies. The subspace
 // method only ever consumes the top k ≈ 4 axes plus the residual spectrum
 // moments, so for large p this fit runs deterministic block subspace
-// iteration directly on the centered data matrix:
+// iteration on the symmetric operator S = XcᵀXc = (n-1)·C of the centered
+// data:
 //
-//	Y = Xc Q        (n x b, two cache-friendly kernels per iteration)
-//	Z = Xcᵀ Y       (p x b — this is (n-1)·C·Q without materializing C)
+//	Z = S Q            (p x b, kept row-wise as Zt)
+//	B = Qᵀ Z / (n-1)   (b x b Ritz matrix: eigenvalue estimates, stop test)
 //	Q = orth(Z)
 //
-// followed by a Rayleigh–Ritz projection onto the converged basis. Every
-// iterate costs O(n·p·b) instead of O(p³), and the iteration inherits the
-// fast spectral decay of gravity-model traffic (a handful of sweeps).
+// ending with the Rayleigh–Ritz rotation of the converged basis. One sweep
+// body serves two ways of applying S, chosen by which operand is smaller:
+//
+//   - p > n (the wide synthetic topologies this path was written for):
+//     S Q = Xcᵀ(Xc Q), two passes over the n x p window per sweep,
+//     O(n·p·b), and no p x p matrix is ever formed;
+//   - p ≤ n (a geant week: 529 flows, 2016 bins): the Gram matrix
+//     G = XcᵀXc is formed once — p² ≤ n·p floats, no larger than the clone
+//     of X the fit makes anyway — and every sweep is G·Q, O(p²·b) on a
+//     matrix that stays in cache. OD traffic is low-rank plus a flat noise
+//     floor, on which the trailing wanted pairs converge slowly (15-35
+//     sweeps), so G's one-off O(n·p²/2), the price of p/(4b) ≈ 6 data-form
+//     sweeps, is repaid several times over. A cold start forms G at once;
+//     a warm start, which may be done in two sweeps, forms it only after
+//     that many data-form sweeps have not converged.
 //
 // The returned PCA has Components p x m and Eigenvalues of length m, plus
 // the exact covariance trace in TotalVar so threshold computations can
-// account for the uncomputed tail variance. The iteration start point is a
-// fixed-seed PCG draw, so the fit is reproducible for a given (n, p, m).
+// account for the uncomputed tail variance, and the sweep count with
+// whether the stop test was met. The iteration start point is a fixed-seed
+// PCG draw, so the fit is reproducible for a given (n, p, m).
 func FitPCAPartial(X *Matrix, m int, center bool) (*PCA, error) {
 	return FitPCAPartialWarm(X, m, center, nil)
 }
 
 // FitPCAPartialWarm is FitPCAPartial with a warm start: warm, when non-nil,
 // is a p x mw components matrix from a previous fit (columns = principal
-// axes) that seeds the subspace iteration in place of the random draw. When
-// the data has drifted only slightly since the previous fit — the nightly
-// refit regime of the streaming pipeline — the iteration starts next to its
-// fixed point and converges in a couple of sweeps instead of from scratch.
+// axes) that seeds the subspace iteration in place of the random draw. On
+// the window the basis was fitted to, or one barely different, the
+// iteration starts at its fixed point and stops after two or three sweeps.
+// A nightly refit of real traffic — a day slid out of the window — is not
+// that case: the leading axes carry over, the trailing noise-floor ones
+// the stop test also waits for do not, and the sweep count is close to a
+// cold fit's. So a warm start with p ≤ n begins in the data form and
+// switches to the Gram form once it has spent what G costs (see sOperator).
 // Extra block directions beyond mw are still drawn from the fixed-seed rng,
 // so the fit remains deterministic for a given (X, m, warm).
 func FitPCAPartialWarm(X *Matrix, m int, center bool, warm *Matrix) (*PCA, error) {
@@ -104,36 +123,20 @@ func FitPCAPartialWarm(X *Matrix, m int, center bool, warm *Matrix) (*PCA, error
 	}
 	orthonormalizeRows(qt, rng)
 
-	// The thresholds consuming these eigenvalues are statistical control
-	// limits, not spectral decompositions for their own sake: 7 significant
-	// digits on the eigenvalues moves the Q limit by far less than one
-	// timebin of sampling noise, while a tighter tolerance can triple the
-	// iteration count on slowly separating trailing eigenpairs.
-	const (
-		maxIter = 80
-		relTol  = 1e-7
-	)
-	var prev []float64
-	var vals []float64
-	for iter := 0; ; iter++ {
-		y := MulABt(work, qt) // n x b
-		// Rayleigh–Ritz estimates on the current basis: B = YᵀY/(n-1).
-		ritz := Scale(inv, MulAtB(y, y))
-		var w *Matrix
-		var err error
-		vals, w, err = SymEigen(ritz)
-		if err != nil {
-			return nil, fmt.Errorf("mat: FitPCAPartial projection eigen: %w", err)
+	// G costs n·p²/2 multiply-adds, a data-form sweep 2·n·p·b: p/(4b)
+	// sweeps buy G. A cold start runs several times that many, so it forms
+	// G at once; a warm start may be done in two, so it pays for G only
+	// after spending G's price on data-form sweeps without converging.
+	gramAfter := -1
+	if p <= n {
+		gramAfter = 0
+		if seeded > 0 {
+			gramAfter = (p + 4*b - 1) / (4 * b)
 		}
-		if converged(vals, prev, m, relTol) || iter == maxIter-1 {
-			// Rotate the basis to the Ritz vectors and finish.
-			qt = MulAtB(w, qt) // b x p: row i = i-th Ritz vector
-			break
-		}
-		prev = append(prev[:0], vals...)
-		zt := MulAtB(y, work) // b x p: ((n-1)·C·Q)ᵀ
-		orthonormalizeRows(zt, rng)
-		qt = zt
+	}
+	vals, qt, sweeps, met, err := subspaceIterate(sOperator(work, gramAfter), qt, m, inv, rng)
+	if err != nil {
+		return nil, err
 	}
 
 	comps := New(p, m)
@@ -152,9 +155,83 @@ func FitPCAPartialWarm(X *Matrix, m int, center bool, warm *Matrix) (*PCA, error
 		Eigenvalues: eig,
 		Components:  comps,
 		TotalVar:    total,
+		Sweeps:      sweeps,
+		Unconverged: !met,
 		n:           n,
 		vars:        p,
 	}, nil
+}
+
+// sOperator returns the map Qt -> (S·Q)ᵀ for S = XcᵀXc. It applies S as
+// (Xcᵀ(Xc·Q))ᵀ — two passes over the n x p data, nothing p x p — for its
+// first gramAfter calls, then forms G = XcᵀXc once and applies S as Qt·G
+// from there on; gramAfter < 0 never forms G.
+func sOperator(xc *Matrix, gramAfter int) func(qt *Matrix) *Matrix {
+	var g *Matrix
+	calls := 0
+	return func(qt *Matrix) *Matrix {
+		if g == nil && calls == gramAfter {
+			g = xc.Gram()
+		}
+		calls++
+		if g != nil {
+			return MulABt(qt, g)
+		}
+		return MulAtB(MulABt(xc, qt), xc)
+	}
+}
+
+// subspaceIterate runs block subspace iteration on the symmetric operator
+// applyS (which maps a row-wise basis Qt to (S·Q)ᵀ) from the orthonormal
+// start qt until the top-m Ritz values of S·scale settle, and returns all
+// b Ritz values, the basis rotated to the Ritz vectors (row i = axis i),
+// the number of sweeps run and whether the stop test was met within the
+// sweep cap.
+func subspaceIterate(applyS func(qt *Matrix) *Matrix, qt *Matrix, m int, scale float64, rng *rand.Rand) (vals []float64, basis *Matrix, sweeps int, met bool, err error) {
+	// The thresholds consuming these eigenvalues are statistical control
+	// limits, not spectral decompositions for their own sake: 7 significant
+	// digits on the eigenvalues moves the Q limit by far less than one
+	// timebin of sampling noise, while a tighter tolerance can triple the
+	// iteration count on slowly separating trailing eigenpairs.
+	const (
+		maxIter = 80
+		relTol  = 1e-7
+	)
+	var prev []float64
+	for {
+		zt := applyS(qt) // b x p: ((n-1)·C·Q)ᵀ
+		sweeps++
+		// Rayleigh–Ritz estimates on the current basis: B = QᵀSQ·scale,
+		// symmetric up to rounding and handed to SymEigen exactly so.
+		var w *Matrix
+		vals, w, err = SymEigen(ritzMatrix(qt, zt, scale))
+		if err != nil {
+			return nil, nil, sweeps, false, fmt.Errorf("mat: FitPCAPartial projection eigen: %w", err)
+		}
+		met = converged(vals, prev, m, relTol)
+		if met || sweeps == maxIter {
+			// Rotate the basis to the Ritz vectors and finish.
+			return vals, MulAtB(w, qt), sweeps, met, nil // b x p: row i = i-th Ritz vector
+		}
+		prev = append(prev[:0], vals...)
+		orthonormalizeRows(zt, rng)
+		qt = zt
+	}
+}
+
+// ritzMatrix returns the b x b projection Qt·Ztᵀ·scale with each
+// off-diagonal pair replaced by its mean, so it is symmetric to the bit.
+func ritzMatrix(qt, zt *Matrix, scale float64) *Matrix {
+	r := MulABt(qt, zt)
+	b := r.rows
+	for i := 0; i < b; i++ {
+		r.data[i*b+i] *= scale
+		for j := i + 1; j < b; j++ {
+			v := (r.data[i*b+j] + r.data[j*b+i]) * (0.5 * scale)
+			r.data[i*b+j], r.data[j*b+i] = v, v
+		}
+	}
+	return r
 }
 
 // converged reports whether the top-m eigenvalue estimates have settled:

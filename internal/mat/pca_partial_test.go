@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -225,5 +226,190 @@ func TestFitPCAPartialWarmMatchesCold(t *testing.T) {
 	// A warm basis with the wrong variable count is ignored, not fatal.
 	if _, err := FitPCAPartialWarm(y, 12, true, New(3, 3)); err != nil {
 		t.Fatalf("mismatched warm basis: %v", err)
+	}
+}
+
+// iterateStart builds what FitPCAPartialWarm hands subspaceIterate for a
+// cold fit of x: the centered data, an orthonormal random b x p start and
+// the rng that refills collapsed rows.
+func iterateStart(x *Matrix, b int) (xc, qt *Matrix, rng *rand.Rand) {
+	xc = x.Clone()
+	xc.CenterColumns()
+	rng = rand.New(rand.NewPCG(77, 78))
+	qt = New(b, x.Cols())
+	for i := range qt.data {
+		qt.data[i] = rng.NormFloat64()
+	}
+	orthonormalizeRows(qt, rng)
+	return xc, qt, rng
+}
+
+// largestPrincipalAngle returns the largest principal angle, in radians,
+// between the spans of the first k rows of the row-wise bases a and b.
+func largestPrincipalAngle(t *testing.T, a, b *Matrix, k int) float64 {
+	t.Helper()
+	cross := MulABt(a.HeadRows(k), b.HeadRows(k))
+	vals, _, err := SymEigen(MulAtB(cross, cross))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return math.Acos(math.Sqrt(math.Min(1, math.Max(0, vals[k-1]))))
+}
+
+// TestGramFormMatchesDataForm runs the one sweep body over the same start
+// with S applied through the data matrix, through the Gram matrix, and
+// switching from the first to the second mid-iteration: same sweep count,
+// eigenvalues to 1e-9, the same top-k subspace to a microradian.
+func TestGramFormMatchesDataForm(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 52))
+	x := randomLowRankish(rng, 400, 150, 5)
+	const m, b, k = 12, 20, 4
+	scale := 1 / float64(x.Rows()-1)
+	type outcome struct {
+		vals   []float64
+		basis  *Matrix
+		sweeps int
+	}
+	run := func(gramAfter int) outcome {
+		xc, qt, r := iterateStart(x, b)
+		vals, basis, sweeps, met, err := subspaceIterate(sOperator(xc, gramAfter), qt, m, scale, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !met {
+			t.Fatalf("gramAfter=%d: unconverged after %d sweeps", gramAfter, sweeps)
+		}
+		return outcome{vals, basis, sweeps}
+	}
+	data := run(-1)
+	if data.sweeps < 5 {
+		t.Fatalf("only %d sweeps: the switch-over case below would never switch", data.sweeps)
+	}
+	for _, gramAfter := range []int{0, 3} {
+		got := run(gramAfter)
+		if got.sweeps != data.sweeps {
+			t.Fatalf("gramAfter=%d: %d sweeps, data form %d", gramAfter, got.sweeps, data.sweeps)
+		}
+		for i := 0; i < m; i++ {
+			if rel := math.Abs(got.vals[i]-data.vals[i]) / data.vals[i]; rel > 1e-9 {
+				t.Fatalf("gramAfter=%d: eigenvalue %d = %g, data form %g (rel %g)", gramAfter, i, got.vals[i], data.vals[i], rel)
+			}
+		}
+		a := largestPrincipalAngle(t, got.basis, data.basis, k)
+		if a > 1e-6 {
+			t.Fatalf("gramAfter=%d: top-%d subspace %g rad from the data form's", gramAfter, k, a)
+		}
+		t.Logf("gramAfter=%d: %d sweeps, top-%d angle %.2g rad", gramAfter, got.sweeps, k, a)
+	}
+}
+
+// TestFitPCAPartialWideNeverFormsGram: with more flows than bins the fit
+// must stay in the data form. A 3000 x 3000 Gram matrix alone would be 72
+// MB; the whole fit has to fit in three copies of the 4.8 MB window.
+func TestFitPCAPartialWideNeverFormsGram(t *testing.T) {
+	const n, p = 200, 3000
+	rng := rand.New(rand.NewPCG(53, 54))
+	x := randomLowRankish(rng, n, p, 4)
+	defer SetWorkers(SetWorkers(1)) // per-worker partial outputs are not the point here
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pca, err := FitPCAPartial(x, 4, true)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*n*p*8)
+	if got >= limit {
+		t.Fatalf("wide fit allocated %d bytes over %d sweeps, want < %d", got, pca.Sweeps, limit)
+	}
+	t.Logf("wide fit: %d sweeps, %d bytes allocated (limit %d)", pca.Sweeps, got, limit)
+}
+
+func TestRitzMatrixExactlySymmetric(t *testing.T) {
+	rng := rand.New(rand.NewPCG(55, 56))
+	qt, zt := randomMatrix(rng, 24, 529), randomMatrix(rng, 24, 529)
+	r := ritzMatrix(qt, zt, 1.0/2015)
+	if !r.IsSymmetric(0) {
+		t.Fatal("Ritz matrix not symmetric to the bit")
+	}
+	want := MulABt(qt, zt)
+	for i := 0; i < r.rows; i++ {
+		for j := 0; j < r.cols; j++ {
+			mean := (want.At(i, j) + want.At(j, i)) / 2 / 2015
+			if math.Abs(r.At(i, j)-mean) > 1e-12*math.Abs(mean) {
+				t.Fatalf("(%d,%d) = %g, want %g", i, j, r.At(i, j), mean)
+			}
+		}
+	}
+}
+
+// TestFitPCAPartialReportsSweeps: a fit says how many sweeps it ran and
+// whether it stopped because it converged or because it ran out of them.
+func TestFitPCAPartialReportsSweeps(t *testing.T) {
+	rng := rand.New(rand.NewPCG(57, 58))
+	x := randomLowRankish(rng, 400, 60, 5)
+	part, err := FitPCAPartial(x, 12, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.Sweeps < 2 || part.Sweeps >= 80 || part.Unconverged {
+		t.Fatalf("converged fit reports %d sweeps, unconverged=%v", part.Sweeps, part.Unconverged)
+	}
+	full, err := FitPCA(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Sweeps != 0 || full.Unconverged {
+		t.Fatalf("full fit reports %d sweeps, unconverged=%v", full.Sweeps, full.Unconverged)
+	}
+	// White noise has no spectral gap anywhere: the trailing Ritz values
+	// of a 16-axis fit are still moving when the sweep cap arrives.
+	noise, err := FitPCAPartial(randomMatrix(rng, 6000, 120), 16, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noise.Sweeps != 80 || !noise.Unconverged {
+		t.Fatalf("gapless fit reports %d sweeps, unconverged=%v; want the cap, flagged", noise.Sweeps, noise.Unconverged)
+	}
+}
+
+// TestFitPCAPartialWarmSweeps pins the warm start's two regimes at a
+// geant-shaped p ≤ n: next to the fixed point it finishes in the data form
+// before the Gram matrix would have paid for itself; far from it, it
+// switches and still lands where the cold fit does.
+func TestFitPCAPartialWarmSweeps(t *testing.T) {
+	rng := rand.New(rand.NewPCG(59, 60))
+	x := randomLowRankish(rng, 700, 529, 5)
+	cold, err := FitPCAPartial(x, 16, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Sweeps > 40 {
+		t.Fatalf("cold fit took %d sweeps", cold.Sweeps)
+	}
+	y := x.Clone()
+	for i := range y.data {
+		y.data[i] *= 1 + 1e-4*math.Sin(float64(i))
+	}
+	warm, err := FitPCAPartialWarm(y, 16, true, cold.Components)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Sweeps > 4 {
+		t.Fatalf("warm refit of slightly drifted data took %d sweeps, want <= 4", warm.Sweeps)
+	}
+	// A useless warm basis (random axes) must cost sweeps, not accuracy.
+	far, err := FitPCAPartialWarm(x, 16, true, randomMatrix(rng, 529, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if switchAt := (529 + 4*24 - 1) / (4 * 24); far.Sweeps <= switchAt {
+		t.Fatalf("far warm start converged in %d sweeps: the Gram switch at %d went unexercised", far.Sweeps, switchAt)
+	}
+	t.Logf("sweeps: cold %d, warm near %d, warm far %d", cold.Sweeps, warm.Sweeps, far.Sweeps)
+	for i := 0; i < 5; i++ {
+		if rel := math.Abs(far.Eigenvalues[i]-cold.Eigenvalues[i]) / cold.Eigenvalues[i]; rel > 1e-6 {
+			t.Fatalf("eigenvalue %d: far warm start %g, cold %g", i, far.Eigenvalues[i], cold.Eigenvalues[i])
+		}
 	}
 }

@@ -34,13 +34,18 @@ func Binomial(n uint64, p float64, rng *rand.Rand) uint64 {
 	if p >= 1 {
 		return n
 	}
+	return binomial(n, p, math.Log1p(-p), rng)
+}
+
+// binomial is Binomial for 0 < p < 1 and n > 0 with lq = Log1p(-p) supplied
+// by the caller, so a constant rate pays for its logarithm once.
+func binomial(n uint64, p, lq float64, rng *rand.Rand) uint64 {
 	const smallMeanCutoff = 50
 	mean := float64(n) * p
 	if mean <= smallMeanCutoff {
 		// Geometric skips: the gap until the next sampled packet is
 		// Geometric(p); count how many fit in n trials.
 		var count, trial uint64
-		lq := math.Log1p(-p)
 		for {
 			u := rng.Float64()
 			// Log1p(-u) keeps full precision as u -> 0 (where log(1-u)
@@ -65,10 +70,14 @@ func Binomial(n uint64, p float64, rng *rand.Rand) uint64 {
 	return uint64(x)
 }
 
-// Sampler thins packet streams at a fixed per-packet probability.
+// Sampler thins packet streams at a fixed per-packet probability. Construct
+// one with NewSampler, which also fills the rate's derived constant.
 type Sampler struct {
 	// Rate is the per-packet sampling probability in (0, 1].
 	Rate float64
+	// logMiss is Log1p(-Rate), the log-probability that one packet is not
+	// sampled: every draw below needs it and the rate never changes.
+	logMiss float64
 }
 
 // NewSampler validates the rate and returns a sampler.
@@ -76,7 +85,7 @@ func NewSampler(rate float64) (Sampler, error) {
 	if !(rate > 0 && rate <= 1) {
 		return Sampler{}, fmt.Errorf("sampling: rate %v out of (0,1]", rate)
 	}
-	return Sampler{Rate: rate}, nil
+	return Sampler{Rate: rate, logMiss: math.Log1p(-rate)}, nil
 }
 
 // Sample applies packet sampling to a true flow record. It returns the
@@ -113,7 +122,22 @@ func (s Sampler) InverseEstimate(sampled uint64) float64 {
 // flow-count deflation factor of Duffield et al. (SIGCOMM 2003), which the
 // F-type (IP-flow count) timeseries inherits.
 func (s Sampler) FlowDetectionProb(n uint64) float64 {
-	return -math.Expm1(float64(n) * math.Log1p(-s.Rate))
+	return -math.Expm1(float64(n) * s.logMiss)
+}
+
+// VisiblePackets draws the sampled packet count of an n-packet flow known
+// to be visible — BinomialAtLeastOne(n, Rate) — given pVis =
+// FlowDetectionProb(n), which a caller drawing many flows of one size
+// computes once. Same draws from rng, same result, without the per-flow
+// logarithms.
+func (s Sampler) VisiblePackets(n uint64, pVis float64, rng *rand.Rand) uint64 {
+	if n == 0 {
+		panic("sampling: VisiblePackets with n=0")
+	}
+	if s.Rate >= 1 {
+		return n
+	}
+	return atLeastOne(n, s.Rate, s.logMiss, pVis, rng)
 }
 
 // BinomialAtLeastOne draws from Binomial(n, p) conditioned on the result
@@ -134,16 +158,25 @@ func BinomialAtLeastOne(n uint64, p float64, rng *rand.Rand) uint64 {
 		// Degenerate conditioning; the only consistent answer is 1.
 		return 1
 	}
-	pVis := -math.Expm1(float64(n) * math.Log1p(-p))
+	lq := math.Log1p(-p)
+	return atLeastOne(n, p, lq, -math.Expm1(float64(n)*lq), rng)
+}
+
+// atLeastOne is BinomialAtLeastOne for 0 < p < 1 with lq = Log1p(-p) and
+// pVis = 1-(1-p)^n supplied by the caller.
+func atLeastOne(n uint64, p, lq, pVis float64, rng *rand.Rand) uint64 {
 	u := rng.Float64() * pVis
-	g := uint64(math.Ceil(math.Log1p(-u) / math.Log1p(-p)))
+	g := uint64(math.Ceil(math.Log1p(-u) / lq))
 	if g < 1 {
 		g = 1
 	}
 	if g > n {
 		g = n
 	}
-	return 1 + Binomial(n-g, p, rng)
+	if g == n {
+		return 1
+	}
+	return 1 + binomial(n-g, p, lq, rng)
 }
 
 // Poisson draws from Poisson(lambda). Knuth's product method is used for

@@ -264,3 +264,28 @@ func TestBinomialAtLeastOneEdges(t *testing.T) {
 	}()
 	BinomialAtLeastOne(0, 0.5, rng)
 }
+
+// TestVisiblePacketsMatchesBinomialAtLeastOne: the sampler's hoisted form
+// draws the same numbers from the same stream as the free function it
+// stands in for, flow after flow, at every branch (n = 1, the geometric
+// small-mean path, the normal large-mean path, rate 1).
+func TestVisiblePacketsMatchesBinomialAtLeastOne(t *testing.T) {
+	for _, rate := range []float64{AbileneRate, 0.3, 1} {
+		s, err := NewSampler(rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := rand.New(rand.NewPCG(9, 10)), rand.New(rand.NewPCG(9, 10))
+		for _, n := range []uint64{1, 2, 7, 100, 4999, 5001, 1 << 20} {
+			pVis := s.FlowDetectionProb(n)
+			for i := 0; i < 200; i++ {
+				if got, want := s.VisiblePackets(n, pVis, a), BinomialAtLeastOne(n, rate, b); got != want {
+					t.Fatalf("rate %v n %d draw %d: VisiblePackets %d, BinomialAtLeastOne %d", rate, n, i, got, want)
+				}
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("rate %v: the two forms consumed different amounts of the stream", rate)
+		}
+	}
+}

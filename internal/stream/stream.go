@@ -304,7 +304,16 @@ func New(models []*engine.Model, cfg Config) (*Pipeline, error) {
 		}
 		ups[i] = up
 	}
-	return newPipeline(ups, cfg)
+	p, err := newPipeline(ups, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range models {
+		if err := m.FitWarning(); err != nil {
+			p.failRefit(fmt.Errorf("stream: lane %d fit: %w", i, err))
+		}
+	}
+	return p, nil
 }
 
 // NewRestored builds a pipeline from per-lane recovery states — the
@@ -594,6 +603,11 @@ func (p *Pipeline) refitter(l *lane) {
 			p.failRefit(fmt.Errorf("stream: lane %d refit: %w", l.id, err))
 			l.up.Install(nil) // keep scoring on the current model
 			continue
+		}
+		if err := next.FitWarning(); err != nil {
+			// Unconverged, not unusable: its last iterate is still closer
+			// to the window than the generation it replaces.
+			p.failRefit(fmt.Errorf("stream: lane %d refit: %w", l.id, err))
 		}
 		l.up.Install(next)
 	}

@@ -429,3 +429,34 @@ func TestRefitErrorIsDegradedNotFatal(t *testing.T) {
 		t.Fatalf("Wait() = %v, want the scoring failure to take precedence", err)
 	}
 }
+
+// TestUnconvergedFitDegradesPipeline: a lane model whose partial fit hit
+// the sweep cap scores as usual and marks the pipeline degraded, the same
+// signal a failed refit raises. (engine's tests produce a fit that really
+// does not converge; here the flag is set by hand on a cheap model.)
+func TestUnconvergedFitDegradesPipeline(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 29))
+	model := fitLane(t, rng, 64, 8)
+	model.PCA().Sweeps, model.PCA().Unconverged = 80, true
+	pipe, err := New([]*engine.Model{model}, Config{BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.RefitErr(); err == nil || !strings.Contains(err.Error(), "unconverged") {
+		t.Fatalf("RefitErr() = %v, want the unconverged-fit warning", err)
+	}
+	if err := pipe.Err(); err != nil {
+		t.Fatalf("unconverged fit leaked into the fatal Err(): %v", err)
+	}
+	go func() {
+		for range pipe.Verdicts() {
+		}
+	}()
+	if err := pipe.Submit(Sample{Bin: 0, Vecs: [][]float64{synth(rng, 1, 8, 2).Row(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	pipe.Close()
+	if err := pipe.Wait(); err == nil || !strings.Contains(err.Error(), "unconverged") {
+		t.Fatalf("Wait() = %v, want the unconverged-fit warning", err)
+	}
+}

@@ -33,7 +33,7 @@ func Measure(c FlowClass, s sampling.Sampler, realm *Realm, rng *rand.Rand, emit
 		return 0, 0, 0
 	}
 	for i := uint64(0); i < visible; i++ {
-		pkts := sampling.BinomialAtLeastOne(c.PktsPerFlow, s.Rate, rng)
+		pkts := s.VisiblePackets(c.PktsPerFlow, pVis, rng)
 		b := uint64(math.Round(float64(pkts) * c.BytesPerPkt))
 		rec := flow.Record{
 			Key: flow.Key{
