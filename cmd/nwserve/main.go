@@ -12,8 +12,7 @@
 // attribution, cross-measure event aggregation, classification — and every
 // characterized anomaly is retained and served.
 //
-// Status endpoints (with -http), served under /api/v1/ with the
-// unversioned paths as aliases:
+// Status endpoints (with -http), served under /api/v1/ only:
 //
 //	/api/v1/healthz    liveness (503 once the detector records an error)
 //	/api/v1/stats      ingest counters as JSON, with a per-protocol breakdown
@@ -26,7 +25,7 @@
 // closed bins and every -checkpoint-interval of wall time — and restores
 // from it on startup, resuming detection at most -checkpoint-every bins
 // stale instead of retraining blind. A torn, corrupt or mismatched
-// snapshot falls back to a cold start with the reason on /stats.
+// snapshot falls back to a cold start with the reason on /api/v1/stats.
 //
 // SIGINT/SIGTERM trigger a graceful drain: the socket closes, every
 // in-flight bin flushes through the detector, still-open events are
@@ -84,7 +83,7 @@ func main() {
 		formats   = flag.String("formats", "", "comma-separated wire-format allowlist: netflow5, netflow9, ipfix, sflow (empty = all)")
 		receivers = flag.Int("receivers", 1, "UDP receiver goroutines on SO_REUSEPORT sockets (>1 enables the sharded ingest tier)")
 		shards    = flag.Int("shards", 1, "OD-partition bin-accumulation workers (>1 enables the sharded ingest tier)")
-		httpAddr  = flag.String("http", "", "HTTP status listen address (empty disables /healthz, /stats, /anomalies)")
+		httpAddr  = flag.String("http", "", "HTTP status listen address (empty disables /api/v1/{healthz,stats,anomalies})")
 		trainBins = flag.Int("trainbins", 0, "leading bins of the dataset to train on (0 = all bins)")
 		k         = flag.Int("k", 4, "normal subspace dimension")
 		alpha     = flag.Float64("alpha", 0.001, "detection false-alarm rate")
@@ -190,7 +189,7 @@ func main() {
 		log.Printf("sharded ingest tier: %d receivers, %d shards, central scorer", *receivers, *shards)
 	}
 	if a := srv.HTTPAddr(); a != nil {
-		log.Printf("status endpoint on http://%s (/api/v1/{healthz,stats,anomalies}; unversioned aliases)", a)
+		log.Printf("status endpoint on http://%s (/api/v1/{healthz,stats,anomalies})", a)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -1,9 +1,9 @@
 package dataset
 
 import (
+	"netwide/internal/flowwire"
 	"netwide/internal/heavyhitter"
 	"netwide/internal/ipaddr"
-	"netwide/internal/netflow"
 	"netwide/internal/topology"
 )
 
@@ -67,7 +67,7 @@ func (d *Dataset) BinAttributes(od topology.ODPair, bin int) *AttributeSummary {
 			s.Sketch[m][dim] = heavyhitter.New(sketchCapacity)
 		}
 	}
-	d.ForEachResolvedRecord(od, bin, func(_ topology.ODPair, rec netflow.Record) {
+	d.ForEachResolvedRecord(od, bin, func(_ topology.ODPair, rec flowwire.Flow) {
 		keys := [NumDims]uint64{
 			SrcAddr: addrKey(rec.Key.Src),
 			DstAddr: addrKey(rec.Key.Dst),

@@ -12,7 +12,7 @@ package dataset
 import (
 	"testing"
 
-	"netwide/internal/netflow"
+	"netwide/internal/flowwire"
 	"netwide/internal/topology"
 )
 
@@ -35,7 +35,7 @@ func BenchmarkCellReplay(b *testing.B) {
 	sc := getScratch()
 	defer putScratch(sc)
 	od := topology.ODPair{Origin: topology.CHIN, Dest: topology.LOSA}
-	nop := func(topology.ODPair, netflow.Record) {}
+	nop := func(topology.ODPair, flowwire.Flow) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

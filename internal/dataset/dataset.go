@@ -8,7 +8,7 @@
 //	background flow classes (gravity x diurnal x noise, application mix)
 //	+ anomaly injector classes and volume scaling     (ground truth ledger)
 //	-> 1% packet sampling -> visible flow records     (traffic.Measure)
-//	-> NetFlow v5 export/collect                      (netflow)
+//	-> NetFlow v5 export/collect                      (flowwire)
 //	-> egress resolution by longest-prefix match on the anonymized
 //	   destination + simulated resolution failures    (routing)
 //	-> accumulation into the B/P/F matrices.
@@ -28,8 +28,8 @@ import (
 
 	"netwide/internal/anomaly"
 	"netwide/internal/flow"
+	"netwide/internal/flowwire"
 	"netwide/internal/mat"
-	"netwide/internal/netflow"
 	"netwide/internal/routing"
 	"netwide/internal/sampling"
 	"netwide/internal/scenario"
@@ -297,14 +297,14 @@ func (d *Dataset) allocMatrices() {
 type scratch struct {
 	classes []traffic.FlowClass
 	active  []anomaly.Injector
-	exp     *netflow.Exporter
-	coll    *netflow.Collector
+	exp     *flowwire.V5Exporter
+	coll    *flowwire.V5Collector
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &scratch{
-		exp:  netflow.NewExporter(0, 0, nil),
-		coll: netflow.NewCollector(),
+		exp:  flowwire.NewV5Exporter(0, 0, nil),
+		coll: flowwire.NewV5Collector(),
 	}
 }}
 
@@ -343,7 +343,7 @@ func (d *Dataset) classesFor(od topology.ODPair, bin int, rng *rand.Rand, sc *sc
 // The ingress PoP comes from the export engine (interface-based config
 // resolution); the egress PoP from a longest-prefix match on the anonymized
 // destination address.
-func (d *Dataset) ForEachResolvedRecord(od topology.ODPair, bin int, fn func(topology.ODPair, netflow.Record)) {
+func (d *Dataset) ForEachResolvedRecord(od topology.ODPair, bin int, fn func(topology.ODPair, flowwire.Flow)) {
 	sc := getScratch()
 	defer putScratch(sc)
 	d.forEachResolvedRecord(od, bin, sc, fn)
@@ -353,13 +353,13 @@ func (d *Dataset) ForEachResolvedRecord(od topology.ODPair, bin int, fn func(top
 // returning the cell's raw and unresolved record counts instead of touching
 // shared state — the generation workers accumulate the returns per worker,
 // which keeps the counters race-free and replay-invariant.
-func (d *Dataset) forEachResolvedRecord(od topology.ODPair, bin int, sc *scratch, fn func(topology.ODPair, netflow.Record)) (raw, unresolved uint64) {
+func (d *Dataset) forEachResolvedRecord(od topology.ODPair, bin int, sc *scratch, fn func(topology.ODPair, flowwire.Flow)) (raw, unresolved uint64) {
 	rng := d.BG.BinRNG(od, bin)
 	classes := d.classesFor(od, bin, rng, sc)
 	exp := sc.exp
 	exp.Reset(uint8(od.Origin), d.sampInterval)
 	emit := func(r flow.Record) {
-		if err := exp.Add(netflow.Record{Key: r.Key, Packets: r.Packets, Bytes: r.Bytes}); err != nil {
+		if err := exp.Add(flowwire.Flow{Key: r.Key, Packets: r.Packets, Bytes: r.Bytes}); err != nil {
 			panic(fmt.Sprintf("dataset: export failed: %v", err))
 		}
 	}
@@ -396,7 +396,7 @@ func (d *Dataset) generateBin(bin int, sc *scratch) (raw, unresolved uint64) {
 	xb := d.X[Bytes].RowView(bin)
 	xp := d.X[Packets].RowView(bin)
 	xf := d.X[Flows].RowView(bin)
-	accum := func(resolved topology.ODPair, rec netflow.Record) {
+	accum := func(resolved topology.ODPair, rec flowwire.Flow) {
 		col := d.Top.Index(resolved)
 		xb[col] += float64(rec.Bytes)
 		xp[col] += float64(rec.Packets)

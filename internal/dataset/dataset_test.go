@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"netwide/internal/anomaly"
-	"netwide/internal/netflow"
+	"netwide/internal/flowwire"
 	"netwide/internal/topology"
 	"netwide/internal/traffic"
 )
@@ -151,7 +151,7 @@ func TestRegenerationIsExact(t *testing.T) {
 	var bytesSum, pktsSum, flowsSum float64
 	// Every record generated at (od,bin) lands in some OD; sum only those
 	// resolved back to od (others were rerouted by resolution).
-	d.ForEachResolvedRecord(od, bin, func(res topology.ODPair, rec netflow.Record) {
+	d.ForEachResolvedRecord(od, bin, func(res topology.ODPair, rec flowwire.Flow) {
 		if res == od {
 			bytesSum += float64(rec.Bytes)
 			pktsSum += float64(rec.Packets)
@@ -214,7 +214,7 @@ func TestCountersFrozenAfterGenerate(t *testing.T) {
 	d := quickDataset(t)
 	raw, unres := d.RawRecords, d.UnresolvedRecords
 	od := topology.ODPair{Origin: topology.ATLA, Dest: topology.NYCM}
-	d.ForEachResolvedRecord(od, 42, func(topology.ODPair, netflow.Record) {})
+	d.ForEachResolvedRecord(od, 42, func(topology.ODPair, flowwire.Flow) {})
 	_ = d.BinAttributes(od, 42)
 	if d.RawRecords != raw || d.UnresolvedRecords != unres {
 		t.Fatalf("replay mutated frozen counters: raw %d->%d unresolved %d->%d",
@@ -234,7 +234,7 @@ func TestPerCellAllocsBounded(t *testing.T) {
 	defer putScratch(sc)
 	od := topology.ODPair{Origin: topology.CHIN, Dest: topology.LOSA}
 	bin := 0
-	nop := func(topology.ODPair, netflow.Record) {}
+	nop := func(topology.ODPair, flowwire.Flow) {}
 	avg := testing.AllocsPerRun(50, func() {
 		d.forEachResolvedRecord(od, bin, sc, nop)
 		bin = (bin + 1) % d.Bins

@@ -9,9 +9,8 @@ import (
 	"netwide/internal/ipaddr"
 )
 
-// NetFlow v5 — the fixed-layout format the pipeline grew up on, moved here
-// verbatim from internal/netflow (which remains as a thin wrapper). All
-// fields big-endian, as on the wire:
+// NetFlow v5 — the fixed-layout format the pipeline grew up on. All fields
+// big-endian, as on the wire:
 //
 //	header (24 bytes): version, count, sysUptime, unixSecs, unixNsecs,
 //	                   flowSequence, engineType, engineID, samplingInterval

@@ -3,35 +3,34 @@
 // stood — between the routers exporting sampled flow telemetry and the
 // subspace detector consuming OD-aggregated timebins.
 //
-// The daemon runs one of two ingest paths around the same decode and
-// accumulation arithmetic:
+// Ingest is one state machine with two drivers. A receiver decodes each
+// datagram through its own flowwire.Registry — NetFlow v5, NetFlow v9,
+// IPFIX and sFlow v5, detected by version word, with hostile bytes counted
+// and dropped, never trusted. A partition (partition.go) then runs the
+// batch through every gate once: sequence dedupe per (format, engine)
+// stream under each format's own sequence semantics, the pre-epoch, late
+// and wild-timestamp gates, resolution to an origin-destination PoP pair
+// exactly as the offline pipeline does it, accumulation into per-bin
+// byte/packet/flow vectors, and the watermark vote. What the partition
+// does not own — the watermark, when bins close, the detector — belongs to
+// the driver:
 //
-//   - The synchronous path (Receivers and Shards both 1, the default): one
-//     UDP socket, one goroutine chain. Every datagram is decoded through a
-//     flowwire.Registry — NetFlow v5, NetFlow v9, IPFIX and sFlow v5,
-//     detected by version word, with hostile bytes counted and dropped,
-//     never trusted — deduplicated by a per-(format, engine) sequence
-//     cursor honoring each format's own sequence semantics
-//     (flowwire.SequenceModel), resolved to an origin-destination PoP pair
-//     exactly as the offline pipeline does it, and accumulated into
-//     per-bin byte/packet/flow vectors. When the reorder grace window
-//     moves past a bin, the bin closes and is submitted to a
-//     StreamDetector.
+//   - The synchronous driver (Receivers and Shards both 1, the default):
+//     one socket, one receiver, one partition, driven inline under
+//     ingestMu on the reading goroutine, which also closes bins through
+//     watermark − Grace and submits them to the StreamDetector.
 //
-//   - The sharded pipeline (Receivers > 1 or Shards > 1): a pool of
-//     SO_REUSEPORT receiver sockets (single shared socket where the
-//     platform lacks the option), each with its own decoder registry and
-//     template cache, routing decoded batches by export engine to a set
-//     of shard workers that each own a disjoint partition of the OD
-//     space — bin accumulators, dedupe rings and sequence cursors stay
-//     shard-local, so no lock is shared across the hot path. A central
-//     coordinator advances the watermark, seals every shard's slice of a
-//     closing bin at a barrier, merges the per-shard vectors into the
-//     dense OD vector (exact: the partition is by origin PoP, so each OD
-//     column is written by exactly one shard) and submits it to the one
-//     central StreamDetector. Scoring stays central because the subspace
-//     method is global: network-wide anomalies only appear in the full OD
-//     matrix. See DESIGN.md E18.
+//   - The sharded driver (Receivers > 1 or Shards > 1, shard.go): a pool
+//     of SO_REUSEPORT receiver sockets (one shared socket where the
+//     platform lacks the option) routing batches by export engine to one
+//     partition per shard goroutine, so no lock is shared across the hot
+//     path. A central coordinator advances the watermark, seals every
+//     partition at a barrier, merges the per-shard vectors into the dense
+//     OD vector (exact: the partition is by origin PoP, so each OD column
+//     is written by exactly one shard) and submits it to the one central
+//     StreamDetector. Scoring stays central because the subspace method
+//     is global: network-wide anomalies only appear in the full OD matrix.
+//     See DESIGN.md E18 and E24.
 //
 // Batch parity: every per-record sum the server computes is an integer
 // count below 2^53 folded into a float64, so the accumulated vectors are
@@ -39,14 +38,13 @@
 // replayed dataset therefore reproduces the generator's matrices bit for
 // bit, and the daemon's characterized anomalies match the batch
 // Characterize output on the same bins (the loopback end-to-end test pins
-// this for both paths).
+// this for both drivers).
 //
-// The HTTP side is deliberately small: healthz (liveness, 503 once the
-// detector has recorded an error), stats (ingest counters as JSON,
-// including a per-protocol breakdown and — when sharded — per-receiver
-// and per-shard counters with channel-depth gauges) and anomalies (the
-// characterized anomaly log as JSON). Each endpoint is served both under
-// the versioned /api/v1/ prefix and at its original unversioned path.
+// The HTTP side is deliberately small, all of it under /api/v1/: healthz
+// (liveness, 503 once the detector has recorded an error), stats (ingest
+// counters as JSON, including a per-protocol breakdown and — when sharded
+// — per-receiver and per-shard counters with channel-depth gauges) and
+// anomalies (the characterized anomaly log as JSON).
 package server
 
 import (
@@ -58,7 +56,6 @@ import (
 	"net/http"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +68,6 @@ import (
 	"netwide/internal/flowwire"
 	"netwide/internal/routing"
 	"netwide/internal/topology"
-	"netwide/internal/traffic"
 )
 
 // Config tunes an ingest daemon. The zero value listens on an ephemeral
@@ -239,9 +235,9 @@ type Stats struct {
 	// a quorum of routable traffic ran consistently below it).
 	WildRecords     uint64 `json:"wild_records"`
 	WatermarkResets uint64 `json:"watermark_resets"`
-	// BinsClosed bins have been submitted to the detector; BinsOpen are
+	// BinsClosed bins have been accepted by the detector; BinsOpen are
 	// still accumulating. Watermark is the highest bin seen, LastClosed the
-	// highest submitted.
+	// highest closed (a bin the detector refused stays closed, uncounted).
 	BinsClosed int `json:"bins_closed"`
 	BinsOpen   int `json:"bins_open"`
 	Watermark  int `json:"watermark"`
@@ -383,7 +379,7 @@ type counters struct {
 	packets, badPackets, duplicates, records,
 	lostRecords, lateRecords, unroutable,
 	wildRecords, watermarkResets atomic.Uint64
-	binsClosed, binsOpen, watermark, lastClosed atomic.Int64
+	binsClosed, watermark, lastClosed atomic.Int64
 }
 
 // protoCounters is the internal mutable form of ProtoStats, held in a flat
@@ -414,22 +410,25 @@ func (p *protoCounters) state(f flowwire.Format) (checkpoint.ProtoState, bool) {
 func satSub(c *atomic.Uint64, n uint64) {
 	for {
 		cur := c.Load()
-		sub := n
-		if sub > cur {
-			sub = cur
-		}
-		if c.CompareAndSwap(cur, cur-sub) {
+		if c.CompareAndSwap(cur, cur-min(n, cur)) {
 			return
 		}
 	}
 }
 
-// binAcc accumulates one open timebin: the three per-OD vectors the
-// detector scores. The slices are handed to the detector at close (which
-// retains them), so a bin is never reused after submission.
-type binAcc struct {
-	bytes, packets, flows []float64
-	records               uint64
+// receiver is one UDP socket's ingest front end: its own decoder registry
+// (flowwire registries are not safe for concurrent use, and v9/IPFIX
+// template state is per-socket anyway — the kernel hashes an exporter's
+// packets to one socket, and exporters resend templates periodically) and
+// its slice of the datagram counters.
+type receiver struct {
+	reg  *flowwire.Registry
+	conn *net.UDPConn
+	// recs is the synchronous driver's reusable record buffer (ingestMu
+	// state); the sharded driver decodes into pooled slices instead.
+	recs []flowwire.Record
+
+	packets, badPackets, bytes atomic.Uint64
 }
 
 // Server is a running ingest daemon. Construct with New (trains the
@@ -450,14 +449,13 @@ type Server struct {
 	readersWG  sync.WaitGroup
 	consumerWG sync.WaitGroup
 
-	// ingestMu serializes the synchronous ingest path: the full
-	// IngestPacket body (including the out-of-mu detector submit), the
-	// drain flush, and the ingest side of a checkpoint capture (a copy of
-	// the open bins and cursors, microseconds — never the encode or the
-	// disk). It is always taken before mu and never by the verdict
-	// consumer or the HTTP handlers, so holding it across a detector
-	// submit cannot deadlock. Unused by the sharded pipeline, which
-	// serializes per shard instead.
+	// ingestMu serializes the synchronous driver: the full per-datagram
+	// ingest (including the out-of-mu detector submit), the drain flush,
+	// and the ingest side of a checkpoint capture (a copy of the open bins
+	// and cursors, microseconds — never the encode or the disk). It is
+	// always taken before mu and never by the verdict consumer or the HTTP
+	// handlers, so holding it across a detector submit cannot deadlock.
+	// Unused by the sharded driver, which serializes per shard instead.
 	ingestMu sync.Mutex
 	// binsSinceCp counts bins closed that no snapshot on disk covers yet —
 	// the bin-driven checkpoint cadence. Atomic because the ingest side
@@ -476,25 +474,10 @@ type Server struct {
 	cpTimerStop chan struct{}
 	timerWG     sync.WaitGroup
 
-	// reg decodes every datagram on the synchronous path; it owns the
-	// v9/IPFIX template caches there, so it is ingestMu state. The sharded
-	// pipeline decodes on per-receiver registries instead (flowwire
-	// registries are not safe for concurrent use) and keeps this one only
-	// for the enabled-format fingerprint.
-	reg *flowwire.Registry
-	// recs is the synchronous path's reusable record buffer.
-	recs []flowwire.Record
-	// seq tracks one sequence cursor per (format, engine) export stream.
-	// The key space is attacker-influenced (v9/IPFIX source IDs are 32
-	// bits on the wire), so the map is capped at maxEngineCursors.
-	// Synchronous path only; shard workers own their own maps.
-	seq map[engineKey]*engineSeq
-	// bins holds the open accumulators (synchronous path only).
-	bins map[int]*binAcc
-	// behindStreak counts consecutive routable packets landing more than
-	// MaxAhead bins below the watermark — the stranded-watermark signal.
-	// Synchronous path only; shard workers count their own.
-	behindStreak int
+	// recvs (Receivers of them) and parts (Shards of them) are the ingest
+	// state machine; the synchronous driver runs recvs[0] and parts[0].
+	recvs []*receiver
+	parts []*partition
 
 	ctr counters
 	// proto is the per-format counter array behind Stats.Protocols
@@ -502,10 +485,8 @@ type Server struct {
 	// the global BadPackets).
 	proto [flowwire.NumFormats]protoCounters
 
-	// Sharded pipeline state (empty on the synchronous path). See shard.go
+	// Sharded driver state (unused on the synchronous path). See shard.go
 	// for the moving parts and DESIGN.md E18 for the architecture.
-	recvs     []*receiver
-	shards    []*shardWorker
 	mergeCh   chan sealReply
 	coordBell chan struct{}
 	coordCtl  chan coordMsg
@@ -519,9 +500,8 @@ type Server struct {
 	// pendingObs is the highest bin any shard has accepted routable
 	// traffic for (CAS-max); the coordinator folds it into the watermark.
 	pendingObs atomic.Int64
-	// resetReq/resetBin carry a shard's stranded-watermark quorum signal
-	// to the coordinator.
-	resetReq atomic.Bool
+	// resetBin carries a shard's stranded-watermark quorum signal to the
+	// coordinator: the bin to re-anchor at, or -1 when none is pending.
 	resetBin atomic.Int64
 
 	// mu guards everything below. It is never held across a detector
@@ -553,27 +533,17 @@ type Server struct {
 }
 
 // sharded reports whether the daemon runs the receiver→shard→merge
-// pipeline (Receivers or Shards above 1) rather than the synchronous
-// single-goroutine path.
-func (s *Server) sharded() bool { return len(s.shards) > 0 }
+// driver (Receivers or Shards above 1) rather than the synchronous one.
+func (s *Server) sharded() bool { return s.cfg.Receivers > 1 || s.cfg.Shards > 1 }
 
-// numShards is the binning partition count (1 on the synchronous path) —
-// checkpoint fingerprint material.
-func (s *Server) numShards() int {
-	if len(s.shards) > 0 {
-		return len(s.shards)
-	}
-	return 1
-}
-
-// shardOf maps an export engine to its binning shard. The engine is the
-// origin PoP, and the OD index space is partitioned by origin, so routing
-// whole engines keeps every OD column (and every sequence cursor) owned
-// by exactly one shard. Fibonacci hashing spreads dense small engine IDs;
-// the mapping is deterministic for a given shard count, which is what
-// lets checkpointed shard state restore in place.
+// shardOf maps an export engine to its binning partition. The engine is
+// the origin PoP, and the OD index space is partitioned by origin, so
+// routing whole engines keeps every OD column (and every sequence cursor)
+// owned by exactly one partition. Fibonacci hashing spreads dense small
+// engine IDs; the mapping is deterministic for a given shard count, which
+// is what lets checkpointed partition state restore in place.
 func (s *Server) shardOf(engine uint32) int {
-	n := len(s.shards)
+	n := s.cfg.Shards
 	if n <= 1 {
 		return 0
 	}
@@ -585,7 +555,7 @@ func (s *Server) shardOf(engine uint32) int {
 // matrices) and assembles the daemon around it. The run doubles as the
 // daemon's network model: its topology resolves engine IDs and destination
 // prefixes, its seasonal baselines classify the anomalies the detector
-// finds. No sockets are bound until Start, but the sharded pipeline's
+// finds. No sockets are bound until Start, but the sharded driver's
 // workers start here so tests and benchmarks can drive ingest without a
 // socket.
 // New also attempts crash recovery when cfg.CheckpointPath names an
@@ -608,18 +578,13 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: build resolver: %w", err)
 	}
-	reg, err := flowwire.NewRegistry(cfg.Formats...)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
 	s := &Server{
-		cfg:  cfg,
-		run:  run,
-		top:  ds.Top,
-		res:  res,
-		reg:  reg,
-		seq:  map[engineKey]*engineSeq{},
-		bins: map[int]*binAcc{},
+		cfg:   cfg,
+		run:   run,
+		top:   ds.Top,
+		res:   res,
+		recvs: make([]*receiver, cfg.Receivers),
+		parts: make([]*partition, cfg.Shards),
 
 		cpSlot:  make(chan struct{}, 1),
 		cpWrite: make(chan *cpTicket, 1),
@@ -627,10 +592,8 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 	s.ctr.watermark.Store(-1)
 	s.ctr.lastClosed.Store(-1)
 	s.lastCpBin = -1
-	if cfg.Receivers > 1 || cfg.Shards > 1 {
-		if err := s.buildPipeline(); err != nil {
-			return nil, err
-		}
+	if err := s.coldIngest(); err != nil {
+		return nil, err
 	}
 
 	if cfg.CheckpointPath != "" {
@@ -647,10 +610,8 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 			s.det = nil // discard any partially built detector
 			// Discard any template-cache state a partial restore left in
 			// the registries: a cold start must not trust checkpoint bytes.
-			s.reg, _ = flowwire.NewRegistry(cfg.Formats...)
-			s.seq = map[engineKey]*engineSeq{}
-			for _, r := range s.recvs {
-				r.reg, _ = flowwire.NewRegistry(cfg.Formats...)
+			if err := s.coldIngest(); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -669,6 +630,26 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 	s.writerWG.Add(1)
 	go s.writeCheckpoints()
 	return s, nil
+}
+
+// coldIngest (re)builds the ingest state machine as a cold start has it:
+// receivers with fresh decoder registries, empty partitions.
+func (s *Server) coldIngest() error {
+	for i := range s.recvs {
+		reg, err := flowwire.NewRegistry(s.cfg.Formats...)
+		if err != nil {
+			return fmt.Errorf("server: %w", err)
+		}
+		s.recvs[i] = &receiver{reg: reg}
+	}
+	for i := range s.parts {
+		p, err := s.newPartition(i, &checkpoint.ShardState{SealedThrough: -1})
+		if err != nil {
+			return err
+		}
+		s.parts[i] = p
+	}
+	return nil
 }
 
 // detectOpts returns the effective detector options (Config.Detect, with
@@ -716,10 +697,10 @@ func (s *Server) fingerprint(st *checkpoint.State) error {
 		return fmt.Errorf("snapshot epoch %d, daemon epoch %d", st.Epoch, s.cfg.Epoch)
 	case !slices.Equal(st.Formats, s.enabledFormats()):
 		return fmt.Errorf("snapshot formats %v, daemon enables %v", st.Formats, s.enabledFormats())
-	case st.Shards != s.numShards():
+	case st.Shards != s.cfg.Shards:
 		// Open bins and cursors are partitioned by engine hash under the
 		// snapshot's shard count; a different layout cannot adopt them.
-		return fmt.Errorf("snapshot captured with %d shards, daemon runs %d", st.Shards, s.numShards())
+		return fmt.Errorf("snapshot captured with %d shards, daemon runs %d", st.Shards, s.cfg.Shards)
 	case st.Updater != string(kind):
 		// Lane states embed lifecycle-specific payloads (refit windows vs
 		// tracker vectors); a daemon running the other lifecycle cannot
@@ -735,7 +716,7 @@ func (s *Server) fingerprint(st *checkpoint.State) error {
 func (s *Server) enabledFormats() []uint8 {
 	var out []uint8
 	for _, f := range flowwire.AllFormats() {
-		if s.reg.Enabled(f) {
+		if s.recvs[0].reg.Enabled(f) {
 			out = append(out, uint8(f))
 		}
 	}
@@ -746,8 +727,7 @@ func (s *Server) enabledFormats() []uint8 {
 // stored field is cross-validated before it is believed — the snapshot
 // passed the checksum, but shape and invariants are this layer's job (the
 // detector's own state validates inside RestoreStreamDetector). Any error
-// leaves the caller to cold-start. Runs before any pipeline goroutine
-// starts, so plain assignment into shard workers is safe.
+// leaves the caller to cold-start. Runs before any shard goroutine starts.
 func (s *Server) restore(st *checkpoint.State) error {
 	if err := s.fingerprint(st); err != nil {
 		return err
@@ -763,74 +743,21 @@ func (s *Server) restore(st *checkpoint.State) error {
 	} else if sv.LastClosed != -1 {
 		return fmt.Errorf("snapshot closed bins through %d but detector never started", sv.LastClosed)
 	}
-	if len(sv.Shards) != s.numShards() {
-		return fmt.Errorf("snapshot holds %d shard states, daemon runs %d shards", len(sv.Shards), s.numShards())
+	if len(sv.Shards) != s.cfg.Shards {
+		return fmt.Errorf("snapshot holds %d shard states, daemon runs %d shards", len(sv.Shards), s.cfg.Shards)
 	}
-	p := s.top.NumODPairs()
-	shBins := make([]map[int]*binAcc, len(sv.Shards))
-	shSeq := make([]map[engineKey]*engineSeq, len(sv.Shards))
+	parts := make([]*partition, len(sv.Shards))
 	for i := range sv.Shards {
 		ss := &sv.Shards[i]
 		if ss.SealedThrough < sv.LastClosed {
 			return fmt.Errorf("snapshot shard %d sealed through %d, behind last closed %d", i, ss.SealedThrough, sv.LastClosed)
 		}
-		if len(ss.OpenBins) > s.cfg.MaxOpenBins {
-			return fmt.Errorf("snapshot shard %d holds %d open bins, cap is %d", i, len(ss.OpenBins), s.cfg.MaxOpenBins)
+		p, err := s.newPartition(i, ss)
+		if err != nil {
+			return err
 		}
-		bins := make(map[int]*binAcc, len(ss.OpenBins))
-		for _, ob := range ss.OpenBins {
-			if ob.Bin <= ss.SealedThrough {
-				return fmt.Errorf("snapshot shard %d open bin %d at or behind its seal point %d", i, ob.Bin, ss.SealedThrough)
-			}
-			if len(ob.Bytes) != p || len(ob.Packets) != p || len(ob.Flows) != p {
-				return fmt.Errorf("snapshot open bin %d vectors sized (%d,%d,%d), want %d", ob.Bin, len(ob.Bytes), len(ob.Packets), len(ob.Flows), p)
-			}
-			for _, vec := range [][]float64{ob.Bytes, ob.Packets, ob.Flows} {
-				for _, v := range vec {
-					// Finite is not enough: 1e300 bytes in a bin overflows
-					// the tracker's arithmetic one bin later.
-					if !(v >= 0 && v <= engine.MaxRestored) {
-						return fmt.Errorf("snapshot open bin %d carries non-finite or negative traffic", ob.Bin)
-					}
-				}
-			}
-			if bins[ob.Bin] != nil {
-				return fmt.Errorf("snapshot shard %d lists open bin %d twice", i, ob.Bin)
-			}
-			bins[ob.Bin] = &binAcc{
-				bytes:   append([]float64(nil), ob.Bytes...),
-				packets: append([]float64(nil), ob.Packets...),
-				flows:   append([]float64(nil), ob.Flows...),
-				records: ob.Records,
-			}
-		}
-		if len(ss.Engines) > maxEngineCursors {
-			return fmt.Errorf("snapshot shard %d holds %d engine cursors, cap is %d", i, len(ss.Engines), maxEngineCursors)
-		}
-		seq := make(map[engineKey]*engineSeq, len(ss.Engines))
-		for _, es := range ss.Engines {
-			f := flowwire.Format(es.Format)
-			if f == flowwire.FormatUnknown || f >= flowwire.NumFormats || !s.reg.Enabled(f) {
-				return fmt.Errorf("snapshot engine cursor for unknown or disabled format %d", es.Format)
-			}
-			if len(sv.Shards) > 1 && s.shardOf(es.ID) != i {
-				return fmt.Errorf("snapshot shard %d holds cursor for engine %d, which hashes to shard %d", i, es.ID, s.shardOf(es.ID))
-			}
-			key := engineKey{f, es.ID}
-			if seq[key] != nil {
-				return fmt.Errorf("snapshot lists engine %v/%d twice", f, es.ID)
-			}
-			if len(es.Recent) > dedupeWindow || es.Pos < 0 || es.Pos >= dedupeWindow {
-				return fmt.Errorf("snapshot engine %v/%d dedupe ring out of shape (%d entries, pos %d)", f, es.ID, len(es.Recent), es.Pos)
-			}
-			e := &engineSeq{started: true, next: es.Next, fill: len(es.Recent), pos: es.Pos}
-			copy(e.recent[:], es.Recent)
-			seq[key] = e
-		}
-		shBins[i], shSeq[i] = bins, seq
+		parts[i] = p
 	}
-	type protoVals struct{ packets, badPackets, duplicates, records, lostUnits uint64 }
-	var proto [flowwire.NumFormats]protoVals
 	protoSeen := map[uint8]bool{}
 	for _, ps := range sv.Protocols {
 		f := flowwire.Format(ps.Format)
@@ -841,7 +768,6 @@ func (s *Server) restore(st *checkpoint.State) error {
 			return fmt.Errorf("snapshot lists protocol %v twice", f)
 		}
 		protoSeen[ps.Format] = true
-		proto[f] = protoVals{ps.Packets, ps.BadPackets, ps.Duplicates, ps.Records, ps.LostUnits}
 	}
 	tmpl := map[flowwire.Format][]flowwire.TemplateSnapshot{}
 	for _, ts := range sv.Templates {
@@ -863,9 +789,6 @@ func (s *Server) restore(st *checkpoint.State) error {
 	// receiver gets the full set — the kernel may hash any engine's
 	// packets to any socket.
 	for f, snaps := range tmpl {
-		if err := s.reg.RestoreTemplates(f, snaps); err != nil {
-			return fmt.Errorf("snapshot template restore (%v): %w", f, err)
-		}
 		for _, r := range s.recvs {
 			if err := r.reg.RestoreTemplates(f, snaps); err != nil {
 				return fmt.Errorf("snapshot template restore (%v): %w", f, err)
@@ -878,28 +801,14 @@ func (s *Server) restore(st *checkpoint.State) error {
 		return err
 	}
 	s.det = det
-	if s.sharded() {
-		for i, w := range s.shards {
-			w.bins = shBins[i]
-			w.seq = shSeq[i]
-			w.sealedThrough = sv.Shards[i].SealedThrough
-			w.behindStreak = sv.Shards[i].BehindStreak
-			w.binsOpen.Store(int64(len(w.bins)))
-			w.sealed.Store(int64(w.sealedThrough))
-		}
-	} else {
-		s.bins = shBins[0]
-		s.seq = shSeq[0]
-		s.behindStreak = sv.Shards[0].BehindStreak
-		s.ctr.binsOpen.Store(int64(len(s.bins)))
-	}
-	for f := flowwire.Format(1); f < flowwire.NumFormats; f++ {
-		pv := proto[f]
-		s.proto[f].packets.Store(pv.packets)
-		s.proto[f].badPackets.Store(pv.badPackets)
-		s.proto[f].duplicates.Store(pv.duplicates)
-		s.proto[f].records.Store(pv.records)
-		s.proto[f].lostUnits.Store(pv.lostUnits)
+	s.parts = parts
+	for _, ps := range sv.Protocols {
+		pc := &s.proto[ps.Format]
+		pc.packets.Store(ps.Packets)
+		pc.badPackets.Store(ps.BadPackets)
+		pc.duplicates.Store(ps.Duplicates)
+		pc.records.Store(ps.Records)
+		pc.lostUnits.Store(ps.LostUnits)
 	}
 	s.anoms = append([]netwide.Anomaly(nil), st.Anomalies...)
 	s.ctr.packets.Store(sv.Packets)
@@ -936,12 +845,17 @@ type cpTicket struct {
 	done chan error
 }
 
-// newTicket starts a snapshot with the ingest side's share of it:
-// fingerprint, counters and per-protocol breakdown. The caller holds cpSlot
-// and has frozen the ingest state it reads — ingestMu on the synchronous
-// path, the settled pipeline on the sharded one — and adds the shard
-// states and template caches.
-func (s *Server) newTicket() *cpTicket {
+// capture starts a snapshot with the ingest side's share of it —
+// fingerprint, counters, per-protocol breakdown, the partitions' states
+// and the receivers' template caches — and sends it down the detector as a
+// barrier behind every bin submitted so far, without waiting for it. The
+// caller holds cpSlot and has frozen the ingest state read here — ingestMu
+// on the synchronous path, the settled pipeline on the sharded one — and
+// bins are submitted under that same lock (or by the same coordinator), so
+// the ingest state in the ticket and the detector state the barrier
+// collects on its way are one cut of the submission order. A refused
+// barrier (the detector is closed) settles the ticket as a failed write.
+func (s *Server) capture(shards ...checkpoint.ShardState) *cpTicket {
 	ds := s.run.Dataset()
 	opts := s.detectOpts()
 	kind, _ := s.streamKind()
@@ -953,10 +867,12 @@ func (s *Server) newTicket() *cpTicket {
 		Alpha:    opts.Alpha,
 		Epoch:    s.cfg.Epoch,
 		Formats:  s.enabledFormats(),
-		Shards:   s.numShards(),
+		Shards:   s.cfg.Shards,
 		Updater:  string(kind),
 	}
 	sv := &st.Server
+	sv.Shards = shards
+	sv.Templates = s.templates()
 	sv.Packets = s.ctr.packets.Load()
 	sv.BadPackets = s.ctr.badPackets.Load()
 	sv.Duplicates = s.ctr.duplicates.Load()
@@ -974,16 +890,7 @@ func (s *Server) newTicket() *cpTicket {
 			sv.Protocols = append(sv.Protocols, ps)
 		}
 	}
-	return &cpTicket{st: st, bins: s.binsSinceCp.Load(), done: make(chan error, 1)}
-}
-
-// inject sends the ticket down the detector as a barrier behind every bin
-// submitted so far, and does not wait for it: bins are submitted under the
-// same lock (or by the same coordinator) that captured the ticket, so the
-// ingest state in it and the detector state the barrier collects on its
-// way are one cut of the submission order. A refused barrier (the detector
-// is closed) settles the ticket as a failed write.
-func (s *Server) inject(t *cpTicket) *cpTicket {
+	t := &cpTicket{st: st, bins: s.binsSinceCp.Load(), done: make(chan error, 1)}
 	if err := s.det.Checkpoint(t); err != nil {
 		s.finishTicket(t, err, 0)
 	}
@@ -1048,56 +955,12 @@ func (s *Server) cadenceDue(n int) bool {
 	}
 }
 
-// shardStateOf deep-copies one binning partition's in-flight state into
-// its checkpoint form: open bins sorted by bin, started engine cursors in
-// (format, engine) order.
-func shardStateOf(bins map[int]*binAcc, seq map[engineKey]*engineSeq, sealedThrough, behindStreak int) checkpoint.ShardState {
-	sh := checkpoint.ShardState{SealedThrough: sealedThrough, BehindStreak: behindStreak}
-	sh.OpenBins = make([]checkpoint.OpenBin, 0, len(bins))
-	for bin, acc := range bins {
-		sh.OpenBins = append(sh.OpenBins, checkpoint.OpenBin{
-			Bin:     bin,
-			Records: acc.records,
-			Bytes:   append([]float64(nil), acc.bytes...),
-			Packets: append([]float64(nil), acc.packets...),
-			Flows:   append([]float64(nil), acc.flows...),
-		})
-	}
-	sort.Slice(sh.OpenBins, func(i, j int) bool { return sh.OpenBins[i].Bin < sh.OpenBins[j].Bin })
-	keys := make([]engineKey, 0, len(seq))
-	for k, e := range seq {
-		if e.started {
-			keys = append(keys, k)
-		}
-	}
-	// The map iterates in random order; the snapshot must not.
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].format != keys[j].format {
-			return keys[i].format < keys[j].format
-		}
-		return keys[i].engine < keys[j].engine
-	})
-	for _, k := range keys {
-		e := seq[k]
-		// recent[:fill] is exactly the valid ring entries: the ring fills
-		// from slot 0 and pos only wraps once fill reaches the window.
-		sh.Engines = append(sh.Engines, checkpoint.EngineState{
-			Format: uint8(k.format),
-			ID:     k.engine,
-			Next:   e.next,
-			Recent: append([]uint32(nil), e.recent[:e.fill]...),
-			Pos:    e.pos,
-		})
-	}
-	return sh
-}
-
-// templatesOf snapshots the v9/IPFIX template caches of the given
-// registries, deduplicated by (format, source, template ID) — with
-// multiple receivers, several registries typically hold the same
-// definitions. Template caches are decode state a mid-stream restart
-// cannot relearn until the exporters resend, so they checkpoint too.
-func templatesOf(regs ...*flowwire.Registry) []checkpoint.TemplateState {
+// templates snapshots the receivers' v9/IPFIX template caches,
+// deduplicated by (format, source, template ID) — with multiple
+// receivers, several registries typically hold the same definitions.
+// Template caches are decode state a mid-stream restart cannot relearn
+// until the exporters resend, so they checkpoint too.
+func (s *Server) templates() []checkpoint.TemplateState {
 	type tmplKey struct {
 		f   flowwire.Format
 		src uint32
@@ -1105,9 +968,9 @@ func templatesOf(regs ...*flowwire.Registry) []checkpoint.TemplateState {
 	}
 	seen := map[tmplKey]bool{}
 	var out []checkpoint.TemplateState
-	for _, reg := range regs {
+	for _, r := range s.recvs {
 		for _, f := range []flowwire.Format{flowwire.FormatNetFlowV9, flowwire.FormatIPFIX} {
-			for _, ts := range reg.TemplateSnapshots(f) {
+			for _, ts := range r.reg.TemplateSnapshots(f) {
 				k := tmplKey{f, ts.Source, ts.ID}
 				if seen[k] {
 					continue
@@ -1128,18 +991,6 @@ func templatesOf(regs ...*flowwire.Registry) []checkpoint.TemplateState {
 		}
 	}
 	return out
-}
-
-// captureSync starts one synchronous-path snapshot. Callers hold cpSlot
-// and ingestMu; the lock is what freezes the open bins, sequence cursors
-// and template cache copied here, and it is held for the copy only.
-func (s *Server) captureSync() *cpTicket {
-	t := s.newTicket()
-	t.st.Server.Shards = []checkpoint.ShardState{
-		shardStateOf(s.bins, s.seq, t.st.Server.LastClosed, s.behindStreak),
-	}
-	t.st.Server.Templates = templatesOf(s.reg)
-	return s.inject(t)
 }
 
 // snapshot takes one snapshot and returns once it is on disk (or has
@@ -1166,7 +1017,7 @@ func (s *Server) snapshot(flush bool) error {
 		if flush {
 			s.flushSync()
 		}
-		t = s.captureSync()
+		t = s.capture(s.parts[0].state())
 		s.ingestMu.Unlock()
 	}
 	return <-t.done
@@ -1266,18 +1117,9 @@ func (s *Server) Start() error {
 		}
 		s.httpLn = ln
 		mux := http.NewServeMux()
-		// Every endpoint lives under the versioned /api/v1/ prefix; the
-		// original unversioned paths remain as aliases so existing probes
-		// and dashboards keep working.
-		for _, p := range []string{"/api/v1/healthz", "/healthz"} {
-			mux.HandleFunc(p, s.handleHealthz)
-		}
-		for _, p := range []string{"/api/v1/stats", "/stats"} {
-			mux.HandleFunc(p, s.handleStats)
-		}
-		for _, p := range []string{"/api/v1/anomalies", "/anomalies"} {
-			mux.HandleFunc(p, s.handleAnomalies)
-		}
+		mux.HandleFunc("/api/v1/healthz", s.handleHealthz)
+		mux.HandleFunc("/api/v1/stats", s.handleStats)
+		mux.HandleFunc("/api/v1/anomalies", s.handleAnomalies)
 		// The status port faces the same network as the flow socket, so
 		// it gets the same hostile-input posture: a client that dribbles a
 		// header, stalls mid-request or parks an idle connection must not
@@ -1301,29 +1143,22 @@ func (s *Server) Start() error {
 		go s.checkpointTimer(s.cpTimerStop)
 	}
 	s.started = true
-	if s.sharded() {
-		for i, r := range s.recvs {
-			r.conn = s.conns[i%len(s.conns)]
-		}
-		s.readersWG.Add(len(s.recvs))
-		for _, r := range s.recvs {
-			go s.receiverLoop(r)
-		}
-	} else {
-		s.readersWG.Add(1)
-		go s.readLoop(s.conns[0])
+	s.readersWG.Add(len(s.recvs))
+	for i, r := range s.recvs {
+		r.conn = s.conns[i%len(s.conns)]
+		go s.receiverLoop(r)
 	}
 	return nil
 }
 
-// bindSockets binds the receiver sockets: one plain socket on the
-// synchronous path or with a single receiver; Receivers SO_REUSEPORT
-// sockets on the same address when the platform supports the option (the
-// kernel then spreads datagrams across them by flow hash); one shared
-// socket drained by every receiver goroutine otherwise.
+// bindSockets binds the receiver sockets: one plain socket for a single
+// receiver; Receivers SO_REUSEPORT sockets on the same address when the
+// platform supports the option (the kernel then spreads datagrams across
+// them by flow hash); one shared socket drained by every receiver
+// goroutine otherwise.
 func (s *Server) bindSockets() error {
 	n := 1
-	if s.sharded() && reusePortSupported {
+	if reusePortSupported {
 		n = s.cfg.Receivers
 	}
 	if n <= 1 {
@@ -1389,44 +1224,78 @@ func (s *Server) HTTPAddr() net.Addr {
 	return s.httpLn.Addr()
 }
 
-// readLoop receives datagrams until the socket is closed by Drain. Every
+// receiverLoop drains one socket until Drain or Kill closes it. Every
 // supported format keeps its export packets under the common 1500-byte
 // MTU; the buffer leaves headroom so an overlong datagram arrives intact
 // and is rejected by the decoder instead of being silently truncated into
 // a "valid" prefix.
-func (s *Server) readLoop(conn *net.UDPConn) {
+func (s *Server) receiverLoop(r *receiver) {
 	defer s.readersWG.Done()
 	buf := make([]byte, 4096)
 	for {
-		n, _, err := conn.ReadFromUDP(buf)
+		n, _, err := r.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed (Drain) or fatally broken
 		}
-		s.IngestPacket(buf[:n])
+		s.ingestOn(r, buf[:n])
 	}
 }
 
-// IngestPacket runs the full per-datagram ingest path — decode, sequence
-// dedupe, OD resolution, bin accumulation, bin close — synchronously on the
-// caller's goroutine. When the bin-driven checkpoint cadence comes due it
-// only starts the snapshot: a copy of the open bins and cursors and a
-// barrier sent after the closed bins; the detector, the verdict consumer
-// and the writer goroutine finish it while ingest goes on. The read loop is
-// its only caller in production; tests and benchmarks call it directly to
-// drive the daemon without a socket. ingestMu serializes concurrent
-// callers and excludes checkpoint capture mid-packet. On a
-// sharded daemon the packet enters the pipeline through receiver 0
-// instead, and the accumulation happens asynchronously.
-func (s *Server) IngestPacket(pkt []byte) {
+// IngestPacket runs one datagram through the ingest state machine as
+// receiver 0. On the synchronous daemon that is the full path — decode,
+// sequence dedupe, OD resolution, bin accumulation, bin close —
+// synchronously on the caller's goroutine; on a sharded daemon the batch
+// is decoded here and binned asynchronously by its shard. The read loops
+// are its only callers in production; tests and benchmarks call it
+// directly to drive the daemon without a socket.
+func (s *Server) IngestPacket(pkt []byte) { s.ingestOn(s.recvs[0], pkt) }
+
+// ingestOn runs one datagram through receiver r. The synchronous driver
+// holds ingestMu for the whole datagram — which serializes concurrent
+// callers and excludes checkpoint capture mid-packet — runs the batch
+// through the one partition against the watermark, and acts on what it
+// asks: a reset re-anchors the watermark, and a raise or a reset closes
+// every bin through watermark − Grace on the spot. When the bin-driven
+// checkpoint cadence comes due it only starts the snapshot: a copy of the
+// open bins and cursors and a barrier sent after the closed bins; the
+// detector, the verdict consumer and the writer goroutine finish it while
+// ingest goes on.
+func (s *Server) ingestOn(r *receiver, pkt []byte) {
 	if s.sharded() {
-		s.ingestOn(s.recvs[0], pkt)
+		s.route(r, pkt)
 		return
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	b, recs, err := s.reg.Decode(pkt, s.recs[:0])
-	s.recs = recs
+	b, recs, ok := s.decode(r, pkt, r.recs[:0])
+	r.recs = recs
+	if !ok {
+		return
+	}
+	p := s.parts[0]
+	act, bin := p.ingest(b, recs, int(s.ctr.watermark.Load()))
+	if act == actNone {
+		return
+	}
+	if act == actStranded {
+		p.discard(bin + s.cfg.MaxAhead)
+		s.ctr.watermarkResets.Add(1)
+	}
+	s.ctr.watermark.Store(int64(bin))
+	if n := s.closeBins(p.seal(bin - s.cfg.Grace)); n > 0 && s.cadenceDue(n) {
+		s.capture(p.state())
+	}
+}
+
+// decode is the receiver front half both drivers share: one datagram
+// decoded on r's registry into buf, booked in the packet, per-format and
+// bad-packet counters. It reports false for a datagram that did not
+// decode.
+func (s *Server) decode(r *receiver, pkt []byte, buf []flowwire.Record) (flowwire.Batch, []flowwire.Record, bool) {
+	b, recs, err := r.reg.Decode(pkt, buf)
 	s.ctr.packets.Add(1)
+	r.packets.Add(1)
+	r.bytes.Add(uint64(len(pkt)))
 	// Decode attributes even failed packets to a format when the version
 	// word detected one; garbage that detects as nothing only reaches the
 	// global counters.
@@ -1437,349 +1306,52 @@ func (s *Server) IngestPacket(pkt []byte) {
 	}
 	if err != nil {
 		s.ctr.badPackets.Add(1)
+		r.badPackets.Add(1)
 		if pc != nil {
 			pc.badPackets.Add(1)
 		}
-		return
+		return b, recs, false
 	}
-	if !s.sequenceCheck(s.seq, b) {
-		s.ctr.duplicates.Add(1)
-		pc.duplicates.Add(1)
-		return
-	}
-	if int64(b.UnixSecs) < int64(s.cfg.Epoch) {
-		// Before bin 0 — and integer division would truncate it INTO bin 0.
-		s.ctr.lateRecords.Add(uint64(len(recs)))
-		return
-	}
-	bin := int(int64(b.UnixSecs)-int64(s.cfg.Epoch)) / traffic.BinSeconds
-	if bin <= int(s.ctr.lastClosed.Load()) {
-		s.ctr.lateRecords.Add(uint64(len(recs)))
-		return
-	}
-	wm := int(s.ctr.watermark.Load())
-	if wm >= 0 && bin > wm+s.cfg.MaxAhead {
-		// The bin timestamp is untrusted input and it drives every bin
-		// close: refusing wild jumps keeps one spoofed datagram from
-		// force-closing partial bins and parking the watermark out of
-		// legitimate traffic's reach.
-		s.ctr.wildRecords.Add(uint64(len(recs)))
-		return
-	}
-	accepted, unroutable, wild := s.accumulateInto(s.bins, bin, b, recs)
-	if unroutable > 0 {
-		s.ctr.unroutable.Add(uint64(unroutable))
-	}
-	if wild > 0 {
-		s.ctr.wildRecords.Add(uint64(wild))
-	}
-	if accepted > 0 {
-		s.ctr.records.Add(uint64(accepted))
-		pc.records.Add(uint64(accepted))
-	}
-	s.ctr.binsOpen.Store(int64(len(s.bins)))
-	var closed []submittedBin
-	switch {
-	case accepted == 0:
-		// Only routable traffic moves the watermark: a datagram that
-		// contributed nothing to any bin gets no say in when bins close.
-	case bin > wm:
-		s.ctr.watermark.Store(int64(bin))
-		s.behindStreak = 0
-		closed = detachBins(s.bins, bin-s.cfg.Grace)
-	case wm-bin > s.cfg.MaxAhead:
-		// Routable traffic consistently far below the watermark means the
-		// watermark is stranded — a far-future first packet or an exporter
-		// clock jump (MaxAhead can't bound the first packet: there is
-		// nothing to bound it against). In normal operation this branch is
-		// unreachable: bins more than MaxAhead behind the watermark are
-		// already behind LastClosed and were dropped as late above. A
-		// quorum of consecutive packets re-anchors the watermark at the
-		// stream that is actually flowing, unwedging bin close.
-		s.behindStreak++
-		if s.behindStreak >= watermarkQuorum {
-			s.resetWatermarkSync(bin)
-		}
-	default:
-		s.behindStreak = 0
-	}
-	if len(closed) > 0 {
-		// detachBins returns ascending bins, all above the previous
-		// LastClosed (anything at or below was dropped late above).
-		s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
-		s.ctr.binsClosed.Add(int64(len(closed)))
-		s.ctr.binsOpen.Store(int64(len(s.bins)))
-	}
-	s.submit(closed)
-	if len(closed) > 0 && s.cadenceDue(len(closed)) {
-		s.captureSync()
-	}
+	return b, recs, true
 }
 
 // flushSync closes every open bin through the watermark itself, grace
 // abandoned — the drain's final close. Callers hold ingestMu.
 func (s *Server) flushSync() {
-	closed := detachBins(s.bins, int(s.ctr.watermark.Load()))
-	if len(closed) > 0 {
-		s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
-		s.ctr.binsClosed.Add(int64(len(closed)))
-		s.ctr.binsOpen.Store(int64(len(s.bins)))
-	}
-	s.submit(closed)
+	s.closeBins(s.parts[0].seal(int(s.ctr.watermark.Load())))
 }
 
-const (
-	// dedupeWindow is how many recent packet sequence numbers each engine
-	// remembers for exact duplicate detection. A replayed packet older
-	// than the window slips through — the window trades a little replay
-	// protection for not discarding merely-reordered traffic.
-	dedupeWindow = 64
-	// reorderTolerance is how far (in the stream's sequence units) behind
-	// the cursor a packet may fall and still be network reordering;
-	// anything further back is an exporter restart and resets the cursor,
-	// so a spoofed wild sequence number can never permanently wedge an
-	// engine's stream.
-	reorderTolerance = 1 << 20
-	// maxEngineCursors caps each sequence-cursor map (one per shard). The
-	// v9/IPFIX exporter identity is a 32-bit field in attacker-influenced
-	// packets; beyond the cap, packets from new streams are accepted
-	// without sequence accounting rather than growing daemon memory
-	// without bound.
-	maxEngineCursors = 4096
-)
-
-// engineKey identifies one export stream. Sequence spaces are independent
-// per wire format — a v5 engine 3 and an IPFIX observation domain 3 are
-// different streams — so the format is part of the identity.
-type engineKey struct {
-	format flowwire.Format
-	engine uint32
-}
-
-// sequenceCheck updates the batch's per-stream sequence state and reports
-// whether the packet should be ingested, honoring the batch's own sequence
-// semantics: the cursor advances by SeqAdvance units of SeqModel's unit
-// (flows, packets, records or samples), and a gap ahead of the cursor is
-// that many units lost in transit — credited to the stream's format in
-// Stats.Protocols, and folded into the global LostRecords only when the
-// unit is a record (v5, IPFIX). A batch behind the cursor is, in order of
-// precedence: a replayed duplicate if its sequence number was recently
-// seen (dropped — counting it twice would corrupt the bin); plain network
-// reordering if it is within reorderTolerance (accepted, and the loss the
-// earlier gap charged for it is refunded); otherwise an exporter restart,
-// which resets the cursor. Batches without sequence information (SeqNone)
-// pass through untracked. The seq map is the caller's single-threaded
-// state (the synchronous path's map under ingestMu, or a shard worker's
-// own); the loss counters it touches are shared and atomic.
-func (s *Server) sequenceCheck(seq map[engineKey]*engineSeq, b flowwire.Batch) bool {
-	if b.SeqModel == flowwire.SeqNone {
-		return true
+// closeBins hands detached bins to the detector in ascending order and
+// books them: lastClosed moves to the highest — the stranded-watermark
+// vote reads it, and a bin the detector refused stays closed — while
+// binsClosed and the returned count take only the bins the detector
+// accepted. Bins are only ever detached in ascending order across calls
+// (by the one ingest goroutine or the one coordinator), so the detector's
+// non-decreasing contract holds. The first refusal is recorded as the
+// daemon's error, and the bins after it are not offered.
+func (s *Server) closeBins(closed []submittedBin) int {
+	if len(closed) == 0 {
+		return 0
 	}
-	key := engineKey{b.Format, b.Engine}
-	e := seq[key]
-	if e == nil {
-		if len(seq) >= maxEngineCursors {
-			return true // accept, untracked: see maxEngineCursors
-		}
-		e = &engineSeq{}
-		seq[key] = e
-	}
-	pc := &s.proto[b.Format]
-	countsRecords := b.SeqModel.CountsRecords()
-	if !e.started {
-		e.started = true
-		e.next = b.Seq + b.SeqAdvance
-		e.remember(b.Seq)
-		return true
-	}
-	delta := int32(b.Seq - e.next) // uint32 arithmetic handles wraparound
-	switch {
-	case delta >= 0:
-		if delta > reorderTolerance {
-			// A forward jump too wild to be transit loss is the same event
-			// as the backward one: an exporter restart (or a spoofed
-			// sequence) — resynchronize rather than charging a phantom
-			// multi-billion-unit gap to the loss counters.
-			e.clear()
-		} else {
-			pc.lostUnits.Add(uint64(delta))
-			if countsRecords {
-				s.ctr.lostRecords.Add(uint64(delta))
-			}
-		}
-		e.next = b.Seq + b.SeqAdvance
-	case e.seen(b.Seq):
-		return false
-	case delta >= -reorderTolerance:
-		// Reordered delivery: the gap this batch left was already counted
-		// lost when its successor arrived first, so refund it. The cursor
-		// stays where the stream's front is. The refund saturates — with
-		// shards, another stream sharing the format counter may have
-		// refunded first.
-		satSub(&pc.lostUnits, uint64(b.SeqAdvance))
-		if countsRecords {
-			satSub(&s.ctr.lostRecords, uint64(b.SeqAdvance))
-		}
-	default:
-		// Exporter restart (or a spoofed wild sequence): resynchronize.
-		e.next = b.Seq + b.SeqAdvance
-		e.clear()
-	}
-	e.remember(b.Seq)
-	return true
-}
-
-// accumulateInto folds one packet's records into its bin's vectors in the
-// given open-bin set, resolving each record to an OD pair: origin from the
-// engine ID, egress by longest-prefix match on the anonymized destination
-// — the same procedure, and therefore the same (OD, bin) cell, as the
-// offline generator. It returns how many records were folded in and how
-// many were unroutable or wild (cap overflow); the caller folds those into
-// the counters it owns. A packet that contributes nothing must not advance
-// the watermark. The bins map is the caller's single-threaded state; the
-// topology and resolver lookups are read-only and safe from every shard.
-func (s *Server) accumulateInto(bins map[int]*binAcc, bin int, b flowwire.Batch, recs []flowwire.Record) (accepted, unroutable, wild int) {
-	origin := topology.PoP(b.Engine)
-	originOK := s.top.ContainsPoP(origin)
-	acc := bins[bin]
-	for _, rec := range recs {
-		if !originOK {
-			unroutable++
-			continue
-		}
-		egress, ok := s.res.ResolveDst(rec.Dst)
-		if !ok {
-			unroutable++
-			continue
-		}
-		if acc == nil {
-			// Open the bin lazily, on the first routable record, and under
-			// a cap: unroutable or wild garbage must not grow the open set.
-			if len(bins) >= s.cfg.MaxOpenBins {
-				wild++
-				continue
-			}
-			p := s.top.NumODPairs()
-			acc = &binAcc{
-				bytes:   make([]float64, p),
-				packets: make([]float64, p),
-				flows:   make([]float64, p),
-			}
-			bins[bin] = acc
-		}
-		col := s.top.Index(topology.ODPair{Origin: origin, Dest: egress})
-		acc.bytes[col] += float64(rec.Bytes)
-		acc.packets[col] += float64(rec.Packets)
-		// Flow-export records each carry one flow (Flows == 1), keeping
-		// bit-for-bit parity with the v5-era `flows[col]++`; sFlow samples
-		// estimate flow counts, and the estimate rides the same field.
-		acc.flows[col] += float64(rec.Flows)
-		acc.records++
-		accepted++
-	}
-	return accepted, unroutable, wild
-}
-
-// watermarkQuorum is how many consecutive routable packets must land more
-// than MaxAhead bins below the watermark before the daemon concludes the
-// watermark is stranded and re-anchors it.
-const watermarkQuorum = 8
-
-// resetWatermarkSync re-anchors a stranded watermark at the bin the live
-// stream actually flows in, discarding open bins stranded in the far
-// future (their contents were the lie that moved the watermark there).
-// Synchronous path; callers hold ingestMu.
-func (s *Server) resetWatermarkSync(bin int) {
-	if wild := discardWildBins(s.bins, bin+s.cfg.MaxAhead); wild > 0 {
-		s.ctr.wildRecords.Add(wild)
-	}
-	s.ctr.binsOpen.Store(int64(len(s.bins)))
-	s.ctr.watermark.Store(int64(bin))
-	s.ctr.watermarkResets.Add(1)
-	s.behindStreak = 0
-}
-
-// discardWildBins drops every open bin above keepThrough, returning the
-// record count they held.
-func discardWildBins(bins map[int]*binAcc, keepThrough int) (wild uint64) {
-	for b, acc := range bins {
-		if b > keepThrough {
-			wild += acc.records
-			delete(bins, b)
-		}
-	}
-	return wild
-}
-
-// engineSeq is one export stream's sequence cursor plus a small ring of
-// recently seen packet sequence numbers for duplicate detection.
-type engineSeq struct {
-	next    uint32
-	started bool
-	recent  [dedupeWindow]uint32
-	fill    int // entries of recent in use
-	pos     int // next ring slot to overwrite
-}
-
-func (e *engineSeq) remember(seq uint32) {
-	e.recent[e.pos] = seq
-	e.pos = (e.pos + 1) % dedupeWindow
-	if e.fill < dedupeWindow {
-		e.fill++
-	}
-}
-
-func (e *engineSeq) seen(seq uint32) bool {
-	for i := 0; i < e.fill; i++ {
-		if e.recent[i] == seq {
-			return true
-		}
-	}
-	return false
-}
-
-func (e *engineSeq) clear() { e.fill, e.pos = 0, 0 }
-
-// submittedBin pairs a detached accumulator with its bin index.
-type submittedBin struct {
-	bin int
-	acc *binAcc
-}
-
-// detachBins removes every open bin <= limit from the open set and
-// returns them in ascending bin order (nil when none). Pure map surgery:
-// the caller owns the close counters.
-func detachBins(bins map[int]*binAcc, limit int) []submittedBin {
-	var out []submittedBin
-	for bin, acc := range bins {
-		if bin <= limit {
-			out = append(out, submittedBin{bin, acc})
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].bin < out[j].bin })
-	for _, sb := range out {
-		delete(bins, sb.bin)
-	}
-	return out
-}
-
-// submit feeds detached bins to the detector in ascending order, recording
-// the first failure. Bins are only ever detached in ascending order across
-// calls (by the one ingest goroutine or the one coordinator), so the
-// detector's non-decreasing contract holds.
-func (s *Server) submit(closed []submittedBin) {
+	s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
+	n := 0
 	for _, sb := range closed {
 		s.mu.Lock()
 		s.submitAt = append(s.submitAt, time.Now())
 		s.mu.Unlock()
 		if err := s.det.Submit(sb.bin, sb.acc.bytes, sb.acc.packets, sb.acc.flows); err != nil {
+			// Submits have a single writer, so the refused bin's entry is
+			// the tail: no verdict will ever pop it.
+			s.mu.Lock()
+			s.submitAt = s.submitAt[:len(s.submitAt)-1]
+			s.mu.Unlock()
 			s.fail(fmt.Errorf("server: submit bin %d: %w", sb.bin, err))
-			return
+			break
 		}
+		n++
 	}
+	s.ctr.binsClosed.Add(int64(n))
+	return n
 }
 
 // fail records the first ingest-side error.
@@ -1820,7 +1392,6 @@ func (s *Server) Stats() Stats {
 		WildRecords:     s.ctr.wildRecords.Load(),
 		WatermarkResets: s.ctr.watermarkResets.Load(),
 		BinsClosed:      int(s.ctr.binsClosed.Load()),
-		BinsOpen:        int(s.ctr.binsOpen.Load()),
 		Watermark:       int(s.ctr.watermark.Load()),
 		LastClosed:      int(s.ctr.lastClosed.Load()),
 	}
@@ -1850,25 +1421,24 @@ func (s *Server) Stats() Stats {
 				Bytes:      r.bytes.Load(),
 			}
 		}
-		st.Shards = make([]ShardStats, len(s.shards))
-		open := 0
-		for i, w := range s.shards {
-			o := int(w.binsOpen.Load())
-			open += o
+		st.Shards = make([]ShardStats, len(s.parts))
+		for i, p := range s.parts {
 			st.Shards[i] = ShardStats{
-				Records:       w.records.Load(),
-				Duplicates:    w.duplicates.Load(),
-				LateRecords:   w.lateRecords.Load(),
-				WildRecords:   w.wildRecords.Load(),
-				Unroutable:    w.unroutable.Load(),
-				BinsOpen:      o,
-				SealedThrough: int(w.sealed.Load()),
-				QueueLen:      len(w.ch),
-				QueueCap:      cap(w.ch),
+				Records:       p.records.Load(),
+				Duplicates:    p.duplicates.Load(),
+				LateRecords:   p.lateRecords.Load(),
+				WildRecords:   p.wildRecords.Load(),
+				Unroutable:    p.unroutable.Load(),
+				BinsOpen:      int(p.binsOpen.Load()),
+				SealedThrough: int(p.sealed.Load()),
+				QueueLen:      len(p.ch),
+				QueueCap:      cap(p.ch),
 			}
 		}
-		st.BinsOpen = open
 		st.MergeQueueLen = len(s.mergeCh)
+	}
+	for _, p := range s.parts {
+		st.BinsOpen += int(p.binsOpen.Load())
 	}
 	s.mu.Lock()
 	st.AlarmBins = s.alarmBins
@@ -1948,26 +1518,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("server: drain: context already done before shutdown began: %w", err)
 	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.stopIntake(false) {
 		return errors.New("server: drain already in progress or completed")
 	}
-	s.draining = true
-	conns := s.conns
-	stop := s.cpTimerStop
-	s.cpTimerStop = nil
-	s.mu.Unlock()
-
-	if stop != nil {
-		close(stop) // no timer snapshot may race the final one below
-		s.timerWG.Wait()
-	}
-	for _, c := range conns {
-		c.Close() // unblocks the reader goroutines
-	}
-	s.readersWG.Wait()
-
 	// The readers have exited and the sockets are closed: no new bins can
 	// appear. Flush the tail — every receiver-enqueued batch binned, every
 	// bin through the watermark closed and submitted — and, when
@@ -1993,17 +1546,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.fail(fmt.Errorf("server: detector: %w", err))
 	}
 
-	s.mu.Lock()
-	srv, ln := s.httpSrv, s.httpLn
-	s.httpSrv, s.httpLn = nil, nil
-	s.mu.Unlock()
-	if srv != nil {
-		if err := srv.Shutdown(ctx); err != nil {
-			srv.Close()
-		}
-	} else if ln != nil {
-		ln.Close()
-	}
+	s.stopHTTP(ctx, true)
 	return s.Err()
 }
 
@@ -2013,32 +1556,10 @@ func (s *Server) Drain(ctx context.Context) error {
 // whatever the last periodic write made it. This is the chaos tests' kill
 // switch; production shutdown is Drain.
 func (s *Server) Kill() {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.stopIntake(true) {
 		return
 	}
-	s.draining, s.killed = true, true
-	conns := s.conns
-	stop := s.cpTimerStop
-	s.cpTimerStop = nil
-	srv, ln := s.httpSrv, s.httpLn
-	s.httpSrv, s.httpLn = nil, nil
-	s.mu.Unlock()
-
-	if stop != nil {
-		close(stop)
-		s.timerWG.Wait()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.readersWG.Wait()
-	if srv != nil {
-		srv.Close() // abrupt: no graceful connection drain
-	} else if ln != nil {
-		ln.Close()
-	}
+	s.stopHTTP(context.Background(), false)
 	// Let a snapshot on its way to disk land (or fail) against a live
 	// pipeline, and keep its slot so no other starts; then tear down with
 	// no flush — whatever the bins still held is lost, exactly like a
@@ -2052,6 +1573,47 @@ func (s *Server) Kill() {
 	s.det.Wait()
 }
 
+// stopIntake starts the shutdown Drain and Kill share — draining set
+// (killed too, for Kill), the checkpoint timer stopped so no timer
+// snapshot can race the final one, the sockets closed — and returns once
+// the reader goroutines have exited. It reports false when a drain or kill
+// began before it.
+func (s *Server) stopIntake(kill bool) bool {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return false
+	}
+	s.draining, s.killed = true, kill
+	conns, stop := s.conns, s.cpTimerStop
+	s.cpTimerStop = nil
+	s.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		s.timerWG.Wait()
+	}
+	for _, c := range conns {
+		c.Close() // unblocks the reader goroutines
+	}
+	s.readersWG.Wait()
+	return true
+}
+
+// stopHTTP takes the status endpoint down: gracefully within ctx, or —
+// for Kill — abruptly, with no connection drain.
+func (s *Server) stopHTTP(ctx context.Context, graceful bool) {
+	s.mu.Lock()
+	srv, ln := s.httpSrv, s.httpLn
+	s.httpSrv, s.httpLn = nil, nil
+	s.mu.Unlock()
+	switch {
+	case srv != nil && (!graceful || srv.Shutdown(ctx) != nil):
+		srv.Close()
+	case srv == nil && ln != nil:
+		ln.Close()
+	}
+}
+
 // reap stops the sharded pipeline (when there is one), closes the detector
 // and waits for the verdict consumer and the snapshot writer to finish
 // what was in flight — the shared tail of Drain and Kill.
@@ -2059,7 +1621,10 @@ func (s *Server) reap() {
 	if s.sharded() {
 		s.coordDo(ctlStop)
 		<-s.coordDone
-		s.stopShards()
+		for _, p := range s.parts {
+			p.ch <- shardMsg{kind: msgStop}
+		}
+		s.shardWG.Wait()
 	}
 	s.det.Close()
 	s.consumerWG.Wait() // verdict stream fully drained, tail folded in

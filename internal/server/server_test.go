@@ -14,7 +14,6 @@ import (
 
 	"netwide"
 	"netwide/internal/flowwire"
-	"netwide/internal/netflow"
 	"netwide/internal/topology"
 	"netwide/internal/traffic"
 )
@@ -263,9 +262,9 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 	}
 }
 
-// TestAPIVersionAliases pins the HTTP compatibility contract: every
-// endpoint serves identical bytes under its versioned /api/v1/ path and
-// its legacy unversioned alias.
+// TestAPIVersionAliases pins the HTTP surface: every endpoint is served
+// under the versioned /api/v1/ prefix and nowhere else — the unversioned
+// aliases of earlier releases are gone and answer 404.
 func TestAPIVersionAliases(t *testing.T) {
 	run := testRun(t)
 	srv, err := New(run, Config{HTTPAddr: "127.0.0.1:0", Stream: parityStream(run)})
@@ -295,13 +294,10 @@ func TestAPIVersionAliases(t *testing.T) {
 		return resp.StatusCode, buf.String()
 	}
 	for _, ep := range []string{"healthz", "stats", "anomalies"} {
-		legacyCode, legacyBody := get("/" + ep)
-		v1Code, v1Body := get("/api/v1/" + ep)
-		if legacyCode != http.StatusOK || v1Code != http.StatusOK {
-			t.Fatalf("%s: status %d (legacy) / %d (v1), want 200/200", ep, legacyCode, v1Code)
-		}
-		if legacyBody != v1Body {
-			t.Errorf("%s: legacy and /api/v1 bodies differ:\n legacy %q\n v1     %q", ep, legacyBody, v1Body)
+		bareCode, _ := get("/" + ep)
+		v1Code, _ := get("/api/v1/" + ep)
+		if bareCode != http.StatusNotFound || v1Code != http.StatusOK {
+			t.Fatalf("%s: status %d (bare) / %d (v1), want 404/200", ep, bareCode, v1Code)
 		}
 	}
 	if _, body := get("/api/v1/anomalies"); strings.TrimSpace(body) != "[]" {
@@ -312,16 +308,16 @@ func TestAPIVersionAliases(t *testing.T) {
 // collectRecords regenerates resolved records from origin PoP 0 cells of
 // one bin until it has n of them — real, resolvable payloads for crafted
 // packets.
-func collectRecords(t *testing.T, run *netwide.Run, n int) []netflow.Record {
+func collectRecords(t *testing.T, run *netwide.Run, n int) []flowwire.Flow {
 	t.Helper()
 	ds := run.Dataset()
-	var recs []netflow.Record
+	var recs []flowwire.Flow
 	for i := 0; i < ds.Top.NumODPairs() && len(recs) < n; i++ {
 		od := ds.Top.ODAt(i)
 		if od.Origin != 0 {
 			continue
 		}
-		ds.ForEachResolvedRecord(od, 0, func(_ topology.ODPair, r netflow.Record) {
+		ds.ForEachResolvedRecord(od, 0, func(_ topology.ODPair, r flowwire.Flow) {
 			if len(recs) < n {
 				recs = append(recs, r)
 			}
@@ -335,9 +331,9 @@ func collectRecords(t *testing.T, run *netwide.Run, n int) []netflow.Record {
 
 // pkt encodes one v5 packet from engine 0 with the given sequence and bin
 // timestamp.
-func pkt(t *testing.T, seq uint32, bin int, recs []netflow.Record) []byte {
+func pkt(t *testing.T, seq uint32, bin int, recs []flowwire.Flow) []byte {
 	t.Helper()
-	b, err := netflow.EncodePacket(netflow.Header{
+	b, err := flowwire.EncodeV5Packet(flowwire.V5Header{
 		UnixSecs:     uint32(bin) * traffic.BinSeconds,
 		FlowSequence: seq,
 		EngineID:     0,
@@ -348,6 +344,29 @@ func pkt(t *testing.T, seq uint32, bin int, recs []netflow.Record) []byte {
 	return b
 }
 
+// layouts are the two drivers of the one ingest state machine. A test that
+// ranges over them asserts the same global counters under both.
+var layouts = []struct {
+	name string
+	cfg  Config
+}{
+	{"sync", Config{}},
+	{"sharded", Config{Receivers: 1, Shards: 4}},
+}
+
+// feed hands each datagram to the daemon as receiver 0 and, when sharded,
+// settles the pipeline after it: every datagram is binned, and every bin
+// it lets close is sealed and submitted, before the next one arrives —
+// which is what the synchronous driver does on its own.
+func feed(srv *Server, pkts ...[]byte) {
+	for _, p := range pkts {
+		srv.IngestPacket(p)
+		if srv.sharded() {
+			srv.quiesce()
+		}
+	}
+}
+
 // TestOutOfOrderAndDuplicates pins the transport-hardening semantics:
 // duplicate packets are dropped by sequence replay detection, bins arriving
 // out of time order within the grace window still land in their own bin,
@@ -355,12 +374,7 @@ func pkt(t *testing.T, seq uint32, bin int, recs []netflow.Record) []byte {
 // are accounted as loss.
 func TestOutOfOrderAndDuplicates(t *testing.T) {
 	run := testRun(t)
-	srv, err := New(run, Config{Grace: 3, Stream: parityStream(run)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := collectRecords(t, run, 10)
-
 	p1 := pkt(t, 0, 5, recs)                     // bin 5, seq 0..9
 	p2 := pkt(t, 10, 4, recs)                    // bin 4, AFTER bin 5 — within grace
 	p3 := pkt(t, 20, 8, recs)                    // bin 8: watermark advances, closes bins <= 5
@@ -369,43 +383,41 @@ func TestOutOfOrderAndDuplicates(t *testing.T) {
 	p6 := pkt(t, 40, 8, recs)                    // the reordered packet behind the gap: refund 10
 	p7 := pkt(t, 3_000_000_000, 8, recs)         // wild backward sequence: exporter restart, resync
 	p8 := pkt(t, 3_000_000_010+(1<<30), 8, recs) // wild FORWARD jump: restart too, not a phantom 2^30-record gap
-	srv.IngestPacket(p1)
-	srv.IngestPacket(p1) // exact duplicate: must not double-count
-	srv.IngestPacket(p2)
-	srv.IngestPacket(p3)
-	srv.IngestPacket(p4)
-	srv.IngestPacket(p5)
-	srv.IngestPacket(p6)
-	srv.IngestPacket(p7)
-	srv.IngestPacket(p8)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			cfg := l.cfg
+			cfg.Grace, cfg.Stream = 3, parityStream(run)
+			srv, err := New(run, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(srv, p1, p1, p2, p3, p4, p5, p6, p7, p8) // p1 twice: an exact duplicate must not double-count
 
-	st := srv.Stats()
-	if st.Duplicates != 1 {
-		t.Errorf("duplicates %d, want 1", st.Duplicates)
-	}
-	if want := uint64(70); st.Records != want { // p1 + p2 + p3 + p5 + p6 + p7 + p8
-		t.Errorf("records %d, want %d", st.Records, want)
-	}
-	if st.LateRecords != 10 {
-		t.Errorf("late records %d, want 10", st.LateRecords)
-	}
-	if st.LostRecords != 40 {
-		t.Errorf("lost records %d, want 40 (50-record gap minus the reordered refund; restarts charge nothing)", st.LostRecords)
-	}
-	if st.BinsClosed != 2 || st.LastClosed != 5 || st.Watermark != 8 {
-		t.Errorf("bin state %+v, want 2 closed through 5, watermark 8", st)
-	}
-	if st.BinsOpen != 1 {
-		t.Errorf("open bins %d, want 1 (bin 8)", st.BinsOpen)
-	}
+			st := srv.Stats()
+			if st.Duplicates != 1 {
+				t.Errorf("duplicates %d, want 1", st.Duplicates)
+			}
+			if want := uint64(70); st.Records != want { // p1 + p2 + p3 + p5 + p6 + p7 + p8
+				t.Errorf("records %d, want %d", st.Records, want)
+			}
+			if st.LateRecords != 10 {
+				t.Errorf("late records %d, want 10", st.LateRecords)
+			}
+			if st.LostRecords != 40 {
+				t.Errorf("lost records %d, want 40 (50-record gap minus the reordered refund; restarts charge nothing)", st.LostRecords)
+			}
+			if st.BinsClosed != 2 || st.LastClosed != 5 || st.Watermark != 8 {
+				t.Errorf("bin state %+v, want 2 closed through 5, watermark 8", st)
+			}
+			if st.BinsOpen != 1 {
+				t.Errorf("open bins %d, want 1 (bin 8)", st.BinsOpen)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if st := srv.Stats(); st.BinsClosed != 3 || st.BinsOpen != 0 {
-		t.Errorf("after drain: %d closed / %d open, want 3 / 0", st.BinsClosed, st.BinsOpen)
+			drainOK(t, srv)
+			if st := srv.Stats(); st.BinsClosed != 3 || st.BinsOpen != 0 {
+				t.Errorf("after drain: %d closed / %d open, want 3 / 0", st.BinsClosed, st.BinsOpen)
+			}
+		})
 	}
 }
 
@@ -518,116 +530,184 @@ func TestConcurrentDrain(t *testing.T) {
 // bytes never panic the daemon and never leak into the matrices.
 func TestHostileDatagrams(t *testing.T) {
 	run := testRun(t)
-	srv, err := New(run, Config{Stream: parityStream(run)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := collectRecords(t, run, 5)
 	good := pkt(t, 0, 0, recs)
-
-	srv.IngestPacket(nil)                        // empty datagram
-	srv.IngestPacket([]byte{1, 2, 3})            // runt
-	srv.IngestPacket(good[:netflow.HeaderLen+7]) // truncated mid-record
 	badVersion := append([]byte(nil), good...)
 	badVersion[1] = 9
-	srv.IngestPacket(badVersion)
 	hostileCount := append([]byte(nil), good...)
 	hostileCount[2], hostileCount[3] = 0xFF, 0xFF
-	srv.IngestPacket(hostileCount)
-	srv.IngestPacket(bytes.Repeat([]byte{0xAB}, 2048)) // garbage
-
-	st := srv.Stats()
-	if st.BadPackets != 6 {
-		t.Errorf("bad packets %d, want 6", st.BadPackets)
-	}
-	if st.Records != 0 || st.BinsOpen != 0 {
-		t.Errorf("hostile datagrams leaked into ingest state: %+v", st)
-	}
-
 	// A decodable packet from an engine the topology does not know.
-	unknownEngine, err := netflow.EncodePacket(netflow.Header{EngineID: 200, FlowSequence: 0}, recs)
+	unknownEngine, err := flowwire.EncodeV5Packet(flowwire.V5Header{EngineID: 200, FlowSequence: 0}, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.IngestPacket(unknownEngine)
-	if st := srv.Stats(); st.Unroutable != uint64(len(recs)) {
-		t.Errorf("unroutable %d, want %d", st.Unroutable, len(recs))
-	}
-
-	// The daemon is still healthy and still ingests good traffic.
-	if srv.Err() != nil {
-		t.Fatalf("hostile datagrams broke the daemon: %v", srv.Err())
-	}
-	srv.IngestPacket(good)
-	if st := srv.Stats(); st.Records != uint64(len(recs)) {
-		t.Errorf("good packet after hostile burst: %d records, want %d", st.Records, len(recs))
-	}
-
-	// A spoofed far-future timestamp must neither move the watermark (it
-	// would force-close partial bins and stall every legitimate bin) nor
-	// open a bin; its records are refused as wild.
-	wild, err := netflow.EncodePacket(netflow.Header{
+	wild, err := flowwire.EncodeV5Packet(flowwire.V5Header{
 		UnixSecs:     uint32(1000 * traffic.BinSeconds),
 		FlowSequence: uint32(len(recs)),
 	}, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.IngestPacket(wild)
-	st = srv.Stats()
-	if st.WildRecords != uint64(len(recs)) {
-		t.Errorf("wild records %d, want %d", st.WildRecords, len(recs))
-	}
-	if st.Watermark != 0 || st.BinsOpen != 1 {
-		t.Errorf("spoofed timestamp moved bin state: watermark %d, open %d", st.Watermark, st.BinsOpen)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			cfg := l.cfg
+			cfg.Stream = parityStream(run)
+			srv, err := New(run, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(srv,
+				nil,                              // empty datagram
+				[]byte{1, 2, 3},                  // runt
+				good[:flowwire.V5HeaderLen+7],    // truncated mid-record
+				badVersion,                       // version word 9 with a v5 body
+				hostileCount,                     // count beyond what the bytes hold
+				bytes.Repeat([]byte{0xAB}, 2048), // garbage
+			)
+			st := srv.Stats()
+			if st.BadPackets != 6 {
+				t.Errorf("bad packets %d, want 6", st.BadPackets)
+			}
+			if st.Records != 0 || st.BinsOpen != 0 {
+				t.Errorf("hostile datagrams leaked into ingest state: %+v", st)
+			}
+
+			feed(srv, unknownEngine)
+			if st := srv.Stats(); st.Unroutable != uint64(len(recs)) {
+				t.Errorf("unroutable %d, want %d", st.Unroutable, len(recs))
+			}
+
+			// The daemon is still healthy and still ingests good traffic.
+			if srv.Err() != nil {
+				t.Fatalf("hostile datagrams broke the daemon: %v", srv.Err())
+			}
+			feed(srv, good)
+			if st := srv.Stats(); st.Records != uint64(len(recs)) {
+				t.Errorf("good packet after hostile burst: %d records, want %d", st.Records, len(recs))
+			}
+
+			// A spoofed far-future timestamp must neither move the watermark
+			// (it would force-close partial bins and stall every legitimate
+			// bin) nor open a bin; its records are refused as wild.
+			feed(srv, wild)
+			st = srv.Stats()
+			if st.WildRecords != uint64(len(recs)) {
+				t.Errorf("wild records %d, want %d", st.WildRecords, len(recs))
+			}
+			if st.Watermark != 0 || st.BinsOpen != 1 {
+				t.Errorf("spoofed timestamp moved bin state: watermark %d, open %d", st.Watermark, st.BinsOpen)
+			}
+			drainOK(t, srv)
+		})
 	}
 }
 
 // TestWatermarkRecovery pins the stranded-watermark self-heal: a
 // far-future FIRST packet (nothing exists to bound it against) parks the
-// watermark where no legitimate bin could ever close — until a quorum of
-// consecutive routable packets running far below it re-anchors the
-// watermark, discards the stranded bin as wild, and bin close resumes.
+// watermark where no legitimate bin could ever close, and the seal follows
+// it past bins nothing filled — until a quorum of consecutive routable
+// packets running far below it, above every bin ever submitted, re-anchors
+// the watermark, discards the stranded bin as wild, rewinds the seal, and
+// bin close resumes. The quorum's own packets arrived behind the stranded
+// seal and are counted late.
 func TestWatermarkRecovery(t *testing.T) {
+	run := testRun(t)
+	recs := collectRecords(t, run, 10)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			cfg := l.cfg
+			cfg.Stream = parityStream(run)
+			srv, err := New(run, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(srv, pkt(t, 0, 1000, recs)) // hostile first packet: bin 1000
+			if st := srv.Stats(); st.Watermark != 1000 {
+				t.Fatalf("first packet set watermark %d, want 1000", st.Watermark)
+			}
+			// Legitimate traffic: bins 0,1,2,... — all far below the
+			// stranded watermark. After the quorum the watermark must snap
+			// back.
+			seq := uint32(10)
+			for bin := 0; bin < 12; bin++ {
+				feed(srv, pkt(t, seq, bin, recs))
+				seq += uint32(len(recs))
+			}
+			st := srv.Stats()
+			if st.WatermarkResets != 1 || st.Watermark != 11 {
+				t.Fatalf("watermark resets %d, watermark %d; want 1 reset, re-anchored and moving on at 11 (stats: %+v)", st.WatermarkResets, st.Watermark, st)
+			}
+			if st.WildRecords != uint64(len(recs)) {
+				t.Errorf("stranded bin's %d records not discarded as wild (got %d)", len(recs), st.WildRecords)
+			}
+			if want := uint64(watermarkQuorum * len(recs)); st.LateRecords != want {
+				t.Errorf("late records %d, want the quorum's %d", st.LateRecords, want)
+			}
+			// Bins 8..11 open after the reset at bin 7; 8, 9 and 10 close.
+			if st.Records != 5*uint64(len(recs)) || st.BinsClosed != 3 || st.LastClosed != 10 {
+				t.Errorf("bin close after the reset: %+v, want 5 packets' records accepted and bins 8-10 closed", st)
+			}
+			drainOK(t, srv)
+		})
+	}
+}
+
+// TestRefusedSubmitKeepsTheBooks: a bin the detector refuses — here
+// because the daemon has already drained and a direct IngestPacket closes
+// bins after it — must leave no scoring backlog behind and must not count
+// as closed, while the late gate still holds behind it.
+func TestRefusedSubmitKeepsTheBooks(t *testing.T) {
+	run := testRun(t)
+	srv, err := New(run, Config{Grace: 4, Stream: parityStream(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := collectRecords(t, run, 10)
+	drainOK(t, srv)
+	feed(srv, pkt(t, 0, 0, recs), pkt(t, 10, 1, recs), pkt(t, 20, 10, recs)) // bin 10 closes bins 0 and 1
+	st := srv.Stats()
+	if st.ScoringBacklogBins != 0 {
+		t.Errorf("scoring backlog %d bins after refused submits, want 0", st.ScoringBacklogBins)
+	}
+	if st.BinsClosed != 0 || st.LastClosed != 1 {
+		t.Errorf("bins closed %d through %d, want 0 counted and the seal through 1", st.BinsClosed, st.LastClosed)
+	}
+	if !strings.Contains(st.Err, "submit bin 0") {
+		t.Errorf("refusal not recorded: err %q", st.Err)
+	}
+	feed(srv, pkt(t, 30, 1, recs))
+	if st := srv.Stats(); st.LateRecords != uint64(len(recs)) {
+		t.Errorf("late records %d: a refused bin must stay closed", st.LateRecords)
+	}
+}
+
+// TestIngestIntoOpenBinDoesNotAllocate pins the synchronous hot path's
+// steady state: an in-sequence v5 packet into an already-open bin decodes
+// into the receiver's reused buffer, finds its cursor and its bin, and
+// allocates nothing.
+func TestIngestIntoOpenBinDoesNotAllocate(t *testing.T) {
 	run := testRun(t)
 	srv, err := New(run, Config{Stream: parityStream(run)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := collectRecords(t, run, 10)
-
-	srv.IngestPacket(pkt(t, 0, 1000, recs)) // hostile first packet: bin 1000
-	if st := srv.Stats(); st.Watermark != 1000 {
-		t.Fatalf("first packet set watermark %d, want 1000", st.Watermark)
+	defer drainOK(t, srv)
+	recs := collectRecords(t, run, flowwire.V5MaxRecordsPerPacket)
+	const runs = 100
+	pkts := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call
+	for i := range pkts {
+		pkts[i] = pkt(t, uint32(i*len(recs)), 0, recs)
 	}
-	// Legitimate traffic: bins 0,1,2,... — all far below the stranded
-	// watermark. After the quorum the watermark must snap back.
-	seq := uint32(10)
-	for bin := 0; bin < 12; bin++ {
-		srv.IngestPacket(pkt(t, seq, bin, recs))
-		seq += uint32(len(recs))
+	srv.IngestPacket(pkts[0]) // opens bin 0 and engine 0's cursor
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		srv.IngestPacket(pkts[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("IngestPacket into an open bin allocates %v per packet, want 0", allocs)
 	}
-	st := srv.Stats()
-	if st.WatermarkResets != 1 {
-		t.Fatalf("watermark resets %d, want 1 (stats: %+v)", st.WatermarkResets, st)
-	}
-	if st.Watermark >= 1000 {
-		t.Fatalf("watermark still stranded at %d", st.Watermark)
-	}
-	if st.WildRecords != uint64(len(recs)) {
-		t.Errorf("stranded bin's %d records not discarded as wild (got %d)", len(recs), st.WildRecords)
-	}
-	if st.BinsClosed == 0 {
-		t.Error("bin close never resumed after watermark recovery")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
+	if st := srv.Stats(); st.Records != uint64(len(pkts)*len(recs)) || st.Duplicates != 0 {
+		t.Fatalf("ingested %d records (%d duplicate packets), want %d", st.Records, st.Duplicates, len(pkts)*len(recs))
 	}
 }

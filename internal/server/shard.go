@@ -1,5 +1,6 @@
-// The sharded ingest pipeline: receiver pool → OD-sharded binning workers
-// → watermark-driven merge coordinator → the single central detector.
+// The sharded driver of the ingest state machine: receiver pool → one
+// partition per shard goroutine → watermark-driven merge coordinator → the
+// single central detector.
 //
 // The partition key is the export engine. An engine is an origin PoP, and
 // the OD index space is laid out origin-major, so routing whole engines to
@@ -8,28 +9,25 @@
 // keeps each (format, engine) sequence cursor and dedupe ring owned by
 // exactly one goroutine. Scoring stays central: the subspace method is
 // global, so the one StreamDetector consumes the merged full-length
-// vectors in bin order, exactly as the synchronous path feeds it.
+// vectors in bin order, exactly as the synchronous driver feeds it.
 //
 // Bin-close correctness (the barrier argument, in short — DESIGN.md E18
 // has the long form): the coordinator owns the watermark and is the only
 // issuer of seal epochs, each with a strictly increasing `through` bin.
 // Shard channels are FIFO, so when a shard answers seal N it has binned
-// every batch enqueued before the seal, and it drops any later batch for
-// a bin ≤ N as late — a sealed partition can never reopen. An epoch
-// completes only when all shards answered, epochs complete in issue
+// every batch enqueued before the seal, and its partition drops any later
+// batch for a bin ≤ N as late — a sealed partition can never reopen. An
+// epoch completes only when all shards answered, epochs complete in issue
 // order, and only completed epochs are submitted; therefore the detector
 // sees every bin exactly once, fully merged, in ascending order.
 package server
 
 import (
-	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"netwide/internal/checkpoint"
 	"netwide/internal/flowwire"
-	"netwide/internal/traffic"
 )
 
 const (
@@ -45,40 +43,6 @@ const (
 	// argument: shards always drain their queues.
 	maxOutstandingEpochs = 4
 )
-
-// receiver is one UDP socket's ingest front end: its own decoder registry
-// (flowwire registries are not safe for concurrent use, and v9/IPFIX
-// template state is per-socket anyway — the kernel hashes an exporter's
-// packets to one socket, and exporters resend templates periodically) and
-// its slice of the datagram counters.
-type receiver struct {
-	id   int
-	reg  *flowwire.Registry
-	conn *net.UDPConn
-
-	packets, badPackets, bytes atomic.Uint64
-}
-
-// shardWorker owns one partition of the OD space: its open-bin
-// accumulators, sequence cursors and dedupe rings are touched only by its
-// goroutine (and, between barriers, by restore before the goroutine
-// starts). The atomic fields are its slice of the stats counters, read
-// lock-free by /stats.
-type shardWorker struct {
-	id int
-	ch chan shardMsg
-
-	// Single-threaded worker state.
-	bins          map[int]*binAcc
-	seq           map[engineKey]*engineSeq
-	sealedThrough int
-	behindStreak  int
-
-	// Stats mirrors.
-	records, duplicates, lateRecords,
-	wildRecords, unroutable atomic.Uint64
-	binsOpen, sealed atomic.Int64
-}
 
 const (
 	msgBatch = iota
@@ -106,7 +70,6 @@ type shardMsg struct {
 // sealReply is one shard's answer to one seal epoch: the detached bins of
 // its partition through the epoch's boundary.
 type sealReply struct {
-	shard int
 	epoch uint64
 	bins  []submittedBin
 }
@@ -140,209 +103,83 @@ var recPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// buildPipeline allocates the receivers, shard workers and channels. No
-// goroutine starts here: restore must be able to fill shard state first.
-func (s *Server) buildPipeline() error {
-	s.recvs = make([]*receiver, s.cfg.Receivers)
-	for i := range s.recvs {
-		reg, err := flowwire.NewRegistry(s.cfg.Formats...)
-		if err != nil {
-			return err
-		}
-		s.recvs[i] = &receiver{id: i, reg: reg}
+// startPipeline allocates the channels and launches the shard workers and
+// the coordinator, seeding the coordinator's cursors from whatever restore
+// left behind.
+func (s *Server) startPipeline() {
+	for _, p := range s.parts {
+		p.ch = make(chan shardMsg, shardQueueDepth)
 	}
-	s.shards = make([]*shardWorker, s.cfg.Shards)
-	for i := range s.shards {
-		w := &shardWorker{
-			id:            i,
-			ch:            make(chan shardMsg, shardQueueDepth),
-			bins:          map[int]*binAcc{},
-			seq:           map[engineKey]*engineSeq{},
-			sealedThrough: -1,
-		}
-		w.sealed.Store(-1)
-		s.shards[i] = w
-	}
-	s.mergeCh = make(chan sealReply, len(s.shards)*(maxOutstandingEpochs+1))
+	s.mergeCh = make(chan sealReply, len(s.parts)*(maxOutstandingEpochs+1))
 	s.coordBell = make(chan struct{}, 1)
 	s.coordCtl = make(chan coordMsg)
 	s.coordDone = make(chan struct{})
-	return nil
-}
-
-// startPipeline launches the shard workers and the coordinator, seeding
-// the coordinator's cursors from whatever restore left behind.
-func (s *Server) startPipeline() {
 	watermark := int(s.ctr.watermark.Load())
 	sealTarget := int(s.ctr.lastClosed.Load())
-	for _, w := range s.shards {
-		if w.sealedThrough > sealTarget {
-			sealTarget = w.sealedThrough
-		}
+	for _, p := range s.parts {
+		sealTarget = max(sealTarget, p.closedThrough)
 	}
 	s.pendingObs.Store(int64(watermark))
-	s.shardWG.Add(len(s.shards))
-	for _, w := range s.shards {
-		go s.shardLoop(w)
+	s.resetBin.Store(-1)
+	s.shardWG.Add(len(s.parts))
+	for _, p := range s.parts {
+		go s.shardLoop(p)
 	}
 	go s.coordinate(watermark, sealTarget)
 }
 
-// receiverLoop drains one socket until Drain or Kill closes it.
-func (s *Server) receiverLoop(r *receiver) {
-	defer s.readersWG.Done()
-	buf := make([]byte, 4096)
-	for {
-		n, _, err := r.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		s.ingestOn(r, buf[:n])
-	}
-}
-
-// ingestOn runs one datagram through a receiver: decode on the receiver's
-// own registry into a pooled record slice, attribute the packet counters,
-// and route the batch to its engine's shard. The channel send applies
-// backpressure when the shard is behind — by design, the receiver slows
-// rather than the queue growing without bound. pauseMu's read side makes
-// a datagram atomic with respect to checkpoint capture: the coordinator's
-// write lock waits out in-flight datagrams, then finds every batch either
-// fully routed or not started.
-func (s *Server) ingestOn(r *receiver, pkt []byte) {
+// route decodes one datagram on the receiver's own registry into a pooled
+// record slice and hands the batch to its engine's shard. The channel send
+// applies backpressure when the shard is behind — by design, the receiver
+// slows rather than the queue growing without bound. pauseMu's read side
+// makes a datagram atomic with respect to checkpoint capture: the
+// coordinator's write lock waits out in-flight datagrams, then finds every
+// batch either fully routed or not started.
+func (s *Server) route(r *receiver, pkt []byte) {
 	s.pauseMu.RLock()
 	defer s.pauseMu.RUnlock()
 	bufp := recPool.Get().(*[]flowwire.Record)
-	b, recs, err := r.reg.Decode(pkt, (*bufp)[:0])
+	b, recs, ok := s.decode(r, pkt, (*bufp)[:0])
 	*bufp = recs
-	s.ctr.packets.Add(1)
-	r.packets.Add(1)
-	r.bytes.Add(uint64(len(pkt)))
-	var pc *protoCounters
-	if b.Format != flowwire.FormatUnknown && b.Format < flowwire.NumFormats {
-		pc = &s.proto[b.Format]
-		pc.packets.Add(1)
-	}
-	if err != nil {
-		s.ctr.badPackets.Add(1)
-		if pc != nil {
-			pc.badPackets.Add(1)
-		}
+	if !ok {
 		recPool.Put(bufp)
 		return
 	}
 	// Zero-record batches (v9/IPFIX template-only packets) still route:
 	// the shard owns the stream's sequence cursor.
-	s.shards[s.shardOf(b.Engine)].ch <- shardMsg{kind: msgBatch, batch: b, recs: bufp}
+	s.parts[s.shardOf(b.Engine)].ch <- shardMsg{kind: msgBatch, batch: b, recs: bufp}
 }
 
-// shardLoop is one binning worker: accumulate batches, answer seals,
-// serve syncs and captures. All of the worker's mutable state is local to
-// this goroutine.
-func (s *Server) shardLoop(w *shardWorker) {
+// shardLoop is one shard: run batches through its partition, answer
+// seals, serve discards, syncs and captures. The partition's state is
+// local to this goroutine; what a batch asks of the watermark goes to the
+// coordinator through the shared cursors.
+func (s *Server) shardLoop(p *partition) {
 	defer s.shardWG.Done()
-	for m := range w.ch {
+	for m := range p.ch {
 		switch m.kind {
 		case msgBatch:
-			s.shardIngest(w, m.batch, *m.recs)
+			act, bin := p.ingest(m.batch, *m.recs, int(s.pendingObs.Load()))
 			recPool.Put(m.recs)
+			switch act {
+			case actRaise:
+				s.raiseObs(bin)
+			case actStranded:
+				s.resetBin.Store(int64(bin))
+				s.ringCoordBell()
+			}
 		case msgSeal:
-			bins := detachBins(w.bins, m.through)
-			if m.through > w.sealedThrough {
-				w.sealedThrough = m.through
-			}
-			w.sealed.Store(int64(w.sealedThrough))
-			w.binsOpen.Store(int64(len(w.bins)))
 			// Never blocks: mergeCh is sized for every outstanding epoch.
-			s.mergeCh <- sealReply{shard: w.id, epoch: m.epoch, bins: bins}
+			s.mergeCh <- sealReply{epoch: m.epoch, bins: p.seal(m.through)}
 		case msgDiscard:
-			if wild := discardWildBins(w.bins, m.through); wild > 0 {
-				s.ctr.wildRecords.Add(wild)
-				w.wildRecords.Add(wild)
-			}
-			w.binsOpen.Store(int64(len(w.bins)))
-			w.behindStreak = 0
+			p.discard(m.through)
 		case msgSync:
 			m.ack <- struct{}{}
 		case msgCapture:
-			m.snap <- shardStateOf(w.bins, w.seq, w.sealedThrough, w.behindStreak)
+			m.snap <- p.state()
 		case msgStop:
 			return
 		}
-	}
-}
-
-// shardIngest is the sharded counterpart of the synchronous IngestPacket
-// body after decode: sequence dedupe on the shard's own cursors, the
-// late/wild gates, and accumulation into the shard's partition. The bin
-// gate is the shard's sealedThrough — the local mirror of LastClosed that
-// makes "a sealed partition never reopens" a single-goroutine invariant.
-func (s *Server) shardIngest(w *shardWorker, b flowwire.Batch, recs []flowwire.Record) {
-	pc := &s.proto[b.Format]
-	if !s.sequenceCheck(w.seq, b) {
-		s.ctr.duplicates.Add(1)
-		w.duplicates.Add(1)
-		pc.duplicates.Add(1)
-		return
-	}
-	if int64(b.UnixSecs) < int64(s.cfg.Epoch) {
-		s.ctr.lateRecords.Add(uint64(len(recs)))
-		w.lateRecords.Add(uint64(len(recs)))
-		return
-	}
-	bin := int(int64(b.UnixSecs)-int64(s.cfg.Epoch)) / traffic.BinSeconds
-	if bin <= w.sealedThrough {
-		s.ctr.lateRecords.Add(uint64(len(recs)))
-		w.lateRecords.Add(uint64(len(recs)))
-		return
-	}
-	// Gate wild timestamps against the shared observation cursor, not the
-	// coordinator-published watermark: shards raise pendingObs synchronously
-	// as they accept traffic, while s.ctr.watermark only moves when the
-	// coordinator goroutine gets scheduled. On a starved scheduler the
-	// watermark can lag the live stream by more than MaxAhead bins, and
-	// gating on it would drop legitimate in-order traffic as wild. The
-	// security property is unchanged — pendingObs is raised only by
-	// accepted routable traffic, never by a packet this gate refuses.
-	obs := int(s.pendingObs.Load())
-	if obs >= 0 && bin > obs+s.cfg.MaxAhead {
-		s.ctr.wildRecords.Add(uint64(len(recs)))
-		w.wildRecords.Add(uint64(len(recs)))
-		return
-	}
-	accepted, unroutable, wild := s.accumulateInto(w.bins, bin, b, recs)
-	if unroutable > 0 {
-		s.ctr.unroutable.Add(uint64(unroutable))
-		w.unroutable.Add(uint64(unroutable))
-	}
-	if wild > 0 {
-		s.ctr.wildRecords.Add(uint64(wild))
-		w.wildRecords.Add(uint64(wild))
-	}
-	if accepted > 0 {
-		s.ctr.records.Add(uint64(accepted))
-		w.records.Add(uint64(accepted))
-		pc.records.Add(uint64(accepted))
-	}
-	w.binsOpen.Store(int64(len(w.bins)))
-	switch {
-	case accepted == 0:
-		// Only routable traffic gets a say in the watermark.
-	case bin > obs:
-		s.raiseObs(bin)
-		w.behindStreak = 0
-	case obs-bin > s.cfg.MaxAhead:
-		// Stranded-watermark quorum, per shard: the shard seeing the live
-		// stream is the one whose streak fills.
-		w.behindStreak++
-		if w.behindStreak >= watermarkQuorum {
-			s.resetBin.Store(int64(bin))
-			s.resetReq.Store(true)
-			s.ringCoordBell()
-			w.behindStreak = 0
-		}
-	default:
-		w.behindStreak = 0
 	}
 }
 
@@ -373,14 +210,12 @@ func (s *Server) ringCoordBell() {
 	}
 }
 
-// epochState is one outstanding seal epoch: the boundary it closes
-// through, how many shards still owe an answer, and the merged bins so
-// far. Each OD column is owned by one shard, so merging is elementwise
-// addition into disjoint cells — exact in float64 (the sums are integer
-// counts below 2^53).
+// epochState is one outstanding seal epoch: how many shards still owe an
+// answer, and the merged bins so far. Each OD column is owned by one
+// shard, so merging is elementwise addition into disjoint cells — exact in
+// float64 (the sums are integer counts below 2^53).
 type epochState struct {
 	id      uint64
-	through int
 	pending int
 	bins    map[int]*binAcc
 }
@@ -400,27 +235,21 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 		closedSince int
 	)
 	issueSeal := func(through int) {
-		ep := &epochState{id: nextEpoch, through: through, pending: len(s.shards), bins: map[int]*binAcc{}}
+		ep := &epochState{id: nextEpoch, pending: len(s.parts), bins: map[int]*binAcc{}}
 		nextEpoch++
 		epochs = append(epochs, ep)
-		for _, w := range s.shards {
-			w.ch <- shardMsg{kind: msgSeal, epoch: ep.id, through: through}
+		for _, p := range s.parts {
+			p.ch <- shardMsg{kind: msgSeal, epoch: ep.id, through: through}
 		}
 		sealTarget = through
 	}
 	finish := func(ep *epochState) {
-		if len(ep.bins) == 0 {
-			return
-		}
 		closed := make([]submittedBin, 0, len(ep.bins))
 		for bin, acc := range ep.bins {
 			closed = append(closed, submittedBin{bin, acc})
 		}
 		sort.Slice(closed, func(i, j int) bool { return closed[i].bin < closed[j].bin })
-		s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
-		s.ctr.binsClosed.Add(int64(len(closed)))
-		s.submit(closed)
-		closedSince += len(closed)
+		closedSince += s.closeBins(closed)
 	}
 	fold := func(rep sealReply) {
 		for _, ep := range epochs {
@@ -453,13 +282,23 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 			finish(ep)
 		}
 	}
+	drainEpochs := func() {
+		for len(epochs) > 0 {
+			fold(<-s.mergeCh)
+			completeReady()
+		}
+	}
 	step := func() {
-		if s.resetReq.CompareAndSwap(true, false) {
-			rb := int(s.resetBin.Load())
-			for _, w := range s.shards {
-				w.ch <- shardMsg{kind: msgDiscard, through: rb + s.cfg.MaxAhead}
+		if rb := int(s.resetBin.Swap(-1)); rb >= 0 {
+			// A partition may rewind its seal point only with no seal in
+			// flight (see partition.discard): complete every epoch first,
+			// so that lastClosed is the last bin submitted and nothing
+			// above it is on its way.
+			drainEpochs()
+			for _, p := range s.parts {
+				p.ch <- shardMsg{kind: msgDiscard, through: rb + s.cfg.MaxAhead}
 			}
-			watermark = rb
+			watermark, sealTarget = rb, int(s.ctr.lastClosed.Load())
 			s.ctr.watermark.Store(int64(rb))
 			s.pendingObs.Store(int64(rb))
 			s.ctr.watermarkResets.Add(1)
@@ -470,12 +309,6 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 		}
 		if through := watermark - s.cfg.Grace; through > sealTarget && len(epochs) < maxOutstandingEpochs {
 			issueSeal(through)
-		}
-	}
-	drainEpochs := func() {
-		for len(epochs) > 0 {
-			fold(<-s.mergeCh)
-			completeReady()
 		}
 	}
 	// settle brings the pipeline to a barrier — receivers paused, shard
@@ -494,28 +327,23 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 			drainEpochs()
 		}
 	}
-	// capture starts one sharded snapshot (the caller holds cpSlot): with
-	// the pipeline settled, the counters, every shard's partition state and
-	// the template caches all describe the same instant, and the barrier is
-	// injected right behind the last submitted bin. The pause lasts for the
-	// copy; the barrier's trip and the disk are waited for elsewhere.
-	capture := func(flush bool) *cpTicket {
+	// captureSettled starts one sharded snapshot (the caller holds cpSlot):
+	// with the pipeline settled, the counters, every shard's partition state
+	// and the template caches all describe the same instant, and the barrier
+	// is injected right behind the last submitted bin. The pause lasts for
+	// the copy; the barrier's trip and the disk are waited for elsewhere.
+	captureSettled := func(flush bool) *cpTicket {
 		settle(flush)
 		defer s.pauseMu.Unlock()
 		s.binsSinceCp.Add(int64(closedSince))
 		closedSince = 0
-		t := s.newTicket()
+		shards := make([]checkpoint.ShardState, len(s.parts))
 		snap := make(chan checkpoint.ShardState, 1)
-		for _, w := range s.shards {
-			w.ch <- shardMsg{kind: msgCapture, snap: snap}
-			t.st.Server.Shards = append(t.st.Server.Shards, <-snap)
+		for i, p := range s.parts {
+			p.ch <- shardMsg{kind: msgCapture, snap: snap}
+			shards[i] = <-snap
 		}
-		regs := make([]*flowwire.Registry, len(s.recvs))
-		for i, r := range s.recvs {
-			regs[i] = r.reg
-		}
-		t.st.Server.Templates = templatesOf(regs...)
-		return s.inject(t)
+		return s.capture(shards...)
 	}
 	for {
 		select {
@@ -533,7 +361,7 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 				s.pauseMu.Unlock()
 				close(msg.reply)
 			case ctlCapture:
-				msg.ticket <- capture(msg.flush)
+				msg.ticket <- captureSettled(msg.flush)
 			case ctlStop:
 				close(msg.reply)
 				return
@@ -542,7 +370,7 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 		if n := closedSince; n > 0 {
 			closedSince = 0
 			if s.cadenceDue(n) {
-				capture(false)
+				captureSettled(false)
 			}
 		}
 	}
@@ -551,11 +379,11 @@ func (s *Server) coordinate(watermark, sealTarget int) {
 // syncShards barriers every shard channel: when it returns, every batch
 // enqueued before the call has been folded into its shard's bins.
 func (s *Server) syncShards() {
-	ack := make(chan struct{}, len(s.shards))
-	for _, w := range s.shards {
-		w.ch <- shardMsg{kind: msgSync, ack: ack}
+	ack := make(chan struct{}, len(s.parts))
+	for _, p := range s.parts {
+		p.ch <- shardMsg{kind: msgSync, ack: ack}
 	}
-	for range s.shards {
+	for range s.parts {
 		<-ack
 	}
 }
@@ -573,17 +401,10 @@ func (s *Server) coordDo(kind int) {
 // deterministic stats; checkpoint capture settles the same way.
 func (s *Server) quiesce() { s.coordDo(ctlQuiesce) }
 
-// coordCapture has the coordinator start one snapshot (see capture in
-// coordinate) and returns its ticket. The caller holds cpSlot.
+// coordCapture has the coordinator start one snapshot (see
+// captureSettled in coordinate) and returns its ticket. The caller holds cpSlot.
 func (s *Server) coordCapture(flush bool) *cpTicket {
 	ticket := make(chan *cpTicket, 1)
 	s.coordCtl <- coordMsg{kind: ctlCapture, flush: flush, ticket: ticket}
 	return <-ticket
-}
-
-func (s *Server) stopShards() {
-	for _, w := range s.shards {
-		w.ch <- shardMsg{kind: msgStop}
-	}
-	s.shardWG.Wait()
 }

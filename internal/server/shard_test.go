@@ -14,15 +14,14 @@ import (
 
 	"netwide"
 	"netwide/internal/flowwire"
-	"netwide/internal/netflow"
 	"netwide/internal/traffic"
 )
 
 // enginePkt is pkt with a chosen export engine, for tests that need
 // traffic landing on specific shards.
-func enginePkt(t *testing.T, engine uint8, seq uint32, bin int, recs []netflow.Record) []byte {
+func enginePkt(t *testing.T, engine uint8, seq uint32, bin int, recs []flowwire.Flow) []byte {
 	t.Helper()
-	b, err := netflow.EncodePacket(netflow.Header{
+	b, err := flowwire.EncodeV5Packet(flowwire.V5Header{
 		UnixSecs:     uint32(bin) * traffic.BinSeconds,
 		FlowSequence: seq,
 		EngineID:     engine,
