@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"netwide"
-	"netwide/internal/core"
 	"netwide/internal/dataset"
 	"netwide/internal/engine"
 	"netwide/internal/mat"
@@ -117,15 +116,23 @@ func BenchmarkDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkSubspaceAnalyze isolates the core numeric kernel on the byte
-// matrix (experiment E1's inner loop).
+// BenchmarkSubspaceAnalyze isolates the numeric kernel on the byte matrix
+// (experiment E1's inner loop): one fit, then every bin scored against it.
 func BenchmarkSubspaceAnalyze(b *testing.B) {
 	run := benchSetup(b)
 	x := run.Dataset().Matrix(dataset.Bytes)
+	rows := make([][]float64, x.Rows())
+	for j := range rows {
+		rows[j] = x.RowView(j)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(x, core.DefaultOptions()); err != nil {
+		model, err := engine.Fit(x, engine.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := model.ScoreBatch(rows, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,16 +280,15 @@ func BenchmarkBaselines(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlineScoreSerial is the pre-pipeline baseline (E10): the whole
-// week replayed one vector at a time through the three per-measure
-// OnlineDetectors on a single goroutine. Compare with
+// BenchmarkScoreSerial is the pre-pipeline baseline (E10): the whole week
+// scored one vector at a time against the three per-measure models
+// (engine.Model.Score) on a single goroutine. Compare with
 // BenchmarkStreamDetect; both report one full 3-measure week per op.
-func BenchmarkOnlineScoreSerial(b *testing.B) {
+func BenchmarkScoreSerial(b *testing.B) {
 	run := benchSetup(b)
-	opts := netwide.DefaultDetectOptions()
-	dets := make([]*netwide.OnlineDetector, 0, 3)
-	for _, m := range []string{"B", "P", "F"} {
-		d, err := run.NewOnlineDetector(m, opts)
+	dets := make([]*engine.Model, 0, 3)
+	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
+		d, err := engine.Fit(run.Dataset().Matrix(m), engine.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

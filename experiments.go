@@ -8,10 +8,9 @@ import (
 
 	"netwide/internal/baseline"
 	"netwide/internal/classify"
-	"netwide/internal/core"
 	"netwide/internal/dataset"
+	"netwide/internal/engine"
 	"netwide/internal/events"
-	"netwide/internal/identify"
 	"netwide/internal/routing"
 	"netwide/internal/stats"
 	"netwide/internal/traffic"
@@ -46,14 +45,18 @@ func (r *Run) Figure1(startBin, bins int) ([dataset.NumMeasures]Figure1Series, e
 	}
 	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
 		res := r.results[m]
-		out[m] = Figure1Series{
+		s := Figure1Series{
 			Measure: m.String(),
-			State:   res.State[startBin:end],
-			SPE:     res.SPE[startBin:end],
-			QLimit:  res.QLimit,
-			T2:      res.T2[startBin:end],
-			T2Limit: res.T2Limit,
+			State:   res.state[startBin:end],
+			SPE:     make([]float64, bins),
+			QLimit:  res.qLimit,
+			T2:      make([]float64, bins),
+			T2Limit: res.t2Limit,
 		}
+		for i, pt := range res.points[startBin:end] {
+			s.SPE[i], s.T2[i] = pt.SPE, pt.T2
+		}
+		out[m] = s
 	}
 	return out, nil
 }
@@ -319,11 +322,11 @@ func (r *Run) ablate(k int, alpha float64, useT2 bool) (AblationPoint, error) {
 	}
 	pt := AblationPoint{K: k, Alpha: alpha, UseT2: useT2}
 	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-		for _, a := range sub.results[m].Alarms {
-			switch a.Stat {
-			case core.StatSPE:
+		for _, p := range sub.results[m].points {
+			if p.SPEAlarm {
 				pt.SPEAlarmBins++
-			case core.StatT2:
+			}
+			if p.T2Alarm {
 				pt.T2AlarmBins++
 			}
 		}
@@ -333,8 +336,8 @@ func (r *Run) ablate(k int, alpha float64, useT2 bool) (AblationPoint, error) {
 		// Rebuild events from SPE-only detections.
 		var dets []events.Detection
 		for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-			for _, att := range identify.Attribute(sub.results[m]) {
-				if att.Alarm.Stat == core.StatSPE {
+			for _, att := range sub.results[m].attribs {
+				if att.Alarm.Stat == engine.StatSPE {
 					dets = append(dets, events.Detection{Measure: m, Bin: att.Alarm.Bin, ODs: att.ODs, Residuals: att.Residuals})
 				}
 			}
@@ -462,8 +465,10 @@ func (r *Run) Baselines() ([]BaselineScore, error) {
 		if r.results[m] == nil {
 			continue
 		}
-		for _, b := range r.results[m].AlarmBins() {
-			bins[b] = true
+		for b, pt := range r.results[m].points {
+			if pt.SPEAlarm || pt.T2Alarm {
+				bins[b] = true
+			}
 		}
 	}
 	out = append(out, scoreAlarms("subspace(B,P,F)", bins))

@@ -1,10 +1,6 @@
 package netwide_test
 
-import (
-	"testing"
-
-	"netwide"
-)
+import "testing"
 
 func TestAblationShapes(t *testing.T) {
 	run := quickRun(t)
@@ -64,35 +60,6 @@ func TestBaselinesComparison(t *testing.T) {
 	// single-link detection.
 	if subspace <= ewma {
 		t.Fatalf("subspace recall %v should beat per-link EWMA %v", subspace, ewma)
-	}
-}
-
-func TestOnlineDetectorFacade(t *testing.T) {
-	run := quickRun(t)
-	od, err := run.NewOnlineDetector("P", netwide.DefaultDetectOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.NewOnlineDetector("X", netwide.DefaultDetectOptions()); err == nil {
-		t.Fatal("bad measure accepted")
-	}
-	// Score a mid-week packet vector: statistics present, OD named.
-	x := run.Dataset().Matrix(1).Row(1000)
-	pt, err := od.Score(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.SPE <= 0 || pt.T2 < 0 || pt.TopOD == "" {
-		t.Fatalf("bad point %+v", pt)
-	}
-	// A gross injection must alarm.
-	x[5] += 1e7
-	pt, err = od.Score(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pt.SPEAlarm && !pt.T2Alarm {
-		t.Fatal("gross anomaly not alarmed online")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"math"
 	"testing"
 
-	"netwide/internal/core"
+	"netwide/internal/engine"
 	"netwide/internal/topology"
 )
 
@@ -161,19 +161,34 @@ func TestSyntheticEndToEnd100(t *testing.T) {
 	if d.RawRecords == 0 {
 		t.Fatal("pipeline produced no flow records")
 	}
-	res, err := core.Analyze(d.Matrix(Bytes), core.DefaultOptions())
+	x := d.Matrix(Bytes)
+	model, err := engine.Fit(x, engine.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	alarmBins := res.AlarmBins()
-	if len(alarmBins) == 0 {
+	rows := make([][]float64, x.Rows())
+	for j := range rows {
+		rows[j] = x.RowView(j)
+	}
+	pts, err := model.ScoreBatch(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spes := make([]float64, len(pts))
+	alarms := 0
+	for j, pt := range pts {
+		spes[j] = pt.SPE
+		if pt.SPEAlarm || pt.T2Alarm {
+			alarms++
+		}
+	}
+	if alarms == 0 {
 		t.Fatal("no alarms over a week with the default anomaly schedule")
 	}
 	// The injected byte-heavy anomalies must be visible: for most alpha
 	// flows (the strongest byte signal), the SPE inside the injected window
 	// has to beat the run's median SPE.
-	spes := append([]float64(nil), res.SPE...)
-	median := quickMedian(spes)
+	median := quickMedian(append([]float64(nil), spes...))
 	hits, total := 0, 0
 	for _, inj := range d.Ledger.Injectors {
 		s := inj.Spec()
@@ -181,8 +196,8 @@ func TestSyntheticEndToEnd100(t *testing.T) {
 			continue
 		}
 		total++
-		for b := s.StartBin; b <= s.EndBin && b < len(res.SPE); b++ {
-			if res.SPE[b] > median {
+		for b := s.StartBin; b <= s.EndBin && b < len(spes); b++ {
+			if spes[b] > median {
 				hits++
 				break
 			}

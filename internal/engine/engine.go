@@ -1,8 +1,30 @@
-// Package engine is the single shared implementation of the subspace
-// detection model. Every detection path in the repository — the batch
-// analysis (core.Analyze), the one-vector-at-a-time online detector
-// (core.OnlineDetector) and the concurrent streaming pipeline
-// (stream.Pipeline) — is an adapter over one *Model fitted here.
+// Package engine is the single implementation of the subspace method for
+// network-wide anomaly detection (Lakhina, Crovella, Diot), extended from
+// link data to OD-flow traffic as in the paper. Given the multivariate
+// timeseries X (n timebins x p OD flows) of one traffic type (bytes,
+// packets or IP-flows), the method:
+//
+//  1. extracts the common temporal patterns (eigenflows) by PCA;
+//  2. designates the span of the top k eigenflows as the normal subspace
+//     and the remainder as the anomalous subspace (k = 4 throughout the
+//     paper);
+//  3. splits each traffic vector x = x̂ + x̃ into modeled and residual
+//     parts;
+//  4. flags timebins where the squared prediction error ‖x̃‖² exceeds the
+//     Jackson–Mudholkar Q-statistic threshold δ²_α; and
+//  5. additionally flags timebins whose normal-subspace T² statistic
+//     exceeds the Hotelling limit — the paper's extension for anomalies so
+//     large (or so widespread) that PCA pulls them into a top eigenflow,
+//     where the Q-statistic cannot see them.
+//
+// On the T² scaling: the paper writes t²_j = Σ_{i=1..k} u²_{ij} over
+// unit-norm eigenflows and compares against (k(n-1)/(n-k))·F_{k,n-k,α}.
+// That control limit applies to the variance-normalized statistic
+// Σ score²_{ij}/λ_i = n·Σ u²_{ij} of the statistical process control
+// literature, so ScoreBatch computes the normalized form.
+//
+// Every detection path — the batch Run.Detect and the concurrent streaming
+// pipeline (stream.Pipeline) — scores through one *Model fitted here.
 //
 // A Model is an immutable generation of the method's state: the PCA of a
 // training window (full Jacobi eigendecomposition where affordable, block
@@ -368,88 +390,38 @@ func (m *Model) FitWarning() error {
 // Refit generations return nil.
 func (m *Model) Train() *mat.Matrix { return m.train }
 
-// ReleaseTrain drops the retained training window. Adapters that never
-// read Train (the serial online detector, the batch analysis) call it so
-// a long-lived model does not pin a transient training matrix.
-func (m *Model) ReleaseTrain() { m.train = nil }
-
-// Score evaluates one traffic vector x (length = number of OD flows).
+// Score evaluates one traffic vector x (length = number of OD flows): a
+// one-row ScoreBatch.
 func (m *Model) Score(x []float64) (Point, error) {
-	p := m.pca.P()
-	if len(x) != p {
-		return Point{}, fmt.Errorf("engine: vector length %d, want %d", len(x), p)
+	pts, err := m.ScoreBatch([][]float64{x}, nil)
+	if err != nil {
+		return Point{}, err
 	}
-	// Center.
-	xc := make([]float64, p)
-	for i, v := range x {
-		xc[i] = v - m.pca.Mean[i]
-	}
-	// Scores on the top-k axes and T².
-	var pt Point
-	proj := make([]float64, p) // modeled part accumulated across axes
-	for i := 0; i < m.opts.K; i++ {
-		var s float64
-		for f := 0; f < p; f++ {
-			s += xc[f] * m.pca.Components.At(f, i)
-		}
-		if l := m.pca.Eigenvalues[i]; l > 0 {
-			pt.T2 += s * s / l
-		}
-		for f := 0; f < p; f++ {
-			proj[f] += s * m.pca.Components.At(f, i)
-		}
-	}
-	best, bestSq := 0, 0.0
-	for f := 0; f < p; f++ {
-		r := xc[f] - proj[f]
-		sq := r * r
-		pt.SPE += sq
-		if sq > bestSq {
-			best, bestSq = f, sq
-		}
-	}
-	pt.TopResidualOD = best
-	pt.SPEAlarm = pt.SPE > m.qLimit
-	pt.T2Alarm = pt.T2 > m.t2Limit
-	return pt, nil
+	return pts[0], nil
 }
 
 // ScoreBatch evaluates a batch of traffic vectors in one pass, appending
-// the verdicts to dst (which may be nil) and returning it. The batch is
-// staged as an m x p matrix so the subspace projection becomes two dense
-// products on the cached normal-subspace basis — tight slice loops instead
-// of Score's per-element accessor arithmetic, and parallel across
-// mat.Workers() goroutines when the batch is large enough. Results are in
-// input order and numerically identical to scoring each vector alone.
+// the verdicts to dst (which may be nil) and returning it — the one place
+// the SPE and T² statistics are computed. Results are in input order and
+// bit-identical to scoring each vector alone (see project).
 func (m *Model) ScoreBatch(xs [][]float64, dst []Point) ([]Point, error) {
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return dst, nil
 	}
-	p, k := m.pca.P(), m.opts.K
-	xc := mat.New(n, p)
-	for i, x := range xs {
-		if len(x) != p {
-			return dst, fmt.Errorf("engine: batch vector %d length %d, want %d", i, len(x), p)
-		}
-		row := xc.RowView(i)
-		for f, v := range x {
-			row[f] = v - m.pca.Mean[f]
-		}
+	xc, scores, proj, err := m.project(xs)
+	if err != nil {
+		return dst, err
 	}
-	scores := mat.Mul(xc, m.vk)    // n x k: coordinates in the normal subspace
-	proj := mat.Mul(scores, m.vkT) // n x p: modeled part of each vector
-	for i := 0; i < n; i++ {
+	for i := range xs {
 		var pt Point
-		srow := scores.RowView(i)
-		for j := 0; j < k; j++ {
+		for j, s := range scores.RowView(i) {
 			if l := m.pca.Eigenvalues[j]; l > 0 {
-				pt.T2 += srow[j] * srow[j] / l
+				pt.T2 += s * s / l
 			}
 		}
-		xrow, prow := xc.RowView(i), proj.RowView(i)
+		prow := proj.RowView(i)
 		best, bestSq := 0, 0.0
-		for f, v := range xrow {
+		for f, v := range xc.RowView(i) {
 			r := v - prow[f]
 			sq := r * r
 			pt.SPE += sq
@@ -466,27 +438,39 @@ func (m *Model) ScoreBatch(xs [][]float64, dst []Point) ([]Point, error) {
 }
 
 // Split decomposes one traffic vector into its modeled (normal-subspace
-// projection) and residual parts, both in the centered coordinate frame —
-// the per-vector form of PCA.ProjectionSplit, used by live anomaly
-// attribution. The products run in the same order as ScoreBatch, so the
-// residual is bit-identical to the batch analysis residual of the same
-// vector under the same model.
+// projection) and residual parts, both in the centered coordinate frame,
+// for anomaly attribution: the residual ScoreBatch's SPE sums.
 func (m *Model) Split(x []float64) (modeled, residual []float64, err error) {
-	p := m.pca.P()
-	if len(x) != p {
-		return nil, nil, fmt.Errorf("engine: vector length %d, want %d", len(x), p)
+	xc, _, proj, err := m.project([][]float64{x})
+	if err != nil {
+		return nil, nil, err
 	}
-	xc := mat.New(1, p)
-	row := xc.RowView(0)
-	for f, v := range x {
-		row[f] = v - m.pca.Mean[f]
-	}
-	scores := mat.Mul(xc, m.vk)
-	proj := mat.Mul(scores, m.vkT)
-	modeled = proj.RowView(0)
-	residual = make([]float64, p)
-	for f, v := range row {
-		residual[f] = v - modeled[f]
+	modeled, residual = proj.RowView(0), xc.RowView(0)
+	for f, v := range modeled {
+		residual[f] -= v
 	}
 	return modeled, residual, nil
+}
+
+// project centers a batch of traffic vectors and applies the normal
+// subspace as two dense products on the cached basis: the centered
+// vectors xc (n x p), their coordinates in the subspace (n x k) and their
+// modeled part (n x p). The products split rows across mat.Workers()
+// goroutines when the batch is large enough, each row computed by one
+// goroutine in a fixed order, so a row's result is bit-identical at every
+// batch size and worker count.
+func (m *Model) project(xs [][]float64) (xc, scores, proj *mat.Matrix, err error) {
+	p := m.pca.P()
+	xc = mat.New(len(xs), p)
+	for i, x := range xs {
+		if len(x) != p {
+			return nil, nil, nil, fmt.Errorf("engine: vector %d length %d, want %d", i, len(x), p)
+		}
+		row := xc.RowView(i)
+		for f, v := range x {
+			row[f] = v - m.pca.Mean[f]
+		}
+	}
+	scores = mat.Mul(xc, m.vk)
+	return xc, scores, mat.Mul(scores, m.vkT), nil
 }

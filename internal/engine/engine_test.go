@@ -86,6 +86,102 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 	}
 }
 
+// TestScoreBatchEdgeCases: dst is appended to, a wrong-length vector is
+// rejected, and an empty batch is a no-op.
+func TestScoreBatchEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	train := synthTraffic(rng, 400, 10, 2)
+	m, err := Fit(train, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := [][]float64{train.Row(0), train.Row(5), train.Row(10)}
+	got, err := m.ScoreBatch(xs, nil)
+	if err != nil || len(got) != len(xs) {
+		t.Fatalf("batch: %d points, %v", len(got), err)
+	}
+	// Reusing dst appends after existing entries.
+	if again, err := m.ScoreBatch(xs[:2], got[:0]); err != nil || len(again) != 2 {
+		t.Fatalf("dst reuse: %d points, %v", len(again), err)
+	}
+	// Bad vector length is rejected; empty batch is a no-op.
+	if _, err := m.ScoreBatch([][]float64{make([]float64, 3)}, nil); err == nil {
+		t.Fatal("short vector accepted in batch")
+	}
+	if out, err := m.ScoreBatch(nil, nil); err != nil || out != nil {
+		t.Fatalf("empty batch: %v %v", out, err)
+	}
+}
+
+// refScore is Score's own per-vector arithmetic from before Score became a
+// one-row ScoreBatch, kept as the oracle: accessor loops over the top-k
+// components, the modeled part accumulated axis by axis.
+func refScore(m *Model, x []float64) Point {
+	p := m.pca.P()
+	xc := make([]float64, p)
+	for i, v := range x {
+		xc[i] = v - m.pca.Mean[i]
+	}
+	var pt Point
+	proj := make([]float64, p)
+	for i := 0; i < m.opts.K; i++ {
+		var s float64
+		for f := 0; f < p; f++ {
+			s += xc[f] * m.pca.Components.At(f, i)
+		}
+		if l := m.pca.Eigenvalues[i]; l > 0 {
+			pt.T2 += s * s / l
+		}
+		for f := 0; f < p; f++ {
+			proj[f] += s * m.pca.Components.At(f, i)
+		}
+	}
+	best, bestSq := 0, 0.0
+	for f := 0; f < p; f++ {
+		r := xc[f] - proj[f]
+		sq := r * r
+		pt.SPE += sq
+		if sq > bestSq {
+			best, bestSq = f, sq
+		}
+	}
+	pt.TopResidualOD = best
+	pt.SPEAlarm = pt.SPE > m.qLimit
+	pt.T2Alarm = pt.T2 > m.t2Limit
+	return pt
+}
+
+// TestScoreMatchesReference: Score agrees with refScore bit for bit, on
+// the full-PCA path and the partial one, in and out of sample.
+func TestScoreMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	for _, shape := range [][2]int{{400, 10}, {300, 121}, {120, 600}} {
+		train := synthTraffic(rng, shape[0], shape[1], 2)
+		m, err := Fit(train, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bin := 0; bin < shape[0]; bin += 7 {
+			x := train.Row(bin)
+			if bin%3 == 0 {
+				x[bin%len(x)] += 50 * float64(bin%11)
+			}
+			got, err := m.Score(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refScore(m, x)
+			if math.Float64bits(got.SPE) != math.Float64bits(want.SPE) ||
+				math.Float64bits(got.T2) != math.Float64bits(want.T2) || got != want {
+				t.Fatalf("%dx%d bin %d: Score %+v, reference %+v", shape[0], shape[1], bin, got, want)
+			}
+		}
+		if _, err := m.Score(make([]float64, 3)); err == nil {
+			t.Fatal("short vector accepted")
+		}
+	}
+}
+
 func TestSplitReconstructsVector(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	train := synthTraffic(rng, 300, 12, 2)

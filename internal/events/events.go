@@ -3,7 +3,9 @@
 // (traffic type, time, OD flow); triples sharing a time value merge across
 // traffic types into the composite categories BP, BF, FP and BFP; triples
 // are then grouped in space (all OD flows of the same type and time) and in
-// time (consecutive time bins of the same type).
+// time (consecutive time bins of the same type). One implementation,
+// Aggregator, runs those steps bin by bin: the streaming detector feeds it
+// live, and Aggregate drives it over a whole run.
 package events
 
 import (
@@ -108,108 +110,32 @@ func (e Event) String() string {
 }
 
 // Aggregate performs the paper's three aggregation steps over the
-// detections of all three traffic types.
-//
-// Temporal merging requires consecutive bins with the same measure set and
-// overlapping OD sets; the OD-overlap condition (implicit in the paper's
-// "group triples to form anomalies") prevents unrelated same-type anomalies
-// that happen to abut in time from fusing.
+// detections of all three traffic types, in any order: it feeds them to an
+// Aggregator in bin order (a bin's detections in their input order),
+// flushes it, and returns the events ordered by (StartBin, Measures).
 func Aggregate(dets []Detection) []Event {
-	// Step 1+2: measure set and residuals per (bin, od).
-	type cell struct {
-		set MeasureSet
-		res float64
+	byBin := append([]Detection(nil), dets...)
+	sort.SliceStable(byBin, func(i, j int) bool { return byBin[i].Bin < byBin[j].Bin })
+	agg := NewAggregator()
+	var out []Event
+	for i := range byBin {
+		out = append(out, agg.Add(byBin[i].Bin, byBin[i:i+1])...)
 	}
-	cells := map[[2]int]*cell{}
-	for _, d := range dets {
-		for i, od := range d.ODs {
-			key := [2]int{d.Bin, od}
-			c := cells[key]
-			if c == nil {
-				c = &cell{}
-				cells[key] = c
-			}
-			c.set = c.set.With(d.Measure)
-			if i < len(d.Residuals) {
-				c.res += d.Residuals[i]
-			}
-		}
-	}
-
-	// Step 3 (space): group cells by (bin, measure set).
-	type groupKey struct {
-		bin int
-		set MeasureSet
-	}
-	groups := map[groupKey]*Event{}
-	for key, c := range cells {
-		gk := groupKey{bin: key[0], set: c.set}
-		ev := groups[gk]
-		if ev == nil {
-			ev = &Event{Measures: c.set, StartBin: key[0], EndBin: key[0], ODResidual: map[int]float64{}}
-			groups[gk] = ev
-		}
-		ev.ODResidual[key[1]] += c.res
-	}
-	// Order groups by (bin, set) for deterministic temporal merging.
-	keys := make([]groupKey, 0, len(groups))
-	for gk := range groups {
-		keys = append(keys, gk)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].bin != keys[j].bin {
-			return keys[i].bin < keys[j].bin
-		}
-		return keys[i].set < keys[j].set
-	})
-
-	// Step 4 (time): merge a group into the latest open event with the
-	// same measure set, adjacent bins and overlapping ODs.
-	var out []*Event
-	open := map[MeasureSet][]*Event{} // events whose EndBin might still extend
-	for _, gk := range keys {
-		g := groups[gk]
-		merged := false
-		for _, ev := range open[gk.set] {
-			if gk.bin == ev.EndBin+1 && overlaps(ev.ODResidual, g.ODResidual) {
-				ev.EndBin = gk.bin
-				for od, r := range g.ODResidual {
-					ev.ODResidual[od] += r
-				}
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			out = append(out, g)
-			open[gk.set] = append(open[gk.set], g)
-		}
-		// Drop events that can no longer extend.
-		live := open[gk.set][:0]
-		for _, ev := range open[gk.set] {
-			if ev.EndBin >= gk.bin-1 {
-				live = append(live, ev)
-			}
-		}
-		open[gk.set] = live
-	}
-
-	return finalize(out)
+	out = append(out, agg.Flush()...)
+	sortEvents(out)
+	return out
 }
 
-// Aggregator is the incremental form of Aggregate for streaming
-// detection: detections are fed one bin at a time (bins non-decreasing),
-// and events are returned as soon as they can no longer extend — an event
-// with EndBin e closes once a bin beyond e+1 has been observed, since
-// temporal merging requires consecutive bins.
-//
-// Fed the same detections in bin order, Aggregator produces exactly the
-// events of Aggregate (ordering aside: Aggregate sorts globally, the
-// Aggregator emits in close order). The streaming characterization parity
-// test pins this equivalence on a full scenario run.
+// Aggregator runs the paper's aggregation steps incrementally: detections
+// are fed one bin at a time (bins non-decreasing), and events are returned
+// as soon as they can no longer extend — an event with EndBin e closes once
+// a bin beyond e+1 has been observed, since temporal merging requires
+// consecutive bins. It is the one implementation of the merging: the
+// streaming detector feeds it live, and Aggregate drives it over a whole
+// run.
 type Aggregator struct {
-	// open holds events that might still extend, in creation order (the
-	// order Aggregate's merge loop scans, so merge ties resolve the same).
+	// open holds events that might still extend, in creation order (merge
+	// ties resolve by scan order).
 	open []*Event
 	// curBin's detections are buffered in curDets until a later bin (or
 	// Flush) proves the bin complete: cell-level measure-set merging needs
@@ -268,8 +194,7 @@ func (a *Aggregator) ingest() {
 		return
 	}
 
-	// Steps 1+2 of Aggregate, restricted to one bin: measure set and
-	// summed residual per OD.
+	// Steps 1+2 (measures): measure set and summed residual per OD.
 	type cell struct {
 		set MeasureSet
 		res float64
@@ -307,8 +232,9 @@ func (a *Aggregator) ingest() {
 
 	// Step 4 (time): merge each group into the first open event with the
 	// same measure set, adjacent bins and overlapping ODs, else open a new
-	// event — the same scan Aggregate runs over its (bin, set)-sorted
-	// groups.
+	// event. The OD-overlap condition (implicit in the paper's "group
+	// triples to form anomalies") keeps unrelated same-type anomalies that
+	// happen to abut in time from fusing.
 	for _, set := range sets {
 		g := groups[set]
 		merged := false
@@ -444,7 +370,7 @@ func (a *Aggregator) closeBefore(bin int) []Event {
 }
 
 // finalize fills the sorted OD list of each event and orders the batch by
-// (StartBin, Measures), matching Aggregate's output order.
+// (StartBin, Measures).
 func finalize(evs []*Event) []Event {
 	if len(evs) == 0 {
 		return nil
@@ -459,13 +385,19 @@ func finalize(evs []*Event) []Event {
 		}
 		out[i] = *ev
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].StartBin != out[j].StartBin {
-			return out[i].StartBin < out[j].StartBin
-		}
-		return out[i].Measures < out[j].Measures
-	})
+	sortEvents(out)
 	return out
+}
+
+// sortEvents orders events by (StartBin, Measures) — a total order, since
+// one bin opens at most one event per measure set.
+func sortEvents(evs []Event) {
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].StartBin != evs[j].StartBin {
+			return evs[i].StartBin < evs[j].StartBin
+		}
+		return evs[i].Measures < evs[j].Measures
+	})
 }
 
 func overlaps(a, b map[int]float64) bool {

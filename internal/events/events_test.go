@@ -2,6 +2,7 @@ package events
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -239,6 +240,129 @@ func TestAggregatorMatchesAggregate(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refAggregate is Aggregate's whole-run body from before Aggregate became a
+// driver over the Aggregator, kept as the oracle: cells keyed by (bin, od),
+// grouped by (bin, measure set), merged in time over the (bin, set)-sorted
+// groups.
+func refAggregate(dets []Detection) []Event {
+	// Step 1+2: measure set and residuals per (bin, od).
+	type cell struct {
+		set MeasureSet
+		res float64
+	}
+	cells := map[[2]int]*cell{}
+	for _, d := range dets {
+		for i, od := range d.ODs {
+			key := [2]int{d.Bin, od}
+			c := cells[key]
+			if c == nil {
+				c = &cell{}
+				cells[key] = c
+			}
+			c.set = c.set.With(d.Measure)
+			if i < len(d.Residuals) {
+				c.res += d.Residuals[i]
+			}
+		}
+	}
+
+	// Step 3 (space): group cells by (bin, measure set).
+	type groupKey struct {
+		bin int
+		set MeasureSet
+	}
+	groups := map[groupKey]*Event{}
+	for key, c := range cells {
+		gk := groupKey{bin: key[0], set: c.set}
+		ev := groups[gk]
+		if ev == nil {
+			ev = &Event{Measures: c.set, StartBin: key[0], EndBin: key[0], ODResidual: map[int]float64{}}
+			groups[gk] = ev
+		}
+		ev.ODResidual[key[1]] += c.res
+	}
+	// Order groups by (bin, set) for deterministic temporal merging.
+	keys := make([]groupKey, 0, len(groups))
+	for gk := range groups {
+		keys = append(keys, gk)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].bin != keys[j].bin {
+			return keys[i].bin < keys[j].bin
+		}
+		return keys[i].set < keys[j].set
+	})
+
+	// Step 4 (time): merge a group into the latest open event with the
+	// same measure set, adjacent bins and overlapping ODs.
+	var out []*Event
+	open := map[MeasureSet][]*Event{} // events whose EndBin might still extend
+	for _, gk := range keys {
+		g := groups[gk]
+		merged := false
+		for _, ev := range open[gk.set] {
+			if gk.bin == ev.EndBin+1 && overlaps(ev.ODResidual, g.ODResidual) {
+				ev.EndBin = gk.bin
+				for od, r := range g.ODResidual {
+					ev.ODResidual[od] += r
+				}
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			out = append(out, g)
+			open[gk.set] = append(open[gk.set], g)
+		}
+		// Drop events that can no longer extend.
+		live := open[gk.set][:0]
+		for _, ev := range open[gk.set] {
+			if ev.EndBin >= gk.bin-1 {
+				live = append(live, ev)
+			}
+		}
+		open[gk.set] = live
+	}
+
+	return finalize(out)
+}
+
+// sameEvents fails the test unless got and want hold the same events in the
+// same order, residuals compared bit for bit.
+func sameEvents(t *testing.T, what string, got, want []Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d events, reference %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if eventKey(got[i]) != eventKey(want[i]) || len(got[i].ODResidual) != len(want[i].ODResidual) {
+			t.Fatalf("%s event %d:\n got       %s\n reference %s", what, i, eventKey(got[i]), eventKey(want[i]))
+		}
+		for od, r := range want[i].ODResidual {
+			if math.Float64bits(got[i].ODResidual[od]) != math.Float64bits(r) {
+				t.Fatalf("%s event %d od %d: residual %v vs %v", what, i, od, got[i].ODResidual[od], r)
+			}
+		}
+	}
+}
+
+// TestAggregateMatchesReference: on random multi-measure detection streams,
+// fed in bin order and shuffled across bins, Aggregate returns exactly
+// refAggregate's events.
+func TestAggregateMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		dets := randomDetections(seed, 200)
+		want := refAggregate(dets)
+		sameEvents(t, fmt.Sprintf("seed %d", seed), Aggregate(dets), want)
+		// Aggregate takes detections in any bin order; within a bin the
+		// input order is the residual summation order, as in the reference.
+		shuffled := append([]Detection(nil), dets...)
+		rng := rand.New(rand.NewPCG(seed, 7))
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		sameEvents(t, fmt.Sprintf("seed %d shuffled", seed), Aggregate(shuffled), refAggregate(shuffled))
 	}
 }
 

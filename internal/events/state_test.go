@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
-	"sort"
 	"testing"
 )
 
@@ -144,13 +143,4 @@ func TestRestoreAggregatorRejectsCorruptState(t *testing.T) {
 	if _, err := RestoreAggregator(good()); err != nil {
 		t.Fatalf("pristine state rejected: %v", err)
 	}
-}
-
-func sortEvents(evs []Event) {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].StartBin != evs[j].StartBin {
-			return evs[i].StartBin < evs[j].StartBin
-		}
-		return evs[i].Measures < evs[j].Measures
-	})
 }

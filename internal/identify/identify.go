@@ -8,23 +8,22 @@
 // exact whenever one flow dominates the statistic (the common case) and
 // near-minimal otherwise.
 //
-// Two entry points share one greedy core: Attribute walks the alarms of a
-// batch analysis (core.Result), and AttributeLive attributes a single
-// streamed vector against the engine model generation that scored it —
-// the identification step of the streaming characterization chain.
+// AttributeLive attributes one scored traffic vector against the model
+// generation that scored it. It is the identification step of the one
+// detection chain: the streaming lanes call it per alarmed bin, and the
+// batch Run.Detect calls it on every alarmed row of the whole-run fit.
 package identify
 
 import (
 	"sort"
 
-	"netwide/internal/core"
 	"netwide/internal/engine"
 	"netwide/internal/mat"
 )
 
 // Attribution is the outcome for one alarm.
 type Attribution struct {
-	Alarm core.Alarm
+	Alarm engine.Alarm
 	// ODs are the column indexes (OD-pair indexes) whose removal brings
 	// the statistic under its threshold, in decreasing order of
 	// contribution.
@@ -40,29 +39,10 @@ type Attribution struct {
 // classification.
 const MaxODsPerAlarm = 24
 
-// Attribute identifies the responsible OD flows for every alarm of a
-// subspace result.
-func Attribute(r *core.Result) []Attribution {
-	out := make([]Attribution, 0, len(r.Alarms))
-	for _, a := range r.Alarms {
-		var att Attribution
-		switch a.Stat {
-		case core.StatSPE:
-			att = attributeSPE(r, a)
-		case core.StatT2:
-			att = attributeT2(r, a)
-		}
-		out = append(out, att)
-	}
-	return out
-}
-
-// AttributeLive attributes one streamed, already-scored traffic vector
-// against the model generation that scored it, returning one Attribution
-// per alarmed statistic (nil when the vector is clean). The vector is
-// decomposed with engine.Model.Split, whose residual is bit-identical to
-// the batch analysis residual under the same model, so live attributions
-// match Attribute on a replayed run.
+// AttributeLive attributes one already-scored traffic vector against the
+// model generation that scored it, returning one Attribution per alarmed
+// statistic (nil when the vector is clean). The vector is decomposed with
+// engine.Model.Split, whose residual is the one the SPE was summed over.
 func AttributeLive(m *engine.Model, bin int, x []float64, pt engine.Point) ([]Attribution, error) {
 	if !pt.SPEAlarm && !pt.T2Alarm {
 		return nil, nil
@@ -74,14 +54,13 @@ func AttributeLive(m *engine.Model, bin int, x []float64, pt engine.Point) ([]At
 	qLimit, t2Limit := m.Limits()
 	var out []Attribution
 	if pt.SPEAlarm {
-		a := core.Alarm{Bin: bin, Stat: core.StatSPE, Value: pt.SPE, Limit: qLimit}
+		a := engine.Alarm{Bin: bin, Stat: engine.StatSPE, Value: pt.SPE, Limit: qLimit}
 		ods, res := speFlows(residual, pt.SPE, qLimit)
 		out = append(out, Attribution{Alarm: a, ODs: ods, Residuals: res})
 	}
 	if pt.T2Alarm {
-		a := core.Alarm{Bin: bin, Stat: core.StatT2, Value: pt.T2, Limit: t2Limit}
-		// Centered traffic = modeled + residual, summed in the same order
-		// as the batch path so greedy tie-breaks agree.
+		a := engine.Alarm{Bin: bin, Stat: engine.StatT2, Value: pt.T2, Limit: t2Limit}
+		// Centered traffic, reassembled as modeled + residual.
 		xc := make([]float64, len(modeled))
 		for i := range xc {
 			xc[i] = modeled[i] + residual[i]
@@ -92,14 +71,8 @@ func AttributeLive(m *engine.Model, bin int, x []float64, pt engine.Point) ([]At
 	return out, nil
 }
 
-// attributeSPE removes OD flows from the residual vector in decreasing
-// order of squared residual until ‖x̃‖² <= δ².
-func attributeSPE(r *core.Result, a core.Alarm) Attribution {
-	ods, res := speFlows(r.Residual.RowView(a.Bin), a.Value, a.Limit)
-	return Attribution{Alarm: a, ODs: ods, Residuals: res}
-}
-
-// speFlows is the greedy SPE identification over one residual vector.
+// speFlows removes OD flows from the residual vector in decreasing order
+// of squared residual until ‖x̃‖² <= δ².
 func speFlows(row []float64, value, limit float64) (ods []int, residuals []float64) {
 	type contrib struct {
 		od  int
@@ -126,20 +99,6 @@ func speFlows(row []float64, value, limit float64) (ods []int, residuals []float
 		residuals = append(residuals, cs[0].val)
 	}
 	return ods, residuals
-}
-
-// attributeT2 attributes a T² alarm of a batch result. The centered
-// traffic row is reconstructed as modeled + residual (both centered).
-func attributeT2(r *core.Result, a core.Alarm) Attribution {
-	p := r.PCA.P()
-	xc := make([]float64, p)
-	mrow := r.Modeled.RowView(a.Bin)
-	rrow := r.Residual.RowView(a.Bin)
-	for i := range xc {
-		xc[i] = mrow[i] + rrow[i]
-	}
-	ods, res := t2Flows(r.PCA, r.Opts.K, xc, a.Limit)
-	return Attribution{Alarm: a, ODs: ods, Residuals: res}
 }
 
 // t2Flows greedily removes the OD flow whose exclusion most reduces the T²
@@ -209,21 +168,4 @@ func t2Flows(pca *mat.PCA, k int, xc []float64, limit float64) (ods []int, resid
 		residuals = append(residuals, xc[best])
 	}
 	return ods, residuals
-}
-
-// Verify recomputes the SPE of a bin with the given OD flows removed;
-// exported for tests and for the ablation experiment.
-func Verify(residual *mat.Matrix, bin int, remove []int) float64 {
-	row := residual.RowView(bin)
-	skip := map[int]bool{}
-	for _, od := range remove {
-		skip[od] = true
-	}
-	var spe float64
-	for od, v := range row {
-		if !skip[od] {
-			spe += v * v
-		}
-	}
-	return spe
 }

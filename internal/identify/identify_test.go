@@ -5,12 +5,55 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"netwide/internal/core"
+	"netwide/internal/engine"
 	"netwide/internal/mat"
 )
 
-// buildSpiked returns an analysis of low-rank traffic with known spikes.
-func buildSpiked(t *testing.T, spikes map[int][]int, mag float64) (*core.Result, *mat.Matrix) {
+// attributeAll fits the model on every row of x, scores every row against
+// it and attributes each alarm — Run.Detect's chain for one measure. It
+// returns the attributions with each bin's residual under the fit.
+func attributeAll(t *testing.T, x *mat.Matrix, opts engine.Options) ([]Attribution, map[int][]float64) {
+	t.Helper()
+	m, err := engine.Fit(x, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atts []Attribution
+	residuals := map[int][]float64{}
+	for bin := 0; bin < x.Rows(); bin++ {
+		row := x.RowView(bin)
+		pt, err := m.Score(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := AttributeLive(m, bin, row, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atts = append(atts, a...)
+		_, residuals[bin], _ = m.Split(row)
+	}
+	return atts, residuals
+}
+
+// verify recomputes the SPE of a residual vector with the given OD flows
+// removed.
+func verify(residual []float64, remove []int) float64 {
+	skip := map[int]bool{}
+	for _, od := range remove {
+		skip[od] = true
+	}
+	var spe float64
+	for od, v := range residual {
+		if !skip[od] {
+			spe += v * v
+		}
+	}
+	return spe
+}
+
+// buildSpiked attributes the alarms of low-rank traffic with known spikes.
+func buildSpiked(t *testing.T, spikes map[int][]int, mag float64) ([]Attribution, map[int][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(10, 20))
 	n, p := 600, 10
@@ -26,16 +69,11 @@ func buildSpiked(t *testing.T, spikes map[int][]int, mag float64) (*core.Result,
 			x.Set(bin, od, x.At(bin, od)+mag)
 		}
 	}
-	r, err := core.Analyze(x, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, x
+	return attributeAll(t, x, engine.DefaultOptions())
 }
 
 func TestAttributeSingleFlowSpike(t *testing.T) {
-	r, _ := buildSpiked(t, map[int][]int{300: {4}}, 250)
-	atts := Attribute(r)
+	atts, residuals := buildSpiked(t, map[int][]int{300: {4}}, 250)
 	var found bool
 	for _, a := range atts {
 		if a.Alarm.Bin != 300 {
@@ -48,9 +86,9 @@ func TestAttributeSingleFlowSpike(t *testing.T) {
 		if a.Residuals[0] <= 0 {
 			t.Fatalf("spike residual sign %v, want positive", a.Residuals[0])
 		}
-		if a.Alarm.Stat == core.StatSPE {
+		if a.Alarm.Stat == engine.StatSPE {
 			// Removing the identified set must bring SPE under the limit.
-			if got := Verify(r.Residual, 300, a.ODs); got > a.Alarm.Limit {
+			if got := verify(residuals[300], a.ODs); got > a.Alarm.Limit {
 				t.Fatalf("verification failed: %v > %v", got, a.Alarm.Limit)
 			}
 		}
@@ -65,8 +103,7 @@ func TestAttributeMultiFlowSpike(t *testing.T) {
 	// direction PCA absorbs, the alarm is raised by SPE or by T² — the
 	// paper's point about needing both statistics. Either way, the
 	// identified set must cover the injected flows.
-	r, _ := buildSpiked(t, map[int][]int{200: {2, 5, 7}}, 180)
-	atts := Attribute(r)
+	atts, residuals := buildSpiked(t, map[int][]int{200: {2, 5, 7}}, 180)
 	for _, a := range atts {
 		if a.Alarm.Bin != 200 {
 			continue
@@ -78,8 +115,8 @@ func TestAttributeMultiFlowSpike(t *testing.T) {
 		if len(a.ODs) == 0 || !injected[a.ODs[0]] {
 			t.Fatalf("multi-flow anomaly (%v): identified %v, want first from {2,5,7}", a.Alarm.Stat, a.ODs)
 		}
-		if a.Alarm.Stat == core.StatSPE {
-			if got := Verify(r.Residual, 200, a.ODs); got > a.Alarm.Limit {
+		if a.Alarm.Stat == engine.StatSPE {
+			if got := verify(residuals[200], a.ODs); got > a.Alarm.Limit {
 				t.Fatalf("verification failed: %v > %v", got, a.Alarm.Limit)
 			}
 		}
@@ -89,8 +126,7 @@ func TestAttributeMultiFlowSpike(t *testing.T) {
 }
 
 func TestAttributeDipSign(t *testing.T) {
-	r, _ := buildSpiked(t, map[int][]int{450: {3}}, -260)
-	atts := Attribute(r)
+	atts, _ := buildSpiked(t, map[int][]int{450: {3}}, -260)
 	for _, a := range atts {
 		if a.Alarm.Bin != 450 {
 			continue
@@ -108,7 +144,7 @@ func TestAttributeDipSign(t *testing.T) {
 
 func TestAttributeT2Alarm(t *testing.T) {
 	// Build traffic where a huge common-mode shift lands in the normal
-	// subspace (same construction as the core T² test).
+	// subspace (same construction as the engine T² test).
 	rng := rand.New(rand.NewPCG(30, 40))
 	n, p := 800, 8
 	x := mat.New(n, p)
@@ -122,13 +158,9 @@ func TestAttributeT2Alarm(t *testing.T) {
 	for j := 0; j < p; j++ {
 		x.Set(333, j, x.At(333, j)+400*dir[j])
 	}
-	r, err := core.Analyze(x, core.Options{K: 2, Alpha: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	atts := Attribute(r)
+	atts, _ := attributeAll(t, x, engine.Options{K: 2, Alpha: 0.001})
 	for _, a := range atts {
-		if a.Alarm.Bin == 333 && a.Alarm.Stat == core.StatT2 {
+		if a.Alarm.Bin == 333 && a.Alarm.Stat == engine.StatT2 {
 			if len(a.ODs) == 0 {
 				t.Fatal("T² attribution empty")
 			}
@@ -145,8 +177,8 @@ func TestAttributeT2Alarm(t *testing.T) {
 func TestAttributionCapped(t *testing.T) {
 	// A shift across every flow at once must stop at MaxODsPerAlarm.
 	spikes := map[int][]int{100: {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}
-	r, _ := buildSpiked(t, spikes, 120)
-	for _, a := range Attribute(r) {
+	atts, _ := buildSpiked(t, spikes, 120)
+	for _, a := range atts {
 		if len(a.ODs) > MaxODsPerAlarm {
 			t.Fatalf("attribution size %d exceeds cap", len(a.ODs))
 		}
@@ -154,16 +186,14 @@ func TestAttributionCapped(t *testing.T) {
 }
 
 func TestVerifyRemovesContribution(t *testing.T) {
-	res := mat.New(2, 3)
-	res.Set(1, 0, 3)
-	res.Set(1, 1, 4)
-	if got := Verify(res, 1, nil); got != 25 {
-		t.Fatalf("Verify no removal = %v", got)
+	res := []float64{3, 4, 0}
+	if got := verify(res, nil); got != 25 {
+		t.Fatalf("verify no removal = %v", got)
 	}
-	if got := Verify(res, 1, []int{0}); got != 16 {
-		t.Fatalf("Verify remove 0 = %v", got)
+	if got := verify(res, []int{0}); got != 16 {
+		t.Fatalf("verify remove 0 = %v", got)
 	}
-	if got := Verify(res, 1, []int{0, 1}); got != 0 {
-		t.Fatalf("Verify remove all = %v", got)
+	if got := verify(res, []int{0, 1}); got != 0 {
+		t.Fatalf("verify remove all = %v", got)
 	}
 }

@@ -7,11 +7,11 @@
 // covariance of the Abilene OD-flow matrix is 121x121, geant's 529x529), so
 // clarity and robustness are preferred over cache blocking, assembly or
 // SIMD. The superlinear kernels — Mul, Gram, MulABt and MulAtB, and through
-// them Covariance, FitPCA, FitPCAPartial and ProjectionSplit — split their
-// row ranges across goroutines when the flop count warrants it (see
-// SetWorkers for the tunable pool size), and the three accumulation kernels
-// under the fits are register-tiled in plain Go, bit-identical to the
-// simple loops they replaced (parallel.go).
+// them Covariance, FitPCA and FitPCAPartial — split their row ranges across
+// goroutines when the flop count warrants it (see SetWorkers for the
+// tunable pool size), and the three accumulation kernels under the fits are
+// register-tiled in plain Go, bit-identical to the simple loops they
+// replaced (parallel.go).
 package mat
 
 import (
@@ -191,16 +191,6 @@ func Add(a, b *Matrix) *Matrix {
 	out := a.Clone()
 	for i, v := range b.data {
 		out.data[i] += v
-	}
-	return out
-}
-
-// Sub returns a-b as a new matrix.
-func Sub(a, b *Matrix) *Matrix {
-	sameShape(a, b, "Sub")
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
 	}
 	return out
 }

@@ -141,9 +141,6 @@ func TestAddSubScale(t *testing.T) {
 	if got := Add(a, b).At(1, 1); got != 44 {
 		t.Fatalf("Add=%v, want 44", got)
 	}
-	if got := Sub(b, a).At(0, 0); got != 9 {
-		t.Fatalf("Sub=%v, want 9", got)
-	}
 	if got := Scale(2, a).At(1, 0); got != 6 {
 		t.Fatalf("Scale=%v, want 6", got)
 	}

@@ -8,11 +8,11 @@ import (
 )
 
 // The dense kernels with superlinear work (Mul, Gram, and everything built
-// on them: Covariance, FitPCA, Scores, ProjectionSplit) split their row
-// ranges across a pool of goroutines when the flop count is large enough to
-// amortize goroutine startup. The pool size is a package-level tunable so
-// callers embedding the kernels in their own concurrent pipelines (one
-// scoring worker per traffic measure, say) can budget cores explicitly.
+// on them: Covariance, FitPCA) split their row ranges across a pool of
+// goroutines when the flop count is large enough to amortize goroutine
+// startup. The pool size is a package-level tunable so callers embedding
+// the kernels in their own concurrent pipelines (one scoring worker per
+// traffic measure, say) can budget cores explicitly.
 
 // workerCount is the number of goroutines a single parallel kernel
 // invocation may use. Guarded by atomic access; defaults to GOMAXPROCS.

@@ -163,52 +163,6 @@ func (p *PCA) ResidualMoments(k int) (phi1, phi2, phi3 float64) {
 	return phi1, phi2, phi3
 }
 
-// Center returns X with the fitted mean removed (a new matrix).
-func (p *PCA) Center(X *Matrix) *Matrix {
-	out := X.Clone()
-	for i := 0; i < out.Rows(); i++ {
-		row := out.RowView(i)
-		for j := range row {
-			row[j] -= p.Mean[j]
-		}
-	}
-	return out
-}
-
-// Scores returns the score matrix T = Xc * V (n x p): the coordinates of
-// each centered observation in the principal-axis basis.
-func (p *PCA) Scores(X *Matrix) *Matrix {
-	return Mul(p.Center(X), p.Components)
-}
-
-// Eigenflows returns the matrix U (n x p) whose column i is the i-th
-// eigenflow: the i-th score column normalized to unit Euclidean norm. This
-// is the formulation of Lakhina et al. (SIGMETRICS 2004): X = U S V^T, so
-// eigenflow i is the common temporal pattern along principal axis i.
-//
-// Columns whose score norm is (near) zero are left as all-zero; they
-// correspond to directions with no variance.
-func (p *PCA) Eigenflows(X *Matrix) *Matrix {
-	scores := p.Scores(X)
-	n, k := scores.Rows(), scores.Cols()
-	for j := 0; j < k; j++ {
-		var norm float64
-		for i := 0; i < n; i++ {
-			v := scores.At(i, j)
-			norm += v * v
-		}
-		norm = math.Sqrt(norm)
-		if norm < 1e-300 {
-			continue
-		}
-		inv := 1 / norm
-		for i := 0; i < n; i++ {
-			scores.Set(i, j, scores.At(i, j)*inv)
-		}
-	}
-	return scores
-}
-
 // TopComponents returns the p x k matrix V_k whose columns are the top-k
 // principal axes — the normal-subspace basis of the subspace method.
 func (p *PCA) TopComponents(k int) *Matrix {
@@ -222,25 +176,6 @@ func (p *PCA) TopComponents(k int) *Matrix {
 		}
 	}
 	return vk
-}
-
-// ProjectionSplit reconstructs each row of X as the sum of a modeled part
-// (projection onto the top-k principal axes) and a residual part, returning
-// (Xhat, Xtilde) with X = Xhat + Xtilde + 1*mean^T. Both returned matrices
-// are in the centered coordinate frame; callers inspecting magnitudes of
-// state and residual vectors (as the subspace method does) use them
-// directly.
-func (p *PCA) ProjectionSplit(X *Matrix, k int) (modeled, residual *Matrix) {
-	if k < 0 || k > p.NumComputed() {
-		panic("mat: ProjectionSplit k out of range")
-	}
-	xc := p.Center(X)
-	// P_k = V_k V_k^T. Applying it row-wise: modeled = Xc V_k V_k^T.
-	vk := p.TopComponents(k)
-	scores := Mul(xc, vk)         // n x k
-	modeled = Mul(scores, vk.T()) // n x p
-	residual = Sub(xc, modeled)
-	return modeled, residual
 }
 
 // VarianceExplained returns the cumulative fraction of total variance

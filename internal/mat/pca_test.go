@@ -25,6 +25,55 @@ func lowRankData(rng *rand.Rand, n, p, rank int, noise float64) *Matrix {
 	return x
 }
 
+// center returns X with p's fitted mean removed (a new matrix).
+func center(p *PCA, X *Matrix) *Matrix {
+	out := X.Clone()
+	for i := 0; i < out.Rows(); i++ {
+		row := out.RowView(i)
+		for j := range row {
+			row[j] -= p.Mean[j]
+		}
+	}
+	return out
+}
+
+// scores returns T = Xc * V (n x m): the coordinates of each centered
+// observation in the principal-axis basis.
+func scores(p *PCA, X *Matrix) *Matrix { return Mul(center(p, X), p.Components) }
+
+// eigenflows returns U (n x m) whose column i is the i-th score column
+// normalized to unit Euclidean norm — the eigenflow formulation of Lakhina
+// et al. (SIGMETRICS 2004), X = U S V^T. Columns of (near) zero norm stay
+// zero.
+func eigenflows(p *PCA, X *Matrix) *Matrix {
+	u := scores(p, X)
+	for j := 0; j < u.Cols(); j++ {
+		var norm float64
+		for i := 0; i < u.Rows(); i++ {
+			norm += u.At(i, j) * u.At(i, j)
+		}
+		if norm = math.Sqrt(norm); norm < 1e-300 {
+			continue
+		}
+		for i := 0; i < u.Rows(); i++ {
+			u.Set(i, j, u.At(i, j)/norm)
+		}
+	}
+	return u
+}
+
+// projectionSplit splits each centered row of X into its projection onto
+// the top-k principal axes and the residual: X = Xhat + Xtilde + 1*mean^T.
+func projectionSplit(p *PCA, X *Matrix, k int) (modeled, residual *Matrix) {
+	residual = center(p, X)
+	vk := p.TopComponents(k)
+	modeled = Mul(Mul(residual, vk), vk.T())
+	for i, v := range modeled.data {
+		residual.data[i] -= v
+	}
+	return modeled, residual
+}
+
 func TestFitPCAErrors(t *testing.T) {
 	if _, err := FitPCA(New(1, 3), true); err == nil {
 		t.Fatal("accepted single-row input")
@@ -38,9 +87,9 @@ func TestPCAReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modeled, residual := p.ProjectionSplit(x, 4)
+	modeled, residual := projectionSplit(p, x, 4)
 	// modeled + residual must equal centered X exactly.
-	xc := p.Center(x)
+	xc := center(p, x)
 	if d := MaxAbsDiff(Add(modeled, residual), xc); d > 1e-9 {
 		t.Fatalf("x != xhat + xtilde, max err %v", d)
 	}
@@ -53,7 +102,7 @@ func TestPCAFullRankResidualZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, residual := p.ProjectionSplit(x, 6)
+	_, residual := projectionSplit(p, x, 6)
 	for i := 0; i < residual.Rows(); i++ {
 		if n := Norm2(residual.RowView(i)); n > 1e-8 {
 			t.Fatalf("full-rank projection leaves residual %v at row %d", n, i)
@@ -84,7 +133,7 @@ func TestEigenflowsOrthonormal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := p.Eigenflows(x)
+	u := eigenflows(p, x)
 	// Columns with non-negligible eigenvalue must be unit-norm and mutually
 	// orthogonal (scores along distinct principal axes are orthogonal).
 	for a := 0; a < u.Cols(); a++ {
@@ -114,7 +163,7 @@ func TestEigenflowMeansNearZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := p.Eigenflows(x)
+	u := eigenflows(p, x)
 	for j := 0; j < u.Cols(); j++ {
 		if p.Eigenvalues[j] <= 1e-9 {
 			continue
@@ -137,12 +186,12 @@ func TestScoresVarianceMatchesEigenvalues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := p.Scores(x)
-	n := float64(scores.Rows())
-	for j := 0; j < scores.Cols(); j++ {
+	s := scores(p, x)
+	n := float64(s.Rows())
+	for j := 0; j < s.Cols(); j++ {
 		var ss float64
-		for i := 0; i < scores.Rows(); i++ {
-			v := scores.At(i, j)
+		for i := 0; i < s.Rows(); i++ {
+			v := s.At(i, j)
 			ss += v * v
 		}
 		varj := ss / (n - 1)
@@ -165,8 +214,8 @@ func TestPropProjectionPythagoras(t *testing.T) {
 			return false
 		}
 		k := 1 + int(seed%uint64(p))
-		modeled, residual := pca.ProjectionSplit(x, k)
-		xc := pca.Center(x)
+		modeled, residual := projectionSplit(pca, x, k)
+		xc := center(pca, x)
 		for i := 0; i < n; i++ {
 			lhs := Dot(xc.RowView(i), xc.RowView(i))
 			rhs := Dot(modeled.RowView(i), modeled.RowView(i)) + Dot(residual.RowView(i), residual.RowView(i))
@@ -192,7 +241,7 @@ func TestPropResidualMonotone(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for k := 0; k <= 6; k++ {
-			_, residual := pca.ProjectionSplit(x, k)
+			_, residual := projectionSplit(pca, x, k)
 			var total float64
 			for i := 0; i < residual.Rows(); i++ {
 				total += Dot(residual.RowView(i), residual.RowView(i))

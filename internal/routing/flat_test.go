@@ -10,8 +10,8 @@ import (
 
 // TestFlatMatchesTrie: the compiled table answers exactly as the trie it was
 // compiled from — on two million random addresses and on both edges of every
-// prefix, one address outside each edge included, for the ingress and the
-// egress table of the two bundled topologies and a 50-PoP synthetic one.
+// prefix, one address outside each edge included, for the table of the two
+// bundled topologies and a 50-PoP synthetic one.
 func TestFlatMatchesTrie(t *testing.T) {
 	syn, err := topology.Synthetic(50, 1)
 	if err != nil {
@@ -22,30 +22,24 @@ func TestFlatMatchesTrie(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, side := range []struct {
-			name string
-			trie *Trie[topology.PoP]
-			flat *flatTable
-		}{{"ingress", &r.ingress, &r.flat}, {"egress", &r.egress, &r.flat}} {
-			check := func(a ipaddr.Addr) {
-				t.Helper()
-				want, wantOK := side.trie.Lookup(a)
-				got, gotOK := side.flat.lookup(a)
-				if gotOK != wantOK || (wantOK && got != want) {
-					t.Fatalf("%s %s %v: flat table says (%v, %v), trie says (%v, %v)", top.Name, side.name, a, got, gotOK, want, wantOK)
-				}
+		check := func(a ipaddr.Addr) {
+			t.Helper()
+			want, wantOK := r.table.Lookup(a)
+			got, gotOK := r.flat.lookup(a)
+			if gotOK != wantOK || (wantOK && got != want) {
+				t.Fatalf("%s %v: flat table says (%v, %v), trie says (%v, %v)", top.Name, a, got, gotOK, want, wantOK)
 			}
-			rng := rand.New(rand.NewPCG(1, 2))
-			for i := 0; i < 2_000_000; i++ {
-				check(ipaddr.Addr(rng.Uint32()))
-			}
-			side.trie.Walk(func(p ipaddr.Prefix, _ topology.PoP) {
-				last := p.Addr | ipaddr.Addr(uint32(1)<<(32-p.Bits)-1)
-				for _, a := range []ipaddr.Addr{p.Addr - 1, p.Addr, last, last + 1} {
-					check(a)
-				}
-			})
 		}
+		rng := rand.New(rand.NewPCG(1, 2))
+		for i := 0; i < 2_000_000; i++ {
+			check(ipaddr.Addr(rng.Uint32()))
+		}
+		r.table.Walk(func(p ipaddr.Prefix, _ topology.PoP) {
+			last := p.Addr | ipaddr.Addr(uint32(1)<<(32-p.Bits)-1)
+			for _, a := range []ipaddr.Addr{p.Addr - 1, p.Addr, last, last + 1} {
+				check(a)
+			}
+		})
 	}
 }
 

@@ -24,14 +24,14 @@ import (
 // The paper resolves ~93% of flows; UnresolvedFraction simulates the
 // remainder, dropped uniformly at random.
 type Resolver struct {
-	ingress Trie[topology.PoP]
-	egress  Trie[topology.PoP]
-	// flat is the snapshot compiled for lookup once it is complete; every
-	// Resolve goes through it, the tries stay as the record of what was
-	// announced. One table serves both directions: BuildResolver, the only
-	// writer, announces every prefix into both tries, and the table ignores
-	// the bits anonymization zeroes, so a raw source and an anonymized
-	// destination resolve alike (TestFlatMatchesTrie holds it to both tries).
+	// table records every announced prefix. One table serves both
+	// directions: every customer prefix is reachable from its home for
+	// ingress and egress alike, and the lookup ignores the bits
+	// anonymization zeroes, so a raw source and an anonymized destination
+	// resolve alike.
+	table Trie[topology.PoP]
+	// flat is table compiled for lookup once it is complete; every Resolve
+	// goes through it (TestFlatMatchesTrie holds it to the trie).
 	flat flatTable
 	// UnresolvedFraction is the probability that a flow cannot be resolved
 	// (missing config/BGP coverage) and is dropped from OD aggregation.
@@ -71,12 +71,11 @@ func BuildResolver(top *topology.Topology, overrides map[string]topology.PoP, un
 			if p.Bits > 32-ipaddr.AnonBits {
 				return nil, fmt.Errorf("routing: prefix %s longer than /%d cannot be resolved under anonymization", p, 32-ipaddr.AnonBits)
 			}
-			r.ingress.Insert(p, home)
-			r.egress.Insert(p, home)
+			r.table.Insert(p, home)
 		}
 	}
 	var err error
-	if r.flat, err = compileFlat(&r.egress); err != nil {
+	if r.flat, err = compileFlat(&r.table); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -111,7 +110,5 @@ func (r *Resolver) Resolve(src, dst ipaddr.Addr, rng *rand.Rand) (topology.ODPai
 	return topology.ODPair{Origin: in, Dest: out}, true
 }
 
-// TableSize returns the number of prefixes in the (ingress, egress) tables.
-func (r *Resolver) TableSize() (int, int) {
-	return r.ingress.Len(), r.egress.Len()
-}
+// TableSize returns the number of prefixes in the table.
+func (r *Resolver) TableSize() int { return r.table.Len() }

@@ -67,7 +67,6 @@ func (s *Subspace) Run(ds *dataset.Dataset, trainBins int) ([]BinVerdict, error)
 		if err != nil {
 			return nil, fmt.Errorf("subspace: fit %v: %w", m, err)
 		}
-		model.ReleaseTrain()
 		models[m] = model
 	}
 	// Rolling refit windows, one ring per measure, seeded with the

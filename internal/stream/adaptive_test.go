@@ -136,7 +136,7 @@ func TestAdaptiveBatchVerdictsIndependentOfBatchSize(t *testing.T) {
 	live := synth(rand.New(rand.NewPCG(93, 94)), n, p, 6) // noisy enough to alarm
 	var ref []Verdict
 	for _, size := range []int{1, 7, 16} {
-		pipe, err := New(models, Config{BatchSize: size, Attribute: true})
+		pipe, err := New(models, Config{BatchSize: size})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,7 +125,7 @@ func TestBarrierRestoreParity(t *testing.T) {
 		models[i] = fitLane(t, rng, 300, p)
 	}
 	live := synth(rand.New(rand.NewPCG(103, 104)), n, p, 6)
-	cfg := Config{BatchSize: 7, Attribute: true}
+	cfg := Config{BatchSize: 7}
 
 	full, err := New(models, cfg)
 	if err != nil {

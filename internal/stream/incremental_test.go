@@ -85,7 +85,7 @@ func TestIncrementalRestoreParity(t *testing.T) {
 		models[i] = fitLane(t, rng, 300, p)
 	}
 	live := synth(rand.New(rand.NewPCG(153, 154)), n, p, 6)
-	cfg := Config{BatchSize: 7, Updater: engine.UpdaterIncremental, Attribute: true}
+	cfg := Config{BatchSize: 7, Updater: engine.UpdaterIncremental}
 
 	full, err := New(models, cfg)
 	if err != nil {

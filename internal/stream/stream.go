@@ -8,8 +8,8 @@
 // traffic vector per lane — is fanned out over channels to the lane
 // workers, which score whatever has queued up, at most Config.BatchSize
 // vectors at a time (engine.Model.ScoreBatch, two dense matrix products
-// per batch instead of per-vector accessor arithmetic; a lane whose queue
-// is empty scores the bin it holds rather than wait for more) and
+// per batch; a lane whose queue is empty scores the bin it holds rather
+// than wait for more) and
 // attribute every alarm to its responsible OD flows against the model
 // generation that scored it (identify.AttributeLive). A single aggregator
 // merges the per-lane verdicts back into one stream of per-bin Verdicts,
@@ -71,9 +71,6 @@ type Config struct {
 	// be well-posed (the fit itself demands n > p). Under the incremental
 	// updater it doubles as the tracker's forgetting horizon.
 	Window int
-	// Attribute enables live OD attribution of every alarm inside the lane
-	// workers — the identification step of streaming characterization.
-	Attribute bool
 	// Faults, when non-nil, threads error injection through the pipeline's
 	// background paths (currently FaultRefit). Nil in production.
 	Faults *fault.Injector
@@ -148,8 +145,7 @@ type Verdict struct {
 	// incremental updates advance the model without bumping it).
 	Gens []uint64
 	// Attribs[i] lists lane i's attributed alarms for the bin (one entry
-	// per alarmed statistic; nil when the lane is clean or attribution is
-	// disabled).
+	// per alarmed statistic; nil when the lane is clean).
 	Attribs [][]identify.Attribution
 	// Barrier is non-nil on a checkpoint barrier verdict, which carries no
 	// scoring (Points/Gens/Attribs are nil, Bin is -1).
@@ -534,12 +530,10 @@ func (p *Pipeline) laneWorker(l *lane) {
 			return
 		}
 		for i, t := range batch {
-			var att []identify.Attribution
-			if p.cfg.Attribute {
-				if att, err = identify.AttributeLive(m, t.bin, t.x, pts[i]); err != nil {
-					p.fail(fmt.Errorf("stream: lane %d attribute: %w", l.id, err))
-					att = nil
-				}
+			att, err := identify.AttributeLive(m, t.bin, t.x, pts[i])
+			if err != nil {
+				p.fail(fmt.Errorf("stream: lane %d attribute: %w", l.id, err))
+				att = nil
 			}
 			p.agg <- laneResult{lane: l.id, seq: t.seq, bin: t.bin, pt: pts[i], gen: m.Gen(), att: att}
 		}

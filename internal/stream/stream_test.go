@@ -239,7 +239,7 @@ func TestPipelineAttributesAlarms(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 72))
 	const p = 8
 	det := fitLane(t, rng, 400, p)
-	pipe, err := New([]*engine.Model{det}, Config{BatchSize: 2, Attribute: true})
+	pipe, err := New([]*engine.Model{det}, Config{BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestAttributeErrorPropagates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	const p = 8
 	model := fitLane(t, rng, 64, p)
-	pipe, err := New([]*engine.Model{model}, Config{BatchSize: 1, Attribute: true})
+	pipe, err := New([]*engine.Model{model}, Config{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

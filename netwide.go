@@ -19,17 +19,19 @@
 // and aggregates them into events. Characterize labels every event with
 // the paper's taxonomy and matches it against the injected ground truth.
 //
-// For live operation there are two streaming modes: OnlineDetector scores
-// one measure, one vector at a time, while StreamDetector runs the
-// concurrent pipeline of internal/stream — per-measure scoring workers fed
-// over channels, batched model application, a single ordered verdict
-// stream, and rolling background refits (warm-started from the previous
-// model generation) that swap models in without stalling scoring. The
-// StreamDetector also runs the full characterization chain at streaming
-// time: alarms are attributed to OD flows, aggregated into cross-measure
-// events, and classified the moment an event closes, surfacing on
-// StreamVerdict.Anomalies. All three detection paths are adapters over the
-// single model implementation in internal/engine.
+// For live operation StreamDetector runs the concurrent pipeline of
+// internal/stream — per-measure scoring workers fed over channels, batched
+// model application, a single ordered verdict stream, and rolling
+// background refits (warm-started from the previous model generation) that
+// swap models in without stalling scoring. It runs the full
+// characterization chain at streaming time: alarms are attributed to OD
+// flows, aggregated into cross-measure events, and classified the moment an
+// event closes, surfacing on StreamVerdict.Anomalies.
+//
+// There is one way to run the method. Detect is the streaming chain's own
+// code applied to the whole run at once — internal/engine's Fit and
+// ScoreBatch, identify.AttributeLive, the events.Aggregator — so a
+// StreamDetector trained on every bin replays Detect bit for bit.
 package netwide
 
 import (
@@ -39,10 +41,11 @@ import (
 
 	"netwide/internal/anomaly"
 	"netwide/internal/classify"
-	"netwide/internal/core"
 	"netwide/internal/dataset"
+	"netwide/internal/engine"
 	"netwide/internal/events"
 	"netwide/internal/identify"
+	"netwide/internal/mat"
 	"netwide/internal/scenario"
 	"netwide/internal/topology"
 	"netwide/internal/traffic"
@@ -131,10 +134,19 @@ func DefaultDetectOptions() DetectOptions { return DetectOptions{K: 4, Alpha: 0.
 // analysis.
 type Run struct {
 	ds       *dataset.Dataset
-	results  [dataset.NumMeasures]*core.Result
+	results  [dataset.NumMeasures]*measureResult
 	evs      []events.Event
 	verdicts []classify.Verdict
-	opts     DetectOptions
+}
+
+// measureResult is Detect's output for one traffic measure: every bin's
+// verdict, the limits it was judged by, ‖x‖² (Figure 1's top row) and the
+// attribution of every alarm.
+type measureResult struct {
+	points          []engine.Point
+	state           []float64
+	qLimit, t2Limit float64
+	attribs         []identify.Attribution
 }
 
 // Simulate generates a dataset: background traffic shaped by a gravity
@@ -181,30 +193,56 @@ func (r *Run) Detect(opts DetectOptions) error {
 	if opts.K == 0 {
 		opts = DefaultDetectOptions()
 	}
-	r.opts = opts
 	var dets []events.Detection
 	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-		res, err := core.Analyze(r.ds.Matrix(m), core.Options{K: opts.K, Alpha: opts.Alpha})
+		res, err := detect(r.ds.Matrix(m), engine.Options{K: opts.K, Alpha: opts.Alpha})
 		if err != nil {
 			return fmt.Errorf("netwide: analyze %v: %w", m, err)
 		}
 		r.results[m] = res
-		for _, att := range identify.Attribute(res) {
-			dets = append(dets, events.Detection{
-				Measure:   m,
-				Bin:       att.Alarm.Bin,
-				ODs:       att.ODs,
-				Residuals: att.Residuals,
-			})
-		}
+		dets = appendDetections(dets, m, res.attribs)
 	}
 	r.evs = events.Aggregate(dets)
 	r.verdicts = nil
 	return nil
 }
 
-// Analysis returns the per-measure subspace result (nil before Detect).
-func (r *Run) Analysis(m dataset.Measure) *core.Result { return r.results[m] }
+// detect runs the chain over one measure's matrix: one fit on every bin,
+// one ScoreBatch over every bin, and AttributeLive on each alarmed bin —
+// what the streaming lanes run bin by bin.
+func detect(x *mat.Matrix, opts engine.Options) (*measureResult, error) {
+	model, err := engine.Fit(x, opts)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]float64, x.Rows())
+	for j := range rows {
+		rows[j] = x.RowView(j)
+	}
+	res := &measureResult{state: make([]float64, len(rows))}
+	if res.points, err = model.ScoreBatch(rows, nil); err != nil {
+		return nil, err
+	}
+	res.qLimit, res.t2Limit = model.Limits()
+	for j, row := range rows {
+		res.state[j] = mat.Dot(row, row)
+		atts, err := identify.AttributeLive(model, j, row, res.points[j])
+		if err != nil {
+			return nil, err
+		}
+		res.attribs = append(res.attribs, atts...)
+	}
+	return res, nil
+}
+
+// appendDetections casts one measure's attributions as detections for the
+// event aggregator.
+func appendDetections(dets []events.Detection, m dataset.Measure, atts []identify.Attribution) []events.Detection {
+	for _, att := range atts {
+		dets = append(dets, events.Detection{Measure: m, Bin: att.Alarm.Bin, ODs: att.ODs, Residuals: att.Residuals})
+	}
+	return dets
+}
 
 // Events returns the aggregated detection events (nil before Detect).
 func (r *Run) Events() []events.Event { return r.evs }

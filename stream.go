@@ -6,7 +6,6 @@ import (
 
 	"netwide/internal/anomaly"
 	"netwide/internal/classify"
-	"netwide/internal/core"
 	"netwide/internal/dataset"
 	"netwide/internal/engine"
 	"netwide/internal/events"
@@ -111,6 +110,18 @@ type StreamVerdict struct {
 // Alarm reports whether any measure flagged the bin.
 func (v StreamVerdict) Alarm() bool { return v.Measures != "" }
 
+// OnlinePoint is one measure's verdict for one streamed 5-minute traffic
+// vector.
+type OnlinePoint struct {
+	// SPE and T2 are the two subspace statistics for the vector.
+	SPE, T2 float64
+	// SPEAlarm / T2Alarm report threshold exceedance.
+	SPEAlarm, T2Alarm bool
+	// TopOD names the OD pair with the largest residual, the first place
+	// an operator should look when an alarm fires.
+	TopOD string
+}
+
 // StreamDetector scores live traffic across all three measures
 // concurrently: one detector lane per measure fed over channels, scoring
 // batched under load and immediate when idle, a single ordered verdict
@@ -118,10 +129,9 @@ func (v StreamVerdict) Alarm() bool { return v.Measures != "" }
 // stalling scoring. Beyond raw per-measure alarms it runs the paper's full
 // characterization chain at streaming time — OD attribution, cross-measure
 // event aggregation, classification, ground-truth matching — and delivers
-// the results on StreamVerdict.Anomalies. It is the streaming counterpart
-// of Run.Detect + Run.Characterize, built on the same internal/engine
-// model and the same identification and classification code, so a
-// replayed run characterizes identically to the batch path.
+// the results on StreamVerdict.Anomalies. Run.Detect + Run.Characterize
+// run this chain's own code over the whole run at once, so a detector
+// trained on every bin replays them bit for bit.
 type StreamDetector struct {
 	pipe *stream.Pipeline
 	out  chan StreamVerdict
@@ -198,7 +208,7 @@ func (r *Run) NewStreamDetector(opts DetectOptions, cfg StreamConfig) (*StreamDe
 	}
 	models := make([]*engine.Model, dataset.NumMeasures)
 	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-		model, err := engine.Fit(r.ds.Matrix(m).HeadRows(train), core.Options{K: opts.K, Alpha: opts.Alpha})
+		model, err := engine.Fit(r.ds.Matrix(m).HeadRows(train), engine.Options{K: opts.K, Alpha: opts.Alpha})
 		if err != nil {
 			return nil, fmt.Errorf("netwide: stream train %v: %w", m, err)
 		}
@@ -209,7 +219,6 @@ func (r *Run) NewStreamDetector(opts DetectOptions, cfg StreamConfig) (*StreamDe
 		Updater:    engine.UpdaterKind(cfg.Updater),
 		RefitEvery: cfg.RefitEvery,
 		Window:     cfg.Window,
-		Attribute:  true,
 		Faults:     cfg.Faults,
 	})
 	if err != nil {
@@ -256,7 +265,6 @@ func (r *Run) RestoreStreamDetector(cp StreamCheckpoint, cfg StreamConfig) (*Str
 		Updater:    engine.UpdaterKind(cfg.Updater),
 		RefitEvery: cfg.RefitEvery,
 		Window:     cfg.Window,
-		Attribute:  true,
 		Faults:     cfg.Faults,
 	})
 	if err != nil {
@@ -327,19 +335,16 @@ func (d *StreamDetector) characterize() {
 		var dets []events.Detection
 		for m := 0; m < int(dataset.NumMeasures); m++ {
 			pt := v.Points[m]
-			sv.Points[m] = d.run.onlinePoint(pt)
+			sv.Points[m] = OnlinePoint{
+				SPE: pt.SPE, T2: pt.T2,
+				SPEAlarm: pt.SPEAlarm, T2Alarm: pt.T2Alarm,
+				TopOD: d.run.ds.ODName(pt.TopResidualOD),
+			}
 			if pt.SPEAlarm || pt.T2Alarm {
 				sv.Measures += dataset.Measure(m).String()
 			}
 			sv.Generations[m] = v.Gens[m]
-			for _, att := range v.Attribs[m] {
-				dets = append(dets, events.Detection{
-					Measure:   dataset.Measure(m),
-					Bin:       att.Alarm.Bin,
-					ODs:       att.ODs,
-					Residuals: att.Residuals,
-				})
-			}
+			dets = appendDetections(dets, dataset.Measure(m), v.Attribs[m])
 		}
 		sv.Anomalies = d.finish(cl, specs, agg.Add(v.Bin, dets))
 		d.emitted += uint64(len(sv.Anomalies))
