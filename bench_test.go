@@ -47,8 +47,8 @@ func benchSetup(b *testing.B) *netwide.Run {
 }
 
 // benchSimulateWeek is the full measurement pipeline: traffic synthesis,
-// anomaly injection, 1% sampling, NetFlow export/collect and OD resolution
-// for one week of 5-minute bins across all OD pairs of the topology, at the
+// anomaly injection, 1% sampling and OD resolution of the sampled flow
+// records for one week of 5-minute bins across all OD pairs of the topology, at the
 // given number of simulation goroutines.
 func benchSimulateWeek(b *testing.B, topo string, workers int) {
 	cfg := netwide.QuickConfig()

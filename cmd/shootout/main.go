@@ -1,9 +1,9 @@
 // Command shootout runs the detector-comparison harness: it simulates (or
 // loads) a dataset, runs the full detector roster — the static subspace
-// model, its periodically-refitting variant, the empirical-measure
-// (method-of-types) detector and the per-flow EWMA heuristic — over the
-// same traffic and ground truth, and prints per-detector ROC, detection
-// latency and attribution tables.
+// model, its periodically-refitting and per-bin-tracking variants, the
+// empirical-measure (method-of-types) detector and the per-flow EWMA
+// heuristic — over the same traffic and ground truth, and prints
+// per-detector ROC, detection latency and attribution tables.
 //
 // Usage:
 //
@@ -44,7 +44,7 @@ func main() {
 		seed     = flag.Uint64("seed", 2004, "simulation seed")
 		train    = flag.Int("train", traffic.BinsPerWeek, "training prefix in bins (default: one week)")
 		refit    = flag.Int("refit", 144, "refit cadence of the subspace-refit variant in bins (0 disables the variant)")
-		window   = flag.Int("window", 2*traffic.BinsPerDay, "rolling refit window of the subspace-refit variant in bins")
+		window   = flag.Int("window", 2*traffic.BinsPerDay, "rolling refit window of subspace-refit and forgetting horizon of subspace-incremental, in bins (must exceed the OD-pair count)")
 		jsonOut  = flag.Bool("json", false, "emit the report as JSON instead of text tables")
 	)
 	flag.Usage = func() {
@@ -62,18 +62,15 @@ func main() {
 	if *train <= 0 || *train >= ds.Bins {
 		log.Fatalf("train %d bins outside (0,%d)", *train, ds.Bins)
 	}
-	dets := []shootout.Detector{
-		&shootout.Subspace{},
+	dets := []shootout.Detector{&shootout.Subspace{}}
+	if *refit > 0 {
+		dets = append(dets, &shootout.Subspace{RefitEvery: *refit, Window: *window})
+	}
+	dets = append(dets,
+		&shootout.Subspace{Updater: engine.UpdaterIncremental, Window: *window},
 		&shootout.Empirical{},
 		&shootout.EWMA{},
-	}
-	if *refit > 0 {
-		if *window <= ds.NumODPairs() {
-			log.Fatalf("refit window %d must exceed the %d OD pairs (full-PCA refit)", *window, ds.NumODPairs())
-		}
-		refitDet := &shootout.Subspace{Opts: engine.DefaultOptions(), RefitEvery: *refit, Window: *window}
-		dets = append(dets[:1], append([]shootout.Detector{refitDet}, dets[1:]...)...)
-	}
+	)
 	ms, err := shootout.RunAll(ds, dets, *train)
 	if err != nil {
 		log.Fatal(err)

@@ -63,7 +63,7 @@ func sampleState() *State {
 			Templates: []TemplateState{{Format: 3, Source: 9, ID: 256, Fields: []TemplateField{{ID: 8, Length: 4}, {ID: 1, Enterprise: 29305, Length: 8}}}},
 		},
 		Stream: netwide.StreamCheckpoint{
-			Lanes: []netwide.LaneCheckpoint{{Updater: engine.UpdaterState{
+			Lanes: []engine.UpdaterState{{
 				Kind: engine.UpdaterIncremental,
 				Model: engine.ModelState{
 					Opts: engine.Options{K: 1, Alpha: 0.001}, Gen: 2, Updates: 40,
@@ -75,7 +75,7 @@ func sampleState() *State {
 				Window:  [][]float64{{9, 19}, {11, 21}, {10, 20}},
 				Since:   5,
 				Tracker: &engine.TrackerState{N: 100, Horizon: 288, TotalVar: 3, Mean: []float64{10, 20}, Axes: [][]float64{{1.5, 2}}},
-			}}},
+			}},
 			Agg: events.AggregatorState{
 				Open:    []events.Event{{Measures: events.SetB, StartBin: 409, EndBin: 410, ODs: []int{0, 1}, ODResidual: map[int]float64{1: -2.5, 0: 4}}},
 				CurBin:  411,

@@ -222,7 +222,7 @@ func (w *writer) server(sv *ServerState) {
 func (w *writer) stream(cp *netwide.StreamCheckpoint) {
 	w.count(len(cp.Lanes))
 	for i := range cp.Lanes {
-		us := &cp.Lanes[i].Updater
+		us := &cp.Lanes[i]
 		w.str(string(us.Kind))
 		ms := &us.Model
 		w.int(ms.Opts.K)
@@ -660,9 +660,9 @@ func (r *reader) stream(cp *netwide.StreamCheckpoint, fp *State) {
 	if r.err != nil {
 		return
 	}
-	cp.Lanes = make([]netwide.LaneCheckpoint, n)
+	cp.Lanes = make([]engine.UpdaterState, n)
 	for i := range cp.Lanes {
-		us := &cp.Lanes[i].Updater
+		us := &cp.Lanes[i]
 		us.Kind = engine.UpdaterKind(r.str("updater kind"))
 		ms := &us.Model
 		ms.Opts.K = r.int()

@@ -85,7 +85,7 @@ func randomState(t *testing.T, seed int64) *State {
 	st.Version = Version
 	st.ODPairs, st.Measures = fillLen, fillLen
 	for i := range st.Stream.Lanes {
-		st.Stream.Lanes[i].Updater.Model.Opts.K = st.K
+		st.Stream.Lanes[i].Model.Opts.K = st.K
 	}
 	return st
 }
@@ -140,8 +140,8 @@ func TestGoldenBytes(t *testing.T) {
 
 func TestWriteRefusesWhatTheFormatCannotHold(t *testing.T) {
 	for name, spoil := range map[string]func(*State){
-		"ragged":     func(st *State) { st.Stream.Lanes[0].Updater.Window[1] = []float64{1} },
-		"empty rows": func(st *State) { st.Stream.Lanes[0].Updater.Tracker.Axes = [][]float64{{}, {}} },
+		"ragged":     func(st *State) { st.Stream.Lanes[0].Window[1] = []float64{1} },
+		"empty rows": func(st *State) { st.Stream.Lanes[0].Tracker.Axes = [][]float64{{}, {}} },
 	} {
 		st := sampleState()
 		spoil(st)
@@ -194,10 +194,10 @@ func TestReadChecksShapesBeforeAllocating(t *testing.T) {
 		{"four billion shards", patch(serverCounters, 0xFFFFFFFF), "shards"},
 		{"bytes after the last section", append(bytes.Clone(valid), 0, 0), "after the last section"},
 		{"lane count against measures", reencode(func(st *State) { st.Measures = 2 }), "lanes"},
-		{"mean against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Updater.Model.Mean = []float64{1, 2, 3} }), "values, the fingerprint fixes 2"},
-		{"components against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Updater.Model.Components = [][]float64{{1}} }), "rows, the fingerprint fixes 2"},
-		{"window against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Updater.Window = [][]float64{{1, 2, 3}} }), "columns, the fingerprint fixes 2"},
-		{"tracker axes against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Updater.Tracker.Axes = [][]float64{{1}} }), "tracker axes"},
+		{"mean against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Mean = []float64{1, 2, 3} }), "values, the fingerprint fixes 2"},
+		{"components against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Components = [][]float64{{1}} }), "rows, the fingerprint fixes 2"},
+		{"window against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Window = [][]float64{{1, 2, 3}} }), "columns, the fingerprint fixes 2"},
+		{"tracker axes against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Tracker.Axes = [][]float64{{1}} }), "tracker axes"},
 		{"open bin against OD pairs", reencode(func(st *State) { st.Server.Shards[0].OpenBins[0].Flows = []float64{1} }), "open-bin flows"},
 		{"lane K against the fingerprint", reencode(func(st *State) { st.K = 3 }), "K=1"},
 	}

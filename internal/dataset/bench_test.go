@@ -4,7 +4,7 @@ package dataset
 // whole-pipeline serial-vs-parallel pair lives in the root package
 // (BenchmarkSimulateWeekSerial / BenchmarkSimulateWeek); here
 // BenchmarkCellReplay isolates the per-cell
-// synthesize->sample->export->collect->resolve chain that dominates it,
+// synthesize->sample->resolve chain that dominates it,
 // with allocs/op as the regression signal for the scratch-reuse diet.
 //
 // Run with: go test -bench=. -benchmem ./internal/dataset/

@@ -8,7 +8,7 @@
 //	background flow classes (gravity x diurnal x noise, application mix)
 //	+ anomaly injector classes and volume scaling     (ground truth ledger)
 //	-> 1% packet sampling -> visible flow records     (traffic.Measure)
-//	-> NetFlow v5 export/collect                      (flowwire)
+//	   in the NetFlow v5 record's fields              (flowwire.Flow)
 //	-> egress resolution by longest-prefix match on the anonymized
 //	   destination + simulated resolution failures    (routing)
 //	-> accumulation into the B/P/F matrices.
@@ -21,6 +21,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -129,9 +130,6 @@ type Dataset struct {
 
 	sampler  sampling.Sampler
 	resolver *routing.Resolver
-	// sampInterval is the NetFlow header's 1-in-N sampling interval,
-	// precomputed from Cfg.SamplingRate.
-	sampInterval uint16
 	// binIndex[bin] lists injectors whose window covers the bin.
 	binIndex [][]anomaly.Injector
 	// RawRecords counts every flow record that reached the collector
@@ -266,7 +264,6 @@ func prepare(cfg Config) (*Dataset, error) {
 	d := &Dataset{
 		Cfg: cfg, Top: top, BG: bg, Ledger: led,
 		Bins: bins, sampler: smp, resolver: res,
-		sampInterval: uint16(1 / cfg.SamplingRate),
 	}
 	d.binIndex = make([][]anomaly.Injector, bins)
 	for _, inj := range led.Injectors {
@@ -290,23 +287,16 @@ func (d *Dataset) allocMatrices() {
 }
 
 // scratch carries the reusable buffers of one generation worker: the flow
-// class and active-injector slices of classesFor plus an exporter/collector
-// pair whose internal arenas survive Reset. One scratch serves one (OD, bin)
-// cell at a time; pooling it takes the per-cell path from hundreds of
-// allocations down to a handful.
+// class and active-injector slices of classesFor and the cell's record
+// buffer. One scratch serves one (OD, bin) cell at a time; pooling it takes
+// the per-cell path from hundreds of allocations down to a handful.
 type scratch struct {
 	classes []traffic.FlowClass
 	active  []anomaly.Injector
-	exp     *flowwire.V5Exporter
-	coll    *flowwire.V5Collector
+	recs    []flowwire.Flow
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{
-		exp:  flowwire.NewV5Exporter(0, 0, nil),
-		coll: flowwire.NewV5Collector(),
-	}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
@@ -332,11 +322,11 @@ func (d *Dataset) classesFor(od topology.ODPair, bin int, rng *rand.Rand, sc *sc
 	return sc.classes
 }
 
-// ForEachResolvedRecord regenerates the sampled, exported, collected and
-// resolved flow records of one (od, bin) cell, invoking fn with each record
-// and the OD pair it resolved to. It consumes the bin's deterministic RNG
-// stream identically on every invocation, so the records are exactly those
-// that were (or will be) accumulated into the matrices for that cell.
+// ForEachResolvedRecord regenerates the sampled and resolved flow records
+// of one (od, bin) cell, invoking fn with each record and the OD pair it
+// resolved to. It consumes the bin's deterministic RNG stream identically
+// on every invocation, so the records are exactly those that were (or will
+// be) accumulated into the matrices for that cell.
 // Replaying a cell never alters the dataset — in particular the Generate-time
 // RawRecords/UnresolvedRecords counters stay frozen.
 //
@@ -356,24 +346,22 @@ func (d *Dataset) ForEachResolvedRecord(od topology.ODPair, bin int, fn func(top
 func (d *Dataset) forEachResolvedRecord(od topology.ODPair, bin int, sc *scratch, fn func(topology.ODPair, flowwire.Flow)) (raw, unresolved uint64) {
 	rng := d.BG.BinRNG(od, bin)
 	classes := d.classesFor(od, bin, rng, sc)
-	exp := sc.exp
-	exp.Reset(uint8(od.Origin), d.sampInterval)
+	// Every record of the cell is measured before the first is resolved:
+	// resolution draws from the same RNG stream, after the sampling.
+	sc.recs = sc.recs[:0]
 	emit := func(r flow.Record) {
-		if err := exp.Add(flowwire.Flow{Key: r.Key, Packets: r.Packets, Bytes: r.Bytes}); err != nil {
-			panic(fmt.Sprintf("dataset: export failed: %v", err))
+		// The records are what a collector decodes from the cell's NetFlow
+		// v5 export, which carries 32-bit counters: a record past them
+		// could not have been exported at all.
+		if r.Packets > math.MaxUint32 || r.Bytes > math.MaxUint32 {
+			panic(fmt.Sprintf("dataset: flow record of %d packets, %d bytes exceeds NetFlow v5's 32-bit counters", r.Packets, r.Bytes))
 		}
+		sc.recs = append(sc.recs, flowwire.Flow{Key: r.Key, Packets: r.Packets, Bytes: r.Bytes})
 	}
 	for _, c := range classes {
 		traffic.Measure(c, d.sampler, d.BG.Realm, rng, emit)
 	}
-	if err := exp.Flush(); err != nil {
-		panic(fmt.Sprintf("dataset: flush failed: %v", err))
-	}
-	sc.coll.Reset()
-	if err := exp.ForEachPacket(sc.coll.Ingest); err != nil {
-		panic(fmt.Sprintf("dataset: collect failed: %v", err))
-	}
-	for _, rec := range sc.coll.Records {
+	for _, rec := range sc.recs {
 		raw++
 		if d.Cfg.UnresolvedFraction > 0 && rng.Float64() < d.Cfg.UnresolvedFraction {
 			unresolved++

@@ -224,11 +224,10 @@ func TestCountersFrozenAfterGenerate(t *testing.T) {
 
 func TestPerCellAllocsBounded(t *testing.T) {
 	// The per-cell measurement path must stay allocation-lean: with a warm
-	// scratch the whole synthesize->sample->export->collect->resolve chain
-	// for one cell is a handful of allocations (the per-cell RNG and the
-	// accumulate closure), where it used to be hundreds. The bound is
-	// deliberately loose; it exists to catch the reintroduction of per-cell
-	// exporter/collector/packet construction.
+	// scratch the whole synthesize->sample->resolve chain for one cell is a
+	// handful of allocations (the per-cell RNG and the accumulate closure).
+	// The bound is deliberately loose; it exists to catch per-cell buffers
+	// that stop being reused.
 	d := quickDataset(t)
 	sc := getScratch()
 	defer putScratch(sc)

@@ -237,10 +237,8 @@ func (v5Decoder) Decode(pkt []byte, dst []Record) (Batch, []Record, error) {
 
 // V5Exporter batches flow records into v5 export packets, maintaining the
 // flow sequence counter. One V5Exporter models one router's export engine.
-//
-// Encoded packets accumulate in a single contiguous arena whose capacity
-// survives Reset, so a hot loop that exports millions of records through
-// one exporter settles into zero per-packet allocations.
+// Encoded packets accumulate back to back in one contiguous arena until
+// Drain hands them out.
 type V5Exporter struct {
 	EngineID         uint8
 	SamplingInterval uint16
@@ -296,21 +294,6 @@ func (e *V5Exporter) Flush() error {
 	return nil
 }
 
-// ForEachPacket visits every accumulated packet without copying or
-// clearing it. The slices alias the exporter's internal arena: they are
-// valid until the next Reset and must not be retained past it. This is the
-// zero-copy path a collector loop should prefer over Drain.
-func (e *V5Exporter) ForEachPacket(fn func(pkt []byte) error) error {
-	start := 0
-	for _, end := range e.ends {
-		if err := fn(e.arena[start:end:end]); err != nil {
-			return err
-		}
-		start = end
-	}
-	return nil
-}
-
 // Drain returns and clears the accumulated packets. The returned slices
 // own the arena they alias: the exporter detaches it and allocates fresh
 // on the next Flush, so drained packets stay valid indefinitely.
@@ -329,68 +312,7 @@ func (e *V5Exporter) Drain() [][]byte {
 	return out
 }
 
-// Reset reconfigures the exporter for a new engine and clears all batching
-// state (sequence counter, pending records, accumulated packets) while
-// keeping the allocated buffers for reuse. Packets previously obtained
-// from ForEachPacket are invalidated; packets obtained from Drain are not.
-func (e *V5Exporter) Reset(engineID uint8, samplingInterval uint16) {
-	e.EngineID = engineID
-	e.SamplingInterval = samplingInterval
-	e.seq = 0
-	e.pending = e.pending[:0]
-	e.arena = e.arena[:0]
-	e.ends = e.ends[:0]
-}
-
 // v5ExportAdapter gives V5Exporter the generic Exporter face (Format).
 type v5ExportAdapter struct{ *V5Exporter }
 
 func (v5ExportAdapter) Format() Format { return FormatNetFlowV5 }
-
-// V5Collector parses v5 export packets and tracks per-engine sequence
-// numbers to count records lost in transit (v5's only loss signal).
-type V5Collector struct {
-	Records    []Flow
-	Lost       uint64
-	nextSeq    map[uint8]uint32
-	seqStarted map[uint8]bool
-}
-
-// NewV5Collector returns an empty collector.
-func NewV5Collector() *V5Collector {
-	return &V5Collector{nextSeq: map[uint8]uint32{}, seqStarted: map[uint8]bool{}}
-}
-
-// Reset clears the collected records, loss counter and per-engine sequence
-// state while keeping the allocated capacity, readying the collector for
-// the next batch of packets.
-func (c *V5Collector) Reset() {
-	c.Records = c.Records[:0]
-	c.Lost = 0
-	clear(c.nextSeq)
-	clear(c.seqStarted)
-}
-
-// Ingest parses one packet, appending its records. Records are decoded
-// directly into the collector's Records slice, reusing its capacity.
-func (c *V5Collector) Ingest(pkt []byte) error {
-	h, err := decodeV5Header(pkt)
-	if err != nil {
-		return err
-	}
-	n := int(h.Count)
-	if c.seqStarted[h.EngineID] {
-		if exp := c.nextSeq[h.EngineID]; h.FlowSequence != exp {
-			// Sequence gap: records were dropped between collector and
-			// exporter (uint32 arithmetic handles wraparound).
-			c.Lost += uint64(h.FlowSequence - exp)
-		}
-	}
-	c.seqStarted[h.EngineID] = true
-	c.nextSeq[h.EngineID] = h.FlowSequence + uint32(n)
-	c.Records = slices.Grow(c.Records, n)
-	for i := 0; i < n; i++ {
-		c.Records = append(c.Records, decodeV5Record(pkt[V5HeaderLen+i*V5RecordLen:]))
-	}
-	return nil
-}

@@ -8,6 +8,25 @@ import (
 	"netwide/internal/topology"
 )
 
+// refLookup is the trie's own longest-prefix match, one pointer per bit:
+// the oracle the compiled flat table is held to.
+func (t *Trie[V]) refLookup(a ipaddr.Addr) (V, bool) {
+	var best V
+	found := false
+	n := t.root
+	for i := 0; n != nil; i++ {
+		if n.set {
+			best, found = n.val, true
+		}
+		if i == 32 {
+			break
+		}
+		b := (a >> (31 - i)) & 1
+		n = n.child[b]
+	}
+	return best, found
+}
+
 // TestFlatMatchesTrie: the compiled table answers exactly as the trie it was
 // compiled from — on two million random addresses and on both edges of every
 // prefix, one address outside each edge included, for the table of the two
@@ -24,7 +43,7 @@ func TestFlatMatchesTrie(t *testing.T) {
 		}
 		check := func(a ipaddr.Addr) {
 			t.Helper()
-			want, wantOK := r.table.Lookup(a)
+			want, wantOK := r.table.refLookup(a)
 			got, gotOK := r.flat.lookup(a)
 			if gotOK != wantOK || (wantOK && got != want) {
 				t.Fatalf("%s %v: flat table says (%v, %v), trie says (%v, %v)", top.Name, a, got, gotOK, want, wantOK)

@@ -1,18 +1,21 @@
 // Package routing implements the control-plane substrate of the simulator:
 // IS-IS-like shortest-path routing over the Abilene backbone (Dijkstra with
-// deterministic ECMP tie-breaking), a binary longest-prefix-match trie in
-// the style of a BGP RIB, and the ingress/egress resolution procedure the
-// paper uses to aggregate IP flows into OD flows (router configuration files
-// for ingress, BGP/IS-IS tables for egress, computed once per day).
+// deterministic ECMP tie-breaking), a binary prefix trie in the style of a
+// BGP RIB compiled into a flat longest-prefix-match table, and the
+// ingress/egress resolution procedure the paper uses to aggregate IP flows
+// into OD flows (router configuration files for ingress, BGP/IS-IS tables
+// for egress, computed once per day).
 package routing
 
 import (
 	"netwide/internal/ipaddr"
 )
 
-// Trie is a binary (one bit per level) longest-prefix-match trie mapping
-// IPv4 prefixes to values of type V. The zero value is an empty trie ready
-// to use. It is not safe for concurrent mutation.
+// Trie is a binary (one bit per level) prefix trie mapping IPv4 prefixes to
+// values of type V: the RIB a Resolver compiles its flat lookup table from
+// (Walk visits the prefixes in the order compileFlat paints them). The zero
+// value is an empty trie ready to use. It is not safe for concurrent
+// mutation.
 type Trie[V any] struct {
 	root *trieNode[V]
 	size int
@@ -41,57 +44,6 @@ func (t *Trie[V]) Insert(p ipaddr.Prefix, v V) {
 		t.size++
 	}
 	n.val, n.set = v, true
-}
-
-// Lookup returns the value of the longest prefix containing a, and whether
-// any prefix matched.
-func (t *Trie[V]) Lookup(a ipaddr.Addr) (V, bool) {
-	var best V
-	found := false
-	n := t.root
-	for i := 0; n != nil; i++ {
-		if n.set {
-			best, found = n.val, true
-		}
-		if i == 32 {
-			break
-		}
-		b := (a >> (31 - i)) & 1
-		n = n.child[b]
-	}
-	return best, found
-}
-
-// LookupPrefix returns the value stored exactly at prefix p.
-func (t *Trie[V]) LookupPrefix(p ipaddr.Prefix) (V, bool) {
-	n := t.root
-	for i := 0; i < p.Bits && n != nil; i++ {
-		b := (p.Addr >> (31 - i)) & 1
-		n = n.child[b]
-	}
-	if n == nil || !n.set {
-		var zero V
-		return zero, false
-	}
-	return n.val, true
-}
-
-// Remove deletes the entry stored exactly at prefix p, reporting whether it
-// existed. Interior nodes are left in place (the trie is small and rebuilt
-// daily, so no pruning is needed).
-func (t *Trie[V]) Remove(p ipaddr.Prefix) bool {
-	n := t.root
-	for i := 0; i < p.Bits && n != nil; i++ {
-		b := (p.Addr >> (31 - i)) & 1
-		n = n.child[b]
-	}
-	if n == nil || !n.set {
-		return false
-	}
-	var zero V
-	n.val, n.set = zero, false
-	t.size--
-	return true
 }
 
 // Len returns the number of stored prefixes.

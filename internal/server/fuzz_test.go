@@ -104,7 +104,7 @@ func FuzzRestore(f *testing.F) {
 		}
 		p := ds.NumODPairs()
 		for i, lane := range after.Stream.Lanes {
-			m := lane.Updater.Model
+			m := lane.Model
 			if len(m.Mean) != p || len(m.Components) != p || len(m.Eigenvalues) < m.Opts.K {
 				t.Fatalf("lane %d model out of shape: mean %d, components %d rows, %d eigenvalues, K=%d (p=%d)",
 					i, len(m.Mean), len(m.Components), len(m.Eigenvalues), m.Opts.K, p)
@@ -113,7 +113,7 @@ func FuzzRestore(f *testing.F) {
 				"mean": {m.Mean}, "eigenvalues": {m.Eigenvalues}, "components": m.Components,
 				"limits and trace": {{m.QLimit, m.T2Limit, m.TotalVar}},
 			}
-			if tr := lane.Updater.Tracker; tr != nil {
+			if tr := lane.Tracker; tr != nil {
 				vecs["tracker mean and trace"] = [][]float64{tr.Mean, {tr.TotalVar}}
 				vecs["tracker axes"] = tr.Axes
 			}

@@ -260,17 +260,17 @@ type Stats struct {
 	// pipeline (absent on the synchronous path): per-receiver datagram
 	// counters and per-shard record counters with queue-depth gauges.
 	// MergeQueueLen is the seal-reply queue depth between the shards and
-	// the coordinator.
+	// the coordinator (0 on the synchronous path, which has none).
 	Receivers     []ReceiverStats `json:"receivers,omitempty"`
 	Shards        []ShardStats    `json:"shards,omitempty"`
-	MergeQueueLen int             `json:"merge_queue_len,omitempty"`
+	MergeQueueLen int             `json:"merge_queue_len"`
 	// Checkpointing state. CheckpointsWritten / CheckpointErrors count
 	// snapshot attempts; LastCheckpointBin is the highest closed bin the
 	// latest snapshot covers (-1 before the first). Restored reports this
-	// process recovered from a snapshot covering bins through RestoredBin.
-	// CheckpointFallbacks counts startups that found a snapshot but had to
-	// cold-start instead (torn, corrupt, version skew, wrong fingerprint)
-	// — the reason lands in RestoreErr. CheckpointErr carries the most
+	// process recovered from a snapshot covering bins through RestoredBin
+	// (0 when Restored is false). CheckpointFallbacks counts startups that
+	// found a snapshot but had to cold-start instead (torn, corrupt, version
+	// skew, wrong fingerprint) — the reason lands in RestoreErr. CheckpointErr carries the most
 	// recent snapshot-write failure (a full disk shows up here, not as a
 	// crash). CheckpointLagBins is LastClosed − LastCheckpointBin, the bins
 	// a kill right now would have to be re-fed: up to CheckpointEvery plus
@@ -278,18 +278,18 @@ type Stats struct {
 	// counts cadence ticks that found a snapshot still in flight and were
 	// folded into the next one; CheckpointLastWriteMs is how long the
 	// latest write took (encode, fsync, rename).
-	CheckpointsWritten  uint64 `json:"checkpoints_written,omitempty"`
-	CheckpointErrors    uint64 `json:"checkpoint_errors,omitempty"`
+	CheckpointsWritten  uint64 `json:"checkpoints_written"`
+	CheckpointErrors    uint64 `json:"checkpoint_errors"`
 	LastCheckpointBin   int    `json:"last_checkpoint_bin"`
-	Restored            bool   `json:"restored,omitempty"`
-	RestoredBin         int    `json:"restored_bin,omitempty"`
-	CheckpointFallbacks uint64 `json:"checkpoint_fallbacks,omitempty"`
+	Restored            bool   `json:"restored"`
+	RestoredBin         int    `json:"restored_bin"`
+	CheckpointFallbacks uint64 `json:"checkpoint_fallbacks"`
 	RestoreErr          string `json:"restore_err,omitempty"`
 	CheckpointErr       string `json:"checkpoint_err,omitempty"`
 
-	CheckpointLagBins     int     `json:"checkpoint_lag_bins,omitempty"`
-	CheckpointsCoalesced  uint64  `json:"checkpoints_coalesced,omitempty"`
-	CheckpointLastWriteMs float64 `json:"checkpoint_last_write_ms,omitempty"`
+	CheckpointLagBins     int     `json:"checkpoint_lag_bins"`
+	CheckpointsCoalesced  uint64  `json:"checkpoints_coalesced"`
+	CheckpointLastWriteMs float64 `json:"checkpoint_last_write_ms"`
 	// ScoringBacklogBins is the number of closed bins the detector holds
 	// without a consumed verdict: submitted, but not yet scored,
 	// characterized and folded into the anomaly ledger. VerdictLagMs is how
@@ -297,8 +297,8 @@ type Stats struct {
 	// idle detector answers each bin as it arrives, so both sit near zero;
 	// a backlog that keeps growing means scoring or classification cannot
 	// keep up with the bin rate, and every alarm is that late.
-	ScoringBacklogBins int     `json:"scoring_backlog_bins,omitempty"`
-	VerdictLagMs       float64 `json:"verdict_lag_ms,omitempty"`
+	ScoringBacklogBins int     `json:"scoring_backlog_bins"`
+	VerdictLagMs       float64 `json:"verdict_lag_ms"`
 	// Draining reports a shutdown in progress. Err carries the first FATAL
 	// error — an ingest submit failure or a detector scoring failure ("",
 	// and /healthz 200, when healthy). DegradedErr carries a background

@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"netwide/internal/dataset"
+	"netwide/internal/engine"
 	"netwide/internal/sampling"
 	"netwide/internal/scenario"
 	"netwide/internal/shootout"
@@ -49,7 +50,7 @@ func roster() []shootout.Detector {
 		// The per-bin lifecycle on the same 288-bin horizon, no periodic
 		// corrections: the tracker forgets exponentially instead of
 		// swallowing whole windows at refit boundaries.
-		&shootout.SubspaceIncremental{Window: 288},
+		&shootout.Subspace{Updater: engine.UpdaterIncremental, Window: 288},
 		&shootout.Empirical{},
 		&shootout.EWMA{},
 	}

@@ -5,98 +5,115 @@ import (
 
 	"netwide/internal/dataset"
 	"netwide/internal/engine"
-	"netwide/internal/mat"
 )
 
 // Subspace adapts the repo's subspace detection engine to the shootout
-// interface. With RefitEvery == 0 it is the paper's static model: fit once
-// on the training window, score everything after it. With RefitEvery > 0
-// it periodically refits each measure's model on a rolling window of the
-// most recent Window bins via engine.Model.Refit — the same code path the
-// streaming pipeline's background refitter takes, but synchronous, so
-// verdicts are bit-deterministic and fixture-safe. The refit variant is
-// the one the contamination scenario poisons: anomalous bins absorbed
-// into a refit window inflate the next generation's thresholds.
+// interface: one engine.Updater per measure — the model lifecycle the
+// streaming pipeline runs — driven synchronously, so verdicts are
+// bit-deterministic and fixture-safe.
+//
+// Under the refit lifecycle (Updater "" or engine.UpdaterRefit) with
+// RefitEvery == 0 it is the paper's static model: fit once on the training
+// window, score everything after it. With RefitEvery > 0 each measure's
+// model is refitted on a rolling window of the most recent Window bins
+// (seeded from the training tail, so the first refit already has a full
+// window) — the variant the contamination scenario poisons: anomalous bins
+// absorbed into a refit window inflate the next generation's thresholds.
+//
+// Under engine.UpdaterIncremental the subspace is seeded by the training
+// fit and then tracked with one CCIPCA rank-1 update per evaluated bin,
+// thresholds re-derived from streaming residual moments, so the scoring
+// model is never more than one bin stale; Window is the tracker's
+// forgetting horizon, and RefitEvery > 0 adds the lifecycle's periodic
+// drift-correction refits. The tracker absorbs poisoned bins gradually
+// instead of swallowing a whole contaminated window at a refit boundary.
 type Subspace struct {
-	// Label is the detector name; empty picks "subspace" or
-	// "subspace-refit" by RefitEvery.
+	// Label is the detector name; empty picks "subspace-incremental",
+	// "subspace-refit" or "subspace" by Updater and RefitEvery.
 	Label string
+	// Updater selects the model lifecycle; "" means engine.UpdaterRefit.
+	Updater engine.UpdaterKind
 	// Opts configures the engine; the zero value means engine defaults
 	// (k = 4, alpha = 0.001).
 	Opts engine.Options
-	// RefitEvery is the refit cadence in bins (0: never refit).
+	// RefitEvery is the full-refit cadence in bins (0: never refit).
 	RefitEvery int
-	// Window is the rolling refit window length in bins; it must exceed
-	// the OD-pair count for the engine's full-PCA path. Ignored when
-	// RefitEvery == 0.
+	// Window is the rolling refit window length in bins and, under the
+	// incremental lifecycle, the tracker's forgetting horizon (0: the
+	// training bin count). It must exceed the OD-pair count; under the
+	// refit lifecycle it is ignored when RefitEvery == 0.
 	Window int
 
-	// LastRefitErr records the first refit failure of the latest Run, if
-	// any. A failed refit is degraded operation, not a fatal error — the
-	// detector keeps scoring on the previous generation, mirroring the
-	// streaming pipeline's RefitErr semantics.
+	// LastRefitErr records the first model-update failure of the latest
+	// Run, if any. A failed refit or fold is degraded operation, not a fatal
+	// error — the detector keeps scoring on the previous model, mirroring
+	// the streaming pipeline's RefitErr semantics.
 	LastRefitErr error
 }
 
 // Name returns the detector label.
 func (s *Subspace) Name() string {
-	if s.Label != "" {
+	switch {
+	case s.Label != "":
 		return s.Label
-	}
-	if s.RefitEvery > 0 {
+	case s.Updater == engine.UpdaterIncremental:
+		return "subspace-incremental"
+	case s.RefitEvery > 0:
 		return "subspace-refit"
 	}
 	return "subspace"
 }
 
-// Run fits one model per measure on the training prefix and scores every
-// later bin. The combined score is the worst statistic-to-threshold ratio
-// across the three measures and both statistics (SPE and T²), so 1.0 is
-// exactly the native alarm boundary; the blamed OD is the top residual OD
-// of the measure that produced the combined score.
+// Run fits one model per measure on the training prefix and walks every
+// later bin: score it on the current model, hand it to the lifecycle
+// (Observe), and when the lifecycle hands back a due window, refit on it
+// and Install the result before the next bin — the streaming pipeline's
+// lane loop with the refitter goroutine inlined. The combined score is the
+// worst statistic-to-threshold ratio across the three measures and both
+// statistics (SPE and T²), so 1.0 is exactly the native alarm boundary;
+// the blamed OD is the top residual OD of the measure that produced the
+// combined score.
 func (s *Subspace) Run(ds *dataset.Dataset, trainBins int) ([]BinVerdict, error) {
 	s.LastRefitErr = nil
 	opts := s.Opts
 	if opts.K == 0 && opts.Alpha == 0 {
 		opts = engine.DefaultOptions()
 	}
-	p := ds.NumODPairs()
-	var models [dataset.NumMeasures]*engine.Model
+	kind, err := engine.ParseUpdaterKind(string(s.Updater))
+	if err != nil {
+		return nil, err
+	}
+	cfg := engine.UpdaterConfig{RefitEvery: s.RefitEvery, Window: s.Window}
+	if kind == engine.UpdaterRefit {
+		switch {
+		case s.RefitEvery == 0:
+			cfg.Window = 0 // the static model keeps no window
+		case s.Window > trainBins:
+			// The first refit's window is seeded from the training tail.
+			return nil, fmt.Errorf("refit window %d exceeds %d training bins", s.Window, trainBins)
+		}
+	}
+	var ups [dataset.NumMeasures]engine.Updater
 	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
 		model, err := engine.Fit(ds.Matrix(m).HeadRows(trainBins), opts)
 		if err != nil {
-			return nil, fmt.Errorf("subspace: fit %v: %w", m, err)
+			return nil, fmt.Errorf("fit %v: %w", m, err)
 		}
-		models[m] = model
-	}
-	// Rolling refit windows, one ring per measure, seeded with the
-	// training tail so the first refit already has a full window.
-	var rings [dataset.NumMeasures]*ring
-	if s.RefitEvery > 0 {
-		if s.Window <= p {
-			return nil, fmt.Errorf("subspace: refit window %d must exceed %d OD pairs", s.Window, p)
-		}
-		if s.Window > trainBins {
-			return nil, fmt.Errorf("subspace: refit window %d exceeds %d training bins", s.Window, trainBins)
-		}
-		for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-			rings[m] = newRing(s.Window, p)
-			for b := trainBins - s.Window; b < trainBins; b++ {
-				rings[m].push(ds.Matrix(m).RowView(b))
-			}
+		if ups[m], err = engine.NewUpdater(kind, model, cfg); err != nil {
+			return nil, fmt.Errorf("%v: %w", m, err)
 		}
 	}
 	verdicts := make([]BinVerdict, 0, ds.Bins-trainBins)
-	sinceRefit := 0
 	for bin := trainBins; bin < ds.Bins; bin++ {
 		v := BinVerdict{Bin: bin, TopOD: -1}
 		for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
 			row := ds.Matrix(m).RowView(bin)
-			pt, err := models[m].Score(row)
+			model := ups[m].Model()
+			pt, err := model.Score(row)
 			if err != nil {
-				return nil, fmt.Errorf("subspace: score %v bin %d: %w", m, bin, err)
+				return nil, fmt.Errorf("score %v bin %d: %w", m, bin, err)
 			}
-			qLimit, t2Limit := models[m].Limits()
+			qLimit, t2Limit := model.Limits()
 			score := pt.SPE / qLimit
 			if t2 := pt.T2 / t2Limit; t2 > score {
 				score = t2
@@ -106,43 +123,31 @@ func (s *Subspace) Run(ds *dataset.Dataset, trainBins int) ([]BinVerdict, error)
 				v.TopOD = pt.TopResidualOD
 			}
 			v.Alarm = v.Alarm || pt.SPEAlarm || pt.T2Alarm
-			if rings[m] != nil {
-				rings[m].push(row)
+			snap, err := ups[m].Observe(row)
+			if err != nil {
+				s.degrade(fmt.Errorf("update %v bin %d: %w", m, bin, err))
+				continue
 			}
+			if snap == nil {
+				continue
+			}
+			// Warm-started from the model as of Observe, which the incremental
+			// lifecycle has already advanced; a nil next (failed refit) keeps
+			// the previous generation scoring.
+			next, err := ups[m].Model().Refit(snap)
+			if err != nil {
+				s.degrade(fmt.Errorf("refit %v after bin %d: %w", m, bin, err))
+			}
+			ups[m].Install(next)
 		}
 		verdicts = append(verdicts, v)
-		if s.RefitEvery > 0 {
-			if sinceRefit++; sinceRefit >= s.RefitEvery {
-				sinceRefit = 0
-				for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-					next, err := models[m].Refit(rings[m].snapshot())
-					if err != nil {
-						if s.LastRefitErr == nil {
-							s.LastRefitErr = fmt.Errorf("subspace: refit %v after bin %d: %w", m, bin, err)
-						}
-						continue // degraded: keep the previous generation
-					}
-					models[m] = next
-				}
-			}
-		}
 	}
 	return verdicts, nil
 }
 
-// ring is a fixed-size window of row copies in arrival order.
-type ring struct {
-	rows *mat.Matrix // window x p backing store
-	next int
+// degrade records the first model-update failure of a Run.
+func (s *Subspace) degrade(err error) {
+	if s.LastRefitErr == nil {
+		s.LastRefitErr = err
+	}
 }
-
-func newRing(window, p int) *ring { return &ring{rows: mat.New(window, p)} }
-
-func (r *ring) push(row []float64) {
-	copy(r.rows.RowView(r.next), row)
-	r.next = (r.next + 1) % r.rows.Rows()
-}
-
-// snapshot copies the window out in a stable (storage) order. Row order
-// does not affect a PCA fit, so the rotation offset is irrelevant.
-func (r *ring) snapshot() *mat.Matrix { return r.rows.Clone() }

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -36,6 +35,13 @@ func TestLockstepVerdicts(t *testing.T) {
 				t.Fatal(err)
 			}
 			live := synth(rand.New(rand.NewPCG(73, 74)), n, p, 2)
+			verdicts := make(chan Verdict)
+			go func() {
+				for v := range pipe.Verdicts() {
+					verdicts <- v
+				}
+				close(verdicts)
+			}()
 			timeout := time.NewTimer(30 * time.Second)
 			defer timeout.Stop()
 			for bin := 0; bin < n; bin++ {
@@ -47,7 +53,7 @@ func TestLockstepVerdicts(t *testing.T) {
 					t.Fatal(err)
 				}
 				select {
-				case v := <-pipe.Verdicts():
+				case v := <-verdicts:
 					if v.Bin != bin {
 						t.Fatalf("lockstep got bin %d, want %d", v.Bin, bin)
 					}
@@ -56,7 +62,7 @@ func TestLockstepVerdicts(t *testing.T) {
 				}
 			}
 			pipe.Close()
-			for range pipe.Verdicts() {
+			for range verdicts {
 				t.Fatal("verdict after the last lockstep bin")
 			}
 			if err := pipe.Wait(); err != nil {
@@ -73,13 +79,14 @@ func TestLockstepVerdicts(t *testing.T) {
 
 // TestAdaptiveBatchFillsUnderBacklog: with work queued behind it the lane
 // still hands ScoreBatch full BatchSize-row batches. The lane is held at
-// its first (single-bin) flush through batchHook until its queue is full,
-// nothing consumes verdicts meanwhile, and the batch sizes that follow are
-// exact: whole batches while the queue lasts, the remainder when it runs
-// dry.
+// its first (single-bin) flush through batchHook while its queue is filled
+// to within 11 bins of its depth, nothing consumes verdicts meanwhile, and
+// the batch sizes that follow are exact: whole batches while the queue
+// lasts, the remainder when it runs dry.
 func TestAdaptiveBatchFillsUnderBacklog(t *testing.T) {
-	const p, batch, buffer = 8, 16, 3*16 + 5
-	var sizes []int // lane goroutine only, read after Wait
+	const p, batch = 8, 16
+	backlog := depthPerBatch*batch - 11 // 9 whole batches and a remainder of 5
+	var sizes []int                     // lane goroutine only, read after Wait
 	held, release := make(chan struct{}), make(chan struct{})
 	batchHook = func(n int) {
 		if sizes = append(sizes, n); len(sizes) == 1 {
@@ -90,12 +97,12 @@ func TestAdaptiveBatchFillsUnderBacklog(t *testing.T) {
 	defer func() { batchHook = nil }()
 
 	model := fitLane(t, rand.New(rand.NewPCG(81, 82)), 200, p)
-	pipe, err := New([]*engine.Model{model}, Config{BatchSize: batch, Buffer: buffer})
+	pipe, err := New([]*engine.Model{model}, Config{BatchSize: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := synth(rand.New(rand.NewPCG(83, 84)), 1+buffer, p, 2)
-	for bin := 0; bin < 1+buffer; bin++ {
+	live := synth(rand.New(rand.NewPCG(83, 84)), 1+backlog, p, 2)
+	for bin := 0; bin < 1+backlog; bin++ {
 		if bin == 1 {
 			<-held // bin 0 found the queue empty and is being scored alone
 		}
@@ -103,8 +110,8 @@ func TestAdaptiveBatchFillsUnderBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for len(pipe.lanes[0].in) < buffer { // the dispatcher is moving them over
-		runtime.Gosched()
+	if q := len(pipe.lanes[0].in); q != backlog { // Submit sends straight to the lane
+		t.Fatalf("lane queue holds %d bins, want %d", q, backlog)
 	}
 	close(release)
 	pipe.Close()
@@ -118,7 +125,12 @@ func TestAdaptiveBatchFillsUnderBacklog(t *testing.T) {
 	if err := pipe.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []int{1, batch, batch, batch, 5}; !slices.Equal(sizes, want) {
+	want := []int{1}
+	for range backlog / batch {
+		want = append(want, batch)
+	}
+	want = append(want, backlog%batch)
+	if !slices.Equal(sizes, want) {
 		t.Fatalf("batch sizes %v, want %v", sizes, want)
 	}
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"sync/atomic"
@@ -90,13 +91,13 @@ func TestBarrierOrderedAmongSubmits(t *testing.T) {
 				t.Fatalf("verdict %d: barrier has %d lane states", i, len(v.Barrier.Lanes))
 			}
 			for l, st := range v.Barrier.Lanes {
-				if len(st.Updater.Model.Mean) == 0 {
+				if len(st.Model.Mean) == 0 {
 					t.Fatalf("verdict %d lane %d: no model captured", i, l)
 				}
-				if st.Updater.Kind != engine.UpdaterRefit {
-					t.Fatalf("verdict %d lane %d: lifecycle kind %q, want %q", i, l, st.Updater.Kind, engine.UpdaterRefit)
+				if st.Kind != engine.UpdaterRefit {
+					t.Fatalf("verdict %d lane %d: lifecycle kind %q, want %q", i, l, st.Kind, engine.UpdaterRefit)
 				}
-				if st.Updater.Window != nil {
+				if st.Window != nil {
 					t.Fatalf("verdict %d lane %d: window captured with refits disabled", i, l)
 				}
 			}
@@ -156,7 +157,7 @@ func TestBarrierRestoreParity(t *testing.T) {
 		t.Fatal("final verdict of the head run is not the barrier")
 	}
 
-	tail, err := NewRestored(bar.Lanes, cfg)
+	tail, err := NewRestored(bar, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +229,11 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 		t.Fatal("no barrier verdict")
 	}
 	for l, st := range bar.Lanes {
-		if len(st.Updater.Window) != cfg.Window {
-			t.Fatalf("lane %d window %d rows, want %d", l, len(st.Updater.Window), cfg.Window)
+		if len(st.Window) != cfg.Window {
+			t.Fatalf("lane %d window %d rows, want %d", l, len(st.Window), cfg.Window)
 		}
 		wantLast := laneVecs(live, lanes, n-1)[l]
-		last := st.Updater.Window[len(st.Updater.Window)-1]
+		last := st.Window[len(st.Window)-1]
 		for j := range wantLast {
 			if last[j] != wantLast[j] {
 				t.Fatalf("lane %d: newest window row is not the last pre-barrier vector", l)
@@ -240,17 +241,17 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 		}
 		// Since can exceed RefitEvery when a hand-off found the refitter
 		// busy, but never goes negative.
-		if st.Updater.Since < 0 {
-			t.Fatalf("lane %d: negative refit phase %d", l, st.Updater.Since)
+		if st.Since < 0 {
+			t.Fatalf("lane %d: negative refit phase %d", l, st.Since)
 		}
 	}
 
-	restored, err := NewRestored(bar.Lanes, cfg)
+	restored, err := NewRestored(bar, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rDone := collect(restored)
-	startGen := bar.Lanes[0].Updater.Model.Gen
+	startGen := bar.Lanes[0].Model.Gen
 	// The refit runs on its own goroutine: keep feeding until it has been
 	// adopted (a fixed 28 bins were all scored before it finished, two runs
 	// in five on a busy host), then one more batch for it to score.
@@ -347,26 +348,24 @@ func TestNewRestoredValidation(t *testing.T) {
 		}
 		return out
 	}
-	refitState := func(window [][]float64, since int) LaneState {
-		return LaneState{Updater: engine.UpdaterState{
-			Kind: engine.UpdaterRefit, Model: ms, Window: window, Since: since,
-		}}
+	refitState := func(window [][]float64, since int) engine.UpdaterState {
+		return engine.UpdaterState{Kind: engine.UpdaterRefit, Model: ms, Window: window, Since: since}
 	}
 	cases := []struct {
 		name   string
-		states []LaneState
+		states []engine.UpdaterState
 		cfg    Config
 	}{
 		{"no states", nil, Config{}},
-		{"empty state", []LaneState{{}}, Config{}},
-		{"window too small for refit", []LaneState{refitState(nil, 0)}, Config{RefitEvery: 5, Window: 6}},
-		{"restored window too long", []LaneState{refitState(win(50, 6), 0)}, Config{RefitEvery: 5, Window: 40}},
-		{"negative refit phase", []LaneState{refitState(nil, -1)}, Config{RefitEvery: 5, Window: 40}},
-		{"ragged window row", []LaneState{refitState(win(10, 5), 0)}, Config{RefitEvery: 5, Window: 40}},
-		{"lifecycle kind mismatch", []LaneState{refitState(nil, 0)}, Config{Updater: engine.UpdaterIncremental}},
+		{"empty state", []engine.UpdaterState{{}}, Config{}},
+		{"window too small for refit", []engine.UpdaterState{refitState(nil, 0)}, Config{RefitEvery: 5, Window: 6}},
+		{"restored window too long", []engine.UpdaterState{refitState(win(50, 6), 0)}, Config{RefitEvery: 5, Window: 40}},
+		{"negative refit phase", []engine.UpdaterState{refitState(nil, -1)}, Config{RefitEvery: 5, Window: 40}},
+		{"ragged window row", []engine.UpdaterState{refitState(win(10, 5), 0)}, Config{RefitEvery: 5, Window: 40}},
+		{"lifecycle kind mismatch", []engine.UpdaterState{refitState(nil, 0)}, Config{Updater: engine.UpdaterIncremental}},
 	}
 	for _, tc := range cases {
-		if _, err := NewRestored(tc.states, tc.cfg); err == nil {
+		if _, err := NewRestored(&Barrier{Lanes: tc.states}, tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -386,72 +385,96 @@ func (c stateCounter) State() engine.UpdaterState {
 
 // TestBarrierTokensInOrderAndNoUninvitedState pins what an injector that
 // does not wait for its barrier relies on: barriers come out of the verdict
-// stream carrying the token they went in with, exactly at their place among
-// the bins and never reordering them — under batched scoring and under the
-// in-band lifecycle, which flushes every bin — and a pipeline nobody sent a
-// barrier through never copies a lane's state.
+// stream carrying the token and the bin cursor they went in with, exactly
+// at their place among the bins and never reordering them — under batched
+// scoring and under the in-band lifecycle, which flushes every bin, and
+// with one lane slowed by a model eight times wider than the others, so
+// the lanes run out of step and only the zip of their in-order results
+// keeps each verdict whole — and a pipeline nobody sent a barrier through
+// never copies a lane's state.
 func TestBarrierTokensInOrderAndNoUninvitedState(t *testing.T) {
-	const p, lanes, n = 8, 3, 200
+	const lanes, n = 3, 200
 	for _, kind := range []engine.UpdaterKind{engine.UpdaterRefit, engine.UpdaterIncremental} {
-		for _, cuts := range []map[int]bool{nil, {0: true, 1: true, 17: true, 18: true, 150: true}} {
-			rng := rand.New(rand.NewPCG(171, 172))
-			var states atomic.Int64
-			ups := make([]engine.Updater, lanes)
-			for i := range ups {
-				up, err := engine.NewUpdater(kind, fitLane(t, rng, 300, p), engine.UpdaterConfig{})
-				if err != nil {
-					t.Fatal(err)
+		for _, widths := range [][lanes]int{{8, 8, 8}, {8, 64, 8}} {
+			for _, cuts := range []map[int]bool{nil, {0: true, 1: true, 17: true, 18: true, 150: true}} {
+				name := fmt.Sprintf("%s/widths=%v/cuts=%d", kind, widths, len(cuts))
+				rng := rand.New(rand.NewPCG(171, 172))
+				var states atomic.Int64
+				ups := make([]engine.Updater, lanes)
+				models := make([]*engine.Model, lanes)
+				lives := make([]*mat.Matrix, lanes)
+				for i := range ups {
+					models[i] = fitLane(t, rng, 300, widths[i])
+					up, err := engine.NewUpdater(kind, models[i], engine.UpdaterConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ups[i] = stateCounter{up, &states}
+					lives[i] = synth(rand.New(rand.NewPCG(173, uint64(174+i))), n, widths[i], 2)
 				}
-				ups[i] = stateCounter{up, &states}
-			}
-			pipe, err := newPipeline(ups, Config{BatchSize: 7, Updater: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			live := synth(rand.New(rand.NewPCG(173, 174)), n, p, 2)
-			done := collect(pipe)
-			for bin := 0; bin < n; bin++ {
-				if cuts[bin] {
-					// Two in a row: nothing lies between them, and they must
-					// still come out in the order they went in.
-					for _, tok := range []int{bin, -bin - 1} {
-						if err := pipe.Barrier(tok); err != nil {
-							t.Fatal(err)
+				pipe := newPipeline(ups, Config{BatchSize: 7, Updater: kind})
+				done := collect(pipe)
+				for bin := 0; bin < n; bin++ {
+					if cuts[bin] {
+						// Two in a row: nothing lies between them, and they must
+						// still come out in the order they went in.
+						for _, tok := range []int{bin, -bin - 1} {
+							if err := pipe.Barrier(tok); err != nil {
+								t.Fatal(err)
+							}
 						}
 					}
+					vecs := make([][]float64, lanes)
+					for l := range vecs {
+						vecs[l] = lives[l].RowView(bin)
+					}
+					if err := pipe.Submit(Sample{Bin: bin, Vecs: vecs}); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+				pipe.Close()
+				if err := pipe.Wait(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			pipe.Close()
-			if err := pipe.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			got := <-done
-			if len(got) != n+2*len(cuts) {
-				t.Fatalf("%s: got %d verdicts, want %d bins + %d barriers", kind, len(got), n, 2*len(cuts))
-			}
-			nextBin, lastTok := 0, -1
-			for i, v := range got {
-				switch {
-				case v.Barrier == nil:
-					if v.Bin != nextBin {
-						t.Fatalf("%s: verdict %d has bin %d, want %d", kind, i, v.Bin, nextBin)
-					}
-					nextBin++
-				case v.Barrier.Token == -nextBin-1:
-					if lastTok != nextBin || got[i-1].Barrier == nil {
-						t.Fatalf("%s: verdict %d: second barrier of cut %d came before the first", kind, i, nextBin)
-					}
-				case v.Barrier.Token != nextBin || !cuts[nextBin]:
-					t.Fatalf("%s: verdict %d: barrier with token %v surfaced before bin %d", kind, i, v.Barrier.Token, nextBin)
-				default:
-					lastTok = nextBin
+				got := <-done
+				if len(got) != n+2*len(cuts) {
+					t.Fatalf("%s: got %d verdicts, want %d bins + %d barriers", name, len(got), n, 2*len(cuts))
 				}
-			}
-			if want := int64(2 * len(cuts) * lanes); states.Load() != want {
-				t.Fatalf("%s: %d lane State copies for %d barriers over %d lanes, want %d", kind, states.Load(), 2*len(cuts), lanes, want)
+				nextBin, lastTok := 0, -1
+				for i, v := range got {
+					if b := v.Barrier; b != nil && (b.Started != (nextBin > 0) || b.Started && b.LastBin != nextBin-1) {
+						t.Fatalf("%s: verdict %d: barrier before bin %d carries cursor (%d, %v)", name, i, nextBin, v.Barrier.LastBin, v.Barrier.Started)
+					}
+					switch {
+					case v.Barrier == nil:
+						if v.Bin != nextBin {
+							t.Fatalf("%s: verdict %d has bin %d, want %d", name, i, v.Bin, nextBin)
+						}
+						if kind == engine.UpdaterRefit { // static models: each lane's point is its own serial score
+							for l, m := range models {
+								want, err := m.Score(lives[l].RowView(v.Bin))
+								if err != nil {
+									t.Fatal(err)
+								}
+								if v.Points[l] != want {
+									t.Fatalf("%s: bin %d lane %d: %+v, serial %+v", name, v.Bin, l, v.Points[l], want)
+								}
+							}
+						}
+						nextBin++
+					case v.Barrier.Token == -nextBin-1:
+						if lastTok != nextBin || got[i-1].Barrier == nil {
+							t.Fatalf("%s: verdict %d: second barrier of cut %d came before the first", name, i, nextBin)
+						}
+					case v.Barrier.Token != nextBin || !cuts[nextBin]:
+						t.Fatalf("%s: verdict %d: barrier with token %v surfaced before bin %d", name, i, v.Barrier.Token, nextBin)
+					default:
+						lastTok = nextBin
+					}
+				}
+				if want := int64(2 * len(cuts) * lanes); states.Load() != want {
+					t.Fatalf("%s: %d lane State copies for %d barriers over %d lanes, want %d", name, states.Load(), 2*len(cuts), lanes, want)
+				}
 			}
 		}
 	}

@@ -55,14 +55,14 @@ func TestIncrementalPipelineScoresInBand(t *testing.T) {
 		t.Fatal("final verdict is not the barrier")
 	}
 	for l, st := range bar.Lanes {
-		if st.Updater.Kind != engine.UpdaterIncremental {
-			t.Fatalf("lane %d captured kind %q", l, st.Updater.Kind)
+		if st.Kind != engine.UpdaterIncremental {
+			t.Fatalf("lane %d captured kind %q", l, st.Kind)
 		}
-		if st.Updater.Tracker == nil {
+		if st.Tracker == nil {
 			t.Fatalf("lane %d barrier carries no tracker state", l)
 		}
-		if st.Updater.Model.Updates != n {
-			t.Fatalf("lane %d model absorbed %d bins, want %d", l, st.Updater.Model.Updates, n)
+		if st.Model.Updates != n {
+			t.Fatalf("lane %d model absorbed %d bins, want %d", l, st.Model.Updates, n)
 		}
 	}
 	for l, fr := range pipe.Freshness() {
@@ -116,7 +116,7 @@ func TestIncrementalRestoreParity(t *testing.T) {
 		t.Fatal("final verdict of the head run is not the barrier")
 	}
 
-	tail, err := NewRestored(bar.Lanes, cfg)
+	tail, err := NewRestored(bar, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

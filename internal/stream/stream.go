@@ -5,15 +5,16 @@
 // One Pipeline owns one detector lane per traffic measure (bytes, packets,
 // IP-flows in the paper's setup, but any set of fitted engine.Model lanes
 // works). Each submitted Sample — one 5-minute timebin carrying one
-// traffic vector per lane — is fanned out over channels to the lane
-// workers, which score whatever has queued up, at most Config.BatchSize
-// vectors at a time (engine.Model.ScoreBatch, two dense matrix products
-// per batch; a lane whose queue is empty scores the bin it holds rather
-// than wait for more) and
-// attribute every alarm to its responsible OD flows against the model
-// generation that scored it (identify.AttributeLive). A single aggregator
-// merges the per-lane verdicts back into one stream of per-bin Verdicts,
-// emitted strictly in submission order regardless of how lane scheduling
+// traffic vector per lane — goes straight onto every lane's input channel,
+// and each lane worker scores whatever has queued up, at most
+// Config.BatchSize vectors at a time (engine.Model.ScoreBatch, two dense
+// matrix products per batch; a lane whose queue is empty scores the bin it
+// holds rather than wait for more) and attributes every alarm to its
+// responsible OD flows against the model generation that scored it
+// (identify.AttributeLive). A lane emits its results in submission order
+// on its own output channel, so the verdict stream needs no merge stage:
+// Verdicts zips the lanes — one result from each per submission — into
+// per-bin Verdicts, in submission order however lane scheduling
 // interleaves.
 //
 // Each lane keeps its model current through a pluggable engine.Updater —
@@ -37,6 +38,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 
 	"netwide/internal/engine"
@@ -55,10 +57,10 @@ type Config struct {
 	// throughput is what matters. Verdicts do not depend on where the batch
 	// boundaries fall. Lanes running an in-band updater score bin-by-bin
 	// regardless — a bin must be scored before the model absorbs it.
+	// BatchSize also sets how far Submit may run ahead of a stalled verdict
+	// consumer: each lane's input and output channel hold depthPerBatch
+	// batches.
 	BatchSize int
-	// Buffer is the per-channel depth between pipeline stages (default
-	// 4*BatchSize): how far the dispatcher may run ahead of a slow lane.
-	Buffer int
 	// Updater selects the model lifecycle (engine.UpdaterRefit,
 	// engine.UpdaterIncremental); "" means the default refit lifecycle.
 	Updater engine.UpdaterKind
@@ -76,6 +78,11 @@ type Config struct {
 	Faults *fault.Injector
 }
 
+// depthPerBatch is each lane channel's depth in batches: an input and an
+// output channel of 10·BatchSize let Submit run 20·BatchSize+1 bins ahead
+// of a consumer that reads nothing (TestSubmitDepth pins the floor).
+const depthPerBatch = 10
+
 // batchHook, when non-nil, sees the size of every batch a lane is about to
 // score. Tests set it before building a pipeline; nil in production.
 var batchHook func(n int)
@@ -87,9 +94,6 @@ const FaultRefit = "stream.refit"
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
-	}
-	if c.Buffer <= 0 {
-		c.Buffer = 4 * c.BatchSize
 	}
 	return c
 }
@@ -104,31 +108,25 @@ func (c Config) updaterConfig() engine.UpdaterConfig {
 type Sample struct {
 	Bin  int
 	Vecs [][]float64
-	// barrier marks a checkpoint barrier control message (injected by
-	// Barrier, never constructible by callers): it flows through the same
-	// channels as data, so its position in the verdict stream is exactly
-	// its position in the submission order. The lanes fill it in as it
-	// passes them.
-	barrier *Barrier
-}
-
-// LaneState is one lane's recovery state, captured at a Barrier: the full
-// lifecycle state (scoring model, rolling window, refit phase, tracker
-// vectors) as of every bin before the barrier, deep-copied and
-// serializable.
-type LaneState struct {
-	Updater engine.UpdaterState
 }
 
 // Barrier is a consistent pipeline snapshot: every lane's state captured
 // at the same point in the submission order. It arrives as a Verdict with
 // a non-nil Barrier field, ordered among the data verdicts exactly where
 // Pipeline.Barrier was called among the Submits — everything before it has
-// been scored and emitted, nothing after it has.
+// been scored and emitted, nothing after it has. NewRestored resumes a
+// pipeline from one.
 type Barrier struct {
-	Lanes []LaneState
+	// Lanes[i] is lane i's full lifecycle state (scoring model, rolling
+	// window, refit phase, tracker vectors) as of every bin before the
+	// barrier, deep-copied and serializable.
+	Lanes []engine.UpdaterState
+	// LastBin and Started are Submit's bin-order cursor as of the barrier:
+	// the last bin submitted before it, and whether there was one.
+	LastBin int
+	Started bool
 	// Token is whatever the caller handed to Pipeline.Barrier, returned
-	// untouched: the injector does not wait for its barrier, so this is how
+	// untouched: the caller does not wait for its barrier, so this is how
 	// the verdict consumer tells which request a barrier answers.
 	Token any
 }
@@ -173,21 +171,17 @@ func (v Verdict) AlarmLanes() []int {
 	return out
 }
 
-// laneTask is one vector en route to a lane worker. seq is the global
-// submission index the aggregator reorders on.
+// laneTask is one vector, or one barrier, en route to a lane worker.
 type laneTask struct {
-	seq     int
 	bin     int
 	x       []float64
 	barrier *Barrier
 }
 
-// laneResult is one scored vector en route to the aggregator. A barrier
-// result carries the barrier — the lane's state already captured into its
-// slot — instead of a scoring.
+// laneResult is one lane's answer to one laneTask. A barrier result carries
+// the barrier — the lane's state already captured into its slot — instead
+// of a scoring.
 type laneResult struct {
-	lane    int
-	seq     int
 	bin     int
 	pt      engine.Point
 	gen     uint64
@@ -196,13 +190,15 @@ type laneResult struct {
 }
 
 // lane is one detector worker: a model lifecycle (the updater owns the
-// scoring model, the rolling window and any tracker state), a task
-// channel, and the hand-off channel to the lane's refitter goroutine.
+// scoring model, the rolling window and any tracker state), its input and
+// output channels, and the hand-off channel to the lane's refitter
+// goroutine.
 type lane struct {
-	id int
-	up engine.Updater
-	in chan laneTask
-	p  int // vector length the lane's model scores
+	id  int
+	up  engine.Updater
+	in  chan laneTask
+	out chan laneResult // one result per task, in task order
+	p   int             // vector length the lane's model scores
 
 	refitIn chan *mat.Matrix // capacity 1; nil when full refits are disabled
 }
@@ -213,20 +209,18 @@ type lane struct {
 type Pipeline struct {
 	cfg   Config
 	lanes []*lane
-	in    chan Sample
-	out   chan Verdict
-	agg   chan laneResult
 
-	workerWG sync.WaitGroup // dispatcher + lane workers
+	workerWG sync.WaitGroup
 	refitWG  sync.WaitGroup
-	done     chan struct{} // closed when the aggregator finishes
 
-	seq int
-
-	// closeMu serializes Submit against Close so a concurrent shutdown can
-	// neither double-close the input channel nor race a send on it.
-	closeMu sync.Mutex
+	// mu serializes Submit, Barrier and Close, so every lane receives the
+	// submissions in one order, a closed input channel is never sent on, and
+	// the bin-order cursor (lastBin, started) is checked and advanced
+	// atomically with the send.
+	mu      sync.Mutex
 	closed  bool
+	lastBin int
+	started bool
 
 	errMu sync.Mutex
 	err   error // first fatal failure (scoring or attribution)
@@ -300,10 +294,7 @@ func New(models []*engine.Model, cfg Config) (*Pipeline, error) {
 		}
 		ups[i] = up
 	}
-	p, err := newPipeline(ups, cfg)
-	if err != nil {
-		return nil, err
-	}
+	p := newPipeline(ups, cfg)
 	for i, m := range models {
 		if err := m.FitWarning(); err != nil {
 			p.failRefit(fmt.Errorf("stream: lane %d fit: %w", i, err))
@@ -312,47 +303,50 @@ func New(models []*engine.Model, cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// NewRestored builds a pipeline from per-lane recovery states — the
-// restart half of checkpointing: the states come from a Barrier captured
-// in a previous process, and the new pipeline resumes with the same model
-// generations, windows, tracker vectors and refit phase the old one had.
-// Each state's lifecycle kind must match cfg.Updater — a checkpoint from
-// one lifecycle cannot silently resume under another.
-func NewRestored(states []LaneState, cfg Config) (*Pipeline, error) {
-	if len(states) == 0 {
+// NewRestored builds a pipeline from a Barrier — the restart half of
+// checkpointing: the barrier was captured in a previous process, and the
+// new pipeline resumes with the same model generations, windows, tracker
+// vectors, refit phase and bin-order cursor the old one had. Each lane
+// state's lifecycle kind must match cfg.Updater — a checkpoint from one
+// lifecycle cannot silently resume under another.
+func NewRestored(from *Barrier, cfg Config) (*Pipeline, error) {
+	if from == nil || len(from.Lanes) == 0 {
 		return nil, errors.New("stream: no lane states")
 	}
 	want, err := engine.ParseUpdaterKind(string(cfg.Updater))
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
-	ups := make([]engine.Updater, len(states))
-	for i, st := range states {
-		if st.Updater.Kind != want {
-			return nil, fmt.Errorf("stream: lane %d state was captured under the %q updater but the pipeline is configured for %q", i, st.Updater.Kind, want)
+	ups := make([]engine.Updater, len(from.Lanes))
+	for i, st := range from.Lanes {
+		if st.Kind != want {
+			return nil, fmt.Errorf("stream: lane %d state was captured under the %q updater but the pipeline is configured for %q", i, st.Kind, want)
 		}
-		up, err := engine.RestoreUpdater(st.Updater, cfg.updaterConfig())
+		up, err := engine.RestoreUpdater(st, cfg.updaterConfig())
 		if err != nil {
 			return nil, fmt.Errorf("stream: lane %d: %w", i, err)
 		}
 		ups[i] = up
 	}
-	return newPipeline(ups, cfg)
+	p := newPipeline(ups, cfg)
+	p.lastBin, p.started = from.LastBin, from.Started
+	return p, nil
 }
 
-// newPipeline wires lanes around ready lifecycles — the shared tail of New
-// and NewRestored.
-func newPipeline(ups []engine.Updater, cfg Config) (*Pipeline, error) {
+// newPipeline starts one worker (and, with refits on, one refitter) per
+// ready lifecycle — the shared tail of New and NewRestored.
+func newPipeline(ups []engine.Updater, cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
-	p := &Pipeline{
-		cfg:  cfg,
-		in:   make(chan Sample, cfg.Buffer),
-		out:  make(chan Verdict, cfg.Buffer),
-		agg:  make(chan laneResult, cfg.Buffer*len(ups)),
-		done: make(chan struct{}),
-	}
+	depth := depthPerBatch * cfg.BatchSize
+	p := &Pipeline{cfg: cfg}
 	for i, up := range ups {
-		l := &lane{id: i, up: up, in: make(chan laneTask, cfg.Buffer), p: up.Model().P()}
+		l := &lane{
+			id:  i,
+			up:  up,
+			in:  make(chan laneTask, depth),
+			out: make(chan laneResult, depth),
+			p:   up.Model().P(),
+		}
 		if cfg.RefitEvery > 0 {
 			l.refitIn = make(chan *mat.Matrix, 1)
 			p.refitWG.Add(1)
@@ -362,10 +356,7 @@ func newPipeline(ups []engine.Updater, cfg Config) (*Pipeline, error) {
 		p.workerWG.Add(1)
 		go p.laneWorker(l)
 	}
-	p.workerWG.Add(1)
-	go p.dispatch()
-	go p.aggregate()
-	return p, nil
+	return p
 }
 
 // Lanes returns the number of detector lanes.
@@ -390,10 +381,14 @@ func (p *Pipeline) Freshness() []engine.Freshness {
 	return out
 }
 
-// Submit feeds one timebin into the pipeline. Vectors are validated here so
-// the concurrent stages never see a malformed sample; the pipeline retains
-// the slices, so callers streaming from a reused buffer must copy first.
-// Submit blocks when the pipeline is more than Buffer bins behind.
+// Submit feeds one timebin into the pipeline. Bins must be submitted in
+// time order (non-decreasing) — the cross-bin event aggregation downstream
+// depends on it, so a bin earlier than its predecessor is rejected here.
+// Vectors are validated here too, so the lanes never see a malformed
+// sample; the pipeline retains the slices, so callers streaming from a
+// reused buffer must copy first. Submit blocks when a lane's input channel
+// is full: 20·BatchSize+1 bins ahead of a verdict consumer that has
+// stopped reading.
 func (p *Pipeline) Submit(s Sample) error {
 	if len(s.Vecs) != len(p.lanes) {
 		return fmt.Errorf("stream: sample has %d vectors, want %d", len(s.Vecs), len(p.lanes))
@@ -403,48 +398,94 @@ func (p *Pipeline) Submit(s Sample) error {
 			return fmt.Errorf("stream: lane %d vector length %d, want %d", i, len(x), p.lanes[i].p)
 		}
 	}
-	p.closeMu.Lock()
-	defer p.closeMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
 		return errors.New("stream: submit after Close")
 	}
-	p.in <- s
+	if p.started && s.Bin < p.lastBin {
+		return fmt.Errorf("stream: bin %d submitted after bin %d (bins must be non-decreasing)", s.Bin, p.lastBin)
+	}
+	for i, l := range p.lanes {
+		l.in <- laneTask{bin: s.Bin, x: s.Vecs[i]}
+	}
+	p.started, p.lastBin = true, s.Bin
 	return nil
 }
 
 // Barrier injects a checkpoint barrier into the submission order: a
-// control message that fans out to every lane behind all earlier Submits,
+// control message sent to every lane behind all earlier Submits, which
 // captures each lane's state after the lane has scored everything before
 // it, and surfaces in the verdict stream as a Verdict with a non-nil
 // Barrier field, ordered exactly where this call fell among the Submits.
 // It does not wait for that verdict: token rides along on Barrier.Token for
-// the consumer to recognise it by. Like Submit it blocks when the pipeline
-// is Buffer bins behind, and fails after Close.
+// the consumer to recognise it by. Like Submit it blocks when a lane's
+// input channel is full, and fails after Close.
 func (p *Pipeline) Barrier(token any) error {
-	p.closeMu.Lock()
-	defer p.closeMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
 		return errors.New("stream: barrier after Close")
 	}
-	p.in <- Sample{barrier: &Barrier{Lanes: make([]LaneState, len(p.lanes)), Token: token}}
+	b := &Barrier{
+		Lanes:   make([]engine.UpdaterState, len(p.lanes)),
+		LastBin: p.lastBin,
+		Started: p.started,
+		Token:   token,
+	}
+	for _, l := range p.lanes {
+		l.in <- laneTask{barrier: b}
+	}
 	return nil
 }
 
 // Close signals end of input. It is idempotent and safe to call
-// concurrently with Submit; it does not wait — drain Verdicts (the channel
-// is closed after the final verdict) or call Wait.
+// concurrently with Submit; it does not wait — drain Verdicts (the
+// sequence ends after the final verdict) or call Wait.
 func (p *Pipeline) Close() {
-	p.closeMu.Lock()
-	defer p.closeMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if !p.closed {
 		p.closed = true
-		close(p.in)
+		for _, l := range p.lanes {
+			close(l.in)
+		}
 	}
 }
 
-// Verdicts returns the ordered verdict stream. The channel is closed once
-// every submitted bin has been scored and merged.
-func (p *Pipeline) Verdicts() <-chan Verdict { return p.out }
+// Verdicts returns the ordered verdict stream, for one consumer to range
+// over once. Every lane answers every submission in order, so the n-th
+// result of each lane belongs to the n-th submission: the sequence takes
+// one result from every lane and yields their merge, a barrier when the
+// submission was one (each lane has then filled its slot, and the receive
+// publishes it). It ends once every submitted bin has been scored and the
+// pipeline is closed.
+func (p *Pipeline) Verdicts() iter.Seq[Verdict] {
+	return func(yield func(Verdict) bool) {
+		for r := range p.lanes[0].out {
+			v := Verdict{Bin: -1, Barrier: r.barrier}
+			if r.barrier == nil {
+				v = Verdict{
+					Bin:     r.bin,
+					Points:  make([]engine.Point, len(p.lanes)),
+					Gens:    make([]uint64, len(p.lanes)),
+					Attribs: make([][]identify.Attribution, len(p.lanes)),
+				}
+			}
+			for i, l := range p.lanes {
+				if i > 0 {
+					r = <-l.out
+				}
+				if v.Barrier == nil {
+					v.Points[i], v.Gens[i], v.Attribs[i] = r.pt, r.gen, r.att
+				}
+			}
+			if !yield(v) {
+				return
+			}
+		}
+	}
+}
 
 // Wait blocks until the pipeline has emitted every verdict (the consumer
 // must be draining Verdicts) and all background refits have settled, then
@@ -454,7 +495,7 @@ func (p *Pipeline) Verdicts() <-chan Verdict { return p.out }
 // placeholder points), so Wait is the only place a background failure
 // surfaces.
 func (p *Pipeline) Wait() error {
-	<-p.done
+	p.workerWG.Wait()
 	p.refitWG.Wait()
 	p.errMu.Lock()
 	defer p.errMu.Unlock()
@@ -462,28 +503,6 @@ func (p *Pipeline) Wait() error {
 		return p.err
 	}
 	return p.refitErr
-}
-
-// dispatch fans each submitted sample out to every lane, stamping the
-// global sequence number the aggregator reorders on.
-func (p *Pipeline) dispatch() {
-	defer p.workerWG.Done()
-	for s := range p.in {
-		seq := p.seq
-		p.seq++
-		if s.barrier != nil {
-			for _, l := range p.lanes {
-				l.in <- laneTask{seq: seq, barrier: s.barrier}
-			}
-			continue
-		}
-		for i, l := range p.lanes {
-			l.in <- laneTask{seq: seq, bin: s.Bin, x: s.Vecs[i]}
-		}
-	}
-	for _, l := range p.lanes {
-		close(l.in)
-	}
 }
 
 // laneWorker scores its lane's vectors in batches against whatever model is
@@ -504,6 +523,7 @@ func (p *Pipeline) dispatch() {
 // every submitted bin, then learn from Wait that the run failed.
 func (p *Pipeline) laneWorker(l *lane) {
 	defer p.workerWG.Done()
+	defer close(l.out)
 	if l.refitIn != nil {
 		defer close(l.refitIn)
 	}
@@ -524,7 +544,7 @@ func (p *Pipeline) laneWorker(l *lane) {
 		if err != nil {
 			p.fail(fmt.Errorf("stream: lane %d score: %w", l.id, err))
 			for _, t := range batch {
-				p.agg <- laneResult{lane: l.id, seq: t.seq, bin: t.bin, gen: m.Gen()}
+				l.out <- laneResult{bin: t.bin, gen: m.Gen()}
 			}
 			batch, vecs = batch[:0], vecs[:0]
 			return
@@ -535,7 +555,7 @@ func (p *Pipeline) laneWorker(l *lane) {
 				p.fail(fmt.Errorf("stream: lane %d attribute: %w", l.id, err))
 				att = nil
 			}
-			p.agg <- laneResult{lane: l.id, seq: t.seq, bin: t.bin, pt: pts[i], gen: m.Gen(), att: att}
+			l.out <- laneResult{bin: t.bin, pt: pts[i], gen: m.Gen(), att: att}
 		}
 		batch, vecs = batch[:0], vecs[:0]
 	}
@@ -544,10 +564,10 @@ func (p *Pipeline) laneWorker(l *lane) {
 			// Score everything before the barrier first, so the captured
 			// state (model, window, tracker, refit phase) is exactly the
 			// state as of the last pre-barrier bin. Each lane writes its own
-			// slot; the send to the aggregator publishes it.
+			// slot; the send on out publishes it.
 			flush()
-			t.barrier.Lanes[l.id] = LaneState{Updater: l.up.State()}
-			p.agg <- laneResult{lane: l.id, seq: t.seq, bin: -1, barrier: t.barrier}
+			t.barrier.Lanes[l.id] = l.up.State()
+			l.out <- laneResult{bin: -1, barrier: t.barrier}
 			continue
 		}
 		batch = append(batch, t)
@@ -605,55 +625,4 @@ func (p *Pipeline) refitter(l *lane) {
 		}
 		l.up.Install(next)
 	}
-}
-
-// aggregate merges per-lane results back into per-bin verdicts, emitted
-// strictly in submission order.
-func (p *Pipeline) aggregate() {
-	go func() {
-		p.workerWG.Wait()
-		close(p.agg)
-	}()
-	type partial struct {
-		v    Verdict
-		left int
-	}
-	pending := make(map[int]*partial)
-	next := 0
-	for r := range p.agg {
-		pt, ok := pending[r.seq]
-		if !ok {
-			if r.barrier != nil {
-				pt = &partial{v: Verdict{Bin: -1, Barrier: r.barrier}, left: len(p.lanes)}
-			} else {
-				pt = &partial{
-					v: Verdict{
-						Bin:     r.bin,
-						Points:  make([]engine.Point, len(p.lanes)),
-						Gens:    make([]uint64, len(p.lanes)),
-						Attribs: make([][]identify.Attribution, len(p.lanes)),
-					},
-					left: len(p.lanes),
-				}
-			}
-			pending[r.seq] = pt
-		}
-		if r.barrier == nil {
-			pt.v.Points[r.lane] = r.pt
-			pt.v.Gens[r.lane] = r.gen
-			pt.v.Attribs[r.lane] = r.att
-		}
-		pt.left--
-		for {
-			done, ok := pending[next]
-			if !ok || done.left > 0 {
-				break
-			}
-			delete(pending, next)
-			p.out <- done.v
-			next++
-		}
-	}
-	close(p.out)
-	close(p.done)
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"netwide/internal/engine"
 	"netwide/internal/mat"
@@ -458,5 +460,138 @@ func TestUnconvergedFitDegradesPipeline(t *testing.T) {
 	pipe.Close()
 	if err := pipe.Wait(); err == nil || !strings.Contains(err.Error(), "unconverged") {
 		t.Fatalf("Wait() = %v, want the unconverged-fit warning", err)
+	}
+}
+
+// pipelineGoroutines counts the live goroutines a Pipeline started: those
+// created by newPipeline or by any Pipeline method.
+func pipelineGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by netwide/internal/stream.newPipeline") ||
+			strings.Contains(g, "created by netwide/internal/stream.(*Pipeline)") {
+			count++
+		}
+	}
+	return count
+}
+
+// awaitPipelineGoroutines polls until exactly want pipeline goroutines are
+// live; a goroutine that has signalled its WaitGroup may still be on its
+// way out.
+func awaitPipelineGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	got := pipelineGoroutines()
+	for deadline := time.Now().Add(5 * time.Second); got != want && time.Now().Before(deadline); got = pipelineGoroutines() {
+		time.Sleep(time.Millisecond)
+	}
+	if got != want {
+		t.Fatalf("%s: %d pipeline goroutines, want %d", when, got, want)
+	}
+}
+
+// TestPipelineGoroutines: a pipeline of L lanes runs L lane workers, plus
+// one refitter per lane when refits are on, and nothing else — results go
+// from the lanes straight to the consumer — and none outlive Close, a
+// drained verdict stream and Wait.
+func TestPipelineGoroutines(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"static": {BatchSize: 4},
+		"refit":  {BatchSize: 4, RefitEvery: 10, Window: 40},
+	} {
+		t.Run(name, func(t *testing.T) {
+			const p, lanes, n = 6, 3, 60
+			awaitPipelineGoroutines(t, 0, "before New")
+			rng := rand.New(rand.NewPCG(191, 192))
+			models := make([]*engine.Model, lanes)
+			for i := range models {
+				models[i] = fitLane(t, rng, 200, p)
+			}
+			pipe, err := New(models, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := lanes
+			if cfg.RefitEvery > 0 {
+				want += lanes
+			}
+			awaitPipelineGoroutines(t, want, "after New")
+			live := synth(rand.New(rand.NewPCG(193, 194)), n, p, 2)
+			for bin := 0; bin < n; bin++ {
+				if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pipe.Barrier(nil); err != nil {
+				t.Fatal(err)
+			}
+			awaitPipelineGoroutines(t, want, "with a backlog")
+			pipe.Close()
+			got := 0
+			for range pipe.Verdicts() {
+				got++
+			}
+			if err := pipe.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got != n+1 {
+				t.Fatalf("%d verdicts, want %d bins + 1 barrier", got, n)
+			}
+			awaitPipelineGoroutines(t, 0, "after Close, drain and Wait")
+		})
+	}
+}
+
+// TestSubmitDepth: with nobody reading verdicts, Submit still accepts at
+// least as many bins as the earlier dispatcher-and-aggregator pipeline
+// did. The floors are the deepest run-ahead that pipeline reached over 60
+// runs each at 1 and 3 lanes (its four channels of 4·BatchSize, plus what
+// its relay goroutines held); the lane channels give 20·BatchSize+1.
+func TestSubmitDepth(t *testing.T) {
+	for _, tc := range []struct{ batch, floor int }{{1, 20}, {4, 75}, {16, 297}} {
+		const p, lanes = 6, 3
+		rng := rand.New(rand.NewPCG(201, 202))
+		models := make([]*engine.Model, lanes)
+		for i := range models {
+			models[i] = fitLane(t, rng, 100, p)
+		}
+		pipe, err := New(models, Config{BatchSize: tc.batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := synth(rand.New(rand.NewPCG(203, 204)), 10, p, 2)
+		accepted := make(chan int, 1)
+		go func() {
+			bin := 0
+			for ; bin < tc.floor; bin++ {
+				if pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}) != nil {
+					break
+				}
+			}
+			accepted <- bin
+		}()
+		select {
+		case got := <-accepted:
+			if got != tc.floor {
+				t.Fatalf("BatchSize %d: Submit failed after %d bins", tc.batch, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("BatchSize %d: Submit stalled before %d bins with no verdict reader", tc.batch, tc.floor)
+		}
+		go pipe.Close() // waits for a stalled Submit, which the drain below unblocks
+		for range pipe.Verdicts() {
+		}
+		if err := pipe.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

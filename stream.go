@@ -154,21 +154,6 @@ type StreamDetector struct {
 	cl         *classify.Classifier
 	tailOnce   sync.Once
 	tail       []Anomaly
-	// binMu guards lastBin: the cross-bin event aggregation needs bins in
-	// time order, so Submit enforces the contract at the edge instead of
-	// letting a violation surface as a panic in a background goroutine.
-	binMu   sync.Mutex
-	lastBin int
-	started bool
-}
-
-// LaneCheckpoint is one measure lane's recovery state in serializable
-// form: the full model-lifecycle state — the scoring model's parameters,
-// the rolling refit window (deep-copied rows, oldest first; nil when full
-// refits are disabled), the bins accrued toward the next refit, and the
-// incremental tracker's vectors when that lifecycle is running.
-type LaneCheckpoint struct {
-	Updater engine.UpdaterState
 }
 
 // StreamCheckpoint is the StreamDetector's full recovery state, captured
@@ -179,7 +164,12 @@ type LaneCheckpoint struct {
 // writes them field by field, and a field added here needs a line there
 // (its TestCodecRoundTripsEveryField fails until it has one).
 type StreamCheckpoint struct {
-	Lanes []LaneCheckpoint
+	// Lanes[m] is measure m's full model-lifecycle state: the scoring
+	// model's parameters, the rolling refit window (deep-copied rows, oldest
+	// first; nil when full refits are disabled), the bins accrued toward the
+	// next refit, and the incremental tracker's vectors when that lifecycle
+	// is running.
+	Lanes []engine.UpdaterState
 	// Agg is the event aggregator mid-state: anomalies still open (they
 	// may yet extend) plus the buffered current bin.
 	Agg events.AggregatorState
@@ -249,18 +239,17 @@ func (r *Run) RestoreStreamDetector(cp StreamCheckpoint, cfg StreamConfig) (*Str
 	if len(cp.Lanes) != int(dataset.NumMeasures) {
 		return nil, fmt.Errorf("netwide: checkpoint has %d lanes, want %d", len(cp.Lanes), dataset.NumMeasures)
 	}
-	states := make([]stream.LaneState, len(cp.Lanes))
-	for i, lc := range cp.Lanes {
-		if p := len(lc.Updater.Model.Mean); p != r.ds.NumODPairs() {
+	for i, us := range cp.Lanes {
+		if p := len(us.Model.Mean); p != r.ds.NumODPairs() {
 			return nil, fmt.Errorf("netwide: restored %v model scores %d OD pairs, run has %d", dataset.Measure(i), p, r.ds.NumODPairs())
 		}
-		states[i] = stream.LaneState{Updater: lc.Updater}
 	}
 	agg, err := events.RestoreAggregator(cp.Agg)
 	if err != nil {
 		return nil, fmt.Errorf("netwide: restore aggregator: %w", err)
 	}
-	pipe, err := stream.NewRestored(states, stream.Config{
+	from := &stream.Barrier{Lanes: cp.Lanes, LastBin: cp.LastBin, Started: cp.Started}
+	pipe, err := stream.NewRestored(from, stream.Config{
 		BatchSize:  cfg.BatchSize,
 		Updater:    engine.UpdaterKind(cfg.Updater),
 		RefitEvery: cfg.RefitEvery,
@@ -276,19 +265,9 @@ func (r *Run) RestoreStreamDetector(cp StreamCheckpoint, cfg StreamConfig) (*Str
 		run:     r,
 		agg:     agg,
 		emitted: cp.Emitted,
-		lastBin: cp.LastBin,
-		started: cp.Started,
 	}
 	go d.characterize()
 	return d, nil
-}
-
-// barrierToken is what a Checkpoint barrier carries through the pipeline:
-// Submit's cursor as of the injection, and the caller's own token.
-type barrierToken struct {
-	lastBin int
-	started bool
-	user    any
 }
 
 // Checkpoint asks for the detector's full recovery state at this point in
@@ -301,9 +280,7 @@ type barrierToken struct {
 // before any submitted after it. Serializes with concurrent Submits; fails
 // after Close.
 func (d *StreamDetector) Checkpoint(token any) error {
-	d.binMu.Lock()
-	defer d.binMu.Unlock()
-	if err := d.pipe.Barrier(barrierToken{d.lastBin, d.started, token}); err != nil {
+	if err := d.pipe.Barrier(token); err != nil {
 		return fmt.Errorf("netwide: checkpoint: %w", err)
 	}
 	return nil
@@ -355,24 +332,18 @@ func (d *StreamDetector) characterize() {
 }
 
 // barrierVerdict turns a pipeline barrier into the verdict that answers its
-// Checkpoint call: the lane states the barrier collected, the
-// characterize-side state as of this point in the stream, Submit's cursor
-// as of the injection. Runs on the characterize goroutine.
+// Checkpoint call: the lane states and Submit's cursor the barrier
+// collected, and the characterize-side state as of this point in the
+// stream. The lanes captured deep copies (engine.Updater.State), so the
+// checkpoint can outlive the pipeline. Runs on the characterize goroutine.
 func (d *StreamDetector) barrierVerdict(bar *stream.Barrier) StreamVerdict {
-	tok := bar.Token.(barrierToken)
-	cp := &StreamCheckpoint{
-		Lanes:   make([]LaneCheckpoint, len(bar.Lanes)),
+	return StreamVerdict{Bin: -1, Token: bar.Token, Checkpoint: &StreamCheckpoint{
+		Lanes:   bar.Lanes,
 		Agg:     d.agg.State(),
-		LastBin: tok.lastBin,
-		Started: tok.started,
+		LastBin: bar.LastBin,
+		Started: bar.Started,
 		Emitted: d.emitted,
-	}
-	for i, ls := range bar.Lanes {
-		// The lane captured deep copies at the barrier (engine.Updater.State),
-		// so the checkpoint can outlive the pipeline.
-		cp.Lanes[i] = LaneCheckpoint{Updater: ls.Updater}
-	}
-	return StreamVerdict{Bin: -1, Checkpoint: cp, Token: tok.user}
+	}}
 }
 
 // TailAnomalies returns the characterized anomalies that were still open
@@ -419,19 +390,7 @@ func (d *StreamDetector) finish(cl *classify.Classifier, specs []anomaly.Spec, c
 // bin earlier than its predecessor is rejected here. Verdicts come back in
 // submission order on Verdicts.
 func (d *StreamDetector) Submit(bin int, bytes, packets, flows []float64) error {
-	// binMu stays held across the pipeline send: releasing it earlier
-	// would let two concurrent Submits pass the order check and still
-	// enqueue their bins in either order.
-	d.binMu.Lock()
-	defer d.binMu.Unlock()
-	if d.started && bin < d.lastBin {
-		return fmt.Errorf("netwide: stream bin %d submitted after bin %d (bins must be non-decreasing)", bin, d.lastBin)
-	}
-	if err := d.pipe.Submit(stream.Sample{Bin: bin, Vecs: [][]float64{bytes, packets, flows}}); err != nil {
-		return err
-	}
-	d.started, d.lastBin = true, bin
-	return nil
+	return d.pipe.Submit(stream.Sample{Bin: bin, Vecs: [][]float64{bytes, packets, flows}})
 }
 
 // Verdicts returns the ordered verdict stream; the channel closes after

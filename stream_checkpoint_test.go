@@ -224,13 +224,13 @@ func TestStreamCheckpointWithRefits(t *testing.T) {
 	}
 	cp := cps[cut]
 	for i, lc := range cp.Lanes {
-		if len(lc.Updater.Window) == 0 {
+		if len(lc.Window) == 0 {
 			t.Fatalf("lane %d checkpoint carries no refit window", i)
 		}
 		// Since may exceed RefitEvery while a refit hand-off is pending
 		// (the refitter was busy), but never goes negative.
-		if lc.Updater.Since < 0 {
-			t.Fatalf("lane %d negative refit phase %d", i, lc.Updater.Since)
+		if lc.Since < 0 {
+			t.Fatalf("lane %d negative refit phase %d", i, lc.Since)
 		}
 	}
 
@@ -247,8 +247,8 @@ func TestStreamCheckpointWithRefits(t *testing.T) {
 			t.Fatalf("restored verdict %d has bin %d, want %d", i, v.Bin, cut+i)
 		}
 		for m, g := range v.Generations {
-			if g < cp.Lanes[m].Updater.Model.Gen {
-				t.Fatalf("bin %d measure %d scored on generation %d, below restored generation %d", v.Bin, m, g, cp.Lanes[m].Updater.Model.Gen)
+			if g < cp.Lanes[m].Model.Gen {
+				t.Fatalf("bin %d measure %d scored on generation %d, below restored generation %d", v.Bin, m, g, cp.Lanes[m].Model.Gen)
 			}
 		}
 	}
