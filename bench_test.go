@@ -349,11 +349,11 @@ func BenchmarkStreamDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamDetectRefit adds daily rolling background refits to the
-// replay. The refits run on dedicated goroutines and swap in atomically,
-// so verdicts are never delayed waiting on a fit; the extra time over
-// BenchmarkStreamDetect is the fit CPU itself, which overlaps scoring on
-// multi-core machines.
+// BenchmarkStreamDetectRefit adds daily rolling refits to the replay. Each
+// lane runs its refits between two of its bins, so the replay waits on
+// every fit; the extra time over BenchmarkStreamDetect is the fits
+// themselves, the three lanes' running side by side on multi-core
+// machines.
 func BenchmarkStreamDetectRefit(b *testing.B) {
 	run := benchSetup(b)
 	opts := netwide.DefaultDetectOptions()
@@ -681,7 +681,7 @@ func BenchmarkMatMulParallel(b *testing.B) {
 }
 
 // BenchmarkCovarianceParallel times the covariance accumulation behind
-// every PCA fit and background refit, on the full worker pool.
+// every PCA fit and refit, on the full worker pool.
 func BenchmarkCovarianceParallel(b *testing.B) {
 	a, _ := benchMatPair()
 	b.ReportAllocs()

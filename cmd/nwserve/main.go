@@ -89,7 +89,7 @@ func main() {
 		alpha     = flag.Float64("alpha", 0.001, "detection false-alarm rate")
 		batch     = flag.Int("batch", 16, "most vectors scored per model application (a backlog fills it; an idle detector scores each bin at once)")
 		updater   = flag.String("updater", "refit", "model lifecycle: refit (generation swaps every -refit bins) or incremental (per-bin subspace tracking, at most one bin stale)")
-		refit     = flag.Int("refit", 0, "bins between background model refits (0 = never); under -updater incremental, the drift-correction cadence")
+		refit     = flag.Int("refit", 0, "bins between model refits (0 = never); under -updater incremental, the drift-correction cadence")
 		window    = flag.Int("window", 0, "rolling refit window in bins (required when -refit > 0); under -updater incremental, the tracker's forgetting horizon")
 		grace     = flag.Int("grace", 1, "reorder grace in bins before a bin closes")
 		epoch     = flag.Uint64("epoch", 0, "unix time of bin 0 in packet headers (nwreplay uses 0)")

@@ -2,9 +2,10 @@
 // concurrent streaming detection pipeline (StreamDetector): the leading
 // bins train one model per traffic measure, then every remaining 5-minute
 // bin is fanned out to per-measure scoring workers, scored in batches,
-// merged into one ordered verdict stream, and — when -refit is on — the
-// models are refitted in the background on a rolling window (warm-started
-// from the previous model generation) without stalling scoring.
+// merged into one ordered verdict stream, and — when -refit is on — each
+// measure's lane refits its model on a rolling window (warm-started from
+// the previous model generation) every -refit bins, before it scores the
+// next bin, so a run's output depends on its flags alone.
 //
 // Beyond raw alarms, every alarm is characterized at streaming time:
 // attributed to its OD flows, aggregated into cross-measure events, and
@@ -44,7 +45,7 @@ func main() {
 		train   = flag.Int("train", 0, "training bins (0 = first half of the run)")
 		batch   = flag.Int("batch", 16, "most vectors scored per model application (a backlog fills it; an idle detector scores each bin at once)")
 		updater = flag.String("updater", "refit", "model lifecycle: refit (generation swaps every -refit bins) or incremental (per-bin subspace tracking, at most one bin stale)")
-		refit   = flag.Int("refit", 288, "bins between background refits (0 = never); under -updater incremental, the drift-correction cadence")
+		refit   = flag.Int("refit", 288, "bins between model refits (0 = never); under -updater incremental, the drift-correction cadence")
 		window  = flag.Int("window", 0, "rolling refit window in bins (0 = training length); under -updater incremental, the tracker's forgetting horizon")
 		workers = flag.Int("workers", 0, "linear-algebra worker goroutines (0 = GOMAXPROCS)")
 		topo    = flag.String("topology", "abilene", "backbone topology when simulating: abilene, geant, or synthetic:N[:seed]")
@@ -54,7 +55,7 @@ func main() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"streamdetect: concurrent streaming subspace detection over a simulated or saved run.\n\n"+
 				"The first -train bins fit one model per traffic measure (B, P, F); the rest\n"+
-				"stream through the batched concurrent pipeline with rolling background refits.\n\n"+
+				"stream through the batched concurrent pipeline with rolling refits.\n\n"+
 				"Flags:\n")
 		flag.PrintDefaults()
 	}
@@ -130,11 +131,11 @@ func main() {
 				netwide.FormatBin(v.Bin), v.Measures, v.Generations, v.Points[0].SPE, top)
 		}
 	}
-	gens := det.Generations()
+	fr := det.Freshness()
 	rate5 := float64(len(verdicts)) / elapsed.Seconds()
 	fmt.Printf("streamed %d bins in %v (%.0f bins/s, 3 measures each)\n", len(verdicts), elapsed.Round(time.Millisecond), rate5)
-	fmt.Printf("alarmed bins: %d   model generations (B P F): %d %d %d\n", alarms, gens[0], gens[1], gens[2])
-	if fr := det.Freshness(); fr[0].Kind == "incremental" {
+	fmt.Printf("alarmed bins: %d   model generations (B P F): %d %d %d\n", alarms, fr[0].Gen, fr[1].Gen, fr[2].Gen)
+	if fr[0].Kind == "incremental" {
 		fmt.Printf("per-bin model updates (B P F): %d %d %d   staleness: %d bin(s)\n",
 			fr[0].Updates, fr[1].Updates, fr[2].Updates, fr[0].Staleness)
 	}

@@ -53,10 +53,9 @@ func maxTrackedAxes(k, p int) int {
 //
 // When RefitEvery > 0 the updater also maintains the rolling window and
 // hands out snapshots for periodic exact refits — the drift-correction
-// fallback that bounds accumulated tracking error. The fitted correction
-// is adopted at the next Observe (the tracker reseeds from it on its
-// owning goroutine), bumping the model generation exactly as a refit swap
-// would.
+// fallback that bounds accumulated tracking error. Installing the fitted
+// correction reseeds the tracker from it and bumps the model generation
+// exactly as a refit swap would.
 type IncrementalUpdater struct {
 	opts       Options
 	p, m       int
@@ -64,11 +63,6 @@ type IncrementalUpdater struct {
 	refitEvery int
 
 	model atomic.Pointer[Model]
-	// correction holds a drift-correction model fitted out-of-band,
-	// awaiting adoption by the next Observe.
-	correction atomic.Pointer[Model]
-	pending    atomic.Bool
-	updates    atomic.Uint64
 
 	// Tracker state, owned by the Observe goroutine.
 	mean     []float64
@@ -156,22 +150,14 @@ func (u *IncrementalUpdater) Model() *Model { return u.model.Load() }
 
 // Observe folds one closed bin into the tracker and publishes the updated
 // model. With drift correction enabled it also maintains the rolling
-// window, returns a snapshot when an exact refit is due, and adopts a
-// previously installed correction before touching the tracker. An error
+// window and returns a snapshot when an exact refit is due. An error
 // leaves the previous model scoring (degraded, not fatal).
 func (u *IncrementalUpdater) Observe(x []float64) (*mat.Matrix, error) {
 	if len(x) != u.p {
 		return nil, fmt.Errorf("engine: updater vector length %d, want %d", len(x), u.p)
 	}
-	if c := u.correction.Swap(nil); c != nil {
-		u.seedTracker(c)
-		u.model.Store(c)
-		u.updates.Store(0)
-		u.pending.Store(false)
-	}
 	var snap *mat.Matrix
-	if u.ring.push(x, u.refitEvery) && !u.pending.Load() {
-		u.pending.Store(true)
+	if u.ring.push(x, u.refitEvery) {
 		snap = u.ring.snapshot()
 	}
 	u.track(x)
@@ -293,35 +279,29 @@ func (u *IncrementalUpdater) publish() error {
 		gen: cur.gen, updates: cur.updates + 1,
 	}
 	u.model.Store(next)
-	u.updates.Add(1)
 	return nil
 }
 
-// Install stages a drift-correction model fitted from a window Observe
-// handed out (or, with nil, records the fit's failure). Adoption is
-// deferred to the next Observe so the tracker reseeds on the goroutine
-// that owns it.
+// Install adopts a drift-correction model fitted from a window Observe
+// handed out: the tracker reseeds from it, and it scores the next bin.
 func (u *IncrementalUpdater) Install(next *Model) {
-	if next != nil {
-		u.correction.Store(next)
-		return
-	}
-	u.pending.Store(false)
+	u.seedTracker(next)
+	u.model.Store(next)
 }
 
-// Freshness reports the per-bin gauges: the scoring model is at most one
-// bin stale by construction.
+// Freshness reports the per-bin gauges, read off the scoring model: it is
+// at most one bin stale by construction.
 func (u *IncrementalUpdater) Freshness() Freshness {
-	upd := u.updates.Load()
+	m := u.Model()
 	st := 0
-	if upd > 0 {
+	if m.updates > 0 {
 		st = 1
 	}
 	return Freshness{
 		Kind:            UpdaterIncremental,
-		Gen:             u.Model().Gen(),
-		Updates:         upd,
-		SinceCorrection: int(upd),
+		Gen:             m.gen,
+		Updates:         m.updates,
+		SinceCorrection: int(m.updates),
 		Staleness:       st,
 	}
 }
@@ -398,7 +378,6 @@ func restoreIncremental(m *Model, st UpdaterState, cfg UpdaterConfig) (*Incremen
 		u.axes[i] = append([]float64(nil), v...)
 	}
 	u.model.Store(m)
-	u.updates.Store(m.Updates())
 	if cfg.RefitEvery > 0 {
 		u.ring = newWinRing(cfg.Window, p)
 		u.ring.seed(st.Window)

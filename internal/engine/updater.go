@@ -1,13 +1,12 @@
 // The model lifecycle: how a fitted Model keeps up with drifting traffic.
 //
-// Historically the streaming pipeline hard-coded one lifecycle — hand a
-// rolling-window snapshot to a background goroutine every RefitEvery bins,
-// refit from scratch (warm-started), atomically swap the new generation in.
-// That leaves scoring up to RefitEvery bins stale and burns a full O(n·p²)
-// fit per swap. The Updater interface makes the lifecycle pluggable: the
-// generation-swap refit survives as one implementation (and as the periodic
-// drift-correction fallback of the other), and IncrementalUpdater tracks
-// the subspace with rank-1 updates per closed bin instead.
+// RefitUpdater keeps the model fixed and, every RefitEvery bins, hands out
+// its rolling window for a warm-started full refit: up to RefitEvery bins
+// stale, a full O(n·p²) fit per swap. IncrementalUpdater folds every closed
+// bin in with a rank-1 subspace update instead, and refits only as a
+// periodic drift correction. Either way the lane runs a due refit before it
+// scores its next bin (Advance), so which generation scored which bin
+// follows from the input alone.
 package engine
 
 import (
@@ -143,19 +142,17 @@ func SubspaceAngle(a, b *Model) (float64, error) {
 	return math.Acos(c), nil
 }
 
-// Updater is a pluggable model lifecycle. Exactly one goroutine (the
-// owning lane worker) calls Observe and State; Model and Freshness are safe
-// from any goroutine; Install is called from the caller's refit goroutine.
+// Updater is a pluggable model lifecycle. One goroutine (the owning lane
+// worker) calls Observe, Install and State; Model and Freshness are safe
+// from any goroutine.
 //
 // Observe folds one closed, already-scored bin into the lifecycle. It may
-// swap the scoring model in-band (incremental tracking) and may return a
-// non-nil training-window snapshot when an out-of-band full refit is due —
-// the caller fits it wherever it likes (typically a background goroutine)
-// and hands the result back through Install, or Install(nil) if the fit
-// failed. An updater hands out at most one window at a time: no second
-// snapshot is returned until Install settles the first, so a caller
-// forwarding snapshots over a 1-buffered channel never blocks. An Observe
-// error is the degraded condition — the previous model keeps scoring.
+// advance the scoring model itself (incremental tracking) and returns a
+// training-window snapshot when a full refit is due. The caller fits that
+// window and Installs the result before it scores the next bin; Advance is
+// that step. A fit that fails installs nothing, and the next window is due
+// RefitEvery bins later. An Observe error is the degraded condition — the
+// previous model keeps scoring.
 type Updater interface {
 	Kind() UpdaterKind
 	// Model returns the model that scores the next bin.
@@ -165,15 +162,46 @@ type Updater interface {
 	// must finish scoring a bin before observing it.
 	InBand() bool
 	Observe(x []float64) (refit *mat.Matrix, err error)
-	// Install adopts a model fitted from a window Observe handed out, or
-	// records the fit's failure when next is nil. Under the incremental
-	// lifecycle adoption is deferred to the next Observe so the tracker
-	// reseeds on its owning goroutine.
+	// Install adopts a non-nil model fitted from a window Observe handed
+	// out, at once: it scores the next bin. Under the incremental lifecycle
+	// the tracker reseeds from it.
 	Install(next *Model)
 	Freshness() Freshness
 	// State captures the lifecycle's full serializable recovery state
 	// (deep copies throughout).
 	State() UpdaterState
+}
+
+// Advance folds the scored bin x into u and runs a refit that falls due to
+// completion — beforeFit if non-nil (a caller's flush, say; its error skips
+// the fit), a fit warm-started from the current generation, Install — so the
+// next bin is the new generation's first. It returns the first error, and
+// every error is the degraded condition: the previous model keeps scoring,
+// except after an unconverged fit, which is installed anyway (its last
+// iterate is still closer to the window than the generation it replaces).
+func Advance(u Updater, x []float64, beforeFit func() error) error {
+	win, err := u.Observe(x)
+	if err != nil {
+		err = fmt.Errorf("update: %w", err)
+	}
+	if win == nil {
+		return err
+	}
+	var fitErr error
+	if beforeFit != nil {
+		fitErr = beforeFit()
+	}
+	if fitErr == nil {
+		var next *Model
+		if next, fitErr = u.Model().Refit(win); fitErr == nil {
+			u.Install(next)
+			fitErr = next.FitWarning()
+		}
+	}
+	if fitErr != nil && err == nil {
+		err = fmt.Errorf("refit: %w", fitErr)
+	}
+	return err
 }
 
 // UpdaterState is the serializable recovery state of an Updater: plain
@@ -362,21 +390,16 @@ func (r *winRing) chron() [][]float64 {
 	return out
 }
 
-// RefitUpdater is the generation-swap lifecycle extracted from the stream
-// pipeline: Observe maintains the rolling window and, every RefitEvery
-// accepted bins, hands out a snapshot for an out-of-band warm-started
-// refit; Install swaps the fitted generation in with one atomic store.
-// Between swaps the scoring model does not move. A busy refit (snapshot
-// handed out, Install not yet called) just delays the next hand-off —
-// Since keeps accruing and Observe retries once the fit settles.
+// RefitUpdater is the generation-swap lifecycle: Observe maintains the
+// rolling window and, every RefitEvery accepted bins, hands out a snapshot
+// for a warm-started refit; Install swaps the fitted generation in. Between
+// swaps the scoring model does not move. The model and the staleness gauge
+// are atomics because Model and Freshness are read from other goroutines.
 type RefitUpdater struct {
 	model      atomic.Pointer[Model]
 	refitEvery int
 	ring       winRing
 
-	// pending is true while a handed-out window is being fitted; it
-	// guarantees at most one snapshot is ever outstanding.
-	pending atomic.Bool
 	// sinceSwap counts observed bins since the last adopted refit — the
 	// staleness gauge.
 	sinceSwap atomic.Int64
@@ -401,27 +424,22 @@ func (u *RefitUpdater) InBand() bool { return false }
 func (u *RefitUpdater) Model() *Model { return u.model.Load() }
 
 // Observe appends the bin to the rolling window and returns a snapshot
-// when a refit is due and none is outstanding.
+// when a refit is due.
 func (u *RefitUpdater) Observe(x []float64) (*mat.Matrix, error) {
 	if len(x) != u.Model().P() {
 		return nil, fmt.Errorf("engine: updater vector length %d, want %d", len(x), u.Model().P())
 	}
 	u.sinceSwap.Add(1)
-	if !u.ring.push(x, u.refitEvery) || u.pending.Load() {
+	if !u.ring.push(x, u.refitEvery) {
 		return nil, nil
 	}
-	u.pending.Store(true)
 	return u.ring.snapshot(), nil
 }
 
-// Install adopts a refit generation (or, with nil, records the fit's
-// failure), clearing the way for the next hand-off.
+// Install adopts a refit generation.
 func (u *RefitUpdater) Install(next *Model) {
-	if next != nil {
-		u.model.Store(next)
-		u.sinceSwap.Store(0)
-	}
-	u.pending.Store(false)
+	u.model.Store(next)
+	u.sinceSwap.Store(0)
 }
 
 // Freshness reports the generation-swap gauges: staleness equals the bins

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,10 +125,10 @@ func TestUpdaterConfigValidation(t *testing.T) {
 	}
 }
 
-// TestRefitUpdaterLifecycle pins the extracted generation-swap behavior:
-// one snapshot per cadence on a full window, at most one outstanding
-// hand-off, Install swaps the generation and resets the staleness gauge,
-// Install(nil) clears the way for a retry.
+// TestRefitUpdaterLifecycle pins the generation-swap behavior: one
+// snapshot per cadence on a full window, Install swaps the generation and
+// resets the staleness gauge, and the next window is due RefitEvery bins
+// after the last one was handed out.
 func TestRefitUpdaterLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 43))
 	train := synthTraffic(rng, 60, 8, 1)
@@ -146,6 +148,9 @@ func TestRefitUpdaterLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if snap != nil {
+			if i != 9 {
+				t.Fatalf("snapshot handed out at bin %d, want bin 9", i)
+			}
 			snaps = append(snaps, snap)
 		}
 	}
@@ -155,15 +160,9 @@ func TestRefitUpdaterLifecycle(t *testing.T) {
 	if r, c := snaps[0].Rows(), snaps[0].Cols(); r != 20 || c != 8 {
 		t.Fatalf("snapshot is %dx%d, want 20x8 (window seeded from training tail)", r, c)
 	}
-	// While the hand-off is outstanding, cadence hits hand nothing out.
-	for i := 10; i < 30; i++ {
-		if snap, _ := up.Observe(live.RowView(i)); snap != nil {
-			t.Fatal("second snapshot handed out while the first was pending")
-		}
-	}
 	fr := up.Freshness()
-	if fr.Gen != 0 || fr.Staleness != 30 || fr.SinceCorrection != 30 {
-		t.Fatalf("pre-swap freshness = %+v, want gen 0, staleness 30", fr)
+	if fr.Gen != 0 || fr.Staleness != 10 || fr.SinceCorrection != 10 {
+		t.Fatalf("pre-swap freshness = %+v, want gen 0, staleness 10", fr)
 	}
 	next, err := up.Model().Refit(snaps[0])
 	if err != nil {
@@ -176,16 +175,71 @@ func TestRefitUpdaterLifecycle(t *testing.T) {
 	if fr := up.Freshness(); fr.Staleness != 0 {
 		t.Fatalf("staleness after install = %d, want 0", fr.Staleness)
 	}
-	// since kept accruing while pending, so the next Observe hands off
-	// immediately now that the slot is free.
-	snap, err := up.Observe(live.RowView(30))
-	if err != nil || snap == nil {
-		t.Fatalf("no hand-off after install (snap %v, err %v)", snap, err)
+	if st := up.State(); st.Since != 0 || st.Model.Gen != 1 {
+		t.Fatalf("state after install: since %d, gen %d; want 0, 1", st.Since, st.Model.Gen)
 	}
-	// A failed fit (Install(nil)) keeps the generation but frees the slot.
-	up.Install(nil)
-	if g := up.Model().Gen(); g != 1 {
-		t.Fatalf("generation after failed fit = %d, want 1", g)
+	for i := 10; i < 20; i++ {
+		snap, err := up.Observe(live.RowView(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (snap != nil) != (i == 19) {
+			t.Fatalf("bin %d: snapshot %v, want one at bin 19 only", i, snap != nil)
+		}
+	}
+}
+
+// TestAdvanceInstallsBeforeTheNextBin: Advance runs a due refit to
+// completion — beforeFit, the warm fit, Install — inside the step that
+// observed the refit-due bin, so the next bin sees the new generation; a
+// beforeFit error skips the fit and is reported as a refit failure, and
+// the window after it is due a full cadence later.
+func TestAdvanceInstallsBeforeTheNextBin(t *testing.T) {
+	rng := rand.New(rand.NewPCG(56, 57))
+	const n, p = 200, 8
+	all := synthTraffic(rng, n+40, p, 1)
+	for _, kind := range []UpdaterKind{UpdaterRefit, UpdaterIncremental} {
+		up, err := NewUpdater(kind, fitOn(t, all.HeadRows(n)), UpdaterConfig{RefitEvery: 10, Window: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls []int
+		fail := false
+		for i := 0; i < 30; i++ {
+			bin := i
+			err := Advance(up, all.RowView(n+i), func() error {
+				calls = append(calls, bin)
+				if fail {
+					return errors.New("held back")
+				}
+				return nil
+			})
+			// Fits land at bins 9 and 29; the one due at bin 19 is held back.
+			want := uint64(0)
+			switch {
+			case i >= 29:
+				want = 2
+			case i >= 9:
+				want = 1
+			}
+			if up.Model().Gen() != want {
+				t.Fatalf("%s: after bin %d generation %d, want %d", kind, i, up.Model().Gen(), want)
+			}
+			if i == 19 {
+				if err == nil || !strings.Contains(err.Error(), "refit: held back") {
+					t.Fatalf("%s: bin 19 Advance = %v, want the beforeFit error as a refit failure", kind, err)
+				}
+				if kind == UpdaterIncremental && up.Freshness().SinceCorrection != 10 {
+					t.Fatalf("incremental freshness %+v: a held-back correction must not reset the update count", up.Freshness())
+				}
+			} else if err != nil {
+				t.Fatalf("%s: bin %d: %v", kind, i, err)
+			}
+			fail = i == 18
+		}
+		if !slices.Equal(calls, []int{9, 19, 29}) {
+			t.Fatalf("%s: beforeFit ran at bins %v, want [9 19 29]", kind, calls)
+		}
 	}
 }
 
@@ -339,8 +393,9 @@ func mustQ(m *Model) float64 { q, _ := m.Limits(); return q }
 
 // TestIncrementalDriftCorrection: with RefitEvery > 0 the incremental
 // updater hands out window snapshots on cadence, and an installed exact
-// refit is adopted at the next Observe — generation bumps, the update
-// counter resets, and the tracker reseeds from the corrected basis.
+// refit is adopted at once — generation bumps, the update counter resets,
+// the tracker reseeds from the corrected basis, and the correction itself
+// scores the next bin.
 func TestIncrementalDriftCorrection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(50, 51))
 	const n, p = 200, 8
@@ -352,38 +407,33 @@ func TestIncrementalDriftCorrection(t *testing.T) {
 	}
 	var snap *mat.Matrix
 	bin := n
-	for ; bin < n+20; bin++ {
-		s, err := up.Observe(all.RowView(bin))
-		if err != nil {
+	for ; snap == nil && bin < n+20; bin++ {
+		if snap, err = up.Observe(all.RowView(bin)); err != nil {
 			t.Fatal(err)
 		}
-		if s != nil {
-			if snap != nil {
-				t.Fatal("second snapshot while the first was pending")
-			}
-			snap = s
-		}
 	}
-	if snap == nil {
-		t.Fatal("no drift-correction snapshot after 20 bins at cadence 10")
+	if snap == nil || bin != n+10 {
+		t.Fatalf("drift-correction snapshot after %d bins, want one after 10", bin-n)
 	}
 	next, err := up.Model().Refit(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	up.Install(next)
-	// Adoption is deferred to the next Observe.
-	if g := up.Model().Gen(); g != 0 {
-		t.Fatalf("generation moved to %d before the next Observe", g)
+	if up.Model() != next {
+		t.Fatal("installed correction is not the scoring model")
+	}
+	if fr := up.Freshness(); fr.Gen != 1 || fr.Updates != 0 || fr.Staleness != 0 {
+		t.Fatalf("freshness right after the correction = %+v, want gen 1, no updates, staleness 0", fr)
 	}
 	if _, err := up.Observe(all.RowView(bin)); err != nil {
 		t.Fatal(err)
 	}
 	if g := up.Model().Gen(); g != 1 {
-		t.Fatalf("generation after adoption = %d, want 1", g)
+		t.Fatalf("generation after the next bin = %d, want 1", g)
 	}
 	if u := up.Model().Updates(); u != 1 {
-		t.Fatalf("updates after adoption = %d, want 1 (the adopting bin)", u)
+		t.Fatalf("updates after the next bin = %d, want 1", u)
 	}
 	fr := up.Freshness()
 	if fr.Gen != 1 || fr.SinceCorrection != 1 {

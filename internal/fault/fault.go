@@ -1,6 +1,6 @@
 // Package fault is the error-injection layer behind the chaos tests: a
 // registry of named injection points threaded through the durability and
-// detection paths (checkpoint writes, background refits, the checkpoint
+// detection paths (checkpoint writes, model refits, the checkpoint
 // timer) so tests can force the failures that production will eventually
 // see — a disk filling up mid-snapshot, a write torn halfway through, a
 // refit that takes longer than a drain, a clock that ticks when the test

@@ -41,7 +41,7 @@ type PCA struct {
 // traffic).
 //
 // The covariance accumulation — the O(n·p²) hot path of a fit, and the
-// dominant cost of every background refit in the streaming pipeline — runs
+// dominant cost of every refit in the streaming pipeline — runs
 // on the parallel Gram kernel; tune it with SetWorkers.
 func FitPCA(X *Matrix, center bool) (*PCA, error) {
 	if X.Rows() < 2 {

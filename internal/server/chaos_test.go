@@ -227,6 +227,103 @@ func TestChaosKillRestartParity(t *testing.T) {
 	}
 }
 
+// TestChaosKillRestartRefitParity is the kill/restart proof under the refit
+// lifecycle: a daemon trained on the first half of the week refits every 36
+// bins on a rolling window while it is fed the second half, and is killed
+// twice — once mid-bin with whatever snapshot the cadence last wrote, once
+// right after a snapshot taken on a refit-due bin — and restarted from its
+// snapshot each time. Its final ledger must equal StreamDetector.Replay of
+// the same bins under the same StreamConfig: each lane refits before it
+// scores its next bin, so the generation that scores a bin follows from the
+// input alone, and a snapshot carries the refit phase and the new
+// generation exactly.
+func TestChaosKillRestartRefitParity(t *testing.T) {
+	run := testRun(t)
+	ds := run.Dataset()
+	half, bins := run.Bins()/2, run.Bins()
+	if testing.Short() {
+		bins = half + traffic.BinsPerDay
+	}
+	cfg := netwide.StreamConfig{TrainBins: half, BatchSize: 16, RefitEvery: 36, Window: half}
+
+	ref, err := run.NewStreamDetector(netwide.DefaultDetectOptions(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts, err := ref.Replay(half, bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed []netwide.Anomaly
+	for _, v := range verdicts {
+		replayed = append(replayed, v.Anomalies...)
+	}
+	if len(replayed) == 0 {
+		t.Fatal("replay characterized nothing; parity check is vacuous")
+	}
+
+	path := filepath.Join(t.TempDir(), "daemon.nwcp")
+	newSrv := func() *Server {
+		srv, err := New(run, Config{
+			CheckpointPath:  path,
+			CheckpointEvery: 7,
+			Detect:          netwide.DefaultDetectOptions(),
+			Stream:          cfg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	// The second kill comes once the bin after a refit-due bin has opened,
+	// so the refit-due bin (half + 36j − 1) is the last one closed.
+	dueKill := half + cfg.RefitEvery*(2*(bins-half)/3/cfg.RefitEvery)
+	srv := newSrv()
+	from := half
+	for i, kill := range []int{half + (bins-half)/3, dueKill} {
+		feedBins(t, srv, ds, from, kill, 5)
+		if kill == dueKill {
+			if err := srv.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Kill()
+		srv = newSrv()
+		st := srv.Stats()
+		if !st.Restored || st.RestoreErr != "" {
+			t.Fatalf("restart %d did not restore: %+v", i, st)
+		}
+		if kill == dueKill && st.LastClosed != dueKill-1 {
+			t.Fatalf("restart %d resumed after bin %d, want the refit-due bin %d", i, st.LastClosed, dueKill-1)
+		}
+		from = st.LastClosed + 1
+	}
+	feedBins(t, srv, ds, from, bins, 0)
+	drainOK(t, srv)
+
+	st := srv.Stats()
+	if st.LostRecords != 0 || st.BadPackets != 0 || st.LateRecords != 0 || st.Unroutable != 0 || st.WildRecords != 0 {
+		t.Fatalf("kill/restart cycles took ingest losses: %+v", st)
+	}
+	if st.DegradedErr != "" || st.Err != "" {
+		t.Fatalf("daemon ended unhealthy: %+v", st)
+	}
+	for _, fr := range st.ModelFreshness {
+		if want := uint64((bins - half) / cfg.RefitEvery); fr.Generation != want {
+			t.Fatalf("measure %s ended on generation %d, want %d", fr.Measure, fr.Generation, want)
+		}
+	}
+	dk, rk := sortedKeys(srv.Anomalies()), sortedKeys(replayed)
+	if len(dk) != len(rk) {
+		t.Fatalf("killed-twice daemon characterized %d anomalies, Replay %d:\n daemon %v\n replay %v", len(dk), len(rk), dk, rk)
+	}
+	for i := range rk {
+		if dk[i] != rk[i] {
+			t.Errorf("anomaly %d differs:\n replay %s\n daemon %s", i, rk[i], dk[i])
+		}
+	}
+}
+
 func sortedKeys(as []netwide.Anomaly) []string {
 	keys := make([]string, len(as))
 	for i, a := range as {
@@ -354,9 +451,9 @@ func TestChaosTornWritePreservesSnapshot(t *testing.T) {
 	drainOK(t, srv)
 }
 
-// TestChaosSlowRefitDuringDrain: a background refit that is still grinding
-// (injected latency) when the operator drains must neither deadlock the
-// drain nor fail it — the drain settles the refit and completes.
+// TestChaosSlowRefitDuringDrain: a refit that is still grinding (injected
+// latency) when the operator drains must neither deadlock the drain nor
+// fail it — the drain waits out the slowed lanes and completes.
 func TestChaosSlowRefitDuringDrain(t *testing.T) {
 	run := testRun(t)
 	ds := run.Dataset()
@@ -375,9 +472,10 @@ func TestChaosSlowRefitDuringDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Feed just past the refit hand-off point (each lane hands its first
-	// refit to the slowed refitter at the 36th observed bin) and drain
-	// immediately — the refits are still sleeping when the drain starts.
+	// Feed just past the refit point (each lane starts its first, slowed
+	// refit after its 36th observed bin, and its later bins queue behind
+	// it) and drain immediately — the refits are still sleeping when the
+	// drain starts.
 	feedBins(t, srv, ds, half, half+40, 0)
 
 	done := make(chan error, 1)

@@ -157,7 +157,7 @@ type Config struct {
 	// chaos tests install a manual one).
 	Clock fault.Clock
 	// Faults, when non-nil, threads error injection through the checkpoint
-	// write path and the detector's background refits. Nil in production.
+	// write path and the detector's refits. Nil in production.
 	Faults *fault.Injector
 	// Detect and Stream configure the underlying StreamDetector.
 	Detect netwide.DetectOptions
@@ -246,15 +246,12 @@ type Stats struct {
 	// the running count of fully characterized anomalies.
 	AlarmBins int `json:"alarm_bins"`
 	Anomalies int `json:"anomalies"`
-	// Generations is the per-measure model generation (B, P, F): the number
-	// of completed background refits.
-	Generations [dataset.NumMeasures]uint64 `json:"generations"`
 	// ModelFreshness reports the per-measure model-lifecycle gauges (B, P,
 	// F order): updater kind, generation, per-bin updates folded into the
 	// current generation, bins since the last full (re)fit, and staleness
 	// in bins. Present only when a model lifecycle is active (incremental
-	// updater, or a refit cadence) — absent on a static-model daemon, so
-	// that configuration's JSON surface stays byte-identical.
+	// updater, or a refit cadence) — absent on a static-model daemon, whose
+	// model never moves (its generation is always 0).
 	ModelFreshness []FreshnessStat `json:"model_freshness,omitempty"`
 	// Receivers and Shards break the ingest down across the sharded
 	// pipeline (absent on the synchronous path): per-receiver datagram
@@ -301,10 +298,10 @@ type Stats struct {
 	VerdictLagMs       float64 `json:"verdict_lag_ms"`
 	// Draining reports a shutdown in progress. Err carries the first FATAL
 	// error — an ingest submit failure or a detector scoring failure ("",
-	// and /healthz 200, when healthy). DegradedErr carries a background
-	// refit failure: the daemon keeps serving correct verdicts on the
-	// previous model generation, so it is reported without failing the
-	// liveness probe.
+	// and /healthz 200, when healthy). DegradedErr carries a refit (or
+	// incremental update) failure: the daemon keeps serving correct
+	// verdicts on the previous model generation, so it is reported without
+	// failing the liveness probe.
 	Draining    bool   `json:"draining"`
 	Err         string `json:"err,omitempty"`
 	DegradedErr string `json:"degraded_err,omitempty"`
@@ -510,7 +507,6 @@ type Server struct {
 	// HTTP handlers.
 	mu          sync.Mutex
 	anoms       []netwide.Anomaly
-	gens        [dataset.NumMeasures]uint64
 	alarmBins   int
 	cpWritten   uint64
 	cpErrors    uint64
@@ -1078,7 +1074,6 @@ func (s *Server) consumeVerdicts() {
 			s.alarmBins++
 		}
 		s.verdictLag, s.submitAt = time.Since(s.submitAt[0]), s.submitAt[1:]
-		s.gens = v.Generations
 		s.anoms = append(s.anoms, v.Anomalies...)
 		s.mu.Unlock()
 	}
@@ -1443,7 +1438,6 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	st.AlarmBins = s.alarmBins
 	st.Anomalies = len(s.anoms)
-	st.Generations = s.gens
 	st.CheckpointsWritten = s.cpWritten
 	st.CheckpointErrors = s.cpErrors
 	st.LastCheckpointBin = s.lastCpBin
@@ -1539,7 +1533,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.ingestMu.Unlock()
 	}
 	s.reap()
-	s.det.Wait() // settle background refits before reading errors
+	s.det.Wait() // every lane has finished before its errors are read
 	if err := s.det.Err(); err != nil {
 		// Fatal only: a refit failure means the daemon ran degraded, not
 		// that the drain failed — it stays on Stats.DegradedErr.

@@ -65,14 +65,13 @@ func (s *Subspace) Name() string {
 }
 
 // Run fits one model per measure on the training prefix and walks every
-// later bin: score it on the current model, hand it to the lifecycle
-// (Observe), and when the lifecycle hands back a due window, refit on it
-// and Install the result before the next bin — the streaming pipeline's
-// lane loop with the refitter goroutine inlined. The combined score is the
-// worst statistic-to-threshold ratio across the three measures and both
-// statistics (SPE and T²), so 1.0 is exactly the native alarm boundary;
-// the blamed OD is the top residual OD of the measure that produced the
-// combined score.
+// later bin: score it on the current model, then engine.Advance the
+// lifecycle, which refits a due window and installs the result before the
+// next bin — the streaming pipeline's lane loop, one bin at a time. The
+// combined score is the worst statistic-to-threshold ratio across the
+// three measures and both statistics (SPE and T²), so 1.0 is exactly the
+// native alarm boundary; the blamed OD is the top residual OD of the
+// measure that produced the combined score.
 func (s *Subspace) Run(ds *dataset.Dataset, trainBins int) ([]BinVerdict, error) {
 	s.LastRefitErr = nil
 	opts := s.Opts
@@ -123,22 +122,9 @@ func (s *Subspace) Run(ds *dataset.Dataset, trainBins int) ([]BinVerdict, error)
 				v.TopOD = pt.TopResidualOD
 			}
 			v.Alarm = v.Alarm || pt.SPEAlarm || pt.T2Alarm
-			snap, err := ups[m].Observe(row)
-			if err != nil {
-				s.degrade(fmt.Errorf("update %v bin %d: %w", m, bin, err))
-				continue
+			if err := engine.Advance(ups[m], row, nil); err != nil {
+				s.degrade(fmt.Errorf("%v bin %d: %w", m, bin, err))
 			}
-			if snap == nil {
-				continue
-			}
-			// Warm-started from the model as of Observe, which the incremental
-			// lifecycle has already advanced; a nil next (failed refit) keeps
-			// the previous generation scoring.
-			next, err := ups[m].Model().Refit(snap)
-			if err != nil {
-				s.degrade(fmt.Errorf("refit %v after bin %d: %w", m, bin, err))
-			}
-			ups[m].Install(next)
 		}
 		verdicts = append(verdicts, v)
 	}

@@ -2,11 +2,14 @@ package stream
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"netwide/internal/engine"
+	"netwide/internal/identify"
+	"netwide/internal/mat"
 )
 
 // Load-adaptive batching: a lane scores what it holds as soon as its queue
@@ -68,8 +71,8 @@ func TestLockstepVerdicts(t *testing.T) {
 			if err := pipe.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			for l, g := range pipe.Generations() {
-				if cfg.RefitEvery > 0 && g == 0 {
+			for l, fr := range pipe.Freshness() {
+				if cfg.RefitEvery > 0 && fr.Gen == 0 {
 					t.Fatalf("lane %d never refitted: the refit lifecycle was not exercised", l)
 				}
 			}
@@ -135,9 +138,13 @@ func TestAdaptiveBatchFillsUnderBacklog(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchVerdictsIndependentOfBatchSize: ScoreBatch is row-wise,
-// so a static model's verdicts are bit-identical whatever BatchSize is and
-// wherever the adaptive flush happens to cut the batches.
+// TestAdaptiveBatchVerdictsIndependentOfBatchSize: a lane's verdicts are
+// a function of its input alone — bit-identical whatever BatchSize is and
+// wherever the adaptive flush happens to cut the batches — under a static
+// model, the refit lifecycle and the incremental one with drift
+// corrections, and equal to the lifecycle driven serially, one bin at a
+// time. ScoreBatch is row-wise, and a lane finishes a due refit before it
+// takes the next bin.
 func TestAdaptiveBatchVerdictsIndependentOfBatchSize(t *testing.T) {
 	const p, lanes, n = 8, 3, 400
 	rng := rand.New(rand.NewPCG(91, 92))
@@ -146,20 +153,15 @@ func TestAdaptiveBatchVerdictsIndependentOfBatchSize(t *testing.T) {
 		models[i] = fitLane(t, rng, 300, p)
 	}
 	live := synth(rand.New(rand.NewPCG(93, 94)), n, p, 6) // noisy enough to alarm
-	var ref []Verdict
-	for _, size := range []int{1, 7, 16} {
-		pipe, err := New(models, Config{BatchSize: size})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := feed(t, pipe, live, lanes, n)
-		if len(got) != n {
-			t.Fatalf("BatchSize %d: %d verdicts, want %d", size, len(got), n)
-		}
-		if ref == nil {
-			ref = got
+	for name, cfg := range map[string]Config{
+		"static":      {},
+		"refit":       {RefitEvery: 10, Window: 40},
+		"incremental": {Updater: engine.UpdaterIncremental, RefitEvery: 10, Window: 40},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := serialVerdicts(t, models, cfg, live, lanes, n)
 			alarms := 0
-			for _, v := range ref {
+			for _, v := range want {
 				if v.Alarm() {
 					alarms++
 				}
@@ -167,17 +169,76 @@ func TestAdaptiveBatchVerdictsIndependentOfBatchSize(t *testing.T) {
 			if alarms == 0 {
 				t.Fatal("no bin alarmed: the comparison would not cover attribution")
 			}
-			continue
-		}
-		for i := range got {
-			for l := 0; l < lanes; l++ {
-				if got[i].Points[l] != ref[i].Points[l] {
-					t.Fatalf("BatchSize %d bin %d lane %d: %+v, BatchSize 1 scored %+v", size, i, l, got[i].Points[l], ref[i].Points[l])
+			if g := want[n-1].Gens[0]; cfg.RefitEvery > 0 && g == 0 {
+				t.Fatal("no refit landed: the comparison would not cover generations")
+			}
+			for _, size := range []int{1, 7, 16} {
+				cfg.BatchSize = size
+				pipe, err := New(models, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(got[i].Attribs[l]) != len(ref[i].Attribs[l]) {
-					t.Fatalf("BatchSize %d bin %d lane %d: %d attributions, BatchSize 1 made %d", size, i, l, len(got[i].Attribs[l]), len(ref[i].Attribs[l]))
+				got := feed(t, pipe, live, lanes, n)
+				if len(got) != n {
+					t.Fatalf("BatchSize %d: %d verdicts, want %d", size, len(got), n)
+				}
+				for i, v := range got {
+					w := want[i]
+					if v.Bin != w.Bin {
+						t.Fatalf("BatchSize %d: verdict %d has bin %d", size, i, v.Bin)
+					}
+					for l := 0; l < lanes; l++ {
+						if v.Points[l] != w.Points[l] || v.Gens[l] != w.Gens[l] {
+							t.Fatalf("BatchSize %d bin %d lane %d: %+v gen %d, serial %+v gen %d", size, i, l, v.Points[l], v.Gens[l], w.Points[l], w.Gens[l])
+						}
+						if !reflect.DeepEqual(v.Attribs[l], w.Attribs[l]) {
+							t.Fatalf("BatchSize %d bin %d lane %d: attributions %+v, serial %+v", size, i, l, v.Attribs[l], w.Attribs[l])
+						}
+					}
 				}
 			}
-		}
+		})
 	}
+}
+
+// serialVerdicts is the pipeline's reference: each lane's lifecycle driven
+// one bin at a time on the test goroutine — Score, AttributeLive, then
+// engine.Advance — over the vectors feed submits.
+func serialVerdicts(t *testing.T, models []*engine.Model, cfg Config, live *mat.Matrix, lanes, n int) []Verdict {
+	t.Helper()
+	ups := make([]engine.Updater, lanes)
+	for l, m := range models {
+		up, err := engine.NewUpdater(cfg.Updater, m, cfg.updaterConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ups[l] = up
+	}
+	out := make([]Verdict, n)
+	for bin := range out {
+		vecs := laneVecs(live, lanes, bin)
+		v := Verdict{
+			Bin:     bin,
+			Points:  make([]engine.Point, lanes),
+			Gens:    make([]uint64, lanes),
+			Attribs: make([][]identify.Attribution, lanes),
+		}
+		for l, up := range ups {
+			m := up.Model()
+			pt, err := m.Score(vecs[l])
+			if err != nil {
+				t.Fatal(err)
+			}
+			att, err := identify.AttributeLive(m, bin, vecs[l], pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.Points[l], v.Gens[l], v.Attribs[l] = pt, m.Gen(), att
+			if err := engine.Advance(up, vecs[l], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out[bin] = v
+	}
+	return out
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"netwide/internal/engine"
 	"netwide/internal/fault"
@@ -194,22 +193,25 @@ func TestBarrierRestoreParity(t *testing.T) {
 }
 
 // TestBarrierCapturesRefitState: with refitting enabled the barrier carries
-// each lane's rolling window (newest row = last pre-barrier vector) and
-// refit phase, and a pipeline restored from it keeps refitting — the model
-// generation advances past the captured one.
+// each lane's rolling window (newest row = last pre-barrier vector), model
+// generation and refit phase, and a pipeline restored from it refits on the
+// same bins the live one does. The window starts full (seeded from the
+// training rows), so the generation that scores bin b is b/RefitEvery in
+// both; the barrier falls mid-cadence, so the restored phase decides where
+// the next refit lands.
 func TestBarrierCapturesRefitState(t *testing.T) {
 	rng := rand.New(rand.NewPCG(111, 112))
-	const p, lanes, n = 6, 2, 80
+	const p, lanes, n, tail = 6, 2, 85, 30
 	models := make([]*engine.Model, lanes)
 	for i := range models {
 		models[i] = fitLane(t, rng, 200, p)
 	}
-	cfg := Config{BatchSize: 4, RefitEvery: 10, Window: 40, Faults: fault.NewInjector()}
+	cfg := Config{BatchSize: 4, RefitEvery: 10, Window: 40}
 	pipe, err := New(models, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := synth(rand.New(rand.NewPCG(113, 114)), n, p, 2)
+	live := synth(rand.New(rand.NewPCG(113, 114)), n+tail, p, 2)
 	done := collect(pipe)
 	for bin := 0; bin < n; bin++ {
 		if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
@@ -239,10 +241,8 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 				t.Fatalf("lane %d: newest window row is not the last pre-barrier vector", l)
 			}
 		}
-		// Since can exceed RefitEvery when a hand-off found the refitter
-		// busy, but never goes negative.
-		if st.Since < 0 {
-			t.Fatalf("lane %d: negative refit phase %d", l, st.Since)
+		if st.Model.Gen != uint64(n/cfg.RefitEvery) || st.Since != n%cfg.RefitEvery {
+			t.Fatalf("lane %d captured generation %d, phase %d; want %d, %d", l, st.Model.Gen, st.Since, n/cfg.RefitEvery, n%cfg.RefitEvery)
 		}
 	}
 
@@ -251,40 +251,28 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rDone := collect(restored)
-	startGen := bar.Lanes[0].Model.Gen
-	// The refit runs on its own goroutine: keep feeding until it has been
-	// adopted (a fixed 28 bins were all scored before it finished, two runs
-	// in five on a busy host), then one more batch for it to score.
-	tail := -1
-	for bin, deadline := n, time.Now().Add(30*time.Second); tail != 0 && time.Now().Before(deadline); bin++ {
+	for bin := n; bin < n+tail; bin++ {
 		if err := restored.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
 			t.Fatal(err)
-		}
-		if tail > 0 {
-			tail--
-		} else if restored.Generations()[0] > startGen {
-			tail = 2 * cfg.BatchSize
 		}
 	}
 	restored.Close()
 	if err := restored.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	rvs := <-rDone
-	advanced := false
-	for _, v := range rvs {
-		if v.Gens[0] > startGen {
-			advanced = true
+	for _, v := range append(vs[:len(vs)-1], <-rDone...) {
+		for l, g := range v.Gens {
+			if want := uint64(v.Bin / cfg.RefitEvery); g != want {
+				t.Fatalf("bin %d lane %d scored by generation %d, want %d", v.Bin, l, g, want)
+			}
 		}
-	}
-	if !advanced {
-		t.Fatalf("restored pipeline never refit past generation %d", startGen)
 	}
 }
 
 // TestRefitFaultDegradesPipeline: an armed FaultRefit error turns every
-// background refit into the degraded condition — scoring continues on
-// generation 0, Wait reports the injected failure, Err stays nil.
+// refit into the degraded condition — scoring continues on generation 0,
+// Wait reports the injected failure, Err stays nil — and fires exactly
+// once per due refit, every RefitEvery bins on every lane.
 func TestRefitFaultDegradesPipeline(t *testing.T) {
 	rng := rand.New(rand.NewPCG(121, 122))
 	const p, lanes, n = 6, 2, 60
@@ -310,8 +298,8 @@ func TestRefitFaultDegradesPipeline(t *testing.T) {
 			}
 		}
 	}
-	if inj.Trips(FaultRefit) == 0 {
-		t.Fatal("refit fault never fired")
+	if got, want := inj.Trips(FaultRefit), lanes*n/10; got != want {
+		t.Fatalf("refit fault fired %d times, want %d", got, want)
 	}
 	if pipe.Err() != nil {
 		t.Fatalf("refit fault escalated to fatal: %v", pipe.Err())

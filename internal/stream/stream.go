@@ -21,18 +21,20 @@
 // the model lifecycle. Under the default refit lifecycle the updater
 // maintains a rolling window of accepted vectors (seeded from the engine's
 // retained training window, so the first refit does not have to wait for a
-// full window of live traffic) and periodically hands out a snapshot; the
-// fit runs on a separate refitter goroutine while the worker keeps scoring
-// with the current model, and the finished generation is swapped in with a
-// single atomic pointer store. Under the incremental lifecycle the lane
-// worker folds every closed bin into the model in-band — a rank-1 subspace
-// update per bin, so the scoring model is never more than one bin stale —
-// and the refitter goroutine only serves the periodic drift-correction
-// refits (RefitEvery becomes the fallback cadence). Refits are warm-started
-// from the previous generation's basis (engine.Model.Refit), so on wide OD
-// matrices the subspace iteration converges in a few sweeps. Scoring never
-// stalls, and no verdict is dropped or reordered across a swap; each
-// Verdict records the model generation that scored it.
+// full window of live traffic) and every RefitEvery bins hands it back to
+// the lane worker, which scores the bins it holds, fits the window and
+// installs the new generation before it takes the next bin
+// (engine.Advance). Under the incremental lifecycle the lane worker folds
+// every closed bin into the model in-band — a rank-1 subspace update per
+// bin, so the scoring model is never more than one bin stale — and
+// RefitEvery becomes the cadence of drift-correction refits, run the same
+// way. Refits are warm-started from the previous generation's basis
+// (engine.Model.Refit), so on wide OD matrices the subspace iteration
+// converges in a few sweeps; while one runs, its lane's bins queue behind
+// it. The bin after a refit-due bin is the new generation's first, whatever
+// the batch size or the scheduler does, so the verdicts are a function of
+// the input alone; each Verdict records the model generation that scored
+// it.
 package stream
 
 import (
@@ -44,7 +46,6 @@ import (
 	"netwide/internal/engine"
 	"netwide/internal/fault"
 	"netwide/internal/identify"
-	"netwide/internal/mat"
 )
 
 // Config tunes a Pipeline. The zero value gets sensible defaults.
@@ -64,17 +65,17 @@ type Config struct {
 	// Updater selects the model lifecycle (engine.UpdaterRefit,
 	// engine.UpdaterIncremental); "" means the default refit lifecycle.
 	Updater engine.UpdaterKind
-	// RefitEvery is the number of accepted bins between background full
-	// refits of a lane's model (0 disables them). Under the incremental
-	// updater this is the drift-correction fallback cadence.
+	// RefitEvery is the number of accepted bins between full refits of a
+	// lane's model (0 disables them). Under the incremental updater this is
+	// the drift-correction fallback cadence.
 	RefitEvery int
 	// Window is the rolling training window length in bins. Required when
 	// RefitEvery > 0; must exceed the vector length p for the PCA fit to
 	// be well-posed (the fit itself demands n > p). Under the incremental
 	// updater it doubles as the tracker's forgetting horizon.
 	Window int
-	// Faults, when non-nil, threads error injection through the pipeline's
-	// background paths (currently FaultRefit). Nil in production.
+	// Faults, when non-nil, threads error injection through the lanes'
+	// refits (FaultRefit). Nil in production.
 	Faults *fault.Injector
 }
 
@@ -87,8 +88,9 @@ const depthPerBatch = 10
 // score. Tests set it before building a pipeline; nil in production.
 var batchHook func(n int)
 
-// FaultRefit is the injection point consulted before every background
-// refit: arm a Delay for a slow refit, an Err for a failing one.
+// FaultRefit is the injection point a lane consults before every refit fit,
+// once it has scored the bins it holds: arm a Delay for a slow refit (the
+// lane's later bins wait it out), an Err for a failing one.
 const FaultRefit = "stream.refit"
 
 func (c Config) withDefaults() Config {
@@ -190,28 +192,24 @@ type laneResult struct {
 }
 
 // lane is one detector worker: a model lifecycle (the updater owns the
-// scoring model, the rolling window and any tracker state), its input and
-// output channels, and the hand-off channel to the lane's refitter
-// goroutine.
+// scoring model, the rolling window and any tracker state) and its input
+// and output channels.
 type lane struct {
 	id  int
 	up  engine.Updater
 	in  chan laneTask
 	out chan laneResult // one result per task, in task order
 	p   int             // vector length the lane's model scores
-
-	refitIn chan *mat.Matrix // capacity 1; nil when full refits are disabled
 }
 
 // Pipeline is the running detection pipeline. Construct with New, feed with
 // Submit, then Close and drain Verdicts; Wait blocks until the verdict
-// stream is complete and reports any background refit error.
+// stream is complete and reports any lane or model-update error.
 type Pipeline struct {
 	cfg   Config
 	lanes []*lane
 
 	workerWG sync.WaitGroup
-	refitWG  sync.WaitGroup
 
 	// mu serializes Submit, Barrier and Close, so every lane receives the
 	// submissions in one order, a closed input channel is never sent on, and
@@ -224,12 +222,12 @@ type Pipeline struct {
 
 	errMu sync.Mutex
 	err   error // first fatal failure (scoring or attribution)
-	// refitErr is the first background model-update failure — a failed
-	// full refit or a failed incremental fold. It is tracked apart from
-	// err because the two mean different things operationally: an update
-	// failure leaves the pipeline DEGRADED (scoring continues, correctly,
-	// on the previous model), while a scoring failure means the verdicts
-	// themselves are bad.
+	// refitErr is the first model-update failure — a failed full refit or
+	// a failed incremental fold. It is tracked apart from err because the
+	// two mean different things operationally: an update failure leaves the
+	// pipeline DEGRADED (scoring continues, correctly, on the previous
+	// model), while a scoring failure means the verdicts themselves are
+	// bad.
 	refitErr error
 }
 
@@ -244,8 +242,8 @@ func (p *Pipeline) fail(err error) {
 	p.errMu.Unlock()
 }
 
-// failRefit records the first background model-update failure — the
-// degraded (not fatal) condition.
+// failRefit records the first model-update failure — the degraded (not
+// fatal) condition.
 func (p *Pipeline) failRefit(err error) {
 	p.errMu.Lock()
 	if p.refitErr == nil {
@@ -264,8 +262,8 @@ func (p *Pipeline) Err() error {
 	return p.err
 }
 
-// RefitErr returns the first background model-update failure, the signal
-// that the pipeline is running degraded on an aging model.
+// RefitErr returns the first model-update failure, the signal that the
+// pipeline is running degraded on an aging model.
 func (p *Pipeline) RefitErr() error {
 	p.errMu.Lock()
 	defer p.errMu.Unlock()
@@ -277,8 +275,8 @@ func (p *Pipeline) RefitErr() error {
 // generations, so sharing them with the caller is safe; when
 // cfg.RefitEvery > 0 each lane's rolling window is pre-seeded from its
 // model's retained training window (the engine keeps a reference, not a
-// copy), so the first background refit is due after RefitEvery bins rather
-// than after a full window of live traffic.
+// copy), so the first refit is due after RefitEvery bins rather than
+// after a full window of live traffic.
 func New(models []*engine.Model, cfg Config) (*Pipeline, error) {
 	if len(models) == 0 {
 		return nil, errors.New("stream: no models")
@@ -333,8 +331,8 @@ func NewRestored(from *Barrier, cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// newPipeline starts one worker (and, with refits on, one refitter) per
-// ready lifecycle — the shared tail of New and NewRestored.
+// newPipeline starts one worker per ready lifecycle — the shared tail of
+// New and NewRestored.
 func newPipeline(ups []engine.Updater, cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	depth := depthPerBatch * cfg.BatchSize
@@ -347,11 +345,6 @@ func newPipeline(ups []engine.Updater, cfg Config) *Pipeline {
 			out: make(chan laneResult, depth),
 			p:   up.Model().P(),
 		}
-		if cfg.RefitEvery > 0 {
-			l.refitIn = make(chan *mat.Matrix, 1)
-			p.refitWG.Add(1)
-			go p.refitter(l)
-		}
 		p.lanes = append(p.lanes, l)
 		p.workerWG.Add(1)
 		go p.laneWorker(l)
@@ -361,16 +354,6 @@ func newPipeline(ups []engine.Updater, cfg Config) *Pipeline {
 
 // Lanes returns the number of detector lanes.
 func (p *Pipeline) Lanes() int { return len(p.lanes) }
-
-// Generations returns each lane's current model generation: the number of
-// adopted full refits.
-func (p *Pipeline) Generations() []uint64 {
-	out := make([]uint64, len(p.lanes))
-	for i, l := range p.lanes {
-		out[i] = l.up.Model().Gen()
-	}
-	return out
-}
 
 // Freshness returns each lane's model-freshness gauges.
 func (p *Pipeline) Freshness() []engine.Freshness {
@@ -488,15 +471,13 @@ func (p *Pipeline) Verdicts() iter.Seq[Verdict] {
 }
 
 // Wait blocks until the pipeline has emitted every verdict (the consumer
-// must be draining Verdicts) and all background refits have settled, then
-// returns the first background error — a lane scoring or attribution
-// failure, or a model update failure. A failed run still delivers a
-// complete, ordered verdict stream (failed bins carry zero-valued
-// placeholder points), so Wait is the only place a background failure
-// surfaces.
+// must be draining Verdicts), then returns the first lane error — a
+// scoring or attribution failure — or else the first model-update
+// failure. A failed run still delivers a complete, ordered verdict stream
+// (failed bins carry zero-valued placeholder points), so Wait is the only
+// place a lane failure surfaces.
 func (p *Pipeline) Wait() error {
 	p.workerWG.Wait()
-	p.refitWG.Wait()
 	p.errMu.Lock()
 	defer p.errMu.Unlock()
 	if p.err != nil {
@@ -505,28 +486,30 @@ func (p *Pipeline) Wait() error {
 	return p.refitErr
 }
 
-// laneWorker scores its lane's vectors in batches against whatever model is
-// current, attributes alarms to OD flows against the same model, and feeds
-// every scored bin to the lane's updater. An in-band updater (the
-// incremental tracker) advances the scoring model inside Observe, so the
-// worker flushes — scores — each bin before observing it: a bin must never
-// be scored by a model that has already absorbed it. An out-of-band
-// updater leaves the model alone between refit swaps, so the worker batches:
-// it flushes when the batch is full or its queue is empty — BatchSize-row
-// products under backlog, no waiting for later bins when idle.
+// laneWorker scores its lane's vectors in batches against the lane's
+// current model, attributes alarms to OD flows against the same model, and
+// feeds every scored bin to the lane's lifecycle (engine.Advance). An
+// in-band updater (the incremental tracker) advances the scoring model
+// inside Observe, so the worker flushes — scores — each bin before
+// observing it: a bin must never be scored by a model that has already
+// absorbed it. Otherwise the model only moves when a refit falls due, so
+// the worker batches: it flushes when the batch is full or its queue is
+// empty — BatchSize-row products under backlog, no waiting for later bins
+// when idle — and, when Observe hands back a window, before the fit, so
+// every bin it holds is scored by the generation that observed it and the
+// next bin by the new one.
 //
-// Scoring and attribution failures do not panic: a panic on a background
+// Scoring and attribution failures do not panic: a panic on a lane
 // goroutine would kill the whole process on the first malformed batch. The
 // first error is recorded on the pipeline (surfaced by Err and Wait) and
 // the lane keeps draining its queue, emitting zero-valued placeholder
 // results so the ordered verdict stream stays complete — consumers see
-// every submitted bin, then learn from Wait that the run failed.
+// every submitted bin, then learn from Wait that the run failed. A model
+// update failure only degrades the pipeline: the previous model keeps
+// scoring.
 func (p *Pipeline) laneWorker(l *lane) {
 	defer p.workerWG.Done()
 	defer close(l.out)
-	if l.refitIn != nil {
-		defer close(l.refitIn)
-	}
 	inBand := l.up.InBand()
 	batch := make([]laneTask, 0, p.cfg.BatchSize)
 	vecs := make([][]float64, 0, p.cfg.BatchSize)
@@ -559,6 +542,12 @@ func (p *Pipeline) laneWorker(l *lane) {
 		}
 		batch, vecs = batch[:0], vecs[:0]
 	}
+	// beforeFit runs when a refit falls due: FaultRefit delays or fails the
+	// fit only after the bins it held have been answered.
+	beforeFit := func() error {
+		flush()
+		return p.cfg.Faults.Fire(FaultRefit)
+	}
 	for t := range l.in {
 		if t.barrier != nil {
 			// Score everything before the barrier first, so the captured
@@ -575,54 +564,9 @@ func (p *Pipeline) laneWorker(l *lane) {
 		if inBand || len(batch) >= p.cfg.BatchSize || len(l.in) == 0 {
 			flush()
 		}
-		p.observe(l, t.x)
+		if err := engine.Advance(l.up, t.x, beforeFit); err != nil {
+			p.failRefit(fmt.Errorf("stream: lane %d %w", l.id, err))
+		}
 	}
 	flush()
-}
-
-// observe feeds one scored bin to the lane's lifecycle. A returned
-// snapshot is handed to the refitter; the updater guarantees at most one
-// outstanding hand-off, so the capacity-1 send never blocks. An update
-// failure degrades the pipeline — the previous model keeps scoring.
-func (p *Pipeline) observe(l *lane, x []float64) {
-	snap, err := l.up.Observe(x)
-	if err != nil {
-		p.failRefit(fmt.Errorf("stream: lane %d update: %w", l.id, err))
-	}
-	if snap != nil && l.refitIn != nil {
-		l.refitIn <- snap
-	}
-}
-
-// refitter fits replacement models on window snapshots and hands them back
-// to the lifecycle. The fit is warm-started from the current generation's
-// basis; adoption is a single atomic store (refit lifecycle) or deferred
-// to the next Observe (incremental drift correction): in-flight batches
-// finish on the old model, the next batch loads the new one.
-func (p *Pipeline) refitter(l *lane) {
-	defer p.refitWG.Done()
-	for snap := range l.refitIn {
-		// FaultRefit: an armed Delay makes this refit slow (it holds the
-		// hand-off slot, delaying subsequent refits — never scoring); an
-		// armed Err fails it, leaving the pipeline degraded on the current
-		// generation.
-		if err := p.cfg.Faults.Fire(FaultRefit); err != nil {
-			p.failRefit(fmt.Errorf("stream: lane %d refit: %w", l.id, err))
-			l.up.Install(nil)
-			continue
-		}
-		cur := l.up.Model()
-		next, err := cur.Refit(snap)
-		if err != nil {
-			p.failRefit(fmt.Errorf("stream: lane %d refit: %w", l.id, err))
-			l.up.Install(nil) // keep scoring on the current model
-			continue
-		}
-		if err := next.FitWarning(); err != nil {
-			// Unconverged, not unusable: its last iterate is still closer
-			// to the window than the generation it replaces.
-			p.failRefit(fmt.Errorf("stream: lane %d refit: %w", l.id, err))
-		}
-		l.up.Install(next)
-	}
 }

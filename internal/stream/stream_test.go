@@ -135,20 +135,19 @@ func TestPipelineRefitDuringScoring(t *testing.T) {
 			t.Fatalf("verdict %d has bin %d: refit reordered the stream", i, v.Bin)
 		}
 	}
-	for l, g := range pipe.Generations() {
-		if g == 0 {
-			t.Fatalf("lane %d never refitted over %d bins (RefitEvery=50)", l, n)
+	// The window starts full (seeded from the 200 training rows), so each
+	// lane refits after every 50th bin and the next bin is the new
+	// generation's first.
+	for i, v := range got {
+		for l, g := range v.Gens {
+			if g != uint64(i/50) {
+				t.Fatalf("bin %d lane %d scored by generation %d, want %d", i, l, g, i/50)
+			}
 		}
 	}
-	// Generations recorded on verdicts must be monotone per lane and reach
-	// the final generation.
-	for l := 0; l < lanes; l++ {
-		var prev uint64
-		for i, v := range got {
-			if v.Gens[l] < prev {
-				t.Fatalf("lane %d gen went backwards at bin %d: %d -> %d", l, i, prev, v.Gens[l])
-			}
-			prev = v.Gens[l]
+	for l, fr := range pipe.Freshness() {
+		if fr.Gen != n/50 {
+			t.Fatalf("lane %d ends on generation %d, want %d", l, fr.Gen, n/50)
 		}
 	}
 }
@@ -499,10 +498,10 @@ func awaitPipelineGoroutines(t *testing.T, want int, when string) {
 	}
 }
 
-// TestPipelineGoroutines: a pipeline of L lanes runs L lane workers, plus
-// one refitter per lane when refits are on, and nothing else — results go
-// from the lanes straight to the consumer — and none outlive Close, a
-// drained verdict stream and Wait.
+// TestPipelineGoroutines: a pipeline of L lanes runs L lane workers and
+// nothing else, refits on or off — results go from the lanes straight to
+// the consumer, and each lane runs its own refits — and none outlive
+// Close, a drained verdict stream and Wait.
 func TestPipelineGoroutines(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"static": {BatchSize: 4},
@@ -520,11 +519,7 @@ func TestPipelineGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := lanes
-			if cfg.RefitEvery > 0 {
-				want += lanes
-			}
-			awaitPipelineGoroutines(t, want, "after New")
+			awaitPipelineGoroutines(t, lanes, "after New")
 			live := synth(rand.New(rand.NewPCG(193, 194)), n, p, 2)
 			for bin := 0; bin < n; bin++ {
 				if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
@@ -534,7 +529,7 @@ func TestPipelineGoroutines(t *testing.T) {
 			if err := pipe.Barrier(nil); err != nil {
 				t.Fatal(err)
 			}
-			awaitPipelineGoroutines(t, want, "with a backlog")
+			awaitPipelineGoroutines(t, lanes, "with a backlog")
 			pipe.Close()
 			got := 0
 			for range pipe.Verdicts() {

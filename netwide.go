@@ -21,9 +21,10 @@
 //
 // For live operation StreamDetector runs the concurrent pipeline of
 // internal/stream — per-measure scoring workers fed over channels, batched
-// model application, a single ordered verdict stream, and rolling
-// background refits (warm-started from the previous model generation) that
-// swap models in without stalling scoring. It runs the full
+// model application, a single ordered verdict stream, and rolling refits
+// (warm-started from the previous model generation) that each lane runs
+// between two bins, so the same input always meets the same generations.
+// It runs the full
 // characterization chain at streaming time: alarms are attributed to OD
 // flows, aggregated into cross-measure events, and classified the moment an
 // event closes, surfacing on StreamVerdict.Anomalies.

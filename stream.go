@@ -27,23 +27,25 @@ type StreamConfig struct {
 	// generation-swap default, "incremental" for per-bin subspace tracking
 	// (the scoring model is never more than one bin stale).
 	Updater string
-	// RefitEvery is the number of streamed bins between background full
-	// model refits (0 disables them). Refit windows start pre-seeded from
-	// the training bins, and each refit is warm-started from the previous
-	// model generation's subspace basis. Under the incremental updater
-	// this is the drift-correction fallback cadence.
+	// RefitEvery is the number of streamed bins between full model refits
+	// (0 disables them). Refit windows start pre-seeded from the training
+	// bins, and each refit is warm-started from the previous model
+	// generation's subspace basis. A lane runs a due refit before it scores
+	// its next bin, so the bin after every RefitEvery-th is the new
+	// generation's first. Under the incremental updater this is the
+	// drift-correction fallback cadence.
 	RefitEvery int
 	// Window is the rolling training window for refits, in bins. Under
 	// the incremental updater it doubles as the tracker's forgetting
 	// horizon.
 	Window int
-	// Faults, when non-nil, threads error injection through the pipeline's
-	// background paths (see stream.FaultRefit). Nil in production.
+	// Faults, when non-nil, threads error injection through the lanes'
+	// refits (see stream.FaultRefit). Nil in production.
 	Faults *fault.Injector
 }
 
 // SetMathWorkers tunes the process-wide linear-algebra goroutine pool that
-// batch scoring, model fits and background refits all draw from (default
+// batch scoring, model fits and refits all draw from (default
 // GOMAXPROCS; n < 1 resets to it). It returns the previous setting. The
 // pool is global state shared by every detector in the process, which is
 // why it is an explicit call rather than a per-detector option.
@@ -87,7 +89,7 @@ type StreamVerdict struct {
 	// three fired).
 	Measures string
 	// Generations records, per measure, which model generation scored the
-	// bin (0 = initial fit; each completed background refit increments it).
+	// bin (0 = initial fit; each adopted full refit increments it).
 	Generations [dataset.NumMeasures]uint64
 	// Anomalies lists the fully characterized anomalies that CLOSED at
 	// this bin: alarms are attributed to OD flows against the scoring
@@ -125,11 +127,12 @@ type OnlinePoint struct {
 // StreamDetector scores live traffic across all three measures
 // concurrently: one detector lane per measure fed over channels, scoring
 // batched under load and immediate when idle, a single ordered verdict
-// stream, and background rolling refits that swap models in without
-// stalling scoring. Beyond raw per-measure alarms it runs the paper's full
-// characterization chain at streaming time — OD attribution, cross-measure
-// event aggregation, classification, ground-truth matching — and delivers
-// the results on StreamVerdict.Anomalies. Run.Detect + Run.Characterize
+// stream, and rolling refits each lane runs between two bins, so the bin
+// after a refit-due bin is always the new generation's first. Beyond raw
+// per-measure alarms it runs the paper's full characterization chain at
+// streaming time — OD attribution, cross-measure event aggregation,
+// classification, ground-truth matching — and delivers the results on
+// StreamVerdict.Anomalies. Run.Detect + Run.Characterize
 // run this chain's own code over the whole run at once, so a detector
 // trained on every bin replays them bit for bit.
 type StreamDetector struct {
@@ -186,7 +189,7 @@ type StreamCheckpoint struct {
 // NewStreamDetector trains one model per traffic measure on the run's
 // leading cfg.TrainBins bins and assembles the concurrent pipeline around
 // them. Training reads the run's matrices through no-copy views; the
-// engine retains each view as the seed window for background refits.
+// engine retains each view as the seed window for refits.
 func (r *Run) NewStreamDetector(opts DetectOptions, cfg StreamConfig) (*StreamDetector, error) {
 	if opts.K == 0 {
 		opts = DefaultDetectOptions()
@@ -401,34 +404,25 @@ func (d *StreamDetector) Verdicts() <-chan StreamVerdict { return d.out }
 func (d *StreamDetector) Close() { d.pipe.Close() }
 
 // Wait blocks until every verdict has been emitted (the consumer must drain
-// Verdicts) and returns the first background error — a lane scoring or
+// Verdicts) and returns the first pipeline error — a lane scoring or
 // attribution failure, or a refit failure. A failing pipeline still
 // delivers a complete, ordered verdict stream (failed bins carry
 // zero-valued, non-alarming points), so checking Wait is how a consumer
 // learns the run was bad.
 func (d *StreamDetector) Wait() error { return d.pipe.Wait() }
 
-// Err returns the first FATAL background pipeline error (a lane scoring
-// or attribution failure — the verdicts themselves are suspect) recorded
-// so far, without waiting for the stream to end: the liveness probe a
-// long-running ingest daemon polls between bins. Background refit
-// failures are deliberately excluded — scoring continues, correctly, on
-// the previous model generation — and surface via RefitErr instead.
+// Err returns the first FATAL pipeline error (a lane scoring or
+// attribution failure — the verdicts themselves are suspect) recorded so
+// far, without waiting for the stream to end: the liveness probe a
+// long-running ingest daemon polls between bins. Refit failures are
+// deliberately excluded — scoring continues, correctly, on the previous
+// model generation — and surface via RefitErr instead.
 func (d *StreamDetector) Err() error { return d.pipe.Err() }
 
-// RefitErr returns the first background refit failure: the detector is
-// degraded (its models are aging) but its verdicts remain valid. Wait
-// also returns it, after any fatal error.
+// RefitErr returns the first refit failure: the detector is degraded (its
+// models are aging) but its verdicts remain valid. Wait also returns it,
+// after any fatal error.
 func (d *StreamDetector) RefitErr() error { return d.pipe.RefitErr() }
-
-// Generations returns the per-measure model generation: how many full
-// refits have completed and been adopted. Per-bin incremental updates
-// advance the model without bumping the generation — see Freshness.
-func (d *StreamDetector) Generations() [dataset.NumMeasures]uint64 {
-	var out [dataset.NumMeasures]uint64
-	copy(out[:], d.pipe.Generations())
-	return out
-}
 
 // Freshness returns the per-measure model-freshness gauges: lifecycle
 // kind, generation, per-bin updates folded into the current generation,

@@ -142,9 +142,8 @@ func TestStreamCharacterizeWithRefits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gens := det.Generations()
-	for m, g := range gens {
-		if g == 0 {
+	for m, fr := range det.Freshness() {
+		if fr.Gen == 0 {
 			t.Errorf("measure %d never refitted over %d bins with RefitEvery=288", m, half)
 		}
 	}

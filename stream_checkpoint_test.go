@@ -1,19 +1,21 @@
 package netwide_test
 
 // Detector-level checkpoint/restore parity: a StreamDetector snapshotted
-// mid-stream and rebuilt (through a gob round trip, the way the on-disk
-// envelope carries it) must characterize the remaining bins exactly as the
-// uninterrupted detector — same anomalies, same classes, same OD sets —
-// including anomalies whose windows straddle the checkpoint itself, which
-// only survive because the aggregator's open events cross the snapshot.
+// mid-stream and rebuilt (through the daemon's snapshot format, written and
+// read back by internal/checkpoint) must characterize the remaining bins
+// exactly as the uninterrupted detector — same anomalies, same classes,
+// same OD sets — including anomalies whose windows straddle the checkpoint
+// itself, which only survive because the aggregator's open events cross
+// the snapshot.
 
 import (
 	"bytes"
-	"encoding/gob"
+	"slices"
 	"sort"
 	"testing"
 
 	"netwide"
+	"netwide/internal/checkpoint"
 	"netwide/internal/dataset"
 )
 
@@ -96,17 +98,30 @@ func sortKeys(as []netwide.Anomaly) []string {
 	return keys
 }
 
-func gobRoundTrip(t *testing.T, cp netwide.StreamCheckpoint) netwide.StreamCheckpoint {
+// snapshotRoundTrip carries cp through the bytes a daemon writes: a
+// checkpoint.State around it, fingerprinted for run, through
+// checkpoint.Write and checkpoint.Read.
+func snapshotRoundTrip(t *testing.T, run *netwide.Run, cp netwide.StreamCheckpoint) netwide.StreamCheckpoint {
 	t.Helper()
+	ds := run.Dataset()
+	opts := netwide.DefaultDetectOptions()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
+	err := checkpoint.Write(&buf, &checkpoint.State{
+		Topology: ds.Top.Name,
+		ODPairs:  ds.NumODPairs(),
+		Measures: int(dataset.NumMeasures),
+		K:        opts.K,
+		Alpha:    opts.Alpha,
+		Stream:   cp,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out netwide.StreamCheckpoint
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+	st, err := checkpoint.Read(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return st.Stream
 }
 
 func TestStreamCheckpointRestoreParity(t *testing.T) {
@@ -145,7 +160,7 @@ func TestStreamCheckpointRestoreParity(t *testing.T) {
 		t.Fatalf("checkpoint cursor = (%d,%v), want (%d,true)", cp.LastBin, cp.Started, cut-1)
 	}
 
-	restored, err := run.RestoreStreamDetector(gobRoundTrip(t, cp), cfg)
+	restored, err := run.RestoreStreamDetector(snapshotRoundTrip(t, run, cp), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +209,12 @@ func TestStreamCheckpointRestoreParity(t *testing.T) {
 	}
 }
 
-// TestStreamCheckpointWithRefits: with background refits on, a checkpoint
-// carries the refit windows and model generations, and the restored
-// detector keeps scoring and refitting from there. Refit timing is
-// scheduler-dependent, so this pins liveness and state carriage, not
-// bit-parity (which TestStreamCheckpointRestoreParity pins with refits
-// off).
+// TestStreamCheckpointWithRefits: with refits on, a detector restored from
+// a checkpoint scores and characterizes the rest of the run bit for bit as
+// the uninterrupted one. The cut falls right after the bin whose Observe
+// handed out a refit window, the spot where a refit could once still be in
+// flight: the snapshot must carry the new generation, with the refit phase
+// back at zero and the window, so the restored lanes refit on the same bins.
 func TestStreamCheckpointWithRefits(t *testing.T) {
 	run, err := netwide.Simulate(netwide.QuickConfig())
 	if err != nil {
@@ -213,43 +228,59 @@ func TestStreamCheckpointWithRefits(t *testing.T) {
 		RefitEvery: 72,
 		Window:     half,
 	}
-	det, err := run.NewStreamDetector(netwide.DefaultDetectOptions(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := half + bins/4
-	vs, cps := runDetector(t, run, det, half, bins, cut)
-	if len(vs) != bins-half {
-		t.Fatalf("got %d verdicts, want %d", len(vs), bins-half)
-	}
-	cp := cps[cut]
-	for i, lc := range cp.Lanes {
-		if len(lc.Window) == 0 {
-			t.Fatalf("lane %d checkpoint carries no refit window", i)
-		}
-		// Since may exceed RefitEvery while a refit hand-off is pending
-		// (the refitter was busy), but never goes negative.
-		if lc.Since < 0 {
-			t.Fatalf("lane %d negative refit phase %d", i, lc.Since)
-		}
-	}
+	const refits = 7
+	cut := half + refits*cfg.RefitEvery
 
-	restored, err := run.RestoreStreamDetector(gobRoundTrip(t, cp), cfg)
+	full, err := run.NewStreamDetector(netwide.DefaultDetectOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rvs, _ := runDetector(t, run, restored, cut, bins)
-	if len(rvs) != bins-cut {
-		t.Fatalf("restored detector emitted %d verdicts, want %d", len(rvs), bins-cut)
+	want, _ := runDetector(t, run, full, half, bins)
+	wantTail := full.TailAnomalies()
+
+	head, err := run.NewStreamDetector(netwide.DefaultDetectOptions(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range rvs {
-		if v.Bin != cut+i {
-			t.Fatalf("restored verdict %d has bin %d, want %d", i, v.Bin, cut+i)
+	got, cps := runDetector(t, run, head, half, cut, cut)
+	cp := cps[cut]
+	for m, lc := range cp.Lanes {
+		if len(lc.Window) != cfg.Window || lc.Since != 0 || lc.Model.Gen != refits {
+			t.Fatalf("measure %d checkpoint: %d window rows, phase %d, generation %d; want %d, 0, %d",
+				m, len(lc.Window), lc.Since, lc.Model.Gen, cfg.Window, refits)
 		}
-		for m, g := range v.Generations {
-			if g < cp.Lanes[m].Model.Gen {
-				t.Fatalf("bin %d measure %d scored on generation %d, below restored generation %d", v.Bin, m, g, cp.Lanes[m].Model.Gen)
+	}
+	restored, err := run.RestoreStreamDetector(snapshotRoundTrip(t, run, cp), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := runDetector(t, run, restored, cut, bins)
+	got = append(got, rest...)
+	gotTail := restored.TailAnomalies()
+
+	if len(got) != len(want) {
+		t.Fatalf("split run emitted %d verdicts, uninterrupted %d", len(got), len(want))
+	}
+	anomalies := 0
+	for i, w := range want {
+		g := got[i]
+		if g.Bin != w.Bin || g.Points != w.Points || g.Measures != w.Measures || g.Generations != w.Generations {
+			t.Fatalf("bin %d: split %+v gens %v, uninterrupted %+v gens %v", w.Bin, g.Points, g.Generations, w.Points, w.Generations)
+		}
+		for m, gen := range w.Generations {
+			if due := uint64((w.Bin - half) / cfg.RefitEvery); gen != due {
+				t.Fatalf("bin %d measure %d scored by generation %d, want %d", w.Bin, m, gen, due)
 			}
 		}
+		if gk, wk := sortKeys(g.Anomalies), sortKeys(w.Anomalies); !slices.Equal(gk, wk) {
+			t.Fatalf("bin %d anomalies:\n split         %v\n uninterrupted %v", w.Bin, gk, wk)
+		}
+		anomalies += len(w.Anomalies)
+	}
+	if gk, wk := sortKeys(gotTail), sortKeys(wantTail); !slices.Equal(gk, wk) {
+		t.Fatalf("tail anomalies:\n split         %v\n uninterrupted %v", gk, wk)
+	}
+	if anomalies == 0 {
+		t.Fatal("run characterized no anomalies; parity check is vacuous")
 	}
 }

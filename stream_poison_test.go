@@ -56,9 +56,8 @@ func TestStreamRefitPoisonedWindowDegrades(t *testing.T) {
 	}()
 
 	// Feed identical bins until the window is pure poison and a refit on
-	// it has failed. The refitter is asynchronous (a busy refitter skips a
-	// hand-off), so poll RefitErr rather than counting bins; the cap only
-	// bounds a broken run.
+	// it has failed. The lanes run behind Submit, so poll RefitErr rather
+	// than counting bins; the cap only bounds a broken run.
 	const maxPoison = 20000
 	submitted := 0
 	for bin := 0; bin < maxPoison && det.RefitErr() == nil; bin++ {
