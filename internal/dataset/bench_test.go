@@ -25,8 +25,8 @@ func benchConfig() Config {
 
 // BenchmarkCellReplay measures one (OD, bin) cell through the full
 // measurement chain with a warm scratch — the steady-state inner loop of
-// Generate. allocs/op here is the number to watch: scratch reuse holds it
-// to single digits.
+// Generate. allocs/op here is the number to watch: scratch reuse, the cell
+// RNG included, holds a quiet cell at zero.
 func BenchmarkCellReplay(b *testing.B) {
 	d, err := Generate(benchConfig())
 	if err != nil {

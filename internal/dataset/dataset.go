@@ -252,7 +252,13 @@ func prepare(cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	smp, err := sampling.NewSampler(cfg.SamplingRate)
+	var sizes []uint64
+	for _, app := range bg.Mix {
+		for _, sc := range app.Sizes {
+			sizes = append(sizes, sc.PktsPerFlow)
+		}
+	}
+	smp, err := sampling.NewSampler(cfg.SamplingRate, sizes...)
 	if err != nil {
 		return nil, err
 	}
@@ -286,17 +292,24 @@ func (d *Dataset) allocMatrices() {
 	}
 }
 
-// scratch carries the reusable buffers of one generation worker: the flow
-// class and active-injector slices of classesFor and the cell's record
-// buffer. One scratch serves one (OD, bin) cell at a time; pooling it takes
-// the per-cell path from hundreds of allocations down to a handful.
+// scratch carries the reusable state of one generation worker: the cell's
+// RNG (one rand.PCG reseeded per cell to the cell's BinSeed stream),
+// the flow class and active-injector slices of classesFor and the cell's
+// record buffer. One scratch serves one (OD, bin) cell at a time; pooling it
+// takes a quiet cell's path from hundreds of allocations down to none.
 type scratch struct {
+	pcg     rand.PCG
+	rng     *rand.Rand // draws from pcg
 	classes []traffic.FlowClass
 	active  []anomaly.Injector
 	recs    []flowwire.Flow
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(scratch)
+	sc.rng = rand.New(&sc.pcg)
+	return sc
+}}
 
 func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
@@ -344,7 +357,8 @@ func (d *Dataset) ForEachResolvedRecord(od topology.ODPair, bin int, fn func(top
 // shared state — the generation workers accumulate the returns per worker,
 // which keeps the counters race-free and replay-invariant.
 func (d *Dataset) forEachResolvedRecord(od topology.ODPair, bin int, sc *scratch, fn func(topology.ODPair, flowwire.Flow)) (raw, unresolved uint64) {
-	rng := d.BG.BinRNG(od, bin)
+	sc.pcg.Seed(d.BG.BinSeed(od, bin))
+	rng := sc.rng
 	classes := d.classesFor(od, bin, rng, sc)
 	// Every record of the cell is measured before the first is resolved:
 	// resolution draws from the same RNG stream, after the sampling.
@@ -358,8 +372,8 @@ func (d *Dataset) forEachResolvedRecord(od topology.ODPair, bin int, sc *scratch
 		}
 		sc.recs = append(sc.recs, flowwire.Flow{Key: r.Key, Packets: r.Packets, Bytes: r.Bytes})
 	}
-	for _, c := range classes {
-		traffic.Measure(c, d.sampler, d.BG.Realm, rng, emit)
+	for i := range classes {
+		traffic.Measure(&classes[i], &d.sampler, d.BG.Realm, rng, emit)
 	}
 	for _, rec := range sc.recs {
 		raw++

@@ -55,13 +55,15 @@ func NewBackground(top *topology.Topology, meanRateBps float64, seed uint64) (*B
 	}, nil
 }
 
-// BinRNG derives the deterministic RNG stream for (od, bin). All layers
-// that add randomness to a bin must draw from this stream (or from
-// LognormalNoise) so that regeneration is exact.
-func (b *Background) BinRNG(od topology.ODPair, bin int) *rand.Rand {
+// BinSeed returns the PCG seed of the deterministic RNG stream for
+// (od, bin). All layers that add randomness to a bin must draw from this
+// stream (or from LognormalNoise) so that regeneration is exact. A caller
+// regenerating many cells reseeds one rand.PCG in place (PCG.Seed sets
+// exactly the state NewPCG does) instead of allocating a generator a cell.
+func (b *Background) BinSeed(od topology.ODPair, bin int) (seed1, seed2 uint64) {
 	s1 := b.Seed ^ (uint64(b.Top.Index(od))+1)*0x9E3779B97F4A7C15
 	s2 := (uint64(bin) + 1) * 0xBF58476D1CE4E5B9
-	return rand.New(rand.NewPCG(s1, s2))
+	return s1, s2
 }
 
 // TrueVolume returns the true (pre-sampling) background byte volume offered

@@ -111,6 +111,51 @@ type weightedPrefixes struct {
 	prefixes []ipaddr.Prefix
 	cum      []float64 // cumulative weights for O(log n) sampling
 	total    float64
+	// guide cuts the uniform draw u's range [0, 1) into len(guide)-1
+	// buckets, a power of two: guide[b] is the lower bound in cum of the x
+	// that u = b/buckets yields (see index).
+	guide []int32
+}
+
+// buildGuide fills the guide table from the finished cumulative weights:
+// at least guideBucketsPerPrefix buckets a prefix, a power of two so that
+// b/buckets and u·buckets are exact.
+func (sp *weightedPrefixes) buildGuide() {
+	const guideBucketsPerPrefix = 4
+	buckets := 1
+	for buckets < guideBucketsPerPrefix*len(sp.prefixes) {
+		buckets *= 2
+	}
+	sp.guide = make([]int32, buckets+1)
+	for b := range sp.guide {
+		x := float64(b) / float64(buckets) * sp.total
+		sp.guide[b] = int32(sp.lowerBound(x, 0, len(sp.cum)-1))
+	}
+}
+
+// index returns the lower bound of x = u·total over the whole of cum — the
+// smallest i with cum[i] >= x, or the last index if none — for a uniform
+// draw u in [0, 1), searching only between the guide entries of u's
+// bucket b = floor(u·buckets). That range always holds it: u lies in
+// [b/buckets, (b+1)/buckets), rounding is monotone, so x lies between the
+// x values the two bucket edges yield, and so does its lower bound.
+func (sp *weightedPrefixes) index(u float64) int {
+	b := int(u * float64(len(sp.guide)-1))
+	return sp.lowerBound(u*sp.total, int(sp.guide[b]), int(sp.guide[b+1]))
+}
+
+// lowerBound returns the smallest i in [lo, hi] with cum[i] >= x, or hi
+// when there is none.
+func (sp *weightedPrefixes) lowerBound(x float64, lo, hi int) int {
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if sp.cum[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // NewRealm indexes the topology's customers by home PoP. Multihomed
@@ -127,6 +172,11 @@ func NewRealm(top *topology.Topology) *Realm {
 			sp.cum = append(sp.cum, sp.total)
 		}
 	}
+	for i := range r.spaces {
+		if len(r.spaces[i].prefixes) > 0 {
+			r.spaces[i].buildGuide()
+		}
+	}
 	return r
 }
 
@@ -136,17 +186,7 @@ func (r *Realm) prefixAt(p topology.PoP, rng *rand.Rand) ipaddr.Prefix {
 	if len(sp.prefixes) == 0 {
 		panic(fmt.Sprintf("traffic: no customer prefixes at %s", p))
 	}
-	x := rng.Float64() * sp.total
-	lo, hi := 0, len(sp.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sp.cum[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return sp.prefixes[lo]
+	return sp.prefixes[sp.index(rng.Float64())]
 }
 
 // largestPrefixAt returns the first (largest-weight) prefix at the PoP.
@@ -159,7 +199,7 @@ func (r *Realm) largestPrefixAt(p topology.PoP) ipaddr.Prefix {
 }
 
 // DrawAddr instantiates an address template.
-func (r *Realm) DrawAddr(t AddrTemplate, rng *rand.Rand) ipaddr.Addr {
+func (r *Realm) DrawAddr(t *AddrTemplate, rng *rand.Rand) ipaddr.Addr {
 	switch t.Mode {
 	case AddrFixed:
 		return t.Fixed
@@ -181,7 +221,7 @@ func (r *Realm) DrawAddr(t AddrTemplate, rng *rand.Rand) ipaddr.Addr {
 }
 
 // DrawPort instantiates a port template.
-func DrawPort(t PortTemplate, rng *rand.Rand) uint16 {
+func DrawPort(t *PortTemplate, rng *rand.Rand) uint16 {
 	switch t.Mode {
 	case PortFixed:
 		return t.Port

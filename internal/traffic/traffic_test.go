@@ -92,7 +92,7 @@ func TestRealmTemplates(t *testing.T) {
 	// AddrRandomAtPoP yields addresses inside some customer of that PoP.
 	tpl := AddrTemplate{Mode: AddrRandomAtPoP, PoP: topology.NYCM}
 	for i := 0; i < 200; i++ {
-		a := realm.DrawAddr(tpl, rng)
+		a := realm.DrawAddr(&tpl, rng)
 		found := false
 		for _, c := range top.CustomersAt(topology.NYCM) {
 			for _, p := range c.Prefixes {
@@ -110,7 +110,7 @@ func TestRealmTemplates(t *testing.T) {
 	tpl = AddrTemplate{Mode: AddrHostSetAtPoP, PoP: topology.CHIN, Hosts: 4}
 	seen := map[ipaddr.Addr]bool{}
 	for i := 0; i < 200; i++ {
-		seen[realm.DrawAddr(tpl, rng)] = true
+		seen[realm.DrawAddr(&tpl, rng)] = true
 	}
 	if len(seen) > 4 {
 		t.Fatalf("host set produced %d distinct hosts, want <= 4", len(seen))
@@ -118,14 +118,14 @@ func TestRealmTemplates(t *testing.T) {
 
 	// Fixed address.
 	want := ipaddr.FromOctets(10, 1, 2, 3)
-	if got := realm.DrawAddr(AddrTemplate{Mode: AddrFixed, Fixed: want}, rng); got != want {
+	if got := realm.DrawAddr(&AddrTemplate{Mode: AddrFixed, Fixed: want}, rng); got != want {
 		t.Fatalf("fixed addr %s", got)
 	}
 
 	// Prefix-constrained.
 	pfx := ipaddr.MustPrefix("10.200.0.0", 14)
 	for i := 0; i < 100; i++ {
-		if a := realm.DrawAddr(AddrTemplate{Mode: AddrRandomInPrefix, Prefix: pfx}, rng); !pfx.Contains(a) {
+		if a := realm.DrawAddr(&AddrTemplate{Mode: AddrRandomInPrefix, Prefix: pfx}, rng); !pfx.Contains(a) {
 			t.Fatalf("prefix draw %s outside %s", a, pfx)
 		}
 	}
@@ -133,14 +133,14 @@ func TestRealmTemplates(t *testing.T) {
 
 func TestDrawPortModes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	if p := DrawPort(PortTemplate{Mode: PortFixed, Port: 80}, rng); p != 80 {
+	if p := DrawPort(&PortTemplate{Mode: PortFixed, Port: 80}, rng); p != 80 {
 		t.Fatalf("fixed port %d", p)
 	}
 	for i := 0; i < 200; i++ {
-		if p := DrawPort(PortTemplate{Mode: PortEphemeral}, rng); p < 1024 {
+		if p := DrawPort(&PortTemplate{Mode: PortEphemeral}, rng); p < 1024 {
 			t.Fatalf("ephemeral port %d below 1024", p)
 		}
-		p := DrawPort(PortTemplate{Mode: PortRange, Lo: 5000, Hi: 5050}, rng)
+		p := DrawPort(&PortTemplate{Mode: PortRange, Lo: 5000, Hi: 5050}, rng)
 		if p < 5000 || p > 5050 {
 			t.Fatalf("range port %d", p)
 		}
@@ -176,8 +176,8 @@ func TestBackgroundClassesDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	od := topology.ODPair{Origin: topology.ATLA, Dest: topology.LOSA}
-	c1 := bg.Classes(od, 55, bg.BinRNG(od, 55))
-	c2 := bg.Classes(od, 55, bg.BinRNG(od, 55))
+	c1 := bg.Classes(od, 55, rand.New(rand.NewPCG(bg.BinSeed(od, 55))))
+	c2 := bg.Classes(od, 55, rand.New(rand.NewPCG(bg.BinSeed(od, 55))))
 	if len(c1) != len(c2) {
 		t.Fatalf("regeneration differs: %d vs %d classes", len(c1), len(c2))
 	}
@@ -208,7 +208,7 @@ func TestMeasureStatistics(t *testing.T) {
 		DstPort: PortTemplate{Mode: PortFixed, Port: 80},
 	}
 	var emitted int
-	bytes, pkts, flows := Measure(c, s, realm, rng, func(r flow.Record) {
+	bytes, pkts, flows := Measure(&c, &s, realm, rng, func(r flow.Record) {
 		emitted++
 		if r.Packets == 0 {
 			t.Fatal("emitted zero-packet record")
@@ -247,7 +247,7 @@ func TestMeasureSingleAlphaFlow(t *testing.T) {
 		SrcPort: PortTemplate{Mode: PortFixed, Port: 5001},
 		DstPort: PortTemplate{Mode: PortFixed, Port: 5001},
 	}
-	_, pkts, flows := Measure(c, s, realm, rng, nil)
+	_, pkts, flows := Measure(&c, &s, realm, rng, nil)
 	if flows != 1 {
 		t.Fatalf("flows=%d, want 1", flows)
 	}
@@ -260,7 +260,7 @@ func TestMeasureEmptyClass(t *testing.T) {
 	s, _ := sampling.NewSampler(0.01)
 	realm := NewRealm(topology.Abilene())
 	rng := rand.New(rand.NewPCG(9, 10))
-	b, p, f := Measure(FlowClass{}, s, realm, rng, nil)
+	b, p, f := Measure(&FlowClass{}, &s, realm, rng, nil)
 	if b != 0 || p != 0 || f != 0 {
 		t.Fatal("empty class produced traffic")
 	}
@@ -284,7 +284,7 @@ func TestPropMeasureConsistency(t *testing.T) {
 			SrcPort:     PortTemplate{Mode: PortEphemeral},
 			DstPort:     PortTemplate{Mode: PortFixed, Port: 80},
 		}
-		bytes, pkts, flows := Measure(c, s, realm, rng, nil)
+		bytes, pkts, flows := Measure(&c, &s, realm, rng, nil)
 		if (flows == 0) != (pkts == 0) || (flows == 0) != (bytes == 0) {
 			return false
 		}
@@ -292,5 +292,96 @@ func TestPropMeasureConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refPrefixIndex is the search prefixAt ran before its guide table: a
+// binary search for the lower bound of x = u·total over the whole of cum.
+func refPrefixIndex(sp *weightedPrefixes, u float64) int {
+	x := u * sp.total
+	lo, hi := 0, len(sp.cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if sp.cum[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestPrefixAtMatchesReference: the guided search returns the full search's
+// index for every draw tried — uniform draws, every bucket edge and the
+// Float64 grid points either side of it, and the draws that put x on and
+// next to every cumulative weight — on the reference, geant and a
+// synthetic topology, and on hand-made weight tables (equal weights, one
+// dominant customer, zero-weight customers, a single prefix).
+func TestPrefixAtMatchesReference(t *testing.T) {
+	var realms []*Realm
+	for _, name := range []string{"abilene", "geant", "synthetic:50:7"} {
+		ref, err := topology.ParseRef(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := ref.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		realms = append(realms, NewRealm(top))
+	}
+	for _, weights := range [][]float64{
+		{1, 1, 1, 1, 1, 1, 1},
+		{1e6, 1, 1, 1e-3, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+		{0, 2, 0, 0, 3, 0},
+		{0.7},
+	} {
+		sp := weightedPrefixes{}
+		for _, w := range weights {
+			sp.prefixes = append(sp.prefixes, ipaddr.Prefix{})
+			sp.total += w
+			sp.cum = append(sp.cum, sp.total)
+		}
+		sp.buildGuide()
+		realms = append(realms, &Realm{spaces: []weightedPrefixes{sp}})
+	}
+	rng := rand.New(rand.NewPCG(21, 21))
+	const grid = 1 << 53
+	check := func(sp *weightedPrefixes, u float64) {
+		if u < 0 || u >= 1 {
+			return
+		}
+		if got, want := sp.index(u), refPrefixIndex(sp, u); got != want {
+			t.Fatalf("u %v (x %v, cum %v): guided index %d, full search %d", u, u*sp.total, sp.cum, got, want)
+		}
+	}
+	neighbours := func(sp *weightedPrefixes, u float64) {
+		j := int64(u * grid)
+		for d := int64(-2); d <= 2; d++ {
+			check(sp, float64(j+d)/grid)
+		}
+	}
+	draws := 0
+	for _, r := range realms {
+		for i := range r.spaces {
+			sp := &r.spaces[i]
+			if len(sp.prefixes) == 0 {
+				continue
+			}
+			for k := 0; k < 20000; k++ {
+				check(sp, rng.Float64())
+				draws++
+			}
+			buckets := len(sp.guide) - 1
+			for b := 0; b <= buckets; b++ {
+				neighbours(sp, float64(b)/float64(buckets))
+			}
+			for _, c := range sp.cum {
+				neighbours(sp, c/sp.total)
+			}
+		}
+	}
+	if draws == 0 {
+		t.Fatal("no realm had prefixes")
 	}
 }
