@@ -140,6 +140,9 @@ type Dataset struct {
 	// UnresolvedRecords counts records dropped by failed OD resolution
 	// during Generate. Frozen after Generate, like RawRecords.
 	UnresolvedRecords uint64
+
+	// fits holds the models Fit has trained on the matrices.
+	fits fits
 }
 
 // Generate runs the full pipeline, fanning the timebins out across

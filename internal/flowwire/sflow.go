@@ -56,6 +56,12 @@ const (
 
 	sflowSampledIPv4Len   = 32
 	sflowExactCountersLen = 16
+	// sflowHeaderLen and sflowSampleLen size what the exporter writes: the
+	// IPv4-agent datagram header, and one flow sample (8-byte sample
+	// header, 32 bytes of sample fields, both records with their 8-byte
+	// headers).
+	sflowHeaderLen = 28
+	sflowSampleLen = 8 + 32 + 8 + sflowSampledIPv4Len + 8 + sflowExactCountersLen
 	// sflowMaxSamples caps samples per datagram: 28-byte header plus 12
 	// samples of 104 bytes stays under the common 1500-byte MTU.
 	sflowMaxSamples = 12
@@ -214,8 +220,7 @@ func decodeFlowSample(body []byte) (seq, rate uint32, rec Record, ok bool, err e
 
 // sflowExporter encodes flows as sFlow v5 datagrams: one flow sample per
 // flow, each carrying a sampled-IPv4 record plus the house exact-counters
-// record. Packets accumulate in one contiguous arena like the other
-// exporters'.
+// record. Packets accumulate in a packetArena like the other exporters'.
 type sflowExporter struct {
 	engine     uint32
 	sampleRate uint32
@@ -224,8 +229,7 @@ type sflowExporter struct {
 	sampleSeq  uint32
 	pool       uint32
 	pending    []Flow
-	arena      []byte
-	ends       []int
+	packetArena
 }
 
 func newSFlowExporter(engine, sampleRate uint32, clock func() (uint32, uint32)) *sflowExporter {
@@ -255,7 +259,7 @@ func (e *sflowExporter) Flush() error {
 	if rate == 0 {
 		rate = 1
 	}
-	buf := e.arena
+	buf := e.begin(sflowHeaderLen + sflowSampleLen*len(e.pending))
 	buf = be.AppendUint32(buf, sflowVersion)
 	buf = be.AppendUint32(buf, sflowAddrIPv4)
 	buf = be.AppendUint32(buf, e.engine) // agent address: engine-derived
@@ -299,26 +303,8 @@ func (e *sflowExporter) Flush() error {
 		buf = be.AppendUint64(buf, f.Packets)
 		e.sampleSeq++
 	}
-	e.arena = buf
-	e.ends = append(e.ends, len(e.arena))
+	e.end(buf)
 	e.dgramSeq++
 	e.pending = e.pending[:0]
 	return nil
-}
-
-// Drain returns and clears the accumulated packets; the returned slices
-// own the detached arena, so they stay valid indefinitely.
-func (e *sflowExporter) Drain() [][]byte {
-	if len(e.ends) == 0 {
-		return nil
-	}
-	out := make([][]byte, len(e.ends))
-	start := 0
-	for i, end := range e.ends {
-		out[i] = e.arena[start:end:end]
-		start = end
-	}
-	e.arena = nil
-	e.ends = e.ends[:0]
-	return out
 }

@@ -237,18 +237,15 @@ func (v5Decoder) Decode(pkt []byte, dst []Record) (Batch, []Record, error) {
 
 // V5Exporter batches flow records into v5 export packets, maintaining the
 // flow sequence counter. One V5Exporter models one router's export engine.
-// Encoded packets accumulate back to back in one contiguous arena until
-// Drain hands them out.
+// Encoded packets accumulate in the exporter's packetArena until Drain
+// hands them out.
 type V5Exporter struct {
 	EngineID         uint8
 	SamplingInterval uint16
 	seq              uint32
 	pending          []Flow
-	// arena holds the encoded packets back to back; ends[i] is the offset
-	// one past packet i, so packet i spans arena[ends[i-1]:ends[i]].
-	arena []byte
-	ends  []int
-	now   func() (sysUptime, unixSecs uint32)
+	now              func() (sysUptime, unixSecs uint32)
+	packetArena
 }
 
 // NewV5Exporter creates an exporter; clock supplies (sysUptime, unixSecs)
@@ -283,33 +280,14 @@ func (e *V5Exporter) Flush() error {
 		EngineID:         e.EngineID,
 		SamplingInterval: e.SamplingInterval,
 	}
-	arena, err := AppendV5Packet(e.arena, h, e.pending)
+	buf, err := AppendV5Packet(e.begin(V5HeaderLen+V5RecordLen*len(e.pending)), h, e.pending)
 	if err != nil {
 		return err
 	}
-	e.arena = arena
-	e.ends = append(e.ends, len(e.arena))
+	e.end(buf)
 	e.seq += uint32(len(e.pending))
 	e.pending = e.pending[:0]
 	return nil
-}
-
-// Drain returns and clears the accumulated packets. The returned slices
-// own the arena they alias: the exporter detaches it and allocates fresh
-// on the next Flush, so drained packets stay valid indefinitely.
-func (e *V5Exporter) Drain() [][]byte {
-	if len(e.ends) == 0 {
-		return nil
-	}
-	out := make([][]byte, len(e.ends))
-	start := 0
-	for i, end := range e.ends {
-		out[i] = e.arena[start:end:end]
-		start = end
-	}
-	e.arena = nil
-	e.ends = e.ends[:0]
-	return out
 }
 
 // v5ExportAdapter gives V5Exporter the generic Exporter face (Format).

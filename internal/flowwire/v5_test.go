@@ -124,30 +124,6 @@ func TestExporterBatching(t *testing.T) {
 	}
 }
 
-func TestDrainSurvivesReset(t *testing.T) {
-	e := NewV5Exporter(3, 100, nil)
-	want := v5Flow(4)
-	_ = e.Add(want)
-	_ = e.Flush()
-	pkts := e.Drain()
-	if len(pkts) != 1 {
-		t.Fatalf("packets=%d", len(pkts))
-	}
-	// Drain reset the exporter's arena. Refill it with different records;
-	// the drained packet owns its bytes and must be unaffected.
-	for i := 0; i < 30; i++ {
-		_ = e.Add(v5Flow(9))
-	}
-	_ = e.Flush()
-	_, recs, err := DecodeV5Packet(pkts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0] != want {
-		t.Fatalf("drained packet corrupted after reset: %+v", recs)
-	}
-}
-
 func TestAppendPacketSharesArena(t *testing.T) {
 	h := V5Header{EngineID: 2, SamplingInterval: 100}
 	arena, err := AppendV5Packet(nil, h, []Flow{v5Flow(0), v5Flow(1)})

@@ -394,7 +394,7 @@ func (d *templateDecoder) parseIPFIXTemplates(source uint32, body []byte, option
 
 // templateExporter encodes flows as NetFlow v9 or IPFIX packets using the
 // house template, resending template sets periodically. Packets accumulate
-// in one contiguous arena like the v5 exporter's.
+// in a packetArena like the v5 exporter's.
 type templateExporter struct {
 	format     Format
 	engine     uint32
@@ -403,8 +403,7 @@ type templateExporter struct {
 	seq        uint32 // v9: packets exported; IPFIX: data records exported
 	sincetmpl  int    // packets since templates last sent; -1 = never sent
 	pending    []Flow
-	arena      []byte
-	ends       []int
+	packetArena
 }
 
 func newTemplateExporter(format Format, engine, sampleRate uint32, clock func() (uint32, uint32)) *templateExporter {
@@ -439,13 +438,20 @@ func (e *templateExporter) Flush() error {
 	} else {
 		e.flushV9(withTemplates)
 	}
-	e.ends = append(e.ends, len(e.arena))
 	if withTemplates {
 		e.sincetmpl = 0
 	}
 	e.sincetmpl++
 	e.pending = e.pending[:0]
 	return nil
+}
+
+// templatePacketMax bounds the length of a v9 or IPFIX packet of n house
+// records: the longer (v9) header, the template and options template sets
+// with their options data set, and the padded data set.
+func templatePacketMax(n int) int {
+	templateSets := 4 + 4 + 4*len(houseTemplateFields) + 20 + 12
+	return v9HeaderLen + templateSets + 4 + houseTemplateRecLen*n + 3
 }
 
 // appendHouseTemplateRecord encodes one flow in the house template layout.
@@ -469,7 +475,7 @@ func (e *templateExporter) flushV9(withTemplates bool) {
 	up, secs := e.now()
 	n := len(e.pending)
 	records := n
-	buf := e.arena
+	buf := e.begin(templatePacketMax(n))
 	base := len(buf)
 	// Header; the record count at base+2 is known up front.
 	buf = be.AppendUint16(buf, v9Version)
@@ -520,7 +526,7 @@ func (e *templateExporter) flushV9(withTemplates bool) {
 		buf = append(buf, 0)
 	}
 	be.PutUint16(buf[base+2:], uint16(records))
-	e.arena = buf
+	e.end(buf)
 	e.seq++ // v9 counts export packets
 }
 
@@ -529,7 +535,7 @@ func (e *templateExporter) flushIPFIX(withTemplates bool) {
 	_, secs := e.now()
 	n := len(e.pending)
 	dataRecords := n
-	buf := e.arena
+	buf := e.begin(templatePacketMax(n))
 	base := len(buf)
 	buf = be.AppendUint16(buf, ipfixVersion)
 	buf = be.AppendUint16(buf, 0) // message length, patched below
@@ -575,23 +581,6 @@ func (e *templateExporter) flushIPFIX(withTemplates bool) {
 		buf = append(buf, 0)
 	}
 	be.PutUint16(buf[base+2:], uint16(len(buf)-base))
-	e.arena = buf
+	e.end(buf)
 	e.seq += uint32(dataRecords) // RFC 7011: data records, options included
-}
-
-// Drain returns and clears the accumulated packets; the returned slices
-// own the detached arena, so they stay valid indefinitely.
-func (e *templateExporter) Drain() [][]byte {
-	if len(e.ends) == 0 {
-		return nil
-	}
-	out := make([][]byte, len(e.ends))
-	start := 0
-	for i, end := range e.ends {
-		out[i] = e.arena[start:end:end]
-		start = end
-	}
-	e.arena = nil
-	e.ends = e.ends[:0]
-	return out
 }

@@ -64,16 +64,23 @@ func (s *Subspace) Name() string {
 	return "subspace"
 }
 
-// Run fits one model per measure on the training prefix and walks every
-// later bin: score it on the current model, then engine.Advance the
-// lifecycle, which refits a due window and installs the result before the
-// next bin — the streaming pipeline's lane loop, one bin at a time. The
-// combined score is the worst statistic-to-threshold ratio across the
-// three measures and both statistics (SPE and T²), so 1.0 is exactly the
-// native alarm boundary; the blamed OD is the top residual OD of the
-// measure that produced the combined score.
+// Run takes one model per measure fitted on the training prefix (the
+// dataset's Fit: the static, refit and incremental variants of one
+// scenario share it) and walks every later bin: score it on the current
+// model, then engine.Advance the lifecycle, which refits a due window and
+// installs the result before the next bin — the streaming pipeline's lane
+// loop, one bin at a time. The combined score is the worst
+// statistic-to-threshold ratio across the three measures and both
+// statistics (SPE and T²), so 1.0 is exactly the native alarm boundary;
+// the blamed OD is the top residual OD of the measure that produced the
+// combined score.
 func (s *Subspace) Run(ds *dataset.Dataset, trainBins int) ([]BinVerdict, error) {
 	s.LastRefitErr = nil
+	if trainBins <= 0 || trainBins > ds.Bins {
+		// Fit reads a bin count outside the run as "every bin"; the
+		// shootout's training prefix must be a real one.
+		return nil, fmt.Errorf("training prefix %d outside (0,%d]", trainBins, ds.Bins)
+	}
 	opts := s.Opts
 	if opts.K == 0 && opts.Alpha == 0 {
 		opts = engine.DefaultOptions()
@@ -94,7 +101,7 @@ func (s *Subspace) Run(ds *dataset.Dataset, trainBins int) ([]BinVerdict, error)
 	}
 	var ups [dataset.NumMeasures]engine.Updater
 	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-		model, err := engine.Fit(ds.Matrix(m).HeadRows(trainBins), opts)
+		model, err := ds.Fit(m, trainBins, opts)
 		if err != nil {
 			return nil, fmt.Errorf("fit %v: %w", m, err)
 		}

@@ -196,7 +196,11 @@ func (r *Run) Detect(opts DetectOptions) error {
 	}
 	var dets []events.Detection
 	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-		res, err := detect(r.ds.Matrix(m), engine.Options{K: opts.K, Alpha: opts.Alpha})
+		model, err := r.ds.Fit(m, r.ds.Bins, engine.Options{K: opts.K, Alpha: opts.Alpha})
+		if err != nil {
+			return fmt.Errorf("netwide: analyze %v: %w", m, err)
+		}
+		res, err := detect(r.ds.Matrix(m), model)
 		if err != nil {
 			return fmt.Errorf("netwide: analyze %v: %w", m, err)
 		}
@@ -208,19 +212,16 @@ func (r *Run) Detect(opts DetectOptions) error {
 	return nil
 }
 
-// detect runs the chain over one measure's matrix: one fit on every bin,
-// one ScoreBatch over every bin, and AttributeLive on each alarmed bin —
-// what the streaming lanes run bin by bin.
-func detect(x *mat.Matrix, opts engine.Options) (*measureResult, error) {
-	model, err := engine.Fit(x, opts)
-	if err != nil {
-		return nil, err
-	}
+// detect runs the chain over one measure's matrix with the model fitted
+// on every bin: one ScoreBatch over every bin, and AttributeLive on each
+// alarmed bin — what the streaming lanes run bin by bin.
+func detect(x *mat.Matrix, model *engine.Model) (*measureResult, error) {
 	rows := make([][]float64, x.Rows())
 	for j := range rows {
 		rows[j] = x.RowView(j)
 	}
 	res := &measureResult{state: make([]float64, len(rows))}
+	var err error
 	if res.points, err = model.ScoreBatch(rows, nil); err != nil {
 		return nil, err
 	}

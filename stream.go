@@ -186,22 +186,21 @@ type StreamCheckpoint struct {
 	Emitted uint64
 }
 
-// NewStreamDetector trains one model per traffic measure on the run's
-// leading cfg.TrainBins bins and assembles the concurrent pipeline around
-// them. Training reads the run's matrices through no-copy views; the
-// engine retains each view as the seed window for refits.
+// NewStreamDetector assembles the concurrent pipeline around one model per
+// traffic measure trained on the run's leading cfg.TrainBins bins (every
+// bin when TrainBins is 0 or beyond the run). The models come from the
+// dataset's Fit, so a detector on an already-fitted run (a second daemon,
+// or one after Detect) starts without fitting; training reads the matrices
+// through no-copy views, which the engine retains as the seed window for
+// refits.
 func (r *Run) NewStreamDetector(opts DetectOptions, cfg StreamConfig) (*StreamDetector, error) {
 	if opts.K == 0 {
 		opts = DefaultDetectOptions()
 	}
 	cfg = cfg.WithDefaults()
-	train := cfg.TrainBins
-	if train <= 0 || train > r.ds.Bins {
-		train = r.ds.Bins
-	}
 	models := make([]*engine.Model, dataset.NumMeasures)
 	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-		model, err := engine.Fit(r.ds.Matrix(m).HeadRows(train), engine.Options{K: opts.K, Alpha: opts.Alpha})
+		model, err := r.ds.Fit(m, cfg.TrainBins, engine.Options{K: opts.K, Alpha: opts.Alpha})
 		if err != nil {
 			return nil, fmt.Errorf("netwide: stream train %v: %w", m, err)
 		}
