@@ -20,57 +20,32 @@ import (
 	"os"
 
 	"netwide"
-	"netwide/internal/scenario"
+	"netwide/internal/cli"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("abilenegen: ")
-	var (
-		weeks    = flag.Int("weeks", 4, "weeks of 5-minute bins to simulate")
-		seed     = flag.Uint64("seed", 2004, "random seed (same seed, same dataset)")
-		rate     = flag.Float64("rate", 2e6, "network-wide mean offered load in bytes/second")
-		smpl     = flag.Float64("sampling", 0.01, "packet sampling probability")
-		unres    = flag.Float64("unresolved", 0.07, "fraction of flow records failing OD resolution")
-		workers  = flag.Int("workers", 0, "simulation goroutines (0 = all cores; output identical either way)")
-		topo     = flag.String("topology", "abilene", "backbone topology: abilene, geant, or synthetic:N[:seed]")
-		scenFile = flag.String("scenario", "", "JSON scenario file scheduling the anomaly episodes (default: the paper's random schedule)")
-		out      = flag.String("out", "abilene.nwds", "output dataset file")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"abilenegen: generate a synthetic OD-flow dataset.\n\n"+
-				"Simulates gravity-model backbone traffic with injected ground-truth anomalies,\n"+
-				"measures it through 1%% packet sampling, NetFlow export and OD resolution, and\n"+
-				"writes the three B/P/F matrices plus the anomaly ledger to -out.\n\n"+
-				"Examples:\n"+
-				"  abilenegen -weeks 4 -seed 2004 -out abilene.nwds\n"+
-				"  abilenegen -topology geant -out geant.nwds\n"+
-				"  abilenegen -topology synthetic:100:7 -weeks 1 -out synth100.nwds\n"+
-				"  abilenegen -scenario ddos-day.json -weeks 1 -out ddos.nwds\n\n"+
-				"Scenario files are JSON: {\"name\": ..., \"episodes\": [{\"type\": \"ddos\",\n"+
-				"\"start_bin\": 288, \"duration_bins\": 4, \"magnitude\": 9, \"dest\": \"LOSA\"}, ...]}.\n"+
-				"See README.md for the full episode reference.\n\nFlags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	smpl := flag.Float64("sampling", 0.01, "packet sampling probability")
+	unres := flag.Float64("unresolved", 0.07, "fraction of flow records failing OD resolution")
+	out := flag.String("out", "abilene.nwds", "output dataset file")
+	c := cli.Parse("abilenegen", "generate a synthetic OD-flow dataset.\n\n"+
+		"Simulates gravity-model backbone traffic with injected ground-truth anomalies,\n"+
+		"measures it through 1% packet sampling, NetFlow export and OD resolution, and\n"+
+		"writes the three B/P/F matrices plus the anomaly ledger to -out.\n\n"+
+		"Examples:\n"+
+		"  abilenegen -weeks 4 -seed 2004 -out abilene.nwds\n"+
+		"  abilenegen -topology geant -out geant.nwds\n"+
+		"  abilenegen -topology synthetic:100:7 -weeks 1 -out synth100.nwds\n"+
+		"  abilenegen -scenario ddos-day.json -weeks 1 -out ddos.nwds\n\n"+
+		"Scenario files are JSON: {\"name\": ..., \"episodes\": [{\"type\": \"ddos\",\n"+
+		"\"start_bin\": 288, \"duration_bins\": 4, \"magnitude\": 9, \"dest\": \"LOSA\"}, ...]}.\n"+
+		"See README.md for the full episode reference.",
+		cli.Defaults{Weeks: 4, Rate: 2e6}, "weeks", "seed", "rate", "workers", "topology", "scenario")
 
-	cfg := netwide.Config{
-		Weeks:              *weeks,
-		Seed:               *seed,
-		MeanRateBps:        *rate,
-		SamplingRate:       *smpl,
-		UnresolvedFraction: *unres,
-		Workers:            *workers,
-		Topology:           *topo,
+	cfg, err := c.Config()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *scenFile != "" {
-		s, err := scenario.LoadFile(*scenFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Scenario = s
-	}
+	cfg.SamplingRate, cfg.UnresolvedFraction = *smpl, *unres
 	run, err := netwide.Simulate(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -79,8 +54,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
 	if err := run.Save(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	red := run.Reduction()

@@ -1,46 +1,33 @@
 // Command anomalyreport detects, aggregates and classifies the anomalies
 // of a dataset, printing the characterization tables (Table 1, Table 3) and
 // the scope histograms (Figure 2), plus the detection score against the
-// injected ground truth.
+// injected ground truth. With -v it lists every event with its class,
+// evidence and OD pairs.
 //
 // Usage:
 //
-//	anomalyreport -in abilene.nwds
+//	anomalyreport -in abilene.nwds [-k 4] [-alpha 0.001] [-v]
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"netwide"
+	"netwide/internal/cli"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("anomalyreport: ")
-	var (
-		in      = flag.String("in", "abilene.nwds", "dataset file from abilenegen")
-		verbose = flag.Bool("v", false, "list every classified anomaly")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"anomalyreport: detect, aggregate and classify the anomalies of a dataset.\n\nPrints the characterization tables (Table 1, Table 3), the scope histograms\n(Figure 2) and the detection score against the injected ground truth.\n\nFlags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	c := cli.Parse("anomalyreport", "detect, aggregate and classify the anomalies of a dataset.\n\n"+
+		"Prints the characterization tables (Table 1, Table 3), the scope histograms\n"+
+		"(Figure 2) and the detection score against the injected ground truth.",
+		cli.Defaults{In: "abilene.nwds"}, "in", "k", "alpha", "v")
 
-	f, err := os.Open(*in)
+	run, _, err := c.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := netwide.LoadRun(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := run.Detect(netwide.DefaultDetectOptions()); err != nil {
+	if err := run.Detect(c.DetectOptions()); err != nil {
 		log.Fatal(err)
 	}
 	anoms := run.Characterize()
@@ -66,15 +53,15 @@ func main() {
 	fmt.Printf("false alarm rate %.1f%%, unknown rate %.1f%% (paper: ~8%% and ~10%%)\n",
 		100*score.FalseAlarmRate, 100*score.UnknownRate)
 
-	if *verbose {
+	if c.Verbose() {
 		fmt.Println("\n== classified anomalies ==")
 		for _, a := range anoms {
 			truth := ""
 			if a.TruthType != "" {
 				truth = " [truth: " + a.TruthType + "]"
 			}
-			fmt.Printf("%-12s %-4s %s %4v  %s%s\n", a.Class, a.Measures,
-				netwide.FormatBin(a.StartBin), a.Duration, a.Why, truth)
+			fmt.Printf("%-12s %-4s %s %4v  %s%s  ODs %v\n", a.Class, a.Measures,
+				netwide.FormatBin(a.StartBin), a.Duration, a.Why, truth, a.ODs)
 		}
 	}
 }

@@ -25,54 +25,31 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"os"
 	"time"
 
-	"netwide"
+	"netwide/internal/cli"
 	"netwide/internal/flowwire"
 	"netwide/internal/server"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("nwreplay: ")
-	var (
-		in     = flag.String("in", "", "dataset file (.nwds) to replay (required)")
-		to     = flag.String("to", "127.0.0.1:2055", "collector UDP address")
-		from   = flag.Int("from", 0, "first bin to replay")
-		until  = flag.Int("until", 0, "replay bins [from, until) (0 = end of dataset)")
-		pps    = flag.Int("pps", 20000, "packet rate (0 = unpaced; pacing avoids socket-buffer loss)")
-		conns  = flag.Int("conns", 1, "source sockets to spray across, one per engine hash (feeds a -receivers pool)")
-		epoch  = flag.Uint64("epoch", 0, "unix time stamped on bin 0 (must match the collector's -epoch)")
-		format = flag.String("format", "netflow5", "wire format: netflow5, netflow9, ipfix or sflow")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"nwreplay: replay a saved dataset as live flow-export traffic over UDP.\n\n"+
-				"Regenerates each bin's resolved flow records and exports them to a\n"+
-				"collector (nwserve) at a configurable packet rate, in any supported\n"+
-				"wire format (-format netflow5|netflow9|ipfix|sflow).\n\n"+
-				"Flags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *in == "" {
-		flag.Usage()
-		log.Fatal("-in is required")
-	}
+	to := flag.String("to", "127.0.0.1:2055", "collector UDP address")
+	from := flag.Int("from", 0, "first bin to replay")
+	until := flag.Int("until", 0, "replay bins [from, until) (0 = end of dataset)")
+	pps := flag.Int("pps", 20000, "packet rate (0 = unpaced; pacing avoids socket-buffer loss)")
+	conns := flag.Int("conns", 1, "source sockets to spray across, one per engine hash (feeds a -receivers pool)")
+	format := flag.String("format", "netflow5", "wire format: netflow5, netflow9, ipfix or sflow")
+	c := cli.Parse("nwreplay", "replay a saved dataset as live flow-export traffic over UDP.\n\n"+
+		"Regenerates each bin's resolved flow records and exports them to a\n"+
+		"collector (nwserve) at a configurable packet rate, in any supported\n"+
+		"wire format (-format netflow5|netflow9|ipfix|sflow).",
+		cli.Defaults{}, "in", "epoch")
 	wf, err := flowwire.ParseFormat(*format)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	f, err := os.Open(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	run, err := netwide.LoadRun(f)
-	f.Close()
+	run, _, err := c.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +62,7 @@ func main() {
 		To:               *until,
 		PacketsPerSecond: *pps,
 		Conns:            *conns,
-		Epoch:            uint32(*epoch),
+		Epoch:            c.Epoch(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -47,11 +47,11 @@
 //
 // Usage:
 //
-//	nwserve -train abilene.nwds [-listen 127.0.0.1:2055] [-http 127.0.0.1:8080]
+//	nwserve -in abilene.nwds [-listen 127.0.0.1:2055] [-http 127.0.0.1:8080]
 //	        [-formats netflow5,netflow9,ipfix,sflow]
 //	        [-receivers 1] [-shards 1]
-//	        [-trainbins 0] [-k 4] [-alpha 0.001] [-refit 0] [-window 0]
-//	        [-batch 16] [-grace 1] [-epoch 0]
+//	        [-train 0] [-k 4] [-alpha 0.001] [-refit 0] [-window 0]
+//	        [-batch 16] [-grace 1] [-epoch 0] [-workers 0]
 //	        [-checkpoint daemon.nwcp] [-checkpoint-every 1] [-checkpoint-interval 0]
 //
 // Pair it with nwreplay, which streams a saved dataset back over UDP at a
@@ -61,7 +61,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -69,51 +68,29 @@ import (
 	"syscall"
 	"time"
 
-	"netwide"
+	"netwide/internal/cli"
 	"netwide/internal/flowwire"
 	"netwide/internal/server"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("nwserve: ")
-	var (
-		train     = flag.String("train", "", "dataset file (.nwds) providing topology, baselines and training traffic (required)")
-		listen    = flag.String("listen", "127.0.0.1:2055", "UDP listen address for flow export packets")
-		formats   = flag.String("formats", "", "comma-separated wire-format allowlist: netflow5, netflow9, ipfix, sflow (empty = all)")
-		receivers = flag.Int("receivers", 1, "UDP receiver goroutines on SO_REUSEPORT sockets (>1 enables the sharded ingest tier)")
-		shards    = flag.Int("shards", 1, "OD-partition bin-accumulation workers (>1 enables the sharded ingest tier)")
-		httpAddr  = flag.String("http", "", "HTTP status listen address (empty disables /api/v1/{healthz,stats,anomalies})")
-		trainBins = flag.Int("trainbins", 0, "leading bins of the dataset to train on (0 = all bins)")
-		k         = flag.Int("k", 4, "normal subspace dimension")
-		alpha     = flag.Float64("alpha", 0.001, "detection false-alarm rate")
-		batch     = flag.Int("batch", 16, "most vectors scored per model application (a backlog fills it; an idle detector scores each bin at once)")
-		updater   = flag.String("updater", "refit", "model lifecycle: refit (generation swaps every -refit bins) or incremental (per-bin subspace tracking, at most one bin stale)")
-		refit     = flag.Int("refit", 0, "bins between model refits (0 = never); under -updater incremental, the drift-correction cadence")
-		window    = flag.Int("window", 0, "rolling refit window in bins (required when -refit > 0); under -updater incremental, the tracker's forgetting horizon")
-		grace     = flag.Int("grace", 1, "reorder grace in bins before a bin closes")
-		epoch     = flag.Uint64("epoch", 0, "unix time of bin 0 in packet headers (nwreplay uses 0)")
-		workers   = flag.Int("workers", 0, "linear-algebra worker goroutines (0 = GOMAXPROCS)")
-		ckpt      = flag.String("checkpoint", "", "crash-safe snapshot file; restored on startup when present (empty disables)")
-		ckptEvery = flag.Int("checkpoint-every", 1, "closed bins between snapshots (with -checkpoint)")
-		ckptEach  = flag.Duration("checkpoint-interval", 0, "wall-clock snapshot timer for quiet periods, e.g. 5m (0 disables)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"nwserve: live flow-telemetry ingest daemon over the streaming subspace detector.\n\n"+
-				"Receives NetFlow v5/v9, IPFIX and sFlow v5 export packets over UDP,\n"+
-				"aggregates them into per-OD 5-minute timebins (bytes, packets, IP-flows),\n"+
-				"and streams closed bins through the concurrent detection pipeline,\n"+
-				"characterizing anomalies as they close.\n\n"+
-				"Flags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *train == "" {
-		flag.Usage()
-		log.Fatal("-train is required")
-	}
-	var allow []flowwire.Format
+	listen := flag.String("listen", "127.0.0.1:2055", "UDP listen address for flow export packets")
+	formats := flag.String("formats", "", "comma-separated wire-format allowlist: netflow5, netflow9, ipfix, sflow (empty = all)")
+	receivers := flag.Int("receivers", 1, "UDP receiver goroutines on SO_REUSEPORT sockets (>1 enables the sharded ingest tier)")
+	shards := flag.Int("shards", 1, "OD-partition bin-accumulation workers (>1 enables the sharded ingest tier)")
+	httpAddr := flag.String("http", "", "HTTP status listen address (empty disables /api/v1/{healthz,stats,anomalies})")
+	grace := flag.Int("grace", 1, "reorder grace in bins before a bin closes")
+	ckpt := flag.String("checkpoint", "", "crash-safe snapshot file; restored on startup when present (empty disables)")
+	ckptEvery := flag.Int("checkpoint-every", 1, "closed bins between snapshots (with -checkpoint)")
+	ckptEach := flag.Duration("checkpoint-interval", 0, "wall-clock snapshot timer for quiet periods, e.g. 5m (0 disables)")
+	c := cli.Parse("nwserve", "live flow-telemetry ingest daemon over the streaming subspace detector.\n\n"+
+		"Receives NetFlow v5/v9, IPFIX and sFlow v5 export packets over UDP,\n"+
+		"aggregates them into per-OD 5-minute timebins (bytes, packets, IP-flows),\n"+
+		"and streams closed bins through the concurrent detection pipeline,\n"+
+		"characterizing anomalies as they close. -in provides the topology,\n"+
+		"baselines and training traffic.",
+		cli.Defaults{}, "in", "train", "k", "alpha", "batch", "updater", "refit", "window", "workers", "epoch")
+	allow, shown := []flowwire.Format(nil), flowwire.AllFormats()
 	if *formats != "" {
 		for _, name := range strings.Split(*formats, ",") {
 			f, err := flowwire.ParseFormat(strings.TrimSpace(name))
@@ -122,40 +99,27 @@ func main() {
 			}
 			allow = append(allow, f)
 		}
+		shown = allow
 	}
-
-	f, err := os.Open(*train)
+	run, _, err := c.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := netwide.LoadRun(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *workers > 0 {
-		netwide.SetMathWorkers(*workers)
-	}
 
+	stream := c.StreamConfig(run.Bins())
 	srv, err := server.New(run, server.Config{
 		UDPAddr:            *listen,
 		Formats:            allow,
 		HTTPAddr:           *httpAddr,
 		Receivers:          *receivers,
 		Shards:             *shards,
-		Epoch:              uint32(*epoch),
+		Epoch:              c.Epoch(),
 		Grace:              *grace,
 		CheckpointPath:     *ckpt,
 		CheckpointEvery:    *ckptEvery,
 		CheckpointInterval: *ckptEach,
-		Detect:             netwide.DetectOptions{K: *k, Alpha: *alpha},
-		Stream: netwide.StreamConfig{
-			TrainBins:  *trainBins,
-			BatchSize:  *batch,
-			Updater:    *updater,
-			RefitEvery: *refit,
-			Window:     *window,
-		},
+		Detect:             c.DetectOptions(),
+		Stream:             stream,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -173,18 +137,12 @@ func main() {
 	if err := srv.Start(); err != nil {
 		log.Fatal(err)
 	}
-	names := make([]string, 0, 4)
-	if len(allow) == 0 {
-		for _, f := range flowwire.AllFormats() {
-			names = append(names, f.String())
-		}
-	} else {
-		for _, f := range allow {
-			names = append(names, f.String())
-		}
+	names := make([]string, len(shown))
+	for i, f := range shown {
+		names[i] = f.String()
 	}
 	log.Printf("listening for %s on %s (%d bins trained, %d OD pairs)",
-		strings.Join(names, "/"), srv.UDPAddr(), run.Bins(), run.Dataset().NumODPairs())
+		strings.Join(names, "/"), srv.UDPAddr(), stream.TrainBins, run.Dataset().NumODPairs())
 	if *receivers > 1 || *shards > 1 {
 		log.Printf("sharded ingest tier: %d receivers, %d shards, central scorer", *receivers, *shards)
 	}
@@ -204,19 +162,7 @@ func main() {
 	log.Printf("ingested %d packets / %d records (%d lost, %d duplicate pkts, %d late, %d unroutable, %d bad pkts) across %d bins",
 		st.Packets, st.Records, st.LostRecords, st.Duplicates, st.LateRecords, st.Unroutable, st.BadPackets, st.BinsClosed)
 	anoms := srv.Anomalies()
-	if len(anoms) > 0 {
-		fmt.Printf("%-12s %-5s %-22s %-6s %-4s %s\n", "CLASS", "MEAS", "WINDOW", "DUR", "ODS", "TRUTH")
-		for _, a := range anoms {
-			truth := a.Truth
-			if truth == "" {
-				truth = "-"
-			}
-			fmt.Printf("%-12s %-5s %-22s %-6s %-4d %s\n",
-				a.Class, a.Measures,
-				fmt.Sprintf("%s..%s", netwide.FormatBin(a.StartBin), netwide.FormatBin(a.EndBin)),
-				a.Duration, len(a.ODs), truth)
-		}
-	}
+	cli.PrintAnomalies(anoms)
 	log.Printf("characterized %d anomalies", len(anoms))
 	if drainErr != nil {
 		log.Fatalf("drain: %v", drainErr)

@@ -14,6 +14,9 @@
 // Usage:
 //
 //	paper [-weeks 4] [-seed 2004] [-rate 2e6] [-fig1csv fig1.csv] [-quick]
+//
+// -quick sets the defaults of -weeks and -rate to a 1-week run at 8e5
+// bytes/second; flags given explicitly still win.
 package main
 
 import (
@@ -23,48 +26,23 @@ import (
 	"os"
 
 	"netwide"
-	"netwide/internal/scenario"
+	"netwide/internal/cli"
+	"netwide/internal/stats"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("paper: ")
-	var (
-		weeks    = flag.Int("weeks", 4, "weeks to simulate")
-		seed     = flag.Uint64("seed", 2004, "random seed")
-		rate     = flag.Float64("rate", 2e6, "mean offered load, bytes/second")
-		fig1csv  = flag.String("fig1csv", "", "write Figure 1 series to this CSV file")
-		quick    = flag.Bool("quick", false, "1-week quick run (overrides -weeks)")
-		workers  = flag.Int("workers", 0, "simulation goroutines (0 = all cores; output identical either way)")
-		topo     = flag.String("topology", "abilene", "backbone topology: abilene, geant, or synthetic:N[:seed]")
-		scenFile = flag.String("scenario", "", "JSON scenario file scheduling the anomaly episodes")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"paper: regenerate every table and figure of the paper's evaluation section\n"+
-				"from a fresh simulation (the E1..E9 experiment index in DESIGN.md).\n\n"+
-				"Examples:\n"+
-				"  paper -quick\n"+
-				"  paper -topology geant -weeks 2\n"+
-				"  paper -topology synthetic:50 -quick -scenario episodes.json\n\nFlags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	fig1csv := flag.String("fig1csv", "", "write Figure 1 series to this CSV file")
+	c := cli.Parse("paper", "regenerate every table and figure of the paper's evaluation section\n"+
+		"from a fresh simulation (the E1..E9 experiment index in DESIGN.md).\n\n"+
+		"Examples:\n"+
+		"  paper -quick\n"+
+		"  paper -topology geant -weeks 2\n"+
+		"  paper -topology synthetic:50 -quick -scenario episodes.json",
+		cli.Defaults{Weeks: 4, Rate: 2e6}, "weeks", "seed", "rate", "quick", "workers", "topology", "scenario")
 
-	cfg := netwide.DefaultConfig()
-	cfg.Weeks, cfg.Seed, cfg.MeanRateBps = *weeks, *seed, *rate
-	if *quick {
-		cfg = netwide.QuickConfig()
-		cfg.Seed = *seed
-	}
-	cfg.Workers = *workers
-	cfg.Topology = *topo
-	if *scenFile != "" {
-		s, err := scenario.LoadFile(*scenFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Scenario = s
+	cfg, err := c.Config()
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("simulating %d week(s), seed %d ...\n", cfg.Weeks, cfg.Seed)
 	run, err := netwide.Simulate(cfg)
@@ -77,10 +55,7 @@ func main() {
 
 	// Figure 1: the paper plots a 3.5-day window (1008 bins).
 	fmt.Println("\n== Figure 1: subspace method on the three traffic types (3.5-day window) ==")
-	window := 1008
-	if run.Bins() < window {
-		window = run.Bins()
-	}
+	window := min(1008, run.Bins())
 	series, err := run.Figure1(0, window)
 	if err != nil {
 		log.Fatal(err)
@@ -96,7 +71,7 @@ func main() {
 			}
 		}
 		fmt.Printf("  %s: state mean %.3g; SPE>Q at %d bins (Q=%.3g); T2>limit at %d bins (limit=%.3g)\n",
-			s.Measure, mean(s.State), speAbove, s.QLimit, t2Above, s.T2Limit)
+			s.Measure, stats.Mean(s.State), speAbove, s.QLimit, t2Above, s.T2Limit)
 	}
 	if *fig1csv != "" {
 		f, err := os.Create(*fig1csv)
@@ -106,7 +81,9 @@ func main() {
 		if err := run.WriteFigure1CSV(f, 0, window); err != nil {
 			log.Fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  series written to %s\n", *fig1csv)
 	}
 
@@ -154,15 +131,4 @@ func main() {
 	for _, b := range bs {
 		fmt.Printf("  %-20s alarm bins %5d   ground-truth recall %.2f\n", b.Name, b.AlarmBins, b.TruthRecall)
 	}
-}
-
-func mean(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	return s / float64(len(xs))
 }

@@ -15,97 +15,43 @@
 //
 // Usage:
 //
-//	streamdetect [-weeks 1] [-seed 2004] [-train 2016] [-batch 16]
-//	             [-refit 288] [-window 2016] [-workers 0] [-v]
+//	streamdetect [-weeks 1] [-seed 2004] [-train 1008] [-batch 16]
+//	             [-refit 288] [-window 0] [-workers 0] [-v]
 //
 // With -in it replays a dataset written by abilenegen instead of
 // simulating one.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"netwide"
+	"netwide/internal/cli"
+	"netwide/internal/traffic"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("streamdetect: ")
-	var (
-		in      = flag.String("in", "", "replay this abilenegen dataset instead of simulating")
-		weeks   = flag.Int("weeks", 1, "weeks to simulate when -in is empty")
-		seed    = flag.Uint64("seed", 2004, "simulation seed")
-		rate    = flag.Float64("rate", 8e5, "mean offered load, bytes/second")
-		k       = flag.Int("k", 4, "normal subspace dimension")
-		alpha   = flag.Float64("alpha", 0.001, "detection false-alarm rate")
-		train   = flag.Int("train", 0, "training bins (0 = first half of the run)")
-		batch   = flag.Int("batch", 16, "most vectors scored per model application (a backlog fills it; an idle detector scores each bin at once)")
-		updater = flag.String("updater", "refit", "model lifecycle: refit (generation swaps every -refit bins) or incremental (per-bin subspace tracking, at most one bin stale)")
-		refit   = flag.Int("refit", 288, "bins between model refits (0 = never); under -updater incremental, the drift-correction cadence")
-		window  = flag.Int("window", 0, "rolling refit window in bins (0 = training length); under -updater incremental, the tracker's forgetting horizon")
-		workers = flag.Int("workers", 0, "linear-algebra worker goroutines (0 = GOMAXPROCS)")
-		topo    = flag.String("topology", "abilene", "backbone topology when simulating: abilene, geant, or synthetic:N[:seed]")
-		verbose = flag.Bool("v", false, "print every alarmed bin, not just the summary")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"streamdetect: concurrent streaming subspace detection over a simulated or saved run.\n\n"+
-				"The first -train bins fit one model per traffic measure (B, P, F); the rest\n"+
-				"stream through the batched concurrent pipeline with rolling refits.\n\n"+
-				"Flags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	c := cli.Parse("streamdetect", "concurrent streaming subspace detection over a simulated or saved run.\n\n"+
+		"The first -train bins fit one model per traffic measure (B, P, F); the rest\n"+
+		"stream through the batched concurrent pipeline with rolling refits.\n"+
+		"Without -in it simulates the run.",
+		cli.Defaults{Weeks: 1, Rate: 8e5, Train: traffic.BinsPerWeek / 2, Refit: 288},
+		"in", "weeks", "seed", "rate", "topology", "workers", "k", "alpha", "train", "batch", "updater", "refit", "window", "v")
 
-	var run *netwide.Run
-	var err error
-	if *in != "" {
-		f, ferr := os.Open(*in)
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		run, err = netwide.LoadRun(f)
-		f.Close()
-	} else {
-		cfg := netwide.QuickConfig()
-		cfg.Weeks, cfg.Seed, cfg.MeanRateBps = *weeks, *seed, *rate
-		cfg.Topology = *topo
-		run, err = netwide.Simulate(cfg)
-	}
+	run, _, err := c.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	trainBins := *train
-	if trainBins <= 0 {
-		trainBins = run.Bins() / 2
-	}
-	winBins := *window
-	if winBins <= 0 {
-		winBins = trainBins
-	}
-	if *workers > 0 {
-		netwide.SetMathWorkers(*workers)
-	}
-	det, err := run.NewStreamDetector(
-		netwide.DetectOptions{K: *k, Alpha: *alpha},
-		netwide.StreamConfig{
-			TrainBins:  trainBins,
-			BatchSize:  *batch,
-			Updater:    *updater,
-			RefitEvery: *refit,
-			Window:     winBins,
-		})
+	st := c.StreamConfig(run.Bins())
+	det, err := run.NewStreamDetector(c.DetectOptions(), st)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	start := time.Now()
-	verdicts, err := det.Replay(trainBins, run.Bins())
+	verdicts, err := det.Replay(st.TrainBins, run.Bins())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,7 +65,7 @@ func main() {
 			continue
 		}
 		alarms++
-		if *verbose {
+		if c.Verbose() {
 			top := ""
 			for _, pt := range v.Points {
 				if pt.SPEAlarm || pt.T2Alarm {
@@ -140,22 +86,6 @@ func main() {
 			fr[0].Updates, fr[1].Updates, fr[2].Updates, fr[0].Staleness)
 	}
 
-	matched := 0
 	fmt.Printf("\ncharacterized anomalies (%d, closed at streaming time):\n", len(anomalies))
-	fmt.Printf("%-11s %-4s %-28s %7s %4s  %s\n", "CLASS", "MEAS", "WINDOW", "DUR", "ODS", "TRUTH")
-	for _, a := range anomalies {
-		truth := a.Truth
-		if truth == "" {
-			truth = "-"
-		} else {
-			matched++
-		}
-		window := netwide.FormatBin(a.StartBin)
-		if a.EndBin != a.StartBin {
-			window += ".." + netwide.FormatBin(a.EndBin)
-		}
-		fmt.Printf("%-11s %-4s %-28s %6dm %4d  %s\n",
-			a.Class, a.Measures, window, int(a.Duration.Minutes()), len(a.ODs), truth)
-	}
-	fmt.Printf("matched to injected ground truth: %d/%d\n", matched, len(anomalies))
+	cli.PrintAnomalies(anomalies)
 }

@@ -1,7 +1,7 @@
 package netwide_test
 
 // Companion to TestDatasetFileRoundTrip: the same on-disk workflow under
-// hostile conditions. A .nwds file handed to nwserve/subspacedetect may be
+// hostile conditions. A .nwds file handed to nwserve/anomalyreport may be
 // truncated (interrupted copy), bit-rotted, or simply not a dataset at all;
 // LoadRun must refuse all of them with an error, never panic or return a
 // silently mis-read run.

@@ -9,8 +9,8 @@ import (
 )
 
 // TestDatasetFileRoundTrip exercises the on-disk workflow of the command
-// line tools: abilenegen writes a dataset file, subspacedetect and
-// anomalyreport read it back.
+// line tools: abilenegen writes a dataset file, anomalyreport and
+// streamdetect read it back.
 func TestDatasetFileRoundTrip(t *testing.T) {
 	run := quickRun(t)
 	path := filepath.Join(t.TempDir(), "abilene.nwds")

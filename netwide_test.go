@@ -254,40 +254,47 @@ func TestFormatBin(t *testing.T) {
 	}
 }
 
-// singleInjection builds a 1-week run containing exactly one anomaly of the
-// given type and returns the classified verdict of the event matching it.
-func singleInjection(t *testing.T, set func(*anomaly.ScheduleConfig), seed uint64) (string, string, bool) {
-	t.Helper()
+// scheduledRun builds a 1-week abilene run whose anomalies come from the
+// schedule set configures, round-trips it through the dataset file format
+// and runs Detect on it.
+func scheduledRun(seed uint64, set func(*anomaly.ScheduleConfig)) (*netwide.Run, error) {
 	cfg := dataset.Config{
 		Weeks:              1,
 		Seed:               seed,
 		MeanRateBps:        8e5,
 		SamplingRate:       0.01,
 		UnresolvedFraction: 0.07,
+		Schedule: anomaly.ScheduleConfig{
+			Weeks:    1,
+			RefBytes: 8e5 * traffic.BinSeconds / topology.NumODPairs,
+			Seed:     seed,
+		},
 	}
-	sched := anomaly.ScheduleConfig{
-		Weeks:    1,
-		RefBytes: cfg.MeanRateBps * traffic.BinSeconds / topology.NumODPairs,
-		Seed:     seed,
-	}
-	set(&sched)
-	cfg.Schedule = sched
+	set(&cfg.Schedule)
 	ds, err := dataset.Generate(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := ds.Save(&buf); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	run, err := netwide.LoadRun(&buf)
 	if err != nil {
+		return nil, err
+	}
+	return run, run.Detect(netwide.DefaultDetectOptions())
+}
+
+// singleInjection builds a 1-week run containing exactly one anomaly of the
+// given type and returns the classified verdict of the event matching it.
+func singleInjection(t *testing.T, set func(*anomaly.ScheduleConfig), seed uint64) (string, string, bool) {
+	t.Helper()
+	run, err := scheduledRun(seed, set)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run.Detect(netwide.DefaultDetectOptions()); err != nil {
-		t.Fatal(err)
-	}
-	truthType := ds.Ledger.Specs()[0].Type.String()
+	truthType := run.Dataset().Ledger.Specs()[0].Type.String()
 	// Several events can match one injected anomaly (different measure
 	// sets, fragments split in time); report all their classes.
 	var classes []string
