@@ -32,18 +32,18 @@
 // characterized, the final snapshot is written, and the final anomaly
 // table prints before exit.
 //
-// With -receivers and/or -shards the daemon runs its sharded ingest tier:
-// N receiver goroutines on SO_REUSEPORT sockets (where the platform has
-// it; elsewhere one socket fans out to the pool), each with its own
-// decoder state, routing whole datagrams by export-engine hash to M shard
-// workers that each own a disjoint partition of the OD pairs — bin
-// accumulators, sequence cursors and dedupe rings included — while a
-// watermark-driven merge layer closes a bin only once every shard has
-// sealed it and feeds the single central detector. Scoring stays central:
-// the subspace method is a network-wide decomposition, so the detector
-// must see each bin's complete OD vector. Anomaly output is bit-identical
-// to the single-threaded path. Snapshots capture the per-shard partitions;
-// a snapshot taken under one shard count cold-starts under another.
+// -receivers N reads N SO_REUSEPORT sockets (where the platform has it;
+// elsewhere one socket fans out to the N readers), each reader with its
+// own decoder state; -shards M splits binning by export-engine hash into M
+// partitions, each a disjoint set of OD pairs with its own lock, bin
+// accumulators, sequence cursors and dedupe rings. Every reader bins what
+// it decodes itself and, when its datagram lets a bin close, seals every
+// partition, merges them and feeds the one detector before it reads on.
+// Scoring stays central: the subspace method is a network-wide
+// decomposition, so the detector must see each bin's complete OD vector.
+// Anomaly output is bit-identical on every layout. Snapshots capture the
+// per-shard partitions; a snapshot taken under one shard count
+// cold-starts under another.
 //
 // Usage:
 //
@@ -76,8 +76,8 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:2055", "UDP listen address for flow export packets")
 	formats := flag.String("formats", "", "comma-separated wire-format allowlist: netflow5, netflow9, ipfix, sflow (empty = all)")
-	receivers := flag.Int("receivers", 1, "UDP receiver goroutines on SO_REUSEPORT sockets (>1 enables the sharded ingest tier)")
-	shards := flag.Int("shards", 1, "OD-partition bin-accumulation workers (>1 enables the sharded ingest tier)")
+	receivers := flag.Int("receivers", 1, "UDP receiver goroutines, one SO_REUSEPORT socket each; every receiver decodes and bins what it reads")
+	shards := flag.Int("shards", 1, "bin-accumulation partitions by export engine, each with its own lock (part of the checkpoint fingerprint)")
 	httpAddr := flag.String("http", "", "HTTP status listen address (empty disables /api/v1/{healthz,stats,anomalies})")
 	grace := flag.Int("grace", 1, "reorder grace in bins before a bin closes")
 	ckpt := flag.String("checkpoint", "", "crash-safe snapshot file; restored on startup when present (empty disables)")

@@ -121,9 +121,9 @@ type TemplateState struct {
 
 // ShardState is one binning shard's in-flight accumulation: the bins it
 // is still filling, its engine sequence cursors, the highest bin it has
-// sealed toward the merge layer, and its watermark-reset streak. The
+// sealed, and its watermark-reset streak. The
 // single-threaded collector writes exactly one ShardState; a sharded
-// daemon writes one per shard worker, in shard order.
+// daemon writes one per shard, in shard order.
 type ShardState struct {
 	OpenBins      []OpenBin
 	Engines       []EngineState

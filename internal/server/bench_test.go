@@ -111,7 +111,7 @@ func benchIngest(b *testing.B, topo string, format flowwire.Format) {
 	}
 }
 
-// BenchmarkServerIngest is the gated sustained-ingest benchmark: the
+// BenchmarkServerIngest is the sustained-ingest benchmark: the
 // reference Abilene scale (121 OD pairs) and the Géant scale (529) over
 // NetFlow v5 — the sub-benchmark names predate the multi-format wire
 // layer and stay stable for baseline comparability — plus one Abilene
@@ -124,20 +124,19 @@ func BenchmarkServerIngest(b *testing.B) {
 	b.Run("abilene-sflow", func(b *testing.B) { benchIngest(b, "abilene", flowwire.FormatSFlow) })
 }
 
-// benchIngestParallel measures aggregate sustained ingest through the
-// sharded pipeline — per-receiver decode, receiver→shard routing, shard
-// bin accumulation — with the packet stream partitioned across receivers
-// by export engine, exactly how SO_REUSEPORT's 4-tuple hash spreads a
-// real replay's per-engine source sockets. One iteration ingests 16 full
-// bins of packets, split across `receivers` concurrently-fed receivers;
-// the bin timestamp stays fixed so no seal or detector submission mixes
-// into the measured path, and the trailing quiesce + lossless assert
-// prove the measured path dropped nothing. records/sec is the aggregate
-// rate across the pool; scaling across the sub-benchmarks is the
-// pipeline's whole point, but it can only materialize on multi-core
-// hosts — at GOMAXPROCS=1 all receivers time-slice one core and the
-// curve is flat (the perf gate compares each sub-benchmark only against
-// its own baseline, never across receiver counts).
+// benchIngestParallel measures aggregate sustained ingest through a
+// receiver pool binning into 4 partitions — per-receiver decode, each
+// batch binned under its engine's partition lock — with the packet stream
+// partitioned across receivers by export engine, exactly how
+// SO_REUSEPORT's 4-tuple hash spreads a real replay's per-engine source
+// sockets. One iteration ingests 16 full bins of packets, split across
+// `receivers` concurrently-fed receivers; the bin timestamp stays fixed so
+// no seal or detector submission mixes into the measured path, and the
+// trailing lossless assert proves the measured path dropped nothing
+// (ingest is synchronous, so there is nothing left to settle).
+// records/sec is the aggregate rate across the pool; it can only scale on
+// multi-core hosts — at GOMAXPROCS=1 all receivers time-slice one core and
+// the curve is flat.
 func benchIngestParallel(b *testing.B, receivers int) {
 	cfg := netwide.QuickConfig()
 	cfg.MeanRateBps = 4e5
@@ -210,7 +209,6 @@ func benchIngestParallel(b *testing.B, receivers int) {
 		wg.Wait()
 	}
 	b.StopTimer()
-	srv.quiesce()
 	total := b.N * passes * records
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "records/sec")
 	if got := srv.Stats().Records; got != uint64(total) {
@@ -218,11 +216,11 @@ func benchIngestParallel(b *testing.B, receivers int) {
 	}
 }
 
-// BenchmarkServerIngestParallel is the gated sharded-ingest benchmark:
+// BenchmarkServerIngestParallel is the receiver-pool ingest benchmark:
 // the Abilene reference scale over NetFlow v5 at 1, 2, 4 and 8 receivers,
-// always with 4 binning shards. The receivers=1 sub-benchmark doubles as
-// the sharded pipeline's serial baseline against BenchmarkServerIngest's
-// synchronous path.
+// always with 4 binning shards. The receivers=1 sub-benchmark measures
+// what 4 partitions cost one receiver against BenchmarkServerIngest's
+// single partition.
 func BenchmarkServerIngestParallel(b *testing.B) {
 	for _, r := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("receivers=%d", r), func(b *testing.B) { benchIngestParallel(b, r) })

@@ -234,86 +234,108 @@ func TestChaosKillDuringWrite(t *testing.T) {
 	}
 }
 
-// TestChaosSnapshotsUnderConcurrentIngest is for the -race leg: the
-// cadence starting snapshots from the ingest side, CheckpointNow callers
-// queueing for the slot, the verdict consumer completing tickets, the
-// writer booking them and a stats reader, all at once, on both ingest
-// paths. Whatever the interleaving, every snapshot that reports success
-// must leave a file that restores, and the drain's must cover the last bin.
+// TestChaosSnapshotsUnderConcurrentIngest is for the -race leg and the
+// lock order: two feeders ingesting (on two receivers where the layout has
+// them), the cadence starting a snapshot on every closed bin from inside a
+// bin close, a CheckpointNow caller looping for the slot, the verdict
+// consumer completing tickets, the writer booking them and a stats reader,
+// all at once, ended by a Drain or a Kill. A lock taken out of order
+// deadlocks here, and the test hangs until -timeout. Whatever the
+// interleaving, every snapshot that reports success must leave a file that
+// restores; the drain's must cover the last bin, and after a kill the file
+// must restore to the bin it covers.
 func TestChaosSnapshotsUnderConcurrentIngest(t *testing.T) {
 	run := testRun(t)
 	recs := collectRecords(t, run, 5)
-	for _, cfg := range []Config{{}, {Receivers: 2, Shards: 2}} {
-		cfg.CheckpointPath = filepath.Join(t.TempDir(), "daemon.nwcp")
-		cfg.Stream = parityStream(run)
-		srv, err := New(run, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stop := make(chan struct{})
-		var side sync.WaitGroup
-		side.Add(2)
-		go func() {
-			defer side.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					srv.Stats()
-				}
+	for _, row := range []struct {
+		name string
+		cfg  Config
+		kill bool
+	}{
+		{"sync", Config{}, false},
+		{"pool", Config{Receivers: 2, Shards: 2}, false},
+		{"sync-kill", Config{}, true},
+		{"pool-kill", Config{Receivers: 2, Shards: 4}, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			cfg.CheckpointPath = filepath.Join(t.TempDir(), "daemon.nwcp")
+			cfg.Stream = parityStream(run)
+			srv, err := New(run, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		go func() {
-			defer side.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := srv.CheckpointNow(); err != nil {
-					t.Errorf("CheckpointNow under ingest: %v", err)
-					return
-				}
-				if _, err := checkpoint.ReadFile(cfg.CheckpointPath); err != nil {
-					t.Errorf("snapshot on disk after CheckpointNow: %v", err)
-					return
-				}
-			}
-		}()
-		var feed sync.WaitGroup
-		for f := 0; f < 2; f++ {
-			feed.Add(1)
-			go func(f int) {
-				defer feed.Done()
-				seq := uint32(0)
-				for i := 0; i < 400; i++ {
-					p := enginePkt(t, uint8(f), seq, i/10, recs) // a new bin every ten packets
-					seq += uint32(len(recs))
-					if srv.sharded() {
-						srv.ingestOn(srv.recvs[f], p)
-					} else {
-						srv.IngestPacket(p)
+			stop := make(chan struct{})
+			var side sync.WaitGroup
+			side.Add(2)
+			go func() {
+				defer side.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						srv.Stats()
 					}
 				}
-			}(f)
-		}
-		feed.Wait()
-		close(stop)
-		side.Wait()
-		drainOK(t, srv)
-		st := srv.Stats()
-		if st.CheckpointErrors != 0 || st.LastCheckpointBin != st.LastClosed || st.LastClosed != 39 {
-			t.Fatalf("after the drain: %+v", st)
-		}
-		again, err := New(run, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs := again.Stats(); !rs.Restored || rs.RestoreErr != "" || rs.LastClosed != 39 || rs.Records != st.Records {
-			t.Fatalf("restore of the drain's snapshot: %+v", rs)
-		}
-		again.Kill()
+			}()
+			go func() {
+				defer side.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := srv.CheckpointNow(); err != nil {
+						t.Errorf("CheckpointNow under ingest: %v", err)
+						return
+					}
+					if _, err := checkpoint.ReadFile(cfg.CheckpointPath); err != nil {
+						t.Errorf("snapshot on disk after CheckpointNow: %v", err)
+						return
+					}
+				}
+			}()
+			var feed sync.WaitGroup
+			for f := 0; f < 2; f++ {
+				feed.Add(1)
+				go func(f int) {
+					defer feed.Done()
+					seq := uint32(0)
+					for i := 0; i < 400; i++ {
+						p := enginePkt(t, uint8(f), seq, i/10, recs) // a new bin every ten packets
+						seq += uint32(len(recs))
+						srv.ingestOn(srv.recvs[f%len(srv.recvs)], p)
+					}
+				}(f)
+			}
+			feed.Wait()
+			close(stop)
+			side.Wait()
+			if row.kill {
+				srv.Kill()
+			} else {
+				drainOK(t, srv)
+			}
+			// A kill leaves the file at the last snapshot that landed; the
+			// drain closes bin 39 and snapshots it.
+			st := srv.Stats()
+			last := 39
+			if row.kill {
+				last = 38
+			}
+			if st.CheckpointErrors != 0 || st.LastClosed != last || st.LastCheckpointBin > last || !row.kill && st.LastCheckpointBin != last {
+				t.Fatalf("after the %s: %+v", row.name, st)
+			}
+			again, err := New(run, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs := again.Stats(); !rs.Restored || rs.RestoreErr != "" || rs.LastClosed != st.LastCheckpointBin || !row.kill && rs.Records != st.Records {
+				t.Fatalf("restore of the %s's snapshot: %+v", row.name, rs)
+			}
+			again.Kill()
+		})
 	}
 }

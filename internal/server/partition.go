@@ -1,9 +1,9 @@
 // The ingest state machine: one binning partition and the gates every
-// decoded batch passes on its way into a bin, written once for both
-// drivers (see the package comment). A partition owns no lock, goroutine
-// or socket; the watermark, bin close and the detector belong to its
-// driver, which the partition only tells what a batch means for the
-// watermark. DESIGN.md E24 states which gate reads which cursor and why.
+// decoded batch passes on its way into a bin (see the package comment). A
+// partition owns no goroutine or socket; the watermark, bin close and the
+// detector belong to the receiver driving it, which the partition only
+// tells what a batch means for the watermark. DESIGN.md E24 states which
+// gate reads which cursor and why, E31 the locks.
 package server
 
 import (
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"netwide/internal/checkpoint"
@@ -75,19 +76,19 @@ type submittedBin struct {
 // partition owns one binning partition: the open bins of its slice of the
 // OD space, the sequence cursors and dedupe rings of the export engines
 // routed to it, its seal point and its stranded-watermark streak. Its
-// mutable state has a single writer — the synchronous ingest path under
-// ingestMu, or its shard goroutine (and restore, before that goroutine
-// starts). It books every outcome twice: in the daemon-wide counters it
-// shares with the other partitions, and in its own atomic mirrors, which
-// /stats reads lock-free.
+// mutable state is only touched under mu — by the receivers binning into
+// it, and by bin close, reset and capture under closeMu — or by restore,
+// before any receiver runs. It books every outcome twice: in the
+// daemon-wide counters it shares with the other partitions, and in its
+// own atomic mirrors, which /stats reads lock-free.
 type partition struct {
 	cfg   *Config
 	top   *topology.Topology
 	res   *routing.Resolver
 	ctr   *counters
 	proto *[flowwire.NumFormats]protoCounters
-	// ch feeds the partition's shard goroutine (sharded daemon only).
-	ch chan shardMsg
+
+	mu sync.Mutex
 
 	bins map[int]*binAcc
 	// seq tracks one sequence cursor per (format, engine) export stream.
@@ -280,8 +281,8 @@ func (p *partition) seal(through int) []submittedBin {
 // stranded the watermark), the streak clears, and the seal point rewinds
 // to lastClosed so the stream the watermark is re-anchored at can fill the
 // bins the stranded seal ran past. The rewind is sound only because the
-// caller has no seal in flight: every bin sealed so far is submitted, and
-// nothing above lastClosed was.
+// caller holds closeMu, so no seal is in flight: every bin sealed so far
+// is submitted, and nothing above lastClosed was.
 func (p *partition) discard(keepThrough int) {
 	for bin, acc := range p.bins {
 		if bin > keepThrough {
@@ -420,7 +421,7 @@ func (p *partition) sequenceCheck(b flowwire.Batch) bool {
 // the anonymized destination — the same procedure, and therefore the same
 // (OD, bin) cell, as the offline generator. It returns how many records
 // were folded in and how many were unroutable or wild (cap overflow). The
-// topology and resolver lookups are read-only and safe from every shard.
+// topology and resolver lookups are read-only and safe from every receiver.
 func (p *partition) accumulate(bin int, b flowwire.Batch, recs []flowwire.Record) (accepted, unroutable, wild uint64) {
 	origin := topology.PoP(b.Engine)
 	originOK := p.top.ContainsPoP(origin)

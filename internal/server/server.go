@@ -3,7 +3,7 @@
 // stood — between the routers exporting sampled flow telemetry and the
 // subspace detector consuming OD-aggregated timebins.
 //
-// Ingest is one state machine with two drivers. A receiver decodes each
+// Ingest is one state machine with one driver. A receiver decodes each
 // datagram through its own flowwire.Registry — NetFlow v5, NetFlow v9,
 // IPFIX and sFlow v5, detected by version word, with hostile bytes counted
 // and dropped, never trusted. A partition (partition.go) then runs the
@@ -11,26 +11,21 @@
 // stream under each format's own sequence semantics, the pre-epoch, late
 // and wild-timestamp gates, resolution to an origin-destination PoP pair
 // exactly as the offline pipeline does it, accumulation into per-bin
-// byte/packet/flow vectors, and the watermark vote. What the partition
-// does not own — the watermark, when bins close, the detector — belongs to
-// the driver:
+// byte/packet/flow vectors, and the watermark vote. The receiver then acts
+// on the vote itself: it raises the one shared watermark and, when it
+// moved, closes every bin through watermark − Grace on the spot — seals
+// every partition, merges their vectors and submits them to the one
+// StreamDetector — before it reads its next datagram.
 //
-//   - The synchronous driver (Receivers and Shards both 1, the default):
-//     one socket, one receiver, one partition, driven inline under
-//     ingestMu on the reading goroutine, which also closes bins through
-//     watermark − Grace and submits them to the StreamDetector.
-//
-//   - The sharded driver (Receivers > 1 or Shards > 1, shard.go): a pool
-//     of SO_REUSEPORT receiver sockets (one shared socket where the
-//     platform lacks the option) routing batches by export engine to one
-//     partition per shard goroutine, so no lock is shared across the hot
-//     path. A central coordinator advances the watermark, seals every
-//     partition at a barrier, merges the per-shard vectors into the dense
-//     OD vector (exact: the partition is by origin PoP, so each OD column
-//     is written by exactly one shard) and submits it to the one central
-//     StreamDetector. Scoring stays central because the subspace method
-//     is global: network-wide anomalies only appear in the full OD matrix.
-//     See DESIGN.md E18 and E24.
+// Receivers (one per SO_REUSEPORT socket) and Shards (partitions, keyed by
+// export engine) only change how many of each there are. The partition key
+// is the origin PoP, so each OD column is written by exactly one partition
+// and the merge is exact. Scoring stays central because the subspace
+// method is global: network-wide anomalies only appear in the full OD
+// matrix. The locks, in the only order they are ever taken: a receiver's
+// mu for a whole datagram, then closeMu for a bin close, then a
+// partition's mu; a capture takes every receiver's mu in index order
+// first. See DESIGN.md E24 and E31.
 //
 // Batch parity: every per-record sum the server computes is an integer
 // count below 2^53 folded into a float64, so the accumulated vectors are
@@ -38,16 +33,17 @@
 // replayed dataset therefore reproduces the generator's matrices bit for
 // bit, and the daemon's characterized anomalies match the batch
 // Characterize output on the same bins (the loopback end-to-end test pins
-// this for both drivers).
+// this on both layouts).
 //
 // The HTTP side is deliberately small, all of it under /api/v1/: healthz
 // (liveness, 503 once the detector has recorded an error), stats (ingest
-// counters as JSON, including a per-protocol breakdown and — when sharded
-// — per-receiver and per-shard counters with channel-depth gauges) and
+// counters as JSON, including a per-protocol breakdown and — with more
+// than one receiver or shard — per-receiver and per-shard counters) and
 // anomalies (the characterized anomaly log as JSON).
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -103,11 +99,12 @@ type Config struct {
 	// (restored watermark Grace ahead of the resuming stream) would look
 	// like a stranded watermark and discard restored bins.
 	MaxAhead int
-	// MaxOpenBins caps the accumulating (not yet closed) bins (default
-	// 256; per shard when sharded). Records that would open a bin beyond
-	// the cap are dropped and counted wild — bounding the daemon's memory
-	// even against spoofed timestamps that scatter records across
-	// arbitrary bins.
+	// MaxOpenBins caps each partition's accumulating (not yet closed) bins
+	// (default 256). Records that would open a bin beyond the cap are
+	// dropped and counted wild — bounding the daemon's memory even against
+	// spoofed timestamps that scatter records across arbitrary bins. Bins
+	// close on the datagram that lets them close, so an in-order stream
+	// holds about Grace+1 of them, whatever its rate.
 	MaxOpenBins int
 	// ReadBuffer is the UDP socket receive buffer in bytes, applied to
 	// every receiver socket (default 4MB — the sockets must absorb export
@@ -120,16 +117,14 @@ type Config struct {
 	// socket drained by Receivers reader goroutines. Each receiver owns
 	// its own decoder registry (and therefore its own v9/IPFIX template
 	// cache — exporters resend templates periodically, so every receiver
-	// converges on the set it needs).
+	// converges on the set it needs) and bins what it decodes itself.
 	Receivers int
-	// Shards sizes the binning tier (default 1). With Receivers or Shards
-	// above 1 the daemon runs the sharded pipeline: decoded batches are
-	// routed by export engine to Shards workers, each owning a disjoint
-	// hash-partition of the OD space with its own accumulators, dedupe
-	// rings and sequence cursors; a central coordinator seals, merges and
-	// submits closing bins to the single detector. The shard count is part
-	// of the checkpoint fingerprint — restarting with a different count
-	// cold-starts.
+	// Shards splits binning into that many partitions by export engine
+	// (default 1), each a disjoint set of OD columns with its own lock,
+	// accumulators, dedupe rings and sequence cursors, so receivers binning
+	// different engines do not wait for each other. A bin closes on every
+	// partition at once. The shard count is part of the checkpoint
+	// fingerprint — restarting with a different count cold-starts.
 	Shards int
 	// CheckpointPath enables crash-safe operation: the daemon periodically
 	// snapshots its full recovery state (model generations, open events,
@@ -253,11 +248,11 @@ type Stats struct {
 	// updater, or a refit cadence) — absent on a static-model daemon, whose
 	// model never moves (its generation is always 0).
 	ModelFreshness []FreshnessStat `json:"model_freshness,omitempty"`
-	// Receivers and Shards break the ingest down across the sharded
-	// pipeline (absent on the synchronous path): per-receiver datagram
-	// counters and per-shard record counters with queue-depth gauges.
-	// MergeQueueLen is the seal-reply queue depth between the shards and
-	// the coordinator (0 on the synchronous path, which has none).
+	// Receivers and Shards break the ingest down per receiver (datagram
+	// counters) and per shard (record ledgers), present only when
+	// Config.Receivers or Config.Shards is above 1. MergeQueueLen is always
+	// 0: bins are merged inline by the receiver that closes them, with no
+	// queue; the field stays for readers of the JSON surface.
 	Receivers     []ReceiverStats `json:"receivers,omitempty"`
 	Shards        []ShardStats    `json:"shards,omitempty"`
 	MergeQueueLen int             `json:"merge_queue_len"`
@@ -348,11 +343,11 @@ type ReceiverStats struct {
 	Bytes      uint64 `json:"bytes"`
 }
 
-// ShardStats is one binning shard's slice of the ingest counters plus its
-// queue gauges: QueueLen/QueueCap expose the receiver→shard channel depth
-// (a persistently full queue means the shard is the bottleneck);
-// SealedThrough is the highest bin the shard has handed to the merge
-// layer.
+// ShardStats is one binning partition's slice of the ingest counters;
+// SealedThrough is its seal point, the highest bin it has closed (every
+// partition seals together, so they agree between bin closes). QueueLen
+// and QueueCap are always 0: receivers bin into the partition directly,
+// with no queue; the fields stay for readers of the JSON surface.
 type ShardStats struct {
 	Records       uint64 `json:"records"`
 	Duplicates    uint64 `json:"duplicate_packets"`
@@ -366,12 +361,11 @@ type ShardStats struct {
 }
 
 // counters is the daemon's hot counter block. Everything here is mutated
-// on the ingest path — by the one ingest goroutine on the synchronous
-// path, by receivers, shard workers and the coordinator concurrently on
-// the sharded one — and read lock-free by the /stats handler, so every
-// field is atomic. The watermark and lastClosed gauges have a single
-// writer (the ingest goroutine or the coordinator); the rest are add-only
-// except for the saturating loss refunds.
+// on the ingest path, by every receiver concurrently, and read lock-free
+// by the /stats handler, so every field is atomic. The watermark only
+// rises (CAS max) except for a reset under closeMu; lastClosed is written
+// under closeMu; the rest are add-only except for the saturating loss
+// refunds.
 type counters struct {
 	packets, badPackets, duplicates, records,
 	lostRecords, lateRecords, unroutable,
@@ -419,10 +413,14 @@ func satSub(c *atomic.Uint64, n uint64) {
 // packets to one socket, and exporters resend templates periodically) and
 // its slice of the datagram counters.
 type receiver struct {
+	// mu is held for a whole datagram, decode to bin close: it serializes
+	// the callers sharing the receiver (its socket goroutine, direct
+	// IngestPacket calls for receiver 0) and makes a datagram atomic
+	// against capture, which takes every receiver's mu. It guards reg and
+	// recs, the reusable record buffer.
+	mu   sync.Mutex
 	reg  *flowwire.Registry
 	conn *net.UDPConn
-	// recs is the synchronous driver's reusable record buffer (ingestMu
-	// state); the sharded driver decodes into pooled slices instead.
 	recs []flowwire.Record
 
 	packets, badPackets, bytes atomic.Uint64
@@ -446,14 +444,14 @@ type Server struct {
 	readersWG  sync.WaitGroup
 	consumerWG sync.WaitGroup
 
-	// ingestMu serializes the synchronous driver: the full per-datagram
-	// ingest (including the out-of-mu detector submit), the drain flush,
-	// and the ingest side of a checkpoint capture (a copy of the open bins
-	// and cursors, microseconds — never the encode or the disk). It is
-	// always taken before mu and never by the verdict consumer or the HTTP
-	// handlers, so holding it across a detector submit cannot deadlock.
-	// Unused by the sharded driver, which serializes per shard instead.
-	ingestMu sync.Mutex
+	// closeMu is the bin-close lock: held for every seal, merge and
+	// detector submit, the stranded-watermark reset, the drain's flush and
+	// a capture, so no seal is ever half done when a partition rewinds or a
+	// snapshot copies state. It is taken after a receiver's mu and before
+	// a partition's, always before mu, and never by the verdict consumer or
+	// the HTTP handlers, so holding it across a detector submit cannot
+	// deadlock.
+	closeMu sync.Mutex
 	// binsSinceCp counts bins closed that no snapshot on disk covers yet —
 	// the bin-driven checkpoint cadence. Atomic because the ingest side
 	// adds to it while the writer goroutine subtracts what it wrote.
@@ -472,7 +470,7 @@ type Server struct {
 	timerWG     sync.WaitGroup
 
 	// recvs (Receivers of them) and parts (Shards of them) are the ingest
-	// state machine; the synchronous driver runs recvs[0] and parts[0].
+	// state machine; every receiver bins into every partition.
 	recvs []*receiver
 	parts []*partition
 
@@ -481,25 +479,6 @@ type Server struct {
 	// (index FormatUnknown stays zero; undetectable garbage only reaches
 	// the global BadPackets).
 	proto [flowwire.NumFormats]protoCounters
-
-	// Sharded driver state (unused on the synchronous path). See shard.go
-	// for the moving parts and DESIGN.md E18 for the architecture.
-	mergeCh   chan sealReply
-	coordBell chan struct{}
-	coordCtl  chan coordMsg
-	coordDone chan struct{}
-	shardWG   sync.WaitGroup
-	// pauseMu freezes the receiver pool while the coordinator settles the
-	// pipeline (checkpoint capture, drain flush): receivers hold the read
-	// side per datagram, the coordinator — and nobody else — takes the
-	// write side.
-	pauseMu sync.RWMutex
-	// pendingObs is the highest bin any shard has accepted routable
-	// traffic for (CAS-max); the coordinator folds it into the watermark.
-	pendingObs atomic.Int64
-	// resetBin carries a shard's stranded-watermark quorum signal to the
-	// coordinator: the bin to re-anchor at, or -1 when none is pending.
-	resetBin atomic.Int64
 
 	// mu guards everything below. It is never held across a detector
 	// Submit: backpressure from the pipeline must not deadlock against the
@@ -528,10 +507,6 @@ type Server struct {
 	firstError  error
 }
 
-// sharded reports whether the daemon runs the receiver→shard→merge
-// driver (Receivers or Shards above 1) rather than the synchronous one.
-func (s *Server) sharded() bool { return s.cfg.Receivers > 1 || s.cfg.Shards > 1 }
-
 // shardOf maps an export engine to its binning partition. The engine is
 // the origin PoP, and the OD index space is partitioned by origin, so
 // routing whole engines keeps every OD column (and every sequence cursor)
@@ -551,9 +526,8 @@ func (s *Server) shardOf(engine uint32) int {
 // matrices) and assembles the daemon around it. The run doubles as the
 // daemon's network model: its topology resolves engine IDs and destination
 // prefixes, its seasonal baselines classify the anomalies the detector
-// finds. No sockets are bound until Start, but the sharded driver's
-// workers start here so tests and benchmarks can drive ingest without a
-// socket.
+// finds. No sockets are bound until Start; tests and benchmarks drive
+// ingest without one through IngestPacket.
 // New also attempts crash recovery when cfg.CheckpointPath names an
 // existing snapshot: if the file verifies (checksum, version, fingerprint
 // — including the shard count) the daemon resumes from it — restored
@@ -617,9 +591,6 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: train detector: %w", err)
 		}
 		s.det = det
-	}
-	if s.sharded() {
-		s.startPipeline()
 	}
 	s.consumerWG.Add(1)
 	go s.consumeVerdicts()
@@ -723,7 +694,7 @@ func (s *Server) enabledFormats() []uint8 {
 // stored field is cross-validated before it is believed — the snapshot
 // passed the checksum, but shape and invariants are this layer's job (the
 // detector's own state validates inside RestoreStreamDetector). Any error
-// leaves the caller to cold-start. Runs before any shard goroutine starts.
+// leaves the caller to cold-start. Runs before any ingest goroutine starts.
 func (s *Server) restore(st *checkpoint.State) error {
 	if err := s.fingerprint(st); err != nil {
 		return err
@@ -845,13 +816,19 @@ type cpTicket struct {
 // fingerprint, counters, per-protocol breakdown, the partitions' states
 // and the receivers' template caches — and sends it down the detector as a
 // barrier behind every bin submitted so far, without waiting for it. The
-// caller holds cpSlot and has frozen the ingest state read here — ingestMu
-// on the synchronous path, the settled pipeline on the sharded one — and
-// bins are submitted under that same lock (or by the same coordinator), so
-// the ingest state in the ticket and the detector state the barrier
-// collects on its way are one cut of the submission order. A refused
-// barrier (the detector is closed) settles the ticket as a failed write.
-func (s *Server) capture(shards ...checkpoint.ShardState) *cpTicket {
+// caller holds cpSlot and lockIngest, which freezes the ingest state read
+// here — no datagram mid-flight, no bin close running — and bins are only
+// submitted under closeMu, so the ingest state in the ticket and the
+// detector state the barrier collects on its way are one cut of the
+// submission order. A refused barrier (the detector is closed) settles the
+// ticket as a failed write.
+func (s *Server) capture() *cpTicket {
+	shards := make([]checkpoint.ShardState, len(s.parts))
+	for i, p := range s.parts {
+		p.mu.Lock()
+		shards[i] = p.state()
+		p.mu.Unlock()
+	}
 	ds := s.run.Dataset()
 	opts := s.detectOpts()
 	kind, _ := s.streamKind()
@@ -992,8 +969,8 @@ func (s *Server) templates() []checkpoint.TemplateState {
 // snapshot takes one snapshot and returns once it is on disk (or has
 // failed): the path of CheckpointNow, the wall-clock timer and — with
 // flush, which first closes every bin through the watermark — Drain. Only
-// the capture runs under the ingest lock (or the coordinator's pause); the
-// wait for the barrier and the disk does not.
+// the capture runs under the ingest locks; the wait for the barrier and the
+// disk does not.
 func (s *Server) snapshot(flush bool) error {
 	s.cpSlot <- struct{}{} // waits out a snapshot still on its way to disk
 	if !flush {
@@ -1005,17 +982,12 @@ func (s *Server) snapshot(flush bool) error {
 			return errors.New("server: draining; the drain writes the final checkpoint")
 		}
 	}
-	var t *cpTicket
-	if s.sharded() {
-		t = s.coordCapture(flush)
-	} else {
-		s.ingestMu.Lock()
-		if flush {
-			s.flushSync()
-		}
-		t = s.capture(s.parts[0].state())
-		s.ingestMu.Unlock()
+	s.lockIngest()
+	if flush {
+		s.closeThrough(int(s.ctr.watermark.Load()))
 	}
+	t := s.capture()
+	s.unlockIngest()
 	return <-t.done
 }
 
@@ -1237,53 +1209,150 @@ func (s *Server) receiverLoop(r *receiver) {
 }
 
 // IngestPacket runs one datagram through the ingest state machine as
-// receiver 0. On the synchronous daemon that is the full path — decode,
-// sequence dedupe, OD resolution, bin accumulation, bin close —
-// synchronously on the caller's goroutine; on a sharded daemon the batch
-// is decoded here and binned asynchronously by its shard. The read loops
-// are its only callers in production; tests and benchmarks call it
-// directly to drive the daemon without a socket.
+// receiver 0: decode, sequence dedupe, OD resolution, bin accumulation and
+// the bin close it lets through, synchronously on the caller's goroutine,
+// on every layout. The read loops are its only callers in production;
+// tests and benchmarks call it directly to drive the daemon without a
+// socket.
 func (s *Server) IngestPacket(pkt []byte) { s.ingestOn(s.recvs[0], pkt) }
 
-// ingestOn runs one datagram through receiver r. The synchronous driver
-// holds ingestMu for the whole datagram — which serializes concurrent
-// callers and excludes checkpoint capture mid-packet — runs the batch
-// through the one partition against the watermark, and acts on what it
-// asks: a reset re-anchors the watermark, and a raise or a reset closes
-// every bin through watermark − Grace on the spot. When the bin-driven
-// checkpoint cadence comes due it only starts the snapshot: a copy of the
-// open bins and cursors and a barrier sent after the closed bins; the
-// detector, the verdict consumer and the writer goroutine finish it while
-// ingest goes on.
+// ingestOn runs one datagram through receiver r. When it returns, the
+// datagram is binned and every bin it let close has been submitted. When
+// the bin-driven checkpoint cadence comes due it only starts the
+// snapshot: a copy of the open bins and cursors and a barrier sent after
+// the closed bins; the detector, the verdict consumer and the writer
+// goroutine finish it while ingest goes on. The capture takes every
+// receiver's lock, so it starts once this one has released its own.
 func (s *Server) ingestOn(r *receiver, pkt []byte) {
-	if s.sharded() {
-		s.route(r, pkt)
-		return
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	b, recs, ok := s.decode(r, pkt, r.recs[:0])
-	r.recs = recs
-	if !ok {
-		return
-	}
-	p := s.parts[0]
-	act, bin := p.ingest(b, recs, int(s.ctr.watermark.Load()))
-	if act == actNone {
-		return
-	}
-	if act == actStranded {
-		p.discard(bin + s.cfg.MaxAhead)
-		s.ctr.watermarkResets.Add(1)
-	}
-	s.ctr.watermark.Store(int64(bin))
-	if n := s.closeBins(p.seal(bin - s.cfg.Grace)); n > 0 && s.cadenceDue(n) {
-		s.capture(p.state())
+	if s.ingest(r, pkt) {
+		s.lockIngest()
+		s.capture()
+		s.unlockIngest()
 	}
 }
 
-// decode is the receiver front half both drivers share: one datagram
-// decoded on r's registry into buf, booked in the packet, per-format and
+// ingest is ingestOn's datagram, under r.mu: decode on r's registry, the
+// gates of the engine's partition under that partition's lock, then what
+// the partition asks of the watermark. A raise lifts the shared watermark
+// (CAS max), and the receiver that moved it closes bins through
+// watermark − Grace under closeMu; a stranded vote resets it first. It
+// reports whether the snapshot cadence came due, in which case the caller
+// holds cpSlot.
+func (s *Server) ingest(r *receiver, pkt []byte) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b, recs, ok := s.decode(r, pkt, r.recs[:0])
+	r.recs = recs
+	if !ok {
+		return false
+	}
+	p := s.parts[s.shardOf(b.Engine)]
+	p.mu.Lock()
+	act, bin := p.ingest(b, recs, int(s.ctr.watermark.Load()))
+	p.mu.Unlock()
+	if act == actNone || act == actRaise && !s.raise(bin) {
+		return false
+	}
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	if act == actStranded {
+		s.reset(bin)
+	}
+	n := s.closeThrough(int(s.ctr.watermark.Load()) - s.cfg.Grace)
+	return n > 0 && s.cadenceDue(n)
+}
+
+// raise lifts the watermark to bin (CAS max), reporting whether it moved.
+func (s *Server) raise(bin int) bool {
+	for {
+		cur := s.ctr.watermark.Load()
+		if cur >= int64(bin) {
+			return false
+		}
+		if s.ctr.watermark.CompareAndSwap(cur, int64(bin)) {
+			return true
+		}
+	}
+}
+
+// reset re-anchors a stranded watermark at bin (closeMu held): every
+// partition drops its open bins beyond bin + MaxAhead as wild and rewinds
+// its seal point to lastClosed. The rewind needs no seal in flight, which
+// closeMu guarantees: every bin sealed so far has been submitted. A vote
+// that finds the watermark no longer stranded — another receiver's vote
+// reset it first — changes nothing.
+func (s *Server) reset(bin int) {
+	if int(s.ctr.watermark.Load())-bin <= s.cfg.MaxAhead {
+		return
+	}
+	for _, p := range s.parts {
+		p.mu.Lock()
+		p.discard(bin + s.cfg.MaxAhead)
+		p.mu.Unlock()
+	}
+	s.ctr.watermark.Store(int64(bin))
+	s.ctr.watermarkResets.Add(1)
+}
+
+// closeThrough seals every partition through `through`, merges what they
+// detached and hands it to closeBins (closeMu held), returning how many
+// bins the detector accepted. closeMu makes this the one place bins close,
+// so seals run one at a time with non-decreasing bounds, and a partition's
+// late gate keeps a sealed bin from reopening: every bin reaches the
+// detector once, complete, in ascending order.
+func (s *Server) closeThrough(through int) int {
+	var closed []submittedBin
+	for _, p := range s.parts {
+		p.mu.Lock()
+		closed = merge(closed, p.seal(through))
+		p.mu.Unlock()
+	}
+	return s.closeBins(closed)
+}
+
+// merge folds one partition's sealed bins into the bins sealed so far, both
+// ascending. Partitions own disjoint OD columns, so adding one's vector
+// into another's only adds to zeros: the merged vector has the bits a
+// single partition holding every engine would have built.
+func merge(into, from []submittedBin) []submittedBin {
+	if len(into) == 0 {
+		return from
+	}
+	for _, sb := range from {
+		i, found := slices.BinarySearchFunc(into, sb.bin, func(x submittedBin, bin int) int { return cmp.Compare(x.bin, bin) })
+		if !found {
+			into = slices.Insert(into, i, sb)
+			continue
+		}
+		acc := into[i].acc
+		for c := range acc.bytes {
+			acc.bytes[c] += sb.acc.bytes[c]
+			acc.packets[c] += sb.acc.packets[c]
+			acc.flows[c] += sb.acc.flows[c]
+		}
+		acc.records += sb.acc.records
+	}
+	return into
+}
+
+// lockIngest freezes ingest for a capture or the drain's flush: every
+// receiver's mu in index order, then closeMu. With it held no datagram is
+// mid-flight and no bin close is running.
+func (s *Server) lockIngest() {
+	for _, r := range s.recvs {
+		r.mu.Lock()
+	}
+	s.closeMu.Lock()
+}
+
+func (s *Server) unlockIngest() {
+	s.closeMu.Unlock()
+	for _, r := range s.recvs {
+		r.mu.Unlock()
+	}
+}
+
+// decode is the receiver front half: one datagram decoded on r's registry into buf, booked in the packet, per-format and
 // bad-packet counters. It reports false for a datagram that did not
 // decode.
 func (s *Server) decode(r *receiver, pkt []byte, buf []flowwire.Record) (flowwire.Batch, []flowwire.Record, bool) {
@@ -1310,19 +1379,12 @@ func (s *Server) decode(r *receiver, pkt []byte, buf []flowwire.Record) (flowwir
 	return b, recs, true
 }
 
-// flushSync closes every open bin through the watermark itself, grace
-// abandoned — the drain's final close. Callers hold ingestMu.
-func (s *Server) flushSync() {
-	s.closeBins(s.parts[0].seal(int(s.ctr.watermark.Load())))
-}
-
 // closeBins hands detached bins to the detector in ascending order and
 // books them: lastClosed moves to the highest — the stranded-watermark
 // vote reads it, and a bin the detector refused stays closed — while
 // binsClosed and the returned count take only the bins the detector
 // accepted. Bins are only ever detached in ascending order across calls
-// (by the one ingest goroutine or the one coordinator), so the detector's
-// non-decreasing contract holds. The first refusal is recorded as the
+// (under closeMu), so the detector's non-decreasing contract holds. The first refusal is recorded as the
 // daemon's error, and the bins after it are not offered.
 func (s *Server) closeBins(closed []submittedBin) int {
 	if len(closed) == 0 {
@@ -1407,7 +1469,7 @@ func (s *Server) Stats() Stats {
 			SeqUnit:    f.SequenceModel().Unit(),
 		}
 	}
-	if s.sharded() {
+	if s.cfg.Receivers > 1 || s.cfg.Shards > 1 {
 		st.Receivers = make([]ReceiverStats, len(s.recvs))
 		for i, r := range s.recvs {
 			st.Receivers[i] = ReceiverStats{
@@ -1426,11 +1488,8 @@ func (s *Server) Stats() Stats {
 				Unroutable:    p.unroutable.Load(),
 				BinsOpen:      int(p.binsOpen.Load()),
 				SealedThrough: int(p.sealed.Load()),
-				QueueLen:      len(p.ch),
-				QueueCap:      cap(p.ch),
 			}
 		}
-		st.MergeQueueLen = len(s.mergeCh)
 	}
 	for _, p := range s.parts {
 		st.BinsOpen += int(p.binsOpen.Load())
@@ -1516,21 +1575,18 @@ func (s *Server) Drain(ctx context.Context) error {
 		return errors.New("server: drain already in progress or completed")
 	}
 	// The readers have exited and the sockets are closed: no new bins can
-	// appear. Flush the tail — every receiver-enqueued batch binned, every
-	// bin through the watermark closed and submitted — and, when
+	// appear. Flush the tail — every bin through the watermark closed and
+	// submitted — and, when
 	// checkpointing, persist the final snapshot and wait for it: it carries
 	// every closed bin, so a restart after a clean drain resumes zero bins
-	// stale. Failures land on Stats. ingestMu excludes a straggling direct
-	// IngestPacket caller.
-	switch {
-	case s.cfg.CheckpointPath != "":
+	// stale. Failures land on Stats. The ingest locks exclude a straggling
+	// direct IngestPacket caller.
+	if s.cfg.CheckpointPath != "" {
 		s.snapshot(true)
-	case s.sharded():
-		s.coordDo(ctlFlush)
-	default:
-		s.ingestMu.Lock()
-		s.flushSync()
-		s.ingestMu.Unlock()
+	} else {
+		s.lockIngest()
+		s.closeThrough(int(s.ctr.watermark.Load()))
+		s.unlockIngest()
 	}
 	s.reap()
 	s.det.Wait() // every lane has finished before its errors are read
@@ -1608,18 +1664,10 @@ func (s *Server) stopHTTP(ctx context.Context, graceful bool) {
 	}
 }
 
-// reap stops the sharded pipeline (when there is one), closes the detector
-// and waits for the verdict consumer and the snapshot writer to finish
-// what was in flight — the shared tail of Drain and Kill.
+// reap closes the detector and waits for the verdict consumer and the
+// snapshot writer to finish what was in flight — the shared tail of Drain
+// and Kill.
 func (s *Server) reap() {
-	if s.sharded() {
-		s.coordDo(ctlStop)
-		<-s.coordDone
-		for _, p := range s.parts {
-			p.ch <- shardMsg{kind: msgStop}
-		}
-		s.shardWG.Wait()
-	}
 	s.det.Close()
 	s.consumerWG.Wait() // verdict stream fully drained, tail folded in
 	close(s.cpWrite)

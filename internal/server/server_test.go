@@ -46,15 +46,15 @@ func anomalyKey(a netwide.Anomaly) string {
 	return fmt.Sprintf("%s|%s|%d-%d|%v|%s|%s", a.Class, a.Measures, a.StartBin, a.EndBin, a.ODs, a.Truth, a.TruthType)
 }
 
-// TestLoopbackEndToEnd is the tentpole proof, once per wire format over
-// the sharded pipeline plus a synchronous-path control leg: a dataset
+// TestLoopbackEndToEnd is the tentpole proof, once per wire format on a
+// 2-receiver, 4-shard daemon plus a 1×1 control leg: a dataset
 // replayed as live export traffic over UDP loopback — NetFlow v5, NetFlow
 // v9, IPFIX and sFlow v5 side by side, through 2 SO_REUSEPORT receivers
 // and 4 binning shards — ingested by the daemon, must drive the streaming
 // detector to exactly the anomalies the batch Detect + Characterize path
 // finds on the same data, in every format: the wire hop, the
-// normalization, the sharded bin aggregation, the merge barrier and the
-// drain must all be lossless.
+// normalization, the partitioned bin aggregation, the merge at bin close
+// and the drain must all be lossless.
 //
 // Under -short (the CI race step) only the first two days are replayed and
 // the assertions stop at ingest integrity — batch event windows span the
@@ -86,8 +86,8 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		sort.Strings(batchKeys)
 	}
 
-	// The four-format matrix runs the sharded pipeline; the plain leg pins
-	// the synchronous path against the same reference.
+	// The four-format matrix runs 2 receivers and 4 shards; the plain leg
+	// pins the 1×1 layout against the same reference.
 	sharded := Config{
 		HTTPAddr:  "127.0.0.1:0",
 		Receivers: 2,
@@ -214,9 +214,9 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 	if want := format.SequenceModel().Unit(); ps.SeqUnit != want {
 		t.Errorf("protocol seq unit %q, want %q", ps.SeqUnit, want)
 	}
-	// On the sharded pipeline the per-receiver and per-shard breakdowns
-	// must jointly account for every packet and record; the synchronous
-	// path must not grow the new fields at all (the stats JSON is a
+	// With a receiver pool or shards the per-receiver and per-shard
+	// breakdowns must jointly account for every packet and record; the 1×1
+	// daemon must not grow those fields at all (the stats JSON is a
 	// compatibility surface).
 	if cfg.Receivers > 1 || cfg.Shards > 1 {
 		if len(st.Receivers) != cfg.Receivers || len(st.Shards) != cfg.Shards {
@@ -344,26 +344,57 @@ func pkt(t *testing.T, seq uint32, bin int, recs []flowwire.Flow) []byte {
 	return b
 }
 
-// layouts are the two drivers of the one ingest state machine. A test that
-// ranges over them asserts the same global counters under both.
+// layouts are receiver/shard layouts of the one ingest driver. A test that
+// ranges over them asserts the same global counters under each.
 var layouts = []struct {
 	name string
 	cfg  Config
 }{
 	{"sync", Config{}},
 	{"sharded", Config{Receivers: 1, Shards: 4}},
+	{"pool", Config{Receivers: 2, Shards: 4}},
 }
 
-// feed hands each datagram to the daemon as receiver 0 and, when sharded,
-// settles the pipeline after it: every datagram is binned, and every bin
-// it lets close is sealed and submitted, before the next one arrives —
-// which is what the synchronous driver does on its own.
+// feed hands the datagrams to the daemon in order, round-robin over its
+// receivers. Ingest is synchronous on every layout: when ingestOn returns,
+// its datagram is binned and every bin it let close has been submitted.
 func feed(srv *Server, pkts ...[]byte) {
-	for _, p := range pkts {
-		srv.IngestPacket(p)
-		if srv.sharded() {
-			srv.quiesce()
-		}
+	for i, p := range pkts {
+		srv.ingestOn(srv.recvs[i%len(srv.recvs)], p)
+	}
+}
+
+// TestInOrderBurstIsNeverWild: an in-order stream many times wider than
+// MaxOpenBins, fed back to back, must never be refused as wild. A bin
+// closes on the datagram that lets it close, so at most Grace+1 bins are
+// ever open on any layout, and every record is booked exactly once:
+// accepted, duplicate, late, wild or unroutable.
+func TestInOrderBurstIsNeverWild(t *testing.T) {
+	run := testRun(t)
+	recs := collectRecords(t, run, 10)
+	const bins = 60
+	total := uint64(bins * len(recs))
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			cfg := l.cfg
+			cfg.MaxOpenBins, cfg.Stream = 8, parityStream(run)
+			srv, err := New(run, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bin := 0; bin < bins; bin++ {
+				srv.ingestOn(srv.recvs[bin%len(srv.recvs)], pkt(t, uint32(bin*len(recs)), bin, recs))
+			}
+			drainOK(t, srv)
+			st := srv.Stats()
+			booked := st.Records + st.Duplicates*uint64(len(recs)) + st.LateRecords + st.WildRecords + st.Unroutable
+			if booked != total {
+				t.Errorf("booked %d records, fed %d: %+v", booked, total, st)
+			}
+			if st.WildRecords != 0 || st.Records != total || st.BinsClosed != bins {
+				t.Errorf("%d accepted, %d wild, %d bins closed; want %d, 0, %d", st.Records, st.WildRecords, st.BinsClosed, total, bins)
+			}
+		})
 	}
 }
 
@@ -681,33 +712,36 @@ func TestRefusedSubmitKeepsTheBooks(t *testing.T) {
 	}
 }
 
-// TestIngestIntoOpenBinDoesNotAllocate pins the synchronous hot path's
-// steady state: an in-sequence v5 packet into an already-open bin decodes
-// into the receiver's reused buffer, finds its cursor and its bin, and
-// allocates nothing.
+// TestIngestIntoOpenBinDoesNotAllocate pins the hot path's steady state on
+// one partition and on four: an in-sequence v5 packet into an already-open
+// bin decodes into the receiver's reused buffer, finds its partition, its
+// cursor and its bin, and allocates nothing.
 func TestIngestIntoOpenBinDoesNotAllocate(t *testing.T) {
 	run := testRun(t)
-	srv, err := New(run, Config{Stream: parityStream(run)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainOK(t, srv)
 	recs := collectRecords(t, run, flowwire.V5MaxRecordsPerPacket)
-	const runs = 100
-	pkts := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call
-	for i := range pkts {
-		pkts[i] = pkt(t, uint32(i*len(recs)), 0, recs)
-	}
-	srv.IngestPacket(pkts[0]) // opens bin 0 and engine 0's cursor
-	next := 1
-	allocs := testing.AllocsPerRun(runs, func() {
-		srv.IngestPacket(pkts[next])
-		next++
-	})
-	if allocs != 0 {
-		t.Fatalf("IngestPacket into an open bin allocates %v per packet, want 0", allocs)
-	}
-	if st := srv.Stats(); st.Records != uint64(len(pkts)*len(recs)) || st.Duplicates != 0 {
-		t.Fatalf("ingested %d records (%d duplicate packets), want %d", st.Records, st.Duplicates, len(pkts)*len(recs))
+	for _, cfg := range []Config{{}, {Shards: 4}} {
+		cfg.Stream = parityStream(run)
+		srv, err := New(run, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 100
+		pkts := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call
+		for i := range pkts {
+			pkts[i] = pkt(t, uint32(i*len(recs)), 0, recs)
+		}
+		srv.IngestPacket(pkts[0]) // opens bin 0 and engine 0's cursor
+		next := 1
+		allocs := testing.AllocsPerRun(runs, func() {
+			srv.IngestPacket(pkts[next])
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%d shards: IngestPacket into an open bin allocates %v per packet, want 0", cfg.Shards, allocs)
+		}
+		if st := srv.Stats(); st.Records != uint64(len(pkts)*len(recs)) || st.Duplicates != 0 {
+			t.Errorf("%d shards: ingested %d records (%d duplicate packets), want %d", cfg.Shards, st.Records, st.Duplicates, len(pkts)*len(recs))
+		}
+		drainOK(t, srv)
 	}
 }

@@ -1,9 +1,9 @@
 package server
 
-// shard_test.go exercises the sharded ingest tier in isolation from the
+// shard_test.go exercises receiver pools and shards in isolation from the
 // loopback matrix: stats consistency under concurrent ingest, late-loss
 // accounting when one shard's traffic skews past another's seal horizon,
-// and checkpoint v3 round-tripping per-shard state across a kill.
+// and per-shard state round-tripping through a checkpoint across a kill.
 
 import (
 	"encoding/json"
@@ -34,10 +34,10 @@ func enginePkt(t *testing.T, engine uint8, seq uint32, bin int, recs []flowwire.
 
 // TestStatsUnderIngestRace hammers the stats surface — the same assembly
 // the HTTP handler serves, plus its JSON encoding — while packets flow,
-// on both the synchronous path and the sharded pipeline. The assertions
-// are minimal on purpose: the test exists for the -race CI leg, where any
+// on one receiver and partition and on a pool of each. The assertions are
+// minimal on purpose: the test exists for the -race CI leg, where any
 // unsynchronized counter read or shared-state access between receivers,
-// shards and the stats reader is the failure.
+// partitions and the stats reader is the failure.
 func TestStatsUnderIngestRace(t *testing.T) {
 	run := testRun(t)
 	recs := collectRecords(t, run, 5)
@@ -84,14 +84,10 @@ func TestStatsUnderIngestRace(t *testing.T) {
 					for i := 0; i < 300; i++ {
 						p := enginePkt(t, uint8(f), seq, i%4, recs)
 						seq += uint32(len(recs))
-						if srv.sharded() {
-							// Each feeder owns one receiver: a receiver's
-							// decoder is single-reader state, exactly like
-							// its socket goroutine in production.
-							srv.ingestOn(srv.recvs[f], p)
-						} else {
-							srv.IngestPacket(p)
-						}
+						// Feeder f drives receiver f when there is one
+						// each; on one receiver they share it, like a
+						// socket goroutine and a direct IngestPacket.
+						srv.ingestOn(srv.recvs[f%len(srv.recvs)], p)
 					}
 				}(f)
 			}
@@ -106,9 +102,9 @@ func TestStatsUnderIngestRace(t *testing.T) {
 	}
 }
 
-// TestShardSkewLateLoss pins late-loss accounting across the shard seal
-// barrier: once the watermark (driven by one shard's engine) seals a bin
-// on EVERY shard, a straggler packet for that bin arriving on another
+// TestShardSkewLateLoss pins late-loss accounting across shards: once the
+// watermark (driven by one shard's engine) seals a bin on EVERY shard, a
+// straggler packet for that bin arriving on another
 // shard must be dropped and counted late on that shard's own ledger —
 // never silently folded into a reopened bin, which would break
 // daemon==batch parity.
@@ -123,29 +119,27 @@ func TestShardSkewLateLoss(t *testing.T) {
 	}
 	recs := collectRecords(t, run, 10)
 
-	// Engine 0 runs ahead through bin 5; the quiesce lets the coordinator
-	// seal through watermark-grace on BOTH shards, including engine 1's,
-	// which has seen no traffic at all.
+	// Engine 0 runs ahead through bin 5; each raise seals through
+	// watermark-grace on BOTH shards, including engine 1's, which has seen
+	// no traffic at all.
 	seq := uint32(0)
 	for bin := 0; bin <= 5; bin++ {
 		srv.ingestOn(srv.recvs[0], enginePkt(t, 0, seq, bin, recs))
 		seq += uint32(len(recs))
 	}
-	srv.quiesce()
 	st := srv.Stats()
 	if st.Watermark != 5 || st.LastClosed != 4 {
 		t.Fatalf("watermark %d / last closed %d, want 5 / 4 (grace 1)", st.Watermark, st.LastClosed)
 	}
 	for i, sh := range st.Shards {
 		if sh.SealedThrough != 4 {
-			t.Fatalf("shard %d sealed through %d, want 4: the bin-close barrier must advance idle shards too", i, sh.SealedThrough)
+			t.Fatalf("shard %d sealed through %d, want 4: bin close must advance idle shards too", i, sh.SealedThrough)
 		}
 	}
 
 	// Engine 1 wakes up with traffic for bin 3 — inside its shard's sealed
 	// horizon. The records must be counted late on engine 1's shard.
 	srv.ingestOn(srv.recvs[0], enginePkt(t, 1, 0, 3, recs))
-	srv.quiesce()
 	st = srv.Stats()
 	if st.LateRecords != uint64(len(recs)) {
 		t.Fatalf("late records %d, want %d", st.LateRecords, len(recs))
