@@ -24,7 +24,8 @@
 // literature, so ScoreBatch computes the normalized form.
 //
 // Every detection path — the batch Run.Detect and the concurrent streaming
-// pipeline (stream.Pipeline) — scores through one *Model fitted here.
+// detector (netwide.StreamDetector) — scores through one *Model fitted
+// here.
 //
 // A Model is an immutable generation of the method's state: the PCA of a
 // training window (full Jacobi eigendecomposition where affordable, block
@@ -278,10 +279,11 @@ func (m *Model) State() ModelState {
 // square or cube, comes within a hundred orders of magnitude of this.
 const MaxRestored = 1e100
 
-// restorable reports whether v is a number a restored model may hold:
-// not NaN, not infinite, not absurd. The error messages call all three
-// "non-finite".
-func restorable(v float64) bool { return math.Abs(v) <= MaxRestored }
+// Restorable reports whether v is a number a model may hold or observe:
+// not NaN, not infinite, not absurd. Restore holds every restored value to
+// it (its error messages call all three "non-finite"), and the streaming
+// detector every submitted one.
+func Restorable(v float64) bool { return math.Abs(v) <= MaxRestored }
 
 // Restore reassembles a Model from a State captured by State — the crash
 // recovery path. The state is untrusted input (it crossed a disk): every
@@ -312,28 +314,28 @@ func Restore(st ModelState) (*Model, error) {
 			return nil, fmt.Errorf("engine: restore: component row %d has %d cols, want %d", i, len(row), len(st.Eigenvalues))
 		}
 		for _, v := range row {
-			if !restorable(v) {
+			if !Restorable(v) {
 				return nil, fmt.Errorf("engine: restore: non-finite component in row %d", i)
 			}
 		}
 	}
 	for _, v := range st.Mean {
-		if !restorable(v) {
+		if !Restorable(v) {
 			return nil, errors.New("engine: restore: non-finite mean")
 		}
 	}
 	for _, v := range st.Eigenvalues {
-		if !restorable(v) {
+		if !Restorable(v) {
 			return nil, errors.New("engine: restore: non-finite eigenvalue")
 		}
 	}
-	if !restorable(st.TotalVar) {
+	if !Restorable(st.TotalVar) {
 		return nil, errors.New("engine: restore: non-finite total variance")
 	}
-	if !(st.QLimit > 0) || !restorable(st.QLimit) {
+	if !(st.QLimit > 0) || !Restorable(st.QLimit) {
 		return nil, fmt.Errorf("engine: restore: Q limit %v not a positive finite threshold", st.QLimit)
 	}
-	if !(st.T2Limit > 0) || !restorable(st.T2Limit) {
+	if !(st.T2Limit > 0) || !Restorable(st.T2Limit) {
 		return nil, fmt.Errorf("engine: restore: T2 limit %v not a positive finite threshold", st.T2Limit)
 	}
 	comps, err := mat.NewFromRows(st.Components)

@@ -38,8 +38,9 @@ func maxTrackedAxes(k, p int) int {
 // trace and the top-m eigenpairs with one O(p·m) rank-1 sweep, rebuilds
 // the Jackson–Mudholkar Q threshold from the tracked residual moments and
 // the T² limit from the effective observation count, and publishes a fresh
-// immutable Model — so the scoring model is never more than one bin stale
-// and no full refit is ever required for freshness.
+// immutable Model — so while the updates succeed the scoring model has
+// absorbed every bin it observed, and no full refit is ever required for
+// freshness.
 //
 // Tracker math, per axis i in dominance order (Weng et al. 2003): with
 // u the centered observation after deflation against axes < i,
@@ -63,6 +64,11 @@ type IncrementalUpdater struct {
 	refitEvery int
 
 	model atomic.Pointer[Model]
+	// stale counts the bins observed since the scoring model was published,
+	// the publishing bin included: 1 while every update succeeds, one more
+	// per failed one, 0 for a model installed whole (the seed fit, a drift
+	// correction) until the next bin publishes.
+	stale atomic.Int64
 
 	// Tracker state, owned by the Observe goroutine.
 	mean     []float64
@@ -162,8 +168,10 @@ func (u *IncrementalUpdater) Observe(x []float64) (*mat.Matrix, error) {
 	}
 	u.track(x)
 	if err := u.publish(); err != nil {
+		u.stale.Add(1)
 		return snap, fmt.Errorf("engine: incremental update: %w", err)
 	}
+	u.stale.Store(1)
 	return snap, nil
 }
 
@@ -287,22 +295,20 @@ func (u *IncrementalUpdater) publish() error {
 func (u *IncrementalUpdater) Install(next *Model) {
 	u.seedTracker(next)
 	u.model.Store(next)
+	u.stale.Store(0)
 }
 
-// Freshness reports the per-bin gauges, read off the scoring model: it is
-// at most one bin stale by construction.
+// Freshness reports the per-bin gauges, read off the scoring model, and
+// the bins observed since it was published: one while the updates succeed,
+// growing by one per bin whose update failed.
 func (u *IncrementalUpdater) Freshness() Freshness {
 	m := u.Model()
-	st := 0
-	if m.updates > 0 {
-		st = 1
-	}
 	return Freshness{
 		Kind:            UpdaterIncremental,
 		Gen:             m.gen,
 		Updates:         m.updates,
 		SinceCorrection: int(m.updates),
-		Staleness:       st,
+		Staleness:       int(u.stale.Load()),
 	}
 }
 
@@ -340,7 +346,7 @@ func restoreIncremental(m *Model, st UpdaterState, cfg UpdaterConfig) (*Incremen
 		return nil, fmt.Errorf("engine: restore: tracker mean length %d, want %d", len(tr.Mean), p)
 	}
 	for _, v := range tr.Mean {
-		if !restorable(v) {
+		if !Restorable(v) {
 			return nil, errors.New("engine: restore: non-finite tracker mean")
 		}
 	}
@@ -356,7 +362,7 @@ func restoreIncremental(m *Model, st UpdaterState, cfg UpdaterConfig) (*Incremen
 	if tr.N < 2 || tr.N > tr.Horizon {
 		return nil, fmt.Errorf("engine: restore: tracker count %d outside [2,%d]", tr.N, tr.Horizon)
 	}
-	if !restorable(tr.TotalVar) || tr.TotalVar < 0 {
+	if !Restorable(tr.TotalVar) || tr.TotalVar < 0 {
 		return nil, errors.New("engine: restore: tracker trace not finite and non-negative")
 	}
 	if cfg.Window > 0 && tr.Horizon != cfg.Window {
@@ -378,6 +384,9 @@ func restoreIncremental(m *Model, st UpdaterState, cfg UpdaterConfig) (*Incremen
 		u.axes[i] = append([]float64(nil), v...)
 	}
 	u.model.Store(m)
+	if m.updates > 0 {
+		u.stale.Store(1) // the capturing process published it
+	}
 	if cfg.RefitEvery > 0 {
 		u.ring = newWinRing(cfg.Window, p)
 		u.ring.seed(st.Window)

@@ -101,8 +101,10 @@ type Freshness struct {
 	// (re)fit was adopted.
 	SinceCorrection int
 	// Staleness is how many bins of observed traffic the scoring model has
-	// not absorbed: up to RefitEvery under the refit lifecycle, at most 1
-	// under the incremental one.
+	// not absorbed: up to RefitEvery under the refit lifecycle; under the
+	// incremental one, the bins observed since the scoring model was
+	// published, the publishing bin included — 1 while every per-bin update
+	// succeeds, one more for each that failed.
 	Staleness int
 }
 
@@ -466,7 +468,7 @@ func finiteRows(rows [][]float64, p int, what string) error {
 			return fmt.Errorf("engine: restore: %s row %d has length %d, want %d", what, i, len(row), p)
 		}
 		for _, v := range row {
-			if !restorable(v) {
+			if !Restorable(v) {
 				return fmt.Errorf("engine: restore: non-finite value in %s row %d", what, i)
 			}
 		}

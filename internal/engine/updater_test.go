@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -390,6 +391,50 @@ func TestIncrementalDetectsSpike(t *testing.T) {
 }
 
 func mustQ(m *Model) float64 { q, _ := m.Limits(); return q }
+
+// TestIncrementalStalenessCountsFailedUpdates: Staleness counts the bins
+// observed since the scoring model was published — 1 while the per-bin
+// updates succeed, one more per bin whose update failed (a NaN leaves the
+// tracker's mean non-finite, so every update after it fails as well), 0
+// once a model is installed, and 1 again after the next bin publishes.
+func TestIncrementalStalenessCountsFailedUpdates(t *testing.T) {
+	rng := rand.New(rand.NewPCG(60, 61))
+	const n, p = 200, 8
+	all := synthTraffic(rng, n+10, p, 1)
+	seed := fitOn(t, all.HeadRows(n))
+	up, err := NewUpdater(UpdaterIncremental, seed, UpdaterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleness := func(want int, when string) {
+		t.Helper()
+		if fr := up.Freshness(); fr.Staleness != want {
+			t.Fatalf("%s: freshness %+v, want staleness %d", when, fr, want)
+		}
+	}
+	staleness(0, "fresh fit")
+	if _, err := up.Observe(all.RowView(n)); err != nil {
+		t.Fatal(err)
+	}
+	staleness(1, "after a published bin")
+	poisoned := all.Row(n + 1)
+	poisoned[3] = math.NaN()
+	for i, x := range [][]float64{poisoned, all.RowView(n + 2), all.RowView(n + 3)} {
+		if _, err := up.Observe(x); err == nil {
+			t.Fatalf("update %d after the NaN published", i)
+		}
+		staleness(2+i, fmt.Sprintf("after %d failed updates", i+1))
+	}
+	if u := up.Model().Updates(); u != 1 {
+		t.Fatalf("scoring model holds %d updates, want the 1 before the NaN", u)
+	}
+	up.Install(seed)
+	staleness(0, "after Install")
+	if _, err := up.Observe(all.RowView(n + 4)); err != nil {
+		t.Fatalf("update after Install reseeded the tracker: %v", err)
+	}
+	staleness(1, "after the next published bin")
+}
 
 // TestIncrementalDriftCorrection: with RefitEvery > 0 the incremental
 // updater hands out window snapshots on cadence, and an installed exact

@@ -23,7 +23,6 @@ import (
 	"netwide/internal/dataset"
 	"netwide/internal/fault"
 	"netwide/internal/flowwire"
-	"netwide/internal/stream"
 	"netwide/internal/traffic"
 )
 
@@ -459,7 +458,7 @@ func TestChaosSlowRefitDuringDrain(t *testing.T) {
 	ds := run.Dataset()
 	half := run.Bins() / 2
 	inj := fault.NewInjector()
-	inj.Arm(stream.FaultRefit, fault.Fault{Delay: 500 * time.Millisecond})
+	inj.Arm(netwide.FaultRefit, fault.Fault{Delay: 500 * time.Millisecond})
 	srv, err := New(run, Config{
 		Faults: inj,
 		Stream: netwide.StreamConfig{

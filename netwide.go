@@ -19,15 +19,15 @@
 // and aggregates them into events. Characterize labels every event with
 // the paper's taxonomy and matches it against the injected ground truth.
 //
-// For live operation StreamDetector runs the concurrent pipeline of
-// internal/stream — per-measure scoring workers fed over channels, batched
-// model application, a single ordered verdict stream, and rolling refits
-// (warm-started from the previous model generation) that each lane runs
-// between two bins, so the same input always meets the same generations.
-// It runs the full
-// characterization chain at streaming time: alarms are attributed to OD
-// flows, aggregated into cross-measure events, and classified the moment an
-// event closes, surfacing on StreamVerdict.Anomalies.
+// For live operation StreamDetector runs one scoring lane per measure — a
+// goroutine fed over a channel that scores in load-adaptive batches,
+// attributes each alarm to its OD flows and runs its own rolling refits
+// (warm-started from the previous model generation) between two bins, so
+// the same input always meets the same generations. Its Verdicts sequence
+// zips the lanes into one ordered verdict stream and, on the consumer's
+// goroutine, aggregates the attributions into cross-measure events and
+// classifies each the moment it closes, surfacing on
+// StreamVerdict.Anomalies.
 //
 // There is one way to run the method. Detect is the streaming chain's own
 // code applied to the whole run at once — internal/engine's Fit and

@@ -1,4 +1,4 @@
-package stream
+package netwide
 
 import (
 	"errors"
@@ -13,32 +13,6 @@ import (
 	"netwide/internal/mat"
 )
 
-// laneVecs builds the per-lane vectors for one bin the way feed does: one
-// row of live, lane l offset by l.
-func laneVecs(live *mat.Matrix, lanes, bin int) [][]float64 {
-	vecs := make([][]float64, lanes)
-	for l := range vecs {
-		row := live.Row(bin % live.Rows())
-		for j := range row {
-			row[j] += float64(l)
-		}
-		vecs[l] = row
-	}
-	return vecs
-}
-
-func collect(pipe *Pipeline) chan []Verdict {
-	done := make(chan []Verdict, 1)
-	go func() {
-		var got []Verdict
-		for v := range pipe.Verdicts() {
-			got = append(got, v)
-		}
-		done <- got
-	}()
-	return done
-}
-
 // TestBarrierOrderedAmongSubmits pins the barrier's core guarantee: it
 // surfaces in the verdict stream exactly where it was called in the
 // submission order, with every lane's state captured.
@@ -49,7 +23,7 @@ func TestBarrierOrderedAmongSubmits(t *testing.T) {
 	for i := range models {
 		models[i] = fitLane(t, rng, 300, p)
 	}
-	pipe, err := New(models, Config{BatchSize: 7})
+	pipe, err := lanesFor(models, StreamConfig{BatchSize: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +32,15 @@ func TestBarrierOrderedAmongSubmits(t *testing.T) {
 	cuts := map[int]bool{0: true, 23: true, n: true} // barrier before bin 0, before 23, after all
 	for bin := 0; bin < n; bin++ {
 		if cuts[bin] {
-			if err := pipe.Barrier(nil); err != nil {
+			if err := pipe.Checkpoint(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+		if err := pipe.submit(bin, laneVecs(live, lanes, bin)...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pipe.Barrier(nil); err != nil {
+	if err := pipe.Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
 	pipe.Close()
@@ -78,18 +52,20 @@ func TestBarrierOrderedAmongSubmits(t *testing.T) {
 		t.Fatalf("got %d verdicts, want %d data + 3 barriers", len(got), n)
 	}
 	nextBin := 0
-	for i, v := range got {
-		if v.Barrier != nil {
-			if v.Bin != -1 || v.Points != nil {
-				t.Fatalf("verdict %d: barrier carries bin %d / points %v", i, v.Bin, v.Points)
+	for i, rs := range got {
+		if cp := rs[0].cp; cp != nil {
+			for l, r := range rs {
+				if r.cp != cp || r.pt != (engine.Point{}) || r.att != nil {
+					t.Fatalf("verdict %d lane %d: barrier answered as %+v", i, l, r)
+				}
 			}
 			if !cuts[nextBin] {
 				t.Fatalf("verdict %d: barrier surfaced before bin %d, not at a cut", i, nextBin)
 			}
-			if len(v.Barrier.Lanes) != lanes {
-				t.Fatalf("verdict %d: barrier has %d lane states", i, len(v.Barrier.Lanes))
+			if len(cp.Lanes) != lanes {
+				t.Fatalf("verdict %d: barrier has %d lane states", i, len(cp.Lanes))
 			}
-			for l, st := range v.Barrier.Lanes {
+			for l, st := range cp.Lanes {
 				if len(st.Model.Mean) == 0 {
 					t.Fatalf("verdict %d lane %d: no model captured", i, l)
 				}
@@ -102,67 +78,65 @@ func TestBarrierOrderedAmongSubmits(t *testing.T) {
 			}
 			continue
 		}
-		if v.Bin != nextBin {
-			t.Fatalf("verdict %d has bin %d, want %d", i, v.Bin, nextBin)
+		if rs[0].bin != nextBin {
+			t.Fatalf("verdict %d has bin %d, want %d", i, rs[0].bin, nextBin)
 		}
 		nextBin++
 	}
-	if pipe.Barrier(nil) == nil {
+	if pipe.Checkpoint(nil) == nil {
 		t.Fatal("barrier after Close succeeded")
 	}
 }
 
-// TestBarrierRestoreParity is the checkpoint/restore property at the
-// pipeline layer: cut a run at a barrier, rebuild a pipeline from the
-// captured lane states, feed it the rest — the combined verdicts must be
-// bit-identical to an uninterrupted run (refits disabled, so the models
-// are the only state that matters).
-func TestBarrierRestoreParity(t *testing.T) {
-	rng := rand.New(rand.NewPCG(101, 102))
-	const p, lanes, n, cut = 8, 3, 90, 41
+// splitParity cuts a run at a barrier, rebuilds a detector from the
+// captured lane states, feeds it the rest, and requires the combined
+// results to be bit-identical to an uninterrupted run.
+func splitParity(t *testing.T, seed uint64, lanes int, cfg StreamConfig) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, seed+1))
+	const p, n, cut = 8, 90, 41
 	models := make([]*engine.Model, lanes)
 	for i := range models {
 		models[i] = fitLane(t, rng, 300, p)
 	}
-	live := synth(rand.New(rand.NewPCG(103, 104)), n, p, 6)
-	cfg := Config{BatchSize: 7}
+	live := synth(rand.New(rand.NewPCG(seed+2, seed+3)), n, p, 6)
 
-	full, err := New(models, cfg)
+	full, err := lanesFor(models, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := feed(t, full, live, lanes, n)
 
-	head, err := New(models, cfg)
+	head, err := lanesFor(models, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	headDone := collect(head)
 	for bin := 0; bin < cut; bin++ {
-		if err := head.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+		if err := head.submit(bin, laneVecs(live, lanes, bin)...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := head.Barrier(nil); err != nil {
+	if err := head.Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
 	head.Close()
 	if err := head.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	headVs := <-headDone
-	bar := headVs[len(headVs)-1].Barrier
-	if bar == nil {
+	headRs := <-headDone
+	cp := headRs[len(headRs)-1][0].cp
+	if cp == nil {
 		t.Fatal("final verdict of the head run is not the barrier")
 	}
 
-	tail, err := NewRestored(bar, cfg)
+	tail, err := restoredLanes(cp, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tailDone := collect(tail)
 	for bin := cut; bin < n; bin++ {
-		if err := tail.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+		if err := tail.submit(bin, laneVecs(live, lanes, bin)...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,31 +144,37 @@ func TestBarrierRestoreParity(t *testing.T) {
 	if err := tail.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	got := append(headVs[:len(headVs)-1], <-tailDone...)
+	got := append(headRs[:len(headRs)-1], <-tailDone...)
 
 	if len(got) != len(want) {
 		t.Fatalf("split run emitted %d verdicts, uninterrupted %d", len(got), len(want))
 	}
 	for i := range want {
-		g, w := got[i], want[i]
-		if g.Bin != w.Bin {
-			t.Fatalf("verdict %d: bin %d vs %d", i, g.Bin, w.Bin)
+		if got[i][0].bin != want[i][0].bin {
+			t.Fatalf("verdict %d: bin %d vs %d", i, got[i][0].bin, want[i][0].bin)
 		}
-		for l := range w.Points {
-			if g.Points[l] != w.Points[l] || g.Gens[l] != w.Gens[l] {
-				t.Fatalf("bin %d lane %d: split %+v gen %d, uninterrupted %+v gen %d",
-					w.Bin, l, g.Points[l], g.Gens[l], w.Points[l], w.Gens[l])
+		for l, w := range want[i] {
+			g := got[i][l]
+			if g.pt != w.pt || g.gen != w.gen {
+				t.Fatalf("bin %d lane %d: split %+v gen %d, uninterrupted %+v gen %d", w.bin, l, g.pt, g.gen, w.pt, w.gen)
 			}
-			if len(g.Attribs[l]) != len(w.Attribs[l]) {
-				t.Fatalf("bin %d lane %d: %d attributions vs %d", w.Bin, l, len(g.Attribs[l]), len(w.Attribs[l]))
+			if len(g.att) != len(w.att) {
+				t.Fatalf("bin %d lane %d: %d attributions vs %d", w.bin, l, len(g.att), len(w.att))
 			}
 		}
 	}
 }
 
+// TestBarrierRestoreParity is the checkpoint/restore property at the lane
+// layer with refits disabled, so the models are the only state that
+// matters.
+func TestBarrierRestoreParity(t *testing.T) {
+	splitParity(t, 101, 3, StreamConfig{BatchSize: 7})
+}
+
 // TestBarrierCapturesRefitState: with refitting enabled the barrier carries
 // each lane's rolling window (newest row = last pre-barrier vector), model
-// generation and refit phase, and a pipeline restored from it refits on the
+// generation and refit phase, and a detector restored from it refits on the
 // same bins the live one does. The window starts full (seeded from the
 // training rows), so the generation that scores bin b is b/RefitEvery in
 // both; the barrier falls mid-cadence, so the restored phase decides where
@@ -206,19 +186,19 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 	for i := range models {
 		models[i] = fitLane(t, rng, 200, p)
 	}
-	cfg := Config{BatchSize: 4, RefitEvery: 10, Window: 40}
-	pipe, err := New(models, cfg)
+	cfg := StreamConfig{BatchSize: 4, RefitEvery: 10, Window: 40}
+	pipe, err := lanesFor(models, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := synth(rand.New(rand.NewPCG(113, 114)), n+tail, p, 2)
 	done := collect(pipe)
 	for bin := 0; bin < n; bin++ {
-		if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+		if err := pipe.submit(bin, laneVecs(live, lanes, bin)...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pipe.Barrier(nil); err != nil {
+	if err := pipe.Checkpoint(nil); err != nil {
 		t.Fatal(err)
 	}
 	pipe.Close()
@@ -226,11 +206,11 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := <-done
-	bar := vs[len(vs)-1].Barrier
-	if bar == nil {
+	cp := vs[len(vs)-1][0].cp
+	if cp == nil {
 		t.Fatal("no barrier verdict")
 	}
-	for l, st := range bar.Lanes {
+	for l, st := range cp.Lanes {
 		if len(st.Window) != cfg.Window {
 			t.Fatalf("lane %d window %d rows, want %d", l, len(st.Window), cfg.Window)
 		}
@@ -246,13 +226,13 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 		}
 	}
 
-	restored, err := NewRestored(bar, cfg)
+	restored, err := restoredLanes(cp, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rDone := collect(restored)
 	for bin := n; bin < n+tail; bin++ {
-		if err := restored.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+		if err := restored.submit(bin, laneVecs(live, lanes, bin)...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,10 +240,10 @@ func TestBarrierCapturesRefitState(t *testing.T) {
 	if err := restored.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range append(vs[:len(vs)-1], <-rDone...) {
-		for l, g := range v.Gens {
-			if want := uint64(v.Bin / cfg.RefitEvery); g != want {
-				t.Fatalf("bin %d lane %d scored by generation %d, want %d", v.Bin, l, g, want)
+	for _, rs := range append(vs[:len(vs)-1], <-rDone...) {
+		for l, r := range rs {
+			if want := uint64(r.bin / cfg.RefitEvery); r.gen != want {
+				t.Fatalf("bin %d lane %d scored by generation %d, want %d", r.bin, l, r.gen, want)
 			}
 		}
 	}
@@ -282,19 +262,19 @@ func TestRefitFaultDegradesPipeline(t *testing.T) {
 	}
 	inj := fault.NewInjector()
 	inj.Arm(FaultRefit, fault.Fault{Err: errors.New("injected refit failure")})
-	pipe, err := New(models, Config{BatchSize: 4, RefitEvery: 10, Window: 40, Faults: inj})
+	pipe, err := lanesFor(models, StreamConfig{BatchSize: 4, RefitEvery: 10, Window: 40, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := synth(rand.New(rand.NewPCG(123, 124)), n, p, 2)
 	got := feedExpectErr(t, pipe, live, lanes, n, "injected refit failure")
 	if len(got) != n {
-		t.Fatalf("degraded pipeline emitted %d verdicts, want %d", len(got), n)
+		t.Fatalf("degraded detector emitted %d verdicts, want %d", len(got), n)
 	}
-	for _, v := range got {
-		for l := range v.Gens {
-			if v.Gens[l] != 0 {
-				t.Fatalf("bin %d lane %d scored on generation %d despite failing refits", v.Bin, l, v.Gens[l])
+	for _, rs := range got {
+		for l, r := range rs {
+			if r.gen != 0 {
+				t.Fatalf("bin %d lane %d scored on generation %d despite failing refits", r.bin, l, r.gen)
 			}
 		}
 	}
@@ -308,11 +288,11 @@ func TestRefitFaultDegradesPipeline(t *testing.T) {
 
 // feedExpectErr is feed for runs whose Wait must fail with a message
 // containing want.
-func feedExpectErr(t *testing.T, pipe *Pipeline, live *mat.Matrix, lanes, n int, want string) []Verdict {
+func feedExpectErr(t *testing.T, pipe *StreamDetector, live *mat.Matrix, lanes, n int, want string) [][]laneResult {
 	t.Helper()
 	done := collect(pipe)
 	for bin := 0; bin < n; bin++ {
-		if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+		if err := pipe.submit(bin, laneVecs(live, lanes, bin)...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,21 +319,23 @@ func TestNewRestoredValidation(t *testing.T) {
 	refitState := func(window [][]float64, since int) engine.UpdaterState {
 		return engine.UpdaterState{Kind: engine.UpdaterRefit, Model: ms, Window: window, Since: since}
 	}
+	if _, err := new(Run).RestoreStreamDetector(StreamCheckpoint{}, StreamConfig{}); err == nil {
+		t.Error("no states: accepted")
+	}
 	cases := []struct {
 		name   string
 		states []engine.UpdaterState
-		cfg    Config
+		cfg    StreamConfig
 	}{
-		{"no states", nil, Config{}},
-		{"empty state", []engine.UpdaterState{{}}, Config{}},
-		{"window too small for refit", []engine.UpdaterState{refitState(nil, 0)}, Config{RefitEvery: 5, Window: 6}},
-		{"restored window too long", []engine.UpdaterState{refitState(win(50, 6), 0)}, Config{RefitEvery: 5, Window: 40}},
-		{"negative refit phase", []engine.UpdaterState{refitState(nil, -1)}, Config{RefitEvery: 5, Window: 40}},
-		{"ragged window row", []engine.UpdaterState{refitState(win(10, 5), 0)}, Config{RefitEvery: 5, Window: 40}},
-		{"lifecycle kind mismatch", []engine.UpdaterState{refitState(nil, 0)}, Config{Updater: engine.UpdaterIncremental}},
+		{"empty state", []engine.UpdaterState{{}}, StreamConfig{}},
+		{"window too small for refit", []engine.UpdaterState{refitState(nil, 0)}, StreamConfig{RefitEvery: 5, Window: 6}},
+		{"restored window too long", []engine.UpdaterState{refitState(win(50, 6), 0)}, StreamConfig{RefitEvery: 5, Window: 40}},
+		{"negative refit phase", []engine.UpdaterState{refitState(nil, -1)}, StreamConfig{RefitEvery: 5, Window: 40}},
+		{"ragged window row", []engine.UpdaterState{refitState(win(10, 5), 0)}, StreamConfig{RefitEvery: 5, Window: 40}},
+		{"lifecycle kind mismatch", []engine.UpdaterState{refitState(nil, 0)}, StreamConfig{Updater: string(engine.UpdaterIncremental)}},
 	}
 	for _, tc := range cases {
-		if _, err := NewRestored(&Barrier{Lanes: tc.states}, tc.cfg); err == nil {
+		if _, err := restoredLanes(&StreamCheckpoint{Lanes: tc.states}, 6, tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -378,7 +360,7 @@ func (c stateCounter) State() engine.UpdaterState {
 // scoring and under the in-band lifecycle, which flushes every bin, and
 // with one lane slowed by a model eight times wider than the others, so
 // the lanes run out of step and only the zip of their in-order results
-// keeps each verdict whole — and a pipeline nobody sent a barrier through
+// keeps each verdict whole — and a detector nobody sent a barrier through
 // never copies a lane's state.
 func TestBarrierTokensInOrderAndNoUninvitedState(t *testing.T) {
 	const lanes, n = 3, 200
@@ -400,14 +382,14 @@ func TestBarrierTokensInOrderAndNoUninvitedState(t *testing.T) {
 					ups[i] = stateCounter{up, &states}
 					lives[i] = synth(rand.New(rand.NewPCG(173, uint64(174+i))), n, widths[i], 2)
 				}
-				pipe := newPipeline(ups, Config{BatchSize: 7, Updater: kind})
+				pipe := newStreamDetector(nil, ups, StreamConfig{BatchSize: 7, Updater: string(kind)})
 				done := collect(pipe)
 				for bin := 0; bin < n; bin++ {
 					if cuts[bin] {
 						// Two in a row: nothing lies between them, and they must
 						// still come out in the order they went in.
 						for _, tok := range []int{bin, -bin - 1} {
-							if err := pipe.Barrier(tok); err != nil {
+							if err := pipe.Checkpoint(tok); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -416,7 +398,7 @@ func TestBarrierTokensInOrderAndNoUninvitedState(t *testing.T) {
 					for l := range vecs {
 						vecs[l] = lives[l].RowView(bin)
 					}
-					if err := pipe.Submit(Sample{Bin: bin, Vecs: vecs}); err != nil {
+					if err := pipe.submit(bin, vecs...); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -429,33 +411,34 @@ func TestBarrierTokensInOrderAndNoUninvitedState(t *testing.T) {
 					t.Fatalf("%s: got %d verdicts, want %d bins + %d barriers", name, len(got), n, 2*len(cuts))
 				}
 				nextBin, lastTok := 0, -1
-				for i, v := range got {
-					if b := v.Barrier; b != nil && (b.Started != (nextBin > 0) || b.Started && b.LastBin != nextBin-1) {
-						t.Fatalf("%s: verdict %d: barrier before bin %d carries cursor (%d, %v)", name, i, nextBin, v.Barrier.LastBin, v.Barrier.Started)
+				for i, rs := range got {
+					cp, tok := rs[0].cp, rs[0].token
+					if cp != nil && (cp.Started != (nextBin > 0) || cp.Started && cp.LastBin != nextBin-1) {
+						t.Fatalf("%s: verdict %d: barrier before bin %d carries cursor (%d, %v)", name, i, nextBin, cp.LastBin, cp.Started)
 					}
 					switch {
-					case v.Barrier == nil:
-						if v.Bin != nextBin {
-							t.Fatalf("%s: verdict %d has bin %d, want %d", name, i, v.Bin, nextBin)
+					case cp == nil:
+						if rs[0].bin != nextBin {
+							t.Fatalf("%s: verdict %d has bin %d, want %d", name, i, rs[0].bin, nextBin)
 						}
 						if kind == engine.UpdaterRefit { // static models: each lane's point is its own serial score
 							for l, m := range models {
-								want, err := m.Score(lives[l].RowView(v.Bin))
+								want, err := m.Score(lives[l].RowView(nextBin))
 								if err != nil {
 									t.Fatal(err)
 								}
-								if v.Points[l] != want {
-									t.Fatalf("%s: bin %d lane %d: %+v, serial %+v", name, v.Bin, l, v.Points[l], want)
+								if rs[l].pt != want {
+									t.Fatalf("%s: bin %d lane %d: %+v, serial %+v", name, nextBin, l, rs[l].pt, want)
 								}
 							}
 						}
 						nextBin++
-					case v.Barrier.Token == -nextBin-1:
-						if lastTok != nextBin || got[i-1].Barrier == nil {
+					case tok == -nextBin-1:
+						if lastTok != nextBin || got[i-1][0].cp == nil {
 							t.Fatalf("%s: verdict %d: second barrier of cut %d came before the first", name, i, nextBin)
 						}
-					case v.Barrier.Token != nextBin || !cuts[nextBin]:
-						t.Fatalf("%s: verdict %d: barrier with token %v surfaced before bin %d", name, i, v.Barrier.Token, nextBin)
+					case tok != nextBin || !cuts[nextBin]:
+						t.Fatalf("%s: verdict %d: barrier with token %v surfaced before bin %d", name, i, tok, nextBin)
 					default:
 						lastTok = nextBin
 					}

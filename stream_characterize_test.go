@@ -124,10 +124,7 @@ func TestStreamCharacterizeMatchesBatch(t *testing.T) {
 // bins promise nothing: [1490,1490] and [1490,1491] on different OD sets
 // close one verdict apart, in that order.)
 func TestStreamCharacterizeWithRefits(t *testing.T) {
-	run, err := netwide.Simulate(netwide.QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := quickRun(t)
 	half := run.Bins() / 2
 	det, err := run.NewStreamDetector(netwide.DefaultDetectOptions(), netwide.StreamConfig{
 		TrainBins:  half,
@@ -182,23 +179,29 @@ func TestStreamCharacterizeWithRefits(t *testing.T) {
 // with no lookahead buffering. Anomalies still open at Close surface via
 // TailAnomalies.
 func TestStreamLockstepConsumer(t *testing.T) {
-	run, err := netwide.Simulate(netwide.QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := quickRun(t)
 	det, err := run.NewStreamDetector(netwide.DefaultDetectOptions(), netwide.StreamConfig{
 		TrainBins: run.Bins(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Verdicts is a sequence, not a channel: a collector relays it so the
+	// wait for each verdict can time out.
+	verdicts := make(chan netwide.StreamVerdict)
+	go func() {
+		for v := range det.Verdicts() {
+			verdicts <- v
+		}
+		close(verdicts)
+	}()
 	ds := run.Dataset()
 	for bin := 0; bin < 32; bin++ {
 		if err := det.Submit(bin, ds.Matrix(0).RowView(bin), ds.Matrix(1).RowView(bin), ds.Matrix(2).RowView(bin)); err != nil {
 			t.Fatal(err)
 		}
 		select {
-		case v := <-det.Verdicts():
+		case v := <-verdicts:
 			if v.Bin != bin {
 				t.Fatalf("lockstep got bin %d, want %d", v.Bin, bin)
 			}
@@ -212,7 +215,7 @@ func TestStreamLockstepConsumer(t *testing.T) {
 		t.Fatal("out-of-order bin accepted")
 	}
 	det.Close()
-	for range det.Verdicts() {
+	for range verdicts {
 	}
 	if err := det.Wait(); err != nil {
 		t.Fatal(err)

@@ -125,10 +125,7 @@ func snapshotRoundTrip(t *testing.T, run *netwide.Run, cp netwide.StreamCheckpoi
 }
 
 func TestStreamCheckpointRestoreParity(t *testing.T) {
-	run, err := netwide.Simulate(netwide.QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := quickRun(t)
 	cfg := netwide.StreamConfig{TrainBins: run.Bins(), BatchSize: 16}
 	bins := run.Bins()
 	cut := bins / 2
@@ -216,10 +213,7 @@ func TestStreamCheckpointRestoreParity(t *testing.T) {
 // flight: the snapshot must carry the new generation, with the refit phase
 // back at zero and the window, so the restored lanes refit on the same bins.
 func TestStreamCheckpointWithRefits(t *testing.T) {
-	run, err := netwide.Simulate(netwide.QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := quickRun(t)
 	bins := run.Bins()
 	half := bins / 2
 	cfg := netwide.StreamConfig{

@@ -1,4 +1,8 @@
-package stream
+package netwide
+
+// The streaming detector's lanes, driven on synthetic models through the
+// constructors' shared tail: no run behind them, so these tests drain the
+// zipped lane results, not the characterized Verdicts.
 
 import (
 	"errors"
@@ -37,34 +41,87 @@ func fitLane(t *testing.T, rng *rand.Rand, n, p int) *engine.Model {
 	return det
 }
 
-// feed submits n bins drawn from live (one row per lane vector, lane l
-// offset by l to make lanes distinguishable) and returns the collected
-// verdicts, in arrival order.
-func feed(t *testing.T, pipe *Pipeline, live *mat.Matrix, lanes, n int) []Verdict {
-	t.Helper()
-	done := make(chan []Verdict)
+// lanesFor is NewStreamDetector on synthetic models: one lane per model,
+// each in the lifecycle cfg selects, and no run to characterize against.
+func lanesFor(models []*engine.Model, cfg StreamConfig) (*StreamDetector, error) {
+	ups := make([]engine.Updater, len(models))
+	for i, m := range models {
+		up, err := engine.NewUpdater(engine.UpdaterKind(cfg.Updater), m, cfg.updaterConfig())
+		if err != nil {
+			return nil, err
+		}
+		ups[i] = up
+	}
+	return newStreamDetector(nil, ups, cfg), nil
+}
+
+// restoredLanes is RestoreStreamDetector on the lane states a lanesFor
+// detector's checkpoint captured.
+func restoredLanes(cp *StreamCheckpoint, p int, cfg StreamConfig) (*StreamDetector, error) {
+	ups, err := restoreLanes(cp.Lanes, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	d := newStreamDetector(nil, ups, cfg)
+	d.lastBin, d.started = cp.LastBin, cp.Started
+	return d, nil
+}
+
+// freshness returns the gauges of d's lanes, however many it has.
+func freshness(d *StreamDetector) []engine.Freshness {
+	fr := d.Freshness()
+	return fr[:len(d.lanes)]
+}
+
+// alarmed reports whether any lane flagged the submission.
+func alarmed(rs []laneResult) bool {
+	for _, r := range rs {
+		if r.pt.SPEAlarm || r.pt.T2Alarm {
+			return true
+		}
+	}
+	return false
+}
+
+// laneVecs builds the per-lane vectors for one bin: one row of live, lane
+// l offset by l to make lanes distinguishable.
+func laneVecs(live *mat.Matrix, lanes, bin int) [][]float64 {
+	vecs := make([][]float64, lanes)
+	for l := range vecs {
+		row := live.Row(bin % live.Rows())
+		for j := range row {
+			row[j] += float64(l)
+		}
+		vecs[l] = row
+	}
+	return vecs
+}
+
+// collect drains d's zipped lane results on a goroutine of its own.
+func collect(d *StreamDetector) chan [][]laneResult {
+	done := make(chan [][]laneResult, 1)
 	go func() {
-		var got []Verdict
-		for v := range pipe.Verdicts() {
-			got = append(got, v)
+		var got [][]laneResult
+		for rs := range d.results() {
+			got = append(got, rs)
 		}
 		done <- got
 	}()
+	return done
+}
+
+// feed submits n bins of laneVecs, closes d and returns the collected
+// results, in arrival order.
+func feed(t *testing.T, d *StreamDetector, live *mat.Matrix, lanes, n int) [][]laneResult {
+	t.Helper()
+	done := collect(d)
 	for bin := 0; bin < n; bin++ {
-		vecs := make([][]float64, lanes)
-		for l := range vecs {
-			row := live.Row(bin % live.Rows())
-			for j := range row {
-				row[j] += float64(l)
-			}
-			vecs[l] = row
-		}
-		if err := pipe.Submit(Sample{Bin: bin, Vecs: vecs}); err != nil {
+		if err := d.submit(bin, laneVecs(live, lanes, bin)...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pipe.Close()
-	if err := pipe.Wait(); err != nil {
+	d.Close()
+	if err := d.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	return <-done
@@ -77,7 +134,7 @@ func TestPipelineOrderedAndMatchesSerial(t *testing.T) {
 	for i := range dets {
 		dets[i] = fitLane(t, rng, 300, p)
 	}
-	pipe, err := New(dets, Config{BatchSize: 7}) // batch that doesn't divide n
+	pipe, err := lanesFor(dets, StreamConfig{BatchSize: 7}) // batch that doesn't divide n
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,27 +143,20 @@ func TestPipelineOrderedAndMatchesSerial(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("got %d verdicts, want %d", len(got), n)
 	}
-	for i, v := range got {
-		if v.Bin != i {
-			t.Fatalf("verdict %d has bin %d: stream reordered", i, v.Bin)
+	for i, rs := range got {
+		if rs[0].bin != i {
+			t.Fatalf("verdict %d has bin %d: stream reordered", i, rs[0].bin)
 		}
 	}
 	// Spot-check against serial scoring through the same models.
 	for _, i := range []int{0, 6, 7, 250, n - 1} {
-		vecs := make([][]float64, lanes)
-		for l := range vecs {
-			row := live.Row(i % live.Rows())
-			for j := range row {
-				row[j] += float64(l)
-			}
-			vecs[l] = row
-		}
+		vecs := laneVecs(live, lanes, i)
 		for l, det := range dets {
 			want, err := det.Score(vecs[l])
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotPt := got[i].Points[l]
+			gotPt := got[i][l].pt
 			if math.Abs(gotPt.SPE-want.SPE) > 1e-9*(1+want.SPE) || gotPt.SPEAlarm != want.SPEAlarm {
 				t.Fatalf("bin %d lane %d: stream SPE %v, serial %v", i, l, gotPt.SPE, want.SPE)
 			}
@@ -121,7 +171,7 @@ func TestPipelineRefitDuringScoring(t *testing.T) {
 	for i := range dets {
 		dets[i] = fitLane(t, rng, 200, p)
 	}
-	pipe, err := New(dets, Config{BatchSize: 4, RefitEvery: 50, Window: 100})
+	pipe, err := lanesFor(dets, StreamConfig{BatchSize: 4, RefitEvery: 50, Window: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,53 +180,44 @@ func TestPipelineRefitDuringScoring(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("got %d verdicts, want %d: refit dropped bins", len(got), n)
 	}
-	for i, v := range got {
-		if v.Bin != i {
-			t.Fatalf("verdict %d has bin %d: refit reordered the stream", i, v.Bin)
+	for i, rs := range got {
+		if rs[0].bin != i {
+			t.Fatalf("verdict %d has bin %d: refit reordered the stream", i, rs[0].bin)
 		}
 	}
 	// The window starts full (seeded from the 200 training rows), so each
 	// lane refits after every 50th bin and the next bin is the new
 	// generation's first.
-	for i, v := range got {
-		for l, g := range v.Gens {
-			if g != uint64(i/50) {
-				t.Fatalf("bin %d lane %d scored by generation %d, want %d", i, l, g, i/50)
+	for i, rs := range got {
+		for l, r := range rs {
+			if r.gen != uint64(i/50) {
+				t.Fatalf("bin %d lane %d scored by generation %d, want %d", i, l, r.gen, i/50)
 			}
 		}
 	}
-	for l, fr := range pipe.Freshness() {
+	for l, fr := range freshness(pipe) {
 		if fr.Gen != n/50 {
 			t.Fatalf("lane %d ends on generation %d, want %d", l, fr.Gen, n/50)
 		}
 	}
 }
 
-func TestPipelineFlagsAnomaly(t *testing.T) {
-	rng := rand.New(rand.NewPCG(51, 52))
+// spikeRun feeds one lane four clean bins of a p-wide synthetic matrix with
+// OD 5 spiked in bin 2, and returns the results.
+func spikeRun(t *testing.T, seed uint64) [][]laneResult {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, seed+1))
 	const p = 8
 	det := fitLane(t, rng, 400, p)
-	pipe, err := New([]*engine.Model{det}, Config{BatchSize: 2})
+	pipe, err := lanesFor([]*engine.Model{det}, StreamConfig{BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := synth(rand.New(rand.NewPCG(53, 54)), 4, p, 2)
-	dirty := clean.Row(2)
-	dirty[5] += 5000
-	done := make(chan []Verdict)
-	go func() {
-		var got []Verdict
-		for v := range pipe.Verdicts() {
-			got = append(got, v)
-		}
-		done <- got
-	}()
+	clean := synth(rand.New(rand.NewPCG(seed+2, seed+3)), 4, p, 2)
+	clean.RowView(2)[5] += 5000
+	done := collect(pipe)
 	for bin := 0; bin < 4; bin++ {
-		x := clean.Row(bin)
-		if bin == 2 {
-			x = dirty
-		}
-		if err := pipe.Submit(Sample{Bin: bin, Vecs: [][]float64{x}}); err != nil {
+		if err := pipe.submit(bin, clean.RowView(bin)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,18 +225,19 @@ func TestPipelineFlagsAnomaly(t *testing.T) {
 	if err := pipe.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	got := <-done
-	if got[0].Alarm() {
-		t.Fatalf("clean bin alarmed: %+v", got[0].Points[0])
+	return <-done
+}
+
+func TestPipelineFlagsAnomaly(t *testing.T) {
+	got := spikeRun(t, 51)
+	if alarmed(got[0]) {
+		t.Fatalf("clean bin alarmed: %+v", got[0][0].pt)
 	}
-	if !got[2].Alarm() {
-		t.Fatalf("spiked bin not alarmed: %+v", got[2].Points[0])
+	if !alarmed(got[2]) {
+		t.Fatalf("spiked bin not alarmed: %+v", got[2][0].pt)
 	}
-	if lanes := got[2].AlarmLanes(); len(lanes) != 1 || lanes[0] != 0 {
-		t.Fatalf("AlarmLanes = %v, want [0]", lanes)
-	}
-	if got[2].Points[0].TopResidualOD != 5 {
-		t.Fatalf("top residual OD %d, want 5", got[2].Points[0].TopResidualOD)
+	if got[2][0].pt.TopResidualOD != 5 {
+		t.Fatalf("top residual OD %d, want 5", got[2][0].pt.TopResidualOD)
 	}
 }
 
@@ -203,29 +245,23 @@ func TestPipelineValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(61, 62))
 	det := fitLane(t, rng, 200, 8)
 
-	if _, err := New(nil, Config{}); err == nil {
-		t.Fatal("empty detector list accepted")
-	}
-	if _, err := New([]*engine.Model{det}, Config{RefitEvery: 10, Window: 8}); err == nil {
+	if _, err := lanesFor([]*engine.Model{det}, StreamConfig{RefitEvery: 10, Window: 8}); err == nil {
 		t.Fatal("window <= p accepted with refitting on")
 	}
 
-	pipe, err := New([]*engine.Model{det}, Config{})
+	pipe, err := lanesFor([]*engine.Model{det}, StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipe.Lanes() != 1 {
-		t.Fatalf("Lanes() = %d, want 1", pipe.Lanes())
+	if len(pipe.lanes) != 1 {
+		t.Fatalf("%d lanes, want 1", len(pipe.lanes))
 	}
-	if err := pipe.Submit(Sample{Vecs: [][]float64{{1, 2}, {3, 4}}}); err == nil {
-		t.Fatal("wrong lane count accepted")
-	}
-	if err := pipe.Submit(Sample{Vecs: [][]float64{{1, 2, 3}}}); err == nil {
+	if err := pipe.submit(0, []float64{1, 2, 3}); err == nil {
 		t.Fatal("wrong vector length accepted")
 	}
 	pipe.Close()
 	pipe.Close() // idempotent
-	if err := pipe.Submit(Sample{Vecs: [][]float64{make([]float64, 8)}}); err == nil {
+	if err := pipe.submit(0, make([]float64, 8)); err == nil {
 		t.Fatal("submit after Close accepted")
 	}
 	if err := pipe.Wait(); err != nil {
@@ -233,46 +269,14 @@ func TestPipelineValidation(t *testing.T) {
 	}
 }
 
-// TestPipelineAttributesAlarms: with Attribute on, an alarmed bin's verdict
-// carries per-lane attributions naming the responsible OD flows against the
-// scoring model.
+// TestPipelineAttributesAlarms: an alarmed bin's result carries the lane's
+// attributions naming the responsible OD flows against the scoring model.
 func TestPipelineAttributesAlarms(t *testing.T) {
-	rng := rand.New(rand.NewPCG(71, 72))
-	const p = 8
-	det := fitLane(t, rng, 400, p)
-	pipe, err := New([]*engine.Model{det}, Config{BatchSize: 2})
-	if err != nil {
-		t.Fatal(err)
+	got := spikeRun(t, 71)
+	if len(got[0][0].att) != 0 {
+		t.Fatalf("clean bin attributed: %+v", got[0][0].att)
 	}
-	clean := synth(rand.New(rand.NewPCG(73, 74)), 4, p, 2)
-	dirty := clean.Row(2)
-	dirty[5] += 5000
-	done := make(chan []Verdict)
-	go func() {
-		var got []Verdict
-		for v := range pipe.Verdicts() {
-			got = append(got, v)
-		}
-		done <- got
-	}()
-	for bin := 0; bin < 4; bin++ {
-		x := clean.Row(bin)
-		if bin == 2 {
-			x = dirty
-		}
-		if err := pipe.Submit(Sample{Bin: bin, Vecs: [][]float64{x}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pipe.Close()
-	if err := pipe.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	got := <-done
-	if len(got[0].Attribs[0]) != 0 {
-		t.Fatalf("clean bin attributed: %+v", got[0].Attribs[0])
-	}
-	atts := got[2].Attribs[0]
+	atts := got[2][0].att
 	if len(atts) == 0 {
 		t.Fatal("alarmed bin has no attributions")
 	}
@@ -291,14 +295,14 @@ func TestPipelineAttributesAlarms(t *testing.T) {
 
 // TestLaneErrorPropagates is the regression test for the lane-worker panic:
 // a scoring failure on a background goroutine used to kill the whole
-// process. Now the first error is recorded on the pipeline, the verdict
+// process. Now the first error is recorded on the detector, the verdict
 // stream still delivers every submitted bin (with placeholder points for
 // the failed lane), and Wait surfaces the error.
 func TestLaneErrorPropagates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	const p = 8
 	model := fitLane(t, rng, 64, p)
-	pipe, err := New([]*engine.Model{model}, Config{BatchSize: 1})
+	pipe, err := lanesFor([]*engine.Model{model}, StreamConfig{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,16 +313,9 @@ func TestLaneErrorPropagates(t *testing.T) {
 	pipe.lanes[0].up.Install(bad)
 
 	live := synth(rng, 6, p, 2)
-	done := make(chan []Verdict)
-	go func() {
-		var vs []Verdict
-		for v := range pipe.Verdicts() {
-			vs = append(vs, v)
-		}
-		done <- vs
-	}()
+	done := collect(pipe)
 	for bin := 0; bin < live.Rows(); bin++ {
-		if err := pipe.Submit(Sample{Bin: bin, Vecs: [][]float64{live.RowView(bin)}}); err != nil {
+		if err := pipe.submit(bin, live.RowView(bin)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,52 +334,47 @@ func TestLaneErrorPropagates(t *testing.T) {
 	if len(verdicts) != live.Rows() {
 		t.Fatalf("got %d verdicts for %d submitted bins", len(verdicts), live.Rows())
 	}
-	for i, v := range verdicts {
-		if v.Bin != i {
-			t.Fatalf("verdict %d carries bin %d", i, v.Bin)
+	for i, rs := range verdicts {
+		if rs[0].bin != i {
+			t.Fatalf("verdict %d carries bin %d", i, rs[0].bin)
 		}
-		if v.Alarm() {
+		if alarmed(rs) {
 			t.Fatalf("placeholder verdict for failed bin %d alarms", i)
 		}
 	}
 }
 
-// TestAttributeErrorPropagates drives the attribution error path the same
-// way: scoring succeeds, attribution fails, the pipeline records the error
-// and still emits the scored points.
+// TestAttributeErrorPropagates drives the attribution path with a
+// NaN-poisoned vector. Submit refuses one, so it goes onto the lane's queue
+// directly, the way a model/vector drift bug behind the edge checks would
+// deliver it: the process survives and the verdict stream completes.
 func TestAttributeErrorPropagates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	const p = 8
 	model := fitLane(t, rng, 64, p)
-	pipe, err := New([]*engine.Model{model}, Config{BatchSize: 1})
+	pipe, err := lanesFor([]*engine.Model{model}, StreamConfig{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := synth(rng, 4, p, 2)
-	done := make(chan int)
-	go func() {
-		n := 0
-		for range pipe.Verdicts() {
-			n++
-		}
-		done <- n
-	}()
-	// A NaN-poisoned vector scores (NaN statistics do not error) but makes
-	// attribution reject the residual it cannot rank.
+	done := collect(pipe)
 	for bin := 0; bin < live.Rows(); bin++ {
 		row := live.RowView(bin)
-		if bin == 2 {
-			poisoned := make([]float64, p)
-			copy(poisoned, row)
-			poisoned[0] = math.NaN()
-			row = poisoned
+		if bin != 2 {
+			if err := pipe.submit(bin, row); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if err := pipe.Submit(Sample{Bin: bin, Vecs: [][]float64{row}}); err != nil {
-			t.Fatal(err)
+		poisoned := append([]float64(nil), row...)
+		poisoned[0] = math.NaN()
+		if pipe.submit(bin, poisoned) == nil {
+			t.Fatal("Submit accepted a NaN")
 		}
+		pipe.lanes[0].in <- laneTask{bin: bin, x: poisoned}
 	}
 	pipe.Close()
-	n := <-done
+	n := len(<-done)
 	err = pipe.Wait()
 	if n != live.Rows() {
 		t.Fatalf("got %d verdicts for %d submitted bins", n, live.Rows())
@@ -394,14 +386,14 @@ func TestAttributeErrorPropagates(t *testing.T) {
 }
 
 // TestRefitErrorIsDegradedNotFatal pins the operational split between the
-// two background failure classes: a refit failure leaves the pipeline
+// two background failure classes: a refit failure leaves the detector
 // degraded — Err() (the liveness signal) stays nil, RefitErr() reports
 // it, and Wait() returns it once the stream ends — while a scoring
 // failure is fatal and takes precedence everywhere.
 func TestRefitErrorIsDegradedNotFatal(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 13))
 	model := fitLane(t, rng, 64, 8)
-	pipe, err := New([]*engine.Model{model}, Config{BatchSize: 1})
+	pipe, err := lanesFor([]*engine.Model{model}, StreamConfig{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +405,7 @@ func TestRefitErrorIsDegradedNotFatal(t *testing.T) {
 		t.Fatal("RefitErr() lost the refit failure")
 	}
 	go func() {
-		for range pipe.Verdicts() {
+		for range pipe.results() {
 		}
 	}()
 	pipe.Close()
@@ -432,14 +424,14 @@ func TestRefitErrorIsDegradedNotFatal(t *testing.T) {
 }
 
 // TestUnconvergedFitDegradesPipeline: a lane model whose partial fit hit
-// the sweep cap scores as usual and marks the pipeline degraded, the same
+// the sweep cap scores as usual and marks the detector degraded, the same
 // signal a failed refit raises. (engine's tests produce a fit that really
 // does not converge; here the flag is set by hand on a cheap model.)
 func TestUnconvergedFitDegradesPipeline(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
 	model := fitLane(t, rng, 64, 8)
 	model.PCA().Sweeps, model.PCA().Unconverged = 80, true
-	pipe, err := New([]*engine.Model{model}, Config{BatchSize: 4})
+	pipe, err := lanesFor([]*engine.Model{model}, StreamConfig{BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,10 +442,10 @@ func TestUnconvergedFitDegradesPipeline(t *testing.T) {
 		t.Fatalf("unconverged fit leaked into the fatal Err(): %v", err)
 	}
 	go func() {
-		for range pipe.Verdicts() {
+		for range pipe.results() {
 		}
 	}()
-	if err := pipe.Submit(Sample{Bin: 0, Vecs: [][]float64{synth(rng, 1, 8, 2).Row(0)}}); err != nil {
+	if err := pipe.submit(0, synth(rng, 1, 8, 2).Row(0)); err != nil {
 		t.Fatal(err)
 	}
 	pipe.Close()
@@ -462,9 +454,9 @@ func TestUnconvergedFitDegradesPipeline(t *testing.T) {
 	}
 }
 
-// pipelineGoroutines counts the live goroutines a Pipeline started: those
-// created by newPipeline or by any Pipeline method.
-func pipelineGoroutines() int {
+// detectorGoroutines counts the live goroutines a StreamDetector started:
+// those created by its constructors' tail or by any of its methods.
+func detectorGoroutines() int {
 	buf := make([]byte, 1<<16)
 	for {
 		n := runtime.Stack(buf, true)
@@ -476,63 +468,64 @@ func pipelineGoroutines() int {
 	}
 	count := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "created by netwide/internal/stream.newPipeline") ||
-			strings.Contains(g, "created by netwide/internal/stream.(*Pipeline)") {
+		if strings.Contains(g, "created by netwide.newStreamDetector") ||
+			strings.Contains(g, "created by netwide.(*StreamDetector)") {
 			count++
 		}
 	}
 	return count
 }
 
-// awaitPipelineGoroutines polls until exactly want pipeline goroutines are
+// awaitDetectorGoroutines polls until exactly want detector goroutines are
 // live; a goroutine that has signalled its WaitGroup may still be on its
 // way out.
-func awaitPipelineGoroutines(t *testing.T, want int, when string) {
+func awaitDetectorGoroutines(t *testing.T, want int, when string) {
 	t.Helper()
-	got := pipelineGoroutines()
-	for deadline := time.Now().Add(5 * time.Second); got != want && time.Now().Before(deadline); got = pipelineGoroutines() {
+	got := detectorGoroutines()
+	for deadline := time.Now().Add(5 * time.Second); got != want && time.Now().Before(deadline); got = detectorGoroutines() {
 		time.Sleep(time.Millisecond)
 	}
 	if got != want {
-		t.Fatalf("%s: %d pipeline goroutines, want %d", when, got, want)
+		t.Fatalf("%s: %d detector goroutines, want %d", when, got, want)
 	}
 }
 
-// TestPipelineGoroutines: a pipeline of L lanes runs L lane workers and
-// nothing else, refits on or off — results go from the lanes straight to
-// the consumer, and each lane runs its own refits — and none outlive
-// Close, a drained verdict stream and Wait.
+// TestPipelineGoroutines: a detector of three lanes runs three lane
+// workers and nothing else, refits on or off — results go from the lanes
+// straight to the consumer, each lane runs its own refits, and the
+// consumer characterizes on its own goroutine — and none outlive Close, a
+// drained verdict stream and Wait.
 func TestPipelineGoroutines(t *testing.T) {
-	for name, cfg := range map[string]Config{
+	for name, cfg := range map[string]StreamConfig{
 		"static": {BatchSize: 4},
 		"refit":  {BatchSize: 4, RefitEvery: 10, Window: 40},
 	} {
 		t.Run(name, func(t *testing.T) {
 			const p, lanes, n = 6, 3, 60
-			awaitPipelineGoroutines(t, 0, "before New")
+			awaitDetectorGoroutines(t, 0, "before New")
 			rng := rand.New(rand.NewPCG(191, 192))
 			models := make([]*engine.Model, lanes)
 			for i := range models {
 				models[i] = fitLane(t, rng, 200, p)
 			}
-			pipe, err := New(models, cfg)
+			pipe, err := lanesFor(models, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			awaitPipelineGoroutines(t, lanes, "after New")
+			awaitDetectorGoroutines(t, lanes, "after New")
 			live := synth(rand.New(rand.NewPCG(193, 194)), n, p, 2)
 			for bin := 0; bin < n; bin++ {
-				if err := pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}); err != nil {
+				if err := pipe.submit(bin, laneVecs(live, lanes, bin)...); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := pipe.Barrier(nil); err != nil {
+			if err := pipe.Checkpoint(nil); err != nil {
 				t.Fatal(err)
 			}
-			awaitPipelineGoroutines(t, lanes, "with a backlog")
+			awaitDetectorGoroutines(t, lanes, "with a backlog")
 			pipe.Close()
 			got := 0
-			for range pipe.Verdicts() {
+			for range pipe.results() {
 				got++
 			}
 			if err := pipe.Wait(); err != nil {
@@ -541,7 +534,7 @@ func TestPipelineGoroutines(t *testing.T) {
 			if got != n+1 {
 				t.Fatalf("%d verdicts, want %d bins + 1 barrier", got, n)
 			}
-			awaitPipelineGoroutines(t, 0, "after Close, drain and Wait")
+			awaitDetectorGoroutines(t, 0, "after Close, drain and Wait")
 		})
 	}
 }
@@ -559,7 +552,7 @@ func TestSubmitDepth(t *testing.T) {
 		for i := range models {
 			models[i] = fitLane(t, rng, 100, p)
 		}
-		pipe, err := New(models, Config{BatchSize: tc.batch})
+		pipe, err := lanesFor(models, StreamConfig{BatchSize: tc.batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -568,7 +561,7 @@ func TestSubmitDepth(t *testing.T) {
 		go func() {
 			bin := 0
 			for ; bin < tc.floor; bin++ {
-				if pipe.Submit(Sample{Bin: bin, Vecs: laneVecs(live, lanes, bin)}) != nil {
+				if pipe.submit(bin, laneVecs(live, lanes, bin)...) != nil {
 					break
 				}
 			}
@@ -583,7 +576,7 @@ func TestSubmitDepth(t *testing.T) {
 			t.Errorf("BatchSize %d: Submit stalled before %d bins with no verdict reader", tc.batch, tc.floor)
 		}
 		go pipe.Close() // waits for a stalled Submit, which the drain below unblocks
-		for range pipe.Verdicts() {
+		for range pipe.results() {
 		}
 		if err := pipe.Wait(); err != nil {
 			t.Fatal(err)

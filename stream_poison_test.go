@@ -12,10 +12,12 @@ package netwide_test
 // stream is complete and ordered.
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"netwide"
+	"netwide/internal/dataset"
 )
 
 func TestStreamRefitPoisonedWindowDegrades(t *testing.T) {
@@ -96,5 +98,69 @@ func TestStreamRefitPoisonedWindowDegrades(t *testing.T) {
 	}
 	if !d.ordered {
 		t.Fatal("verdict stream out of order under refit failure")
+	}
+}
+
+// TestSubmitRejectsNonRestorableValues: one NaN, infinite or absurd value
+// in a submitted bin used to stall a lane's lifecycle — under refit every
+// refit failed while it sat in the window, under incremental the tracker's
+// mean stayed non-finite for good. Submit now refuses such a bin with the
+// predicate a restore applies, and the detector carries on as if it had
+// never been offered: the clean bin is accepted in its place, no update
+// fails, and every lane has absorbed the same bins.
+func TestSubmitRejectsNonRestorableValues(t *testing.T) {
+	run := quickRun(t)
+	ds := run.Dataset()
+	const train, poisonBin, end = 1000, 1050, 1200
+	for name, cfg := range map[string]netwide.StreamConfig{
+		"refit":       {TrainBins: train, RefitEvery: 50, Window: 600},
+		"incremental": {TrainBins: train, Updater: "incremental"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			det, err := run.NewStreamDetector(netwide.DefaultDetectOptions(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan int)
+			go func() {
+				n := 0
+				for range det.Verdicts() {
+					n++
+				}
+				done <- n
+			}()
+			row := func(m dataset.Measure, bin int) []float64 { return ds.Matrix(m).RowView(bin) }
+			for bin := train; bin < end; bin++ {
+				if bin == poisonBin {
+					for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e101} {
+						bytes := append([]float64(nil), row(dataset.Bytes, bin)...)
+						bytes[7] = bad
+						err := det.Submit(bin, bytes, row(dataset.Packets, bin), row(dataset.Flows, bin))
+						if err == nil || !strings.Contains(err.Error(), "bin 1050") {
+							t.Fatalf("Submit of %v in bin %d = %v, want a refusal naming the bin", bad, bin, err)
+						}
+					}
+				}
+				if err := det.Submit(bin, row(dataset.Bytes, bin), row(dataset.Packets, bin), row(dataset.Flows, bin)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			det.Close()
+			if n := <-done; n != end-train {
+				t.Fatalf("%d verdicts, want %d", n, end-train)
+			}
+			if err := det.Wait(); err != nil {
+				t.Fatalf("Wait() = %v after the refused bins", err)
+			}
+			fr := det.Freshness()
+			for m := range fr {
+				if fr[m] != fr[dataset.Packets] {
+					t.Errorf("measure %d freshness %+v, packets lane %+v", m, fr[m], fr[dataset.Packets])
+				}
+			}
+			if cfg.Updater == "incremental" && (fr[dataset.Bytes].Updates != end-train || fr[dataset.Bytes].Staleness != 1) {
+				t.Errorf("bytes lane freshness %+v, want %d updates and staleness 1", fr[dataset.Bytes], end-train)
+			}
+		})
 	}
 }
