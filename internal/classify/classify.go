@@ -14,7 +14,6 @@ package classify
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"netwide/internal/anomaly"
@@ -117,142 +116,29 @@ type Verdict struct {
 	MaxZ float64
 }
 
-// Classifier labels events against a dataset. It is not safe for
-// concurrent use: baselines are cached, and computed in scratch it keeps.
+// Classifier labels events against a dataset. It caches nothing: the
+// seasonal baselines it scores cells against are the dataset's
+// (Dataset.Baseline), computed once and shared by every classifier on the
+// dataset, so a Classifier is safe for concurrent use.
 type Classifier struct {
 	DS *dataset.Dataset
 	// P is the dominance threshold (DominanceP if zero).
 	P float64
-	// colStats caches per-(measure, od) seasonal baselines.
-	colStats [dataset.NumMeasures]map[int]*seasonalBaseline
-	// scratch holds one OD column and, behind it, one time of day's values
-	// while baseline works on them.
-	scratch []float64
 }
 
 // New returns a classifier over the dataset.
 func New(ds *dataset.Dataset) *Classifier {
-	c := &Classifier{DS: ds, P: DominanceP}
-	for m := dataset.Measure(0); m < dataset.NumMeasures; m++ {
-		c.colStats[m] = map[int]*seasonalBaseline{}
-	}
-	return c
+	return &Classifier{DS: ds, P: DominanceP}
 }
 
-// baseline returns the seasonal (time-of-day) robust baseline of the OD
-// column under the measure: the per-time-of-day median across days, plus
-// the scaled MAD of the deseasonalized residuals. Removing the diurnal
-// cycle before computing the deviation scale is essential — otherwise the
-// cycle itself inflates the MAD and level shifts look unremarkable.
-func (c *Classifier) baseline(m dataset.Measure, od int) *seasonalBaseline {
-	if s, ok := c.colStats[m][od]; ok {
-		return s
-	}
-	mx := c.DS.Matrix(m)
-	n := mx.Rows()
-	days := (n + todBins - 1) / todBins
-	if cap(c.scratch) < n+days {
-		c.scratch = make([]float64, n+days)
-	}
-	col, day := c.scratch[:n], c.scratch[n:n+days]
-	for i := range col {
-		col[i] = mx.At(i, od)
-	}
-	sb := &seasonalBaseline{med: make([]float64, todBins)}
-	for tod := range sb.med {
-		xs := day[:0]
-		for i := tod; i < n; i += todBins {
-			xs = append(xs, col[i])
-		}
-		slices.Sort(xs)
-		sb.med[tod] = medianSorted(xs)
-	}
-	for i, v := range col {
-		col[i] = math.Abs(v - sb.med[i%todBins])
-	}
-	sb.mad = medianSelect(col) * 1.4826
-	c.colStats[m][od] = sb
-	return sb
-}
-
-// todBins is the number of bins in a seasonal cycle (one day).
-const todBins = 288
-
-type seasonalBaseline struct {
-	med []float64 // per time-of-day median
-	mad float64   // scaled MAD of deseasonalized residuals
-}
-
-// z returns the robust z-score of value x observed at bin.
-func (sb *seasonalBaseline) z(x float64, bin int) float64 {
-	mad := sb.mad
+// robustZ returns the robust z-score of value x observed at bin against the
+// seasonal baseline b.
+func robustZ(b *dataset.Baseline, x float64, bin int) float64 {
+	mad := b.MAD
 	if mad <= 0 {
 		mad = 1
 	}
-	return math.Abs(x-sb.med[bin%todBins]) / mad
-}
-
-// medianSorted is the median of ascending xs (0 when empty).
-func medianSorted(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return 0.5 * (xs[n/2-1] + xs[n/2])
-}
-
-// medianSelect is the median of xs, which it reorders: a quickselect for
-// the upper middle element, then, for an even count, the largest of what
-// was left below it. The same two order statistics a sort would give.
-func medianSelect(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	k := n / 2
-	for lo, hi := 0, n-1; lo < hi; {
-		// Median-of-three pivot, then Hoare partition.
-		mid := lo + (hi-lo)/2
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for pivot < xs[j] {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			lo, hi = k, k // j < k < i: xs[k] equals the pivot, in place
-		}
-	}
-	if n%2 == 1 {
-		return xs[k]
-	}
-	return 0.5 * (slices.Max(xs[:k]) + xs[k])
+	return math.Abs(x-b.Med[bin%len(b.Med)]) / mad
 }
 
 // attributes merges the per-cell attribute summaries of the event.
@@ -287,8 +173,7 @@ func (c *Classifier) maxAbsZ(ev events.Event) float64 {
 		x := c.DS.Matrix(m)
 		for bin := ev.StartBin; bin <= ev.EndBin; bin++ {
 			for _, od := range ev.ODs {
-				sb := c.baseline(m, od)
-				if z := sb.z(x.At(bin, od), bin); z > maxZ {
+				if z := robustZ(c.DS.Baseline(m, od), x.At(bin, od), bin); z > maxZ {
 					maxZ = z
 				}
 			}
@@ -301,9 +186,9 @@ func (c *Classifier) maxAbsZ(ev events.Event) float64 {
 var classified atomic.Uint64
 
 // Classified returns how many events this process has classified so far,
-// over every Classifier. A classification costs milliseconds (it regenerates
-// the event's flow records), so a test can assert that a path which should
-// not classify — a daemon being killed — did not.
+// over every Classifier. A classification regenerates the event's flow
+// records, so a test can assert that a path which should not classify — a
+// daemon being killed — did not.
 func Classified() uint64 { return classified.Load() }
 
 // Classify labels one event.

@@ -101,11 +101,11 @@ func (s *AttributeSummary) Dominant(m Measure, dim Dim, p float64) (uint64, bool
 	if sk == nil || s.Total[m] <= 0 {
 		return 0, false
 	}
-	top := sk.Top(1)
-	if len(top) == 0 {
+	it, ok := sk.Max()
+	if !ok {
 		return 0, false
 	}
-	return top[0].Key, top[0].GuaranteedFraction(s.Total[m]) > p
+	return it.Key, it.GuaranteedFraction(s.Total[m]) > p
 }
 
 // DominantAny reports dominance of the dimension under any of the three

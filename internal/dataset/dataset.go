@@ -143,6 +143,8 @@ type Dataset struct {
 
 	// fits holds the models Fit has trained on the matrices.
 	fits fits
+	// baselines holds the seasonal baselines Baseline has computed.
+	baselines baselines
 }
 
 // Generate runs the full pipeline, fanning the timebins out across

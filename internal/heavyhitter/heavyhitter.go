@@ -11,8 +11,9 @@
 package heavyhitter
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Sketch tracks approximate weighted counts for the heaviest keys of a
@@ -35,8 +36,8 @@ type entry struct {
 
 // New returns a sketch with the given counter capacity. A capacity of k
 // bounds the estimation error by Total()/k, so testing dominance at
-// threshold p is exact whenever k > 1/p with margin; the classifier uses
-// p=0.2 and k=16 by default.
+// threshold p is exact whenever k > 1/p with margin; the classifier's
+// attribute summaries test p=0.2 on sketches of 32 counters.
 func New(capacity int) *Sketch {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("heavyhitter: capacity %d must be positive", capacity))
@@ -63,25 +64,26 @@ func (s *Sketch) Add(key uint64, w float64) {
 // The minimum is taken by (count, then smallest key), so eviction — and
 // through it the sketch contents — is deterministic: two independent
 // summarizations of the same stream (the batch and streaming
-// characterization paths) must agree exactly.
+// characterization paths) must agree exactly. It is looked for only when
+// the key has no counter and none is free.
 func (s *Sketch) fold(e entry, keepHeavier bool) {
-	min := -1
 	for i := range s.entries {
-		c := &s.entries[i]
-		if c.key == e.key {
+		if c := &s.entries[i]; c.key == e.key {
 			c.count += e.count
 			c.errOff += e.errOff
 			return
-		}
-		if min < 0 || c.count < s.entries[min].count || (c.count == s.entries[min].count && c.key < s.entries[min].key) {
-			min = i
 		}
 	}
 	if len(s.entries) < cap(s.entries) {
 		s.entries = append(s.entries, e)
 		return
 	}
-	m := &s.entries[min]
+	m := &s.entries[0]
+	for i := 1; i < len(s.entries); i++ {
+		if c := &s.entries[i]; c.count < m.count || (c.count == m.count && c.key < m.key) {
+			m = c
+		}
+	}
 	if keepHeavier && e.count <= m.count {
 		return
 	}
@@ -123,11 +125,11 @@ func (s *Sketch) Top(n int) []Item {
 	for _, e := range s.entries {
 		items = append(items, Item{Key: e.key, Count: e.count, Err: e.errOff})
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Count != items[j].Count {
-			return items[i].Count > items[j].Count
+	slices.SortFunc(items, func(a, b Item) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return items[i].Key < items[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
 	if n < len(items) {
 		items = items[:n]
@@ -135,17 +137,20 @@ func (s *Sketch) Top(n int) []Item {
 	return items
 }
 
-// Dominant returns the key with the largest estimated count and whether its
-// guaranteed share of the stream meets the threshold frac. This is the
-// paper's dominance test ("an address range or port is dominant if it
-// accounts for more than a fraction p of the total traffic in the
-// timebin").
-func (s *Sketch) Dominant(frac float64) (uint64, bool) {
-	top := s.Top(1)
-	if len(top) == 0 {
-		return 0, false
+// Max returns the heaviest counter, the item Top(1) would hold (the
+// largest estimated count, the smallest key among equals), without
+// allocating; ok is false when the sketch is empty.
+func (s *Sketch) Max() (it Item, ok bool) {
+	if len(s.entries) == 0 {
+		return Item{}, false
 	}
-	return top[0].Key, top[0].GuaranteedFraction(s.total) >= frac
+	m := s.entries[0]
+	for _, e := range s.entries[1:] {
+		if e.count > m.count || (e.count == m.count && e.key < m.key) {
+			m = e
+		}
+	}
+	return Item{Key: m.key, Count: m.count, Err: m.errOff}, true
 }
 
 // Merge folds other into s (used when 1-minute sketches are combined into
@@ -153,9 +158,12 @@ func (s *Sketch) Dominant(frac float64) (uint64, bool) {
 // error offsets add.
 func (s *Sketch) Merge(other *Sketch) {
 	// Fold in ascending key order: with eviction deterministic (fold), the
-	// merged sketch is a pure function of the two operands.
-	in := append([]entry(nil), other.entries...)
-	sort.Slice(in, func(i, j int) bool { return in[i].key < in[j].key })
+	// merged sketch is a pure function of the two operands. The sorted copy
+	// lives on the stack for any sketch up to the attribute summaries'
+	// capacity.
+	var buf [32]entry
+	in := append(buf[:0], other.entries...)
+	slices.SortFunc(in, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 	for _, e := range in {
 		s.fold(e, true)
 	}

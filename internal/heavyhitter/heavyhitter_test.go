@@ -43,9 +43,10 @@ func TestEvictionKeepsHeavyKey(t *testing.T) {
 	if top[0].Key != 42 {
 		t.Fatalf("heavy key lost, top=%v", top)
 	}
-	// 42's true weight is 50000; its share must be detected as dominant.
-	if _, dom := s.Dominant(0.2); !dom {
-		t.Fatal("dominant key not detected")
+	// 42's true weight is 50000; its guaranteed share must clear the
+	// paper's dominance threshold.
+	if it, ok := s.Max(); !ok || it.Key != 42 || !(it.GuaranteedFraction(s.Total()) > 0.2) {
+		t.Fatalf("dominant key not detected: Max() = %+v, %v", it, ok)
 	}
 }
 
@@ -54,12 +55,12 @@ func TestDominantNegative(t *testing.T) {
 	for k := uint64(0); k < 16; k++ {
 		s.Add(k, 1)
 	}
-	if _, dom := s.Dominant(0.2); dom {
-		t.Fatal("uniform stream reported a dominant key")
+	if it, _ := s.Max(); it.GuaranteedFraction(s.Total()) > 0.2 {
+		t.Fatalf("uniform stream reported a dominant key: %+v", it)
 	}
 	// Empty sketch.
-	if _, dom := New(4).Dominant(0.2); dom {
-		t.Fatal("empty sketch reported dominance")
+	if it, ok := New(4).Max(); ok || it != (Item{}) {
+		t.Fatalf("empty sketch reported a maximum: %+v, %v", it, ok)
 	}
 }
 
@@ -290,16 +291,8 @@ func sameAsRef(t *testing.T, what string, s *Sketch, ref *refSketch) {
 			t.Fatalf("%s: counter %d is %+v, reference %+v", what, i, got[i], want[i])
 		}
 	}
-	for _, frac := range []float64{0.05, 0.2, 0.5} {
-		k, dom := s.Dominant(frac)
-		var rk uint64
-		rdom := false
-		if len(want) > 0 {
-			rk, rdom = want[0].Key, want[0].GuaranteedFraction(ref.total) >= frac
-		}
-		if k != rk || dom != rdom {
-			t.Fatalf("%s: Dominant(%v) = (%d, %v), reference (%d, %v)", what, frac, k, dom, rk, rdom)
-		}
+	if it, ok := s.Max(); ok != (len(want) > 0) || (ok && it != want[0]) {
+		t.Fatalf("%s: Max() = %+v, %v; reference top %+v", what, it, ok, want)
 	}
 }
 
@@ -355,5 +348,24 @@ func TestAddDoesNotAllocate(t *testing.T) {
 		k++
 	}); avg != 0 {
 		t.Fatalf("Add on a full sketch allocates %.1f/op, want 0", avg)
+	}
+}
+
+// TestMergeAndMaxDoNotAllocate: an event's attribute summary merges twelve
+// sketches per cell and tests dominance on each, so neither may touch the
+// heap for sketches of the summaries' capacity.
+func TestMergeAndMaxDoNotAllocate(t *testing.T) {
+	a, b := New(32), New(32)
+	for k := uint64(0); k < 32; k++ {
+		a.Add(k, 1)
+		b.Add(1000+k, 2)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		a.Merge(b)
+		if _, ok := a.Max(); !ok {
+			t.Fatal("full sketch has no maximum")
+		}
+	}); avg != 0 {
+		t.Fatalf("Merge+Max on full sketches allocate %.1f/op, want 0", avg)
 	}
 }

@@ -15,8 +15,6 @@
 package identify
 
 import (
-	"sort"
-
 	"netwide/internal/engine"
 	"netwide/internal/mat"
 )
@@ -72,31 +70,49 @@ func AttributeLive(m *engine.Model, bin int, x []float64, pt engine.Point) ([]At
 }
 
 // speFlows removes OD flows from the residual vector in decreasing order
-// of squared residual until ‖x̃‖² <= δ².
+// of squared residual, the lower OD index first among equals, until
+// ‖x̃‖² <= δ² or MaxODsPerAlarm flows are gone.
+//
+// The walk never looks past the MaxODsPerAlarm largest contributions, so
+// only those are ranked: one pass inserts each into a fixed, ordered
+// array, and a contribution no larger than the array's last is dropped
+// without a move.
 func speFlows(row []float64, value, limit float64) (ods []int, residuals []float64) {
-	type contrib struct {
-		od  int
-		sq  float64
-		val float64
-	}
-	cs := make([]contrib, len(row))
+	var (
+		top [MaxODsPerAlarm]int     // OD indexes, largest contribution first
+		sqs [MaxODsPerAlarm]float64 // their squared residuals
+		n   int
+	)
 	for od, v := range row {
-		cs[od] = contrib{od: od, sq: v * v, val: v}
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].sq > cs[j].sq })
-	remaining := value
-	for _, c := range cs {
-		if remaining <= limit || len(ods) >= MaxODsPerAlarm {
-			break
+		sq := v * v
+		if n == len(top) {
+			if sq <= sqs[n-1] {
+				continue
+			}
+			n-- // the last contribution drops out
 		}
-		ods = append(ods, c.od)
-		residuals = append(residuals, c.val)
-		remaining -= c.sq
+		i := n
+		n++
+		for ; i > 0 && sq > sqs[i-1]; i-- {
+			top[i], sqs[i] = top[i-1], sqs[i-1]
+		}
+		top[i], sqs[i] = od, sq
 	}
-	if len(ods) == 0 && len(cs) > 0 {
+	take, remaining := 0, value
+	for take < n && remaining > limit {
+		remaining -= sqs[take]
+		take++
+	}
+	if take == 0 {
+		if n == 0 {
+			return nil, nil
+		}
 		// Defensive: an SPE alarm always has at least one contributor.
-		ods = append(ods, cs[0].od)
-		residuals = append(residuals, cs[0].val)
+		take = 1
+	}
+	ods, residuals = make([]int, take), make([]float64, take)
+	for i, od := range top[:take] {
+		ods[i], residuals[i] = od, row[od]
 	}
 	return ods, residuals
 }
@@ -104,7 +120,8 @@ func speFlows(row []float64, value, limit float64) (ods []int, residuals []float
 // t2Flows greedily removes the OD flow whose exclusion most reduces the T²
 // statistic until it is under the limit. Removing OD flow f changes each
 // normal-subspace score s_i by -xc_f * v_i[f], where xc is the centered
-// traffic vector.
+// traffic vector. Among removals that reduce it equally, the lower OD
+// index wins.
 func t2Flows(pca *mat.PCA, k int, xc []float64, limit float64) (ods []int, residuals []float64) {
 	p := pca.P()
 	scores := make([]float64, k)
@@ -125,22 +142,25 @@ func t2Flows(pca *mat.PCA, k int, xc []float64, limit float64) (ods []int, resid
 		return v
 	}
 
+	// trial holds the candidate's scores and bestScores the best so far;
+	// a better candidate swaps them, so the scan allocates nothing.
 	removed := make([]bool, p)
+	trial, bestScores := make([]float64, k), make([]float64, k)
 	cur := t2(scores)
 	for cur > limit && len(ods) < MaxODsPerAlarm {
 		best, bestDrop := -1, 0.0
-		var bestScores []float64
 		for f := 0; f < p; f++ {
 			if removed[f] {
 				continue
 			}
-			trial := make([]float64, k)
+			v := pca.Components.RowView(f)
 			for i := 0; i < k; i++ {
-				trial[i] = scores[i] - xc[f]*pca.Components.At(f, i)
+				trial[i] = scores[i] - xc[f]*v[i]
 			}
 			drop := cur - t2(trial)
 			if drop > bestDrop {
-				best, bestDrop, bestScores = f, drop, trial
+				best, bestDrop = f, drop
+				trial, bestScores = bestScores, trial
 			}
 		}
 		if best < 0 {
@@ -149,7 +169,7 @@ func t2Flows(pca *mat.PCA, k int, xc []float64, limit float64) (ods []int, resid
 		removed[best] = true
 		ods = append(ods, best)
 		residuals = append(residuals, xc[best])
-		scores = bestScores
+		scores, bestScores = bestScores, scores
 		cur = t2(scores)
 	}
 	if len(ods) == 0 {
