@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"netwide/internal/flow"
@@ -362,6 +363,74 @@ func TestTemplateCacheExpiry(t *testing.T) {
 	}
 	if c.len() != 0 {
 		t.Fatalf("expired template still cached (len %d)", c.len())
+	}
+}
+
+// TestTemplateCacheLearn: learning a wire template leaves the cache exactly
+// as compiling it and calling put would — the same entries, ages and
+// snapshots() order — for a new template, a re-announce of the cached
+// definition (even one idle past its TTL), and a redefinition; and a
+// re-announce of the cached definition allocates nothing.
+func TestTemplateCacheLearn(t *testing.T) {
+	type def struct {
+		src    uint32
+		id     uint16
+		scope  uint16
+		fields []FieldSpec
+	}
+	house := []FieldSpec{{ID: ieSrcAddr, Length: 4}, {ID: ieDstAddr, Length: 4}, {ID: ieOctets, Length: 8}}
+	opts := []FieldSpec{{ID: ieScopeDomain, Length: 4}, {ID: ieSampling, Length: 4}}
+	steps := []struct {
+		def
+		ticks uint64
+	}{
+		{def{1, 256, 0, house}, 1},
+		{def{1, 257, 1, opts}, 1},
+		{def{2, 256, 0, house}, 1},
+		{def{1, 256, 0, house}, 3},                              // re-announce
+		{def{1, 257, 1, opts}, templateTTL + 5},                 // re-announce after the TTL
+		{def{2, 256, 0, house[:2]}, 1},                          // redefinition: fewer fields
+		{def{2, 256, 1, house[:2]}, 1},                          // redefinition: same fields, new scope
+		{def{1, 256, 0, append([]FieldSpec(nil), house...)}, 1}, // equal, not the same slice
+	}
+	viaPut, viaLearn := newTemplateCache(), newTemplateCache()
+	for i, st := range steps {
+		viaPut.tick += st.ticks
+		viaLearn.tick += st.ticks
+		tm, err := compileTemplate(st.id, st.scope, st.fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaPut.put(st.src, tm)
+		if err := viaLearn.learn(st.src, st.id, st.scope, st.fields); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := viaLearn.snapshots(), viaPut.snapshots(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: learn left snapshots %+v, put %+v", i, got, want)
+		}
+		for k, el := range viaPut.entries {
+			lel, ok := viaLearn.entries[k]
+			if !ok {
+				t.Fatalf("step %d: learn lost %+v", i, k)
+			}
+			pe, le := el.Value.(*templateEntry), lel.Value.(*templateEntry)
+			if le.seen != pe.seen || !reflect.DeepEqual(*le.tmpl, *pe.tmpl) {
+				t.Fatalf("step %d: %+v learned as %+v seen %d, put %+v seen %d", i, k, *le.tmpl, le.seen, *pe.tmpl, pe.seen)
+			}
+		}
+	}
+	if err := viaLearn.learn(3, 256, 0, []FieldSpec{{ID: ieOctets, Length: 0}}); err == nil {
+		t.Fatal("learn accepted a zero-length field")
+	}
+
+	announce := append([]FieldSpec(nil), house...)
+	if allocs := testing.AllocsPerRun(100, func() {
+		viaLearn.tick++
+		if err := viaLearn.learn(1, 256, 0, announce); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("re-announcing a cached template allocates %.1f times, want 0", allocs)
 	}
 }
 

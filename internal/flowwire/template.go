@@ -3,6 +3,7 @@ package flowwire
 import (
 	"container/list"
 	"fmt"
+	"slices"
 )
 
 // Template machinery shared by the NetFlow v9 and IPFIX decoders. Both
@@ -234,6 +235,27 @@ func (c *templateCache) put(source uint32, t *template) {
 		c.removeElement(c.lru.Back())
 	}
 	c.entries[key] = c.lru.PushFront(&templateEntry{key: key, tmpl: t, seen: c.tick})
+}
+
+// learn installs a template definition that arrived on the wire. Exporters
+// re-announce their templates every few packets; when (source, id) already
+// holds the same definition, learn only refreshes its age and LRU position,
+// exactly as put would, and allocates nothing. Anything else compiles
+// through compileTemplate and replaces the entry via put.
+func (c *templateCache) learn(source uint32, id, scope uint16, fields []FieldSpec) error {
+	if el, ok := c.entries[templateKey{source, id}]; ok {
+		if e := el.Value.(*templateEntry); e.tmpl.scope == scope && slices.Equal(e.tmpl.fields, fields) {
+			e.seen = c.tick
+			c.lru.MoveToFront(el)
+			return nil
+		}
+	}
+	t, err := compileTemplate(id, scope, fields)
+	if err != nil {
+		return err
+	}
+	c.put(source, t)
+	return nil
 }
 
 // drop forgets one template (IPFIX withdrawal).

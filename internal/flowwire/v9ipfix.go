@@ -281,11 +281,9 @@ func (d *templateDecoder) parseV9Templates(source uint32, body []byte) (int, err
 			d.scratch = append(d.scratch, FieldSpec{ID: be.Uint16(body[pos:]), Length: be.Uint16(body[pos+2:])})
 			pos += 4
 		}
-		t, err := compileTemplate(id, 0, d.scratch)
-		if err != nil {
+		if err := d.cache.learn(source, id, 0, d.scratch); err != nil {
 			return records, err
 		}
-		d.cache.put(source, t)
 		records++
 	}
 	return records, nil
@@ -320,11 +318,9 @@ func (d *templateDecoder) parseV9OptionsTemplates(source uint32, body []byte) (i
 			d.scratch = append(d.scratch, FieldSpec{ID: be.Uint16(body[pos:]), Length: be.Uint16(body[pos+2:])})
 			pos += 4
 		}
-		t, err := compileTemplate(id, uint16(scopeLen/4), d.scratch)
-		if err != nil {
+		if err := d.cache.learn(source, id, uint16(scopeLen/4), d.scratch); err != nil {
 			return records, err
 		}
-		d.cache.put(source, t)
 		records++
 	}
 	return records, nil
@@ -383,11 +379,9 @@ func (d *templateDecoder) parseIPFIXTemplates(source uint32, body []byte, option
 			}
 			d.scratch = append(d.scratch, spec)
 		}
-		t, err := compileTemplate(id, uint16(scope), d.scratch)
-		if err != nil {
+		if err := d.cache.learn(source, id, uint16(scope), d.scratch); err != nil {
 			return err
 		}
-		d.cache.put(source, t)
 	}
 	return nil
 }

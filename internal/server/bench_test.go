@@ -45,8 +45,9 @@ func benchIngest(b *testing.B, topo string, format flowwire.Format) {
 	}
 	// One unmeasured decode pass learns each packet's engine identity and
 	// sequence advance (for v9/IPFIX it also seeds nothing — the server
-	// under test keeps its own template caches, learned on the first
-	// measured pass from the template sets the packets carry).
+	// under test keeps its own template cache, learned on the first
+	// measured pass from the template sets the packets carry; the
+	// re-announces of later passes only refresh it, allocating nothing).
 	type pktMeta struct{ engine, advance uint32 }
 	meta := make([]pktMeta, len(pkts))
 	preReg, err := flowwire.NewRegistry(format)
@@ -125,8 +126,8 @@ func BenchmarkServerIngest(b *testing.B) {
 }
 
 // benchIngestParallel measures aggregate sustained ingest through a
-// receiver pool binning into 4 partitions — per-receiver decode, each
-// batch binned under its engine's partition lock — with the packet stream
+// receiver pool binning into 4 partitions — the receivers take turns at
+// the one ingest lock for decode and binning — with the packet stream
 // partitioned across receivers by export engine, exactly how
 // SO_REUSEPORT's 4-tuple hash spreads a real replay's per-engine source
 // sockets. One iteration ingests 16 full bins of packets, split across
@@ -134,9 +135,9 @@ func BenchmarkServerIngest(b *testing.B) {
 // no seal or detector submission mixes into the measured path, and the
 // trailing lossless assert proves the measured path dropped nothing
 // (ingest is synchronous, so there is nothing left to settle).
-// records/sec is the aggregate rate across the pool; it can only scale on
-// multi-core hosts — at GOMAXPROCS=1 all receivers time-slice one core and
-// the curve is flat.
+// records/sec is the aggregate rate across the pool. With one ingest lock
+// it cannot scale past one receiver's rate; what more receivers add is
+// contention on that lock.
 func benchIngestParallel(b *testing.B, receivers int) {
 	cfg := netwide.QuickConfig()
 	cfg.MeanRateBps = 4e5

@@ -1,9 +1,8 @@
-// The ingest state machine: one binning partition and the gates every
-// decoded batch passes on its way into a bin (see the package comment). A
-// partition owns no goroutine or socket; the watermark, bin close and the
-// detector belong to the receiver driving it, which the partition only
-// tells what a batch means for the watermark. DESIGN.md E24 states which
-// gate reads which cursor and why, E31 the locks.
+// One binning partition and the gates every decoded batch passes on its
+// way into a bin (see the package comment). A partition is plain per-shard
+// state of the collector (collector.go), which owns the watermark and bin
+// close and which the partition only tells what a batch means for the
+// watermark. DESIGN.md E24 states which gate reads which cursor and why.
 package server
 
 import (
@@ -11,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"netwide/internal/checkpoint"
@@ -45,8 +43,7 @@ const (
 	watermarkQuorum = 8
 )
 
-// action is what a batch asks of the partition's driver, which owns the
-// watermark.
+// action is what a batch asks of the collector, which owns the watermark.
 type action int
 
 const (
@@ -75,20 +72,16 @@ type submittedBin struct {
 
 // partition owns one binning partition: the open bins of its slice of the
 // OD space, the sequence cursors and dedupe rings of the export engines
-// routed to it, its seal point and its stranded-watermark streak. Its
-// mutable state is only touched under mu — by the receivers binning into
-// it, and by bin close, reset and capture under closeMu — or by restore,
-// before any receiver runs. It books every outcome twice: in the
-// daemon-wide counters it shares with the other partitions, and in its
-// own atomic mirrors, which /stats reads lock-free.
+// routed to it, its seal point and its stranded-watermark streak. Only the
+// collector touches it. It books every outcome twice: in the collector's
+// daemon-wide counters, and in its own atomic mirrors, which /stats reads
+// lock-free.
 type partition struct {
 	cfg   *Config
 	top   *topology.Topology
 	res   *routing.Resolver
 	ctr   *counters
 	proto *[flowwire.NumFormats]protoCounters
-
-	mu sync.Mutex
 
 	bins map[int]*binAcc
 	// seq tracks one sequence cursor per (format, engine) export stream.
@@ -107,22 +100,22 @@ type partition struct {
 // restored shard, or the empty state with SealedThrough -1 of a cold start
 // — after checking every field of it as untrusted input: the snapshot
 // passed its checksum, but shape and invariants are this layer's job.
-func (s *Server) newPartition(id int, ss *checkpoint.ShardState) (*partition, error) {
+func (c *collector) newPartition(id int, ss *checkpoint.ShardState) (*partition, error) {
 	p := &partition{
-		cfg:           &s.cfg,
-		top:           s.top,
-		res:           s.res,
-		ctr:           &s.ctr,
-		proto:         &s.proto,
+		cfg:           c.cfg,
+		top:           c.top,
+		res:           c.res,
+		ctr:           &c.ctr,
+		proto:         &c.proto,
 		bins:          make(map[int]*binAcc, len(ss.OpenBins)),
 		seq:           make(map[engineKey]*engineSeq, len(ss.Engines)),
 		closedThrough: ss.SealedThrough,
 		behindStreak:  ss.BehindStreak,
 	}
-	if len(ss.OpenBins) > s.cfg.MaxOpenBins {
-		return nil, fmt.Errorf("snapshot shard %d holds %d open bins, cap is %d", id, len(ss.OpenBins), s.cfg.MaxOpenBins)
+	if len(ss.OpenBins) > c.cfg.MaxOpenBins {
+		return nil, fmt.Errorf("snapshot shard %d holds %d open bins, cap is %d", id, len(ss.OpenBins), c.cfg.MaxOpenBins)
 	}
-	n := s.top.NumODPairs()
+	n := c.top.NumODPairs()
 	for _, ob := range ss.OpenBins {
 		if ob.Bin <= ss.SealedThrough {
 			return nil, fmt.Errorf("snapshot shard %d open bin %d at or behind its seal point %d", id, ob.Bin, ss.SealedThrough)
@@ -154,11 +147,11 @@ func (s *Server) newPartition(id int, ss *checkpoint.ShardState) (*partition, er
 	}
 	for _, es := range ss.Engines {
 		f := flowwire.Format(es.Format)
-		if f == flowwire.FormatUnknown || f >= flowwire.NumFormats || !s.recvs[0].reg.Enabled(f) {
+		if f == flowwire.FormatUnknown || f >= flowwire.NumFormats || !c.reg.Enabled(f) {
 			return nil, fmt.Errorf("snapshot engine cursor for unknown or disabled format %d", es.Format)
 		}
-		if s.shardOf(es.ID) != id {
-			return nil, fmt.Errorf("snapshot shard %d holds cursor for engine %d, which hashes to shard %d", id, es.ID, s.shardOf(es.ID))
+		if c.shardOf(es.ID) != id {
+			return nil, fmt.Errorf("snapshot shard %d holds cursor for engine %d, which hashes to shard %d", id, es.ID, c.shardOf(es.ID))
 		}
 		key := engineKey{f, es.ID}
 		if p.seq[key] != nil {
@@ -180,7 +173,7 @@ func (s *Server) newPartition(id int, ss *checkpoint.ShardState) (*partition, er
 // dedupe, pre-epoch, late (at or below the seal point), wild (more than
 // MaxAhead past obs, the observed watermark the caller supplies),
 // accumulation, and the watermark vote. It books every outcome and returns
-// what the driver must do about the watermark, and the batch's bin.
+// what the collector must do about the watermark, and the batch's bin.
 //
 // Only routable traffic votes. Accepted traffic above obs votes to raise
 // it. Late traffic votes the watermark stranded when it runs more than
@@ -280,9 +273,8 @@ func (p *partition) seal(through int) []submittedBin {
 // above keepThrough is dropped as wild (their contents were the lie that
 // stranded the watermark), the streak clears, and the seal point rewinds
 // to lastClosed so the stream the watermark is re-anchored at can fill the
-// bins the stranded seal ran past. The rewind is sound only because the
-// caller holds closeMu, so no seal is in flight: every bin sealed so far
-// is submitted, and nothing above lastClosed was.
+// bins the stranded seal ran past. The rewind is sound because every bin
+// sealed so far has been submitted, and nothing above lastClosed was.
 func (p *partition) discard(keepThrough int) {
 	for bin, acc := range p.bins {
 		if bin > keepThrough {
@@ -356,8 +348,7 @@ type engineKey struct {
 // reordering if it is within reorderTolerance (accepted, and the loss the
 // earlier gap charged for it is refunded); otherwise an exporter restart,
 // which resets the cursor. Batches without sequence information (SeqNone)
-// pass through untracked. The loss counters it touches are shared across
-// partitions, hence atomic.
+// pass through untracked.
 func (p *partition) sequenceCheck(b flowwire.Batch) bool {
 	if b.SeqModel == flowwire.SeqNone {
 		return true
@@ -420,8 +411,7 @@ func (p *partition) sequenceCheck(b flowwire.Batch) bool {
 // an OD pair: origin from the engine ID, egress by longest-prefix match on
 // the anonymized destination — the same procedure, and therefore the same
 // (OD, bin) cell, as the offline generator. It returns how many records
-// were folded in and how many were unroutable or wild (cap overflow). The
-// topology and resolver lookups are read-only and safe from every receiver.
+// were folded in and how many were unroutable or wild (cap overflow).
 func (p *partition) accumulate(bin int, b flowwire.Batch, recs []flowwire.Record) (accepted, unroutable, wild uint64) {
 	origin := topology.PoP(b.Engine)
 	originOK := p.top.ContainsPoP(origin)

@@ -49,8 +49,8 @@ func TestPartitionGates(t *testing.T) {
 	booksOf := func(p *partition) books {
 		return books{p.records.Load(), p.duplicates.Load(), p.lateRecords.Load(), p.wildRecords.Load(), p.unroutable.Load(), p.binsOpen.Load()}
 	}
-	globalOf := func(s *Server, p *partition) books {
-		return books{s.ctr.records.Load(), s.ctr.duplicates.Load(), s.ctr.lateRecords.Load(), s.ctr.wildRecords.Load(), s.ctr.unroutable.Load(), p.binsOpen.Load()}
+	globalOf := func(c *collector, p *partition) books {
+		return books{c.ctr.records.Load(), c.ctr.duplicates.Load(), c.ctr.lateRecords.Load(), c.ctr.wildRecords.Load(), c.ctr.unroutable.Load(), p.binsOpen.Load()}
 	}
 	n := uint64(len(good))
 	// stranded parks a partition where a far-future first packet leaves
@@ -98,9 +98,9 @@ func TestPartitionGates(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{MaxOpenBins: tc.maxOpen}.withDefaults()
-			s := &Server{cfg: cfg, top: ds.Top, res: res}
-			s.ctr.lastClosed.Store(-1)
-			p, err := s.newPartition(0, &checkpoint.ShardState{SealedThrough: -1})
+			c := &collector{cfg: &cfg, top: ds.Top, res: res}
+			c.ctr.lastClosed.Store(-1)
+			p, err := c.newPartition(0, &checkpoint.ShardState{SealedThrough: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestPartitionGates(t *testing.T) {
 			if added != tc.added {
 				t.Errorf("books moved by %+v, want %+v", added, tc.added)
 			}
-			if g := globalOf(s, p); g != after {
+			if g := globalOf(c, p); g != after {
 				t.Errorf("daemon-wide counters %+v disagree with the partition's %+v", g, after)
 			}
 		})
@@ -144,9 +144,10 @@ func TestPartitionSealAndDiscard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{cfg: Config{}.withDefaults(), top: ds.Top, res: res}
-	s.ctr.lastClosed.Store(-1)
-	p, err := s.newPartition(0, &checkpoint.ShardState{SealedThrough: -1})
+	cfg := Config{}.withDefaults()
+	c := &collector{cfg: &cfg, top: ds.Top, res: res}
+	c.ctr.lastClosed.Store(-1)
+	p, err := c.newPartition(0, &checkpoint.ShardState{SealedThrough: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestPartitionSealAndDiscard(t *testing.T) {
 	if p.closedThrough != 6 {
 		t.Fatalf("a lower seal moved the seal point back to %d", p.closedThrough)
 	}
-	s.ctr.lastClosed.Store(4)
+	c.ctr.lastClosed.Store(4)
 	p.discard(100)
 	if len(p.bins) != 1 || p.bins[9] == nil || p.closedThrough != 4 || p.wildRecords.Load() != uint64(len(recs)) {
 		t.Fatalf("discard(100) left bins %v sealed through %d with %d wild, want bin 9 sealed through 4 and bin 300's %d records wild",

@@ -3,29 +3,31 @@
 // stood — between the routers exporting sampled flow telemetry and the
 // subspace detector consuming OD-aggregated timebins.
 //
-// Ingest is one state machine with one driver. A receiver decodes each
-// datagram through its own flowwire.Registry — NetFlow v5, NetFlow v9,
-// IPFIX and sFlow v5, detected by version word, with hostile bytes counted
-// and dropped, never trusted. A partition (partition.go) then runs the
-// batch through every gate once: sequence dedupe per (format, engine)
-// stream under each format's own sequence semantics, the pre-epoch, late
-// and wild-timestamp gates, resolution to an origin-destination PoP pair
-// exactly as the offline pipeline does it, accumulation into per-bin
-// byte/packet/flow vectors, and the watermark vote. The receiver then acts
-// on the vote itself: it raises the one shared watermark and, when it
-// moved, closes every bin through watermark − Grace on the spot — seals
-// every partition, merges their vectors and submits them to the one
-// StreamDetector — before it reads its next datagram.
+// Ingest is one state machine, the collector (collector.go), behind one
+// lock. The collector decodes each datagram through its one
+// flowwire.Registry — NetFlow v5, NetFlow v9, IPFIX and sFlow v5, detected
+// by version word, with hostile bytes counted and dropped, never trusted.
+// A partition (partition.go) then runs the batch through every gate once:
+// sequence dedupe per (format, engine) stream under each format's own
+// sequence semantics, the pre-epoch, late and wild-timestamp gates,
+// resolution to an origin-destination PoP pair exactly as the offline
+// pipeline does it, accumulation into per-bin byte/packet/flow vectors,
+// and the watermark vote. The collector acts on the vote: it raises the
+// watermark and closes every bin through watermark − Grace — seals every
+// partition and merges their vectors — and the Server submits the merged
+// bins to the one StreamDetector before the datagram's caller returns.
 //
-// Receivers (one per SO_REUSEPORT socket) and Shards (partitions, keyed by
-// export engine) only change how many of each there are. The partition key
-// is the origin PoP, so each OD column is written by exactly one partition
-// and the merge is exact. Scoring stays central because the subspace
-// method is global: network-wide anomalies only appear in the full OD
-// matrix. The locks, in the only order they are ever taken: a receiver's
-// mu for a whole datagram, then closeMu for a bin close, then a
-// partition's mu; a capture takes every receiver's mu in index order
-// first. See DESIGN.md E24 and E31.
+// The Server holds ingestMu for a whole datagram, bin close and submit
+// included, and for a capture or the drain's flush; Server.mu guards the
+// ledger and is never held across a submit. Those are the only two locks.
+// Receivers (one per SO_REUSEPORT socket) read in parallel and queue on
+// ingestMu. Shards (partitions, keyed by export engine) split the OD
+// columns, cursors and open bins but no longer buy concurrency; whether to
+// keep them is open. The partition key is the origin PoP, so each OD
+// column is written by exactly one partition and the merge is exact.
+// Scoring stays central because the subspace method is global:
+// network-wide anomalies only appear in the full OD matrix. See DESIGN.md
+// E24 and E34.
 //
 // Batch parity: every per-record sum the server computes is an integer
 // count below 2^53 folded into a float64, so the accumulated vectors are
@@ -43,7 +45,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -114,17 +115,18 @@ type Config struct {
 	// one, the daemon binds that many sockets to the same address with
 	// SO_REUSEPORT so the kernel spreads datagrams across them by flow
 	// hash; on platforms without the option it falls back to one shared
-	// socket drained by Receivers reader goroutines. Each receiver owns
-	// its own decoder registry (and therefore its own v9/IPFIX template
-	// cache — exporters resend templates periodically, so every receiver
-	// converges on the set it needs) and bins what it decodes itself.
+	// socket drained by Receivers reader goroutines. Receivers read in
+	// parallel and take turns at the one collector: every socket decodes
+	// through the same registry and template cache, so a template learned
+	// on one socket decodes data arriving on another.
 	Receivers int
 	// Shards splits binning into that many partitions by export engine
-	// (default 1), each a disjoint set of OD columns with its own lock,
-	// accumulators, dedupe rings and sequence cursors, so receivers binning
-	// different engines do not wait for each other. A bin closes on every
-	// partition at once. The shard count is part of the checkpoint
-	// fingerprint — restarting with a different count cold-starts.
+	// (default 1), each a disjoint set of OD columns with its own
+	// accumulators, dedupe rings and sequence cursors. Every partition runs
+	// under the one ingest lock, so shards buy no concurrency; whether to
+	// keep them is an open decision. A bin closes on every partition at
+	// once. The shard count is part of the checkpoint fingerprint —
+	// restarting with a different count cold-starts.
 	Shards int
 	// CheckpointPath enables crash-safe operation: the daemon periodically
 	// snapshots its full recovery state (model generations, open events,
@@ -360,69 +362,10 @@ type ShardStats struct {
 	QueueCap      int    `json:"queue_cap"`
 }
 
-// counters is the daemon's hot counter block. Everything here is mutated
-// on the ingest path, by every receiver concurrently, and read lock-free
-// by the /stats handler, so every field is atomic. The watermark only
-// rises (CAS max) except for a reset under closeMu; lastClosed is written
-// under closeMu; the rest are add-only except for the saturating loss
-// refunds.
-type counters struct {
-	packets, badPackets, duplicates, records,
-	lostRecords, lateRecords, unroutable,
-	wildRecords, watermarkResets atomic.Uint64
-	binsClosed, watermark, lastClosed atomic.Int64
-}
-
-// protoCounters is the internal mutable form of ProtoStats, held in a flat
-// per-format array. The counters are shared across receivers and shards
-// (a format is not shard-local), hence atomic.
-type protoCounters struct {
-	packets, badPackets, duplicates, records, lostUnits atomic.Uint64
-}
-
-// state snapshots the per-format counters, reporting whether any is
-// nonzero (zero-valued formats are omitted from /stats and checkpoints).
-func (p *protoCounters) state(f flowwire.Format) (checkpoint.ProtoState, bool) {
-	ps := checkpoint.ProtoState{
-		Format:     uint8(f),
-		Packets:    p.packets.Load(),
-		BadPackets: p.badPackets.Load(),
-		Duplicates: p.duplicates.Load(),
-		Records:    p.records.Load(),
-		LostUnits:  p.lostUnits.Load(),
-	}
-	seen := ps.Packets != 0 || ps.BadPackets != 0 || ps.Duplicates != 0 || ps.Records != 0 || ps.LostUnits != 0
-	return ps, seen
-}
-
-// satSub subtracts up to n from c, saturating at zero — the sequence
-// refund path, where two concurrent refunds against a shared per-format
-// counter must never wrap below zero.
-func satSub(c *atomic.Uint64, n uint64) {
-	for {
-		cur := c.Load()
-		if c.CompareAndSwap(cur, cur-min(n, cur)) {
-			return
-		}
-	}
-}
-
-// receiver is one UDP socket's ingest front end: its own decoder registry
-// (flowwire registries are not safe for concurrent use, and v9/IPFIX
-// template state is per-socket anyway — the kernel hashes an exporter's
-// packets to one socket, and exporters resend templates periodically) and
-// its slice of the datagram counters.
+// receiver is one UDP socket's reader and its slice of the datagram
+// counters (written under ingestMu, read lock-free by /stats).
 type receiver struct {
-	// mu is held for a whole datagram, decode to bin close: it serializes
-	// the callers sharing the receiver (its socket goroutine, direct
-	// IngestPacket calls for receiver 0) and makes a datagram atomic
-	// against capture, which takes every receiver's mu. It guards reg and
-	// recs, the reusable record buffer.
-	mu   sync.Mutex
-	reg  *flowwire.Registry
-	conn *net.UDPConn
-	recs []flowwire.Record
-
+	conn                       *net.UDPConn
 	packets, badPackets, bytes atomic.Uint64
 }
 
@@ -444,14 +387,15 @@ type Server struct {
 	readersWG  sync.WaitGroup
 	consumerWG sync.WaitGroup
 
-	// closeMu is the bin-close lock: held for every seal, merge and
-	// detector submit, the stranded-watermark reset, the drain's flush and
-	// a capture, so no seal is ever half done when a partition rewinds or a
-	// snapshot copies state. It is taken after a receiver's mu and before
-	// a partition's, always before mu, and never by the verdict consumer or
-	// the HTTP handlers, so holding it across a detector submit cannot
-	// deadlock.
-	closeMu sync.Mutex
+	// ingestMu serialises every caller onto col: held for a whole
+	// datagram (decode, binning, any bin close with its submit, a cadence
+	// capture), for CheckpointNow's capture and for the drain's flush. It
+	// is taken before mu, and never by the verdict consumer or the HTTP
+	// handlers, so holding it across a detector submit cannot deadlock.
+	ingestMu sync.Mutex
+	col      *collector
+	// recvs (Receivers of them) are the socket readers.
+	recvs []*receiver
 	// binsSinceCp counts bins closed that no snapshot on disk covers yet —
 	// the bin-driven checkpoint cadence. Atomic because the ingest side
 	// adds to it while the writer goroutine subtracts what it wrote.
@@ -468,17 +412,6 @@ type Server struct {
 	// cpTimerStop ends the wall-clock checkpoint timer goroutine.
 	cpTimerStop chan struct{}
 	timerWG     sync.WaitGroup
-
-	// recvs (Receivers of them) and parts (Shards of them) are the ingest
-	// state machine; every receiver bins into every partition.
-	recvs []*receiver
-	parts []*partition
-
-	ctr counters
-	// proto is the per-format counter array behind Stats.Protocols
-	// (index FormatUnknown stays zero; undetectable garbage only reaches
-	// the global BadPackets).
-	proto [flowwire.NumFormats]protoCounters
 
 	// mu guards everything below. It is never held across a detector
 	// Submit: backpressure from the pipeline must not deadlock against the
@@ -505,20 +438,6 @@ type Server struct {
 	draining    bool
 	killed      bool // draining by Kill: the ledger dies with the daemon
 	firstError  error
-}
-
-// shardOf maps an export engine to its binning partition. The engine is
-// the origin PoP, and the OD index space is partitioned by origin, so
-// routing whole engines keeps every OD column (and every sequence cursor)
-// owned by exactly one partition. Fibonacci hashing spreads dense small
-// engine IDs; the mapping is deterministic for a given shard count, which
-// is what lets checkpointed partition state restore in place.
-func (s *Server) shardOf(engine uint32) int {
-	n := s.cfg.Shards
-	if n <= 1 {
-		return 0
-	}
-	return int(uint64(engine*0x9E3779B1) * uint64(n) >> 32)
 }
 
 // New trains one detector lane per traffic measure on the run (see
@@ -554,17 +473,14 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 		top:   ds.Top,
 		res:   res,
 		recvs: make([]*receiver, cfg.Receivers),
-		parts: make([]*partition, cfg.Shards),
 
 		cpSlot:  make(chan struct{}, 1),
 		cpWrite: make(chan *cpTicket, 1),
 	}
-	s.ctr.watermark.Store(-1)
-	s.ctr.lastClosed.Store(-1)
-	s.lastCpBin = -1
-	if err := s.coldIngest(); err != nil {
-		return nil, err
+	for i := range s.recvs {
+		s.recvs[i] = &receiver{}
 	}
+	s.lastCpBin = -1
 
 	if cfg.CheckpointPath != "" {
 		if st, err := checkpoint.ReadFile(cfg.CheckpointPath); err != nil {
@@ -575,15 +491,18 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 				s.restoreErr = err.Error()
 			}
 		} else if err := s.restore(st); err != nil {
+			// restore adopts nothing until every check has passed, so a
+			// cold start never trusts checkpoint bytes.
 			s.cpFallbacks++
 			s.restoreErr = err.Error()
-			s.det = nil // discard any partially built detector
-			// Discard any template-cache state a partial restore left in
-			// the registries: a cold start must not trust checkpoint bytes.
-			if err := s.coldIngest(); err != nil {
-				return nil, err
-			}
 		}
+	}
+	if s.col == nil {
+		col, err := newCollector(&s.cfg, s.top, s.res, nil)
+		if err != nil {
+			return nil, err
+		}
+		s.col = col
 	}
 	if s.det == nil {
 		det, err := run.NewStreamDetector(cfg.Detect, cfg.Stream)
@@ -597,26 +516,6 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 	s.writerWG.Add(1)
 	go s.writeCheckpoints()
 	return s, nil
-}
-
-// coldIngest (re)builds the ingest state machine as a cold start has it:
-// receivers with fresh decoder registries, empty partitions.
-func (s *Server) coldIngest() error {
-	for i := range s.recvs {
-		reg, err := flowwire.NewRegistry(s.cfg.Formats...)
-		if err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
-		s.recvs[i] = &receiver{reg: reg}
-	}
-	for i := range s.parts {
-		p, err := s.newPartition(i, &checkpoint.ShardState{SealedThrough: -1})
-		if err != nil {
-			return err
-		}
-		s.parts[i] = p
-	}
-	return nil
 }
 
 // detectOpts returns the effective detector options (Config.Detect, with
@@ -677,13 +576,13 @@ func (s *Server) fingerprint(st *checkpoint.State) error {
 	return nil
 }
 
-// enabledFormats lists the registry's enabled wire formats in wire-version
-// order — checkpoint fingerprint material, since engine cursors and
-// template caches only make sense under the same decoder set.
+// enabledFormats lists the configured wire formats (none = all) in
+// wire-version order — checkpoint fingerprint material, since engine
+// cursors and template caches only make sense under the same decoder set.
 func (s *Server) enabledFormats() []uint8 {
 	var out []uint8
 	for _, f := range flowwire.AllFormats() {
-		if s.recvs[0].reg.Enabled(f) {
+		if len(s.cfg.Formats) == 0 || slices.Contains(s.cfg.Formats, f) {
 			out = append(out, uint8(f))
 		}
 	}
@@ -693,8 +592,10 @@ func (s *Server) enabledFormats() []uint8 {
 // restore rebuilds the daemon's state from a verified snapshot. Every
 // stored field is cross-validated before it is believed — the snapshot
 // passed the checksum, but shape and invariants are this layer's job (the
-// detector's own state validates inside RestoreStreamDetector). Any error
-// leaves the caller to cold-start. Runs before any ingest goroutine starts.
+// collector checks its share in newCollector, the detector its own in
+// RestoreStreamDetector). It adopts nothing until every check has passed,
+// so on error the caller cold-starts from scratch. Runs before any ingest
+// goroutine starts.
 func (s *Server) restore(st *checkpoint.State) error {
 	if err := s.fingerprint(st); err != nil {
 		return err
@@ -710,86 +611,16 @@ func (s *Server) restore(st *checkpoint.State) error {
 	} else if sv.LastClosed != -1 {
 		return fmt.Errorf("snapshot closed bins through %d but detector never started", sv.LastClosed)
 	}
-	if len(sv.Shards) != s.cfg.Shards {
-		return fmt.Errorf("snapshot holds %d shard states, daemon runs %d shards", len(sv.Shards), s.cfg.Shards)
+	col, err := newCollector(&s.cfg, s.top, s.res, sv)
+	if err != nil {
+		return err
 	}
-	parts := make([]*partition, len(sv.Shards))
-	for i := range sv.Shards {
-		ss := &sv.Shards[i]
-		if ss.SealedThrough < sv.LastClosed {
-			return fmt.Errorf("snapshot shard %d sealed through %d, behind last closed %d", i, ss.SealedThrough, sv.LastClosed)
-		}
-		p, err := s.newPartition(i, ss)
-		if err != nil {
-			return err
-		}
-		parts[i] = p
-	}
-	protoSeen := map[uint8]bool{}
-	for _, ps := range sv.Protocols {
-		f := flowwire.Format(ps.Format)
-		if f == flowwire.FormatUnknown || f >= flowwire.NumFormats {
-			return fmt.Errorf("snapshot protocol counters for unknown format %d", ps.Format)
-		}
-		if protoSeen[ps.Format] {
-			return fmt.Errorf("snapshot lists protocol %v twice", f)
-		}
-		protoSeen[ps.Format] = true
-	}
-	tmpl := map[flowwire.Format][]flowwire.TemplateSnapshot{}
-	for _, ts := range sv.Templates {
-		f := flowwire.Format(ts.Format)
-		if f != flowwire.FormatNetFlowV9 && f != flowwire.FormatIPFIX {
-			return fmt.Errorf("snapshot template for non-template format %d", ts.Format)
-		}
-		fields := make([]flowwire.FieldSpec, len(ts.Fields))
-		for i, fd := range ts.Fields {
-			fields[i] = flowwire.FieldSpec{ID: fd.ID, Enterprise: fd.Enterprise, Length: fd.Length}
-		}
-		tmpl[f] = append(tmpl[f], flowwire.TemplateSnapshot{
-			Source: ts.Source, ID: ts.ID, Scope: ts.Scope, Fields: fields,
-		})
-	}
-	// The registries revalidate every definition exactly like a hostile
-	// wire template; a failure here (or below) makes New rebuild them, so
-	// a partially restored cache never survives into a cold start. Every
-	// receiver gets the full set — the kernel may hash any engine's
-	// packets to any socket.
-	for f, snaps := range tmpl {
-		for _, r := range s.recvs {
-			if err := r.reg.RestoreTemplates(f, snaps); err != nil {
-				return fmt.Errorf("snapshot template restore (%v): %w", f, err)
-			}
-		}
-	}
-
 	det, err := s.run.RestoreStreamDetector(st.Stream, s.cfg.Stream)
 	if err != nil {
 		return err
 	}
-	s.det = det
-	s.parts = parts
-	for _, ps := range sv.Protocols {
-		pc := &s.proto[ps.Format]
-		pc.packets.Store(ps.Packets)
-		pc.badPackets.Store(ps.BadPackets)
-		pc.duplicates.Store(ps.Duplicates)
-		pc.records.Store(ps.Records)
-		pc.lostUnits.Store(ps.LostUnits)
-	}
+	s.col, s.det = col, det
 	s.anoms = append([]netwide.Anomaly(nil), st.Anomalies...)
-	s.ctr.packets.Store(sv.Packets)
-	s.ctr.badPackets.Store(sv.BadPackets)
-	s.ctr.duplicates.Store(sv.Duplicates)
-	s.ctr.records.Store(sv.Records)
-	s.ctr.lostRecords.Store(sv.LostRecords)
-	s.ctr.lateRecords.Store(sv.LateRecords)
-	s.ctr.unroutable.Store(sv.Unroutable)
-	s.ctr.wildRecords.Store(sv.WildRecords)
-	s.ctr.watermarkResets.Store(sv.WatermarkResets)
-	s.ctr.binsClosed.Store(int64(sv.BinsClosed))
-	s.ctr.watermark.Store(int64(sv.Watermark))
-	s.ctr.lastClosed.Store(int64(sv.LastClosed))
 	s.alarmBins = sv.AlarmBins
 	s.restored = true
 	s.restoredBin = sv.LastClosed
@@ -812,23 +643,16 @@ type cpTicket struct {
 	done chan error
 }
 
-// capture starts a snapshot with the ingest side's share of it —
-// fingerprint, counters, per-protocol breakdown, the partitions' states
-// and the receivers' template caches — and sends it down the detector as a
-// barrier behind every bin submitted so far, without waiting for it. The
-// caller holds cpSlot and lockIngest, which freezes the ingest state read
-// here — no datagram mid-flight, no bin close running — and bins are only
-// submitted under closeMu, so the ingest state in the ticket and the
-// detector state the barrier collects on its way are one cut of the
-// submission order. A refused barrier (the detector is closed) settles the
-// ticket as a failed write.
+// capture starts a snapshot with the ingest side's share of it — the
+// fingerprint and the collector's state — and sends it down the detector
+// as a barrier behind every bin submitted so far, without waiting for it.
+// The caller holds cpSlot and ingestMu, which freezes the collector — no
+// datagram mid-flight, no bin close running — and bins are only submitted
+// under ingestMu, so the ingest state in the ticket and the detector state
+// the barrier collects on its way are one cut of the submission order. A
+// refused barrier (the detector is closed) settles the ticket as a failed
+// write.
 func (s *Server) capture() *cpTicket {
-	shards := make([]checkpoint.ShardState, len(s.parts))
-	for i, p := range s.parts {
-		p.mu.Lock()
-		shards[i] = p.state()
-		p.mu.Unlock()
-	}
 	ds := s.run.Dataset()
 	opts := s.detectOpts()
 	kind, _ := s.streamKind()
@@ -842,26 +666,7 @@ func (s *Server) capture() *cpTicket {
 		Formats:  s.enabledFormats(),
 		Shards:   s.cfg.Shards,
 		Updater:  string(kind),
-	}
-	sv := &st.Server
-	sv.Shards = shards
-	sv.Templates = s.templates()
-	sv.Packets = s.ctr.packets.Load()
-	sv.BadPackets = s.ctr.badPackets.Load()
-	sv.Duplicates = s.ctr.duplicates.Load()
-	sv.Records = s.ctr.records.Load()
-	sv.LostRecords = s.ctr.lostRecords.Load()
-	sv.LateRecords = s.ctr.lateRecords.Load()
-	sv.Unroutable = s.ctr.unroutable.Load()
-	sv.WildRecords = s.ctr.wildRecords.Load()
-	sv.WatermarkResets = s.ctr.watermarkResets.Load()
-	sv.BinsClosed = int(s.ctr.binsClosed.Load())
-	sv.Watermark = int(s.ctr.watermark.Load())
-	sv.LastClosed = int(s.ctr.lastClosed.Load())
-	for f := flowwire.Format(1); f < flowwire.NumFormats; f++ {
-		if ps, seen := s.proto[f].state(f); seen {
-			sv.Protocols = append(sv.Protocols, ps)
-		}
+		Server:   s.col.state(),
 	}
 	t := &cpTicket{st: st, bins: s.binsSinceCp.Load(), done: make(chan error, 1)}
 	if err := s.det.Checkpoint(t); err != nil {
@@ -872,7 +677,7 @@ func (s *Server) capture() *cpTicket {
 
 // writeCheckpoints is the one goroutine that touches the snapshot file: it
 // encodes each completed ticket and atomically replaces the file (temp
-// file, fsync, rename, directory fsync), off every ingest lock. Write
+// file, fsync, rename, directory fsync), off the ingest lock. Write
 // failures (a full disk, an injected fault) are counted and surfaced on
 // /stats, never fatal: the daemon keeps collecting, one snapshot staler.
 func (s *Server) writeCheckpoints() {
@@ -928,49 +733,11 @@ func (s *Server) cadenceDue(n int) bool {
 	}
 }
 
-// templates snapshots the receivers' v9/IPFIX template caches,
-// deduplicated by (format, source, template ID) — with multiple
-// receivers, several registries typically hold the same definitions.
-// Template caches are decode state a mid-stream restart cannot relearn
-// until the exporters resend, so they checkpoint too.
-func (s *Server) templates() []checkpoint.TemplateState {
-	type tmplKey struct {
-		f   flowwire.Format
-		src uint32
-		id  uint16
-	}
-	seen := map[tmplKey]bool{}
-	var out []checkpoint.TemplateState
-	for _, r := range s.recvs {
-		for _, f := range []flowwire.Format{flowwire.FormatNetFlowV9, flowwire.FormatIPFIX} {
-			for _, ts := range r.reg.TemplateSnapshots(f) {
-				k := tmplKey{f, ts.Source, ts.ID}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				fields := make([]checkpoint.TemplateField, len(ts.Fields))
-				for i, fd := range ts.Fields {
-					fields[i] = checkpoint.TemplateField{ID: fd.ID, Enterprise: fd.Enterprise, Length: fd.Length}
-				}
-				out = append(out, checkpoint.TemplateState{
-					Format: uint8(f),
-					Source: ts.Source,
-					ID:     ts.ID,
-					Scope:  ts.Scope,
-					Fields: fields,
-				})
-			}
-		}
-	}
-	return out
-}
-
 // snapshot takes one snapshot and returns once it is on disk (or has
 // failed): the path of CheckpointNow, the wall-clock timer and — with
 // flush, which first closes every bin through the watermark — Drain. Only
-// the capture runs under the ingest locks; the wait for the barrier and the
-// disk does not.
+// the capture runs under ingestMu; the wait for the barrier and the disk
+// does not.
 func (s *Server) snapshot(flush bool) error {
 	s.cpSlot <- struct{}{} // waits out a snapshot still on its way to disk
 	if !flush {
@@ -982,12 +749,12 @@ func (s *Server) snapshot(flush bool) error {
 			return errors.New("server: draining; the drain writes the final checkpoint")
 		}
 	}
-	s.lockIngest()
+	s.ingestMu.Lock()
 	if flush {
-		s.closeThrough(int(s.ctr.watermark.Load()))
+		s.submit(s.col.flush())
 	}
 	t := s.capture()
-	s.unlockIngest()
+	s.ingestMu.Unlock()
 	return <-t.done
 }
 
@@ -1216,181 +983,34 @@ func (s *Server) receiverLoop(r *receiver) {
 // socket.
 func (s *Server) IngestPacket(pkt []byte) { s.ingestOn(s.recvs[0], pkt) }
 
-// ingestOn runs one datagram through receiver r. When it returns, the
-// datagram is binned and every bin it let close has been submitted. When
-// the bin-driven checkpoint cadence comes due it only starts the
-// snapshot: a copy of the open bins and cursors and a barrier sent after
-// the closed bins; the detector, the verdict consumer and the writer
-// goroutine finish it while ingest goes on. The capture takes every
-// receiver's lock, so it starts once this one has released its own.
+// ingestOn runs one datagram arriving on receiver r through the collector
+// under ingestMu. When it returns, the datagram is binned and every bin it
+// let close has been submitted. When the bin-driven checkpoint cadence
+// comes due it captures inline and only starts the snapshot: the barrier
+// follows the closed bins down the detector, and the verdict consumer and
+// the writer goroutine finish it while ingest goes on.
 func (s *Server) ingestOn(r *receiver, pkt []byte) {
-	if s.ingest(r, pkt) {
-		s.lockIngest()
-		s.capture()
-		s.unlockIngest()
-	}
-}
-
-// ingest is ingestOn's datagram, under r.mu: decode on r's registry, the
-// gates of the engine's partition under that partition's lock, then what
-// the partition asks of the watermark. A raise lifts the shared watermark
-// (CAS max), and the receiver that moved it closes bins through
-// watermark − Grace under closeMu; a stranded vote resets it first. It
-// reports whether the snapshot cadence came due, in which case the caller
-// holds cpSlot.
-func (s *Server) ingest(r *receiver, pkt []byte) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, recs, ok := s.decode(r, pkt, r.recs[:0])
-	r.recs = recs
-	if !ok {
-		return false
-	}
-	p := s.parts[s.shardOf(b.Engine)]
-	p.mu.Lock()
-	act, bin := p.ingest(b, recs, int(s.ctr.watermark.Load()))
-	p.mu.Unlock()
-	if act == actNone || act == actRaise && !s.raise(bin) {
-		return false
-	}
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
-	if act == actStranded {
-		s.reset(bin)
-	}
-	n := s.closeThrough(int(s.ctr.watermark.Load()) - s.cfg.Grace)
-	return n > 0 && s.cadenceDue(n)
-}
-
-// raise lifts the watermark to bin (CAS max), reporting whether it moved.
-func (s *Server) raise(bin int) bool {
-	for {
-		cur := s.ctr.watermark.Load()
-		if cur >= int64(bin) {
-			return false
-		}
-		if s.ctr.watermark.CompareAndSwap(cur, int64(bin)) {
-			return true
-		}
-	}
-}
-
-// reset re-anchors a stranded watermark at bin (closeMu held): every
-// partition drops its open bins beyond bin + MaxAhead as wild and rewinds
-// its seal point to lastClosed. The rewind needs no seal in flight, which
-// closeMu guarantees: every bin sealed so far has been submitted. A vote
-// that finds the watermark no longer stranded — another receiver's vote
-// reset it first — changes nothing.
-func (s *Server) reset(bin int) {
-	if int(s.ctr.watermark.Load())-bin <= s.cfg.MaxAhead {
-		return
-	}
-	for _, p := range s.parts {
-		p.mu.Lock()
-		p.discard(bin + s.cfg.MaxAhead)
-		p.mu.Unlock()
-	}
-	s.ctr.watermark.Store(int64(bin))
-	s.ctr.watermarkResets.Add(1)
-}
-
-// closeThrough seals every partition through `through`, merges what they
-// detached and hands it to closeBins (closeMu held), returning how many
-// bins the detector accepted. closeMu makes this the one place bins close,
-// so seals run one at a time with non-decreasing bounds, and a partition's
-// late gate keeps a sealed bin from reopening: every bin reaches the
-// detector once, complete, in ascending order.
-func (s *Server) closeThrough(through int) int {
-	var closed []submittedBin
-	for _, p := range s.parts {
-		p.mu.Lock()
-		closed = merge(closed, p.seal(through))
-		p.mu.Unlock()
-	}
-	return s.closeBins(closed)
-}
-
-// merge folds one partition's sealed bins into the bins sealed so far, both
-// ascending. Partitions own disjoint OD columns, so adding one's vector
-// into another's only adds to zeros: the merged vector has the bits a
-// single partition holding every engine would have built.
-func merge(into, from []submittedBin) []submittedBin {
-	if len(into) == 0 {
-		return from
-	}
-	for _, sb := range from {
-		i, found := slices.BinarySearchFunc(into, sb.bin, func(x submittedBin, bin int) int { return cmp.Compare(x.bin, bin) })
-		if !found {
-			into = slices.Insert(into, i, sb)
-			continue
-		}
-		acc := into[i].acc
-		for c := range acc.bytes {
-			acc.bytes[c] += sb.acc.bytes[c]
-			acc.packets[c] += sb.acc.packets[c]
-			acc.flows[c] += sb.acc.flows[c]
-		}
-		acc.records += sb.acc.records
-	}
-	return into
-}
-
-// lockIngest freezes ingest for a capture or the drain's flush: every
-// receiver's mu in index order, then closeMu. With it held no datagram is
-// mid-flight and no bin close is running.
-func (s *Server) lockIngest() {
-	for _, r := range s.recvs {
-		r.mu.Lock()
-	}
-	s.closeMu.Lock()
-}
-
-func (s *Server) unlockIngest() {
-	s.closeMu.Unlock()
-	for _, r := range s.recvs {
-		r.mu.Unlock()
-	}
-}
-
-// decode is the receiver front half: one datagram decoded on r's registry into buf, booked in the packet, per-format and
-// bad-packet counters. It reports false for a datagram that did not
-// decode.
-func (s *Server) decode(r *receiver, pkt []byte, buf []flowwire.Record) (flowwire.Batch, []flowwire.Record, bool) {
-	b, recs, err := r.reg.Decode(pkt, buf)
-	s.ctr.packets.Add(1)
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
 	r.packets.Add(1)
 	r.bytes.Add(uint64(len(pkt)))
-	// Decode attributes even failed packets to a format when the version
-	// word detected one; garbage that detects as nothing only reaches the
-	// global counters.
-	var pc *protoCounters
-	if b.Format != flowwire.FormatUnknown && b.Format < flowwire.NumFormats {
-		pc = &s.proto[b.Format]
-		pc.packets.Add(1)
-	}
-	if err != nil {
-		s.ctr.badPackets.Add(1)
+	closed, ok := s.col.ingest(pkt)
+	if !ok {
 		r.badPackets.Add(1)
-		if pc != nil {
-			pc.badPackets.Add(1)
-		}
-		return b, recs, false
+		return
 	}
-	return b, recs, true
+	if n := s.submit(closed); n > 0 && s.cadenceDue(n) {
+		s.capture()
+	}
 }
 
-// closeBins hands detached bins to the detector in ascending order and
-// books them: lastClosed moves to the highest — the stranded-watermark
-// vote reads it, and a bin the detector refused stays closed — while
-// binsClosed and the returned count take only the bins the detector
-// accepted. Bins are only ever detached in ascending order across calls
-// (under closeMu), so the detector's non-decreasing contract holds. The first refusal is recorded as the
-// daemon's error, and the bins after it are not offered.
-func (s *Server) closeBins(closed []submittedBin) int {
-	if len(closed) == 0 {
-		return 0
-	}
-	s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
+// submit hands closed bins to the detector in ascending order (ingestMu
+// held) and returns how many it accepted, which binsClosed counts; a bin
+// the detector refused stays closed. The collector returns bins in
+// ascending order across calls, so the detector's non-decreasing contract
+// holds. The first refusal is recorded as the daemon's error, and the bins
+// after it are not offered.
+func (s *Server) submit(closed []submittedBin) int {
 	n := 0
 	for _, sb := range closed {
 		s.mu.Lock()
@@ -1407,7 +1027,7 @@ func (s *Server) closeBins(closed []submittedBin) int {
 		}
 		n++
 	}
-	s.ctr.binsClosed.Add(int64(n))
+	s.col.ctr.binsClosed.Add(int64(n))
 	return n
 }
 
@@ -1438,22 +1058,23 @@ func (s *Server) Err() error {
 // counters may be mid-packet inconsistent with each other by a record or
 // two, never torn).
 func (s *Server) Stats() Stats {
+	c := s.col
 	st := Stats{
-		Packets:         s.ctr.packets.Load(),
-		BadPackets:      s.ctr.badPackets.Load(),
-		Duplicates:      s.ctr.duplicates.Load(),
-		Records:         s.ctr.records.Load(),
-		LostRecords:     s.ctr.lostRecords.Load(),
-		LateRecords:     s.ctr.lateRecords.Load(),
-		Unroutable:      s.ctr.unroutable.Load(),
-		WildRecords:     s.ctr.wildRecords.Load(),
-		WatermarkResets: s.ctr.watermarkResets.Load(),
-		BinsClosed:      int(s.ctr.binsClosed.Load()),
-		Watermark:       int(s.ctr.watermark.Load()),
-		LastClosed:      int(s.ctr.lastClosed.Load()),
+		Packets:         c.ctr.packets.Load(),
+		BadPackets:      c.ctr.badPackets.Load(),
+		Duplicates:      c.ctr.duplicates.Load(),
+		Records:         c.ctr.records.Load(),
+		LostRecords:     c.ctr.lostRecords.Load(),
+		LateRecords:     c.ctr.lateRecords.Load(),
+		Unroutable:      c.ctr.unroutable.Load(),
+		WildRecords:     c.ctr.wildRecords.Load(),
+		WatermarkResets: c.ctr.watermarkResets.Load(),
+		BinsClosed:      int(c.ctr.binsClosed.Load()),
+		Watermark:       int(c.ctr.watermark.Load()),
+		LastClosed:      int(c.ctr.lastClosed.Load()),
 	}
 	for f := flowwire.Format(1); f < flowwire.NumFormats; f++ {
-		ps, seen := s.proto[f].state(f)
+		ps, seen := c.proto[f].state(f)
 		if !seen {
 			continue
 		}
@@ -1478,8 +1099,8 @@ func (s *Server) Stats() Stats {
 				Bytes:      r.bytes.Load(),
 			}
 		}
-		st.Shards = make([]ShardStats, len(s.parts))
-		for i, p := range s.parts {
+		st.Shards = make([]ShardStats, len(c.parts))
+		for i, p := range c.parts {
 			st.Shards[i] = ShardStats{
 				Records:       p.records.Load(),
 				Duplicates:    p.duplicates.Load(),
@@ -1491,7 +1112,7 @@ func (s *Server) Stats() Stats {
 			}
 		}
 	}
-	for _, p := range s.parts {
+	for _, p := range c.parts {
 		st.BinsOpen += int(p.binsOpen.Load())
 	}
 	s.mu.Lock()
@@ -1507,7 +1128,7 @@ func (s *Server) Stats() Stats {
 	st.CheckpointErr = s.cpErr
 	if s.cfg.CheckpointPath != "" {
 		// Read after lastCpBin, which never runs ahead of it.
-		st.CheckpointLagBins = int(s.ctr.lastClosed.Load()) - s.lastCpBin
+		st.CheckpointLagBins = int(c.ctr.lastClosed.Load()) - s.lastCpBin
 		st.CheckpointsCoalesced = s.cpCoalesced.Load()
 		st.CheckpointLastWriteMs = float64(s.cpLastWrite) / float64(time.Millisecond)
 	}
@@ -1579,14 +1200,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	// submitted — and, when
 	// checkpointing, persist the final snapshot and wait for it: it carries
 	// every closed bin, so a restart after a clean drain resumes zero bins
-	// stale. Failures land on Stats. The ingest locks exclude a straggling
-	// direct IngestPacket caller.
+	// stale. Failures land on Stats. ingestMu excludes a straggling direct
+	// IngestPacket caller.
 	if s.cfg.CheckpointPath != "" {
 		s.snapshot(true)
 	} else {
-		s.lockIngest()
-		s.closeThrough(int(s.ctr.watermark.Load()))
-		s.unlockIngest()
+		s.ingestMu.Lock()
+		s.submit(s.col.flush())
+		s.ingestMu.Unlock()
 	}
 	s.reap()
 	s.det.Wait() // every lane has finished before its errors are read

@@ -102,6 +102,41 @@ func TestStatsUnderIngestRace(t *testing.T) {
 	}
 }
 
+// TestTemplateSharedAcrossReceivers: an exporter's template-bearing IPFIX
+// packet lands on one receiver and its next, data-only packet on another —
+// what happens when the exporter's new source port hashes to another
+// SO_REUSEPORT socket. Every receiver decodes through the one template
+// cache, so the data-only packet decodes instead of counting bad.
+func TestTemplateSharedAcrossReceivers(t *testing.T) {
+	run := testRun(t)
+	recs := collectRecords(t, run, 5)
+	exp, err := flowwire.NewExporter(flowwire.FormatIPFIX, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // packet 0: templates + data; packet 1: data only
+		for _, r := range recs {
+			exp.Add(r)
+		}
+		exp.Flush()
+	}
+	pkts := exp.Drain()
+	if len(pkts) != 2 {
+		t.Fatalf("exporter produced %d packets, want 2", len(pkts))
+	}
+	srv, err := New(run, Config{Receivers: 2, Stream: parityStream(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.ingestOn(srv.recvs[0], pkts[0])
+	srv.ingestOn(srv.recvs[1], pkts[1])
+	st := srv.Stats()
+	if st.BadPackets != 0 || st.Records != 2*uint64(len(recs)) {
+		t.Fatalf("bad packets %d, records %d; want 0 and %d", st.BadPackets, st.Records, 2*len(recs))
+	}
+	drainOK(t, srv)
+}
+
 // TestShardSkewLateLoss pins late-loss accounting across shards: once the
 // watermark (driven by one shard's engine) seals a bin on EVERY shard, a
 // straggler packet for that bin arriving on another
@@ -114,7 +149,7 @@ func TestShardSkewLateLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := srv.shardOf(0), srv.shardOf(1); a == b {
+	if a, b := srv.col.shardOf(0), srv.col.shardOf(1); a == b {
 		t.Fatalf("engines 0 and 1 hash to the same shard (%d): the skew scenario needs two shards", a)
 	}
 	recs := collectRecords(t, run, 10)
@@ -144,11 +179,11 @@ func TestShardSkewLateLoss(t *testing.T) {
 	if st.LateRecords != uint64(len(recs)) {
 		t.Fatalf("late records %d, want %d", st.LateRecords, len(recs))
 	}
-	skewed := st.Shards[srv.shardOf(1)]
+	skewed := st.Shards[srv.col.shardOf(1)]
 	if skewed.LateRecords != uint64(len(recs)) || skewed.Records != 0 {
 		t.Fatalf("skewed shard ledger %+v, want all %d records late and none accepted", skewed, len(recs))
 	}
-	ahead := st.Shards[srv.shardOf(0)]
+	ahead := st.Shards[srv.col.shardOf(0)]
 	if ahead.LateRecords != 0 || ahead.Records != 6*uint64(len(recs)) {
 		t.Fatalf("leading shard ledger %+v, want %d records and no late", ahead, 6*len(recs))
 	}
