@@ -70,7 +70,7 @@ func sampleState() *State {
 					QLimit: 1.5, T2Limit: 9.25, N: 288, TotalVar: 3,
 					Mean:        []float64{10, 20},
 					Eigenvalues: []float64{2.5},
-					Components:  [][]float64{{0.6}, {0.8}},
+					Components:  []float64{0.6, 0.8},
 				},
 				Window:  [][]float64{{9, 19}, {11, 21}, {10, 20}},
 				Since:   5,

@@ -122,6 +122,25 @@ func (w *writer) matrix(what string, m [][]float64) {
 	}
 }
 
+// flat writes a row-major matrix of cols columns as matrix lays one out:
+// the row count, the column count and one run. An empty one is 0 x 0.
+func (w *writer) flat(what string, v []float64, cols int) {
+	if len(v) == 0 {
+		w.count(0)
+		w.count(0)
+		return
+	}
+	if cols <= 0 || len(v)%cols != 0 {
+		if w.err == nil {
+			w.err = fmt.Errorf("checkpoint: encode: %s has %d values, not a whole number of %d-value rows", what, len(v), cols)
+		}
+		return
+	}
+	w.count(len(v) / cols)
+	w.count(cols)
+	w.run(v)
+}
+
 // section reserves a length, lets body append, and fills the length in.
 func (w *writer) section(body func()) {
 	at := len(w.buf)
@@ -235,7 +254,7 @@ func (w *writer) stream(cp *netwide.StreamCheckpoint) {
 		w.f64(ms.TotalVar)
 		w.f64s(ms.Mean)
 		w.f64s(ms.Eigenvalues)
-		w.matrix("model components", ms.Components)
+		w.flat("model components", ms.Components, len(ms.Eigenvalues))
 		w.matrix("rolling window", us.Window)
 		w.int(us.Since)
 		w.bool(us.Tracker != nil)
@@ -474,14 +493,14 @@ func (r *reader) f64s(what string, want int) []float64 {
 	return out
 }
 
-// matrix reads a rows x cols matrix into one backing array, each row capped
-// so that an append to it cannot reach the next. wantRows / wantCols >= 0 are
-// the dimensions the fingerprint fixes (an absent matrix, 0 x 0, is always
-// allowed: windows and trackers are optional).
-func (r *reader) matrix(what string, wantRows, wantCols int) [][]float64 {
+// flat reads a rows x cols matrix into one row-major array and returns it
+// with its column count. wantRows / wantCols >= 0 are the dimensions the
+// fingerprint fixes (an absent matrix, 0 x 0, is always allowed: windows
+// and trackers are optional).
+func (r *reader) flat(what string, wantRows, wantCols int) ([]float64, int) {
 	nr, nc := r.u32(), r.u32()
 	if r.err != nil || (nr == 0 && nc == 0) {
-		return nil
+		return nil, 0
 	}
 	switch {
 	case nr == 0 || nc == 0:
@@ -494,12 +513,21 @@ func (r *reader) matrix(what string, wantRows, wantCols int) [][]float64 {
 		r.failf("%s has %d columns, the fingerprint fixes %d", what, nc, wantCols)
 	}
 	if r.err != nil {
+		return nil, 0
+	}
+	v := make([]float64, int(nr)*int(nc))
+	r.run(v)
+	return v, int(nc)
+}
+
+// matrix reads what flat reads as rows over its one backing array, each
+// row capped so that an append to it cannot reach the next.
+func (r *reader) matrix(what string, wantRows, wantCols int) [][]float64 {
+	flat, cols := r.flat(what, wantRows, wantCols)
+	if flat == nil {
 		return nil
 	}
-	rows, cols := int(nr), int(nc)
-	flat := make([]float64, rows*cols)
-	r.run(flat)
-	out := make([][]float64, rows)
+	out := make([][]float64, len(flat)/cols)
 	for i := range out {
 		out[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
 	}
@@ -678,7 +706,7 @@ func (r *reader) stream(cp *netwide.StreamCheckpoint, fp *State) {
 		ms.TotalVar = r.f64()
 		ms.Mean = r.f64s("model mean", p)
 		ms.Eigenvalues = r.f64s("model eigenvalues", -1)
-		ms.Components = r.matrix("model components", p, len(ms.Eigenvalues))
+		ms.Components, _ = r.flat("model components", p, len(ms.Eigenvalues))
 		us.Window = r.matrix("rolling window", -1, p)
 		us.Since = r.int()
 		if r.bool() {

@@ -77,7 +77,8 @@ func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value, path string) {
 }
 
 // randomState is a State with every field set and the few the decoder
-// cross-checks made to agree: the fingerprint's shape, the lanes' K.
+// cross-checks made to agree: the fingerprint's shape, the lanes' K, and the
+// length of their row-major components (fillLen rows of fillLen).
 func randomState(t *testing.T, seed int64) *State {
 	t.Helper()
 	st := &State{}
@@ -85,7 +86,13 @@ func randomState(t *testing.T, seed int64) *State {
 	st.Version = Version
 	st.ODPairs, st.Measures = fillLen, fillLen
 	for i := range st.Stream.Lanes {
-		st.Stream.Lanes[i].Model.Opts.K = st.K
+		ms := &st.Stream.Lanes[i].Model
+		ms.Opts.K = st.K
+		comps := make([]float64, fillLen*fillLen)
+		for j := range comps {
+			comps[j] = ms.Components[j%fillLen] + float64(j)
+		}
+		ms.Components = comps
 	}
 	return st
 }
@@ -142,6 +149,10 @@ func TestWriteRefusesWhatTheFormatCannotHold(t *testing.T) {
 	for name, spoil := range map[string]func(*State){
 		"ragged":     func(st *State) { st.Stream.Lanes[0].Window[1] = []float64{1} },
 		"empty rows": func(st *State) { st.Stream.Lanes[0].Tracker.Axes = [][]float64{{}, {}} },
+		"not a whole number": func(st *State) {
+			st.Stream.Lanes[0].Model.Eigenvalues = []float64{2.5, 1}
+			st.Stream.Lanes[0].Model.Components = []float64{0.6, 0.8, 1}
+		},
 	} {
 		st := sampleState()
 		spoil(st)
@@ -195,7 +206,7 @@ func TestReadChecksShapesBeforeAllocating(t *testing.T) {
 		{"bytes after the last section", append(bytes.Clone(valid), 0, 0), "after the last section"},
 		{"lane count against measures", reencode(func(st *State) { st.Measures = 2 }), "lanes"},
 		{"mean against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Mean = []float64{1, 2, 3} }), "values, the fingerprint fixes 2"},
-		{"components against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Components = [][]float64{{1}} }), "rows, the fingerprint fixes 2"},
+		{"components against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Components = []float64{1} }), "rows, the fingerprint fixes 2"},
 		{"window against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Window = [][]float64{{1, 2, 3}} }), "columns, the fingerprint fixes 2"},
 		{"tracker axes against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Tracker.Axes = [][]float64{{1}} }), "tracker axes"},
 		{"open bin against OD pairs", reencode(func(st *State) { st.Server.Shards[0].OpenBins[0].Flows = []float64{1} }), "open-bin flows"},

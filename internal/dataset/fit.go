@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"netwide/internal/engine"
+	"netwide/internal/routing"
 )
 
 // fitKey names one fitted model of a dataset: the measure, how many
@@ -52,6 +53,14 @@ func (d *Dataset) Fit(m Measure, trainBins int, opts engine.Options) (*engine.Mo
 	})
 	return e.model, e.err
 }
+
+// Resolver returns the dataset's one longest-prefix-match resolver, built
+// from its topology with no routing overrides, which the generator maps
+// every record's destination through. It is shared and must not be
+// modified. Its lookups (ResolveSrc, ResolveDst) simulate no resolution
+// failures: the generator draws those itself, at Cfg.UnresolvedFraction,
+// so only Resolve with a non-nil rng would drop records at that rate.
+func (d *Dataset) Resolver() *routing.Resolver { return d.resolver }
 
 // keyFor names Fit's model for the arguments, reading a training length
 // outside (0, Bins] as every bin.

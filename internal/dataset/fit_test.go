@@ -66,13 +66,8 @@ func sameState(a, b engine.ModelState) bool {
 	}
 	if a.Opts != b.Opts || a.Gen != b.Gen || a.Updates != b.Updates || a.N != b.N ||
 		!eq([]float64{a.QLimit, a.T2Limit, a.TotalVar}, []float64{b.QLimit, b.T2Limit, b.TotalVar}) ||
-		!eq(a.Mean, b.Mean) || !eq(a.Eigenvalues, b.Eigenvalues) || len(a.Components) != len(b.Components) {
+		!eq(a.Mean, b.Mean) || !eq(a.Eigenvalues, b.Eigenvalues) || !eq(a.Components, b.Components) {
 		return false
-	}
-	for i := range a.Components {
-		if !eq(a.Components[i], b.Components[i]) {
-			return false
-		}
 	}
 	return true
 }

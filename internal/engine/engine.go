@@ -208,13 +208,32 @@ func fit(train *mat.Matrix, opts Options, warm *mat.PCA, gen uint64) (*Model, er
 	if err != nil {
 		return nil, fmt.Errorf("engine: T2 threshold: %w", err)
 	}
-	vk := pca.TopComponents(opts.K)
+	m := newModel(opts, pca, qLimit, t2Limit, gen, 0)
+	m.train = train
+	return m, nil
+}
+
+// newModel assembles a generation around its PCA and thresholds — the one
+// constructor behind fit, the incremental updater's publish and Restore. It
+// extracts the normal-subspace basis vk (p x k) and its transpose vkT in
+// one row-major pass over the components, into one allocation.
+func newModel(opts Options, pca *mat.PCA, qLimit, t2Limit float64, gen, updates uint64) *Model {
+	p, k := pca.P(), opts.K
+	buf := make([]float64, 2*p*k)
+	vk, vkT := buf[:p*k:p*k], buf[p*k:]
+	for i := 0; i < p; i++ {
+		row := pca.Components.RowView(i)[:k]
+		copy(vk[i*k:], row)
+		for j, v := range row {
+			vkT[j*p+i] = v
+		}
+	}
 	return &Model{
 		opts: opts, pca: pca,
 		qLimit: qLimit, t2Limit: t2Limit,
-		vk: vk, vkT: vk.T(),
-		gen: gen, train: train,
-	}, nil
+		vk: mat.NewFromData(p, k, vk), vkT: mat.NewFromData(k, p, vkT),
+		gen: gen, updates: updates,
+	}
 }
 
 // ModelState is the serializable form of one model generation: everything
@@ -241,19 +260,27 @@ type ModelState struct {
 	N        int
 	TotalVar float64
 	Mean     []float64
-	// Eigenvalues pair with Components' columns; Components holds the
-	// component matrix as p rows of m coefficients.
+	// Eigenvalues pair with the columns of Components, the p x m component
+	// matrix (m = len(Eigenvalues)) stored row-major: row i, the i-th
+	// coefficient of every axis, is Components[i*m : (i+1)*m].
 	Eigenvalues []float64
-	Components  [][]float64
+	Components  []float64
 }
 
 // State captures the model as plain serializable data. The slices are
-// copies: the state stays valid however long the caller holds it, and a
-// later mutation of the state cannot reach back into the (immutable,
-// possibly still scoring) model.
+// copies, carved from one allocation: the state stays valid however long
+// the caller holds it, and a later mutation of the state cannot reach back
+// into the (immutable, possibly still scoring) model.
 func (m *Model) State() ModelState {
-	p := m.pca.P()
-	st := ModelState{
+	p, nc := m.pca.P(), m.pca.NumComputed()
+	buf := make([]float64, p+nc+p*nc)
+	mean, eigs, comps := buf[:p:p], buf[p:p+nc:p+nc], buf[p+nc:]
+	copy(mean, m.pca.Mean)
+	copy(eigs, m.pca.Eigenvalues)
+	for i := 0; i < p; i++ {
+		copy(comps[i*nc:], m.pca.Components.RowView(i))
+	}
+	return ModelState{
 		Opts:        m.opts,
 		Gen:         m.gen,
 		Updates:     m.updates,
@@ -261,14 +288,10 @@ func (m *Model) State() ModelState {
 		T2Limit:     m.t2Limit,
 		N:           m.pca.N(),
 		TotalVar:    m.pca.TotalVar,
-		Mean:        append([]float64(nil), m.pca.Mean...),
-		Eigenvalues: append([]float64(nil), m.pca.Eigenvalues...),
-		Components:  make([][]float64, p),
+		Mean:        mean,
+		Eigenvalues: eigs,
+		Components:  comps,
 	}
-	for i := 0; i < p; i++ {
-		st.Components[i] = append([]float64(nil), m.pca.Components.RowView(i)...)
-	}
-	return st
 }
 
 // MaxRestored bounds the magnitude of every value a restore accepts (the
@@ -292,6 +315,9 @@ func Restorable(v float64) bool { return math.Abs(v) <= MaxRestored }
 // model that panics later. The restored model scores bit-identically to
 // the checkpointed generation (same mean, axes, eigenvalues, thresholds)
 // and refits warm-start from its basis exactly as the original would.
+// The model adopts the state's mean, eigenvalues and components rather
+// than copying them: the caller must not write to them afterwards (a model
+// only reads them, so one state may restore any number of models).
 func Restore(st ModelState) (*Model, error) {
 	p := len(st.Mean)
 	if p == 0 {
@@ -306,17 +332,13 @@ func Restore(st ModelState) (*Model, error) {
 	if st.Opts.K > len(st.Eigenvalues) {
 		return nil, fmt.Errorf("engine: restore: k=%d exceeds %d stored axes", st.Opts.K, len(st.Eigenvalues))
 	}
-	if len(st.Components) != p {
-		return nil, fmt.Errorf("engine: restore: %d component rows, want %d", len(st.Components), p)
+	nc := len(st.Eigenvalues)
+	if len(st.Components) != p*nc {
+		return nil, fmt.Errorf("engine: restore: %d component values, want %d x %d", len(st.Components), p, nc)
 	}
-	for i, row := range st.Components {
-		if len(row) != len(st.Eigenvalues) {
-			return nil, fmt.Errorf("engine: restore: component row %d has %d cols, want %d", i, len(row), len(st.Eigenvalues))
-		}
-		for _, v := range row {
-			if !Restorable(v) {
-				return nil, fmt.Errorf("engine: restore: non-finite component in row %d", i)
-			}
+	for i, v := range st.Components {
+		if !Restorable(v) {
+			return nil, fmt.Errorf("engine: restore: non-finite component in row %d", i/nc)
 		}
 	}
 	for _, v := range st.Mean {
@@ -338,21 +360,11 @@ func Restore(st ModelState) (*Model, error) {
 	if !(st.T2Limit > 0) || !Restorable(st.T2Limit) {
 		return nil, fmt.Errorf("engine: restore: T2 limit %v not a positive finite threshold", st.T2Limit)
 	}
-	comps, err := mat.NewFromRows(st.Components)
-	if err != nil {
-		return nil, fmt.Errorf("engine: restore: components: %w", err)
-	}
-	pca, err := mat.NewPCA(st.Mean, st.Eigenvalues, comps, st.TotalVar, st.N)
+	pca, err := mat.NewPCA(st.Mean, st.Eigenvalues, mat.NewFromData(p, nc, st.Components), st.TotalVar, st.N)
 	if err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}
-	vk := pca.TopComponents(st.Opts.K)
-	return &Model{
-		opts: st.Opts, pca: pca,
-		qLimit: st.QLimit, t2Limit: st.T2Limit,
-		vk: vk, vkT: vk.T(),
-		gen: st.Gen, updates: st.Updates,
-	}, nil
+	return newModel(st.Opts, pca, st.QLimit, st.T2Limit, st.Gen, st.Updates), nil
 }
 
 // P returns the number of OD flows (vector length) the model scores.

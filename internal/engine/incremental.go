@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -70,11 +71,20 @@ type IncrementalUpdater struct {
 	// correction) until the next bin publishes.
 	stale atomic.Int64
 
-	// Tracker state, owned by the Observe goroutine.
+	// Tracker state, owned by the Observe goroutine. mean and axes are
+	// views of tracked, which holds the mean and then the m axes, p values
+	// each, so the tracker is allocated, captured and restored as one block.
+	tracked  []float64
 	mean     []float64
 	axes     [][]float64 // m vectors of length p; ‖axes[i]‖ estimates λ_i
 	totalVar float64
 	n        int
+
+	// t2Limit is the Hotelling limit for t2N observations, the count it
+	// was last computed for (0: not yet). It depends on nothing else that
+	// moves, and once the count reaches the horizon it stops moving.
+	t2Limit float64
+	t2N     int
 
 	ring winRing
 
@@ -109,6 +119,7 @@ func newIncrementalUpdater(m *Model, cfg UpdaterConfig) *IncrementalUpdater {
 		u.m = nc
 	}
 	u.model.Store(m)
+	u.allocTracker()
 	u.seedTracker(m)
 	if cfg.RefitEvery > 0 {
 		u.ring = newWinRing(cfg.Window, u.p)
@@ -117,24 +128,35 @@ func newIncrementalUpdater(m *Model, cfg UpdaterConfig) *IncrementalUpdater {
 	return u
 }
 
+// trackerViews returns the mean and the m axes stored in block, p values
+// each, mean first. Each view is capped at its own end.
+func trackerViews(block []float64, p, m int) (mean []float64, axes [][]float64) {
+	axes = make([][]float64, m)
+	for i := range axes {
+		lo := (i + 1) * p
+		axes[i] = block[lo : lo+p : lo+p]
+	}
+	return block[:p:p], axes
+}
+
+// allocTracker allocates the tracker's block for u.p and u.m.
+func (u *IncrementalUpdater) allocTracker() {
+	u.tracked = make([]float64, (u.m+1)*u.p)
+	u.mean, u.axes = trackerViews(u.tracked, u.p, u.m)
+}
+
 // seedTracker re-centers the tracker on an exactly fitted model: axes are
 // the model's top-m eigenvectors scaled by their eigenvalues (so the norm
 // carries the eigenvalue estimate), the mean, trace and count come from
-// the fit.
+// the fit. The components are read row by row, as they are stored.
 func (u *IncrementalUpdater) seedTracker(m *Model) {
 	pca := m.PCA()
-	u.mean = append(u.mean[:0], pca.Mean...)
-	if u.axes == nil {
-		u.axes = make([][]float64, u.m)
-		for i := range u.axes {
-			u.axes[i] = make([]float64, u.p)
-		}
-	}
-	for i := range u.axes {
-		l := pca.Eigenvalues[i]
-		v := u.axes[i]
-		for f := 0; f < u.p; f++ {
-			v[f] = pca.Components.At(f, i) * l
+	copy(u.mean, pca.Mean)
+	eigs := pca.Eigenvalues[:u.m]
+	for f := 0; f < u.p; f++ {
+		row := pca.Components.RowView(f)
+		for i, v := range u.axes {
+			v[f] = row[i] * eigs[i]
 		}
 	}
 	u.totalVar = pca.TotalVar
@@ -232,11 +254,13 @@ func (u *IncrementalUpdater) track(x []float64) {
 // eigenpairs sorted by dominance, thresholds recomputed from the streaming
 // residual moments — and swaps it in. The covariance trace is floored at
 // the tracked head so the flat-tail residual model never sees a negative
-// tail.
+// tail. The component matrix is filled row by row, as it is stored, and
+// the T² limit is recomputed only when the observation count moved.
 func (u *IncrementalUpdater) publish() error {
 	cur := u.model.Load()
-	eigs := make([]float64, u.m)
-	order := make([]int, u.m)
+	p, m := u.p, u.m
+	eigs := make([]float64, m)
+	order := make([]int, m)
 	var head float64
 	for i, v := range u.axes {
 		var nv2 float64
@@ -248,25 +272,29 @@ func (u *IncrementalUpdater) publish() error {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return eigs[order[a]] > eigs[order[b]] })
-	sorted := make([]float64, u.m)
-	comps := mat.New(u.p, u.m)
+	// One allocation backs the published mean, spectrum and components.
+	buf := make([]float64, p+m+p*m)
+	mean, sorted, comps := buf[:p:p], buf[p:p+m:p+m], buf[p+m:]
+	copy(mean, u.mean)
+	invs := make([]float64, m)
 	for c, idx := range order {
-		l := eigs[idx]
-		sorted[c] = l
-		if l <= tinyNorm {
-			continue // zero column: a lost direction contributes no variance
-		}
-		inv := 1 / l
-		v := u.axes[idx]
-		for r := 0; r < u.p; r++ {
-			comps.Set(r, c, v[r]*inv)
+		sorted[c] = eigs[idx]
+		invs[c] = 1 / eigs[idx]
+	}
+	for r := 0; r < p; r++ {
+		row := comps[r*m : (r+1)*m]
+		for c, idx := range order {
+			if sorted[c] <= tinyNorm {
+				continue // zero column: a lost direction contributes no variance
+			}
+			row[c] = u.axes[idx][r] * invs[c]
 		}
 	}
 	tv := u.totalVar
 	if tv < head {
 		tv = head
 	}
-	pca, err := mat.NewPCA(append([]float64(nil), u.mean...), sorted, comps, tv, u.n)
+	pca, err := mat.NewPCA(mean, sorted, mat.NewFromData(p, m, comps), tv, u.n)
 	if err != nil {
 		return err
 	}
@@ -275,18 +303,14 @@ func (u *IncrementalUpdater) publish() error {
 	if err != nil {
 		return fmt.Errorf("Q threshold: %w", err)
 	}
-	t2Limit, err := stats.T2Threshold(u.opts.K, u.n, u.opts.Alpha)
-	if err != nil {
-		return fmt.Errorf("T2 threshold: %w", err)
+	if u.t2N != u.n {
+		t2Limit, err := stats.T2Threshold(u.opts.K, u.n, u.opts.Alpha)
+		if err != nil {
+			return fmt.Errorf("T2 threshold: %w", err)
+		}
+		u.t2Limit, u.t2N = t2Limit, u.n
 	}
-	vk := pca.TopComponents(u.opts.K)
-	next := &Model{
-		opts: u.opts, pca: pca,
-		qLimit: qLimit, t2Limit: t2Limit,
-		vk: vk, vkT: vk.T(),
-		gen: cur.gen, updates: cur.updates + 1,
-	}
-	u.model.Store(next)
+	u.model.Store(newModel(u.opts, pca, qLimit, u.t2Limit, cur.gen, cur.updates+1))
 	return nil
 }
 
@@ -313,18 +337,15 @@ func (u *IncrementalUpdater) Freshness() Freshness {
 }
 
 // State captures the full lifecycle state: scoring model, tracker vectors
-// and the drift-correction window (deep copies throughout).
+// and the drift-correction window (deep copies throughout; the tracker is
+// one copy of its block).
 func (u *IncrementalUpdater) State() UpdaterState {
 	tr := &TrackerState{
 		N:        u.n,
 		Horizon:  u.horizon,
 		TotalVar: u.totalVar,
-		Mean:     append([]float64(nil), u.mean...),
-		Axes:     make([][]float64, len(u.axes)),
 	}
-	for i, v := range u.axes {
-		tr.Axes[i] = append([]float64(nil), v...)
-	}
+	tr.Mean, tr.Axes = trackerViews(slices.Clone(u.tracked), u.p, u.m)
 	return UpdaterState{
 		Kind:    UpdaterIncremental,
 		Model:   u.Model().State(),
@@ -376,12 +397,14 @@ func restoreIncremental(m *Model, st UpdaterState, cfg UpdaterConfig) (*Incremen
 		refitEvery: cfg.RefitEvery,
 		totalVar:   tr.TotalVar,
 		n:          tr.N,
-		mean:       append([]float64(nil), tr.Mean...),
-		axes:       make([][]float64, len(tr.Axes)),
 		resid:      make([]float64, p),
 	}
+	// The tracker is copied, never adopted: track updates it in place, and
+	// the state may restore other updaters too.
+	u.allocTracker()
+	copy(u.mean, tr.Mean)
 	for i, v := range tr.Axes {
-		u.axes[i] = append([]float64(nil), v...)
+		copy(u.axes[i], v)
 	}
 	u.model.Store(m)
 	if m.updates > 0 {

@@ -105,10 +105,10 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		{"k >= p", func(st *ModelState) { st.Opts.K = len(st.Mean) }},
 		{"k beyond axes", func(st *ModelState) { st.Eigenvalues = st.Eigenvalues[:2]; trimCols(st, 2) }},
 		{"absurd alpha", func(st *ModelState) { st.Opts.Alpha = 40 }},
-		{"component rows truncated", func(st *ModelState) { st.Components = st.Components[:3] }},
-		{"ragged component row", func(st *ModelState) { st.Components[2] = st.Components[2][:1] }},
+		{"component rows truncated", func(st *ModelState) { st.Components = st.Components[:3*len(st.Eigenvalues)] }},
+		{"wrong component length", func(st *ModelState) { st.Components = st.Components[:len(st.Components)-1] }},
 		{"NaN mean", func(st *ModelState) { st.Mean[0] = math.NaN() }},
-		{"NaN component", func(st *ModelState) { st.Components[1][1] = math.NaN() }},
+		{"NaN component", func(st *ModelState) { st.Components[len(st.Eigenvalues)+1] = math.NaN() }},
 		// Finite, and still poison: squared at the next bin it is +Inf.
 		{"absurd mean", func(st *ModelState) { st.Mean[0] = 3e296 }},
 		{"absurd total variance", func(st *ModelState) { st.TotalVar = 1e200 }},
@@ -139,15 +139,16 @@ func cloneState(st ModelState) ModelState {
 	out := st
 	out.Mean = append([]float64(nil), st.Mean...)
 	out.Eigenvalues = append([]float64(nil), st.Eigenvalues...)
-	out.Components = make([][]float64, len(st.Components))
-	for i, row := range st.Components {
-		out.Components[i] = append([]float64(nil), row...)
-	}
+	out.Components = append([]float64(nil), st.Components...)
 	return out
 }
 
+// trimCols keeps the first m columns of the row-major components.
 func trimCols(st *ModelState, m int) {
-	for i := range st.Components {
-		st.Components[i] = st.Components[i][:m]
+	nc := len(st.Components) / len(st.Mean)
+	var out []float64
+	for i := range st.Mean {
+		out = append(out, st.Components[i*nc:i*nc+m]...)
 	}
+	st.Components = out
 }

@@ -252,7 +252,11 @@ func NewUpdater(kind UpdaterKind, m *Model, cfg UpdaterConfig) (Updater, error) 
 // RestoreUpdater reassembles an Updater from a captured State — the crash
 // recovery path. The state is untrusted (it crossed a disk): the model,
 // window and tracker vectors are all validated before they can reach a
-// scoring path. cfg must be coherent with the state's kind.
+// scoring path. cfg must be coherent with the state's kind. Like Restore,
+// the updater keeps the state's model slices, and it keeps the window rows
+// the way Submit keeps its vectors: the ring only swaps row references and
+// a refit copies them out, so nothing writes into them, but the caller must
+// not either. The tracker is copied, since tracking moves it in place.
 func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (Updater, error) {
 	kind, err := ParseUpdaterKind(string(st.Kind))
 	if err != nil {
@@ -275,13 +279,6 @@ func RestoreUpdater(st UpdaterState, cfg UpdaterConfig) (Updater, error) {
 		if err := finiteRows(st.Window, m.P(), "window"); err != nil {
 			return nil, err
 		}
-		// Deep-copy the window: the state crossed a process boundary and the
-		// caller may reuse or mutate it after the restore.
-		win := make([][]float64, len(st.Window))
-		for i, row := range st.Window {
-			win[i] = append([]float64(nil), row...)
-		}
-		st.Window = win
 	}
 	switch kind {
 	case UpdaterRefit:
@@ -379,15 +376,18 @@ func (r *winRing) snapshot() *mat.Matrix {
 }
 
 // chron returns deep copies of the window rows in chronological order,
-// oldest first — the serializable form.
+// oldest first — the serializable form. The copies share one allocation,
+// each row capped at its own end.
 func (r *winRing) chron() [][]float64 {
 	if r.rows == nil {
 		return nil
 	}
-	out := make([][]float64, 0, r.fill)
-	for i := 0; i < r.fill; i++ {
-		row := r.rows[(r.next-r.fill+i+len(r.rows))%len(r.rows)]
-		out = append(out, append([]float64(nil), row...))
+	out := make([][]float64, r.fill)
+	flat := make([]float64, r.fill*r.p)
+	for i := range out {
+		row := flat[i*r.p : (i+1)*r.p : (i+1)*r.p]
+		copy(row, r.rows[(r.next-r.fill+i+len(r.rows))%len(r.rows)])
+		out[i] = row
 	}
 	return out
 }

@@ -56,6 +56,17 @@ func NewFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
+// NewFromData returns a rows x cols matrix over data, which holds the rows
+// one after another. The matrix takes ownership: data is not copied, so the
+// caller must not write to it afterwards. It panics if either dimension is
+// negative or len(data) is not rows*cols.
+func NewFromData(rows, cols int, data []float64) *Matrix {
+	if rows < 0 || cols < 0 || len(data) != rows*cols {
+		panic(fmt.Sprintf("mat: %d values for a %dx%d matrix", len(data), rows, cols))
+	}
+	return &Matrix{rows: rows, cols: cols, data: data}
+}
+
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 

@@ -49,6 +49,33 @@ func TestNewFromRows(t *testing.T) {
 	}
 }
 
+// TestNewFromDataAdopts: the matrix reads the caller's slice in place, row
+// by row, and a length that is not rows*cols panics.
+func TestNewFromDataAdopts(t *testing.T) {
+	data := []float64{1, 2, 3, 4, 5, 6}
+	m := NewFromData(3, 2, data)
+	if m.At(2, 1) != 6 || m.At(1, 0) != 3 {
+		t.Fatalf("At(2,1)=%v At(1,0)=%v, want 6 and 3", m.At(2, 1), m.At(1, 0))
+	}
+	data[0] = 9
+	if m.At(0, 0) != 9 {
+		t.Fatal("NewFromData copied its input")
+	}
+	if z := NewFromData(0, 4, nil); z.Rows() != 0 || z.Cols() != 4 {
+		t.Fatalf("empty matrix is %dx%d", z.Rows(), z.Cols())
+	}
+	for _, bad := range []struct{ r, c, n int }{{2, 2, 3}, {-1, 2, 0}, {2, 2, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d values for %dx%d accepted", bad.n, bad.r, bad.c)
+				}
+			}()
+			NewFromData(bad.r, bad.c, make([]float64, bad.n))
+		}()
+	}
+}
+
 func TestSetAtRoundTrip(t *testing.T) {
 	m := New(2, 2)
 	m.Set(1, 0, 7.5)

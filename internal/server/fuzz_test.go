@@ -105,12 +105,12 @@ func FuzzRestore(f *testing.F) {
 		p := ds.NumODPairs()
 		for i, lane := range after.Stream.Lanes {
 			m := lane.Model
-			if len(m.Mean) != p || len(m.Components) != p || len(m.Eigenvalues) < m.Opts.K {
-				t.Fatalf("lane %d model out of shape: mean %d, components %d rows, %d eigenvalues, K=%d (p=%d)",
+			if len(m.Mean) != p || len(m.Components) != p*len(m.Eigenvalues) || len(m.Eigenvalues) < m.Opts.K {
+				t.Fatalf("lane %d model out of shape: mean %d, %d components, %d eigenvalues, K=%d (p=%d)",
 					i, len(m.Mean), len(m.Components), len(m.Eigenvalues), m.Opts.K, p)
 			}
 			vecs := map[string][][]float64{
-				"mean": {m.Mean}, "eigenvalues": {m.Eigenvalues}, "components": m.Components,
+				"mean": {m.Mean}, "eigenvalues": {m.Eigenvalues}, "components": {m.Components},
 				"limits and trace": {{m.QLimit, m.T2Limit, m.TotalVar}},
 			}
 			if tr := lane.Tracker; tr != nil {

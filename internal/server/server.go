@@ -460,18 +460,14 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	cfg.Stream.Faults = cfg.Faults
 	ds := run.Dataset()
-	// The daemon resolves what actually arrives: unlike the generator's
-	// resolver it simulates no resolution failures of its own (fraction 0),
-	// so a replayed record resolves exactly as it did at generation time.
-	res, err := routing.BuildResolver(ds.Top, nil, 0)
-	if err != nil {
-		return nil, fmt.Errorf("server: build resolver: %w", err)
-	}
 	s := &Server{
-		cfg:   cfg,
-		run:   run,
-		top:   ds.Top,
-		res:   res,
+		cfg: cfg,
+		run: run,
+		top: ds.Top,
+		// The daemon resolves what actually arrives through the table the
+		// generator resolved with, and only by ResolveDst, which simulates
+		// no failures: a replayed record resolves as it did at generation.
+		res:   ds.Resolver(),
 		recvs: make([]*receiver, cfg.Receivers),
 
 		cpSlot:  make(chan struct{}, 1),

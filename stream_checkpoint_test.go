@@ -98,10 +98,9 @@ func sortKeys(as []netwide.Anomaly) []string {
 	return keys
 }
 
-// snapshotRoundTrip carries cp through the bytes a daemon writes: a
-// checkpoint.State around it, fingerprinted for run, through
-// checkpoint.Write and checkpoint.Read.
-func snapshotRoundTrip(t *testing.T, run *netwide.Run, cp netwide.StreamCheckpoint) netwide.StreamCheckpoint {
+// snapshotBytes is what a daemon writes for cp: a checkpoint.State around
+// it, fingerprinted for run, through checkpoint.Write.
+func snapshotBytes(t *testing.T, run *netwide.Run, cp netwide.StreamCheckpoint) []byte {
 	t.Helper()
 	ds := run.Dataset()
 	opts := netwide.DefaultDetectOptions()
@@ -117,7 +116,14 @@ func snapshotRoundTrip(t *testing.T, run *netwide.Run, cp netwide.StreamCheckpoi
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := checkpoint.Read(&buf)
+	return buf.Bytes()
+}
+
+// snapshotRoundTrip carries cp through the bytes a daemon writes and
+// checkpoint.Read.
+func snapshotRoundTrip(t *testing.T, run *netwide.Run, cp netwide.StreamCheckpoint) netwide.StreamCheckpoint {
+	t.Helper()
+	st, err := checkpoint.Read(bytes.NewReader(snapshotBytes(t, run, cp)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +282,67 @@ func TestStreamCheckpointWithRefits(t *testing.T) {
 	}
 	if anomalies == 0 {
 		t.Fatal("run characterized no anomalies; parity check is vacuous")
+	}
+}
+
+// TestStreamCheckpointRestoresTwice: one decoded checkpoint restores two
+// incremental detectors with drift corrections on, and fed the same bins
+// they give the same verdicts, while the checkpoint still encodes to the
+// bytes it was decoded from. A restored lane keeps the checkpoint's model
+// and window slices, which it only reads, and copies its tracker, which
+// every bin moves in place: a lane that adopted the tracker would move the
+// checkpoint's, and the second detector would start where the first left
+// off.
+func TestStreamCheckpointRestoresTwice(t *testing.T) {
+	run := quickRun(t)
+	half := run.Bins() / 2
+	cfg := netwide.StreamConfig{
+		TrainBins:  half,
+		BatchSize:  16,
+		Updater:    "incremental",
+		RefitEvery: 96,
+		Window:     2 * run.Dataset().NumODPairs(),
+	}
+	cut, end := half+100, half+400
+	head, err := run.NewStreamDetector(netwide.DefaultDetectOptions(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cps := runDetector(t, run, head, half, cut, cut)
+	cp := snapshotRoundTrip(t, run, cps[cut])
+	decoded := snapshotBytes(t, run, cp)
+	for m, lc := range cp.Lanes {
+		if lc.Tracker == nil || len(lc.Window) == 0 {
+			t.Fatalf("measure %d checkpoint carries no tracker or no window", m)
+		}
+	}
+
+	var dets [2]*netwide.StreamDetector
+	for i := range dets {
+		if dets[i], err = run.RestoreStreamDetector(cp, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [2][]netwide.StreamVerdict
+	for i, d := range dets {
+		got[i], _ = runDetector(t, run, d, cut, end)
+	}
+	if len(got[0]) != end-cut || len(got[1]) != end-cut {
+		t.Fatalf("%d and %d verdicts, want %d each", len(got[0]), len(got[1]), end-cut)
+	}
+	for i, a := range got[0] {
+		b := got[1][i]
+		if a.Bin != b.Bin || a.Points != b.Points || a.Measures != b.Measures || a.Generations != b.Generations {
+			t.Fatalf("bin %d: first restore %+v gens %v, second %+v gens %v", a.Bin, a.Points, a.Generations, b.Points, b.Generations)
+		}
+		if ka, kb := sortKeys(a.Anomalies), sortKeys(b.Anomalies); !slices.Equal(ka, kb) {
+			t.Fatalf("bin %d anomalies:\n first  %v\n second %v", a.Bin, ka, kb)
+		}
+	}
+	if last := got[0][len(got[0])-1]; last.Generations[0] <= cp.Lanes[0].Model.Gen {
+		t.Fatalf("no drift correction after the restore (generation %d, checkpoint %d): the window went unused", last.Generations[0], cp.Lanes[0].Model.Gen)
+	}
+	if !bytes.Equal(snapshotBytes(t, run, cp), decoded) {
+		t.Fatal("restoring and running two detectors changed the checkpoint they restored from")
 	}
 }
