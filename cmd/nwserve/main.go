@@ -33,23 +33,20 @@
 // table prints before exit.
 //
 // -receivers N reads N SO_REUSEPORT sockets (where the platform has it;
-// elsewhere one socket fans out to the N readers), each reader with its
-// own decoder state; -shards M splits binning by export-engine hash into M
-// partitions, each a disjoint set of OD pairs with its own lock, bin
-// accumulators, sequence cursors and dedupe rings. Every reader bins what
-// it decodes itself and, when its datagram lets a bin close, seals every
-// partition, merges them and feeds the one detector before it reads on.
-// Scoring stays central: the subspace method is a network-wide
+// elsewhere one socket fans out to the N readers). The readers take turns
+// at the one ingest lock: every one decodes through the same decoder
+// registry and template cache, bins into the one set of open bins and,
+// when its datagram lets a bin close, feeds the one detector before it
+// reads on. Scoring stays central: the subspace method is a network-wide
 // decomposition, so the detector must see each bin's complete OD vector.
-// Anomaly output is bit-identical on every layout. Snapshots capture the
-// per-shard partitions; a snapshot taken under one shard count
-// cold-starts under another.
+// Anomaly output is bit-identical at any receiver count, and a snapshot
+// restores under any receiver count.
 //
 // Usage:
 //
 //	nwserve -in abilene.nwds [-listen 127.0.0.1:2055] [-http 127.0.0.1:8080]
 //	        [-formats netflow5,netflow9,ipfix,sflow]
-//	        [-receivers 1] [-shards 1]
+//	        [-receivers 1]
 //	        [-train 0] [-k 4] [-alpha 0.001] [-refit 0] [-window 0]
 //	        [-batch 16] [-grace 1] [-epoch 0] [-workers 0]
 //	        [-checkpoint daemon.nwcp] [-checkpoint-every 1] [-checkpoint-interval 0]
@@ -76,8 +73,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:2055", "UDP listen address for flow export packets")
 	formats := flag.String("formats", "", "comma-separated wire-format allowlist: netflow5, netflow9, ipfix, sflow (empty = all)")
-	receivers := flag.Int("receivers", 1, "UDP receiver goroutines, one SO_REUSEPORT socket each; every receiver decodes and bins what it reads")
-	shards := flag.Int("shards", 1, "bin-accumulation partitions by export engine, each with its own lock (part of the checkpoint fingerprint)")
+	receivers := flag.Int("receivers", 1, "UDP receiver goroutines, one SO_REUSEPORT socket each; they take turns at the one ingest lock and share one decoder and template cache")
 	httpAddr := flag.String("http", "", "HTTP status listen address (empty disables /api/v1/{healthz,stats,anomalies})")
 	grace := flag.Int("grace", 1, "reorder grace in bins before a bin closes")
 	ckpt := flag.String("checkpoint", "", "crash-safe snapshot file; restored on startup when present (empty disables)")
@@ -112,7 +108,6 @@ func main() {
 		Formats:            allow,
 		HTTPAddr:           *httpAddr,
 		Receivers:          *receivers,
-		Shards:             *shards,
 		Epoch:              c.Epoch(),
 		Grace:              *grace,
 		CheckpointPath:     *ckpt,
@@ -143,9 +138,6 @@ func main() {
 	}
 	log.Printf("listening for %s on %s (%d bins trained, %d OD pairs)",
 		strings.Join(names, "/"), srv.UDPAddr(), stream.TrainBins, run.Dataset().NumODPairs())
-	if *receivers > 1 || *shards > 1 {
-		log.Printf("sharded ingest tier: %d receivers, %d shards, central scorer", *receivers, *shards)
-	}
 	if a := srv.HTTPAddr(); a != nil {
 		log.Printf("status endpoint on http://%s (/api/v1/{healthz,stats,anomalies})", a)
 	}

@@ -48,7 +48,7 @@ const gobMagic = "NWCPv1\r\n"
 // state, so the safe response to an unknown format is to rebuild from
 // scratch. Any change to the bytes codec.go writes bumps it
 // (TestGoldenBytes fails until it does).
-const Version = 5
+const Version = 6
 
 // MaxFileSize is the largest file ReadFile and Read accept. The default
 // lifecycle's snapshot at geant is 22 MB (three rolling one-week windows);
@@ -78,16 +78,18 @@ type OpenBin struct {
 }
 
 // EngineState is one export engine's sequence cursor: the expected next
-// sequence value and the recent-sequence ring used for duplicate
-// detection. Cursors are independent per wire format — a v5 engine 3 and
-// an IPFIX observation domain 3 are different streams — so the format is
-// part of the identity.
+// sequence value, the recent-sequence ring used for duplicate detection, and
+// the loss charged to the stream since its cursor last (re)started — the
+// most a reordered datagram may refund. Cursors are independent per wire
+// format — a v5 engine 3 and an IPFIX observation domain 3 are different
+// streams — so the format is part of the identity.
 type EngineState struct {
-	Format uint8 // flowwire.Format value
-	ID     uint32
-	Next   uint32
-	Recent []uint32 // valid ring entries, in ring index order
-	Pos    int      // next ring slot to overwrite
+	Format  uint8 // flowwire.Format value
+	ID      uint32
+	Next    uint32
+	Recent  []uint32 // valid ring entries, in ring index order
+	Pos     int      // next ring slot to overwrite
+	Charged uint64   // sequence units charged lost, not yet refunded
 }
 
 // ProtoState is one wire format's cumulative ingest counters.
@@ -119,21 +121,11 @@ type TemplateState struct {
 	Fields []TemplateField
 }
 
-// ShardState is one binning shard's in-flight accumulation: the bins it
-// is still filling, its engine sequence cursors, the highest bin it has
-// sealed, and its watermark-reset streak. The
-// single-threaded collector writes exactly one ShardState; a sharded
-// daemon writes one per shard, in shard order.
-type ShardState struct {
-	OpenBins      []OpenBin
-	Engines       []EngineState
-	SealedThrough int
-	BehindStreak  int
-}
-
 // ServerState mirrors the ingest daemon's recovery state: the cumulative
 // counters it serves on /stats plus the in-flight accumulation a restart
-// must pick back up. It is a plain-data mirror (the server package imports
+// must pick back up — the bins still filling, the engine sequence cursors,
+// the seal point (the highest bin sealed, filled or not) and the
+// stranded-watermark streak. It is a plain-data mirror (the server package imports
 // this one, not the reverse), validated on restore by the server itself.
 type ServerState struct {
 	Packets         uint64
@@ -150,9 +142,12 @@ type ServerState struct {
 	LastClosed      int
 	AlarmBins       int
 
-	Shards    []ShardState
-	Protocols []ProtoState
-	Templates []TemplateState
+	OpenBins      []OpenBin
+	Engines       []EngineState
+	SealedThrough int
+	BehindStreak  int
+	Protocols     []ProtoState
+	Templates     []TemplateState
 }
 
 // State is one complete snapshot.
@@ -173,11 +168,6 @@ type State struct {
 	// Format values). Engine cursors and template caches only make sense
 	// under the same decoder set, so a different allowlist cold-starts.
 	Formats []uint8
-	// Shards is the binning shard count the snapshot was captured under.
-	// Open bins and engine cursors are partitioned by engine hash, so a
-	// daemon with a different shard layout cannot adopt them in place: a
-	// mismatch cold-starts.
-	Shards int
 	// Updater is the model-lifecycle kind ("refit", "incremental") the
 	// lane states were captured under. The lane states embed the matching
 	// tracker/window payloads, so a daemon configured for a different

@@ -13,11 +13,13 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +43,6 @@ func sampleState() *State {
 		Alpha:    0.001,
 		Epoch:    1700000000,
 		Formats:  []uint8{1, 3},
-		Shards:   1,
 		Updater:  "incremental",
 		Server: ServerState{
 			Packets:    12345,
@@ -50,17 +51,15 @@ func sampleState() *State {
 			LastClosed: 411,
 			BinsClosed: 412,
 			AlarmBins:  7,
-			Shards: []ShardState{{
-				OpenBins: []OpenBin{
-					{Bin: 412, Records: 7, Bytes: []float64{1, 2}, Packets: []float64{3, 4}, Flows: []float64{5, 6}},
-				},
-				Engines: []EngineState{
-					{Format: 1, ID: 3, Next: 90001, Recent: []uint32{88000, 89000, 90000}, Pos: 0},
-				},
-				SealedThrough: 411,
-			}},
-			Protocols: []ProtoState{{Format: 1, Packets: 12345, Records: 67890}},
-			Templates: []TemplateState{{Format: 3, Source: 9, ID: 256, Fields: []TemplateField{{ID: 8, Length: 4}, {ID: 1, Enterprise: 29305, Length: 8}}}},
+			OpenBins: []OpenBin{
+				{Bin: 412, Records: 7, Bytes: []float64{1, 2}, Packets: []float64{3, 4}, Flows: []float64{5, 6}},
+			},
+			Engines: []EngineState{
+				{Format: 1, ID: 3, Next: 90001, Recent: []uint32{88000, 89000, 90000}, Pos: 0, Charged: 30},
+			},
+			SealedThrough: 411,
+			Protocols:     []ProtoState{{Format: 1, Packets: 12345, Records: 67890}},
+			Templates:     []TemplateState{{Format: 3, Source: 9, ID: 256, Fields: []TemplateField{{ID: 8, Length: 4}, {ID: 1, Enterprise: 29305, Length: 8}}}},
 		},
 		Stream: netwide.StreamCheckpoint{
 			Lanes: []engine.UpdaterState{{
@@ -178,6 +177,20 @@ func TestReadVersionSkew(t *testing.T) {
 		if _, err := Read(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("version-%d snapshot: %v", v, err)
 		}
+	}
+	// A file the previous version wrote, kept as a fuzz seed, is turned away
+	// by its version before a byte of its payload is read.
+	corpus, err := os.ReadFile("testdata/fuzz/FuzzCheckpointRead/v5-file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, quoted, _ := strings.Cut(strings.TrimSpace(string(corpus)), "[]byte(")
+	old, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot version 5, want %d", Version)) {
+		t.Fatalf("version-5 file: %v", err)
 	}
 }
 

@@ -171,7 +171,6 @@ func (w *writer) fingerprint(st *State) {
 	w.f64(st.Alpha)
 	w.u32(st.Epoch)
 	w.bytes(st.Formats)
-	w.int(st.Shards)
 	w.str(st.Updater)
 }
 
@@ -189,30 +188,27 @@ func (w *writer) server(sv *ServerState) {
 	w.int(sv.Watermark)
 	w.int(sv.LastClosed)
 	w.int(sv.AlarmBins)
-	w.count(len(sv.Shards))
-	for i := range sv.Shards {
-		sh := &sv.Shards[i]
-		w.count(len(sh.OpenBins))
-		for j := range sh.OpenBins {
-			ob := &sh.OpenBins[j]
-			w.int(ob.Bin)
-			w.u64(ob.Records)
-			w.f64s(ob.Bytes)
-			w.f64s(ob.Packets)
-			w.f64s(ob.Flows)
-		}
-		w.count(len(sh.Engines))
-		for j := range sh.Engines {
-			es := &sh.Engines[j]
-			w.u8(es.Format)
-			w.u32(es.ID)
-			w.u32(es.Next)
-			w.u32s(es.Recent)
-			w.int(es.Pos)
-		}
-		w.int(sh.SealedThrough)
-		w.int(sh.BehindStreak)
+	w.count(len(sv.OpenBins))
+	for i := range sv.OpenBins {
+		ob := &sv.OpenBins[i]
+		w.int(ob.Bin)
+		w.u64(ob.Records)
+		w.f64s(ob.Bytes)
+		w.f64s(ob.Packets)
+		w.f64s(ob.Flows)
 	}
+	w.count(len(sv.Engines))
+	for i := range sv.Engines {
+		es := &sv.Engines[i]
+		w.u8(es.Format)
+		w.u32(es.ID)
+		w.u32(es.Next)
+		w.u32s(es.Recent)
+		w.int(es.Pos)
+		w.u64(es.Charged)
+	}
+	w.int(sv.SealedThrough)
+	w.int(sv.BehindStreak)
 	w.count(len(sv.Protocols))
 	for _, ps := range sv.Protocols {
 		w.u8(ps.Format)
@@ -554,8 +550,7 @@ func (r *reader) close(sec *reader) {
 // Minimum encoded sizes of the variable-count elements, for reader.count.
 const (
 	minOpenBin   = 8 + 8 + 3*4
-	minEngine    = 1 + 4 + 4 + 4 + 8
-	minShard     = 4 + 4 + 8 + 8
+	minEngine    = 1 + 4 + 4 + 4 + 8 + 8
 	sizeProto    = 1 + 5*8
 	minTemplate  = 1 + 4 + 2 + 2 + 4
 	sizeField    = 2 + 4 + 2
@@ -601,7 +596,6 @@ func (r *reader) fingerprint(st *State) {
 	st.Alpha = r.f64()
 	st.Epoch = r.u32()
 	st.Formats = r.bytes("formats")
-	st.Shards = r.int()
 	st.Updater = r.str("updater")
 }
 
@@ -619,36 +613,31 @@ func (r *reader) server(sv *ServerState, p int) {
 	sv.Watermark = r.int()
 	sv.LastClosed = r.int()
 	sv.AlarmBins = r.int()
-	if n := r.count("shards", minShard); n > 0 {
-		sv.Shards = make([]ShardState, n)
+	if n := r.count("open bins", minOpenBin); n > 0 {
+		sv.OpenBins = make([]OpenBin, n)
 	}
-	for i := range sv.Shards {
-		sh := &sv.Shards[i]
-		if n := r.count("open bins", minOpenBin); n > 0 {
-			sh.OpenBins = make([]OpenBin, n)
-		}
-		for j := range sh.OpenBins {
-			ob := &sh.OpenBins[j]
-			ob.Bin = r.int()
-			ob.Records = r.u64()
-			ob.Bytes = r.f64s("open-bin bytes", p)
-			ob.Packets = r.f64s("open-bin packets", p)
-			ob.Flows = r.f64s("open-bin flows", p)
-		}
-		if n := r.count("engine cursors", minEngine); n > 0 {
-			sh.Engines = make([]EngineState, n)
-		}
-		for j := range sh.Engines {
-			es := &sh.Engines[j]
-			es.Format = r.u8()
-			es.ID = r.u32()
-			es.Next = r.u32()
-			es.Recent = r.u32s("dedupe ring entries")
-			es.Pos = r.int()
-		}
-		sh.SealedThrough = r.int()
-		sh.BehindStreak = r.int()
+	for i := range sv.OpenBins {
+		ob := &sv.OpenBins[i]
+		ob.Bin = r.int()
+		ob.Records = r.u64()
+		ob.Bytes = r.f64s("open-bin bytes", p)
+		ob.Packets = r.f64s("open-bin packets", p)
+		ob.Flows = r.f64s("open-bin flows", p)
 	}
+	if n := r.count("engine cursors", minEngine); n > 0 {
+		sv.Engines = make([]EngineState, n)
+	}
+	for i := range sv.Engines {
+		es := &sv.Engines[i]
+		es.Format = r.u8()
+		es.ID = r.u32()
+		es.Next = r.u32()
+		es.Recent = r.u32s("dedupe ring entries")
+		es.Pos = r.int()
+		es.Charged = r.u64()
+	}
+	sv.SealedThrough = r.int()
+	sv.BehindStreak = r.int()
 	if n := r.count("protocol counters", sizeProto); n > 0 {
 		sv.Protocols = make([]ProtoState, n)
 	}

@@ -119,11 +119,11 @@ func TestCodecRoundTripsEveryField(t *testing.T) {
 }
 
 // TestGoldenBytes pins the format: sampleState must encode to exactly the
-// bytes in testdata/sample_v5.hex. If this fails the format changed — bump
+// bytes in testdata/sample_v6.hex. If this fails the format changed — bump
 // Version (files written before the change must cold-start, not misdecode),
 // then replace the file with the hex this test prints.
 func TestGoldenBytes(t *testing.T) {
-	golden, err := os.ReadFile("testdata/sample_v5.hex")
+	golden, err := os.ReadFile("testdata/sample_v6.hex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGoldenBytes(t *testing.T) {
 		for h := hex.EncodeToString(got); len(h) > 0; h = h[min(64, len(h)):] {
 			wrapped.WriteString(h[:min(64, len(h))] + "\n")
 		}
-		t.Fatalf("format drift: sampleState no longer encodes to testdata/sample_v5.hex (%d bytes, golden %d). Bump Version, then store:\n%s",
+		t.Fatalf("format drift: sampleState no longer encodes to testdata/sample_v6.hex (%d bytes, golden %d). Bump Version, then store:\n%s",
 			len(got), len(want), wrapped.String())
 	}
 	if v := binary.LittleEndian.Uint32(want[offVersion:]); v != Version {
@@ -193,7 +193,7 @@ func TestReadChecksShapesBeforeAllocating(t *testing.T) {
 		}
 		return buf.Bytes()[headerLen:]
 	}
-	serverCounters := sections[1] + 4 + 13*8 // the shard count
+	openBins := sections[1] + 4 + 13*8 // the open-bin count
 	cases := []struct {
 		name    string
 		payload []byte
@@ -202,14 +202,14 @@ func TestReadChecksShapesBeforeAllocating(t *testing.T) {
 		{"empty payload", nil, "fingerprint"},
 		{"section longer than the payload", patch(sections[0], 1<<30), "remain"},
 		{"section shorter than its content", patch(sections[0], 3), "fingerprint"},
-		{"four billion shards", patch(serverCounters, 0xFFFFFFFF), "shards"},
+		{"four billion open bins", patch(openBins, 0xFFFFFFFF), "open bins"},
 		{"bytes after the last section", append(bytes.Clone(valid), 0, 0), "after the last section"},
 		{"lane count against measures", reencode(func(st *State) { st.Measures = 2 }), "lanes"},
 		{"mean against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Mean = []float64{1, 2, 3} }), "values, the fingerprint fixes 2"},
 		{"components against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Components = []float64{1} }), "rows, the fingerprint fixes 2"},
 		{"window against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Window = [][]float64{{1, 2, 3}} }), "columns, the fingerprint fixes 2"},
 		{"tracker axes against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Tracker.Axes = [][]float64{{1}} }), "tracker axes"},
-		{"open bin against OD pairs", reencode(func(st *State) { st.Server.Shards[0].OpenBins[0].Flows = []float64{1} }), "open-bin flows"},
+		{"open bin against OD pairs", reencode(func(st *State) { st.Server.OpenBins[0].Flows = []float64{1} }), "open-bin flows"},
 		{"lane K against the fingerprint", reencode(func(st *State) { st.K = 3 }), "K=1"},
 	}
 	for _, tc := range cases {

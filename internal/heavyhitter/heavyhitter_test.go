@@ -233,7 +233,7 @@ func (s *refSketch) minEntry() *entry {
 	return min
 }
 
-func (s *refSketch) merge(other *refSketch) {
+func (s *refSketch) Merge(other *refSketch) {
 	keys := make([]uint64, 0, len(other.counts))
 	for k := range other.counts {
 		keys = append(keys, k)
@@ -322,7 +322,7 @@ func TestFlatMatchesMapReference(t *testing.T) {
 					o, oref := New(capacity), newRef(capacity)
 					feed(o, oref, rng.IntN(6*capacity))
 					s.Merge(o)
-					ref.merge(oref)
+					ref.Merge(oref)
 					sameAsRef(t, what+" (merge operand)", o, oref) // Merge must not disturb its operand
 				} else {
 					feed(s, ref, 1+rng.IntN(3*capacity))

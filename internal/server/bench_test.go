@@ -126,18 +126,17 @@ func BenchmarkServerIngest(b *testing.B) {
 }
 
 // benchIngestParallel measures aggregate sustained ingest through a
-// receiver pool binning into 4 partitions — the receivers take turns at
-// the one ingest lock for decode and binning — with the packet stream
-// partitioned across receivers by export engine, exactly how
-// SO_REUSEPORT's 4-tuple hash spreads a real replay's per-engine source
-// sockets. One iteration ingests 16 full bins of packets, split across
-// `receivers` concurrently-fed receivers; the bin timestamp stays fixed so
-// no seal or detector submission mixes into the measured path, and the
-// trailing lossless assert proves the measured path dropped nothing
-// (ingest is synchronous, so there is nothing left to settle).
-// records/sec is the aggregate rate across the pool. With one ingest lock
-// it cannot scale past one receiver's rate; what more receivers add is
-// contention on that lock.
+// receiver pool — the receivers take turns at the one ingest lock for
+// decode and binning — with the packet stream partitioned across receivers
+// by export engine, exactly how SO_REUSEPORT's 4-tuple hash spreads a real
+// replay's per-engine source sockets. One iteration ingests 16 full bins
+// of packets, split across `receivers` concurrently-fed receivers; the bin
+// timestamp stays fixed so no seal or detector submission mixes into the
+// measured path, and the trailing lossless assert proves the measured path
+// dropped nothing (ingest is synchronous, so there is nothing left to
+// settle). records/sec is the aggregate rate across the pool. With one
+// ingest lock it cannot scale past one receiver's rate; what more
+// receivers add is contention on that lock.
 func benchIngestParallel(b *testing.B, receivers int) {
 	cfg := netwide.QuickConfig()
 	cfg.MeanRateBps = 4e5
@@ -147,7 +146,6 @@ func benchIngestParallel(b *testing.B, receivers int) {
 	}
 	srv, err := New(run, Config{
 		Receivers: receivers,
-		Shards:    4,
 		Stream:    netwide.StreamConfig{TrainBins: run.Bins(), BatchSize: 16},
 	})
 	if err != nil {
@@ -218,10 +216,10 @@ func benchIngestParallel(b *testing.B, receivers int) {
 }
 
 // BenchmarkServerIngestParallel is the receiver-pool ingest benchmark:
-// the Abilene reference scale over NetFlow v5 at 1, 2, 4 and 8 receivers,
-// always with 4 binning shards. The receivers=1 sub-benchmark measures
-// what 4 partitions cost one receiver against BenchmarkServerIngest's
-// single partition.
+// the Abilene reference scale over NetFlow v5 at 1, 2, 4 and 8 receivers
+// binning into the one set of open bins. The receivers=1 sub-benchmark is
+// BenchmarkServerIngest's path fed one engine group at a time; the others
+// add only contention on the ingest lock.
 func BenchmarkServerIngestParallel(b *testing.B) {
 	for _, r := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("receivers=%d", r), func(b *testing.B) { benchIngestParallel(b, r) })

@@ -96,12 +96,12 @@ func TestChaosSlowDiskOffIngestPath(t *testing.T) {
 // slow disk, which they have to wait out first.
 func TestChaosSnapshotCallersWait(t *testing.T) {
 	run := testRun(t)
-	for _, shards := range []int{1, 4} {
+	for _, receivers := range []int{1, 2} {
 		path := filepath.Join(t.TempDir(), "daemon.nwcp")
 		inj := fault.NewInjector()
 		inj.Arm(checkpoint.FaultSync, fault.Fault{Delay: 30 * time.Millisecond})
 		srv, err := New(run, Config{
-			Shards:         shards,
+			Receivers:      receivers,
 			CheckpointPath: path,
 			Faults:         inj,
 			Stream:         parityStream(run),
@@ -116,19 +116,19 @@ func TestChaosSnapshotCallersWait(t *testing.T) {
 			}
 			st := srv.Stats()
 			if st.LastClosed != to-2 || st.LastCheckpointBin != st.LastClosed || st.CheckpointLagBins != 0 {
-				t.Fatalf("%d shards, CheckpointNow after bin %d: %+v", shards, to-1, st)
+				t.Fatalf("%d receivers, CheckpointNow after bin %d: %+v", receivers, to-1, st)
 			}
 			if got := onDiskThrough(t, path); got != st.LastClosed {
-				t.Fatalf("%d shards: CheckpointNow returned with the file at bin %d, last closed %d", shards, got, st.LastClosed)
+				t.Fatalf("%d receivers: CheckpointNow returned with the file at bin %d, last closed %d", receivers, got, st.LastClosed)
 			}
 		}
 		feedBins(t, srv, run.Dataset(), 12, 16, 0)
 		drainOK(t, srv)
 		if got := onDiskThrough(t, path); got != 15 || srv.Stats().LastCheckpointBin != 15 {
-			t.Fatalf("%d shards: Drain returned with the file at bin %d (stats %d), want 15", shards, got, srv.Stats().LastCheckpointBin)
+			t.Fatalf("%d receivers: Drain returned with the file at bin %d (stats %d), want 15", receivers, got, srv.Stats().LastCheckpointBin)
 		}
 		if err := srv.CheckpointNow(); err == nil {
-			t.Fatalf("%d shards: CheckpointNow after the drain succeeded", shards)
+			t.Fatalf("%d receivers: CheckpointNow after the drain succeeded", receivers)
 		}
 	}
 }
@@ -137,8 +137,8 @@ func TestChaosSnapshotCallersWait(t *testing.T) {
 // its temp file and its rename (a stalled fsync that never completes). The
 // file on disk must be the complete earlier snapshot, and a daemon
 // restored from it and fed the rest of the week must reach exactly the
-// uninterrupted batch ledger — on the synchronous path and with four
-// shards. Under -short two days are fed and the ledger comparison is
+// uninterrupted batch ledger — on one receiver and on a pool of two.
+// Under -short two days are fed and the ledger comparison is
 // skipped (batch event windows span the week).
 func TestChaosKillDuringWrite(t *testing.T) {
 	run := testRun(t)
@@ -156,12 +156,12 @@ func TestChaosKillDuringWrite(t *testing.T) {
 			t.Fatal("batch path characterized nothing; parity check is vacuous")
 		}
 	}
-	for _, shards := range []int{1, 4} {
+	for _, receivers := range []int{1, 2} {
 		path := filepath.Join(t.TempDir(), "daemon.nwcp")
 		inj := fault.NewInjector()
 		mk := func() *Server {
 			srv, err := New(run, Config{
-				Shards:          shards,
+				Receivers:       receivers,
 				CheckpointPath:  path,
 				CheckpointEvery: 7,
 				Faults:          inj,
@@ -181,7 +181,7 @@ func TestChaosKillDuringWrite(t *testing.T) {
 		}
 		good := srv.Stats().LastCheckpointBin
 		if good != kill-2 {
-			t.Fatalf("%d shards: snapshot covers through bin %d, want %d", shards, good, kill-2)
+			t.Fatalf("%d receivers: snapshot covers through bin %d, want %d", receivers, good, kill-2)
 		}
 
 		// From here on a write reaches its fsync, hangs there, and fails:
@@ -190,45 +190,45 @@ func TestChaosKillDuringWrite(t *testing.T) {
 		feedBins(t, srv, ds, kill, kill+20, 5)
 		for deadline := time.Now().Add(10 * time.Second); len(srv.cpSlot) == 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d shards: 20 bins at cadence 7 started no snapshot", shards)
+				t.Fatalf("%d receivers: 20 bins at cadence 7 started no snapshot", receivers)
 			}
 		}
 		srv.Kill()
 		if n := inj.Trips(checkpoint.FaultSync); n == 0 {
-			t.Fatalf("%d shards: no write was in flight at the kill", shards)
+			t.Fatalf("%d receivers: no write was in flight at the kill", receivers)
 		}
 		if got := onDiskThrough(t, path); got != good {
-			t.Fatalf("%d shards: file on disk covers bin %d after the kill, want the earlier snapshot's %d", shards, got, good)
+			t.Fatalf("%d receivers: file on disk covers bin %d after the kill, want the earlier snapshot's %d", receivers, got, good)
 		}
 		inj.Disarm(checkpoint.FaultSync)
 
 		srv = mk()
 		st := srv.Stats()
 		if !st.Restored || st.RestoreErr != "" || st.LastClosed != good || st.BinsOpen == 0 {
-			t.Fatalf("%d shards: restart did not restore the earlier snapshot: %+v", shards, st)
+			t.Fatalf("%d receivers: restart did not restore the earlier snapshot: %+v", receivers, st)
 		}
 		feedBins(t, srv, ds, good+1, bins, 0)
 		drainOK(t, srv)
 		st = srv.Stats()
 		if st.LostRecords != 0 || st.BadPackets != 0 || st.LateRecords != 0 || st.Unroutable != 0 || st.WildRecords != 0 {
-			t.Fatalf("%d shards: kill/restart took ingest losses: %+v", shards, st)
+			t.Fatalf("%d receivers: kill/restart took ingest losses: %+v", receivers, st)
 		}
 		if st.BinsClosed != bins || st.BinsOpen != 0 || st.LastCheckpointBin != bins-1 {
-			t.Fatalf("%d shards: closed %d bins (open %d), drain snapshot through %d, want %d bins: %+v", shards, st.BinsClosed, st.BinsOpen, st.LastCheckpointBin, bins, st)
+			t.Fatalf("%d receivers: closed %d bins (open %d), drain snapshot through %d, want %d bins: %+v", receivers, st.BinsClosed, st.BinsOpen, st.LastCheckpointBin, bins, st)
 		}
 		if batch == nil {
 			if srv.Err() != nil {
-				t.Fatalf("%d shards: short run left the daemon unhealthy: %v", shards, srv.Err())
+				t.Fatalf("%d receivers: short run left the daemon unhealthy: %v", receivers, srv.Err())
 			}
 			continue
 		}
 		got := sortedKeys(srv.Anomalies())
 		if len(got) != len(batch) {
-			t.Fatalf("%d shards: daemon killed mid-write characterized %d anomalies, uninterrupted batch %d", shards, len(got), len(batch))
+			t.Fatalf("%d receivers: daemon killed mid-write characterized %d anomalies, uninterrupted batch %d", receivers, len(got), len(batch))
 		}
 		for i := range batch {
 			if got[i] != batch[i] {
-				t.Errorf("%d shards: anomaly %d differs:\n batch  %s\n daemon %s", shards, i, batch[i], got[i])
+				t.Errorf("%d receivers: anomaly %d differs:\n batch  %s\n daemon %s", receivers, i, batch[i], got[i])
 			}
 		}
 	}
@@ -253,9 +253,9 @@ func TestChaosSnapshotsUnderConcurrentIngest(t *testing.T) {
 		kill bool
 	}{
 		{"sync", Config{}, false},
-		{"pool", Config{Receivers: 2, Shards: 2}, false},
+		{"pool", Config{Receivers: 2}, false},
 		{"sync-kill", Config{}, true},
-		{"pool-kill", Config{Receivers: 2, Shards: 4}, true},
+		{"pool-kill", Config{Receivers: 2}, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg

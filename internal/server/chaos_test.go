@@ -26,8 +26,8 @@ import (
 	"netwide/internal/traffic"
 )
 
-// feedBins drives the dataset's regenerated v5 packets straight into
-// IngestPacket. Bins [0, to) are always encoded — the exporters' sequence
+// feedBins drives the dataset's regenerated v5 packets straight into the
+// daemon, round-robin over its receivers (one receiver: IngestPacket). Bins [0, to) are always encoded — the exporters' sequence
 // numbers must be the ones a single uninterrupted export engine would have
 // produced — but only bins [from, to) are ingested, which is how a test
 // resumes a restored daemon mid-week: the re-fed bins are bit-identical to
@@ -48,8 +48,8 @@ func feedBins(t *testing.T, srv *Server, ds *dataset.Dataset, from, to, partial 
 		if bin < from {
 			continue
 		}
-		for _, p := range pkts {
-			srv.IngestPacket(p.data)
+		for i, p := range pkts {
+			srv.ingestOn(srv.recvs[i%len(srv.recvs)], p.data)
 		}
 	}
 	if partial > 0 {
@@ -652,7 +652,7 @@ func TestChaosCorruptCheckpointColdStarts(t *testing.T) {
 		{"wrong topology", mutate(func(st *checkpoint.State) { st.Topology = "geant" })},
 		{"ledger shorter than emitted", mutate(func(st *checkpoint.State) { st.Stream.Emitted += 3 })},
 		{"open bin behind cursor", mutate(func(st *checkpoint.State) {
-			st.Server.Shards[0].OpenBins = append(st.Server.Shards[0].OpenBins, checkpoint.OpenBin{
+			st.Server.OpenBins = append(st.Server.OpenBins, checkpoint.OpenBin{
 				Bin:     st.Server.LastClosed,
 				Bytes:   make([]float64, st.ODPairs),
 				Packets: make([]float64, st.ODPairs),
@@ -660,12 +660,9 @@ func TestChaosCorruptCheckpointColdStarts(t *testing.T) {
 			})
 		})},
 		{"dedupe ring out of shape", mutate(func(st *checkpoint.State) {
-			st.Server.Shards[0].Engines = []checkpoint.EngineState{{ID: 0, Recent: make([]uint32, 200), Pos: 0}}
+			st.Server.Engines = []checkpoint.EngineState{{ID: 0, Recent: make([]uint32, 200), Pos: 0}}
 		})},
-		{"wrong shard count", mutate(func(st *checkpoint.State) {
-			st.Shards = 4
-			st.Server.Shards = make([]checkpoint.ShardState, 4)
-		})},
+		{"seal point behind last closed", mutate(func(st *checkpoint.State) { st.Server.SealedThrough = st.Server.LastClosed - 1 })},
 		// A snapshot from a daemon running the other model lifecycle: the
 		// lane states would carry tracker vectors this refit daemon cannot
 		// adopt, so the fingerprint rejects it up front.

@@ -1,35 +1,38 @@
 // The collector: the whole ingest state machine as one value — the decoder
-// registry, the partitions, the watermark and the counters. It holds no
-// mutex, goroutine, socket, clock or detector; the Server serialises every
-// caller onto it under ingestMu and submits the bins it returns.
+// registry, the open bins, the sequence cursors, the watermark and the
+// counters. It holds no mutex, goroutine, socket, clock or detector; the
+// Server serialises every caller onto it under ingestMu and submits the
+// bins it returns.
 package server
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"netwide/internal/checkpoint"
+	"netwide/internal/engine"
 	"netwide/internal/flowwire"
 	"netwide/internal/routing"
 	"netwide/internal/topology"
 )
 
-// counters is the daemon's hot counter block. Every write happens under
-// ingestMu — by the collector, and binsClosed by the Server's submit; the
-// fields are atomic only because the /stats handler reads them without
-// taking ingestMu, which a bin close holds across a detector submit.
+// counters is the daemon's hot counter block, its one ledger. Every write
+// happens under ingestMu — by the collector, and binsClosed by the Server's
+// submit; the fields are atomic only because the /stats handler reads them
+// without taking ingestMu, which a bin close holds across a detector
+// submit.
 type counters struct {
 	packets, badPackets, duplicates, records,
 	lostRecords, lateRecords, unroutable,
 	wildRecords, watermarkResets atomic.Uint64
-	binsClosed, watermark, lastClosed atomic.Int64
+	binsClosed, binsOpen, watermark, lastClosed atomic.Int64
 }
 
 // protoCounters is the internal mutable form of ProtoStats, held in a flat
-// per-format array (a format is not shard-local); atomic for /stats, like
-// counters.
+// per-format array; atomic for /stats, like counters.
 type protoCounters struct {
 	packets, badPackets, duplicates, records, lostUnits atomic.Uint64
 }
@@ -50,18 +53,18 @@ func (p *protoCounters) state(f flowwire.Format) (checkpoint.ProtoState, bool) {
 }
 
 // satSub subtracts up to n from c, saturating at zero — the sequence
-// refund path, where another stream sharing the per-format counter may
-// have refunded first.
+// refund path, where a restored stream's charge is untrusted snapshot
+// input and may exceed the restored counter it is refunded from.
 func satSub(c *atomic.Uint64, n uint64) {
 	cur := c.Load()
 	c.Store(cur - min(n, cur))
 }
 
 // collector is the ingest state machine. One datagram goes decode → the
-// gates of its engine's partition → the watermark vote → a reset when the
-// vote says stranded → seal + merge of every bin the watermark lets close.
-// Every socket shares its one registry (and so one v9/IPFIX template
-// cache) and its record buffer.
+// gates (partition.go) → the watermark vote → a reset when the vote says
+// stranded → the seal of every bin the watermark lets close. Every socket
+// shares its one registry (and so one v9/IPFIX template cache) and its
+// record buffer; every export engine bins into the one set of open bins.
 type collector struct {
 	cfg  *Config
 	top  *topology.Topology
@@ -69,9 +72,16 @@ type collector struct {
 	reg  *flowwire.Registry
 	recs []flowwire.Record
 
-	// parts (Shards of them) split the OD columns, cursors and open bins
-	// by export engine; see shardOf.
-	parts []*partition
+	// bins are the open timebins, at most MaxOpenBins of them.
+	bins map[int]*binAcc
+	// seq tracks one sequence cursor per (format, engine) export stream.
+	// The key space is attacker-influenced (v9/IPFIX source IDs are 32
+	// bits on the wire), so the map is capped at maxEngineCursors.
+	seq map[engineKey]*engineSeq
+	// sealedThrough is the seal point: no bin at or below it reopens. It
+	// runs ahead of lastClosed over bins nothing filled. behindStreak
+	// counts the consecutive batches voting the watermark stranded.
+	sealedThrough, behindStreak int
 
 	ctr counters
 	// proto is the per-format counter array behind Stats.Protocols (index
@@ -92,23 +102,66 @@ func newCollector(cfg *Config, top *topology.Topology, res *routing.Resolver, sv
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	if sv == nil {
-		sv = &checkpoint.ServerState{Watermark: -1, LastClosed: -1, Shards: make([]checkpoint.ShardState, cfg.Shards)}
-		for i := range sv.Shards {
-			sv.Shards[i].SealedThrough = -1
+		sv = &checkpoint.ServerState{Watermark: -1, LastClosed: -1, SealedThrough: -1}
+	}
+	if sv.SealedThrough < sv.LastClosed {
+		return nil, fmt.Errorf("snapshot sealed through %d, behind last closed %d", sv.SealedThrough, sv.LastClosed)
+	}
+	c := &collector{
+		cfg: cfg, top: top, res: res, reg: reg,
+		bins:          make(map[int]*binAcc, len(sv.OpenBins)),
+		seq:           make(map[engineKey]*engineSeq, len(sv.Engines)),
+		sealedThrough: sv.SealedThrough,
+		behindStreak:  sv.BehindStreak,
+	}
+	if len(sv.OpenBins) > cfg.MaxOpenBins {
+		return nil, fmt.Errorf("snapshot holds %d open bins, cap is %d", len(sv.OpenBins), cfg.MaxOpenBins)
+	}
+	n := top.NumODPairs()
+	for _, ob := range sv.OpenBins {
+		if ob.Bin <= sv.SealedThrough {
+			return nil, fmt.Errorf("snapshot open bin %d at or behind its seal point %d", ob.Bin, sv.SealedThrough)
+		}
+		if len(ob.Bytes) != n || len(ob.Packets) != n || len(ob.Flows) != n {
+			return nil, fmt.Errorf("snapshot open bin %d vectors sized (%d,%d,%d), want %d", ob.Bin, len(ob.Bytes), len(ob.Packets), len(ob.Flows), n)
+		}
+		for _, vec := range [][]float64{ob.Bytes, ob.Packets, ob.Flows} {
+			for _, v := range vec {
+				// Finite is not enough: 1e300 bytes in a bin overflows
+				// the tracker's arithmetic one bin later.
+				if !(v >= 0 && v <= engine.MaxRestored) {
+					return nil, fmt.Errorf("snapshot open bin %d carries non-finite or negative traffic", ob.Bin)
+				}
+			}
+		}
+		if c.bins[ob.Bin] != nil {
+			return nil, fmt.Errorf("snapshot lists open bin %d twice", ob.Bin)
+		}
+		c.bins[ob.Bin] = &binAcc{
+			bytes:   append([]float64(nil), ob.Bytes...),
+			packets: append([]float64(nil), ob.Packets...),
+			flows:   append([]float64(nil), ob.Flows...),
+			records: ob.Records,
 		}
 	}
-	if len(sv.Shards) != cfg.Shards {
-		return nil, fmt.Errorf("snapshot holds %d shard states, daemon runs %d shards", len(sv.Shards), cfg.Shards)
+	if len(sv.Engines) > maxEngineCursors {
+		return nil, fmt.Errorf("snapshot holds %d engine cursors, cap is %d", len(sv.Engines), maxEngineCursors)
 	}
-	c := &collector{cfg: cfg, top: top, res: res, reg: reg, parts: make([]*partition, cfg.Shards)}
-	for i := range sv.Shards {
-		ss := &sv.Shards[i]
-		if ss.SealedThrough < sv.LastClosed {
-			return nil, fmt.Errorf("snapshot shard %d sealed through %d, behind last closed %d", i, ss.SealedThrough, sv.LastClosed)
+	for _, es := range sv.Engines {
+		f := flowwire.Format(es.Format)
+		if f == flowwire.FormatUnknown || f >= flowwire.NumFormats || !reg.Enabled(f) {
+			return nil, fmt.Errorf("snapshot engine cursor for unknown or disabled format %d", es.Format)
 		}
-		if c.parts[i], err = c.newPartition(i, ss); err != nil {
-			return nil, err
+		key := engineKey{f, es.ID}
+		if c.seq[key] != nil {
+			return nil, fmt.Errorf("snapshot lists engine %v/%d twice", f, es.ID)
 		}
+		if len(es.Recent) > dedupeWindow || es.Pos < 0 || es.Pos >= dedupeWindow {
+			return nil, fmt.Errorf("snapshot engine %v/%d dedupe ring out of shape (%d entries, pos %d)", f, es.ID, len(es.Recent), es.Pos)
+		}
+		e := &engineSeq{started: true, next: es.Next, charged: es.Charged, fill: len(es.Recent), pos: es.Pos}
+		copy(e.recent[:], es.Recent)
+		c.seq[key] = e
 	}
 	protoSeen := map[uint8]bool{}
 	for _, ps := range sv.Protocols {
@@ -158,31 +211,17 @@ func newCollector(cfg *Config, top *topology.Topology, res *routing.Resolver, sv
 	c.ctr.wildRecords.Store(sv.WildRecords)
 	c.ctr.watermarkResets.Store(sv.WatermarkResets)
 	c.ctr.binsClosed.Store(int64(sv.BinsClosed))
+	c.ctr.binsOpen.Store(int64(len(c.bins)))
 	c.ctr.watermark.Store(int64(sv.Watermark))
 	c.ctr.lastClosed.Store(int64(sv.LastClosed))
 	return c, nil
 }
 
-// shardOf maps an export engine to its binning partition. The engine is
-// the origin PoP, and the OD index space is partitioned by origin, so
-// routing whole engines keeps every OD column (and every sequence cursor)
-// owned by exactly one partition. Fibonacci hashing spreads dense small
-// engine IDs; the mapping is deterministic for a given shard count, which
-// is what lets checkpointed partition state restore in place.
-func (c *collector) shardOf(engine uint32) int {
-	n := c.cfg.Shards
-	if n <= 1 {
-		return 0
-	}
-	return int(uint64(engine*0x9E3779B1) * uint64(n) >> 32)
-}
-
 // ingest runs one datagram through the state machine and returns the bins
-// it let close, merged across partitions and in ascending order, for the
-// caller to submit; ok is false when the datagram did not decode. A raise
-// lifts the watermark to the batch's bin; a stranded vote re-anchors it
-// there first (reset). Either way every bin through watermark − Grace is
-// sealed.
+// it let close, in ascending order, for the caller to submit; ok is false
+// when the datagram did not decode. A raise lifts the watermark to the
+// batch's bin; a stranded vote re-anchors it there first (reset). Either
+// way every bin through watermark − Grace is sealed.
 func (c *collector) ingest(pkt []byte) (closed []submittedBin, ok bool) {
 	b, recs, err := c.reg.Decode(pkt, c.recs[:0])
 	c.recs = recs
@@ -202,8 +241,7 @@ func (c *collector) ingest(pkt []byte) (closed []submittedBin, ok bool) {
 		}
 		return nil, false
 	}
-	act, bin := c.parts[c.shardOf(b.Engine)].ingest(b, recs, int(c.ctr.watermark.Load()))
-	switch act {
+	switch act, bin := c.gate(b, recs); act {
 	case actNone:
 		return nil, true
 	case actStranded:
@@ -214,14 +252,23 @@ func (c *collector) ingest(pkt []byte) (closed []submittedBin, ok bool) {
 	return c.closeThrough(int(c.ctr.watermark.Load()) - c.cfg.Grace), true
 }
 
-// reset re-anchors a stranded watermark at bin: every partition drops its
-// open bins beyond bin + MaxAhead as wild and rewinds its seal point to
-// lastClosed. The rewind is sound because every bin sealed so far was
-// returned to the caller, which submitted it before its next call.
+// reset re-anchors a stranded watermark at bin. Every open bin beyond
+// bin + MaxAhead is dropped as wild (their contents were the lie that
+// stranded the watermark), the streak clears, and the seal point rewinds to
+// lastClosed so the stream the watermark is re-anchored at can fill the
+// bins the stranded seal ran past. The rewind is sound because every bin
+// sealed so far was returned to the caller, which submitted it before its
+// next call, and nothing above lastClosed was.
 func (c *collector) reset(bin int) {
-	for _, p := range c.parts {
-		p.discard(bin + c.cfg.MaxAhead)
+	for b, acc := range c.bins {
+		if b > bin+c.cfg.MaxAhead {
+			c.ctr.wildRecords.Add(acc.records)
+			delete(c.bins, b)
+		}
 	}
+	c.sealedThrough = int(c.ctr.lastClosed.Load())
+	c.behindStreak = 0
+	c.ctr.binsOpen.Store(int64(len(c.bins)))
 	c.ctr.watermark.Store(int64(bin))
 	c.ctr.watermarkResets.Add(1)
 }
@@ -231,51 +278,34 @@ func (c *collector) flush() []submittedBin {
 	return c.closeThrough(int(c.ctr.watermark.Load()))
 }
 
-// closeThrough seals every partition through `through` and merges what
-// they detached; lastClosed moves to the highest bin returned. Seals run
-// one at a time with non-decreasing bounds, and a partition's late gate
-// keeps a sealed bin from reopening: every bin is returned once, complete,
-// in ascending order across calls.
+// closeThrough moves the seal point up to through and detaches every open
+// bin at or below it, in ascending order (nil when none); lastClosed moves
+// to the highest bin returned. Bounds only rise between resets, and the
+// late gate keeps a sealed bin from reopening: every bin is returned once,
+// complete, in ascending order across calls.
 func (c *collector) closeThrough(through int) []submittedBin {
-	var closed []submittedBin
-	for _, p := range c.parts {
-		closed = merge(closed, p.seal(through))
-	}
-	if len(closed) > 0 {
-		c.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
-	}
-	return closed
-}
-
-// merge folds one partition's sealed bins into the bins sealed so far, both
-// ascending. Partitions own disjoint OD columns, so adding one's vector
-// into another's only adds to zeros: the merged vector has the bits a
-// single partition holding every engine would have built.
-func merge(into, from []submittedBin) []submittedBin {
-	if len(into) == 0 {
-		return from
-	}
-	for _, sb := range from {
-		i, found := slices.BinarySearchFunc(into, sb.bin, func(x submittedBin, bin int) int { return cmp.Compare(x.bin, bin) })
-		if !found {
-			into = slices.Insert(into, i, sb)
-			continue
+	var out []submittedBin
+	for bin, acc := range c.bins {
+		if bin <= through {
+			out = append(out, submittedBin{bin, acc})
 		}
-		acc := into[i].acc
-		for c := range acc.bytes {
-			acc.bytes[c] += sb.acc.bytes[c]
-			acc.packets[c] += sb.acc.packets[c]
-			acc.flows[c] += sb.acc.flows[c]
-		}
-		acc.records += sb.acc.records
 	}
-	return into
+	sort.Slice(out, func(i, j int) bool { return out[i].bin < out[j].bin })
+	for _, sb := range out {
+		delete(c.bins, sb.bin)
+	}
+	c.sealedThrough = max(c.sealedThrough, through)
+	c.ctr.binsOpen.Store(int64(len(c.bins)))
+	if len(out) > 0 {
+		c.ctr.lastClosed.Store(int64(out[len(out)-1].bin))
+	}
+	return out
 }
 
 // state is the collector's share of a capture: counters, per-protocol
-// breakdown, the partitions' open bins and cursors, and the template
-// cache — everything of checkpoint.ServerState but AlarmBins, which the
-// verdict consumer owns.
+// breakdown, open bins sorted by bin, started engine cursors in (format,
+// engine) order, and the template cache — everything of
+// checkpoint.ServerState but AlarmBins, which the verdict consumer owns.
 func (c *collector) state() checkpoint.ServerState {
 	sv := checkpoint.ServerState{
 		Packets:         c.ctr.packets.Load(),
@@ -290,10 +320,42 @@ func (c *collector) state() checkpoint.ServerState {
 		BinsClosed:      int(c.ctr.binsClosed.Load()),
 		Watermark:       int(c.ctr.watermark.Load()),
 		LastClosed:      int(c.ctr.lastClosed.Load()),
-		Shards:          make([]checkpoint.ShardState, len(c.parts)),
+		OpenBins:        make([]checkpoint.OpenBin, 0, len(c.bins)),
+		SealedThrough:   c.sealedThrough,
+		BehindStreak:    c.behindStreak,
 	}
-	for i, p := range c.parts {
-		sv.Shards[i] = p.state()
+	for bin, acc := range c.bins {
+		sv.OpenBins = append(sv.OpenBins, checkpoint.OpenBin{
+			Bin:     bin,
+			Records: acc.records,
+			Bytes:   append([]float64(nil), acc.bytes...),
+			Packets: append([]float64(nil), acc.packets...),
+			Flows:   append([]float64(nil), acc.flows...),
+		})
+	}
+	sort.Slice(sv.OpenBins, func(i, j int) bool { return sv.OpenBins[i].Bin < sv.OpenBins[j].Bin })
+	keys := make([]engineKey, 0, len(c.seq))
+	for k, e := range c.seq {
+		if e.started {
+			keys = append(keys, k)
+		}
+	}
+	// The map iterates in random order; the snapshot must not.
+	slices.SortFunc(keys, func(a, b engineKey) int {
+		return cmp.Or(cmp.Compare(a.format, b.format), cmp.Compare(a.engine, b.engine))
+	})
+	for _, k := range keys {
+		e := c.seq[k]
+		// recent[:fill] is exactly the valid ring entries: the ring fills
+		// from slot 0 and pos only wraps once fill reaches the window.
+		sv.Engines = append(sv.Engines, checkpoint.EngineState{
+			Format:  uint8(k.format),
+			ID:      k.engine,
+			Next:    e.next,
+			Recent:  append([]uint32(nil), e.recent[:e.fill]...),
+			Pos:     e.pos,
+			Charged: e.charged,
+		})
 	}
 	for f := flowwire.Format(1); f < flowwire.NumFormats; f++ {
 		if ps, seen := c.proto[f].state(f); seen {

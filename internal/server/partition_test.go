@@ -3,7 +3,6 @@ package server
 import (
 	"testing"
 
-	"netwide/internal/checkpoint"
 	"netwide/internal/flowwire"
 	"netwide/internal/ipaddr"
 	"netwide/internal/routing"
@@ -12,10 +11,9 @@ import (
 
 // TestPartitionGates drives the ingest state machine directly — no
 // goroutine, no socket, no detector — one row per gate outcome. Each row
-// starts from a fresh partition, puts it in the row's state, feeds one
-// batch against the row's observed watermark, and checks the action the
-// driver is asked for and what the batch added to the books: the
-// partition's mirrors and the daemon-wide counters must agree.
+// starts from a fresh collector, puts it in the row's state, feeds one
+// batch against the row's watermark, and checks the action the collector
+// is asked for and what the batch added to the books.
 func TestPartitionGates(t *testing.T) {
 	run := testRun(t)
 	ds := run.Dataset()
@@ -46,24 +44,21 @@ func TestPartitionGates(t *testing.T) {
 		records, duplicates, late, wild, unroutable uint64
 		open                                        int64
 	}
-	booksOf := func(p *partition) books {
-		return books{p.records.Load(), p.duplicates.Load(), p.lateRecords.Load(), p.wildRecords.Load(), p.unroutable.Load(), p.binsOpen.Load()}
-	}
-	globalOf := func(c *collector, p *partition) books {
-		return books{c.ctr.records.Load(), c.ctr.duplicates.Load(), c.ctr.lateRecords.Load(), c.ctr.wildRecords.Load(), c.ctr.unroutable.Load(), p.binsOpen.Load()}
+	booksOf := func(c *collector) books {
+		return books{c.ctr.records.Load(), c.ctr.duplicates.Load(), c.ctr.lateRecords.Load(), c.ctr.wildRecords.Load(), c.ctr.unroutable.Load(), c.ctr.binsOpen.Load()}
 	}
 	n := uint64(len(good))
-	// stranded parks a partition where a far-future first packet leaves
-	// it: watermark 1000, sealed through 999, nothing ever submitted.
-	stranded := func(streak int) func(*partition) {
-		return func(p *partition) {
-			p.seal(999)
-			p.behindStreak = streak
+	// stranded parks a collector where a far-future first packet leaves
+	// it: sealed through 999, nothing ever submitted.
+	stranded := func(streak int) func(*collector) {
+		return func(c *collector) {
+			c.closeThrough(999)
+			c.behindStreak = streak
 		}
 	}
 	cases := []struct {
 		name    string
-		prep    func(*partition)
+		prep    func(*collector)
 		obs     int
 		b       flowwire.Batch
 		recs    []flowwire.Record
@@ -74,13 +69,13 @@ func TestPartitionGates(t *testing.T) {
 	}{
 		{name: "raise", obs: -1, b: batch(0, 0, 3), recs: good, act: actRaise, added: books{records: n, open: 1}},
 		{name: "accept below the watermark", obs: 5, b: batch(0, 0, 3), recs: good, added: books{records: n, open: 1}},
-		{name: "duplicate", prep: func(p *partition) { p.ingest(batch(0, 0, 3), good, 3) },
+		{name: "duplicate", prep: func(c *collector) { c.gate(batch(0, 0, 3), good) },
 			obs: 3, b: batch(0, 0, 3), recs: good, added: books{duplicates: 1}},
-		{name: "pre-epoch", prep: func(p *partition) { p.cfg.Epoch = 10 * traffic.BinSeconds },
+		{name: "pre-epoch", prep: func(c *collector) { c.cfg.Epoch = 10 * traffic.BinSeconds },
 			obs: -1, b: batch(0, 0, 3), recs: good, added: books{late: n}},
-		{name: "late", prep: func(p *partition) { p.seal(5) }, obs: 6, b: batch(0, 0, 5), recs: good, added: books{late: n}},
+		{name: "late", prep: func(c *collector) { c.closeThrough(5) }, obs: 6, b: batch(0, 0, 5), recs: good, added: books{late: n}},
 		{name: "wild beyond MaxAhead", obs: 10, b: batch(0, 0, 10+65), recs: good, added: books{wild: n}},
-		{name: "MaxOpenBins overflow", prep: func(p *partition) { p.ingest(batch(0, 0, 3), good, 3) }, maxOpen: 1,
+		{name: "MaxOpenBins overflow", prep: func(c *collector) { c.gate(batch(0, 0, 3), good) }, maxOpen: 1,
 			obs: 3, b: batch(0, uint32(n), 4), recs: good, added: books{wild: n}},
 		{name: "unroutable engine", obs: -1, b: batch(200, 0, 3), recs: good, added: books{unroutable: n}},
 		{name: "unroutable destination", obs: -1, b: batch(0, 0, 3), recs: lost, added: books{unroutable: n}},
@@ -90,35 +85,34 @@ func TestPartitionGates(t *testing.T) {
 			b: batch(0, 0, 7), recs: good, act: actStranded, added: books{late: n}},
 		{name: "unroutable traffic does not vote", prep: stranded(watermarkQuorum - 1), obs: 1000,
 			b: batch(200, 0, 7), recs: good, streak: watermarkQuorum - 1, added: books{late: n}},
-		{name: "straggler behind a submitted bin does not vote", prep: func(p *partition) {
-			stranded(watermarkQuorum - 1)(p)
-			p.ctr.lastClosed.Store(500)
+		{name: "straggler behind a submitted bin does not vote", prep: func(c *collector) {
+			stranded(watermarkQuorum - 1)(c)
+			c.ctr.lastClosed.Store(500)
 		}, obs: 1000, b: batch(0, 0, 7), recs: good, streak: watermarkQuorum - 1, added: books{late: n}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{MaxOpenBins: tc.maxOpen}.withDefaults()
-			c := &collector{cfg: &cfg, top: ds.Top, res: res}
-			c.ctr.lastClosed.Store(-1)
-			p, err := c.newPartition(0, &checkpoint.ShardState{SealedThrough: -1})
+			c, err := newCollector(&cfg, ds.Top, res, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tc.prep != nil {
-				tc.prep(p)
+				tc.prep(c)
 			}
-			before := booksOf(p)
-			act, bin := p.ingest(tc.b, tc.recs, tc.obs)
+			c.ctr.watermark.Store(int64(tc.obs))
+			before := booksOf(c)
+			act, bin := c.gate(tc.b, tc.recs)
 			if act != tc.act {
 				t.Errorf("action %d, want %d", act, tc.act)
 			}
 			if want := int(tc.b.UnixSecs) / traffic.BinSeconds; act != actNone && bin != want {
 				t.Errorf("action names bin %d, want %d", bin, want)
 			}
-			if p.behindStreak != tc.streak {
-				t.Errorf("streak %d, want %d", p.behindStreak, tc.streak)
+			if c.behindStreak != tc.streak {
+				t.Errorf("streak %d, want %d", c.behindStreak, tc.streak)
 			}
-			after := booksOf(p)
+			after := booksOf(c)
 			added := books{
 				after.records - before.records, after.duplicates - before.duplicates, after.late - before.late,
 				after.wild - before.wild, after.unroutable - before.unroutable, after.open - before.open,
@@ -126,17 +120,14 @@ func TestPartitionGates(t *testing.T) {
 			if added != tc.added {
 				t.Errorf("books moved by %+v, want %+v", added, tc.added)
 			}
-			if g := globalOf(c, p); g != after {
-				t.Errorf("daemon-wide counters %+v disagree with the partition's %+v", g, after)
-			}
 		})
 	}
 }
 
-// TestPartitionSealAndDiscard pins the two driver-side transitions: seal
-// detaches in bin order and moves the seal point even over bins nothing
-// filled; discard drops the far bins as wild and rewinds the seal point to
-// the last submitted bin.
+// TestPartitionSealAndDiscard pins the two collector-side transitions:
+// closeThrough detaches in bin order and moves the seal point even over
+// bins nothing filled; reset drops the far bins as wild and rewinds the
+// seal point to the last submitted bin.
 func TestPartitionSealAndDiscard(t *testing.T) {
 	run := testRun(t)
 	ds := run.Dataset()
@@ -145,9 +136,7 @@ func TestPartitionSealAndDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{}.withDefaults()
-	c := &collector{cfg: &cfg, top: ds.Top, res: res}
-	c.ctr.lastClosed.Store(-1)
-	p, err := c.newPartition(0, &checkpoint.ShardState{SealedThrough: -1})
+	c, err := newCollector(&cfg, ds.Top, res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,23 +147,23 @@ func TestPartitionSealAndDiscard(t *testing.T) {
 	for i, bin := range []int{4, 2, 9, 300} {
 		b := flowwire.Batch{Format: flowwire.FormatNetFlowV5, UnixSecs: uint32(bin * traffic.BinSeconds),
 			Seq: uint32(i * len(recs)), SeqAdvance: uint32(len(recs)), SeqModel: flowwire.SeqFlows}
-		p.ingest(b, recs, -1)
+		c.gate(b, recs)
 	}
-	closed := p.seal(6)
-	if len(closed) != 2 || closed[0].bin != 2 || closed[1].bin != 4 || p.closedThrough != 6 {
-		t.Fatalf("seal(6) detached %v through %d, want bins 2 and 4 through 6", closed, p.closedThrough)
+	closed := c.closeThrough(6)
+	if len(closed) != 2 || closed[0].bin != 2 || closed[1].bin != 4 || c.sealedThrough != 6 || c.ctr.lastClosed.Load() != 4 {
+		t.Fatalf("closeThrough(6) detached %v through %d, last closed %d; want bins 2 and 4 through 6, last closed 4",
+			closed, c.sealedThrough, c.ctr.lastClosed.Load())
 	}
-	p.seal(3)
-	if p.closedThrough != 6 {
-		t.Fatalf("a lower seal moved the seal point back to %d", p.closedThrough)
+	c.closeThrough(3)
+	if c.sealedThrough != 6 {
+		t.Fatalf("a lower seal moved the seal point back to %d", c.sealedThrough)
 	}
-	c.ctr.lastClosed.Store(4)
-	p.discard(100)
-	if len(p.bins) != 1 || p.bins[9] == nil || p.closedThrough != 4 || p.wildRecords.Load() != uint64(len(recs)) {
-		t.Fatalf("discard(100) left bins %v sealed through %d with %d wild, want bin 9 sealed through 4 and bin 300's %d records wild",
-			p.bins, p.closedThrough, p.wildRecords.Load(), len(recs))
+	c.reset(100 - cfg.MaxAhead)
+	if len(c.bins) != 1 || c.bins[9] == nil || c.sealedThrough != 4 || c.ctr.wildRecords.Load() != uint64(len(recs)) {
+		t.Fatalf("reset left bins %v sealed through %d with %d wild, want bin 9 sealed through 4 and bin 300's %d records wild",
+			c.bins, c.sealedThrough, c.ctr.wildRecords.Load(), len(recs))
 	}
-	if st := p.state(); st.SealedThrough != 4 || len(st.OpenBins) != 1 || st.OpenBins[0].Bin != 9 || len(st.Engines) != 1 {
+	if st := c.state(); st.SealedThrough != 4 || len(st.OpenBins) != 1 || st.OpenBins[0].Bin != 9 || len(st.Engines) != 1 {
 		t.Fatalf("state %+v, want bin 9 open behind seal 4 and engine 0's cursor", st)
 	}
 }

@@ -1,14 +1,14 @@
 package server
 
-// shard_test.go exercises receiver pools and shards in isolation from the
-// loopback matrix: stats consistency under concurrent ingest, late-loss
-// accounting when one shard's traffic skews past another's seal horizon,
-// and per-shard state round-tripping through a checkpoint across a kill.
+// receiver_test.go exercises receiver pools and several export engines in
+// isolation from the loopback matrix: stats consistency under concurrent
+// ingest, one template cache across sockets, late-loss accounting when one
+// engine lags behind another's watermark, and a pool's state
+// round-tripping through a checkpoint across a kill.
 
 import (
 	"encoding/json"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -18,7 +18,7 @@ import (
 )
 
 // enginePkt is pkt with a chosen export engine, for tests that need
-// traffic landing on specific shards.
+// several export streams.
 func enginePkt(t *testing.T, engine uint8, seq uint32, bin int, recs []flowwire.Flow) []byte {
 	t.Helper()
 	b, err := flowwire.EncodeV5Packet(flowwire.V5Header{
@@ -34,10 +34,10 @@ func enginePkt(t *testing.T, engine uint8, seq uint32, bin int, recs []flowwire.
 
 // TestStatsUnderIngestRace hammers the stats surface — the same assembly
 // the HTTP handler serves, plus its JSON encoding — while packets flow,
-// on one receiver and partition and on a pool of each. The assertions are
-// minimal on purpose: the test exists for the -race CI leg, where any
-// unsynchronized counter read or shared-state access between receivers,
-// partitions and the stats reader is the failure.
+// on one receiver and on a pool. The assertions are minimal on purpose:
+// the test exists for the -race CI leg, where any unsynchronized counter
+// read or shared-state access between receivers and the stats reader is
+// the failure.
 func TestStatsUnderIngestRace(t *testing.T) {
 	run := testRun(t)
 	recs := collectRecords(t, run, 5)
@@ -46,7 +46,7 @@ func TestStatsUnderIngestRace(t *testing.T) {
 		cfg  Config
 	}{
 		{"sync", Config{}},
-		{"sharded", Config{Receivers: 2, Shards: 2}},
+		{"pool", Config{Receivers: 2}},
 	}
 	for _, leg := range legs {
 		leg := leg
@@ -137,76 +137,59 @@ func TestTemplateSharedAcrossReceivers(t *testing.T) {
 	drainOK(t, srv)
 }
 
-// TestShardSkewLateLoss pins late-loss accounting across shards: once the
-// watermark (driven by one shard's engine) seals a bin on EVERY shard, a
-// straggler packet for that bin arriving on another
-// shard must be dropped and counted late on that shard's own ledger —
-// never silently folded into a reopened bin, which would break
-// daemon==batch parity.
-func TestShardSkewLateLoss(t *testing.T) {
+// TestLaggingEngineLateLoss pins late-loss accounting across export
+// engines: once the watermark, driven by one engine running ahead, seals a
+// bin, a straggler packet for that bin from another engine that has been
+// silent must be dropped and counted late — never silently folded into a
+// reopened bin, which would break daemon==batch parity.
+func TestLaggingEngineLateLoss(t *testing.T) {
 	run := testRun(t)
-	srv, err := New(run, Config{Shards: 2, Stream: parityStream(run)})
+	srv, err := New(run, Config{Stream: parityStream(run)})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a, b := srv.col.shardOf(0), srv.col.shardOf(1); a == b {
-		t.Fatalf("engines 0 and 1 hash to the same shard (%d): the skew scenario needs two shards", a)
 	}
 	recs := collectRecords(t, run, 10)
 
 	// Engine 0 runs ahead through bin 5; each raise seals through
-	// watermark-grace on BOTH shards, including engine 1's, which has seen
-	// no traffic at all.
+	// watermark-grace for every engine, including engine 1, which has
+	// sent nothing yet.
 	seq := uint32(0)
 	for bin := 0; bin <= 5; bin++ {
-		srv.ingestOn(srv.recvs[0], enginePkt(t, 0, seq, bin, recs))
+		srv.IngestPacket(enginePkt(t, 0, seq, bin, recs))
 		seq += uint32(len(recs))
 	}
 	st := srv.Stats()
-	if st.Watermark != 5 || st.LastClosed != 4 {
-		t.Fatalf("watermark %d / last closed %d, want 5 / 4 (grace 1)", st.Watermark, st.LastClosed)
-	}
-	for i, sh := range st.Shards {
-		if sh.SealedThrough != 4 {
-			t.Fatalf("shard %d sealed through %d, want 4: bin close must advance idle shards too", i, sh.SealedThrough)
-		}
+	if st.Watermark != 5 || st.LastClosed != 4 || st.BinsOpen != 1 {
+		t.Fatalf("watermark %d / last closed %d / open %d, want 5 / 4 / 1 (grace 1)", st.Watermark, st.LastClosed, st.BinsOpen)
 	}
 
-	// Engine 1 wakes up with traffic for bin 3 — inside its shard's sealed
-	// horizon. The records must be counted late on engine 1's shard.
-	srv.ingestOn(srv.recvs[0], enginePkt(t, 1, 0, 3, recs))
+	// Engine 1 wakes up with traffic for bin 3, behind the seal point: its
+	// records are counted late and bin 3 stays closed.
+	srv.IngestPacket(enginePkt(t, 1, 0, 3, recs))
 	st = srv.Stats()
-	if st.LateRecords != uint64(len(recs)) {
-		t.Fatalf("late records %d, want %d", st.LateRecords, len(recs))
+	if st.LateRecords != uint64(len(recs)) || st.Records != 6*uint64(len(recs)) {
+		t.Fatalf("late records %d, accepted %d; want %d late and engine 0's %d accepted", st.LateRecords, st.Records, len(recs), 6*len(recs))
 	}
-	skewed := st.Shards[srv.col.shardOf(1)]
-	if skewed.LateRecords != uint64(len(recs)) || skewed.Records != 0 {
-		t.Fatalf("skewed shard ledger %+v, want all %d records late and none accepted", skewed, len(recs))
-	}
-	ahead := st.Shards[srv.col.shardOf(0)]
-	if ahead.LateRecords != 0 || ahead.Records != 6*uint64(len(recs)) {
-		t.Fatalf("leading shard ledger %+v, want %d records and no late", ahead, 6*len(recs))
-	}
-	if st.Records != 6*uint64(len(recs)) {
-		t.Fatalf("accepted records %d, want %d", st.Records, 6*len(recs))
+	if st.BinsOpen != 1 || st.LastClosed != 4 {
+		t.Fatalf("the straggler reopened a bin: open %d, last closed %d", st.BinsOpen, st.LastClosed)
 	}
 	drainOK(t, srv)
 }
 
-// TestChaosShardedRestartParity is the sharded half of the crash-safety
-// contract: a 4-shard daemon snapshotted at a controlled bin boundary,
-// killed with unsnapshotted bins in flight, must restore every shard's
-// partition — open bins, sequence cursors, dedupe rings, seal horizon —
-// and characterize the remainder of the week exactly like the
-// uninterrupted batch path. The duplicate count is asserted exactly: the
-// snapshot's one fully-open bin is re-fed packet for packet, and every
-// one of those packets must be caught by the restored per-shard dedupe
-// rings — no more (phantom dups would mean cursor corruption), no fewer
-// (missed dups would double-count traffic and break parity).
+// TestChaosPoolRestartParity is the receiver-pool half of the
+// crash-safety contract: a 2-receiver daemon snapshotted at a controlled
+// bin boundary, killed with unsnapshotted bins in flight, must restore its
+// open bins, sequence cursors, dedupe rings and seal point, and
+// characterize the remainder of the week exactly like the uninterrupted
+// batch path. The duplicate count is asserted exactly: the snapshot's one
+// fully-open bin is re-fed packet for packet across both receivers, and
+// every one of those packets must be caught by the restored dedupe rings —
+// no more (phantom dups would mean cursor corruption), no fewer (missed
+// dups would double-count traffic and break parity).
 //
 // Under -short only two days are fed and the assertions stop at restore
 // mechanics and ingest integrity.
-func TestChaosShardedRestartParity(t *testing.T) {
+func TestChaosPoolRestartParity(t *testing.T) {
 	run := testRun(t)
 	ds := run.Dataset()
 	bins := run.Bins()
@@ -227,9 +210,9 @@ func TestChaosShardedRestartParity(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "daemon.nwcp")
-	mk := func(shards int) (*Server, error) {
+	mk := func(receivers int) (*Server, error) {
 		return New(run, Config{
-			Shards:          shards,
+			Receivers:       receivers,
 			CheckpointPath:  path,
 			CheckpointEvery: 1 << 30, // the explicit CheckpointNow is the only snapshot
 			Detect:          netwide.DefaultDetectOptions(),
@@ -238,7 +221,7 @@ func TestChaosShardedRestartParity(t *testing.T) {
 	}
 
 	kill := bins / 2
-	srv, err := mk(4)
+	srv, err := mk(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +231,7 @@ func TestChaosShardedRestartParity(t *testing.T) {
 	}
 	// At the boundary the watermark sits on the last fed bin (kill-1),
 	// sealed through kill-2 (grace 1): the snapshot holds bin kill-1 fully
-	// open across the shards, which is exactly what gets re-fed after the
+	// open, which is exactly what gets re-fed after the
 	// restore and must dedupe packet for packet.
 	if st := srv.Stats(); st.LastCheckpointBin != kill-2 {
 		t.Fatalf("snapshot covers through bin %d, want %d", st.LastCheckpointBin, kill-2)
@@ -274,7 +257,7 @@ func TestChaosShardedRestartParity(t *testing.T) {
 	ledgerAtKill := len(srv.Anomalies())
 	srv.Kill()
 
-	srv, err = mk(4)
+	srv, err = mk(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +268,8 @@ func TestChaosShardedRestartParity(t *testing.T) {
 	if st.LastClosed != kill-2 || st.RestoredBin != kill-2 {
 		t.Fatalf("restart resumed at bin %d (restored %d), want %d", st.LastClosed, st.RestoredBin, kill-2)
 	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("restored daemon reports %d shards, want 4", len(st.Shards))
-	}
-	for i, sh := range st.Shards {
-		if sh.SealedThrough != kill-2 {
-			t.Fatalf("shard %d restored sealed through %d, want %d", i, sh.SealedThrough, kill-2)
-		}
+	if srv.col.sealedThrough != kill-2 {
+		t.Fatalf("restored seal point %d, want %d", srv.col.sealedThrough, kill-2)
 	}
 	if st.BinsOpen == 0 {
 		t.Fatalf("restore dropped the snapshot's open bin: %+v", st)
@@ -304,10 +282,10 @@ func TestChaosShardedRestartParity(t *testing.T) {
 	drainOK(t, srv)
 	st = srv.Stats()
 	if st.LostRecords != 0 || st.BadPackets != 0 || st.LateRecords != 0 || st.Unroutable != 0 || st.WildRecords != 0 {
-		t.Fatalf("sharded kill/restart took ingest losses: %+v", st)
+		t.Fatalf("pool kill/restart took ingest losses: %+v", st)
 	}
 	if st.Duplicates != uint64(dupPkts) {
-		t.Fatalf("duplicates %d, want exactly %d: every packet of the snapshot's open bin, caught by the restored per-shard dedupe rings", st.Duplicates, dupPkts)
+		t.Fatalf("duplicates %d, want exactly %d: every packet of the snapshot's open bin, caught by the restored dedupe rings", st.Duplicates, dupPkts)
 	}
 	if st.BinsClosed != bins || st.BinsOpen != 0 {
 		t.Fatalf("closed %d bins (open %d), want %d: every bin closed exactly once across the crash", st.BinsClosed, st.BinsOpen, bins)
@@ -320,7 +298,7 @@ func TestChaosShardedRestartParity(t *testing.T) {
 		bk := sortedKeys(batch)
 		sk := sortedKeys(srv.Anomalies())
 		if len(bk) != len(sk) {
-			t.Fatalf("killed sharded daemon characterized %d anomalies, uninterrupted batch %d:\n daemon %v\n batch  %v", len(sk), len(bk), sk, bk)
+			t.Fatalf("killed pool daemon characterized %d anomalies, uninterrupted batch %d:\n daemon %v\n batch  %v", len(sk), len(bk), sk, bk)
 		}
 		for i := range bk {
 			if bk[i] != sk[i] {
@@ -328,22 +306,18 @@ func TestChaosShardedRestartParity(t *testing.T) {
 			}
 		}
 	} else if srv.Err() != nil {
-		t.Fatalf("short sharded chaos run left the daemon unhealthy: %v", srv.Err())
+		t.Fatalf("short pool chaos run left the daemon unhealthy: %v", srv.Err())
 	}
 
-	// The drain left a 4-shard snapshot on disk; a daemon with a different
-	// shard layout cannot adopt its partitioned state and must cold-start.
-	t.Run("shard count mismatch cold starts", func(t *testing.T) {
-		srv, err := mk(3)
+	// Receivers are not in the fingerprint: the pool's drain snapshot
+	// restores into a single-receiver daemon.
+	t.Run("receiver count change restores", func(t *testing.T) {
+		srv, err := mk(1)
 		if err != nil {
-			t.Fatalf("shard-layout change kept the collector down: %v", err)
+			t.Fatal(err)
 		}
-		st := srv.Stats()
-		if st.CheckpointFallbacks != 1 || !strings.Contains(st.RestoreErr, "shard") {
-			t.Fatalf("layout mismatch not surfaced as a fallback: %+v", st)
-		}
-		if st.Restored || st.LastClosed != -1 {
-			t.Fatalf("cold start leaked foreign shard state: %+v", st)
+		if st := srv.Stats(); !st.Restored || st.RestoreErr != "" || st.LastClosed != bins-1 {
+			t.Fatalf("a 1-receiver daemon did not restore the pool's snapshot: %+v", st)
 		}
 		srv.Kill()
 	})

@@ -7,31 +7,28 @@
 // lock. The collector decodes each datagram through its one
 // flowwire.Registry — NetFlow v5, NetFlow v9, IPFIX and sFlow v5, detected
 // by version word, with hostile bytes counted and dropped, never trusted.
-// A partition (partition.go) then runs the batch through every gate once:
+// Its gates (partition.go) then run the batch through every check once:
 // sequence dedupe per (format, engine) stream under each format's own
 // sequence semantics, the pre-epoch, late and wild-timestamp gates,
 // resolution to an origin-destination PoP pair exactly as the offline
 // pipeline does it, accumulation into per-bin byte/packet/flow vectors,
-// and the watermark vote. The collector acts on the vote: it raises the
-// watermark and closes every bin through watermark − Grace — seals every
-// partition and merges their vectors — and the Server submits the merged
+// and the watermark vote. Every export engine bins into the one set of
+// open bins. The collector acts on the vote: it raises the watermark and
+// seals every bin through watermark − Grace, and the Server submits those
 // bins to the one StreamDetector before the datagram's caller returns.
 //
 // The Server holds ingestMu for a whole datagram, bin close and submit
 // included, and for a capture or the drain's flush; Server.mu guards the
 // ledger and is never held across a submit. Those are the only two locks.
 // Receivers (one per SO_REUSEPORT socket) read in parallel and queue on
-// ingestMu. Shards (partitions, keyed by export engine) split the OD
-// columns, cursors and open bins but no longer buy concurrency; whether to
-// keep them is open. The partition key is the origin PoP, so each OD
-// column is written by exactly one partition and the merge is exact.
-// Scoring stays central because the subspace method is global:
-// network-wide anomalies only appear in the full OD matrix. See DESIGN.md
-// E24 and E34.
+// ingestMu. Binning is not partitioned: scoring must see each bin's full
+// OD vector, because the subspace method is global — network-wide
+// anomalies only appear in the full OD matrix — and every partition would
+// run under the same lock anyway. See DESIGN.md E24, E34 and E36.
 //
 // Batch parity: every per-record sum the server computes is an integer
 // count below 2^53 folded into a float64, so the accumulated vectors are
-// exact regardless of packet arrival order or shard interleaving; a
+// exact regardless of packet arrival order or receiver interleaving; a
 // replayed dataset therefore reproduces the generator's matrices bit for
 // bit, and the daemon's characterized anomalies match the batch
 // Characterize output on the same bins (the loopback end-to-end test pins
@@ -40,7 +37,7 @@
 // The HTTP side is deliberately small, all of it under /api/v1/: healthz
 // (liveness, 503 once the detector has recorded an error), stats (ingest
 // counters as JSON, including a per-protocol breakdown and — with more
-// than one receiver or shard — per-receiver and per-shard counters) and
+// than one receiver — per-receiver counters) and
 // anomalies (the characterized anomaly log as JSON).
 package server
 
@@ -100,12 +97,13 @@ type Config struct {
 	// (restored watermark Grace ahead of the resuming stream) would look
 	// like a stranded watermark and discard restored bins.
 	MaxAhead int
-	// MaxOpenBins caps each partition's accumulating (not yet closed) bins
-	// (default 256). Records that would open a bin beyond the cap are
-	// dropped and counted wild — bounding the daemon's memory even against
-	// spoofed timestamps that scatter records across arbitrary bins. Bins
-	// close on the datagram that lets them close, so an in-order stream
-	// holds about Grace+1 of them, whatever its rate.
+	// MaxOpenBins caps the daemon's accumulating (not yet closed) bins
+	// (default 256), across every export engine. Records that would open a
+	// bin beyond the cap are dropped and counted wild — bounding the
+	// daemon's memory even against spoofed timestamps that scatter records
+	// across arbitrary bins. Bins close on the datagram that lets them
+	// close, so an in-order stream holds about Grace+1 of them, whatever
+	// its rate.
 	MaxOpenBins int
 	// ReadBuffer is the UDP socket receive buffer in bytes, applied to
 	// every receiver socket (default 4MB — the sockets must absorb export
@@ -120,13 +118,8 @@ type Config struct {
 	// through the same registry and template cache, so a template learned
 	// on one socket decodes data arriving on another.
 	Receivers int
-	// Shards splits binning into that many partitions by export engine
-	// (default 1), each a disjoint set of OD columns with its own
-	// accumulators, dedupe rings and sequence cursors. Every partition runs
-	// under the one ingest lock, so shards buy no concurrency; whether to
-	// keep them is an open decision. A bin closes on every partition at
-	// once. The shard count is part of the checkpoint fingerprint —
-	// restarting with a different count cold-starts.
+	// Deprecated: Shards is ignored. Binning is one partition (DESIGN.md
+	// E36); the field stays only for callers not yet rebuilt without it.
 	Shards int
 	// CheckpointPath enables crash-safe operation: the daemon periodically
 	// snapshots its full recovery state (model generations, open events,
@@ -190,9 +183,6 @@ func (c Config) withDefaults() Config {
 	if c.Receivers <= 0 {
 		c.Receivers = 1
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.CheckpointPath != "" && c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
@@ -250,14 +240,13 @@ type Stats struct {
 	// updater, or a refit cadence) — absent on a static-model daemon, whose
 	// model never moves (its generation is always 0).
 	ModelFreshness []FreshnessStat `json:"model_freshness,omitempty"`
-	// Receivers and Shards break the ingest down per receiver (datagram
-	// counters) and per shard (record ledgers), present only when
-	// Config.Receivers or Config.Shards is above 1. MergeQueueLen is always
-	// 0: bins are merged inline by the receiver that closes them, with no
-	// queue; the field stays for readers of the JSON surface.
-	Receivers     []ReceiverStats `json:"receivers,omitempty"`
-	Shards        []ShardStats    `json:"shards,omitempty"`
-	MergeQueueLen int             `json:"merge_queue_len"`
+	// Receivers breaks the ingest down per receiver (datagram counters),
+	// present only when Config.Receivers is above 1.
+	Receivers []ReceiverStats `json:"receivers,omitempty"`
+	// Deprecated: Shards is never filled: binning is one partition.
+	Shards []ShardStats `json:"shards,omitempty"`
+	// Deprecated: MergeQueueLen is always 0: nothing is merged.
+	MergeQueueLen int `json:"merge_queue_len"`
 	// Checkpointing state. CheckpointsWritten / CheckpointErrors count
 	// snapshot attempts; LastCheckpointBin is the highest closed bin the
 	// latest snapshot covers (-1 before the first). Restored reports this
@@ -345,21 +334,10 @@ type ReceiverStats struct {
 	Bytes      uint64 `json:"bytes"`
 }
 
-// ShardStats is one binning partition's slice of the ingest counters;
-// SealedThrough is its seal point, the highest bin it has closed (every
-// partition seals together, so they agree between bin closes). QueueLen
-// and QueueCap are always 0: receivers bin into the partition directly,
-// with no queue; the fields stay for readers of the JSON surface.
+// Deprecated: ShardStats is never reported: binning is one partition.
 type ShardStats struct {
-	Records       uint64 `json:"records"`
-	Duplicates    uint64 `json:"duplicate_packets"`
-	LateRecords   uint64 `json:"late_records"`
-	WildRecords   uint64 `json:"wild_records"`
-	Unroutable    uint64 `json:"unroutable_records"`
-	BinsOpen      int    `json:"bins_open"`
-	SealedThrough int    `json:"sealed_through"`
-	QueueLen      int    `json:"queue_len"`
-	QueueCap      int    `json:"queue_cap"`
+	Records  uint64 `json:"records"`
+	QueueLen int    `json:"queue_len"`
 }
 
 // receiver is one UDP socket's reader and its slice of the datagram
@@ -448,8 +426,8 @@ type Server struct {
 // finds. No sockets are bound until Start; tests and benchmarks drive
 // ingest without one through IngestPacket.
 // New also attempts crash recovery when cfg.CheckpointPath names an
-// existing snapshot: if the file verifies (checksum, version, fingerprint
-// — including the shard count) the daemon resumes from it — restored
+// existing snapshot: if the file verifies (checksum, version, fingerprint)
+// the daemon resumes from it — restored
 // models, reopened events, refilled open bins, sequence cursors,
 // watermark, anomaly ledger — and is at most CheckpointEvery bins plus one
 // snapshot in flight stale.
@@ -540,8 +518,7 @@ func (s *Server) streamKind() (engine.UpdaterKind, int) {
 }
 
 // fingerprint checks that a snapshot was written by a daemon built around
-// the same network model, detector configuration and shard layout as this
-// one.
+// the same network model and detector configuration as this one.
 func (s *Server) fingerprint(st *checkpoint.State) error {
 	ds := s.run.Dataset()
 	opts := s.detectOpts()
@@ -559,10 +536,6 @@ func (s *Server) fingerprint(st *checkpoint.State) error {
 		return fmt.Errorf("snapshot epoch %d, daemon epoch %d", st.Epoch, s.cfg.Epoch)
 	case !slices.Equal(st.Formats, s.enabledFormats()):
 		return fmt.Errorf("snapshot formats %v, daemon enables %v", st.Formats, s.enabledFormats())
-	case st.Shards != s.cfg.Shards:
-		// Open bins and cursors are partitioned by engine hash under the
-		// snapshot's shard count; a different layout cannot adopt them.
-		return fmt.Errorf("snapshot captured with %d shards, daemon runs %d", st.Shards, s.cfg.Shards)
 	case st.Updater != string(kind):
 		// Lane states embed lifecycle-specific payloads (refit windows vs
 		// tracker vectors); a daemon running the other lifecycle cannot
@@ -660,7 +633,6 @@ func (s *Server) capture() *cpTicket {
 		Alpha:    opts.Alpha,
 		Epoch:    s.cfg.Epoch,
 		Formats:  s.enabledFormats(),
-		Shards:   s.cfg.Shards,
 		Updater:  string(kind),
 		Server:   s.col.state(),
 	}
@@ -1066,6 +1038,7 @@ func (s *Server) Stats() Stats {
 		WildRecords:     c.ctr.wildRecords.Load(),
 		WatermarkResets: c.ctr.watermarkResets.Load(),
 		BinsClosed:      int(c.ctr.binsClosed.Load()),
+		BinsOpen:        int(c.ctr.binsOpen.Load()),
 		Watermark:       int(c.ctr.watermark.Load()),
 		LastClosed:      int(c.ctr.lastClosed.Load()),
 	}
@@ -1086,7 +1059,7 @@ func (s *Server) Stats() Stats {
 			SeqUnit:    f.SequenceModel().Unit(),
 		}
 	}
-	if s.cfg.Receivers > 1 || s.cfg.Shards > 1 {
+	if s.cfg.Receivers > 1 {
 		st.Receivers = make([]ReceiverStats, len(s.recvs))
 		for i, r := range s.recvs {
 			st.Receivers[i] = ReceiverStats{
@@ -1095,21 +1068,6 @@ func (s *Server) Stats() Stats {
 				Bytes:      r.bytes.Load(),
 			}
 		}
-		st.Shards = make([]ShardStats, len(c.parts))
-		for i, p := range c.parts {
-			st.Shards[i] = ShardStats{
-				Records:       p.records.Load(),
-				Duplicates:    p.duplicates.Load(),
-				LateRecords:   p.lateRecords.Load(),
-				WildRecords:   p.wildRecords.Load(),
-				Unroutable:    p.unroutable.Load(),
-				BinsOpen:      int(p.binsOpen.Load()),
-				SealedThrough: int(p.sealed.Load()),
-			}
-		}
-	}
-	for _, p := range c.parts {
-		st.BinsOpen += int(p.binsOpen.Load())
 	}
 	s.mu.Lock()
 	st.AlarmBins = s.alarmBins

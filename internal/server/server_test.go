@@ -47,14 +47,13 @@ func anomalyKey(a netwide.Anomaly) string {
 }
 
 // TestLoopbackEndToEnd is the tentpole proof, once per wire format on a
-// 2-receiver, 4-shard daemon plus a 1×1 control leg: a dataset
-// replayed as live export traffic over UDP loopback — NetFlow v5, NetFlow
-// v9, IPFIX and sFlow v5 side by side, through 2 SO_REUSEPORT receivers
-// and 4 binning shards — ingested by the daemon, must drive the streaming
-// detector to exactly the anomalies the batch Detect + Characterize path
-// finds on the same data, in every format: the wire hop, the
-// normalization, the partitioned bin aggregation, the merge at bin close
-// and the drain must all be lossless.
+// 2-receiver daemon plus a 1×1 control leg: a dataset replayed as live
+// export traffic over UDP loopback — NetFlow v5, NetFlow v9, IPFIX and
+// sFlow v5 side by side, through 2 SO_REUSEPORT receivers — ingested by
+// the daemon, must drive the streaming detector to exactly the anomalies
+// the batch Detect + Characterize path finds on the same data, in every
+// format: the wire hop, the normalization, the bin aggregation and the
+// drain must all be lossless.
 //
 // Under -short (the CI race step) only the first two days are replayed and
 // the assertions stop at ingest integrity — batch event windows span the
@@ -86,12 +85,11 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		sort.Strings(batchKeys)
 	}
 
-	// The four-format matrix runs 2 receivers and 4 shards; the plain leg
-	// pins the 1×1 layout against the same reference.
-	sharded := Config{
+	// The four-format matrix runs 2 receivers; the plain leg pins the 1×1
+	// layout against the same reference.
+	pool := Config{
 		HTTPAddr:  "127.0.0.1:0",
 		Receivers: 2,
-		Shards:    4,
 		// Receivers drain their sockets independently and the replay sprays
 		// them from independent connections, so one receiver can run many
 		// bins ahead of the other whenever the scheduler stalls a sender.
@@ -108,7 +106,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		format := format
 		t.Run(format.String(), func(t *testing.T) {
 			t.Parallel()
-			loopbackLeg(t, run, bins, batchKeys, fullParity, format, sharded, 2)
+			loopbackLeg(t, run, bins, batchKeys, fullParity, format, pool, 2)
 		})
 	}
 	t.Run("netflow5-plain", func(t *testing.T) {
@@ -214,26 +212,19 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 	if want := format.SequenceModel().Unit(); ps.SeqUnit != want {
 		t.Errorf("protocol seq unit %q, want %q", ps.SeqUnit, want)
 	}
-	// With a receiver pool or shards the per-receiver and per-shard
-	// breakdowns must jointly account for every packet and record; the 1×1
-	// daemon must not grow those fields at all (the stats JSON is a
-	// compatibility surface).
-	if cfg.Receivers > 1 || cfg.Shards > 1 {
-		if len(st.Receivers) != cfg.Receivers || len(st.Shards) != cfg.Shards {
-			t.Fatalf("stats carry %d receivers / %d shards, want %d / %d", len(st.Receivers), len(st.Shards), cfg.Receivers, cfg.Shards)
-		}
-		var rp, sr uint64
+	// With a receiver pool the per-receiver breakdown must account for
+	// every packet; the 1×1 daemon must not grow the field at all (the
+	// stats JSON is a compatibility surface).
+	if cfg.Receivers > 1 {
+		var rp uint64
 		for _, r := range st.Receivers {
 			rp += r.Packets
 		}
-		for _, sh := range st.Shards {
-			sr += sh.Records
+		if len(st.Receivers) != cfg.Receivers || rp != st.Packets {
+			t.Fatalf("stats carry %d receivers with %d packets, want %d with %d", len(st.Receivers), rp, cfg.Receivers, st.Packets)
 		}
-		if rp != st.Packets || sr != st.Records {
-			t.Fatalf("per-receiver packets %d (want %d) / per-shard records %d (want %d)", rp, st.Packets, sr, st.Records)
-		}
-	} else if st.Receivers != nil || st.Shards != nil {
-		t.Fatalf("synchronous daemon leaked sharded stats: %+v", st)
+	} else if st.Receivers != nil {
+		t.Fatalf("single-receiver daemon leaked receiver stats: %+v", st)
 	}
 
 	if !fullParity {
@@ -344,15 +335,14 @@ func pkt(t *testing.T, seq uint32, bin int, recs []flowwire.Flow) []byte {
 	return b
 }
 
-// layouts are receiver/shard layouts of the one ingest driver. A test that
+// layouts are the receiver layouts of the one ingest driver. A test that
 // ranges over them asserts the same global counters under each.
 var layouts = []struct {
 	name string
 	cfg  Config
 }{
 	{"sync", Config{}},
-	{"sharded", Config{Receivers: 1, Shards: 4}},
-	{"pool", Config{Receivers: 2, Shards: 4}},
+	{"pool", Config{Receivers: 2}},
 }
 
 // feed hands the datagrams to the daemon in order, round-robin over its
@@ -422,7 +412,11 @@ func TestOutOfOrderAndDuplicates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			feed(srv, p1, p1, p2, p3, p4, p5, p6, p7, p8) // p1 twice: an exact duplicate must not double-count
+			feed(srv, p1, p1, p2, p3, p4, p5) // p1 twice: an exact duplicate must not double-count
+			if st := srv.Stats(); st.LostRecords != 50 {
+				t.Errorf("lost records %d after the gap, want 50", st.LostRecords)
+			}
+			feed(srv, p6, p7, p8) // p6 fills part of the gap: a real reorder, refunded
 
 			st := srv.Stats()
 			if st.Duplicates != 1 {
@@ -434,8 +428,9 @@ func TestOutOfOrderAndDuplicates(t *testing.T) {
 			if st.LateRecords != 10 {
 				t.Errorf("late records %d, want 10", st.LateRecords)
 			}
-			if st.LostRecords != 40 {
-				t.Errorf("lost records %d, want 40 (50-record gap minus the reordered refund; restarts charge nothing)", st.LostRecords)
+			if st.LostRecords != 40 || st.Protocols["netflow5"].LostUnits != 40 {
+				t.Errorf("lost records %d (netflow5 units %d), want 40 (50-record gap minus the reordered refund; restarts charge nothing)",
+					st.LostRecords, st.Protocols["netflow5"].LostUnits)
 			}
 			if st.BinsClosed != 2 || st.LastClosed != 5 || st.Watermark != 8 {
 				t.Errorf("bin state %+v, want 2 closed through 5, watermark 8", st)
@@ -450,6 +445,32 @@ func TestOutOfOrderAndDuplicates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReorderRefundsOnlyTheStreamsOwnLoss: a datagram behind its stream's
+// cursor refunds only loss charged to that stream since its cursor last
+// (re)started. Engine 0 loses 10 records; then engine 1's first datagram
+// arrives second — seq 10 before seq 0 — which left no gap, so engine 0's
+// loss must stand, on the daemon's counter and on its format's.
+func TestReorderRefundsOnlyTheStreamsOwnLoss(t *testing.T) {
+	run := testRun(t)
+	recs := collectRecords(t, run, 10)
+	srv, err := New(run, Config{Stream: parityStream(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(srv,
+		enginePkt(t, 0, 0, 0, recs),
+		enginePkt(t, 0, 20, 0, recs), // engine 0's records 10-19 are lost
+		enginePkt(t, 1, 10, 0, recs), // engine 1's stream starts at 10
+		enginePkt(t, 1, 0, 0, recs),  // and its earlier datagram follows
+	)
+	st := srv.Stats()
+	if st.Records != 40 || st.LostRecords != 10 || st.Protocols["netflow5"].LostUnits != 10 {
+		t.Fatalf("%d records, %d lost (netflow5 units %d); want 40 accepted and engine 0's 10 still lost",
+			st.Records, st.LostRecords, st.Protocols["netflow5"].LostUnits)
+	}
+	drainOK(t, srv)
 }
 
 // TestDrainFlushesInFlightBins pins the graceful-shutdown contract: bins
@@ -712,36 +733,33 @@ func TestRefusedSubmitKeepsTheBooks(t *testing.T) {
 	}
 }
 
-// TestIngestIntoOpenBinDoesNotAllocate pins the hot path's steady state on
-// one partition and on four: an in-sequence v5 packet into an already-open
-// bin decodes into the receiver's reused buffer, finds its partition, its
-// cursor and its bin, and allocates nothing.
+// TestIngestIntoOpenBinDoesNotAllocate pins the hot path's steady state:
+// an in-sequence v5 packet into an already-open bin decodes into the
+// collector's reused buffer, finds its cursor and its bin, and allocates
+// nothing.
 func TestIngestIntoOpenBinDoesNotAllocate(t *testing.T) {
 	run := testRun(t)
 	recs := collectRecords(t, run, flowwire.V5MaxRecordsPerPacket)
-	for _, cfg := range []Config{{}, {Shards: 4}} {
-		cfg.Stream = parityStream(run)
-		srv, err := New(run, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const runs = 100
-		pkts := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call
-		for i := range pkts {
-			pkts[i] = pkt(t, uint32(i*len(recs)), 0, recs)
-		}
-		srv.IngestPacket(pkts[0]) // opens bin 0 and engine 0's cursor
-		next := 1
-		allocs := testing.AllocsPerRun(runs, func() {
-			srv.IngestPacket(pkts[next])
-			next++
-		})
-		if allocs != 0 {
-			t.Errorf("%d shards: IngestPacket into an open bin allocates %v per packet, want 0", cfg.Shards, allocs)
-		}
-		if st := srv.Stats(); st.Records != uint64(len(pkts)*len(recs)) || st.Duplicates != 0 {
-			t.Errorf("%d shards: ingested %d records (%d duplicate packets), want %d", cfg.Shards, st.Records, st.Duplicates, len(pkts)*len(recs))
-		}
-		drainOK(t, srv)
+	srv, err := New(run, Config{Stream: parityStream(run)})
+	if err != nil {
+		t.Fatal(err)
 	}
+	const runs = 100
+	pkts := make([][]byte, runs+2) // AllocsPerRun adds a warm-up call
+	for i := range pkts {
+		pkts[i] = pkt(t, uint32(i*len(recs)), 0, recs)
+	}
+	srv.IngestPacket(pkts[0]) // opens bin 0 and engine 0's cursor
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		srv.IngestPacket(pkts[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("IngestPacket into an open bin allocates %v per packet, want 0", allocs)
+	}
+	if st := srv.Stats(); st.Records != uint64(len(pkts)*len(recs)) || st.Duplicates != 0 {
+		t.Errorf("ingested %d records (%d duplicate packets), want %d", st.Records, st.Duplicates, len(pkts)*len(recs))
+	}
+	drainOK(t, srv)
 }
