@@ -48,7 +48,7 @@ const gobMagic = "NWCPv1\r\n"
 // state, so the safe response to an unknown format is to rebuild from
 // scratch. Any change to the bytes codec.go writes bumps it
 // (TestGoldenBytes fails until it does).
-const Version = 6
+const Version = 7
 
 // MaxFileSize is the largest file ReadFile and Read accept. The default
 // lifecycle's snapshot at geant is 22 MB (three rolling one-week windows);

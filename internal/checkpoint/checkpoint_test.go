@@ -178,19 +178,21 @@ func TestReadVersionSkew(t *testing.T) {
 			t.Fatalf("version-%d snapshot: %v", v, err)
 		}
 	}
-	// A file the previous version wrote, kept as a fuzz seed, is turned away
-	// by its version before a byte of its payload is read.
-	corpus, err := os.ReadFile("testdata/fuzz/FuzzCheckpointRead/v5-file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, quoted, _ := strings.Cut(strings.TrimSpace(string(corpus)), "[]byte(")
-	old, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot version 5, want %d", Version)) {
-		t.Fatalf("version-5 file: %v", err)
+	// Files earlier versions wrote, kept as fuzz seeds, are turned away by
+	// their version before a byte of their payload is read.
+	for _, v := range []int{5, 6} {
+		corpus, err := os.ReadFile(fmt.Sprintf("testdata/fuzz/FuzzCheckpointRead/v%d-file", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, quoted, _ := strings.Cut(strings.TrimSpace(string(corpus)), "[]byte(")
+		old, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot version %d, want %d", v, Version)) {
+			t.Fatalf("version-%d file: %v", v, err)
+		}
 	}
 }
 

@@ -122,22 +122,23 @@ func (w *writer) matrix(what string, m [][]float64) {
 	}
 }
 
-// flat writes a row-major matrix of cols columns as matrix lays one out:
-// the row count, the column count and one run. An empty one is 0 x 0.
-func (w *writer) flat(what string, v []float64, cols int) {
+// flat writes a row-major matrix of rows rows as matrix lays one out: the
+// row count, the column count and one run. The column count is the
+// matrix's own, len(v)/rows. An empty one is 0 x 0.
+func (w *writer) flat(what string, v []float64, rows int) {
 	if len(v) == 0 {
 		w.count(0)
 		w.count(0)
 		return
 	}
-	if cols <= 0 || len(v)%cols != 0 {
+	if rows <= 0 || len(v)%rows != 0 {
 		if w.err == nil {
-			w.err = fmt.Errorf("checkpoint: encode: %s has %d values, not a whole number of %d-value rows", what, len(v), cols)
+			w.err = fmt.Errorf("checkpoint: encode: %s has %d values, not a whole number of them in each of %d rows", what, len(v), rows)
 		}
 		return
 	}
-	w.count(len(v) / cols)
-	w.count(cols)
+	w.count(rows)
+	w.count(len(v) / rows)
 	w.run(v)
 }
 
@@ -250,7 +251,7 @@ func (w *writer) stream(cp *netwide.StreamCheckpoint) {
 		w.f64(ms.TotalVar)
 		w.f64s(ms.Mean)
 		w.f64s(ms.Eigenvalues)
-		w.flat("model components", ms.Components, len(ms.Eigenvalues))
+		w.flat("model components", ms.Components, len(ms.Mean))
 		w.matrix("rolling window", us.Window)
 		w.int(us.Since)
 		w.bool(us.Tracker != nil)
@@ -695,7 +696,9 @@ func (r *reader) stream(cp *netwide.StreamCheckpoint, fp *State) {
 		ms.TotalVar = r.f64()
 		ms.Mean = r.f64s("model mean", p)
 		ms.Eigenvalues = r.f64s("model eigenvalues", -1)
-		ms.Components, _ = r.flat("model components", p, len(ms.Eigenvalues))
+		// The basis keeps its own width; engine.Restore holds it to the
+		// one a model keeps.
+		ms.Components, _ = r.flat("model components", p, -1)
 		us.Window = r.matrix("rolling window", -1, p)
 		us.Since = r.int()
 		if r.bool() {

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -119,11 +120,11 @@ func TestCodecRoundTripsEveryField(t *testing.T) {
 }
 
 // TestGoldenBytes pins the format: sampleState must encode to exactly the
-// bytes in testdata/sample_v6.hex. If this fails the format changed — bump
+// bytes in testdata/sample_v7.hex. If this fails the format changed — bump
 // Version (files written before the change must cold-start, not misdecode),
 // then replace the file with the hex this test prints.
 func TestGoldenBytes(t *testing.T) {
-	golden, err := os.ReadFile("testdata/sample_v6.hex")
+	golden, err := os.ReadFile("testdata/sample_v7.hex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestGoldenBytes(t *testing.T) {
 		for h := hex.EncodeToString(got); len(h) > 0; h = h[min(64, len(h)):] {
 			wrapped.WriteString(h[:min(64, len(h))] + "\n")
 		}
-		t.Fatalf("format drift: sampleState no longer encodes to testdata/sample_v6.hex (%d bytes, golden %d). Bump Version, then store:\n%s",
+		t.Fatalf("format drift: sampleState no longer encodes to testdata/sample_v7.hex (%d bytes, golden %d). Bump Version, then store:\n%s",
 			len(got), len(want), wrapped.String())
 	}
 	if v := binary.LittleEndian.Uint32(want[offVersion:]); v != Version {
@@ -194,6 +195,16 @@ func TestReadChecksShapesBeforeAllocating(t *testing.T) {
 		return buf.Bytes()[headerLen:]
 	}
 	openBins := sections[1] + 4 + 13*8 // the open-bin count
+	// The writer lays a basis out as one row per mean value, so a basis
+	// the fingerprint contradicts is patched in: sampleState's 2 x 1
+	// components (0.6, 0.8) become 1 x 2.
+	basis := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 2), 1), math.Float64bits(0.6))
+	at := bytes.Index(valid, basis)
+	if at < 0 {
+		t.Fatal("sampleState's basis is not in its payload")
+	}
+	components1x2 := patch(at+4, 2)
+	binary.LittleEndian.PutUint32(components1x2[at:], 1)
 	cases := []struct {
 		name    string
 		payload []byte
@@ -205,8 +216,11 @@ func TestReadChecksShapesBeforeAllocating(t *testing.T) {
 		{"four billion open bins", patch(openBins, 0xFFFFFFFF), "open bins"},
 		{"bytes after the last section", append(bytes.Clone(valid), 0, 0), "after the last section"},
 		{"lane count against measures", reencode(func(st *State) { st.Measures = 2 }), "lanes"},
-		{"mean against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Mean = []float64{1, 2, 3} }), "values, the fingerprint fixes 2"},
-		{"components against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Model.Components = []float64{1} }), "rows, the fingerprint fixes 2"},
+		{"mean against OD pairs", reencode(func(st *State) {
+			st.Stream.Lanes[0].Model.Mean = []float64{1, 2, 3}
+			st.Stream.Lanes[0].Model.Components = []float64{0.6, 0.8, 1}
+		}), "values, the fingerprint fixes 2"},
+		{"components against OD pairs", components1x2, "rows, the fingerprint fixes 2"},
 		{"window against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Window = [][]float64{{1, 2, 3}} }), "columns, the fingerprint fixes 2"},
 		{"tracker axes against OD pairs", reencode(func(st *State) { st.Stream.Lanes[0].Tracker.Axes = [][]float64{{1}} }), "tracker axes"},
 		{"open bin against OD pairs", reencode(func(st *State) { st.Server.OpenBins[0].Flows = []float64{1} }), "open-bin flows"},

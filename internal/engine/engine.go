@@ -29,7 +29,8 @@
 //
 // A Model is an immutable generation of the method's state: the PCA of a
 // training window (full Jacobi eigendecomposition where affordable, block
-// subspace iteration on wide OD matrices), the Jackson–Mudholkar Q
+// subspace iteration on wide OD matrices; every computed eigenvalue, but
+// only the top 2k+16 axes any reader reads), the Jackson–Mudholkar Q
 // threshold and the Hotelling T² control limit derived from it, and the
 // cached normal-subspace basis used by batch scoring. Refit produces the
 // next generation from a new training window, warm-starting the partial
@@ -159,7 +160,8 @@ func (m *Model) Refit(train *mat.Matrix) (*Model, error) {
 
 // fitPCA picks the PCA strategy for an n x p traffic matrix: the exact
 // full fit where it is affordable and statistically possible (p small and
-// n > p, the paper's regime), otherwise a partial fit of the top 2k+8
+// n > p, the paper's regime), keeping all p eigenvalues and the top
+// keptAxes(k, p) axes, otherwise a partial fit of the top 2k+8
 // axes — several times the k the method consumes, which pins down the head
 // of the residual spectrum; the flat-tail model in ResidualMoments covers
 // the rest of the Q-threshold inputs. The partial fit iterates on the p x p
@@ -171,7 +173,14 @@ func (m *Model) Refit(train *mat.Matrix) (*Model, error) {
 func fitPCA(X *mat.Matrix, k int, warm *mat.PCA) (*mat.PCA, error) {
 	n, p := X.Rows(), X.Cols()
 	if p <= MaxFullPCAVars && n > p {
-		return mat.FitPCA(X, true)
+		pca, err := mat.FitPCA(X, true)
+		if err != nil {
+			return nil, err
+		}
+		if c := keptAxes(k, p); c < p {
+			pca.Components = pca.Components.HeadCols(c)
+		}
+		return pca, nil
 	}
 	m := 2*k + 8
 	if m > p {
@@ -260,9 +269,10 @@ type ModelState struct {
 	N        int
 	TotalVar float64
 	Mean     []float64
-	// Eigenvalues pair with the columns of Components, the p x m component
-	// matrix (m = len(Eigenvalues)) stored row-major: row i, the i-th
-	// coefficient of every axis, is Components[i*m : (i+1)*m].
+	// Eigenvalues is the whole computed spectrum. Components is the p x c
+	// basis of its top c = min(len(Eigenvalues), 2K+16) axes (keptAxes),
+	// stored row-major: row i, the i-th coefficient of every kept axis, is
+	// Components[i*c : (i+1)*c].
 	Eigenvalues []float64
 	Components  []float64
 }
@@ -272,13 +282,13 @@ type ModelState struct {
 // the caller holds it, and a later mutation of the state cannot reach back
 // into the (immutable, possibly still scoring) model.
 func (m *Model) State() ModelState {
-	p, nc := m.pca.P(), m.pca.NumComputed()
-	buf := make([]float64, p+nc+p*nc)
+	p, nc, c := m.pca.P(), m.pca.NumComputed(), m.pca.Components.Cols()
+	buf := make([]float64, p+nc+p*c)
 	mean, eigs, comps := buf[:p:p], buf[p:p+nc:p+nc], buf[p+nc:]
 	copy(mean, m.pca.Mean)
 	copy(eigs, m.pca.Eigenvalues)
 	for i := 0; i < p; i++ {
-		copy(comps[i*nc:], m.pca.Components.RowView(i))
+		copy(comps[i*c:], m.pca.Components.RowView(i))
 	}
 	return ModelState{
 		Opts:        m.opts,
@@ -333,12 +343,13 @@ func Restore(st ModelState) (*Model, error) {
 		return nil, fmt.Errorf("engine: restore: k=%d exceeds %d stored axes", st.Opts.K, len(st.Eigenvalues))
 	}
 	nc := len(st.Eigenvalues)
-	if len(st.Components) != p*nc {
-		return nil, fmt.Errorf("engine: restore: %d component values, want %d x %d", len(st.Components), p, nc)
+	c := keptAxes(st.Opts.K, nc)
+	if len(st.Components) != p*c {
+		return nil, fmt.Errorf("engine: restore: %d basis values, want %d x %d: a model keeps the top min(%d eigenvalues, 2k+16) axes", len(st.Components), p, c, nc)
 	}
 	for i, v := range st.Components {
 		if !Restorable(v) {
-			return nil, fmt.Errorf("engine: restore: non-finite component in row %d", i/nc)
+			return nil, fmt.Errorf("engine: restore: non-finite component in row %d", i/c)
 		}
 	}
 	for _, v := range st.Mean {
@@ -360,7 +371,7 @@ func Restore(st ModelState) (*Model, error) {
 	if !(st.T2Limit > 0) || !Restorable(st.T2Limit) {
 		return nil, fmt.Errorf("engine: restore: T2 limit %v not a positive finite threshold", st.T2Limit)
 	}
-	pca, err := mat.NewPCA(st.Mean, st.Eigenvalues, mat.NewFromData(p, nc, st.Components), st.TotalVar, st.N)
+	pca, err := mat.NewPCA(st.Mean, st.Eigenvalues, mat.NewFromData(p, c, st.Components), st.TotalVar, st.N)
 	if err != nil {
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}

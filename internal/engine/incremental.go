@@ -33,6 +33,21 @@ func maxTrackedAxes(k, p int) int {
 	return m
 }
 
+// keptAxes is the number of basis columns a model keeps of a spectrum of n
+// eigenvalues: min(n, 2k+16). Every eigenvalue is kept — the Q and T²
+// thresholds read nothing else — but an axis has only three readers:
+//   - scoring and attribution read the top k (Model.vk, identify);
+//   - the incremental tracker seeds its top maxTrackedAxes = 2k+8;
+//   - a warm partial refit seeds its oversampled block, 8 past the 2k+8
+//     it computes (mat.FitPCAPartialWarm: b = m+8, seeding min(cols, b)).
+//
+// A full fit computes all p axes; the ones past 2k+16 would be written,
+// read and validated by every snapshot and restore with no reader. Every
+// Model holds Components.Cols() == keptAxes(K, len(Eigenvalues)): the
+// partial fit and the tracker's publish compute at most 2k+8 axes and keep
+// them all, and Restore refuses any other width.
+func keptAxes(k, n int) int { return min(n, 2*k+16) }
+
 // IncrementalUpdater is the per-bin lifecycle: a CCIPCA (candid
 // covariance-free incremental PCA) tracker seeded from an exact batch fit.
 // Every Observe folds the closed bin into the running mean, the covariance
@@ -115,8 +130,8 @@ func newIncrementalUpdater(m *Model, cfg UpdaterConfig) *IncrementalUpdater {
 		u.horizon = m.PCA().N()
 	}
 	u.m = maxTrackedAxes(u.opts.K, u.p)
-	if nc := m.PCA().NumComputed(); u.m > nc {
-		u.m = nc
+	if kept := m.PCA().Components.Cols(); u.m > kept {
+		u.m = kept
 	}
 	u.model.Store(m)
 	u.allocTracker()

@@ -51,10 +51,10 @@ func refState(m *Model) (ModelState, [][]float64) {
 // refRestore is Restore's assembly from before it adopted the components:
 // the rows copied by NewFromRows, the basis by refBasis.
 func refRestore(st ModelState) (*Model, error) {
-	nc := len(st.Eigenvalues)
+	c := len(st.Components) / len(st.Mean)
 	rows := make([][]float64, len(st.Mean))
 	for i := range rows {
-		rows[i] = st.Components[i*nc : (i+1)*nc]
+		rows[i] = st.Components[i*c : (i+1)*c]
 	}
 	comps, err := mat.NewFromRows(rows)
 	if err != nil {
@@ -223,12 +223,13 @@ func TestModelMatchesReference(t *testing.T) {
 			t.Fatalf("%dx%d: fit's basis differs from TopComponents and its transpose", shape[0], shape[1])
 		}
 
+		// The state's basis is p x the kept columns, not p x the spectrum.
 		st := m.State()
 		wantSt, rows := refState(m)
-		nc := len(st.Eigenvalues)
+		c := m.pca.Components.Cols()
 		flatRows := make([][]float64, len(st.Mean))
 		for i := range flatRows {
-			flatRows[i] = st.Components[i*nc : (i+1)*nc]
+			flatRows[i] = st.Components[i*c : (i+1)*c]
 		}
 		if !sameBits(st.Mean, wantSt.Mean) || !sameBits(st.Eigenvalues, wantSt.Eigenvalues) || !sameRows(flatRows, rows) ||
 			st.Opts != wantSt.Opts || st.Gen != wantSt.Gen || st.Updates != wantSt.Updates || st.N != wantSt.N ||

@@ -123,8 +123,8 @@ func SubspaceAngle(a, b *Model) (float64, error) {
 	if bk := b.opts.K; bk < k {
 		k = bk
 	}
-	if k > pa.NumComputed() || k > pb.NumComputed() {
-		return 0, fmt.Errorf("engine: subspace angle needs %d computed axes on both models", k)
+	if k > pa.Components.Cols() || k > pb.Components.Cols() {
+		return 0, fmt.Errorf("engine: subspace angle needs %d kept axes on both models", k)
 	}
 	// Largest angle = acos of the smallest singular value of A^T B; the
 	// squared singular values are the eigenvalues of (A^T B)^T (A^T B).

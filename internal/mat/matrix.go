@@ -150,6 +150,18 @@ func (m *Matrix) HeadRows(n int) *Matrix {
 	return &Matrix{rows: n, cols: m.cols, data: m.data[:n*m.cols]}
 }
 
+// HeadCols returns a copy of the first n columns of m.
+func (m *Matrix) HeadCols(n int) *Matrix {
+	if n < 0 || n > m.cols {
+		panic(fmt.Sprintf("mat: HeadCols %d out of range %d", n, m.cols))
+	}
+	out := New(m.rows, n)
+	for i := 0; i < m.rows; i++ {
+		copy(out.data[i*n:(i+1)*n], m.data[i*m.cols:i*m.cols+n])
+	}
+	return out
+}
+
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := New(m.cols, m.rows)

@@ -328,3 +328,27 @@ func TestHeadRowsView(t *testing.T) {
 	}()
 	m.HeadRows(5)
 }
+
+func TestHeadColsCopy(t *testing.T) {
+	m := New(3, 4)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 4; j++ {
+			m.Set(i, j, float64(i*10+j))
+		}
+	}
+	h := m.HeadCols(2)
+	if h.Rows() != 3 || h.Cols() != 2 || h.At(2, 1) != 21 || h.At(1, 0) != 10 {
+		t.Fatalf("HeadCols gave %v", h)
+	}
+	// It is a copy: writes stay on their side.
+	h.Set(0, 0, -1)
+	if m.At(0, 0) != 0 {
+		t.Fatal("HeadCols shares storage")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range HeadCols did not panic")
+		}
+	}()
+	m.HeadCols(5)
+}

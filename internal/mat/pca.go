@@ -14,14 +14,18 @@ import (
 // variances captured along each axis. Mean is the per-column mean removed
 // before analysis (all zeros when fitted with centering disabled).
 //
-// A full fit (FitPCA) carries all p axes (Components p x p); a partial fit
-// (FitPCAPartial) carries only the top m (Components p x m, Eigenvalues of
-// length m), with the exact covariance trace retained in TotalVar so
-// residual-spectrum computations can account for the uncomputed tail.
+// A full fit (FitPCA) computes all p axes (Eigenvalues of length p); a
+// partial fit (FitPCAPartial) computes only the top m (Eigenvalues of length
+// m), with the exact covariance trace retained in TotalVar so
+// residual-spectrum computations can account for the uncomputed tail. The
+// basis may keep fewer axes than the spectrum has values: FitPCA returns all
+// p, and a caller that reads only the leading axes may keep just those (the
+// detection engine keeps 2k+16 of a full fit's p), since the residual
+// moments and the variance fractions read the eigenvalues alone.
 type PCA struct {
 	Mean        []float64
 	Eigenvalues []float64
-	Components  *Matrix // p x m (m = p for a full fit); column i is axis i.
+	Components  *Matrix // p x c, c <= len(Eigenvalues); column i is axis i.
 	// TotalVar is the covariance trace: the total variance across all p
 	// variables, whether or not their axes were computed.
 	TotalVar float64
@@ -75,7 +79,8 @@ func FitPCA(X *Matrix, center bool) (*PCA, error) {
 // past process and must not be recomputed (a refit from scratch is exactly
 // what a checkpoint exists to avoid). The parts are validated for mutual
 // consistency (a p-variable PCA needs a p-length mean and p-row component
-// matrix; eigenvalues pair 1:1 with component columns; n is the
+// matrix; component column i pairs with eigenvalue i, and the basis may keep
+// fewer columns than there are eigenvalues, never more; n is the
 // observation count of the original fit) but not for orthonormality: the
 // caller's checksummed envelope owns integrity, this owns shape.
 func NewPCA(mean, eigenvalues []float64, components *Matrix, totalVar float64, n int) (*PCA, error) {
@@ -89,11 +94,11 @@ func NewPCA(mean, eigenvalues []float64, components *Matrix, totalVar float64, n
 	if components.Rows() != p {
 		return nil, errors.New("mat: NewPCA components rows != len(mean)")
 	}
-	if components.Cols() != len(eigenvalues) {
-		return nil, errors.New("mat: NewPCA components cols != len(eigenvalues)")
-	}
 	if len(eigenvalues) == 0 || len(eigenvalues) > p {
 		return nil, errors.New("mat: NewPCA eigenvalue count out of range")
+	}
+	if components.Cols() == 0 || components.Cols() > len(eigenvalues) {
+		return nil, errors.New("mat: NewPCA components cols outside [1, len(eigenvalues)]")
 	}
 	if n < 2 {
 		return nil, errors.New("mat: NewPCA needs n >= 2 observations")
@@ -115,8 +120,8 @@ func (p *PCA) N() int { return p.n }
 // P returns the number of variables (OD flows).
 func (p *PCA) P() int { return p.vars }
 
-// NumComputed returns the number of principal axes actually computed: p for
-// a full fit, m for a partial one.
+// NumComputed returns the number of eigenvalues computed: p for a full fit,
+// m for a partial one. The basis may keep fewer axes (Components.Cols()).
 func (p *PCA) NumComputed() int { return len(p.Eigenvalues) }
 
 // ResidualMoments returns the first three moments of the residual spectrum,
@@ -164,18 +169,13 @@ func (p *PCA) ResidualMoments(k int) (phi1, phi2, phi3 float64) {
 }
 
 // TopComponents returns the p x k matrix V_k whose columns are the top-k
-// principal axes — the normal-subspace basis of the subspace method.
+// principal axes — the normal-subspace basis of the subspace method. k may
+// not exceed the axes the basis keeps.
 func (p *PCA) TopComponents(k int) *Matrix {
-	if k < 0 || k > p.NumComputed() {
+	if k < 0 || k > p.Components.Cols() {
 		panic("mat: TopComponents k out of range")
 	}
-	vk := New(p.P(), k)
-	for j := 0; j < k; j++ {
-		for i := 0; i < p.P(); i++ {
-			vk.Set(i, j, p.Components.At(i, j))
-		}
-	}
-	return vk
+	return p.Components.HeadCols(k)
 }
 
 // VarianceExplained returns the cumulative fraction of total variance

@@ -281,3 +281,35 @@ func BenchmarkFitPCAWeek(b *testing.B) {
 		}
 	}
 }
+
+// TestNewPCAKeepsNarrowBasis: a reassembled PCA may keep fewer axes than it
+// has eigenvalues, never more and never none; TopComponents reads the kept
+// axes and refuses past them.
+func TestNewPCAKeepsNarrowBasis(t *testing.T) {
+	rng := rand.New(rand.NewPCG(61, 62))
+	full, err := FitPCA(lowRankData(rng, 80, 12, 3, 0.1), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := NewPCA(full.Mean, full.Eigenvalues, full.Components.HeadCols(5), full.TotalVar, full.N())
+	if err != nil {
+		t.Fatalf("a 12 x 5 basis under 12 eigenvalues: %v", err)
+	}
+	if narrow.NumComputed() != 12 || narrow.Components.Cols() != 5 {
+		t.Fatalf("narrow PCA keeps %d eigenvalues and %d axes", narrow.NumComputed(), narrow.Components.Cols())
+	}
+	if MaxAbsDiff(narrow.TopComponents(4), full.TopComponents(4)) != 0 {
+		t.Fatal("TopComponents of the kept axes differ from the full basis")
+	}
+	for _, c := range []*Matrix{New(12, 0), New(12, 13)} {
+		if _, err := NewPCA(full.Mean, full.Eigenvalues, c, full.TotalVar, full.N()); err == nil {
+			t.Fatalf("a 12 x %d basis under 12 eigenvalues was accepted", c.Cols())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TopComponents past the kept axes did not panic")
+		}
+	}()
+	narrow.TopComponents(6)
+}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -642,15 +643,16 @@ func TestChaosCorruptCheckpointColdStarts(t *testing.T) {
 	cases := []struct {
 		name  string
 		write func(path string)
+		want  string // a substring of Stats().RestoreErr
 	}{
-		{"truncated mid-payload", writeRaw(raw[:len(raw)/2])},
-		{"truncated mid-header", writeRaw(raw[:9])},
-		{"empty file", writeRaw(nil)},
-		{"bit flip", writeRaw(bitflip)},
-		{"garbage", writeRaw([]byte("notnwcp: a week of garbage"))},
-		{"wrong detector config", mutate(func(st *checkpoint.State) { st.K += 2 })},
-		{"wrong topology", mutate(func(st *checkpoint.State) { st.Topology = "geant" })},
-		{"ledger shorter than emitted", mutate(func(st *checkpoint.State) { st.Stream.Emitted += 3 })},
+		{"truncated mid-payload", writeRaw(raw[:len(raw)/2]), "truncated or corrupt"},
+		{"truncated mid-header", writeRaw(raw[:9]), "truncated header"},
+		{"empty file", writeRaw(nil), "truncated header"},
+		{"bit flip", writeRaw(bitflip), "checksum mismatch"},
+		{"garbage", writeRaw([]byte("notnwcp: a week of garbage")), "bad magic"},
+		{"wrong detector config", mutate(func(st *checkpoint.State) { st.K += 2 }), "the fingerprint fixes K="},
+		{"wrong topology", mutate(func(st *checkpoint.State) { st.Topology = "geant" }), `topology "geant"`},
+		{"ledger shorter than emitted", mutate(func(st *checkpoint.State) { st.Stream.Emitted += 3 }), "detector emitted 3"},
 		{"open bin behind cursor", mutate(func(st *checkpoint.State) {
 			st.Server.OpenBins = append(st.Server.OpenBins, checkpoint.OpenBin{
 				Bin:     st.Server.LastClosed,
@@ -658,15 +660,25 @@ func TestChaosCorruptCheckpointColdStarts(t *testing.T) {
 				Packets: make([]float64, st.ODPairs),
 				Flows:   make([]float64, st.ODPairs),
 			})
-		})},
+		}), "at or behind its seal point"},
+		// An enabled format, so the cursor reaches the ring-shape check.
 		{"dedupe ring out of shape", mutate(func(st *checkpoint.State) {
-			st.Server.Engines = []checkpoint.EngineState{{ID: 0, Recent: make([]uint32, 200), Pos: 0}}
-		})},
-		{"seal point behind last closed", mutate(func(st *checkpoint.State) { st.Server.SealedThrough = st.Server.LastClosed - 1 })},
+			st.Server.Engines = []checkpoint.EngineState{{Format: uint8(flowwire.FormatNetFlowV5), ID: 0, Recent: make([]uint32, 200), Pos: 0}}
+		}), "dedupe ring out of shape"},
+		{"seal point behind last closed", mutate(func(st *checkpoint.State) { st.Server.SealedThrough = st.Server.LastClosed - 1 }), "behind last closed"},
 		// A snapshot from a daemon running the other model lifecycle: the
 		// lane states would carry tracker vectors this refit daemon cannot
 		// adopt, so the fingerprint rejects it up front.
-		{"wrong model lifecycle", mutate(func(st *checkpoint.State) { st.Updater = "incremental" })},
+		{"wrong model lifecycle", mutate(func(st *checkpoint.State) { st.Updater = "incremental" }), "lifecycle"},
+		// A model keeps the top min(eigenvalues, 2K+16) axes; a basis one
+		// axis short (or the whole p x p one a version-6 file held) is
+		// refused by the lane's restore.
+		{"lane basis of the wrong width", mutate(func(st *checkpoint.State) {
+			lanes := slices.Clone(st.Stream.Lanes)
+			m := &lanes[0].Model
+			m.Components = m.Components[:len(m.Components)-len(m.Mean)]
+			st.Stream.Lanes = lanes
+		}), "basis values, want"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -681,6 +693,9 @@ func TestChaosCorruptCheckpointColdStarts(t *testing.T) {
 			st := srv.Stats()
 			if st.CheckpointFallbacks != 1 || st.RestoreErr == "" {
 				t.Fatalf("fallback not accounted: %+v", st)
+			}
+			if !strings.Contains(st.RestoreErr, tc.want) {
+				t.Fatalf("cold start for %q, want a reason containing %q", st.RestoreErr, tc.want)
 			}
 			if st.Restored || st.Records != 0 || st.LastClosed != -1 {
 				t.Fatalf("cold start leaked snapshot state: %+v", st)

@@ -105,7 +105,8 @@ func FuzzRestore(f *testing.F) {
 		p := ds.NumODPairs()
 		for i, lane := range after.Stream.Lanes {
 			m := lane.Model
-			if len(m.Mean) != p || len(m.Components) != p*len(m.Eigenvalues) || len(m.Eigenvalues) < m.Opts.K {
+			// A model keeps every eigenvalue and the top min(that, 2K+16) axes.
+			if kept := min(len(m.Eigenvalues), 2*m.Opts.K+16); len(m.Mean) != p || len(m.Components) != p*kept || len(m.Eigenvalues) < m.Opts.K {
 				t.Fatalf("lane %d model out of shape: mean %d, %d components, %d eigenvalues, K=%d (p=%d)",
 					i, len(m.Mean), len(m.Components), len(m.Eigenvalues), m.Opts.K, p)
 			}
