@@ -178,8 +178,9 @@ type State struct {
 	// Stream is the detector's own recovery state (models, refit windows,
 	// open events), captured at a pipeline barrier.
 	Stream netwide.StreamCheckpoint
-	// Anomalies is the characterized-anomaly ledger as of the barrier.
-	Anomalies []netwide.Anomaly
+	// Anomalies is the characterized-anomaly ledger as of the barrier, in
+	// its snapshot encoding (ledger.go).
+	Anomalies Ledger
 }
 
 // The header: magic, then version, payload length and the payload's CRC-32C,

@@ -85,11 +85,17 @@ func sampleState() *State {
 			Started: true,
 			Emitted: 1,
 		},
-		Anomalies: []netwide.Anomaly{{
+		Anomalies: ledgerOf(netwide.Anomaly{
 			Class: "ALPHA", Measures: "BP", StartBin: 100, EndBin: 101, Duration: 10 * time.Minute,
 			ODs: []string{"a->b"}, Why: "one dominant flow", Truth: "alpha a->b", TruthType: "ALPHA",
-		}},
+		}),
 	}
+}
+
+func ledgerOf(anoms ...netwide.Anomaly) Ledger {
+	var l Ledger
+	l.Append(anoms...)
+	return l
 }
 
 func savedBytes(t *testing.T) []byte {
@@ -202,9 +208,16 @@ func TestReadVersionSkew(t *testing.T) {
 // with a checksum error that sends them looking for a bad disk.
 func TestReadGobSnapshot(t *testing.T) {
 	st := sampleState()
-	st.Version = 4
+	// Those versions held the ledger as decoded anomalies.
+	old4 := struct {
+		Version   int
+		Topology  string
+		Server    ServerState
+		Stream    netwide.StreamCheckpoint
+		Anomalies []netwide.Anomaly
+	}{4, st.Topology, st.Server, st.Stream, st.Anomalies.Anomalies()}
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(old4); err != nil {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()

@@ -16,14 +16,14 @@ package checkpoint
 //
 // A field added to State or a nested type needs a line in the writer and the
 // reader below and a Version bump; TestCodecRoundTripsEveryField fails until
-// it has them.
+// it has them. The anomalies section is the exception: the ledger keeps it
+// encoded, and its writer, check and decoder are in ledger.go.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"netwide"
 	"netwide/internal/dataset"
@@ -161,7 +161,7 @@ func (w *writer) state(st *State) {
 	w.section(func() { w.fingerprint(st) })
 	w.section(func() { w.server(&st.Server) })
 	w.section(func() { w.stream(&st.Stream) })
-	w.section(func() { w.anomalies(st.Anomalies) })
+	w.section(func() { w.ledger(&st.Anomalies) })
 }
 
 func (w *writer) fingerprint(st *State) {
@@ -299,37 +299,13 @@ func (w *writer) event(ev *events.Event) {
 	}
 }
 
-func (w *writer) anomalies(anoms []netwide.Anomaly) {
-	w.count(len(anoms))
-	for i := range anoms {
-		a := &anoms[i]
-		w.str(a.Class)
-		w.str(a.Measures)
-		w.int(a.StartBin)
-		w.int(a.EndBin)
-		w.u64(uint64(a.Duration))
-		w.count(len(a.ODs))
-		for _, od := range a.ODs {
-			w.str(od)
-		}
-		w.str(a.Why)
-		w.str(a.Truth)
-		w.str(a.TruthType)
-	}
-}
-
 // reader is a bounded cursor over untrusted bytes. The first failure sticks:
 // every later read returns zero values and allocates nothing, so a decode
 // function reads straight through and its caller checks err once. No count
 // is believed before the bytes it implies are known to be there.
 type reader struct {
-	buf []byte
-	off int
-	// text, when set, is buf as one string: str then cuts its results out of
-	// it in place of allocating each. Only the anomalies section sets it —
-	// nearly all of that section is strings the ledger keeps for good, so
-	// one copy of it costs less than some thousand small ones.
-	text string
+	buf  []byte
+	off  int
 	name string // section, for error messages
 	err  error
 }
@@ -420,12 +396,7 @@ func (r *reader) count(what string, elem int) int {
 }
 
 func (r *reader) str(what string) string {
-	n := r.count(what, 1)
-	if r.text != "" && r.err == nil {
-		r.off += n
-		return r.text[r.off-n : r.off]
-	}
-	return string(r.take(n))
+	return string(r.take(r.count(what, 1)))
 }
 
 func (r *reader) bytes(what string) []uint8 {
@@ -580,8 +551,7 @@ func (r *reader) state(st *State) {
 	sec.stream(&st.Stream, st)
 	r.close(&sec)
 	sec = r.section("anomalies")
-	sec.text = string(sec.buf)
-	st.Anomalies = sec.anomalies()
+	st.Anomalies = sec.ledger()
 	r.close(&sec)
 	if r.err == nil && r.off != len(r.buf) {
 		r.name = "payload"
@@ -751,30 +721,4 @@ func (r *reader) event(ev *events.Event) {
 		}
 		ev.ODResidual[od], prev = r.f64(), od
 	}
-}
-
-func (r *reader) anomalies() []netwide.Anomaly {
-	n := r.count("anomalies", minAnomaly)
-	if n == 0 {
-		return nil
-	}
-	out := make([]netwide.Anomaly, n)
-	for i := range out {
-		a := &out[i]
-		a.Class = r.str("class")
-		a.Measures = r.str("measures")
-		a.StartBin = r.int()
-		a.EndBin = r.int()
-		a.Duration = time.Duration(r.u64())
-		if n := r.count("anomaly ODs", 4); n > 0 {
-			a.ODs = make([]string, n)
-		}
-		for j := range a.ODs {
-			a.ODs[j] = r.str("OD name")
-		}
-		a.Why = r.str("why")
-		a.Truth = r.str("truth")
-		a.TruthType = r.str("truth type")
-	}
-	return out
 }

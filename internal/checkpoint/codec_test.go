@@ -10,13 +10,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"netwide"
 )
 
 // fillLen is the length of every slice, map and string fillRandom makes: one
@@ -29,6 +34,12 @@ const fillLen = 3
 // case here as much as it needs a line in the codec.
 func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value, path string) {
 	t.Helper()
+	if l, ok := v.Addr().Interface().(*Ledger); ok {
+		var anoms []netwide.Anomaly
+		fillRandom(t, rng, reflect.ValueOf(&anoms).Elem(), path+"[]")
+		l.Append(anoms...)
+		return
+	}
 	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(true)
@@ -115,6 +126,12 @@ func TestCodecRoundTripsEveryField(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, st) {
 			t.Fatalf("seed %d: a field did not survive Write -> Read:\n got %+v\nwant %+v", seed, got, st)
+		}
+		// The ledger's bytes came back; each anomaly's fields must too.
+		var want []netwide.Anomaly
+		fillRandom(t, rand.New(rand.NewSource(seed)), reflect.ValueOf(&want).Elem(), "[]Anomaly")
+		if l := ledgerOf(want...); !reflect.DeepEqual(l.Anomalies(), want) {
+			t.Fatalf("seed %d: an anomaly field did not survive Append -> Anomalies:\n got %+v\nwant %+v", seed, l.Anomalies(), want)
 		}
 	}
 }
@@ -251,9 +268,9 @@ func TestCodecAllocations(t *testing.T) {
 		t.Fatalf("a warm Encoder.Write allocates %.0f times, want at most 2", n)
 	}
 
-	readAllocs := func(seed int64) float64 {
+	readAllocs := func(st *State) float64 {
 		var buf bytes.Buffer
-		if err := Write(&buf, randomState(t, seed)); err != nil {
+		if err := Write(&buf, st); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
@@ -262,7 +279,207 @@ func TestCodecAllocations(t *testing.T) {
 			}
 		})
 	}
-	if a, b := readAllocs(1), readAllocs(2); a != b {
+	if a, b := readAllocs(randomState(t, 1)), readAllocs(randomState(t, 2)); a != b {
 		t.Fatalf("decoding two snapshots of one shape allocates %.0f and %.0f times", a, b)
+	}
+	// The ledger is checked and adopted, never decoded: its length moves
+	// no allocation.
+	withLedger := func(n int) *State {
+		st := sampleState()
+		st.Anomalies = Ledger{}
+		for i := range n {
+			st.Anomalies.Append(randomAnomaly(rand.New(rand.NewSource(int64(i)))))
+		}
+		return st
+	}
+	if a, b := readAllocs(withLedger(1)), readAllocs(withLedger(1000)); a != b {
+		t.Fatalf("decoding a 1-anomaly snapshot allocates %.0f times, a 1,000-anomaly one %.0f", a, b)
+	}
+}
+
+// randomAnomaly draws an anomaly of the shapes a ledger holds, the edges
+// among them: empty strings, no ODs, negative bins.
+func randomAnomaly(rng *rand.Rand) netwide.Anomaly {
+	word := func() string {
+		b := make([]byte, rng.Intn(4)*rng.Intn(6))
+		for i := range b {
+			b[i] = byte(' ' + rng.Intn(95))
+		}
+		return string(b)
+	}
+	a := netwide.Anomaly{
+		Class: word(), Measures: word(),
+		StartBin: rng.Intn(4000) - 200, EndBin: rng.Intn(1 << 20), Duration: time.Duration(rng.Int63()),
+		Why: word(), Truth: word(), TruthType: word(),
+	}
+	for range rng.Intn(4) {
+		a.ODs = append(a.ODs, word())
+	}
+	return a
+}
+
+// refAnomalies is the field-by-field decoder that read the anomalies
+// section until the ledger was kept encoded: the oracle for the one-pass
+// check and for Ledger.Anomalies.
+func refAnomalies(r *reader) []netwide.Anomaly {
+	n := r.count("anomalies", minAnomaly)
+	if n == 0 {
+		return nil
+	}
+	out := make([]netwide.Anomaly, n)
+	for i := range out {
+		a := &out[i]
+		a.Class = r.str("class")
+		a.Measures = r.str("measures")
+		a.StartBin = r.int()
+		a.EndBin = r.int()
+		a.Duration = time.Duration(r.u64())
+		if n := r.count("anomaly ODs", 4); n > 0 {
+			a.ODs = make([]string, n)
+		}
+		for j := range a.ODs {
+			a.ODs[j] = r.str("OD name")
+		}
+		a.Why = r.str("why")
+		a.Truth = r.str("truth")
+		a.TruthType = r.str("truth type")
+	}
+	return out
+}
+
+// sameLedgerRead reads one anomalies section both ways, as decode's section
+// reader and its close would: the one-pass check must refuse exactly where
+// the field-by-field decoder does, with the same error, and what it accepts
+// must decode to what that decoder returned.
+func sameLedgerRead(t *testing.T, what string, sec []byte) (refused bool) {
+	t.Helper()
+	var outer reader
+	ref := reader{buf: sec, name: "anomalies"}
+	want := refAnomalies(&ref)
+	outer.close(&ref)
+	got := reader{buf: sec, name: "anomalies"}
+	l := got.ledger()
+	var outer2 reader
+	outer2.close(&got)
+	if fmt.Sprint(outer.err) != fmt.Sprint(outer2.err) {
+		t.Fatalf("%s: the field-by-field decoder says %v, the one-pass check %v", what, outer.err, outer2.err)
+	}
+	if outer.err != nil {
+		return true
+	}
+	if l.Len() != len(want) || !reflect.DeepEqual(l.Anomalies(), want) {
+		t.Fatalf("%s: the adopted ledger decodes to\n%+v\nthe field-by-field decoder read\n%+v", what, l.Anomalies(), want)
+	}
+	if again := ledgerOf(want...); !bytes.Equal(again.w.buf, l.w.buf) || again.n != l.n || again.ods != l.ods {
+		t.Fatalf("%s: the adopted ledger is not the one Append builds from its anomalies", what)
+	}
+	return false
+}
+
+// anomaliesSection returns the anomalies section of an encoded payload,
+// without its length: the last of the four.
+func anomaliesSection(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	at := 0
+	for range 3 {
+		at += 4 + int(binary.LittleEndian.Uint32(payload[at:]))
+	}
+	sec := payload[at+4:]
+	if int(binary.LittleEndian.Uint32(payload[at:])) != len(sec) {
+		t.Fatal("the anomalies section is not the payload's last")
+	}
+	return sec
+}
+
+// TestLedgerMatchesReference: the one-pass check and Ledger.Anomalies
+// against refAnomalies, on the golden file's section and every truncation
+// of it, on random ledgers (empty strings, no-OD anomalies, 10k entries)
+// and on those ledgers with bytes flipped and cut.
+func TestLedgerMatchesReference(t *testing.T) {
+	golden, err := os.ReadFile("testdata/sample_v7.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := hex.DecodeString(strings.Join(strings.Fields(string(golden)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := file[headerLen:]
+	sec := anomaliesSection(t, payload)
+	if sameLedgerRead(t, "golden", sec) {
+		t.Fatal("the golden section is refused")
+	}
+	refusals := 0
+	for n := range len(sec) {
+		cut := sec[:n]
+		if sameLedgerRead(t, fmt.Sprintf("golden cut to %d bytes", n), cut) {
+			refusals++
+		}
+		// And through decode, with the section's length set to the cut:
+		// the refusal names the section and the byte.
+		p := append(bytes.Clone(payload[:len(payload)-len(sec)]), cut...)
+		binary.LittleEndian.PutUint32(p[len(payload)-len(sec)-4:], uint32(n))
+		ref := reader{buf: cut, name: "anomalies"}
+		refAnomalies(&ref)
+		var want reader
+		want.close(&ref)
+		if _, err := decode(envelope(p)); fmt.Sprint(err) != fmt.Sprint(want.err) {
+			t.Fatalf("golden cut to %d bytes: decode says %v, the field-by-field decoder %v", n, err, want.err)
+		}
+	}
+	if refusals != len(sec) {
+		t.Fatalf("%d of %d cuts of the golden section read", len(sec)-refusals, len(sec))
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	for _, size := range []int{0, 1, 2, 7, 100, 10_000} {
+		anoms := make([]netwide.Anomaly, size)
+		for i := range anoms {
+			anoms[i] = randomAnomaly(rng)
+		}
+		if size == 100 {
+			anoms[3], anoms[4] = netwide.Anomaly{}, netwide.Anomaly{ODs: []string{""}} // nothing but zeros
+		}
+		var l Ledger
+		starts := make([]int, size) // where each anomaly's bytes begin
+		for i := range anoms {
+			starts[i] = len(l.w.buf)
+			l.Append(anoms[i])
+		}
+		if !reflect.DeepEqual(l.Anomalies(), anoms) && size > 0 {
+			t.Fatalf("%d anomalies: Append -> Anomalies changed them", size)
+		}
+		body := binary.LittleEndian.AppendUint32(nil, uint32(size))
+		body = append(body, l.w.buf...)
+		if sameLedgerRead(t, fmt.Sprintf("%d random anomalies", size), body) {
+			t.Fatalf("%d random anomalies refused", size)
+		}
+		if size > 100 {
+			continue
+		}
+		// Every cut, with the count of the anomalies begun before it, so
+		// that the count check passes and the cut lands in a field.
+		for n := 4; n < len(body); n++ {
+			cut := bytes.Clone(body[:n])
+			binary.LittleEndian.PutUint32(cut, uint32(sort.SearchInts(starts, n-4)))
+			sameLedgerRead(t, fmt.Sprintf("%d random anomalies cut to %d bytes", size, n), cut)
+		}
+		for trial := range 200 {
+			bad := bytes.Clone(body)
+			switch trial % 3 {
+			case 0: // a flipped byte, often in a count or a length
+				bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
+			case 1: // a count or length set past the end
+				at := rng.Intn(len(bad) - 3)
+				binary.LittleEndian.PutUint32(bad[at:], uint32(rng.Intn(len(bad)+8)))
+			case 2: // a cut, or bytes left over
+				if rng.Intn(2) == 0 {
+					bad = bad[:rng.Intn(len(bad))]
+				} else {
+					bad = append(bad, make([]byte, 1+rng.Intn(40))...)
+				}
+			}
+			sameLedgerRead(t, fmt.Sprintf("%d random anomalies, trial %d", size, trial), bad)
+		}
 	}
 }

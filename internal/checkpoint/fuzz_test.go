@@ -43,13 +43,18 @@ func FuzzCheckpointRead(f *testing.F) {
 }
 
 // checkOutcome: a Read fails with a descriptive error or returns a state
-// that encodes and reads back to the same bytes.
+// that encodes and reads back to the same bytes, and whose checked ledger
+// decodes to anomalies that Append encodes back to the bytes it adopted.
 func checkOutcome(t *testing.T, st *State, err error) {
 	if err != nil {
 		if st != nil || !strings.HasPrefix(err.Error(), "checkpoint: ") || len(err.Error()) < len("checkpoint: ")+10 {
 			t.Fatalf("undiagnostic failure: state %v, error %q", st, err)
 		}
 		return
+	}
+	anoms := st.Anomalies.Anomalies()
+	if again := ledgerOf(anoms...); again.n != st.Anomalies.n || again.ods != st.Anomalies.ods || !bytes.Equal(again.w.buf, st.Anomalies.w.buf) {
+		t.Fatalf("a checked ledger of %d anomalies does not decode to what it holds", st.Anomalies.Len())
 	}
 	// Compare encodings, not states: NaN is a legal float in a file (the
 	// restore layers reject it) and never equals itself.

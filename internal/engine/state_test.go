@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -86,8 +87,10 @@ func TestStateRestoreScoresIdentically(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptState walks the validation surface: every
-// corruption of a valid state must be refused with an error, never build a
-// model (or panic).
+// corruption of a valid state must be refused by the check it names — each
+// case carries the reason it must be refused with — and never build a model
+// (or panic). A case refused by an earlier check would leave its own check
+// untested.
 func TestRestoreRejectsCorruptState(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	m, err := Fit(synthTraffic(rng, 300, 10, 2), Options{K: 4, Alpha: 0.001})
@@ -99,32 +102,37 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(st *ModelState)
+		want string
 	}{
-		{"empty mean", func(st *ModelState) { st.Mean = nil }},
-		{"k zero", func(st *ModelState) { st.Opts.K = 0 }},
-		{"k >= p", func(st *ModelState) { st.Opts.K = len(st.Mean) }},
-		{"k beyond axes", func(st *ModelState) { st.Eigenvalues = st.Eigenvalues[:2]; trimCols(st, 2) }},
-		{"absurd alpha", func(st *ModelState) { st.Opts.Alpha = 40 }},
-		{"component rows truncated", func(st *ModelState) { st.Components = st.Components[:3*len(st.Eigenvalues)] }},
-		{"wrong component length", func(st *ModelState) { st.Components = st.Components[:len(st.Components)-1] }},
-		{"NaN mean", func(st *ModelState) { st.Mean[0] = math.NaN() }},
-		{"NaN component", func(st *ModelState) { st.Components[len(st.Eigenvalues)+1] = math.NaN() }},
+		{"empty mean", func(st *ModelState) { st.Mean = nil }, "empty mean"},
+		{"k zero", func(st *ModelState) { st.Opts.K = 0 }, "k=0 out of range"},
+		{"k >= p", func(st *ModelState) { st.Opts.K = len(st.Mean) }, "k=10 out of range"},
+		// Two stored axes, and a basis of exactly those two: only the
+		// k-against-axes check stands between this state and a model.
+		{"k beyond axes", func(st *ModelState) { st.Eigenvalues = st.Eigenvalues[:2]; trimCols(st, 2) }, "k=4 exceeds 2 stored axes"},
+		{"absurd alpha", func(st *ModelState) { st.Opts.Alpha = 40 }, "alpha=40 out of (0,1)"},
+		{"component rows truncated", func(st *ModelState) { st.Components = st.Components[:3*len(st.Eigenvalues)] }, "30 basis values, want 10 x 10"},
+		{"wrong component length", func(st *ModelState) { st.Components = st.Components[:len(st.Components)-1] }, "99 basis values, want 10 x 10"},
+		{"NaN mean", func(st *ModelState) { st.Mean[0] = math.NaN() }, "non-finite mean"},
+		{"NaN component", func(st *ModelState) { st.Components[len(st.Eigenvalues)+1] = math.NaN() }, "non-finite component in row 1"},
 		// Finite, and still poison: squared at the next bin it is +Inf.
-		{"absurd mean", func(st *ModelState) { st.Mean[0] = 3e296 }},
-		{"absurd total variance", func(st *ModelState) { st.TotalVar = 1e200 }},
-		{"negative eigenvalue", func(st *ModelState) { st.Eigenvalues[0] = -1 }},
-		{"Inf eigenvalue", func(st *ModelState) { st.Eigenvalues[0] = math.Inf(1) }},
-		{"zero Q limit", func(st *ModelState) { st.QLimit = 0 }},
-		{"NaN Q limit", func(st *ModelState) { st.QLimit = math.NaN() }},
-		{"negative T2 limit", func(st *ModelState) { st.T2Limit = -3 }},
-		{"absurd N", func(st *ModelState) { st.N = 1 }},
-		{"negative total variance", func(st *ModelState) { st.TotalVar = -1 }},
+		{"absurd mean", func(st *ModelState) { st.Mean[0] = 3e296 }, "non-finite mean"},
+		{"absurd total variance", func(st *ModelState) { st.TotalVar = 1e200 }, "non-finite total variance"},
+		{"negative eigenvalue", func(st *ModelState) { st.Eigenvalues[0] = -1 }, "negative eigenvalue"},
+		{"Inf eigenvalue", func(st *ModelState) { st.Eigenvalues[0] = math.Inf(1) }, "non-finite eigenvalue"},
+		{"zero Q limit", func(st *ModelState) { st.QLimit = 0 }, "Q limit 0 not a positive finite threshold"},
+		{"NaN Q limit", func(st *ModelState) { st.QLimit = math.NaN() }, "Q limit NaN not a positive finite threshold"},
+		{"negative T2 limit", func(st *ModelState) { st.T2Limit = -3 }, "T2 limit -3 not a positive finite threshold"},
+		{"absurd N", func(st *ModelState) { st.N = 1 }, "needs n >= 2 observations"},
+		{"negative total variance", func(st *ModelState) { st.TotalVar = -1 }, "negative total variance"},
 	}
 	for _, tc := range cases {
 		st := cloneState(good)
 		tc.mut(&st)
 		if _, err := Restore(st); err == nil {
 			t.Errorf("%s: corrupt state restored silently", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refused with %q, want the reason %q", tc.name, err, tc.want)
 		}
 	}
 

@@ -396,7 +396,7 @@ type Server struct {
 	// verdict consumer (which takes mu to append anomalies) or block the
 	// HTTP handlers.
 	mu          sync.Mutex
-	anoms       []netwide.Anomaly
+	anoms       checkpoint.Ledger
 	alarmBins   int
 	cpWritten   uint64
 	cpErrors    uint64
@@ -570,8 +570,8 @@ func (s *Server) restore(st *checkpoint.State) error {
 		return err
 	}
 	sv := &st.Server
-	if uint64(len(st.Anomalies)) != st.Stream.Emitted {
-		return fmt.Errorf("snapshot ledger holds %d anomalies, detector emitted %d: inconsistent snapshot", len(st.Anomalies), st.Stream.Emitted)
+	if uint64(st.Anomalies.Len()) != st.Stream.Emitted {
+		return fmt.Errorf("snapshot ledger holds %d anomalies, detector emitted %d: inconsistent snapshot", st.Anomalies.Len(), st.Stream.Emitted)
 	}
 	if st.Stream.Started {
 		if sv.LastClosed != st.Stream.LastBin {
@@ -589,7 +589,9 @@ func (s *Server) restore(st *checkpoint.State) error {
 		return err
 	}
 	s.col, s.det = col, det
-	s.anoms = append([]netwide.Anomaly(nil), st.Anomalies...)
+	// Adopted as read: the reader capped it, so the first append moves it
+	// off the snapshot's buffer.
+	s.anoms = st.Anomalies
 	s.alarmBins = sv.AlarmBins
 	s.restored = true
 	s.restoredBin = sv.LastClosed
@@ -771,8 +773,8 @@ func (s *Server) consumeVerdicts() {
 			t.st.Stream = *v.Checkpoint
 			t.st.Server.AlarmBins = s.alarmBins
 			// No copy: the ledger only ever grows, and appends write past
-			// the capped length the writer reads.
-			t.st.Anomalies = s.anoms[:len(s.anoms):len(s.anoms)]
+			// the capped view the writer reads.
+			t.st.Anomalies = s.anoms.View()
 			s.mu.Unlock()
 			s.cpWrite <- t
 			continue
@@ -781,7 +783,7 @@ func (s *Server) consumeVerdicts() {
 			s.alarmBins++
 		}
 		s.verdictLag, s.submitAt = time.Since(s.submitAt[0]), s.submitAt[1:]
-		s.anoms = append(s.anoms, v.Anomalies...)
+		s.anoms.Append(v.Anomalies...)
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
@@ -794,7 +796,7 @@ func (s *Server) consumeVerdicts() {
 	}
 	tail := s.det.TailAnomalies()
 	s.mu.Lock()
-	s.anoms = append(s.anoms, tail...)
+	s.anoms.Append(tail...)
 	s.mu.Unlock()
 }
 
@@ -1071,7 +1073,7 @@ func (s *Server) Stats() Stats {
 	}
 	s.mu.Lock()
 	st.AlarmBins = s.alarmBins
-	st.Anomalies = len(s.anoms)
+	st.Anomalies = s.anoms.Len()
 	st.CheckpointsWritten = s.cpWritten
 	st.CheckpointErrors = s.cpErrors
 	st.LastCheckpointBin = s.lastCpBin
@@ -1122,13 +1124,13 @@ func (s *Server) Stats() Stats {
 }
 
 // Anomalies returns the characterized anomalies collected so far, oldest
-// first.
+// first. It takes a view of the ledger under mu and decodes it after: the
+// view's bytes never change, since appends land past it.
 func (s *Server) Anomalies() []netwide.Anomaly {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]netwide.Anomaly, len(s.anoms))
-	copy(out, s.anoms)
-	return out
+	l := s.anoms.View()
+	s.mu.Unlock()
+	return l.Anomalies()
 }
 
 // Drain performs the graceful shutdown: stop accepting datagrams, flush
