@@ -19,9 +19,9 @@ import (
 type Ledger struct {
 	n, ods int // anomalies, and OD names across them
 	// w.buf is the anomalies section after its count: each anomaly's
-	// fields in the order Append writes them. w.err is the first anomaly
-	// that does not fit the format; every snapshot of the ledger then
-	// fails with it.
+	// fields in the order Append writes them. w.err is why the first
+	// anomaly that does not fit the format was left out; every snapshot
+	// of the ledger then fails with it.
 	w writer
 }
 
@@ -72,8 +72,9 @@ func (l *Ledger) View() Ledger {
 
 // Anomalies decodes the ledger, oldest first. Every string is cut from one
 // copy of the bytes and every OD list from one array, so a decode
-// allocates three times however long the ledger is. The bytes were either
-// appended or checked on restore, so the decode has nothing to refuse.
+// allocates at most three times however long the ledger is. The bytes were
+// either appended or checked on restore, so the decode has nothing to
+// refuse.
 func (l *Ledger) Anomalies() []netwide.Anomaly {
 	if l.n == 0 {
 		return nil
