@@ -16,11 +16,10 @@
 //	nwreplay -in abilene.nwds -to 127.0.0.1:2055 [-format netflow5]
 //	         [-from 0] [-until 0] [-pps 20000] [-conns 1] [-epoch 0]
 //
-// With -conns N the replay sprays packets across N source sockets, each
-// export engine pinned to one socket. Against an nwserve receiver pool
-// (-receivers) the distinct source ports are what let SO_REUSEPORT's
-// 4-tuple hash actually spread the load, while per-engine affinity keeps
-// every engine's sequence stream in order on its one path.
+// With -conns N the replay sends from N source sockets, each export engine
+// pinned to one of them: N exporters sending into nwserve's one socket at
+// once, while per-engine affinity keeps every engine's sequence stream in
+// order on its one path.
 package main
 
 import (
@@ -38,7 +37,7 @@ func main() {
 	from := flag.Int("from", 0, "first bin to replay")
 	until := flag.Int("until", 0, "replay bins [from, until) (0 = end of dataset)")
 	pps := flag.Int("pps", 20000, "packet rate (0 = unpaced; pacing avoids socket-buffer loss)")
-	conns := flag.Int("conns", 1, "source sockets to spray across, one per engine hash (feeds a -receivers pool)")
+	conns := flag.Int("conns", 1, "exporter source sockets sending into the collector at once, each export engine on one of them")
 	format := flag.String("format", "netflow5", "wire format: netflow5, netflow9, ipfix or sflow")
 	c := cli.Parse("nwreplay", "replay a saved dataset as live flow-export traffic over UDP.\n\n"+
 		"Regenerates each bin's resolved flow records and exports them to a\n"+

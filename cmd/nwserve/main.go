@@ -32,21 +32,17 @@
 // characterized, the final snapshot is written, and the final anomaly
 // table prints before exit.
 //
-// -receivers N reads N SO_REUSEPORT sockets (where the platform has it;
-// elsewhere one socket fans out to the N readers). The readers take turns
-// at the one ingest lock: every one decodes through the same decoder
-// registry and template cache, bins into the one set of open bins and,
-// when its datagram lets a bin close, feeds the one detector before it
-// reads on. Scoring stays central: the subspace method is a network-wide
-// decomposition, so the detector must see each bin's complete OD vector.
-// Anomaly output is bit-identical at any receiver count, and a snapshot
-// restores under any receiver count.
+// One goroutine reads the one socket, and any number of exporters may send
+// into it. Each datagram is decoded, binned into the one set of open bins
+// and, when it lets a bin close, fed to the one detector before the next
+// is read: the subspace method is a network-wide decomposition, so the
+// detector must see each bin's complete OD vector, and one reader keeps
+// the arrival order the -grace window is sized for.
 //
 // Usage:
 //
 //	nwserve -in abilene.nwds [-listen 127.0.0.1:2055] [-http 127.0.0.1:8080]
 //	        [-formats netflow5,netflow9,ipfix,sflow]
-//	        [-receivers 1]
 //	        [-train 0] [-k 4] [-alpha 0.001] [-refit 0] [-window 0]
 //	        [-batch 16] [-grace 1] [-epoch 0] [-workers 0]
 //	        [-checkpoint daemon.nwcp] [-checkpoint-every 1] [-checkpoint-interval 0]
@@ -73,7 +69,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:2055", "UDP listen address for flow export packets")
 	formats := flag.String("formats", "", "comma-separated wire-format allowlist: netflow5, netflow9, ipfix, sflow (empty = all)")
-	receivers := flag.Int("receivers", 1, "UDP receiver goroutines, one SO_REUSEPORT socket each; they take turns at the one ingest lock and share one decoder and template cache")
 	httpAddr := flag.String("http", "", "HTTP status listen address (empty disables /api/v1/{healthz,stats,anomalies})")
 	grace := flag.Int("grace", 1, "reorder grace in bins before a bin closes")
 	ckpt := flag.String("checkpoint", "", "crash-safe snapshot file; restored on startup when present (empty disables)")
@@ -107,7 +102,6 @@ func main() {
 		UDPAddr:            *listen,
 		Formats:            allow,
 		HTTPAddr:           *httpAddr,
-		Receivers:          *receivers,
 		Epoch:              c.Epoch(),
 		Grace:              *grace,
 		CheckpointPath:     *ckpt,

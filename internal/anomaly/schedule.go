@@ -25,6 +25,13 @@ type ScheduleConfig struct {
 	Seed     uint64
 }
 
+// MaxCount bounds each per-4-week count of a ScheduleConfig, ten times the
+// largest default count (Alphas, 150). Build refuses a count above it:
+// schedules reach Build from dataset files, which are untrusted input, and
+// every scheduled anomaly costs RNG draws and an injector, so an unbounded
+// count buys unbounded start-up work from a file of constant size.
+const MaxCount = 1500
+
 // DefaultSchedule sizes the population for a run of the given length over
 // the given background generator.
 func DefaultSchedule(bg *traffic.Background, weeks int, seed uint64) ScheduleConfig {
@@ -59,6 +66,18 @@ func Build(cfg ScheduleConfig, top *topology.Topology) (*Ledger, error) {
 	}
 	if cfg.RefBytes <= 0 {
 		return nil, fmt.Errorf("anomaly: reference volume %v must be positive", cfg.RefBytes)
+	}
+	for _, c := range []struct {
+		name  string
+		count int
+	}{
+		{"Alphas", cfg.Alphas}, {"DOSes", cfg.DOSes}, {"DDOSes", cfg.DDOSes},
+		{"Flashes", cfg.Flashes}, {"Scans", cfg.Scans}, {"Worms", cfg.Worms},
+		{"PtMults", cfg.PtMults}, {"Outages", cfg.Outages}, {"IngressShifts", cfg.IngressShifts},
+	} {
+		if c.count > MaxCount {
+			return nil, fmt.Errorf("anomaly: %s count %d exceeds limit %d per 4 weeks", c.name, c.count, MaxCount)
+		}
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x5EED))
 	totalBins := cfg.Weeks * traffic.BinsPerWeek
@@ -189,13 +208,13 @@ func Build(cfg ScheduleConfig, top *topology.Topology) (*Ledger, error) {
 		od := randomOD()
 		dur := 1 + rng.IntN(3)
 		server := hostAt(od.Origin, rng.Uint64N(10))
-		recvs := uint64(40 + rng.IntN(200))
-		pkts := uint64(cfg.RefBytes * (6 + rng.Float64()*10) / float64(recvs) / 1100)
+		nrecv := uint64(40 + rng.IntN(200))
+		pkts := uint64(cfg.RefBytes * (6 + rng.Float64()*10) / float64(nrecv) / 1100)
 		if pkts == 0 {
 			pkts = 1
 		}
 		led.Injectors = append(led.Injectors, NewPointMultipoint(
-			nextID(), od, randBin(dur), dur, server, flow.PortNNTP, recvs, pkts))
+			nextID(), od, randBin(dur), dur, server, flow.PortNNTP, nrecv, pkts))
 	}
 
 	// Outages: scheduled maintenance / failures, lasting hours.

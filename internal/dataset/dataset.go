@@ -251,6 +251,11 @@ func prepare(cfg Config) (*Dataset, error) {
 		sched := cfg.Schedule
 		if sched.Weeks == 0 {
 			sched = anomaly.DefaultSchedule(bg, cfg.Weeks, cfg.Seed)
+		} else if sched.Weeks < 1 || sched.Weeks > cfg.Weeks {
+			// Weeks scales every count and sizes the bin range anomalies
+			// are drawn from; past the run's own weeks (at most MaxWeeks)
+			// it only buys work, in bins the run does not have.
+			return nil, fmt.Errorf("dataset: schedule weeks %d outside [1, %d], the run's weeks", sched.Weeks, cfg.Weeks)
 		}
 		led, err = anomaly.Build(sched, top)
 	}

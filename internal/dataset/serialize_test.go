@@ -14,6 +14,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"netwide/internal/anomaly"
 )
 
 // tinyDataset builds a structurally complete 1-week dataset without
@@ -179,6 +182,58 @@ func TestLoadRejectsHostileContent(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLoadBoundsTheSchedule: the anomaly schedule a dataset file stores
+// drives start-up work, so Load refuses a count above anomaly.MaxCount and
+// a schedule longer than the run, by name and limit, before any of that
+// work runs. The probe is a 1-week file whose Alphas count alone once took
+// seconds to load: 4·10⁶ ALPHA anomalies per 4 weeks. A schedule at the
+// bound still loads.
+func TestLoadBoundsTheSchedule(t *testing.T) {
+	d := tinyDataset(t)
+	sched := anomaly.DefaultSchedule(d.BG, 1, d.Cfg.Seed)
+	cases := []struct {
+		name   string
+		mutate func(s *anomaly.ScheduleConfig)
+		want   string // "" loads
+	}{
+		{"probe", func(s *anomaly.ScheduleConfig) { s.Alphas = 4_000_000 }, "Alphas count 4000000 exceeds limit 1500 per 4 weeks"},
+		{"count past int", func(s *anomaly.ScheduleConfig) { s.Worms = math.MaxInt }, "Worms count"},
+		{"weeks past the run", func(s *anomaly.ScheduleConfig) { s.Weeks = MaxWeeks }, "schedule weeks 1024 outside [1, 1]"},
+		{"negative weeks", func(s *anomaly.ScheduleConfig) { s.Weeks = -1 }, "schedule weeks -1 outside [1, 1]"},
+		{"every count at the bound", func(s *anomaly.ScheduleConfig) {
+			s.Alphas, s.DOSes, s.DDOSes = anomaly.MaxCount, anomaly.MaxCount, anomaly.MaxCount
+			s.Flashes, s.Scans, s.Worms = anomaly.MaxCount, anomaly.MaxCount, anomaly.MaxCount
+			s.PtMults, s.Outages, s.IngressShifts = anomaly.MaxCount, anomaly.MaxCount, anomaly.MaxCount
+		}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hostile := tinyDataset(t)
+			hostile.Cfg.Schedule = sched
+			tc.mutate(&hostile.Cfg.Schedule)
+			file := fileBytes(t, hostile)
+			start := time.Now()
+			got, err := Load(bytes.NewReader(file))
+			took := time.Since(start)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("a schedule at the bound was refused: %v", err)
+				}
+				if n, want := len(got.Ledger.Injectors), 9*anomaly.MaxCount/4; n != want {
+					t.Fatalf("built %d anomalies, want %d", n, want)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one naming %q", err, tc.want)
+			}
+			if took > time.Second {
+				t.Fatalf("refusal took %v: the bound must hold before the work", took)
 			}
 		})
 	}

@@ -474,12 +474,12 @@ func (b *builder) compile(e Episode) (anomaly.Injector, error) {
 			return nil, err
 		}
 		server := b.hostAt(od.Origin, b.rng.Uint64N(10))
-		recvs := uint64(40 + b.rng.IntN(200))
-		pkts := uint64(b.refBytes * b.mag(e, 6, 16) / float64(recvs) / 1100)
+		nrecv := uint64(40 + b.rng.IntN(200))
+		pkts := uint64(b.refBytes * b.mag(e, 6, 16) / float64(nrecv) / 1100)
 		if pkts == 0 {
 			pkts = 1
 		}
-		return anomaly.NewPointMultipoint(b.nextID(), od, start, dur, server, flow.PortNNTP, recvs, pkts), nil
+		return anomaly.NewPointMultipoint(b.nextID(), od, start, dur, server, flow.PortNNTP, nrecv, pkts), nil
 
 	case "outage":
 		pop, err := b.pop(e.Origin)

@@ -3,11 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 
 	"netwide"
@@ -123,107 +121,6 @@ func BenchmarkServerIngest(b *testing.B) {
 	b.Run("abilene-netflow9", func(b *testing.B) { benchIngest(b, "abilene", flowwire.FormatNetFlowV9) })
 	b.Run("abilene-ipfix", func(b *testing.B) { benchIngest(b, "abilene", flowwire.FormatIPFIX) })
 	b.Run("abilene-sflow", func(b *testing.B) { benchIngest(b, "abilene", flowwire.FormatSFlow) })
-}
-
-// benchIngestParallel measures aggregate sustained ingest through a
-// receiver pool — the receivers take turns at the one ingest lock for
-// decode and binning — with the packet stream partitioned across receivers
-// by export engine, exactly how SO_REUSEPORT's 4-tuple hash spreads a real
-// replay's per-engine source sockets. One iteration ingests 16 full bins
-// of packets, split across `receivers` concurrently-fed receivers; the bin
-// timestamp stays fixed so no seal or detector submission mixes into the
-// measured path, and the trailing lossless assert proves the measured path
-// dropped nothing (ingest is synchronous, so there is nothing left to
-// settle). records/sec is the aggregate rate across the pool. With one
-// ingest lock it cannot scale past one receiver's rate; what more
-// receivers add is contention on that lock.
-func benchIngestParallel(b *testing.B, receivers int) {
-	cfg := netwide.QuickConfig()
-	cfg.MeanRateBps = 4e5
-	run, err := netwide.Simulate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := New(run, Config{
-		Receivers: receivers,
-		Stream:    netwide.StreamConfig{TrainBins: run.Bins(), BatchSize: 16},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	be, err := newBinExporters(run.Dataset(), flowwire.FormatNetFlowV5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkts, records, err := be.encodeBin(0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Partition packets by engine so each engine's sequence stream stays on
-	// one receiver (mirroring per-engine socket affinity), decode once for
-	// per-packet sequence advances, and keep one cursor map per group — an
-	// engine never crosses groups, so the maps are race-free.
-	type pktMeta struct {
-		data    []byte
-		advance uint32
-		engine  uint32
-	}
-	groups := make([][]pktMeta, receivers)
-	preReg, err := flowwire.NewRegistry(flowwire.FormatNetFlowV5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range pkts {
-		bt, _, err := preReg.Decode(p.data, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := int(bt.Engine) % receivers
-		groups[g] = append(groups[g], pktMeta{data: p.data, advance: bt.SeqAdvance, engine: bt.Engine})
-	}
-	seqs := make([]map[uint32]uint32, receivers)
-	for g := range seqs {
-		seqs[g] = map[uint32]uint32{}
-	}
-	const passes = 16
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for g := 0; g < receivers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				r := srv.recvs[g]
-				seq := seqs[g]
-				for pass := 0; pass < passes; pass++ {
-					for _, m := range groups[g] {
-						binary.BigEndian.PutUint32(m.data[16:], seq[m.engine])
-						seq[m.engine] += m.advance
-						srv.ingestOn(r, m.data)
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-	}
-	b.StopTimer()
-	total := b.N * passes * records
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "records/sec")
-	if got := srv.Stats().Records; got != uint64(total) {
-		b.Fatalf("ingested %d records, want %d — the bench is not measuring a lossless path", got, total)
-	}
-}
-
-// BenchmarkServerIngestParallel is the receiver-pool ingest benchmark:
-// the Abilene reference scale over NetFlow v5 at 1, 2, 4 and 8 receivers
-// binning into the one set of open bins. The receivers=1 sub-benchmark is
-// BenchmarkServerIngest's path fed one engine group at a time; the others
-// add only contention on the ingest lock.
-func BenchmarkServerIngestParallel(b *testing.B) {
-	for _, r := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("receivers=%d", r), func(b *testing.B) { benchIngestParallel(b, r) })
-	}
 }
 
 // benchCheckpoint measures one full synchronous snapshot, CheckpointNow

@@ -96,40 +96,37 @@ func TestChaosSlowDiskOffIngestPath(t *testing.T) {
 // slow disk, which they have to wait out first.
 func TestChaosSnapshotCallersWait(t *testing.T) {
 	run := testRun(t)
-	for _, receivers := range []int{1, 2} {
-		path := filepath.Join(t.TempDir(), "daemon.nwcp")
-		inj := fault.NewInjector()
-		inj.Arm(checkpoint.FaultSync, fault.Fault{Delay: 30 * time.Millisecond})
-		srv, err := New(run, Config{
-			Receivers:      receivers,
-			CheckpointPath: path,
-			Faults:         inj,
-			Stream:         parityStream(run),
-		})
-		if err != nil {
+	path := filepath.Join(t.TempDir(), "daemon.nwcp")
+	inj := fault.NewInjector()
+	inj.Arm(checkpoint.FaultSync, fault.Fault{Delay: 30 * time.Millisecond})
+	srv, err := New(run, Config{
+		CheckpointPath: path,
+		Faults:         inj,
+		Stream:         parityStream(run),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []int{6, 12} {
+		feedBins(t, srv, run.Dataset(), to-6, to, 0)
+		if err := srv.CheckpointNow(); err != nil {
 			t.Fatal(err)
 		}
-		for _, to := range []int{6, 12} {
-			feedBins(t, srv, run.Dataset(), to-6, to, 0)
-			if err := srv.CheckpointNow(); err != nil {
-				t.Fatal(err)
-			}
-			st := srv.Stats()
-			if st.LastClosed != to-2 || st.LastCheckpointBin != st.LastClosed || st.CheckpointLagBins != 0 {
-				t.Fatalf("%d receivers, CheckpointNow after bin %d: %+v", receivers, to-1, st)
-			}
-			if got := onDiskThrough(t, path); got != st.LastClosed {
-				t.Fatalf("%d receivers: CheckpointNow returned with the file at bin %d, last closed %d", receivers, got, st.LastClosed)
-			}
+		st := srv.Stats()
+		if st.LastClosed != to-2 || st.LastCheckpointBin != st.LastClosed || st.CheckpointLagBins != 0 {
+			t.Fatalf("CheckpointNow after bin %d: %+v", to-1, st)
 		}
-		feedBins(t, srv, run.Dataset(), 12, 16, 0)
-		drainOK(t, srv)
-		if got := onDiskThrough(t, path); got != 15 || srv.Stats().LastCheckpointBin != 15 {
-			t.Fatalf("%d receivers: Drain returned with the file at bin %d (stats %d), want 15", receivers, got, srv.Stats().LastCheckpointBin)
+		if got := onDiskThrough(t, path); got != st.LastClosed {
+			t.Fatalf("CheckpointNow returned with the file at bin %d, last closed %d", got, st.LastClosed)
 		}
-		if err := srv.CheckpointNow(); err == nil {
-			t.Fatalf("%d receivers: CheckpointNow after the drain succeeded", receivers)
-		}
+	}
+	feedBins(t, srv, run.Dataset(), 12, 16, 0)
+	drainOK(t, srv)
+	if got := onDiskThrough(t, path); got != 15 || srv.Stats().LastCheckpointBin != 15 {
+		t.Fatalf("Drain returned with the file at bin %d (stats %d), want 15", got, srv.Stats().LastCheckpointBin)
+	}
+	if err := srv.CheckpointNow(); err == nil {
+		t.Fatal("CheckpointNow after the drain succeeded")
 	}
 }
 
@@ -137,7 +134,7 @@ func TestChaosSnapshotCallersWait(t *testing.T) {
 // its temp file and its rename (a stalled fsync that never completes). The
 // file on disk must be the complete earlier snapshot, and a daemon
 // restored from it and fed the rest of the week must reach exactly the
-// uninterrupted batch ledger — on one receiver and on a pool of two.
+// uninterrupted batch ledger.
 // Under -short two days are fed and the ledger comparison is
 // skipped (batch event windows span the week).
 func TestChaosKillDuringWrite(t *testing.T) {
@@ -156,87 +153,83 @@ func TestChaosKillDuringWrite(t *testing.T) {
 			t.Fatal("batch path characterized nothing; parity check is vacuous")
 		}
 	}
-	for _, receivers := range []int{1, 2} {
-		path := filepath.Join(t.TempDir(), "daemon.nwcp")
-		inj := fault.NewInjector()
-		mk := func() *Server {
-			srv, err := New(run, Config{
-				Receivers:       receivers,
-				CheckpointPath:  path,
-				CheckpointEvery: 7,
-				Faults:          inj,
-				Detect:          netwide.DefaultDetectOptions(),
-				Stream:          parityStream(run),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return srv
-		}
-		kill := bins / 2
-		srv := mk()
-		feedBins(t, srv, ds, 0, kill, 0)
-		if err := srv.CheckpointNow(); err != nil {
+	path := filepath.Join(t.TempDir(), "daemon.nwcp")
+	inj := fault.NewInjector()
+	mk := func() *Server {
+		srv, err := New(run, Config{
+			CheckpointPath:  path,
+			CheckpointEvery: 7,
+			Faults:          inj,
+			Detect:          netwide.DefaultDetectOptions(),
+			Stream:          parityStream(run),
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		good := srv.Stats().LastCheckpointBin
-		if good != kill-2 {
-			t.Fatalf("%d receivers: snapshot covers through bin %d, want %d", receivers, good, kill-2)
-		}
+		return srv
+	}
+	kill := bins / 2
+	srv := mk()
+	feedBins(t, srv, ds, 0, kill, 0)
+	if err := srv.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	good := srv.Stats().LastCheckpointBin
+	if good != kill-2 {
+		t.Fatalf("snapshot covers through bin %d, want %d", good, kill-2)
+	}
 
-		// From here on a write reaches its fsync, hangs there, and fails:
-		// what a crash between the temp file and the rename looks like.
-		inj.Arm(checkpoint.FaultSync, fault.Fault{Delay: 300 * time.Millisecond, Err: fault.ErrDiskFull})
-		feedBins(t, srv, ds, kill, kill+20, 5)
-		for deadline := time.Now().Add(10 * time.Second); len(srv.cpSlot) == 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d receivers: 20 bins at cadence 7 started no snapshot", receivers)
-			}
+	// From here on a write reaches its fsync, hangs there, and fails:
+	// what a crash between the temp file and the rename looks like.
+	inj.Arm(checkpoint.FaultSync, fault.Fault{Delay: 300 * time.Millisecond, Err: fault.ErrDiskFull})
+	feedBins(t, srv, ds, kill, kill+20, 5)
+	for deadline := time.Now().Add(10 * time.Second); len(srv.cpSlot) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("20 bins at cadence 7 started no snapshot")
 		}
-		srv.Kill()
-		if n := inj.Trips(checkpoint.FaultSync); n == 0 {
-			t.Fatalf("%d receivers: no write was in flight at the kill", receivers)
-		}
-		if got := onDiskThrough(t, path); got != good {
-			t.Fatalf("%d receivers: file on disk covers bin %d after the kill, want the earlier snapshot's %d", receivers, got, good)
-		}
-		inj.Disarm(checkpoint.FaultSync)
+	}
+	srv.Kill()
+	if n := inj.Trips(checkpoint.FaultSync); n == 0 {
+		t.Fatalf("no write was in flight at the kill")
+	}
+	if got := onDiskThrough(t, path); got != good {
+		t.Fatalf("file on disk covers bin %d after the kill, want the earlier snapshot's %d", got, good)
+	}
+	inj.Disarm(checkpoint.FaultSync)
 
-		srv = mk()
-		st := srv.Stats()
-		if !st.Restored || st.RestoreErr != "" || st.LastClosed != good || st.BinsOpen == 0 {
-			t.Fatalf("%d receivers: restart did not restore the earlier snapshot: %+v", receivers, st)
+	srv = mk()
+	st := srv.Stats()
+	if !st.Restored || st.RestoreErr != "" || st.LastClosed != good || st.BinsOpen == 0 {
+		t.Fatalf("restart did not restore the earlier snapshot: %+v", st)
+	}
+	feedBins(t, srv, ds, good+1, bins, 0)
+	drainOK(t, srv)
+	st = srv.Stats()
+	if st.LostRecords != 0 || st.BadPackets != 0 || st.LateRecords != 0 || st.Unroutable != 0 || st.WildRecords != 0 {
+		t.Fatalf("kill/restart took ingest losses: %+v", st)
+	}
+	if st.BinsClosed != bins || st.BinsOpen != 0 || st.LastCheckpointBin != bins-1 {
+		t.Fatalf("closed %d bins (open %d), drain snapshot through %d, want %d bins: %+v", st.BinsClosed, st.BinsOpen, st.LastCheckpointBin, bins, st)
+	}
+	if batch == nil {
+		if srv.Err() != nil {
+			t.Fatalf("short run left the daemon unhealthy: %v", srv.Err())
 		}
-		feedBins(t, srv, ds, good+1, bins, 0)
-		drainOK(t, srv)
-		st = srv.Stats()
-		if st.LostRecords != 0 || st.BadPackets != 0 || st.LateRecords != 0 || st.Unroutable != 0 || st.WildRecords != 0 {
-			t.Fatalf("%d receivers: kill/restart took ingest losses: %+v", receivers, st)
-		}
-		if st.BinsClosed != bins || st.BinsOpen != 0 || st.LastCheckpointBin != bins-1 {
-			t.Fatalf("%d receivers: closed %d bins (open %d), drain snapshot through %d, want %d bins: %+v", receivers, st.BinsClosed, st.BinsOpen, st.LastCheckpointBin, bins, st)
-		}
-		if batch == nil {
-			if srv.Err() != nil {
-				t.Fatalf("%d receivers: short run left the daemon unhealthy: %v", receivers, srv.Err())
-			}
-			continue
-		}
-		got := sortedKeys(srv.Anomalies())
-		if len(got) != len(batch) {
-			t.Fatalf("%d receivers: daemon killed mid-write characterized %d anomalies, uninterrupted batch %d", receivers, len(got), len(batch))
-		}
-		for i := range batch {
-			if got[i] != batch[i] {
-				t.Errorf("%d receivers: anomaly %d differs:\n batch  %s\n daemon %s", receivers, i, batch[i], got[i])
-			}
+		return
+	}
+	got := sortedKeys(srv.Anomalies())
+	if len(got) != len(batch) {
+		t.Fatalf("daemon killed mid-write characterized %d anomalies, uninterrupted batch %d", len(got), len(batch))
+	}
+	for i := range batch {
+		if got[i] != batch[i] {
+			t.Errorf("anomaly %d differs:\n batch  %s\n daemon %s", i, batch[i], got[i])
 		}
 	}
 }
 
 // TestChaosSnapshotsUnderConcurrentIngest is for the -race leg and the
-// lock order: two feeders ingesting (on two receivers where the layout has
-// them), the cadence starting a snapshot on every closed bin from inside a
+// lock order: two feeders ingesting, the cadence starting a snapshot on every closed bin from inside a
 // bin close, a CheckpointNow caller looping for the slot, the verdict
 // consumer completing tickets, the writer booking them and a stats reader,
 // all at once, ended by a Drain or a Kill. A lock taken out of order
@@ -253,9 +246,7 @@ func TestChaosSnapshotsUnderConcurrentIngest(t *testing.T) {
 		kill bool
 	}{
 		{"sync", Config{}, false},
-		{"pool", Config{Receivers: 2}, false},
 		{"sync-kill", Config{}, true},
-		{"pool-kill", Config{Receivers: 2}, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := row.cfg
@@ -306,7 +297,7 @@ func TestChaosSnapshotsUnderConcurrentIngest(t *testing.T) {
 					for i := 0; i < 400; i++ {
 						p := enginePkt(t, uint8(f), seq, i/10, recs) // a new bin every ten packets
 						seq += uint32(len(recs))
-						srv.ingestOn(srv.recvs[f%len(srv.recvs)], p)
+						srv.IngestPacket(p)
 					}
 				}(f)
 			}

@@ -28,7 +28,7 @@ import (
 )
 
 // feedBins drives the dataset's regenerated v5 packets straight into the
-// daemon, round-robin over its receivers (one receiver: IngestPacket). Bins [0, to) are always encoded — the exporters' sequence
+// daemon through IngestPacket. Bins [0, to) are always encoded — the exporters' sequence
 // numbers must be the ones a single uninterrupted export engine would have
 // produced — but only bins [from, to) are ingested, which is how a test
 // resumes a restored daemon mid-week: the re-fed bins are bit-identical to
@@ -49,8 +49,8 @@ func feedBins(t *testing.T, srv *Server, ds *dataset.Dataset, from, to, partial 
 		if bin < from {
 			continue
 		}
-		for i, p := range pkts {
-			srv.ingestOn(srv.recvs[i%len(srv.recvs)], p.data)
+		for _, p := range pkts {
+			srv.IngestPacket(p.data)
 		}
 	}
 	if partial > 0 {

@@ -218,11 +218,11 @@ func newCollector(cfg *Config, top *topology.Topology, res *routing.Resolver, sv
 }
 
 // ingest runs one datagram through the state machine and returns the bins
-// it let close, in ascending order, for the caller to submit; ok is false
-// when the datagram did not decode. A raise lifts the watermark to the
-// batch's bin; a stranded vote re-anchors it there first (reset). Either
-// way every bin through watermark − Grace is sealed.
-func (c *collector) ingest(pkt []byte) (closed []submittedBin, ok bool) {
+// it let close, in ascending order, for the caller to submit (none when
+// the datagram did not decode). A raise lifts the watermark to the batch's
+// bin; a stranded vote re-anchors it there first (reset). Either way every
+// bin through watermark − Grace is sealed.
+func (c *collector) ingest(pkt []byte) []submittedBin {
 	b, recs, err := c.reg.Decode(pkt, c.recs[:0])
 	c.recs = recs
 	c.ctr.packets.Add(1)
@@ -239,17 +239,17 @@ func (c *collector) ingest(pkt []byte) (closed []submittedBin, ok bool) {
 		if pc != nil {
 			pc.badPackets.Add(1)
 		}
-		return nil, false
+		return nil
 	}
 	switch act, bin := c.gate(b, recs); act {
 	case actNone:
-		return nil, true
+		return nil
 	case actStranded:
 		c.reset(bin)
 	case actRaise:
 		c.ctr.watermark.Store(int64(bin))
 	}
-	return c.closeThrough(int(c.ctr.watermark.Load()) - c.cfg.Grace), true
+	return c.closeThrough(int(c.ctr.watermark.Load()) - c.cfg.Grace)
 }
 
 // reset re-anchors a stranded watermark at bin. Every open bin beyond

@@ -153,9 +153,8 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 		}
 	}
 	for i, pkt := range seq.pkts {
-		before, dupBefore, resets, wild := books(), c.ctr.duplicates.Load(), c.ctr.watermarkResets.Load(), c.ctr.wildRecords.Load()
-		closed, ok := c.ingest(pkt)
-		take(closed)
+		before, badBefore, dupBefore, resets, wild := books(), c.ctr.badPackets.Load(), c.ctr.duplicates.Load(), c.ctr.watermarkResets.Load(), c.ctr.wildRecords.Load()
+		take(c.ingest(pkt))
 		var drop uint64
 		if c.ctr.watermarkResets.Load() != resets {
 			drop = c.ctr.wildRecords.Load() - wild // the reset's discard
@@ -163,7 +162,7 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 		}
 		var want uint64 // records to book: those of a binned datagram
 		switch {
-		case !ok:
+		case c.ctr.badPackets.Load() != badBefore:
 			bad++
 		case c.ctr.duplicates.Load() != dupBefore:
 			dups++

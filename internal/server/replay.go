@@ -26,12 +26,10 @@ type ReplayConfig struct {
 	// them). Pacing matters on loopback too: an unpaced replay can overrun
 	// the collector's socket buffer, and UDP loss breaks replay parity.
 	PacketsPerSecond int
-	// Conns sprays the replay across that many source sockets (default 1).
-	// Each export engine's packets stick to one socket — SO_REUSEPORT
-	// collectors hash datagrams to receivers by the connection 4-tuple, so
-	// distinct source ports are what actually spread load across a
-	// receiver pool, while per-engine affinity keeps every engine's
-	// sequence stream in order on its one path.
+	// Conns sends the replay from that many source sockets (default 1):
+	// several exporters into the collector's one socket at once. Each
+	// export engine's packets stick to one socket, so every engine's
+	// sequence stream stays in order on its one path.
 	Conns int
 	// Epoch is the Unix time stamped into bin From's packet headers (bin b
 	// is stamped Epoch + (b)*300); it must match the collector's Epoch.

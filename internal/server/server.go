@@ -17,28 +17,30 @@
 // seals every bin through watermark − Grace, and the Server submits those
 // bins to the one StreamDetector before the datagram's caller returns.
 //
-// The Server holds ingestMu for a whole datagram, bin close and submit
-// included, and for a capture or the drain's flush; Server.mu guards the
-// ledger and is never held across a submit. Those are the only two locks.
-// Receivers (one per SO_REUSEPORT socket) read in parallel and queue on
-// ingestMu. Binning is not partitioned: scoring must see each bin's full
-// OD vector, because the subspace method is global — network-wide
-// anomalies only appear in the full OD matrix — and every partition would
-// run under the same lock anyway. See DESIGN.md E24, E34 and E36.
+// The daemon reads one UDP socket with one goroutine; any number of
+// exporters may send into it. The Server holds ingestMu for a whole
+// datagram, bin close and submit included, and for a capture or the
+// drain's flush; Server.mu guards the ledger and is never held across a
+// submit. Those are the only two locks. Neither reading nor binning is
+// partitioned: scoring must see each bin's full OD vector, because the
+// subspace method is global — network-wide anomalies only appear in the
+// full OD matrix — so a datagram that one reader holds back while another
+// runs the watermark ahead would land behind a closed bin and be dropped as
+// late. One reader keeps the kernel's arrival order, which is what the
+// reorder window is sized for. See DESIGN.md E24, E34, E36 and E39.
 //
 // Batch parity: every per-record sum the server computes is an integer
 // count below 2^53 folded into a float64, so the accumulated vectors are
-// exact regardless of packet arrival order or receiver interleaving; a
-// replayed dataset therefore reproduces the generator's matrices bit for
-// bit, and the daemon's characterized anomalies match the batch
-// Characterize output on the same bins (the loopback end-to-end test pins
-// this on both layouts).
+// exact regardless of packet arrival order; a replayed dataset therefore
+// reproduces the generator's matrices bit for bit, and the daemon's
+// characterized anomalies match the batch Characterize output on the same
+// bins (the loopback end-to-end test pins this in every wire format, with
+// two exporters on the socket).
 //
 // The HTTP side is deliberately small, all of it under /api/v1/: healthz
 // (liveness, 503 once the detector has recorded an error), stats (ingest
-// counters as JSON, including a per-protocol breakdown and — with more
-// than one receiver — per-receiver counters) and
-// anomalies (the characterized anomaly log as JSON).
+// counters as JSON, including a per-protocol breakdown) and anomalies (the
+// characterized anomaly log as JSON).
 package server
 
 import (
@@ -105,18 +107,12 @@ type Config struct {
 	// close, so an in-order stream holds about Grace+1 of them, whatever
 	// its rate.
 	MaxOpenBins int
-	// ReadBuffer is the UDP socket receive buffer in bytes, applied to
-	// every receiver socket (default 4MB — the sockets must absorb export
-	// bursts while a bin close runs).
+	// ReadBuffer is the UDP socket receive buffer in bytes (default 4MB —
+	// the socket must absorb export bursts while a bin close runs).
 	ReadBuffer int
-	// Receivers sizes the UDP receiver pool (default 1). With more than
-	// one, the daemon binds that many sockets to the same address with
-	// SO_REUSEPORT so the kernel spreads datagrams across them by flow
-	// hash; on platforms without the option it falls back to one shared
-	// socket drained by Receivers reader goroutines. Receivers read in
-	// parallel and take turns at the one collector: every socket decodes
-	// through the same registry and template cache, so a template learned
-	// on one socket decodes data arriving on another.
+	// Deprecated: Receivers is ignored. The daemon reads one socket
+	// (DESIGN.md E39); the field stays only for callers not yet rebuilt
+	// without it.
 	Receivers int
 	// Deprecated: Shards is ignored. Binning is one partition (DESIGN.md
 	// E36); the field stays only for callers not yet rebuilt without it.
@@ -180,9 +176,6 @@ func (c Config) withDefaults() Config {
 	if c.ReadBuffer <= 0 {
 		c.ReadBuffer = 4 << 20
 	}
-	if c.Receivers <= 0 {
-		c.Receivers = 1
-	}
 	if c.CheckpointPath != "" && c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
@@ -240,8 +233,7 @@ type Stats struct {
 	// updater, or a refit cadence) — absent on a static-model daemon, whose
 	// model never moves (its generation is always 0).
 	ModelFreshness []FreshnessStat `json:"model_freshness,omitempty"`
-	// Receivers breaks the ingest down per receiver (datagram counters),
-	// present only when Config.Receivers is above 1.
+	// Deprecated: Receivers is never filled: the daemon reads one socket.
 	Receivers []ReceiverStats `json:"receivers,omitempty"`
 	// Deprecated: Shards is never filled: binning is one partition.
 	Shards []ShardStats `json:"shards,omitempty"`
@@ -327,11 +319,9 @@ type ProtoStats struct {
 	SeqUnit   string `json:"seq_unit"`
 }
 
-// ReceiverStats is one receiver socket's slice of the ingest counters.
+// Deprecated: ReceiverStats is never reported: the daemon reads one socket.
 type ReceiverStats struct {
-	Packets    uint64 `json:"packets"`
-	BadPackets uint64 `json:"bad_packets"`
-	Bytes      uint64 `json:"bytes"`
+	Packets uint64 `json:"packets"`
 }
 
 // Deprecated: ShardStats is never reported: binning is one partition.
@@ -340,15 +330,8 @@ type ShardStats struct {
 	QueueLen int    `json:"queue_len"`
 }
 
-// receiver is one UDP socket's reader and its slice of the datagram
-// counters (written under ingestMu, read lock-free by /stats).
-type receiver struct {
-	conn                       *net.UDPConn
-	packets, badPackets, bytes atomic.Uint64
-}
-
 // Server is a running ingest daemon. Construct with New (trains the
-// detector), call Start (binds sockets, spawns the readers), and stop with
+// detector), call Start (binds the sockets, spawns the reader), and stop with
 // Drain, which flushes every in-flight bin through the detector before
 // returning — no accepted record is ever dropped by a shutdown.
 type Server struct {
@@ -358,11 +341,11 @@ type Server struct {
 	top *topology.Topology
 	res *routing.Resolver
 
-	conns   []*net.UDPConn
+	conn    *net.UDPConn
 	httpLn  net.Listener
 	httpSrv *http.Server
 
-	readersWG  sync.WaitGroup
+	readerWG   sync.WaitGroup
 	consumerWG sync.WaitGroup
 
 	// ingestMu serialises every caller onto col: held for a whole
@@ -372,8 +355,6 @@ type Server struct {
 	// handlers, so holding it across a detector submit cannot deadlock.
 	ingestMu sync.Mutex
 	col      *collector
-	// recvs (Receivers of them) are the socket readers.
-	recvs []*receiver
 	// binsSinceCp counts bins closed that no snapshot on disk covers yet —
 	// the bin-driven checkpoint cadence. Atomic because the ingest side
 	// adds to it while the writer goroutine subtracts what it wrote.
@@ -445,14 +426,10 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 		// The daemon resolves what actually arrives through the table the
 		// generator resolved with, and only by ResolveDst, which simulates
 		// no failures: a replayed record resolves as it did at generation.
-		res:   ds.Resolver(),
-		recvs: make([]*receiver, cfg.Receivers),
+		res: ds.Resolver(),
 
 		cpSlot:  make(chan struct{}, 1),
 		cpWrite: make(chan *cpTicket, 1),
-	}
-	for i := range s.recvs {
-		s.recvs[i] = &receiver{}
 	}
 	s.lastCpBin = -1
 
@@ -800,23 +777,28 @@ func (s *Server) consumeVerdicts() {
 	s.mu.Unlock()
 }
 
-// Start binds the UDP and HTTP sockets and launches the reader goroutines.
+// Start binds the UDP and HTTP sockets and launches the reader goroutine.
 func (s *Server) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.started {
 		return errors.New("server: already started")
 	}
-	if err := s.bindSockets(); err != nil {
-		return err
+	addr, err := net.ResolveUDPAddr("udp", s.cfg.UDPAddr)
+	if err != nil {
+		return fmt.Errorf("server: udp addr: %w", err)
 	}
+	conn, err := net.ListenUDP("udp", addr)
+	if err != nil {
+		return fmt.Errorf("server: listen udp: %w", err)
+	}
+	// Best effort: the kernel may clamp to rmem_max, which still beats the
+	// default. A too-small buffer shows up as LostRecords, not silence.
+	_ = conn.SetReadBuffer(s.cfg.ReadBuffer)
 	if s.cfg.HTTPAddr != "" {
 		ln, err := net.Listen("tcp", s.cfg.HTTPAddr)
 		if err != nil {
-			for _, c := range s.conns {
-				c.Close()
-			}
-			s.conns = nil
+			conn.Close()
 			return fmt.Errorf("server: listen http: %w", err)
 		}
 		s.httpLn = ln
@@ -847,63 +829,9 @@ func (s *Server) Start() error {
 		go s.checkpointTimer(s.cpTimerStop)
 	}
 	s.started = true
-	s.readersWG.Add(len(s.recvs))
-	for i, r := range s.recvs {
-		r.conn = s.conns[i%len(s.conns)]
-		go s.receiverLoop(r)
-	}
-	return nil
-}
-
-// bindSockets binds the receiver sockets: one plain socket for a single
-// receiver; Receivers SO_REUSEPORT sockets on the same address when the
-// platform supports the option (the kernel then spreads datagrams across
-// them by flow hash); one shared socket drained by every receiver
-// goroutine otherwise.
-func (s *Server) bindSockets() error {
-	n := 1
-	if reusePortSupported {
-		n = s.cfg.Receivers
-	}
-	if n <= 1 {
-		addr, err := net.ResolveUDPAddr("udp", s.cfg.UDPAddr)
-		if err != nil {
-			return fmt.Errorf("server: udp addr: %w", err)
-		}
-		conn, err := net.ListenUDP("udp", addr)
-		if err != nil {
-			return fmt.Errorf("server: listen udp: %w", err)
-		}
-		// Best effort: the kernel may clamp to rmem_max, which still beats
-		// the default. A too-small buffer shows up as LostRecords, not
-		// silence.
-		_ = conn.SetReadBuffer(s.cfg.ReadBuffer)
-		s.conns = []*net.UDPConn{conn}
-		return nil
-	}
-	conns := make([]*net.UDPConn, 0, n)
-	first, err := listenReusePort(s.cfg.UDPAddr)
-	if err != nil {
-		return fmt.Errorf("server: listen udp (reuseport): %w", err)
-	}
-	conns = append(conns, first)
-	// The configured address may carry port 0; the remaining sockets must
-	// bind the port the kernel actually picked.
-	actual := first.LocalAddr().String()
-	for i := 1; i < n; i++ {
-		c, err := listenReusePort(actual)
-		if err != nil {
-			for _, pc := range conns {
-				pc.Close()
-			}
-			return fmt.Errorf("server: listen udp (reuseport %d/%d): %w", i+1, n, err)
-		}
-		conns = append(conns, c)
-	}
-	for _, c := range conns {
-		_ = c.SetReadBuffer(s.cfg.ReadBuffer)
-	}
-	s.conns = conns
+	s.conn = conn
+	s.readerWG.Add(1)
+	go s.readLoop(conn)
 	return nil
 }
 
@@ -911,10 +839,10 @@ func (s *Server) bindSockets() error {
 func (s *Server) UDPAddr() net.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.conns) == 0 {
+	if s.conn == nil {
 		return nil
 	}
-	return s.conns[0].LocalAddr()
+	return s.conn.LocalAddr()
 }
 
 // HTTPAddr returns the bound status endpoint address (nil before Start or
@@ -928,48 +856,38 @@ func (s *Server) HTTPAddr() net.Addr {
 	return s.httpLn.Addr()
 }
 
-// receiverLoop drains one socket until Drain or Kill closes it. Every
+// readLoop drains the socket until Drain or Kill closes it. Every
 // supported format keeps its export packets under the common 1500-byte
 // MTU; the buffer leaves headroom so an overlong datagram arrives intact
 // and is rejected by the decoder instead of being silently truncated into
-// a "valid" prefix.
-func (s *Server) receiverLoop(r *receiver) {
-	defer s.readersWG.Done()
+// a "valid" prefix. A datagram names its exporter inside (engine ID,
+// observation domain, agent address), so the source address is not read.
+func (s *Server) readLoop(conn *net.UDPConn) {
+	defer s.readerWG.Done()
 	buf := make([]byte, 4096)
 	for {
-		n, _, err := r.conn.ReadFromUDP(buf)
+		n, err := conn.Read(buf)
 		if err != nil {
 			return // socket closed (Drain) or fatally broken
 		}
-		s.ingestOn(r, buf[:n])
+		s.IngestPacket(buf[:n])
 	}
 }
 
-// IngestPacket runs one datagram through the ingest state machine as
-// receiver 0: decode, sequence dedupe, OD resolution, bin accumulation and
-// the bin close it lets through, synchronously on the caller's goroutine,
-// on every layout. The read loops are its only callers in production;
-// tests and benchmarks call it directly to drive the daemon without a
-// socket.
-func (s *Server) IngestPacket(pkt []byte) { s.ingestOn(s.recvs[0], pkt) }
-
-// ingestOn runs one datagram arriving on receiver r through the collector
-// under ingestMu. When it returns, the datagram is binned and every bin it
-// let close has been submitted. When the bin-driven checkpoint cadence
-// comes due it captures inline and only starts the snapshot: the barrier
-// follows the closed bins down the detector, and the verdict consumer and
-// the writer goroutine finish it while ingest goes on.
-func (s *Server) ingestOn(r *receiver, pkt []byte) {
+// IngestPacket runs one datagram through the collector under ingestMu:
+// decode, sequence dedupe, OD resolution, bin accumulation and the bin
+// close it lets through, synchronously on the caller's goroutine. The read
+// loop is its only caller in production; tests and benchmarks call it
+// directly to drive the daemon without a socket. When it returns, the
+// datagram is binned and every bin it let close has been submitted. When
+// the bin-driven checkpoint cadence comes due it captures inline and only
+// starts the snapshot: the barrier follows the closed bins down the
+// detector, and the verdict consumer and the writer goroutine finish it
+// while ingest goes on.
+func (s *Server) IngestPacket(pkt []byte) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	r.packets.Add(1)
-	r.bytes.Add(uint64(len(pkt)))
-	closed, ok := s.col.ingest(pkt)
-	if !ok {
-		r.badPackets.Add(1)
-		return
-	}
-	if n := s.submit(closed); n > 0 && s.cadenceDue(n) {
+	if n := s.submit(s.col.ingest(pkt)); n > 0 && s.cadenceDue(n) {
 		s.capture()
 	}
 }
@@ -1061,16 +979,6 @@ func (s *Server) Stats() Stats {
 			SeqUnit:    f.SequenceModel().Unit(),
 		}
 	}
-	if s.cfg.Receivers > 1 {
-		st.Receivers = make([]ReceiverStats, len(s.recvs))
-		for i, r := range s.recvs {
-			st.Receivers[i] = ReceiverStats{
-				Packets:    r.packets.Load(),
-				BadPackets: r.badPackets.Load(),
-				Bytes:      r.bytes.Load(),
-			}
-		}
-	}
 	s.mu.Lock()
 	st.AlarmBins = s.alarmBins
 	st.Anomalies = s.anoms.Len()
@@ -1151,7 +1059,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	if !s.stopIntake(false) {
 		return errors.New("server: drain already in progress or completed")
 	}
-	// The readers have exited and the sockets are closed: no new bins can
+	// The reader has exited and the socket is closed: no new bins can
 	// appear. Flush the tail — every bin through the watermark closed and
 	// submitted — and, when
 	// checkpointing, persist the final snapshot and wait for it: it carries
@@ -1202,8 +1110,8 @@ func (s *Server) Kill() {
 
 // stopIntake starts the shutdown Drain and Kill share — draining set
 // (killed too, for Kill), the checkpoint timer stopped so no timer
-// snapshot can race the final one, the sockets closed — and returns once
-// the reader goroutines have exited. It reports false when a drain or kill
+// snapshot can race the final one, the socket closed — and returns once
+// the reader goroutine has exited. It reports false when a drain or kill
 // began before it.
 func (s *Server) stopIntake(kill bool) bool {
 	s.mu.Lock()
@@ -1212,17 +1120,17 @@ func (s *Server) stopIntake(kill bool) bool {
 		return false
 	}
 	s.draining, s.killed = true, kill
-	conns, stop := s.conns, s.cpTimerStop
+	conn, stop := s.conn, s.cpTimerStop
 	s.cpTimerStop = nil
 	s.mu.Unlock()
 	if stop != nil {
 		close(stop)
 		s.timerWG.Wait()
 	}
-	for _, c := range conns {
-		c.Close() // unblocks the reader goroutines
+	if conn != nil {
+		conn.Close() // unblocks the reader
 	}
-	s.readersWG.Wait()
+	s.readerWG.Wait()
 	return true
 }
 

@@ -46,14 +46,15 @@ func anomalyKey(a netwide.Anomaly) string {
 	return fmt.Sprintf("%s|%s|%d-%d|%v|%s|%s", a.Class, a.Measures, a.StartBin, a.EndBin, a.ODs, a.Truth, a.TruthType)
 }
 
-// TestLoopbackEndToEnd is the tentpole proof, once per wire format on a
-// 2-receiver daemon plus a 1×1 control leg: a dataset replayed as live
-// export traffic over UDP loopback — NetFlow v5, NetFlow v9, IPFIX and
-// sFlow v5 side by side, through 2 SO_REUSEPORT receivers — ingested by
-// the daemon, must drive the streaming detector to exactly the anomalies
-// the batch Detect + Characterize path finds on the same data, in every
-// format: the wire hop, the normalization, the bin aggregation and the
-// drain must all be lossless.
+// TestLoopbackEndToEnd is the tentpole proof, once per wire format with
+// two exporters sending into the daemon's one socket, plus a v5 control
+// leg with one exporter: a dataset replayed as live export traffic over
+// UDP loopback — NetFlow v5, NetFlow v9, IPFIX and sFlow v5 side by side —
+// ingested by a daemon at the default Grace and MaxAhead, must drive the
+// streaming detector to exactly the anomalies the batch Detect +
+// Characterize path finds on the same data, in every format: the wire hop,
+// the normalization, the bin aggregation and the drain must all be
+// lossless, and no record may arrive behind a closed bin.
 //
 // Under -short (the CI race step) only the first two days are replayed and
 // the assertions stop at ingest integrity — batch event windows span the
@@ -85,39 +86,23 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		sort.Strings(batchKeys)
 	}
 
-	// The four-format matrix runs 2 receivers; the plain leg pins the 1×1
-	// layout against the same reference.
-	pool := Config{
-		HTTPAddr:  "127.0.0.1:0",
-		Receivers: 2,
-		// Receivers drain their sockets independently and the replay sprays
-		// them from independent connections, so one receiver can run many
-		// bins ahead of the other whenever the scheduler stalls a sender.
-		// The replay compresses a week into ~17s (~116 bins/s of bin-time
-		// per wall-second), so even a sub-second one-sided stall is dozens
-		// of bins of skew: the reorder window and the wild-timestamp bound
-		// both need far more headroom here than a real deployment (where a
-		// bin is five wall-clock minutes) would ever configure.
-		Grace:    96,
-		MaxAhead: 576,
-		Detect:   netwide.DefaultDetectOptions(),
-	}
+	cfg := Config{HTTPAddr: "127.0.0.1:0", Detect: netwide.DefaultDetectOptions()}
 	for _, format := range flowwire.AllFormats() {
 		format := format
 		t.Run(format.String(), func(t *testing.T) {
 			t.Parallel()
-			loopbackLeg(t, run, bins, batchKeys, fullParity, format, pool, 2)
+			loopbackLeg(t, run, bins, batchKeys, fullParity, format, cfg, 2)
 		})
 	}
 	t.Run("netflow5-plain", func(t *testing.T) {
 		t.Parallel()
-		plain := Config{HTTPAddr: "127.0.0.1:0", Detect: netwide.DefaultDetectOptions()}
-		loopbackLeg(t, run, bins, batchKeys, fullParity, flowwire.FormatNetFlowV5, plain, 1)
+		loopbackLeg(t, run, bins, batchKeys, fullParity, flowwire.FormatNetFlowV5, cfg, 1)
 	})
 }
 
-// loopbackLeg replays bins [0, bins) over loopback into a daemon built
-// from cfg and asserts the full lossless-parity contract.
+// loopbackLeg replays bins [0, bins) over loopback from conns exporter
+// sockets into a daemon built from cfg and asserts the full lossless-parity
+// contract.
 func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, fullParity bool, format flowwire.Format, cfg Config, conns int) {
 	t.Helper()
 	cfg.Stream = parityStream(run)
@@ -212,21 +197,6 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 	if want := format.SequenceModel().Unit(); ps.SeqUnit != want {
 		t.Errorf("protocol seq unit %q, want %q", ps.SeqUnit, want)
 	}
-	// With a receiver pool the per-receiver breakdown must account for
-	// every packet; the 1×1 daemon must not grow the field at all (the
-	// stats JSON is a compatibility surface).
-	if cfg.Receivers > 1 {
-		var rp uint64
-		for _, r := range st.Receivers {
-			rp += r.Packets
-		}
-		if len(st.Receivers) != cfg.Receivers || rp != st.Packets {
-			t.Fatalf("stats carry %d receivers with %d packets, want %d with %d", len(st.Receivers), rp, cfg.Receivers, st.Packets)
-		}
-	} else if st.Receivers != nil {
-		t.Fatalf("single-receiver daemon leaked receiver stats: %+v", st)
-	}
-
 	if !fullParity {
 		if srv.Err() != nil {
 			t.Fatalf("short replay left the daemon unhealthy: %v", srv.Err())
@@ -335,57 +305,43 @@ func pkt(t *testing.T, seq uint32, bin int, recs []flowwire.Flow) []byte {
 	return b
 }
 
-// layouts are the receiver layouts of the one ingest driver. A test that
-// ranges over them asserts the same global counters under each.
-var layouts = []struct {
-	name string
-	cfg  Config
-}{
-	{"sync", Config{}},
-	{"pool", Config{Receivers: 2}},
-}
-
-// feed hands the datagrams to the daemon in order, round-robin over its
-// receivers. Ingest is synchronous on every layout: when ingestOn returns,
-// its datagram is binned and every bin it let close has been submitted.
+// feed hands the datagrams to the daemon in order. Ingest is synchronous:
+// when IngestPacket returns, its datagram is binned and every bin it let
+// close has been submitted.
 func feed(srv *Server, pkts ...[]byte) {
-	for i, p := range pkts {
-		srv.ingestOn(srv.recvs[i%len(srv.recvs)], p)
+	for _, p := range pkts {
+		srv.IngestPacket(p)
 	}
 }
 
 // TestInOrderBurstIsNeverWild: an in-order stream many times wider than
 // MaxOpenBins, fed back to back, must never be refused as wild. A bin
 // closes on the datagram that lets it close, so at most Grace+1 bins are
-// ever open on any layout, and every record is booked exactly once:
+// ever open, and every record is booked exactly once:
 // accepted, duplicate, late, wild or unroutable.
 func TestInOrderBurstIsNeverWild(t *testing.T) {
 	run := testRun(t)
 	recs := collectRecords(t, run, 10)
 	const bins = 60
 	total := uint64(bins * len(recs))
-	for _, l := range layouts {
-		t.Run(l.name, func(t *testing.T) {
-			cfg := l.cfg
-			cfg.MaxOpenBins, cfg.Stream = 8, parityStream(run)
-			srv, err := New(run, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for bin := 0; bin < bins; bin++ {
-				srv.ingestOn(srv.recvs[bin%len(srv.recvs)], pkt(t, uint32(bin*len(recs)), bin, recs))
-			}
-			drainOK(t, srv)
-			st := srv.Stats()
-			booked := st.Records + st.Duplicates*uint64(len(recs)) + st.LateRecords + st.WildRecords + st.Unroutable
-			if booked != total {
-				t.Errorf("booked %d records, fed %d: %+v", booked, total, st)
-			}
-			if st.WildRecords != 0 || st.Records != total || st.BinsClosed != bins {
-				t.Errorf("%d accepted, %d wild, %d bins closed; want %d, 0, %d", st.Records, st.WildRecords, st.BinsClosed, total, bins)
-			}
-		})
-	}
+	t.Run("sync", func(t *testing.T) {
+		srv, err := New(run, Config{MaxOpenBins: 8, Stream: parityStream(run)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bin := 0; bin < bins; bin++ {
+			srv.IngestPacket(pkt(t, uint32(bin*len(recs)), bin, recs))
+		}
+		drainOK(t, srv)
+		st := srv.Stats()
+		booked := st.Records + st.Duplicates*uint64(len(recs)) + st.LateRecords + st.WildRecords + st.Unroutable
+		if booked != total {
+			t.Errorf("booked %d records, fed %d: %+v", booked, total, st)
+		}
+		if st.WildRecords != 0 || st.Records != total || st.BinsClosed != bins {
+			t.Errorf("%d accepted, %d wild, %d bins closed; want %d, 0, %d", st.Records, st.WildRecords, st.BinsClosed, total, bins)
+		}
+	})
 }
 
 // TestOutOfOrderAndDuplicates pins the transport-hardening semantics:
@@ -404,47 +360,43 @@ func TestOutOfOrderAndDuplicates(t *testing.T) {
 	p6 := pkt(t, 40, 8, recs)                    // the reordered packet behind the gap: refund 10
 	p7 := pkt(t, 3_000_000_000, 8, recs)         // wild backward sequence: exporter restart, resync
 	p8 := pkt(t, 3_000_000_010+(1<<30), 8, recs) // wild FORWARD jump: restart too, not a phantom 2^30-record gap
-	for _, l := range layouts {
-		t.Run(l.name, func(t *testing.T) {
-			cfg := l.cfg
-			cfg.Grace, cfg.Stream = 3, parityStream(run)
-			srv, err := New(run, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(srv, p1, p1, p2, p3, p4, p5) // p1 twice: an exact duplicate must not double-count
-			if st := srv.Stats(); st.LostRecords != 50 {
-				t.Errorf("lost records %d after the gap, want 50", st.LostRecords)
-			}
-			feed(srv, p6, p7, p8) // p6 fills part of the gap: a real reorder, refunded
+	t.Run("sync", func(t *testing.T) {
+		srv, err := New(run, Config{Grace: 3, Stream: parityStream(run)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(srv, p1, p1, p2, p3, p4, p5) // p1 twice: an exact duplicate must not double-count
+		if st := srv.Stats(); st.LostRecords != 50 {
+			t.Errorf("lost records %d after the gap, want 50", st.LostRecords)
+		}
+		feed(srv, p6, p7, p8) // p6 fills part of the gap: a real reorder, refunded
 
-			st := srv.Stats()
-			if st.Duplicates != 1 {
-				t.Errorf("duplicates %d, want 1", st.Duplicates)
-			}
-			if want := uint64(70); st.Records != want { // p1 + p2 + p3 + p5 + p6 + p7 + p8
-				t.Errorf("records %d, want %d", st.Records, want)
-			}
-			if st.LateRecords != 10 {
-				t.Errorf("late records %d, want 10", st.LateRecords)
-			}
-			if st.LostRecords != 40 || st.Protocols["netflow5"].LostUnits != 40 {
-				t.Errorf("lost records %d (netflow5 units %d), want 40 (50-record gap minus the reordered refund; restarts charge nothing)",
-					st.LostRecords, st.Protocols["netflow5"].LostUnits)
-			}
-			if st.BinsClosed != 2 || st.LastClosed != 5 || st.Watermark != 8 {
-				t.Errorf("bin state %+v, want 2 closed through 5, watermark 8", st)
-			}
-			if st.BinsOpen != 1 {
-				t.Errorf("open bins %d, want 1 (bin 8)", st.BinsOpen)
-			}
+		st := srv.Stats()
+		if st.Duplicates != 1 {
+			t.Errorf("duplicates %d, want 1", st.Duplicates)
+		}
+		if want := uint64(70); st.Records != want { // p1 + p2 + p3 + p5 + p6 + p7 + p8
+			t.Errorf("records %d, want %d", st.Records, want)
+		}
+		if st.LateRecords != 10 {
+			t.Errorf("late records %d, want 10", st.LateRecords)
+		}
+		if st.LostRecords != 40 || st.Protocols["netflow5"].LostUnits != 40 {
+			t.Errorf("lost records %d (netflow5 units %d), want 40 (50-record gap minus the reordered refund; restarts charge nothing)",
+				st.LostRecords, st.Protocols["netflow5"].LostUnits)
+		}
+		if st.BinsClosed != 2 || st.LastClosed != 5 || st.Watermark != 8 {
+			t.Errorf("bin state %+v, want 2 closed through 5, watermark 8", st)
+		}
+		if st.BinsOpen != 1 {
+			t.Errorf("open bins %d, want 1 (bin 8)", st.BinsOpen)
+		}
 
-			drainOK(t, srv)
-			if st := srv.Stats(); st.BinsClosed != 3 || st.BinsOpen != 0 {
-				t.Errorf("after drain: %d closed / %d open, want 3 / 0", st.BinsClosed, st.BinsOpen)
-			}
-		})
-	}
+		drainOK(t, srv)
+		if st := srv.Stats(); st.BinsClosed != 3 || st.BinsOpen != 0 {
+			t.Errorf("after drain: %d closed / %d open, want 3 / 0", st.BinsClosed, st.BinsOpen)
+		}
+	})
 }
 
 // TestReorderRefundsOnlyTheStreamsOwnLoss: a datagram behind its stream's
@@ -600,58 +552,54 @@ func TestHostileDatagrams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range layouts {
-		t.Run(l.name, func(t *testing.T) {
-			cfg := l.cfg
-			cfg.Stream = parityStream(run)
-			srv, err := New(run, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(srv,
-				nil,                              // empty datagram
-				[]byte{1, 2, 3},                  // runt
-				good[:flowwire.V5HeaderLen+7],    // truncated mid-record
-				badVersion,                       // version word 9 with a v5 body
-				hostileCount,                     // count beyond what the bytes hold
-				bytes.Repeat([]byte{0xAB}, 2048), // garbage
-			)
-			st := srv.Stats()
-			if st.BadPackets != 6 {
-				t.Errorf("bad packets %d, want 6", st.BadPackets)
-			}
-			if st.Records != 0 || st.BinsOpen != 0 {
-				t.Errorf("hostile datagrams leaked into ingest state: %+v", st)
-			}
+	t.Run("sync", func(t *testing.T) {
+		srv, err := New(run, Config{Stream: parityStream(run)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(srv,
+			nil,                              // empty datagram
+			[]byte{1, 2, 3},                  // runt
+			good[:flowwire.V5HeaderLen+7],    // truncated mid-record
+			badVersion,                       // version word 9 with a v5 body
+			hostileCount,                     // count beyond what the bytes hold
+			bytes.Repeat([]byte{0xAB}, 2048), // garbage
+		)
+		st := srv.Stats()
+		if st.BadPackets != 6 {
+			t.Errorf("bad packets %d, want 6", st.BadPackets)
+		}
+		if st.Records != 0 || st.BinsOpen != 0 {
+			t.Errorf("hostile datagrams leaked into ingest state: %+v", st)
+		}
 
-			feed(srv, unknownEngine)
-			if st := srv.Stats(); st.Unroutable != uint64(len(recs)) {
-				t.Errorf("unroutable %d, want %d", st.Unroutable, len(recs))
-			}
+		feed(srv, unknownEngine)
+		if st := srv.Stats(); st.Unroutable != uint64(len(recs)) {
+			t.Errorf("unroutable %d, want %d", st.Unroutable, len(recs))
+		}
 
-			// The daemon is still healthy and still ingests good traffic.
-			if srv.Err() != nil {
-				t.Fatalf("hostile datagrams broke the daemon: %v", srv.Err())
-			}
-			feed(srv, good)
-			if st := srv.Stats(); st.Records != uint64(len(recs)) {
-				t.Errorf("good packet after hostile burst: %d records, want %d", st.Records, len(recs))
-			}
+		// The daemon is still healthy and still ingests good traffic.
+		if srv.Err() != nil {
+			t.Fatalf("hostile datagrams broke the daemon: %v", srv.Err())
+		}
+		feed(srv, good)
+		if st := srv.Stats(); st.Records != uint64(len(recs)) {
+			t.Errorf("good packet after hostile burst: %d records, want %d", st.Records, len(recs))
+		}
 
-			// A spoofed far-future timestamp must neither move the watermark
-			// (it would force-close partial bins and stall every legitimate
-			// bin) nor open a bin; its records are refused as wild.
-			feed(srv, wild)
-			st = srv.Stats()
-			if st.WildRecords != uint64(len(recs)) {
-				t.Errorf("wild records %d, want %d", st.WildRecords, len(recs))
-			}
-			if st.Watermark != 0 || st.BinsOpen != 1 {
-				t.Errorf("spoofed timestamp moved bin state: watermark %d, open %d", st.Watermark, st.BinsOpen)
-			}
-			drainOK(t, srv)
-		})
-	}
+		// A spoofed far-future timestamp must neither move the watermark
+		// (it would force-close partial bins and stall every legitimate
+		// bin) nor open a bin; its records are refused as wild.
+		feed(srv, wild)
+		st = srv.Stats()
+		if st.WildRecords != uint64(len(recs)) {
+			t.Errorf("wild records %d, want %d", st.WildRecords, len(recs))
+		}
+		if st.Watermark != 0 || st.BinsOpen != 1 {
+			t.Errorf("spoofed timestamp moved bin state: watermark %d, open %d", st.Watermark, st.BinsOpen)
+		}
+		drainOK(t, srv)
+	})
 }
 
 // TestWatermarkRecovery pins the stranded-watermark self-heal: a
@@ -665,43 +613,39 @@ func TestHostileDatagrams(t *testing.T) {
 func TestWatermarkRecovery(t *testing.T) {
 	run := testRun(t)
 	recs := collectRecords(t, run, 10)
-	for _, l := range layouts {
-		t.Run(l.name, func(t *testing.T) {
-			cfg := l.cfg
-			cfg.Stream = parityStream(run)
-			srv, err := New(run, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(srv, pkt(t, 0, 1000, recs)) // hostile first packet: bin 1000
-			if st := srv.Stats(); st.Watermark != 1000 {
-				t.Fatalf("first packet set watermark %d, want 1000", st.Watermark)
-			}
-			// Legitimate traffic: bins 0,1,2,... — all far below the
-			// stranded watermark. After the quorum the watermark must snap
-			// back.
-			seq := uint32(10)
-			for bin := 0; bin < 12; bin++ {
-				feed(srv, pkt(t, seq, bin, recs))
-				seq += uint32(len(recs))
-			}
-			st := srv.Stats()
-			if st.WatermarkResets != 1 || st.Watermark != 11 {
-				t.Fatalf("watermark resets %d, watermark %d; want 1 reset, re-anchored and moving on at 11 (stats: %+v)", st.WatermarkResets, st.Watermark, st)
-			}
-			if st.WildRecords != uint64(len(recs)) {
-				t.Errorf("stranded bin's %d records not discarded as wild (got %d)", len(recs), st.WildRecords)
-			}
-			if want := uint64(watermarkQuorum * len(recs)); st.LateRecords != want {
-				t.Errorf("late records %d, want the quorum's %d", st.LateRecords, want)
-			}
-			// Bins 8..11 open after the reset at bin 7; 8, 9 and 10 close.
-			if st.Records != 5*uint64(len(recs)) || st.BinsClosed != 3 || st.LastClosed != 10 {
-				t.Errorf("bin close after the reset: %+v, want 5 packets' records accepted and bins 8-10 closed", st)
-			}
-			drainOK(t, srv)
-		})
-	}
+	t.Run("sync", func(t *testing.T) {
+		srv, err := New(run, Config{Stream: parityStream(run)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(srv, pkt(t, 0, 1000, recs)) // hostile first packet: bin 1000
+		if st := srv.Stats(); st.Watermark != 1000 {
+			t.Fatalf("first packet set watermark %d, want 1000", st.Watermark)
+		}
+		// Legitimate traffic: bins 0,1,2,... — all far below the
+		// stranded watermark. After the quorum the watermark must snap
+		// back.
+		seq := uint32(10)
+		for bin := 0; bin < 12; bin++ {
+			feed(srv, pkt(t, seq, bin, recs))
+			seq += uint32(len(recs))
+		}
+		st := srv.Stats()
+		if st.WatermarkResets != 1 || st.Watermark != 11 {
+			t.Fatalf("watermark resets %d, watermark %d; want 1 reset, re-anchored and moving on at 11 (stats: %+v)", st.WatermarkResets, st.Watermark, st)
+		}
+		if st.WildRecords != uint64(len(recs)) {
+			t.Errorf("stranded bin's %d records not discarded as wild (got %d)", len(recs), st.WildRecords)
+		}
+		if want := uint64(watermarkQuorum * len(recs)); st.LateRecords != want {
+			t.Errorf("late records %d, want the quorum's %d", st.LateRecords, want)
+		}
+		// Bins 8..11 open after the reset at bin 7; 8, 9 and 10 close.
+		if st.Records != 5*uint64(len(recs)) || st.BinsClosed != 3 || st.LastClosed != 10 {
+			t.Errorf("bin close after the reset: %+v, want 5 packets' records accepted and bins 8-10 closed", st)
+		}
+		drainOK(t, srv)
+	})
 }
 
 // TestRefusedSubmitKeepsTheBooks: a bin the detector refuses — here
