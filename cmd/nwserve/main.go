@@ -37,7 +37,9 @@
 // and, when it lets a bin close, fed to the one detector before the next
 // is read: the subspace method is a network-wide decomposition, so the
 // detector must see each bin's complete OD vector, and one reader keeps
-// the arrival order the -grace window is sized for.
+// the arrival order the -grace window is sized for. A bin closes once
+// every exporter has moved past it in sequence; -grace bounds how long it
+// waits for one that lags.
 //
 // Usage:
 //
@@ -70,7 +72,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:2055", "UDP listen address for flow export packets")
 	formats := flag.String("formats", "", "comma-separated wire-format allowlist: netflow5, netflow9, ipfix, sflow (empty = all)")
 	httpAddr := flag.String("http", "", "HTTP status listen address (empty disables /api/v1/{healthz,stats,anomalies})")
-	grace := flag.Int("grace", 1, "reorder grace in bins before a bin closes")
+	grace := flag.Int("grace", 1, "longest wait in bins for a lagging exporter: a bin closes once every exporter has passed it, or this many bins behind the newest")
 	ckpt := flag.String("checkpoint", "", "crash-safe snapshot file; restored on startup when present (empty disables)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "closed bins between snapshots (with -checkpoint)")
 	ckptEach := flag.Duration("checkpoint-interval", 0, "wall-clock snapshot timer for quiet periods, e.g. 5m (0 disables)")

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"path/filepath"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"netwide"
 	"netwide/internal/checkpoint"
 	"netwide/internal/flowwire"
+	"netwide/internal/traffic"
 )
 
 // benchIngest measures the sustained per-datagram ingest path — decode,
@@ -247,5 +249,57 @@ func TestCheckpointEncoderKeepsItsBuffer(t *testing.T) {
 	}
 	if keptBytes+uint64(oneShot.Len()) > oneBytes {
 		t.Fatalf("kept-buffer write allocates %d B, one-shot %d B: want at least one %d B snapshot less", keptBytes, oneBytes, oneShot.Len())
+	}
+}
+
+// BenchmarkIngestCursors times the collector's per-datagram path with 4,096
+// sequence cursors tracked against a topology's worth, with the early seal
+// live and with it off (an untracked stream seen): every PoP's engine sends
+// one in-order v5 datagram a bin, and the 4,096 variants add idle IPFIX
+// streams, each vouched far ahead so that the early seal stays live.
+// Keeping the lowest frontier costs O(1) a datagram, so whatever the
+// cursor count adds to ns/datagram, it adds with the seal off too.
+func BenchmarkIngestCursors(b *testing.B) {
+	run := testRun(b)
+	ds := run.Dataset()
+	recs := collectRecords(b, run, flowwire.V5MaxRecordsPerPacket)
+	for _, cursors := range []int{ds.Top.NumPoPs(), maxEngineCursors} {
+		for _, seal := range []string{"early", "grace"} {
+			b.Run(fmt.Sprintf("cursors=%d/seal=%s", cursors, seal), func(b *testing.B) {
+				cfg := Config{Grace: 48}.withDefaults()
+				c, err := newCollector(&cfg, ds.Top, ds.Resolver(), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for id := uint32(0); len(c.seq) < cursors-ds.Top.NumPoPs(); id++ {
+					trackVouched(c, engineKey{flowwire.FormatIPFIX, id}, 1<<30)
+				}
+				c.untracked = seal == "grace"
+				pkts := make([][]byte, ds.Top.NumPoPs())
+				for e := range pkts {
+					if pkts[e], err = flowwire.EncodeV5Packet(flowwire.V5Header{EngineID: uint8(e)}, recs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				early := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for bin := 0; bin < b.N; bin++ {
+					for _, p := range pkts {
+						binary.BigEndian.PutUint32(p[8:], uint32(bin*traffic.BinSeconds))
+						binary.BigEndian.PutUint32(p[16:], uint32(bin*len(recs)))
+						c.ingest(p)
+					}
+					if c.sealedThrough > max(-1, int(c.ctr.watermark.Load())-cfg.Grace) {
+						early++
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/datagram")
+				if wantEarly := seal == "early" && b.N > cfg.Grace; len(c.seq) != cursors || c.ctr.lateRecords.Load() != 0 || (early > 0) != wantEarly {
+					b.Fatalf("%d cursors, %d late records, %d of %d bins sealed early", len(c.seq), c.ctr.lateRecords.Load(), early, b.N)
+				}
+			})
+		}
 	}
 }

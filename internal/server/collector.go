@@ -8,6 +8,7 @@ package server
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -83,6 +84,24 @@ type collector struct {
 	// counts the consecutive batches voting the watermark stranded.
 	sealedThrough, behindStreak int
 
+	// The early seal (DESIGN.md E40). Each tracked stream's vouched
+	// frontier (engineSeq.frontier) is a bin it will send nothing below;
+	// once every tracked stream's frontier lies past the next bin to seal,
+	// that bin closes before watermark − Grace reaches it. passed counts,
+	// by frontier, the streams whose frontier lies past sealedThrough+1,
+	// and nPassed is its sum, so the test costs O(1) whatever the number of
+	// streams. vouchGen is the current generation of frontiers: bumping it
+	// forgets them all at once. armed turns the early seal on once the
+	// grace rule alone has sealed a bin since the collector was built:
+	// until then an exporter less than Grace bins behind may not have been
+	// heard from yet. untracked records that a stream without a cursor
+	// (past maxEngineCursors, or carrying no sequence) was seen; such a
+	// stream cannot vouch, so the early seal stays off for good.
+	passed           map[int]int
+	nPassed          int
+	vouchGen         uint64
+	armed, untracked bool
+
 	ctr counters
 	// proto is the per-format counter array behind Stats.Protocols (index
 	// FormatUnknown stays zero; undetectable garbage only reaches the
@@ -113,6 +132,10 @@ func newCollector(cfg *Config, top *topology.Topology, res *routing.Resolver, sv
 		seq:           make(map[engineKey]*engineSeq, len(sv.Engines)),
 		sealedThrough: sv.SealedThrough,
 		behindStreak:  sv.BehindStreak,
+		// Frontiers are derived state, never checkpointed: a restored
+		// cursor vouches again from its next in-order datagram.
+		passed:   map[int]int{},
+		vouchGen: 1,
 	}
 	if len(sv.OpenBins) > cfg.MaxOpenBins {
 		return nil, fmt.Errorf("snapshot holds %d open bins, cap is %d", len(sv.OpenBins), cfg.MaxOpenBins)
@@ -221,7 +244,10 @@ func newCollector(cfg *Config, top *topology.Topology, res *routing.Resolver, sv
 // it let close, in ascending order, for the caller to submit (none when
 // the datagram did not decode). A raise lifts the watermark to the batch's
 // bin; a stranded vote re-anchors it there first (reset). Either way every
-// bin through watermark − Grace is sealed.
+// bin through watermark − Grace is sealed, and further every bin that all
+// export streams have passed: the seal point is
+// max(watermark − Grace, min frontier − 1), so Grace bounds how long a bin
+// waits for a lagging exporter rather than setting the wait.
 func (c *collector) ingest(pkt []byte) []submittedBin {
 	b, recs, err := c.reg.Decode(pkt, c.recs[:0])
 	c.recs = recs
@@ -242,23 +268,107 @@ func (c *collector) ingest(pkt []byte) []submittedBin {
 		return nil
 	}
 	switch act, bin := c.gate(b, recs); act {
-	case actNone:
-		return nil
 	case actStranded:
 		c.reset(bin)
 	case actRaise:
 		c.ctr.watermark.Store(int64(bin))
 	}
-	return c.closeThrough(int(c.ctr.watermark.Load()) - c.cfg.Grace)
+	wm, was := int(c.ctr.watermark.Load()), c.sealedThrough
+	c.armed = c.armed || wm-c.cfg.Grace > was
+	c.sealTo(wm - c.cfg.Grace)
+	// Frontiers never exceed the watermark, so this stops below it.
+	for c.sealedThrough+1 < wm && c.allPassed() {
+		c.sealTo(c.sealedThrough + 1)
+	}
+	if c.sealedThrough == was {
+		return nil // no open bin lies at or below the seal point
+	}
+	return c.closeThrough(c.sealedThrough)
+}
+
+// noFrontier is the frontier of a stream that has vouched for nothing.
+const noFrontier = math.MinInt
+
+// frontier is e's vouched frontier in the current generation.
+func (c *collector) frontier(e *engineSeq) int {
+	if e.vouchGen != c.vouchGen {
+		return noFrontier
+	}
+	return e.frontier
+}
+
+// vouch raises e's frontier to bin: e will send nothing stamped below it.
+func (c *collector) vouch(e *engineSeq, bin int) {
+	old := c.frontier(e)
+	if bin <= old {
+		return
+	}
+	c.unpass(old)
+	e.frontier, e.vouchGen = bin, c.vouchGen
+	if bin > c.sealedThrough+1 {
+		c.passed[bin]++
+		c.nPassed++
+	}
+}
+
+// forget drops e's frontier: its cursor (re)started, so it vouches for
+// nothing until its next in-order datagram.
+func (c *collector) forget(e *engineSeq) {
+	c.unpass(c.frontier(e))
+	e.vouchGen = 0
+}
+
+// unpass takes a stream whose frontier was f out of passed, if it was in.
+func (c *collector) unpass(f int) {
+	if f <= c.sealedThrough+1 {
+		return
+	}
+	c.nPassed--
+	if c.passed[f]--; c.passed[f] == 0 {
+		delete(c.passed, f)
+	}
+}
+
+// allPassed reports whether the early seal is on and every export stream
+// has vouched past the next bin to seal.
+func (c *collector) allPassed() bool {
+	return c.armed && !c.untracked && c.nPassed == len(c.seq)
+}
+
+// sealTo raises the seal point to through (never lowers it), taking out of
+// passed every stream whose frontier the new next bin reaches. The walk
+// costs the smaller of the bins sealed and the frontiers held.
+func (c *collector) sealTo(through int) {
+	if through <= c.sealedThrough {
+		return
+	}
+	lo, hi := c.sealedThrough+1, through+1 // frontiers in (lo, hi] stop passing
+	drop := func(f int) {
+		c.nPassed -= c.passed[f]
+		delete(c.passed, f)
+	}
+	if hi-lo <= len(c.passed) {
+		for f := lo + 1; f <= hi; f++ {
+			drop(f)
+		}
+	} else {
+		for f := range c.passed {
+			if f <= hi {
+				drop(f)
+			}
+		}
+	}
+	c.sealedThrough = through
 }
 
 // reset re-anchors a stranded watermark at bin. Every open bin beyond
 // bin + MaxAhead is dropped as wild (their contents were the lie that
-// stranded the watermark), the streak clears, and the seal point rewinds to
-// lastClosed so the stream the watermark is re-anchored at can fill the
-// bins the stranded seal ran past. The rewind is sound because every bin
-// sealed so far was returned to the caller, which submitted it before its
-// next call, and nothing above lastClosed was.
+// stranded the watermark), the streak clears, every frontier is forgotten
+// (each was vouched against the stranded watermark), and the seal point
+// rewinds to lastClosed so the stream the watermark is re-anchored at can
+// fill the bins the stranded seal ran past. The rewind is sound because
+// every bin sealed so far was returned to the caller, which submitted it
+// before its next call, and nothing above lastClosed was.
 func (c *collector) reset(bin int) {
 	for b, acc := range c.bins {
 		if b > bin+c.cfg.MaxAhead {
@@ -267,6 +377,9 @@ func (c *collector) reset(bin int) {
 		}
 	}
 	c.sealedThrough = int(c.ctr.lastClosed.Load())
+	c.vouchGen++ // every frontier, at once
+	clear(c.passed)
+	c.nPassed = 0
 	c.behindStreak = 0
 	c.ctr.binsOpen.Store(int64(len(c.bins)))
 	c.ctr.watermark.Store(int64(bin))
@@ -279,10 +392,10 @@ func (c *collector) flush() []submittedBin {
 }
 
 // closeThrough moves the seal point up to through and detaches every open
-// bin at or below it, in ascending order (nil when none); lastClosed moves
-// to the highest bin returned. Bounds only rise between resets, and the
-// late gate keeps a sealed bin from reopening: every bin is returned once,
-// complete, in ascending order across calls.
+// bin at or below through, in ascending order (nil when none); lastClosed
+// moves to the highest bin returned. Bounds only rise between resets, and
+// the late gate keeps a sealed bin from reopening: every bin is returned
+// once, complete, in ascending order across calls.
 func (c *collector) closeThrough(through int) []submittedBin {
 	var out []submittedBin
 	for bin, acc := range c.bins {
@@ -294,7 +407,7 @@ func (c *collector) closeThrough(through int) []submittedBin {
 	for _, sb := range out {
 		delete(c.bins, sb.bin)
 	}
-	c.sealedThrough = max(c.sealedThrough, through)
+	c.sealTo(through)
 	c.ctr.binsOpen.Store(int64(len(c.bins)))
 	if len(out) > 0 {
 		c.ctr.lastClosed.Store(int64(out[len(out)-1].bin))

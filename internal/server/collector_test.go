@@ -97,6 +97,80 @@ func genCollectorSeq(rng *rand.Rand, recs []flowwire.Flow, nEngines int, cfg *Co
 	return seq
 }
 
+// genSkewSeq builds an in-order v5 datagram sequence over nEngines export
+// engines, each running zero or one bin behind the front — except for one
+// engine Grace+1 bins behind when beyond — with the disruptions the early
+// seal must survive: gaps later filled (a datagram held back a few steps),
+// one gap never filled (a datagram never sent), exporter restarts (a wild
+// sequence jump), the highest engine silent for the first hundred steps,
+// and a never-seen engine that no PoP owns and that sends one to three
+// datagrams.
+func genSkewSeq(rng *rand.Rand, recs []flowwire.Flow, nEngines int, cfg *Config, beyond bool) collectorSeq {
+	next := make([]uint32, nEngines+1)
+	lag := make([]int, nEngines+1)
+	for e := range lag {
+		lag[e] = rng.Intn(2)
+	}
+	if beyond {
+		lag[rng.Intn(nEngines)] = cfg.Grace + 1
+	}
+	stamp := func(bin int) uint32 { return cfg.Epoch + uint32(max(0, bin)*traffic.BinSeconds) }
+	encode := func(e int, id uint8, bin int) []byte {
+		rs := recs[:1+rng.Intn(len(recs))]
+		p, err := flowwire.EncodeV5Packet(flowwire.V5Header{UnixSecs: stamp(bin), FlowSequence: next[e], EngineID: id}, rs)
+		if err != nil {
+			panic(err)
+		}
+		next[e] += uint32(len(rs))
+		return p
+	}
+	type heldPkt struct {
+		at  int
+		pkt []byte
+	}
+	var (
+		seq    collectorSeq
+		held   []heldPkt
+		cur    int
+		lost   = 200 + rng.Intn(200)
+		stray  = 80 + rng.Intn(240)
+		strays = 1 + rng.Intn(3)
+	)
+	for step := 0; len(seq.pkts) < 400; step++ {
+		for len(held) > 0 && held[0].at <= step {
+			seq.pkts, held = append(seq.pkts, held[0].pkt), held[1:]
+		}
+		if rng.Intn(2*nEngines) == 0 { // each engine sends about twice a bin
+			cur++
+		}
+		if step >= stray && strays > 0 && (step-stray)%5 == 0 { // the never-seen engine
+			bin := cur
+			if step == stray {
+				bin -= rng.Intn(cfg.Grace + 1) // perhaps behind every other engine
+			}
+			seq.pkts = append(seq.pkts, encode(nEngines, 250, bin))
+			strays--
+			continue
+		}
+		e := rng.Intn(nEngines)
+		if e == nEngines-1 && step < 100 {
+			e = 0 // the highest engine is silent for its first hundred steps
+		}
+		pkt := encode(e, uint8(e), cur-lag[e])
+		switch k := rng.Intn(16); {
+		case step == lost: // the gap never filled
+		case k == 0: // a gap later filled
+			held = append(held, heldPkt{step + 1 + rng.Intn(4), pkt})
+		case k == 1: // an exporter restart
+			next[e] = rng.Uint32()
+			seq.pkts = append(seq.pkts, encode(e, uint8(e), cur-lag[e]))
+		default:
+			seq.pkts = append(seq.pkts, pkt)
+		}
+	}
+	return seq
+}
+
 // emitted is one bin the collector returned, as the detector would see it.
 type emitted struct {
 	bin                   int
@@ -105,10 +179,14 @@ type emitted struct {
 }
 
 // driveCollector feeds seq to a fresh collector and checks the
-// conservation invariants and the daemon-wide caps after every datagram.
-// It returns every bin emitted (the drain's flush included), the collector
-// and the most bins it ever held open.
-func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routing.Resolver, seq collectorSeq) ([]emitted, *collector, int) {
+// conservation invariants, the daemon-wide caps and the seal point after
+// every datagram: the seal point is never behind watermark − Grace, and a
+// seal beyond both that and where it was lies below every tracked stream's
+// vouched frontier, which refs tracks from the vouching rule's definition
+// against the cursor each datagram found. It returns every bin emitted (the
+// drain's flush included), the collector, the most bins it ever held open
+// and how many datagrams sealed beyond watermark − Grace.
+func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routing.Resolver, seq collectorSeq) ([]emitted, *collector, int, int) {
 	t.Helper()
 	c, err := newCollector(&cfg, top, res, nil)
 	if err != nil {
@@ -152,8 +230,17 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 			t.Fatalf("datagram %d: %d records emitted + %d open, want the %d accepted less %d discarded", i, emittedRecs, open, accepted, discarded)
 		}
 	}
+	refs := map[engineKey]int{} // vouched frontiers; absent is none
+	early := 0
 	for i, pkt := range seq.pkts {
 		before, badBefore, dupBefore, resets, wild := books(), c.ctr.badPackets.Load(), c.ctr.duplicates.Load(), c.ctr.watermarkResets.Load(), c.ctr.wildRecords.Load()
+		h, _, hdrErr := flowwire.DecodeV5Packet(pkt)
+		key := engineKey{flowwire.FormatNetFlowV5, uint32(h.EngineID)}
+		var cursor engineSeq // the cursor the datagram finds
+		if e := c.seq[key]; e != nil {
+			cursor = *e
+		}
+		sealedBefore, wmBefore := c.sealedThrough, int(c.ctr.watermark.Load())
 		take(c.ingest(pkt))
 		var drop uint64
 		if c.ctr.watermarkResets.Load() != resets {
@@ -178,6 +265,34 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 			t.Fatalf("datagram %d: %d records booked, want %d — each record of a binned datagram exactly once", i, moved, want)
 		}
 		check(i)
+
+		wm := int(c.ctr.watermark.Load())
+		switch delta := int32(h.FlowSequence - cursor.next); {
+		case c.ctr.watermarkResets.Load() != resets:
+			clear(refs)
+		case hdrErr != nil || want == 0 && c.ctr.duplicates.Load() != dupBefore || !cursor.started:
+		case delta > reorderTolerance || delta < -reorderTolerance:
+			delete(refs, key) // a restart
+		case delta == 0 && cursor.charged == 0:
+			bin := (int(h.UnixSecs) - int(cfg.Epoch)) / traffic.BinSeconds
+			if h.UnixSecs >= cfg.Epoch && bin > sealedBefore && (wmBefore < 0 || bin <= wmBefore+cfg.MaxAhead) {
+				if f, ok := refs[key]; !ok || min(bin, wm) > f {
+					refs[key] = min(bin, wm)
+				}
+			}
+		}
+		if c.sealedThrough < wm-cfg.Grace {
+			t.Fatalf("datagram %d: sealed through %d, behind watermark %d − Grace %d", i, c.sealedThrough, wm, cfg.Grace)
+		}
+		if c.sealedThrough > max(sealedBefore, wm-cfg.Grace) {
+			early++
+			for k := range c.seq {
+				if f, ok := refs[k]; !ok || c.sealedThrough >= f {
+					t.Fatalf("datagram %d: sealed through %d past watermark %d − Grace %d, but stream %v vouched only for %d (%v)",
+						i, c.sealedThrough, wm, cfg.Grace, k, f, ok)
+				}
+			}
+		}
 	}
 	take(c.flush())
 	check(len(seq.pkts))
@@ -188,7 +303,7 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 		t.Fatalf("bad %d (counted %d, made %d), duplicates %d (counted %d, made %d)",
 			bad, c.ctr.badPackets.Load(), seq.bad, dups, c.ctr.duplicates.Load(), seq.dups)
 	}
-	return out, c, maxOpen
+	return out, c, maxOpen, early
 }
 
 // TestCollectorConservation drives the collector alone — no Server,
@@ -200,6 +315,10 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 // discarded; emitted bins strictly ascend; and the open bins and engine
 // cursors stay within MaxOpenBins and maxEngineCursors across the daemon.
 // A third of the sequences run under a MaxOpenBins of 2, which they reach.
+// The seal point is checked after every datagram too (driveCollector), and
+// a further set of seeds runs skewed engines at Grace 3 to 6 (genSkewSeq),
+// where bins must close early and the laggards' records beyond Grace go
+// late.
 func TestCollectorConservation(t *testing.T) {
 	run := testRun(t)
 	ds := run.Dataset()
@@ -218,7 +337,7 @@ func TestCollectorConservation(t *testing.T) {
 		}
 		cfg = cfg.withDefaults()
 		seq := genCollectorSeq(rand.New(rand.NewSource(seed)), recs, ds.Top.NumPoPs(), &cfg, clean, stranded)
-		got, col, maxOpen := driveCollector(t, cfg, ds.Top, res, seq)
+		got, col, maxOpen, _ := driveCollector(t, cfg, ds.Top, res, seq)
 		capReached = capReached || maxOpen == cfg.MaxOpenBins
 		c := &col.ctr
 		seen.lateRecords.Add(c.lateRecords.Load())
@@ -236,6 +355,20 @@ func TestCollectorConservation(t *testing.T) {
 	}
 	if !capReached {
 		t.Fatal("no sequence ever held MaxOpenBins bins open: the cap check is vacuous")
+	}
+	var early, late int
+	for seed := int64(0); seed < 60; seed++ {
+		cfg := Config{Epoch: 10 * traffic.BinSeconds, Grace: 3 + int(seed%4), MaxAhead: 16}.withDefaults()
+		seq := genSkewSeq(rand.New(rand.NewSource(seed)), recs, ds.Top.NumPoPs(), &cfg, seed%2 == 1)
+		_, col, _, n := driveCollector(t, cfg, ds.Top, res, seq)
+		early += n
+		if col.ctr.lateRecords.Load() > 0 {
+			late++
+		}
+	}
+	t.Logf("skewed sequences: %d datagrams sealed early; %d of 60 booked late records", early, late)
+	if early == 0 || late == 0 {
+		t.Fatalf("the skewed sequences sealed early on %d datagrams, and %d of them booked late records: the seal checks are vacuous", early, late)
 	}
 	if seen.lateRecords.Load() == 0 || seen.wildRecords.Load() == 0 || seen.unroutable.Load() == 0 ||
 		seen.duplicates.Load() == 0 || seen.badPackets.Load() == 0 || seen.watermarkResets.Load() == 0 {

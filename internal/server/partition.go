@@ -63,9 +63,13 @@ type submittedBin struct {
 
 // gate runs one decoded batch through the gates, in order: sequence
 // dedupe, pre-epoch, late (at or below the seal point), wild (more than
-// MaxAhead past the watermark), accumulation, and the watermark vote. It
-// books every outcome and returns what the collector must do about the
-// watermark, and the batch's bin.
+// MaxAhead past the watermark), accumulation, the watermark vote and the
+// vouch. It books every outcome and returns what the collector must do
+// about the watermark, and the batch's bin.
+//
+// A batch that arrived exactly at its stream's cursor with no loss
+// outstanding vouches for its bin once it has passed the late and wild
+// gates: the stream, in order and complete so far, has moved on to it.
 //
 // Only routable traffic votes. Accepted traffic above the watermark votes
 // to raise it. Late traffic votes the watermark stranded when it runs more
@@ -76,7 +80,8 @@ type submittedBin struct {
 // batches count toward the one streak.
 func (c *collector) gate(b flowwire.Batch, recs []flowwire.Record) (action, int) {
 	pc := &c.proto[b.Format]
-	if !c.sequenceCheck(b) {
+	ok, inOrder := c.sequenceCheck(b)
+	if !ok {
 		c.ctr.duplicates.Add(1)
 		pc.duplicates.Add(1)
 		return actNone, 0
@@ -117,16 +122,22 @@ func (c *collector) gate(b flowwire.Batch, recs []flowwire.Record) (action, int)
 		c.ctr.wildRecords.Add(wild)
 	}
 	c.ctr.binsOpen.Store(int64(len(c.bins)))
-	if accepted == 0 {
-		return actNone, bin
+	act, wm := actNone, obs
+	if accepted > 0 {
+		c.ctr.records.Add(accepted)
+		pc.records.Add(accepted)
+		c.behindStreak = 0
+		if bin > obs {
+			act, wm = actRaise, bin
+		}
 	}
-	c.ctr.records.Add(accepted)
-	pc.records.Add(accepted)
-	c.behindStreak = 0
-	if bin > obs {
-		return actRaise, bin
+	if inOrder != nil {
+		// Capped at the watermark the batch leaves, so the early seal
+		// never runs past watermark − 1: at Grace 1 it seals nothing the
+		// grace rule does not.
+		c.vouch(inOrder, min(bin, wm))
 	}
-	return actNone, bin
+	return act, bin
 }
 
 // engineKey identifies one export stream. Sequence spaces are independent
@@ -150,15 +161,23 @@ type engineKey struct {
 // stream's earlier gap charged for it is refunded); otherwise an exporter restart,
 // which resets the cursor. Batches without sequence information (SeqNone)
 // pass through untracked.
-func (c *collector) sequenceCheck(b flowwire.Batch) bool {
+//
+// The stream is returned as in order when the batch sat exactly at its
+// started cursor with no loss charged to it: everything the stream sent
+// since its cursor (re)started has arrived. A stream's first batch since
+// then never is — nothing yet shows where its earlier batches are — and a
+// restart forgets what the stream vouched for.
+func (c *collector) sequenceCheck(b flowwire.Batch) (ok bool, inOrder *engineSeq) {
 	if b.SeqModel == flowwire.SeqNone {
-		return true
+		c.untracked = true
+		return true, nil
 	}
 	key := engineKey{b.Format, b.Engine}
 	e := c.seq[key]
 	if e == nil {
 		if len(c.seq) >= maxEngineCursors {
-			return true // accept, untracked: see maxEngineCursors
+			c.untracked = true
+			return true, nil // accept, untracked: see maxEngineCursors
 		}
 		e = &engineSeq{}
 		c.seq[key] = e
@@ -169,16 +188,20 @@ func (c *collector) sequenceCheck(b flowwire.Batch) bool {
 		e.started = true
 		e.next = b.Seq + b.SeqAdvance
 		e.remember(b.Seq)
-		return true
+		return true, nil
 	}
 	delta := int32(b.Seq - e.next) // uint32 arithmetic handles wraparound
 	switch {
+	case delta == 0 && e.charged == 0:
+		inOrder = e
+		e.next = b.Seq + b.SeqAdvance
 	case delta >= 0:
 		if delta > reorderTolerance {
 			// A forward jump too wild to be transit loss is the same event
 			// as the backward one: an exporter restart (or a spoofed
 			// sequence) — resynchronize rather than charging a phantom
 			// multi-billion-unit gap to the loss counters.
+			c.forget(e)
 			e.clear()
 		} else {
 			e.charged += uint64(delta)
@@ -189,7 +212,7 @@ func (c *collector) sequenceCheck(b flowwire.Batch) bool {
 		}
 		e.next = b.Seq + b.SeqAdvance
 	case e.seen(b.Seq):
-		return false
+		return false, nil
 	case delta >= -reorderTolerance:
 		// Reordered delivery: the gap this batch fell into was charged lost
 		// when its successor arrived first, so refund it — but no more than
@@ -207,10 +230,11 @@ func (c *collector) sequenceCheck(b flowwire.Batch) bool {
 	default:
 		// Exporter restart (or a spoofed wild sequence): resynchronize.
 		e.next = b.Seq + b.SeqAdvance
+		c.forget(e)
 		e.clear()
 	}
 	e.remember(b.Seq)
-	return true
+	return true, inOrder
 }
 
 // accumulate folds one packet's records into bin, resolving each record to
@@ -285,6 +309,11 @@ type engineSeq struct {
 	recent  [dedupeWindow]uint32
 	fill    int // entries of recent in use
 	pos     int // next ring slot to overwrite
+	// frontier is the highest bin of a batch the stream sent in order
+	// (sequenceCheck), valid while vouchGen is the collector's: the
+	// stream will send nothing stamped below it.
+	frontier int
+	vouchGen uint64
 }
 
 func (e *engineSeq) remember(seq uint32) {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"netwide/internal/dataset"
@@ -31,6 +32,12 @@ type ReplayConfig struct {
 	// export engine's packets stick to one socket, so every engine's
 	// sequence stream stays in order on its one path.
 	Conns int
+	// Lag skews one exporter: the highest PoP's export engine sends each
+	// bin's packets Lag bins late, in its own order, while the others send
+	// on time (0, the default, skews nothing). Its last Lag bins follow the
+	// others' last bin. Every packet keeps its bin's timestamp, so the
+	// collector sees an exporter Lag bins behind the rest.
+	Lag int
 	// Epoch is the Unix time stamped into bin From's packet headers (bin b
 	// is stamped Epoch + (b)*300); it must match the collector's Epoch.
 	// sFlow datagrams carry no wall clock: there the timestamp rides the
@@ -89,23 +96,64 @@ func Replay(ds *dataset.Dataset, cfg ReplayConfig) (ReplayStats, error) {
 	}
 
 	pace := newPacer(cfg.PacketsPerSecond)
-	for bin := cfg.From; bin < cfg.To; bin++ {
-		pkts, records, err := exps.encodeBin(bin, cfg.Epoch)
-		if err != nil {
-			return st, err
+	st.Records, err = exps.schedule(cfg.From, cfg.To, cfg.Lag, cfg.Epoch, func(pkt replayPacket) error {
+		pace.wait()
+		if _, err := conns[int(pkt.engine)%len(conns)].Write(pkt.data); err != nil {
+			return fmt.Errorf("server: replay send bin %d: %w", pkt.bin, err)
 		}
-		for _, pkt := range pkts {
-			pace.wait()
-			if _, err := conns[int(pkt.engine)%len(conns)].Write(pkt.data); err != nil {
-				return st, fmt.Errorf("server: replay send bin %d: %w", bin, err)
-			}
-			st.Packets++
-			st.Bytes += int64(len(pkt.data))
-		}
-		st.Records += records
-		st.Bins++
+		st.Packets++
+		st.Bytes += int64(len(pkt.data))
+		return nil
+	})
+	if err != nil {
+		return st, err
 	}
+	st.Bins = cfg.To - cfg.From
 	return st, nil
+}
+
+// schedule encodes bins [from, to) and hands every packet to send in
+// replay order, returning the records encoded: each bin's packets engine by
+// engine, except that with lag > 0 the highest PoP's engine holds its
+// packets back and sends bin b's after the others' bin b+lag, and its last
+// lag bins after the others' last bin.
+func (be *binExporters) schedule(from, to, lag int, epoch uint32, send func(replayPacket) error) (int, error) {
+	laggard := uint32(len(be.exps) - 1)
+	var held [][]replayPacket // the laggard's packets, a bin an entry
+	records := 0
+	for bin := from; bin < to; bin++ {
+		pkts, n, err := be.encodeBin(bin, epoch)
+		if err != nil {
+			return records, err
+		}
+		records += n
+		if lag > 0 {
+			own := slices.IndexFunc(pkts, func(p replayPacket) bool { return p.engine == laggard })
+			if own < 0 {
+				own = len(pkts)
+			}
+			// encodeBin lists packets engine by engine, so the laggard's,
+			// the highest engine's, are the tail; the others' slice is
+			// clipped so that appending to it leaves the tail alone.
+			pkts, held = pkts[:own:own], append(held, pkts[own:])
+		}
+		if len(held) > lag {
+			pkts, held = append(pkts, held[0]...), held[1:]
+		}
+		for _, p := range pkts {
+			if err := send(p); err != nil {
+				return records, err
+			}
+		}
+	}
+	for _, pkts := range held {
+		for _, p := range pkts {
+			if err := send(p); err != nil {
+				return records, err
+			}
+		}
+	}
+	return records, nil
 }
 
 // binExporters regenerates and encodes one bin at a time: one export
@@ -145,6 +193,7 @@ func newBinExporters(ds *dataset.Dataset, format flowwire.Format) (*binExporters
 // source socket.
 type replayPacket struct {
 	engine uint32
+	bin    int
 	data   []byte
 }
 
@@ -180,7 +229,7 @@ func (be *binExporters) encodeBin(bin int, epoch uint32) ([]replayPacket, int, e
 			return nil, 0, fmt.Errorf("server: replay flush bin %d: %w", bin, err)
 		}
 		for _, data := range exp.Drain() {
-			pkts = append(pkts, replayPacket{engine: uint32(i), data: data})
+			pkts = append(pkts, replayPacket{engine: uint32(i), bin: bin, data: data})
 		}
 	}
 	return pkts, records, nil

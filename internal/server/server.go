@@ -14,8 +14,9 @@
 // pipeline does it, accumulation into per-bin byte/packet/flow vectors,
 // and the watermark vote. Every export engine bins into the one set of
 // open bins. The collector acts on the vote: it raises the watermark and
-// seals every bin through watermark − Grace, and the Server submits those
-// bins to the one StreamDetector before the datagram's caller returns.
+// seals every bin that every export stream has passed, and at the latest
+// every bin through watermark − Grace, and the Server submits those bins
+// to the one StreamDetector before the datagram's caller returns.
 //
 // The daemon reads one UDP socket with one goroutine; any number of
 // exporters may send into it. The Server holds ingestMu for a whole
@@ -82,11 +83,15 @@ type Config struct {
 	// in bin (UnixSecs-Epoch)/300. Replayed datasets use Epoch 0 and stamp
 	// headers with bin*300 directly.
 	Epoch uint32
-	// Grace is the reorder window in bins: a bin closes (and is submitted
-	// to the detector) once a record arrives for a bin Grace or more bins
-	// ahead of it, so packets delayed or reordered across a bin boundary
-	// still land in their bin. Records for already-closed bins are counted
-	// late and dropped. Default 1.
+	// Grace is the longest a bin waits for a lagging exporter, in bins: a
+	// bin closes (and is submitted to the detector) once every export
+	// stream has sent, in sequence, a datagram for a later bin, and at the
+	// latest once a record arrives for a bin Grace or more bins ahead of
+	// it, so packets delayed or reordered across a bin boundary still land
+	// in their bin. The early close waits for the grace rule to seal once
+	// after the daemon starts, and is off while any stream goes untracked
+	// (DESIGN.md E40). At Grace 1 the two close the same bins. Records
+	// for already-closed bins are counted late and dropped. Default 1.
 	Grace int
 	// MaxAhead bounds how far ahead of the watermark a packet's bin may
 	// claim to be (default 64 bins ≈ 5.3 hours). The bin timestamp is

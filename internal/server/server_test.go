@@ -72,18 +72,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	// compared against the same anomaly set.
 	var batchKeys []string
 	if fullParity {
-		if err := run.Detect(netwide.DefaultDetectOptions()); err != nil {
-			t.Fatal(err)
-		}
-		batch := run.Characterize()
-		if len(batch) == 0 {
-			t.Fatal("batch path characterized nothing; parity check is vacuous")
-		}
-		batchKeys = make([]string, len(batch))
-		for i, a := range batch {
-			batchKeys[i] = anomalyKey(a)
-		}
-		sort.Strings(batchKeys)
+		batchKeys = batchAnomalyKeys(t, run)
 	}
 
 	cfg := Config{HTTPAddr: "127.0.0.1:0", Detect: netwide.DefaultDetectOptions()}
@@ -91,19 +80,56 @@ func TestLoopbackEndToEnd(t *testing.T) {
 		format := format
 		t.Run(format.String(), func(t *testing.T) {
 			t.Parallel()
-			loopbackLeg(t, run, bins, batchKeys, fullParity, format, cfg, 2)
+			loopbackLeg(t, run, batchKeys, fullParity, cfg, ReplayConfig{Format: format, To: bins, Conns: 2})
 		})
 	}
 	t.Run("netflow5-plain", func(t *testing.T) {
 		t.Parallel()
-		loopbackLeg(t, run, bins, batchKeys, fullParity, flowwire.FormatNetFlowV5, cfg, 1)
+		loopbackLeg(t, run, batchKeys, fullParity, cfg, ReplayConfig{Format: flowwire.FormatNetFlowV5, To: bins, Conns: 1})
 	})
 }
 
-// loopbackLeg replays bins [0, bins) over loopback from conns exporter
-// sockets into a daemon built from cfg and asserts the full lossless-parity
-// contract.
-func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, fullParity bool, format flowwire.Format, cfg Config, conns int) {
+// awaitBooked polls until every record sent has been booked, accepted or
+// not: UDP offers no delivery handshake, so only the deadline proves loss.
+// The caller's assertions then say where the ones not accepted went.
+func awaitBooked(t *testing.T, srv *Server, sent ReplayStats) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st := srv.Stats()
+		if st.Records+st.LateRecords+st.WildRecords+st.Unroutable >= uint64(sent.Records) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ingested %d of %d sent records after 60s (lost=%d bad=%d late=%d): UDP loss breaks parity — lower the replay rate",
+				st.Records, sent.Records, st.LostRecords, st.BadPackets, st.LateRecords)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// batchAnomalyKeys is the batch Detect + Characterize anomaly set of run,
+// as sorted anomaly keys: the reference a full-week replay must match.
+func batchAnomalyKeys(t *testing.T, run *netwide.Run) []string {
+	t.Helper()
+	if err := run.Detect(netwide.DefaultDetectOptions()); err != nil {
+		t.Fatal(err)
+	}
+	batch := run.Characterize()
+	if len(batch) == 0 {
+		t.Fatal("batch path characterized nothing; parity check is vacuous")
+	}
+	keys := make([]string, len(batch))
+	for i, a := range batch {
+		keys[i] = anomalyKey(a)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// loopbackLeg replays bins [0, rc.To) over loopback as rc says into a
+// daemon built from cfg and asserts the full lossless-parity contract.
+func loopbackLeg(t *testing.T, run *netwide.Run, batchKeys []string, fullParity bool, cfg Config, rc ReplayConfig) {
 	t.Helper()
 	cfg.Stream = parityStream(run)
 	srv, err := New(run, cfg)
@@ -114,35 +140,18 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 		t.Fatal(err)
 	}
 
-	sent, err := Replay(run.Dataset(), ReplayConfig{
-		Addr:             srv.UDPAddr().String(),
-		Format:           format,
-		From:             0,
-		To:               bins,
-		PacketsPerSecond: 10000,
-		Conns:            conns,
-	})
+	bins := rc.To
+	rc.Addr, rc.PacketsPerSecond = srv.UDPAddr().String(), 10000
+	sent, err := Replay(run.Dataset(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	format := rc.Format
 	if sent.Records == 0 || sent.Packets == 0 {
 		t.Fatalf("replay sent nothing: %+v", sent)
 	}
 
-	// UDP offers no delivery handshake: poll until every sent record
-	// has been counted (or the deadline proves loss).
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st := srv.Stats()
-		if st.Records == uint64(sent.Records) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ingested %d of %d sent records after 60s (lost=%d bad=%d late=%d): UDP loss breaks parity — lower the replay rate",
-				st.Records, sent.Records, st.LostRecords, st.BadPackets, st.LateRecords)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	awaitBooked(t, srv, sent)
 
 	// Exercise the HTTP surface while the daemon is still live.
 	base := "http://" + srv.HTTPAddr().String()
@@ -165,6 +174,14 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 	resp.Body.Close()
 	if httpStats.Records != uint64(sent.Records) {
 		t.Fatalf("stats endpoint reports %d records, want %d", httpStats.Records, sent.Records)
+	}
+
+	if rc.Lag > 0 {
+		// The laggard has sent its last bin: every earlier bin closed once
+		// it had passed it, though the grace rule alone holds Grace open.
+		if st := srv.Stats(); st.BinsOpen != 1 || st.LastClosed != bins-2 {
+			t.Fatalf("before the drain %d bins open, closed through %d; want only bin %d open", st.BinsOpen, st.LastClosed, bins-1)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -269,7 +286,7 @@ func TestAPIVersionAliases(t *testing.T) {
 // collectRecords regenerates resolved records from origin PoP 0 cells of
 // one bin until it has n of them — real, resolvable payloads for crafted
 // packets.
-func collectRecords(t *testing.T, run *netwide.Run, n int) []flowwire.Flow {
+func collectRecords(t testing.TB, run *netwide.Run, n int) []flowwire.Flow {
 	t.Helper()
 	ds := run.Dataset()
 	var recs []flowwire.Flow
