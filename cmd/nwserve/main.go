@@ -150,8 +150,13 @@ func main() {
 	log.Printf("ingested %d packets / %d records (%d lost, %d duplicate pkts, %d late, %d unroutable, %d bad pkts) across %d bins",
 		st.Packets, st.Records, st.LostRecords, st.Duplicates, st.LateRecords, st.Unroutable, st.BadPackets, st.BinsClosed)
 	anoms := srv.Anomalies()
-	cli.PrintAnomalies(anoms)
-	log.Printf("characterized %d anomalies", len(anoms))
+	if err := srv.Stats().LedgerErr; err != "" {
+		// The restored ledger failed its check: print none of it.
+		log.Printf("anomaly ledger unreadable (%s): %d anomalies on it not shown", err, srv.Stats().Anomalies)
+	} else {
+		cli.PrintAnomalies(anoms)
+		log.Printf("characterized %d anomalies", len(anoms))
+	}
 	if drainErr != nil {
 		log.Fatalf("drain: %v", drainErr)
 	}

@@ -19,16 +19,23 @@
 // WriteFile is atomic: the snapshot lands in a temp file, is fsynced,
 // and only then renamed over the previous checkpoint — a crash mid-write
 // (torn write, full disk, power cut) leaves the previous snapshot intact.
+//
+// The anomaly ledger is not in the snapshot. Its bytes go to an
+// append-only file beside it (LedgerPath), each anomaly once, and the
+// snapshot records the ledger's count, length and CRC-32C. WriteFile
+// appends what the file lacks and fsyncs it before the snapshot that
+// counts it is written, so the file never holds less than a snapshot on
+// disk counts; a restore reads none of it (ledger.go; DESIGN.md E41).
 package checkpoint
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"netwide"
 	"netwide/internal/fault"
@@ -48,7 +55,7 @@ const gobMagic = "NWCPv1\r\n"
 // state, so the safe response to an unknown format is to rebuild from
 // scratch. Any change to the bytes codec.go writes bumps it
 // (TestGoldenBytes fails until it does).
-const Version = 7
+const Version = 8
 
 // MaxFileSize is the largest file ReadFile and Read accept. The default
 // lifecycle's snapshot at geant is 22 MB (three rolling one-week windows);
@@ -65,6 +72,11 @@ const (
 	FaultSync = "checkpoint.sync"
 	// FaultRename fires before the rename that publishes the snapshot.
 	FaultRename = "checkpoint.rename"
+	// FaultLedgerWrite wraps the ledger file's append, which comes before
+	// the snapshot's temp file is made.
+	FaultLedgerWrite = "checkpoint.ledger.write"
+	// FaultLedgerSync fires before the appended ledger bytes are fsynced.
+	FaultLedgerSync = "checkpoint.ledger.sync"
 )
 
 // OpenBin is one still-accumulating timebin: the three per-OD vectors and
@@ -179,7 +191,8 @@ type State struct {
 	// open events), captured at a pipeline barrier.
 	Stream netwide.StreamCheckpoint
 	// Anomalies is the characterized-anomaly ledger as of the barrier, in
-	// its snapshot encoding (ledger.go).
+	// its file encoding (ledger.go). The snapshot holds its count, length
+	// and checksum; WriteFile appends its new bytes to the ledger file.
 	Anomalies Ledger
 }
 
@@ -200,8 +213,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // fit, a snapshot allocates nothing. The zero value is ready to use; an
 // Encoder is not safe for concurrent use (the daemon's one writer goroutine
 // owns one). The bytes written are those of the package-level Write.
+// WriteFile keeps the ledger file open and knows how much of it is on disk,
+// so each snapshot appends only the anomalies added since the last; Close
+// lets the file go.
 type Encoder struct {
-	w writer
+	w  writer
+	lf ledgerFile
 }
 
 // Write writes st to w as one Write call, stamping the current Version. It
@@ -275,12 +292,16 @@ func decode(file []byte) (*State, error) {
 	return st, nil
 }
 
-// WriteFile atomically replaces path with the snapshot: write to a temp
-// file in the same directory, fsync, rename over path, fsync the
+// WriteFile atomically replaces path with the snapshot: append the
+// ledger's new bytes to LedgerPath(path) and fsync them, then write to a
+// temp file in the same directory, fsync, rename over path, fsync the
 // directory. A failure at any step (including every injected one) leaves
-// the previous checkpoint at path untouched and cleans up the temp file.
-// inj may be nil (production).
+// the previous checkpoint at path untouched, and restorable with its
+// ledger, and cleans up the temp file. inj may be nil (production).
 func (e *Encoder) WriteFile(path string, st *State, inj *fault.Injector) error {
+	if err := e.appendLedger(LedgerPath(path), &st.Anomalies, inj); err != nil {
+		return fmt.Errorf("checkpoint: write %s: %w", path, err)
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -306,23 +327,27 @@ func (e *Encoder) WriteFile(path string, st *State, inj *fault.Injector) error {
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
-	// Make the rename itself durable. Best effort: some filesystems refuse
-	// directory fsync, and the data is already safe in the file.
-	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
-		d.Sync()
-		d.Close()
-	}
+	// Make the rename itself durable.
+	syncDir(path)
 	return nil
 }
 
 // WriteFile atomically replaces path with the snapshot; see
-// Encoder.WriteFile.
+// Encoder.WriteFile. A fresh Encoder takes LedgerPath(path) to hold st's
+// restored ledger prefix and appends every anomaly st holds in memory, so
+// a state read from one path and written to another needs its ledger file
+// copied beside the new path first.
 func WriteFile(path string, st *State, inj *fault.Injector) error {
-	return new(Encoder).WriteFile(path, st, inj)
+	var e Encoder
+	defer e.Close()
+	return e.WriteFile(path, st, inj)
 }
 
 // ReadFile reads and verifies the snapshot at path: one read sized by the
-// file's length, under MaxFileSize.
+// file's length, under MaxFileSize, and one stat of its ledger file, which
+// must hold at least the bytes the snapshot counts (more is the tail of a
+// run that died before its next snapshot). The ledger's bytes are not
+// read: the first Ledger.Anomalies does that.
 func ReadFile(path string) (*State, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -340,5 +365,21 @@ func ReadFile(path string) (*State, error) {
 	if _, err := io.ReadFull(f, file); err != nil {
 		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	return decode(file)
+	st, err := decode(file)
+	if err != nil {
+		return nil, err
+	}
+	if b := st.Anomalies.base; b != nil {
+		b.path = LedgerPath(path)
+		var held int64
+		if fi, err := os.Stat(b.path); err == nil {
+			held = fi.Size()
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("checkpoint: ledger: %w", err)
+		}
+		if held < b.size {
+			return nil, fmt.Errorf("checkpoint: ledger file %s holds %d bytes, the snapshot counts %d: truncated or lost ledger", b.path, held, b.size)
+		}
+	}
+	return st, nil
 }

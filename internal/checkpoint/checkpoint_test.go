@@ -107,6 +107,15 @@ func savedBytes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// sameState reports whether got, read back, is want: every field equal,
+// and the ledger counted with want's count, length and checksum.
+func sameState(got, want *State) bool {
+	g, w := *got, *want
+	gl, wl := g.Anomalies, w.Anomalies
+	g.Anomalies, w.Anomalies = Ledger{}, Ledger{}
+	return reflect.DeepEqual(&g, &w) && gl.n == wl.n && gl.size() == wl.size() && gl.crc == wl.crc
+}
+
 func TestRoundTrip(t *testing.T) {
 	st, err := Read(bytes.NewReader(savedBytes(t)))
 	if err != nil {
@@ -114,8 +123,30 @@ func TestRoundTrip(t *testing.T) {
 	}
 	want := sampleState()
 	want.Version = Version
-	if !reflect.DeepEqual(st, want) {
+	if !sameState(st, want) {
 		t.Fatalf("round trip changed the state:\n got %+v\nwant %+v", st, want)
+	}
+	// Read has no file to take the ledger's bytes from.
+	if _, err := st.Anomalies.Anomalies(); err == nil || !strings.Contains(err.Error(), "without its ledger file") {
+		t.Fatalf("a ledger read without its file: %v", err)
+	}
+	// Through the files, the ledger's anomalies come back too, on the first
+	// read and not before.
+	path := filepath.Join(t.TempDir(), "daemon.nwcp")
+	if err := WriteFile(path, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameState(got, want) || got.Anomalies.base == nil || got.Anomalies.base.body != nil {
+		t.Fatalf("file round trip changed the state, or read the ledger:\n got %+v\nwant %+v", got, want)
+	}
+	anoms, err := got.Anomalies.Anomalies()
+	wantAnoms, _ := want.Anomalies.Anomalies()
+	if err != nil || !reflect.DeepEqual(anoms, wantAnoms) {
+		t.Fatalf("the restored ledger reads %+v (%v), want %+v", anoms, err, wantAnoms)
 	}
 }
 
@@ -215,7 +246,8 @@ func TestReadGobSnapshot(t *testing.T) {
 		Server    ServerState
 		Stream    netwide.StreamCheckpoint
 		Anomalies []netwide.Anomaly
-	}{4, st.Topology, st.Server, st.Stream, st.Anomalies.Anomalies()}
+	}{4, st.Topology, st.Server, st.Stream, nil}
+	old4.Anomalies, _ = st.Anomalies.Anomalies()
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(old4); err != nil {
 		t.Fatal(err)
@@ -298,20 +330,33 @@ func TestWriteFileFailuresPreserveOldSnapshot(t *testing.T) {
 		{"disk full on sync", func(inj *fault.Injector) { inj.Arm(FaultSync, fault.Fault{Err: fault.ErrDiskFull}) }},
 		{"rename fails", func(inj *fault.Injector) { inj.Arm(FaultRename, fault.Fault{Err: fault.ErrDiskFull}) }},
 	}
+	cases = append(cases, []struct {
+		name string
+		arm  func(inj *fault.Injector)
+	}{
+		{"torn ledger append", func(inj *fault.Injector) { inj.ArmTornWrite(FaultLedgerWrite, 7) }},
+		{"disk full on ledger append", func(inj *fault.Injector) { inj.Arm(FaultLedgerWrite, fault.Fault{Err: fault.ErrDiskFull}) }},
+		{"disk full on ledger sync", func(inj *fault.Injector) { inj.Arm(FaultLedgerSync, fault.Fault{Err: fault.ErrDiskFull}) }},
+	}...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "daemon.nwcp")
+			// One Encoder, as the daemon's writer keeps: the second snapshot
+			// appends one anomaly to the ledger file.
+			var enc Encoder
+			defer enc.Close()
 			old := sampleState()
 			old.Server.Watermark = 123
-			if err := WriteFile(path, old, nil); err != nil {
+			if err := enc.WriteFile(path, old, nil); err != nil {
 				t.Fatal(err)
 			}
 			inj := fault.NewInjector()
 			tc.arm(inj)
 			next := sampleState()
 			next.Server.Watermark = 456
-			if err := WriteFile(path, next, inj); err == nil {
+			next.Anomalies.Append(netwide.Anomaly{Class: "DOS", ODs: []string{"b->a"}})
+			if err := enc.WriteFile(path, next, inj); err == nil {
 				t.Fatal("injected failure produced a nil error")
 			}
 			got, err := ReadFile(path)
@@ -321,10 +366,99 @@ func TestWriteFileFailuresPreserveOldSnapshot(t *testing.T) {
 			if got.Server.Watermark != 123 {
 				t.Fatalf("previous snapshot replaced by failed write (watermark %d)", got.Server.Watermark)
 			}
+			if anoms, err := got.Anomalies.Anomalies(); err != nil || len(anoms) != 1 {
+				t.Fatalf("previous snapshot's ledger reads %d anomalies (%v), want 1", len(anoms), err)
+			}
 			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("failed write left temp file behind: %v", err)
 			}
+			// The next snapshot through the same Encoder cuts the failed
+			// append's bytes and appends again.
+			if err := enc.WriteFile(path, next, nil); err != nil {
+				t.Fatal(err)
+			}
+			got, err = ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if anoms, err := got.Anomalies.Anomalies(); err != nil || len(anoms) != 2 || anoms[1].Class != "DOS" {
+				t.Fatalf("the snapshot after the failure reads %+v (%v)", anoms, err)
+			}
 		})
+	}
+}
+
+// TestLedgerFileAgainstSnapshot: the ledger file may run past what its
+// snapshot counts — the tail of a run that died before its next snapshot,
+// cut back before the next append — but never fall short of it, which
+// forces a cold start. A file of the right length with a wrong byte still
+// restores, and its first reader gets the checksum error.
+func TestLedgerFileAgainstSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "daemon.nwcp")
+	lpath := LedgerPath(path)
+	st := sampleState()
+	if err := WriteFile(path, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	size := st.Anomalies.size()
+	good, err := os.ReadFile(lpath)
+	if err != nil || int64(len(good)) != size {
+		t.Fatalf("ledger file of %d bytes (%v), want %d", len(good), err, size)
+	}
+
+	// Longer: restores and reads; the restored Encoder cuts the tail.
+	if err := os.WriteFile(lpath, append(bytes.Clone(good), "a dead run's tail"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if anoms, err := got.Anomalies.Anomalies(); err != nil || len(anoms) != 1 {
+		t.Fatalf("a longer ledger file reads %d anomalies (%v)", len(anoms), err)
+	}
+	got.Anomalies.Append(netwide.Anomaly{Class: "SCAN"})
+	if err := WriteFile(path, got, nil); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if anoms, err := again.Anomalies.Anomalies(); err != nil || len(anoms) != 2 || anoms[1].Class != "SCAN" {
+		t.Fatalf("after the cut and an append the ledger reads %+v (%v)", anoms, err)
+	}
+	if err := WriteFile(path, st, nil); err != nil { // back to one anomaly
+		t.Fatal(err)
+	}
+
+	// Shorter, or gone: the snapshot does not restore.
+	for name, cut := range map[string]func() error{
+		"shorter": func() error { return os.WriteFile(lpath, good[:len(good)-1], 0o644) },
+		"missing": func() error { return os.Remove(lpath) },
+	} {
+		if err := cut(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "truncated or lost ledger") {
+			t.Fatalf("%s ledger file: %v", name, err)
+		}
+	}
+
+	// Corrupt at the right length: restores, and the first reader is told.
+	bad := bytes.Clone(good)
+	bad[len(bad)/2] ^= 0x10
+	if err := os.WriteFile(lpath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadFile(path)
+	if err != nil {
+		t.Fatalf("a corrupt ledger of the right length fails the restore: %v", err)
+	}
+	for range 2 {
+		if anoms, err := got.Anomalies.Anomalies(); err == nil || anoms != nil || !strings.Contains(err.Error(), "ledger checksum mismatch") {
+			t.Fatalf("a corrupt ledger reads %d anomalies (%v)", len(anoms), err)
+		}
 	}
 }
 

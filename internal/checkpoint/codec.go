@@ -16,8 +16,9 @@ package checkpoint
 //
 // A field added to State or a nested type needs a line in the writer and the
 // reader below and a Version bump; TestCodecRoundTripsEveryField fails until
-// it has them. The anomalies section is the exception: the ledger keeps it
-// encoded, and its writer, check and decoder are in ledger.go.
+// it has them. The anomalies section is the exception: it holds only the
+// ledger's count, length and checksum, and the ledger's bytes live in their
+// own file (ledger.go).
 
 import (
 	"encoding/binary"
@@ -386,13 +387,20 @@ func (r *reader) bool() bool {
 // make the caller allocate more than a fixed multiple of the input.
 func (r *reader) count(what string, elem int) int {
 	n := r.u32()
-	if r.err == nil && uint64(n) > uint64((len(r.buf)-r.off)/elem) {
-		r.failf("%d %s need at least %d bytes, %d remain", n, what, uint64(n)*uint64(elem), len(r.buf)-r.off)
-	}
-	if r.err != nil {
+	if r.err != nil || !r.fits(n, what, elem) {
 		return 0
 	}
 	return int(n)
+}
+
+// fits is count's check of n elements of at least elem bytes against the
+// bytes left, failing r when they cannot be there.
+func (r *reader) fits(n uint32, what string, elem int) bool {
+	if uint64(n) > uint64((len(r.buf)-r.off)/elem) {
+		r.failf("%d %s need at least %d bytes, %d remain", n, what, uint64(n)*uint64(elem), len(r.buf)-r.off)
+		return false
+	}
+	return true
 }
 
 func (r *reader) str(what string) string {
@@ -551,7 +559,7 @@ func (r *reader) state(st *State) {
 	sec.stream(&st.Stream, st)
 	r.close(&sec)
 	sec = r.section("anomalies")
-	st.Anomalies = sec.ledger()
+	st.Anomalies = sec.ledgerMark()
 	r.close(&sec)
 	if r.err == nil && r.off != len(r.buf) {
 		r.name = "payload"

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -124,24 +125,26 @@ func TestCodecRoundTripsEveryField(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, st) {
+		if !sameState(got, st) {
 			t.Fatalf("seed %d: a field did not survive Write -> Read:\n got %+v\nwant %+v", seed, got, st)
 		}
-		// The ledger's bytes came back; each anomaly's fields must too.
+		// The ledger's count and checksum came back; each anomaly's fields
+		// must come back from its bytes.
 		var want []netwide.Anomaly
 		fillRandom(t, rand.New(rand.NewSource(seed)), reflect.ValueOf(&want).Elem(), "[]Anomaly")
-		if l := ledgerOf(want...); !reflect.DeepEqual(l.Anomalies(), want) {
-			t.Fatalf("seed %d: an anomaly field did not survive Append -> Anomalies:\n got %+v\nwant %+v", seed, l.Anomalies(), want)
+		l := ledgerOf(want...)
+		if anoms, err := l.Anomalies(); err != nil || !reflect.DeepEqual(anoms, want) {
+			t.Fatalf("seed %d: an anomaly field did not survive Append -> Anomalies (%v):\n got %+v\nwant %+v", seed, err, anoms, want)
 		}
 	}
 }
 
 // TestGoldenBytes pins the format: sampleState must encode to exactly the
-// bytes in testdata/sample_v7.hex. If this fails the format changed — bump
+// bytes in testdata/sample_v8.hex. If this fails the format changed — bump
 // Version (files written before the change must cold-start, not misdecode),
 // then replace the file with the hex this test prints.
 func TestGoldenBytes(t *testing.T) {
-	golden, err := os.ReadFile("testdata/sample_v7.hex")
+	golden, err := os.ReadFile("testdata/sample_v8.hex")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +158,7 @@ func TestGoldenBytes(t *testing.T) {
 		for h := hex.EncodeToString(got); len(h) > 0; h = h[min(64, len(h)):] {
 			wrapped.WriteString(h[:min(64, len(h))] + "\n")
 		}
-		t.Fatalf("format drift: sampleState no longer encodes to testdata/sample_v7.hex (%d bytes, golden %d). Bump Version, then store:\n%s",
+		t.Fatalf("format drift: sampleState no longer encodes to testdata/sample_v8.hex (%d bytes, golden %d). Bump Version, then store:\n%s",
 			len(got), len(want), wrapped.String())
 	}
 	if v := binary.LittleEndian.Uint32(want[offVersion:]); v != Version {
@@ -319,11 +322,10 @@ func randomAnomaly(rng *rand.Rand) netwide.Anomaly {
 }
 
 // refAnomalies is the field-by-field decoder that read the anomalies
-// section until the ledger was kept encoded: the oracle for the one-pass
-// check and for Ledger.Anomalies.
-func refAnomalies(r *reader) []netwide.Anomaly {
-	n := r.count("anomalies", minAnomaly)
-	if n == 0 {
+// section until the ledger was kept encoded, given the count the snapshot
+// holds: the oracle for the one-pass check and for Ledger.Anomalies.
+func refAnomalies(r *reader, n int) []netwide.Anomaly {
+	if !r.fits(uint32(n), "anomalies", minAnomaly) || n == 0 {
 		return nil
 	}
 	out := make([]netwide.Anomaly, n)
@@ -347,88 +349,63 @@ func refAnomalies(r *reader) []netwide.Anomaly {
 	return out
 }
 
-// sameLedgerRead reads one anomalies section both ways, as decode's section
-// reader and its close would: the one-pass check must refuse exactly where
-// the field-by-field decoder does, with the same error, and what it accepts
-// must decode to what that decoder returned.
-func sameLedgerRead(t *testing.T, what string, sec []byte) (refused bool) {
-	t.Helper()
-	var outer reader
-	ref := reader{buf: sec, name: "anomalies"}
-	want := refAnomalies(&ref)
-	outer.close(&ref)
-	got := reader{buf: sec, name: "anomalies"}
-	l := got.ledger()
-	var outer2 reader
-	outer2.close(&got)
-	if fmt.Sprint(outer.err) != fmt.Sprint(outer2.err) {
-		t.Fatalf("%s: the field-by-field decoder says %v, the one-pass check %v", what, outer.err, outer2.err)
+// leftover fails r, as checkLedger does, when bytes follow the anomalies.
+func leftover(r *reader) {
+	if r.err == nil && r.off != len(r.buf) {
+		r.failf("%d bytes left over", len(r.buf)-r.off)
 	}
-	if outer.err != nil {
+}
+
+// sameLedgerRead reads the n anomalies of one ledger file both ways: the
+// one-pass check must refuse exactly where the field-by-field decoder
+// does, with the same error, and what it accepts must decode to what that
+// decoder returned.
+func sameLedgerRead(t *testing.T, what string, n int, b []byte) (refused bool) {
+	t.Helper()
+	ref := reader{buf: b, name: "ledger"}
+	want := refAnomalies(&ref, n)
+	leftover(&ref)
+	got := reader{buf: b, name: "ledger"}
+	ods := got.ledger(n)
+	leftover(&got)
+	if fmt.Sprint(ref.err) != fmt.Sprint(got.err) {
+		t.Fatalf("%s: the field-by-field decoder says %v, the one-pass check %v", what, ref.err, got.err)
+	}
+	// And through checkLedger, behind a length and a checksum that hold.
+	if _, err := checkLedger(n, int64(len(b)), crc32.Checksum(b, castagnoli), b); int64(n) <= int64(len(b))/minAnomaly && (n > 0 || len(b) == 0) && fmt.Sprint(err) != fmt.Sprint(ref.err) {
+		t.Fatalf("%s: checkLedger says %v, the field-by-field decoder %v", what, err, ref.err)
+	}
+	if ref.err != nil {
 		return true
 	}
-	if l.Len() != len(want) || !reflect.DeepEqual(l.Anomalies(), want) {
-		t.Fatalf("%s: the adopted ledger decodes to\n%+v\nthe field-by-field decoder read\n%+v", what, l.Anomalies(), want)
+	l := Ledger{n: n, ods: ods, w: writer{buf: b}}
+	if anoms, err := l.Anomalies(); err != nil || len(anoms) != len(want) || !reflect.DeepEqual(anoms, want) {
+		t.Fatalf("%s: the checked ledger decodes to\n%+v (%v)\nthe field-by-field decoder read\n%+v", what, anoms, err, want)
 	}
-	if again := ledgerOf(want...); !bytes.Equal(again.w.buf, l.w.buf) || again.n != l.n || again.ods != l.ods {
-		t.Fatalf("%s: the adopted ledger is not the one Append builds from its anomalies", what)
+	if again := ledgerOf(want...); !bytes.Equal(again.w.buf, b) || again.n != n || again.ods != ods {
+		t.Fatalf("%s: the checked ledger is not the one Append builds from its anomalies", what)
 	}
 	return false
 }
 
-// anomaliesSection returns the anomalies section of an encoded payload,
-// without its length: the last of the four.
-func anomaliesSection(t *testing.T, payload []byte) []byte {
-	t.Helper()
-	at := 0
-	for range 3 {
-		at += 4 + int(binary.LittleEndian.Uint32(payload[at:]))
-	}
-	sec := payload[at+4:]
-	if int(binary.LittleEndian.Uint32(payload[at:])) != len(sec) {
-		t.Fatal("the anomalies section is not the payload's last")
-	}
-	return sec
-}
-
-// TestLedgerMatchesReference: the one-pass check and Ledger.Anomalies
-// against refAnomalies, on the golden file's section and every truncation
-// of it, on random ledgers (empty strings, no-OD anomalies, 10k entries)
-// and on those ledgers with bytes flipped and cut.
+// TestLedgerMatchesReference: the one-pass check, checkLedger and
+// Ledger.Anomalies against refAnomalies, on sampleState's ledger and every
+// truncation of it, on random ledgers (empty strings, no-OD anomalies, 10k
+// entries) and on those ledgers with bytes flipped and cut and counts
+// moved.
 func TestLedgerMatchesReference(t *testing.T) {
-	golden, err := os.ReadFile("testdata/sample_v7.hex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, err := hex.DecodeString(strings.Join(strings.Fields(string(golden)), ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := file[headerLen:]
-	sec := anomaliesSection(t, payload)
-	if sameLedgerRead(t, "golden", sec) {
-		t.Fatal("the golden section is refused")
+	sample := sampleState().Anomalies
+	if sameLedgerRead(t, "sample", sample.n, sample.w.buf) {
+		t.Fatal("sampleState's ledger is refused")
 	}
 	refusals := 0
-	for n := range len(sec) {
-		cut := sec[:n]
-		if sameLedgerRead(t, fmt.Sprintf("golden cut to %d bytes", n), cut) {
+	for n := range len(sample.w.buf) {
+		if sameLedgerRead(t, fmt.Sprintf("sample cut to %d bytes", n), sample.n, sample.w.buf[:n]) {
 			refusals++
 		}
-		// And through decode, with the section's length set to the cut:
-		// the refusal names the section and the byte.
-		p := append(bytes.Clone(payload[:len(payload)-len(sec)]), cut...)
-		binary.LittleEndian.PutUint32(p[len(payload)-len(sec)-4:], uint32(n))
-		ref := reader{buf: cut, name: "anomalies"}
-		refAnomalies(&ref)
-		var want reader
-		want.close(&ref)
-		if _, err := decode(envelope(p)); fmt.Sprint(err) != fmt.Sprint(want.err) {
-			t.Fatalf("golden cut to %d bytes: decode says %v, the field-by-field decoder %v", n, err, want.err)
-		}
 	}
-	if refusals != len(sec) {
-		t.Fatalf("%d of %d cuts of the golden section read", len(sec)-refusals, len(sec))
+	if refusals != len(sample.w.buf) {
+		t.Fatalf("%d of %d cuts of the sample ledger read", len(sample.w.buf)-refusals, len(sample.w.buf))
 	}
 
 	rng := rand.New(rand.NewSource(42))
@@ -446,27 +423,27 @@ func TestLedgerMatchesReference(t *testing.T) {
 			starts[i] = len(l.w.buf)
 			l.Append(anoms[i])
 		}
-		if !reflect.DeepEqual(l.Anomalies(), anoms) && size > 0 {
-			t.Fatalf("%d anomalies: Append -> Anomalies changed them", size)
+		if got, err := l.Anomalies(); err != nil || !reflect.DeepEqual(got, anoms) && size > 0 {
+			t.Fatalf("%d anomalies: Append -> Anomalies changed them (%v)", size, err)
 		}
-		body := binary.LittleEndian.AppendUint32(nil, uint32(size))
-		body = append(body, l.w.buf...)
-		if sameLedgerRead(t, fmt.Sprintf("%d random anomalies", size), body) {
+		if l.crc != crc32.Checksum(l.w.buf, castagnoli) {
+			t.Fatalf("%d anomalies: the running checksum is not the bytes' checksum", size)
+		}
+		body := l.w.buf
+		if sameLedgerRead(t, fmt.Sprintf("%d random anomalies", size), size, body) {
 			t.Fatalf("%d random anomalies refused", size)
 		}
-		if size > 100 {
+		if size > 100 || size == 0 {
 			continue
 		}
 		// Every cut, with the count of the anomalies begun before it, so
 		// that the count check passes and the cut lands in a field.
-		for n := 4; n < len(body); n++ {
-			cut := bytes.Clone(body[:n])
-			binary.LittleEndian.PutUint32(cut, uint32(sort.SearchInts(starts, n-4)))
-			sameLedgerRead(t, fmt.Sprintf("%d random anomalies cut to %d bytes", size, n), cut)
+		for n := 1; n < len(body); n++ {
+			sameLedgerRead(t, fmt.Sprintf("%d random anomalies cut to %d bytes", size, n), sort.SearchInts(starts, n), body[:n])
 		}
 		for trial := range 200 {
-			bad := bytes.Clone(body)
-			switch trial % 3 {
+			bad, n := bytes.Clone(body), size
+			switch trial % 4 {
 			case 0: // a flipped byte, often in a count or a length
 				bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
 			case 1: // a count or length set past the end
@@ -478,8 +455,10 @@ func TestLedgerMatchesReference(t *testing.T) {
 				} else {
 					bad = append(bad, make([]byte, 1+rng.Intn(40))...)
 				}
+			case 3: // the snapshot's count off by a few
+				n = max(0, n+rng.Intn(7)-3)
 			}
-			sameLedgerRead(t, fmt.Sprintf("%d random anomalies, trial %d", size, trial), bad)
+			sameLedgerRead(t, fmt.Sprintf("%d random anomalies, trial %d", size, trial), n, bad)
 		}
 	}
 }

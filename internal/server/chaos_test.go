@@ -621,10 +621,19 @@ func TestChaosCorruptCheckpointColdStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The restored ledger's bytes stay in the seed's ledger file, which a
+	// snapshot written elsewhere takes along.
+	ledger, err := os.ReadFile(checkpoint.LedgerPath(seedPath))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
 	mutate := func(f func(*checkpoint.State)) func(string) {
 		return func(path string) {
 			st := *valid
 			f(&st)
+			if err := os.WriteFile(checkpoint.LedgerPath(path), ledger, 0o644); err != nil {
+				t.Fatal(err)
+			}
 			if err := checkpoint.WriteFile(path, &st, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -814,5 +823,162 @@ func TestKillClassifiesNothing(t *testing.T) {
 	srv.Kill()
 	if n := classify.Classified() - before; n != 0 {
 		t.Fatalf("Kill classified %d events for a ledger nobody will read", n)
+	}
+}
+
+// TestChaosKillAtEveryWriteStep kills the daemon at each step of a
+// snapshot write, in the order they run — the ledger append (torn), its
+// fsync, the snapshot's temp file (torn), its fsync and the rename, which
+// comes after the ledger bytes are on disk — each time with anomalies the
+// ledger file did not hold yet, so the failed write leaves the file
+// longer than the snapshot on disk counts. Each restart must restore from
+// the last snapshot that landed, cut the file back before its first
+// append, and at the end the ledger must match the batch Detect +
+// Characterize output on the full week exactly. Under -short two days are
+// fed and only the restores are checked.
+func TestChaosKillAtEveryWriteStep(t *testing.T) {
+	run := testRun(t)
+	ds := run.Dataset()
+	bins := run.Bins()
+	full := !testing.Short()
+	if !full {
+		bins = 2 * traffic.BinsPerDay
+	}
+	steps := []struct {
+		point string
+		arm   func(inj *fault.Injector, point string)
+	}{
+		{checkpoint.FaultLedgerWrite, func(inj *fault.Injector, p string) { inj.ArmTornWrite(p, 9) }},
+		{checkpoint.FaultLedgerSync, func(inj *fault.Injector, p string) { inj.Arm(p, fault.Fault{Err: fault.ErrDiskFull}) }},
+		{checkpoint.FaultWrite, func(inj *fault.Injector, p string) { inj.ArmTornWrite(p, 100) }},
+		{checkpoint.FaultSync, func(inj *fault.Injector, p string) { inj.Arm(p, fault.Fault{Err: fault.ErrDiskFull}) }},
+		{checkpoint.FaultRename, func(inj *fault.Injector, p string) { inj.Arm(p, fault.Fault{Err: fault.ErrDiskFull}) }},
+	}
+	path := filepath.Join(t.TempDir(), "daemon.nwcp")
+	lpath := checkpoint.LedgerPath(path)
+	ledgerSize := func() int64 {
+		fi, err := os.Stat(lpath)
+		if err != nil {
+			return 0
+		}
+		return fi.Size()
+	}
+	inj := fault.NewInjector()
+	newSrv := func() *Server {
+		srv, err := New(run, Config{
+			CheckpointPath:  path,
+			CheckpointEvery: 7,
+			Faults:          inj,
+			Detect:          netwide.DefaultDetectOptions(),
+			Stream:          parityStream(run),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	feed := newBinFeed(t, ds)
+
+	srv := newSrv()
+	next := 0
+	for i, step := range steps {
+		to := (i + 1) * bins / (len(steps) + 1)
+		feed.feed(srv, next, to)
+		next = to
+		awaitSnapshot(srv)
+		// Arm the step, then feed bin by bin until a snapshot with new
+		// ledger bytes fails at it.
+		before := ledgerSize()
+		step.arm(inj, step.point)
+		for inj.Trips(step.point) == 0 || ledgerSize() <= before {
+			if next == bins {
+				t.Fatalf("step %s: the week ended before a snapshot with new anomalies failed there", step.point)
+			}
+			feed.feed(srv, next, next+1)
+			next++
+			awaitSnapshot(srv)
+		}
+		atKill := srv.Stats()
+		if atKill.CheckpointErrors == 0 {
+			t.Fatalf("step %s: the failed write was not counted: %+v", step.point, atKill)
+		}
+		srv.Kill()
+		inj.Disarm(step.point)
+
+		srv = newSrv()
+		st := srv.Stats()
+		if !st.Restored || st.RestoreErr != "" || st.LastClosed != atKill.LastCheckpointBin {
+			t.Fatalf("step %s: restart did not restore the last landed snapshot (through %d): %+v", step.point, atKill.LastCheckpointBin, st)
+		}
+		if anoms := srv.Anomalies(); len(anoms) != st.Anomalies || st.LedgerErr != "" {
+			t.Fatalf("step %s: the restored ledger reads %d of %d anomalies (%s)", step.point, len(anoms), st.Anomalies, srv.Stats().LedgerErr)
+		}
+		next = st.LastClosed + 1
+	}
+	feed.feed(srv, next, bins)
+	drainOK(t, srv)
+	st := srv.Stats()
+	if st.BinsClosed != bins || st.LostRecords != 0 || st.LateRecords != 0 || st.Err != "" {
+		t.Fatalf("the killed daemon did not close the week cleanly: %+v", st)
+	}
+	// Every restart cut the failed writes' bytes before it appended: the
+	// file reads back, checksum and all, as the ledger the drain counted.
+	final := srv.Anomalies()
+	again := newSrv()
+	back := again.Anomalies()
+	again.Kill()
+	if ast := again.Stats(); ast.LedgerErr != "" || len(back) != ast.Anomalies || len(back) > len(final) || !slices.Equal(sortedKeys(back), sortedKeys(final[:len(back)])) {
+		t.Fatalf("the ledger file reads back %d anomalies (%s), the drained daemon holds %d", len(back), ast.LedgerErr, len(final))
+	}
+	if !full {
+		return
+	}
+	if err := run.Detect(netwide.DefaultDetectOptions()); err != nil {
+		t.Fatal(err)
+	}
+	bk, sk := sortedKeys(run.Characterize()), sortedKeys(final)
+	if !slices.Equal(bk, sk) {
+		t.Fatalf("killed at every write step, the daemon characterized %d anomalies, uninterrupted batch %d:\n daemon %v\n batch  %v", len(sk), len(bk), sk, bk)
+	}
+}
+
+// binFeed encodes the dataset's v5 packets bin by bin, once, in order — the
+// exporters' sequence numbers are those of one uninterrupted export — and
+// keeps the last few bins' so that a restored daemon can be fed again from
+// the bin after its snapshot.
+type binFeed struct {
+	t    *testing.T
+	be   *binExporters
+	next int
+	pkts map[int][]replayPacket
+}
+
+func newBinFeed(t *testing.T, ds *dataset.Dataset) *binFeed {
+	be, err := newBinExporters(ds, flowwire.FormatNetFlowV5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &binFeed{t: t, be: be, pkts: map[int][]replayPacket{}}
+}
+
+// feed ingests bins [from, to) into srv.
+func (f *binFeed) feed(srv *Server, from, to int) {
+	f.t.Helper()
+	for bin := from; bin < to; bin++ {
+		for ; f.next <= bin; f.next++ {
+			pkts, _, err := f.be.encodeBin(f.next, 0)
+			if err != nil {
+				f.t.Fatal(err)
+			}
+			f.pkts[f.next] = pkts
+			delete(f.pkts, f.next-64)
+		}
+		pkts, ok := f.pkts[bin]
+		if !ok {
+			f.t.Fatalf("bin %d is no longer kept", bin)
+		}
+		for _, p := range pkts {
+			srv.IngestPacket(p.data)
+		}
 	}
 }

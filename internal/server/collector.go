@@ -96,9 +96,11 @@ type collector struct {
 	// until then an exporter less than Grace bins behind may not have been
 	// heard from yet. untracked records that a stream without a cursor
 	// (past maxEngineCursors, or carrying no sequence) was seen; such a
-	// stream cannot vouch, so the early seal stays off for good.
+	// stream cannot vouch, so the early seal stays off for good. nRouted
+	// counts the streams that have delivered a routable record: only they
+	// vouch, and the early seal waits for each of them.
 	passed           map[int]int
-	nPassed          int
+	nPassed, nRouted int
 	vouchGen         uint64
 	armed, untracked bool
 
@@ -182,7 +184,7 @@ func newCollector(cfg *Config, top *topology.Topology, res *routing.Resolver, sv
 		if len(es.Recent) > dedupeWindow || es.Pos < 0 || es.Pos >= dedupeWindow {
 			return nil, fmt.Errorf("snapshot engine %v/%d dedupe ring out of shape (%d entries, pos %d)", f, es.ID, len(es.Recent), es.Pos)
 		}
-		e := &engineSeq{started: true, next: es.Next, charged: es.Charged, fill: len(es.Recent), pos: es.Pos}
+		e := &engineSeq{started: true, next: es.Next, charged: es.Charged, lossBin: sv.Watermark, fill: len(es.Recent), pos: es.Pos}
 		copy(e.recent[:], es.Recent)
 		c.seq[key] = e
 	}
@@ -329,10 +331,18 @@ func (c *collector) unpass(f int) {
 	}
 }
 
+// route counts e toward the early seal: it has delivered a routable
+// record.
+func (c *collector) route(e *engineSeq) {
+	e.routed = true
+	c.nRouted++
+}
+
 // allPassed reports whether the early seal is on and every export stream
-// has vouched past the next bin to seal.
+// that has delivered a routable record has vouched past the next bin to
+// seal.
 func (c *collector) allPassed() bool {
-	return c.armed && !c.untracked && c.nPassed == len(c.seq)
+	return c.armed && !c.untracked && c.nPassed == c.nRouted
 }
 
 // sealTo raises the seal point to through (never lowers it), taking out of

@@ -181,12 +181,15 @@ type emitted struct {
 // driveCollector feeds seq to a fresh collector and checks the
 // conservation invariants, the daemon-wide caps and the seal point after
 // every datagram: the seal point is never behind watermark − Grace, and a
-// seal beyond both that and where it was lies below every tracked stream's
-// vouched frontier, which refs tracks from the vouching rule's definition
-// against the cursor each datagram found. It returns every bin emitted (the
-// drain's flush included), the collector, the most bins it ever held open
-// and how many datagrams sealed beyond watermark − Grace.
-func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routing.Resolver, seq collectorSeq) ([]emitted, *collector, int, int) {
+// seal beyond both that and where it was lies below the vouched frontier
+// of every stream that has delivered a routable record, which refs tracks
+// from the vouching rule's definition against the cursor each datagram
+// found (loss outstanding until the grace rule seals the bin it was found
+// at, in lossAt). It returns every bin emitted (the drain's flush
+// included), the collector, the most bins it ever held open, how many
+// datagrams sealed beyond watermark − Grace, and how many raised their
+// stream's frontier with loss still charged to it.
+func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routing.Resolver, seq collectorSeq) ([]emitted, *collector, int, int, int) {
 	t.Helper()
 	c, err := newCollector(&cfg, top, res, nil)
 	if err != nil {
@@ -230,17 +233,32 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 			t.Fatalf("datagram %d: %d records emitted + %d open, want the %d accepted less %d discarded", i, emittedRecs, open, accepted, discarded)
 		}
 	}
-	refs := map[engineKey]int{} // vouched frontiers; absent is none
-	early := 0
+	refs := map[engineKey]int{}    // vouched frontiers; absent is none
+	lossAt := map[engineKey]int{}  // the bin loss outstanding was found at
+	routed := map[engineKey]bool{} // streams that delivered a routable record
+	routable := func(h flowwire.V5Header, flows []flowwire.Flow) bool {
+		if !top.ContainsPoP(topology.PoP(h.EngineID)) {
+			return false
+		}
+		for _, f := range flows {
+			if _, ok := res.ResolveDst(f.Key.Dst); ok {
+				return true
+			}
+		}
+		return false
+	}
+	early, lossVouches := 0, 0
 	for i, pkt := range seq.pkts {
 		before, badBefore, dupBefore, resets, wild := books(), c.ctr.badPackets.Load(), c.ctr.duplicates.Load(), c.ctr.watermarkResets.Load(), c.ctr.wildRecords.Load()
 		h, _, hdrErr := flowwire.DecodeV5Packet(pkt)
 		key := engineKey{flowwire.FormatNetFlowV5, uint32(h.EngineID)}
 		var cursor engineSeq // the cursor the datagram finds
+		frontier := noFrontier
 		if e := c.seq[key]; e != nil {
-			cursor = *e
+			cursor, frontier = *e, c.frontier(e)
 		}
 		sealedBefore, wmBefore := c.sealedThrough, int(c.ctr.watermark.Load())
+		accBefore, lateBefore := c.ctr.records.Load(), c.ctr.lateRecords.Load()
 		take(c.ingest(pkt))
 		var drop uint64
 		if c.ctr.watermarkResets.Load() != resets {
@@ -265,16 +283,30 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 			t.Fatalf("datagram %d: %d records booked, want %d — each record of a binned datagram exactly once", i, moved, want)
 		}
 		check(i)
+		if e := c.seq[key]; e != nil && cursor.charged > 0 && c.frontier(e) > frontier {
+			lossVouches++
+		}
 
 		wm := int(c.ctr.watermark.Load())
+		bin := (int(h.UnixSecs) - int(cfg.Epoch)) / traffic.BinSeconds
+		if hdrErr == nil && want > 0 {
+			_, flows, _ := flowwire.DecodeV5Packet(pkt)
+			late := c.ctr.lateRecords.Load() > lateBefore && h.UnixSecs >= cfg.Epoch // not pre-epoch
+			if c.ctr.records.Load() > accBefore || late && routable(h, flows) {
+				routed[key] = true
+			}
+		}
 		switch delta := int32(h.FlowSequence - cursor.next); {
 		case c.ctr.watermarkResets.Load() != resets:
 			clear(refs)
 		case hdrErr != nil || want == 0 && c.ctr.duplicates.Load() != dupBefore || !cursor.started:
 		case delta > reorderTolerance || delta < -reorderTolerance:
 			delete(refs, key) // a restart
-		case delta == 0 && cursor.charged == 0:
-			bin := (int(h.UnixSecs) - int(cfg.Epoch)) / traffic.BinSeconds
+		case delta > 0: // a gap, charged
+			if cursor.charged == 0 || bin > lossAt[key] {
+				lossAt[key] = bin
+			}
+		case delta == 0 && (cursor.charged == 0 || lossAt[key] <= sealedBefore) && routed[key]:
 			if h.UnixSecs >= cfg.Epoch && bin > sealedBefore && (wmBefore < 0 || bin <= wmBefore+cfg.MaxAhead) {
 				if f, ok := refs[key]; !ok || min(bin, wm) > f {
 					refs[key] = min(bin, wm)
@@ -287,6 +319,9 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 		if c.sealedThrough > max(sealedBefore, wm-cfg.Grace) {
 			early++
 			for k := range c.seq {
+				if !routed[k] {
+					continue // it never filled a bin
+				}
 				if f, ok := refs[k]; !ok || c.sealedThrough >= f {
 					t.Fatalf("datagram %d: sealed through %d past watermark %d − Grace %d, but stream %v vouched only for %d (%v)",
 						i, c.sealedThrough, wm, cfg.Grace, k, f, ok)
@@ -303,7 +338,7 @@ func driveCollector(t *testing.T, cfg Config, top *topology.Topology, res *routi
 		t.Fatalf("bad %d (counted %d, made %d), duplicates %d (counted %d, made %d)",
 			bad, c.ctr.badPackets.Load(), seq.bad, dups, c.ctr.duplicates.Load(), seq.dups)
 	}
-	return out, c, maxOpen, early
+	return out, c, maxOpen, early, lossVouches
 }
 
 // TestCollectorConservation drives the collector alone — no Server,
@@ -337,7 +372,7 @@ func TestCollectorConservation(t *testing.T) {
 		}
 		cfg = cfg.withDefaults()
 		seq := genCollectorSeq(rand.New(rand.NewSource(seed)), recs, ds.Top.NumPoPs(), &cfg, clean, stranded)
-		got, col, maxOpen, _ := driveCollector(t, cfg, ds.Top, res, seq)
+		got, col, maxOpen, _, _ := driveCollector(t, cfg, ds.Top, res, seq)
 		capReached = capReached || maxOpen == cfg.MaxOpenBins
 		c := &col.ctr
 		seen.lateRecords.Add(c.lateRecords.Load())
@@ -356,19 +391,24 @@ func TestCollectorConservation(t *testing.T) {
 	if !capReached {
 		t.Fatal("no sequence ever held MaxOpenBins bins open: the cap check is vacuous")
 	}
-	var early, late int
+	var early, withLoss, late int
 	for seed := int64(0); seed < 60; seed++ {
 		cfg := Config{Epoch: 10 * traffic.BinSeconds, Grace: 3 + int(seed%4), MaxAhead: 16}.withDefaults()
 		seq := genSkewSeq(rand.New(rand.NewSource(seed)), recs, ds.Top.NumPoPs(), &cfg, seed%2 == 1)
-		_, col, _, n := driveCollector(t, cfg, ds.Top, res, seq)
-		early += n
+		_, col, _, n, nLoss := driveCollector(t, cfg, ds.Top, res, seq)
+		early, withLoss = early+n, withLoss+nLoss
 		if col.ctr.lateRecords.Load() > 0 {
 			late++
 		}
 	}
-	t.Logf("skewed sequences: %d datagrams sealed early; %d of 60 booked late records", early, late)
+	t.Logf("skewed sequences: %d datagrams sealed early, %d vouched with loss still charged; %d of 60 booked late records", early, withLoss, late)
 	if early == 0 || late == 0 {
 		t.Fatalf("the skewed sequences sealed early on %d datagrams, and %d of them booked late records: the seal checks are vacuous", early, late)
+	}
+	// The datagram never sent charges loss no refund ever clears: early
+	// seals resume once the grace rule has sealed the bin it was found at.
+	if withLoss == 0 {
+		t.Fatal("no stream vouched while a never-filled gap stayed charged to it: loss gone for good still blocks the early seal")
 	}
 	if seen.lateRecords.Load() == 0 || seen.wildRecords.Load() == 0 || seen.unroutable.Load() == 0 ||
 		seen.duplicates.Load() == 0 || seen.badPackets.Load() == 0 || seen.watermarkResets.Load() == 0 {

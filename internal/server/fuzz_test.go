@@ -26,11 +26,12 @@ func checksummed(payload []byte) []byte {
 
 // FuzzRestore starts a daemon on a snapshot whose payload the fuzzer owns
 // and whose checksum is right — the file a bad sector cannot produce and a
-// bug or an attacker can. Whatever is in it, New must come back with a
-// daemon: either one that restored, ingests, drains and leaves a snapshot
-// whose models are finite and of the topology's shape, or one that
-// cold-started with the reason on Stats.RestoreErr. Never a panic in New or
-// in any goroutine behind it, never a NaN basis installed.
+// bug or an attacker can — beside a ledger file the fuzzer owns too.
+// Whatever is in them, New must come back with a daemon: either one that
+// restored, serves its ledger or says why it cannot, ingests, drains and
+// leaves a snapshot whose models are finite and of the topology's shape,
+// or one that cold-started with the reason on Stats.RestoreErr. Never a
+// panic in New or in any goroutine behind it, never a NaN basis installed.
 func FuzzRestore(f *testing.F) {
 	// A five-PoP network: most mutations cold-start, a cold start fits three
 	// models, and at 25 OD pairs that takes a millisecond.
@@ -45,9 +46,10 @@ func FuzzRestore(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "daemon.nwcp")
 	cfg.CheckpointPath = path
 
-	// The seed is a real drained snapshot: twelve bins in, so there are
-	// models, tracker vectors, open bins, engine cursors and a ledger.
-	const seedBins, fedBins = 12, 3
+	// The seed is a real drained snapshot and its ledger file: 200 bins
+	// in, so there are models, tracker vectors, open bins, engine cursors
+	// and a ledger of a score of anomalies.
+	const seedBins, fedBins = 200, 3
 	be, err := newBinExporters(ds, flowwire.FormatNetFlowV5)
 	if err != nil {
 		f.Fatal(err)
@@ -75,10 +77,17 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed[24:])
+	ledger, err := os.ReadFile(checkpoint.LedgerPath(path))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed[24:], ledger)
 
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	f.Fuzz(func(t *testing.T, payload, ledger []byte) {
 		if err := os.WriteFile(path, checksummed(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(checkpoint.LedgerPath(path), ledger, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		srv, err := New(run, cfg)
@@ -93,7 +102,11 @@ func FuzzRestore(f *testing.F) {
 			srv.Kill()
 			return
 		}
-		// It restored: it must now work. Wherever the mutated cursors say
+		// It restored: its ledger reads, or says why not.
+		if anoms := srv.Anomalies(); len(anoms) != st.Anomalies && srv.Stats().LedgerErr == "" {
+			t.Fatalf("a ledger of %d anomalies read %d with no reason", st.Anomalies, len(anoms))
+		}
+		// It must now work. Wherever the mutated cursors say
 		// the stream stands, these bins are accepted, late or wild — all
 		// fine; what is not fine is a panic on the way to the drain.
 		feed(srv, seedBins, seedBins+fedBins)

@@ -70,6 +70,11 @@ type submittedBin struct {
 // A batch that arrived exactly at its stream's cursor with no loss
 // outstanding vouches for its bin once it has passed the late and wild
 // gates: the stream, in order and complete so far, has moved on to it.
+// Loss stops being outstanding once the grace rule has sealed the bin it
+// was charged at: the missing datagrams lie at or below it, so a refund
+// could only land in a sealed bin. A stream vouches, and counts toward the
+// early seal, only once it has delivered a routable record: a stream no
+// PoP owns never fills a bin, so it never holds one open.
 //
 // Only routable traffic votes. Accepted traffic above the watermark votes
 // to raise it. Late traffic votes the watermark stranded when it runs more
@@ -80,7 +85,8 @@ type submittedBin struct {
 // batches count toward the one streak.
 func (c *collector) gate(b flowwire.Batch, recs []flowwire.Record) (action, int) {
 	pc := &c.proto[b.Format]
-	ok, inOrder := c.sequenceCheck(b)
+	bin := int(int64(b.UnixSecs)-int64(c.cfg.Epoch)) / traffic.BinSeconds
+	ok, e, inOrder := c.sequenceCheck(b, bin)
 	if !ok {
 		c.ctr.duplicates.Add(1)
 		pc.duplicates.Add(1)
@@ -93,9 +99,11 @@ func (c *collector) gate(b flowwire.Batch, recs []flowwire.Record) (action, int)
 		return actNone, 0
 	}
 	obs := int(c.ctr.watermark.Load())
-	bin := int(int64(b.UnixSecs)-int64(c.cfg.Epoch)) / traffic.BinSeconds
 	if bin <= c.sealedThrough {
 		c.ctr.lateRecords.Add(n)
+		if e != nil && !e.routed && c.routable(b, recs) {
+			c.route(e) // a laggard, not a stream no PoP owns
+		}
 		if obs-bin <= c.cfg.MaxAhead || bin <= int(c.ctr.lastClosed.Load()) || !c.routable(b, recs) {
 			return actNone, bin
 		}
@@ -131,11 +139,14 @@ func (c *collector) gate(b flowwire.Batch, recs []flowwire.Record) (action, int)
 			act, wm = actRaise, bin
 		}
 	}
-	if inOrder != nil {
+	if e != nil && !e.routed && accepted > 0 {
+		c.route(e)
+	}
+	if inOrder && e.routed {
 		// Capped at the watermark the batch leaves, so the early seal
 		// never runs past watermark − 1: at Grace 1 it seals nothing the
 		// grace rule does not.
-		c.vouch(inOrder, min(bin, wm))
+		c.vouch(e, min(bin, wm))
 	}
 	return act, bin
 }
@@ -162,22 +173,24 @@ type engineKey struct {
 // which resets the cursor. Batches without sequence information (SeqNone)
 // pass through untracked.
 //
-// The stream is returned as in order when the batch sat exactly at its
-// started cursor with no loss charged to it: everything the stream sent
-// since its cursor (re)started has arrived. A stream's first batch since
-// then never is — nothing yet shows where its earlier batches are — and a
-// restart forgets what the stream vouched for.
-func (c *collector) sequenceCheck(b flowwire.Batch) (ok bool, inOrder *engineSeq) {
+// It returns the batch's stream (nil when untracked), and reports it in
+// order when the batch sat exactly at its started cursor with no loss
+// outstanding: everything the stream sent since its cursor (re)started has
+// arrived, or what has not lies in bins the grace rule has sealed (loss
+// found by a batch of bin lies at or below bin). A stream's first batch
+// since then never is in order — nothing yet shows where its earlier
+// batches are — and a restart forgets what the stream vouched for.
+func (c *collector) sequenceCheck(b flowwire.Batch, bin int) (ok bool, e *engineSeq, inOrder bool) {
 	if b.SeqModel == flowwire.SeqNone {
 		c.untracked = true
-		return true, nil
+		return true, nil, false
 	}
 	key := engineKey{b.Format, b.Engine}
-	e := c.seq[key]
+	e = c.seq[key]
 	if e == nil {
 		if len(c.seq) >= maxEngineCursors {
 			c.untracked = true
-			return true, nil // accept, untracked: see maxEngineCursors
+			return true, nil, false // accept, untracked: see maxEngineCursors
 		}
 		e = &engineSeq{}
 		c.seq[key] = e
@@ -188,12 +201,12 @@ func (c *collector) sequenceCheck(b flowwire.Batch) (ok bool, inOrder *engineSeq
 		e.started = true
 		e.next = b.Seq + b.SeqAdvance
 		e.remember(b.Seq)
-		return true, nil
+		return true, e, false
 	}
 	delta := int32(b.Seq - e.next) // uint32 arithmetic handles wraparound
 	switch {
-	case delta == 0 && e.charged == 0:
-		inOrder = e
+	case delta == 0 && (e.charged == 0 || e.lossBin <= c.sealedThrough):
+		inOrder = true
 		e.next = b.Seq + b.SeqAdvance
 	case delta >= 0:
 		if delta > reorderTolerance {
@@ -203,7 +216,10 @@ func (c *collector) sequenceCheck(b flowwire.Batch) (ok bool, inOrder *engineSeq
 			// multi-billion-unit gap to the loss counters.
 			c.forget(e)
 			e.clear()
-		} else {
+		} else if delta > 0 {
+			if e.charged == 0 || bin > e.lossBin {
+				e.lossBin = bin
+			}
 			e.charged += uint64(delta)
 			pc.lostUnits.Add(uint64(delta))
 			if countsRecords {
@@ -212,7 +228,7 @@ func (c *collector) sequenceCheck(b flowwire.Batch) (ok bool, inOrder *engineSeq
 		}
 		e.next = b.Seq + b.SeqAdvance
 	case e.seen(b.Seq):
-		return false, nil
+		return false, e, false
 	case delta >= -reorderTolerance:
 		// Reordered delivery: the gap this batch fell into was charged lost
 		// when its successor arrived first, so refund it — but no more than
@@ -234,7 +250,7 @@ func (c *collector) sequenceCheck(b flowwire.Batch) (ok bool, inOrder *engineSeq
 		e.clear()
 	}
 	e.remember(b.Seq)
-	return true, inOrder
+	return true, e, inOrder
 }
 
 // accumulate folds one packet's records into bin, resolving each record to
@@ -304,11 +320,19 @@ type engineSeq struct {
 	next    uint32
 	started bool
 	// charged is the loss, in sequence units, booked against this stream
-	// since its cursor last (re)started and not yet refunded.
+	// since its cursor last (re)started and not yet refunded. lossBin is
+	// the highest bin of a batch that found a gap since charged was last
+	// zero: by the stream's own order the missing datagrams lie at or below
+	// it. Derived state: a restored cursor starts it at the restored
+	// watermark.
 	charged uint64
-	recent  [dedupeWindow]uint32
-	fill    int // entries of recent in use
-	pos     int // next ring slot to overwrite
+	lossBin int
+	// routed reports the stream has delivered a routable record since the
+	// collector was built; only then does it count toward the early seal.
+	routed bool
+	recent [dedupeWindow]uint32
+	fill   int // entries of recent in use
+	pos    int // next ring slot to overwrite
 	// frontier is the highest bin of a batch the stream sent in order
 	// (sequenceCheck), valid while vouchGen is the collector's: the
 	// stream will send nothing stamped below it.

@@ -41,7 +41,8 @@
 // The HTTP side is deliberately small, all of it under /api/v1/: healthz
 // (liveness, 503 once the detector has recorded an error), stats (ingest
 // counters as JSON, including a per-protocol breakdown) and anomalies (the
-// characterized anomaly log as JSON).
+// characterized anomaly log as JSON; 500 with the reason when a restored
+// ledger failed its check).
 package server
 
 import (
@@ -124,11 +125,15 @@ type Config struct {
 	Shards int
 	// CheckpointPath enables crash-safe operation: the daemon periodically
 	// snapshots its full recovery state (model generations, open events,
-	// open bins, sequence cursors, watermark, anomaly ledger) to this file,
-	// atomically, and New restores from it when it exists — falling back to
-	// a cold start (with the reason on /stats) when the file is torn,
-	// corrupt, from a different format version, or from a different
-	// network model. "" disables checkpointing.
+	// open bins, sequence cursors, watermark) to this file, atomically, and
+	// appends the anomaly ledger to a second file beside it,
+	// CheckpointPath + ".ledger" (checkpoint.LedgerPath). New restores from
+	// the pair when the snapshot exists — falling back to a cold start (with
+	// the reason on /stats) when the snapshot is torn, corrupt, from a
+	// different format version or network model, or its ledger file holds
+	// fewer bytes than it counts. The ledger's bytes are read and checked
+	// when the ledger is first read, not at the restore. "" disables
+	// checkpointing.
 	CheckpointPath string
 	// CheckpointEvery is the snapshot cadence in closed bins (default 1
 	// when CheckpointPath is set): a snapshot is started once N bins have
@@ -270,6 +275,11 @@ type Stats struct {
 	CheckpointLagBins     int     `json:"checkpoint_lag_bins"`
 	CheckpointsCoalesced  uint64  `json:"checkpoints_coalesced"`
 	CheckpointLastWriteMs float64 `json:"checkpoint_last_write_ms"`
+	// LedgerErr is why the restored anomaly ledger cannot be served: its
+	// file failed the checksum or the structural check when it was first
+	// read. Detection carries on; Anomalies serves nothing until a cold
+	// start.
+	LedgerErr string `json:"ledger_err,omitempty"`
 	// ScoringBacklogBins is the number of closed bins the detector holds
 	// without a consumed verdict: submitted, but not yet scored,
 	// characterized and folded into the anomaly ledger. VerdictLagMs is how
@@ -398,6 +408,7 @@ type Server struct {
 	cpFallbacks uint64
 	restoreErr  string
 	cpErr       string
+	ledgerErr   string
 	started     bool
 	draining    bool
 	killed      bool // draining by Kill: the ledger dies with the daemon
@@ -412,11 +423,12 @@ type Server struct {
 // finds. No sockets are bound until Start; tests and benchmarks drive
 // ingest without one through IngestPacket.
 // New also attempts crash recovery when cfg.CheckpointPath names an
-// existing snapshot: if the file verifies (checksum, version, fingerprint)
-// the daemon resumes from it — restored
-// models, reopened events, refilled open bins, sequence cursors,
+// existing snapshot: if the file verifies (checksum, version, fingerprint,
+// a ledger file that holds what it counts) the daemon resumes from it —
+// restored models, reopened events, refilled open bins, sequence cursors,
 // watermark, anomaly ledger — and is at most CheckpointEvery bins plus one
-// snapshot in flight stale.
+// snapshot in flight stale. The ledger's bytes stay in their file until
+// the first Anomalies call.
 // A snapshot that fails any check triggers a cold start instead, with the
 // reason on Stats.RestoreErr: a bad file on disk must never keep the
 // collector down.
@@ -571,8 +583,8 @@ func (s *Server) restore(st *checkpoint.State) error {
 		return err
 	}
 	s.col, s.det = col, det
-	// Adopted as read: the reader capped it, so the first append moves it
-	// off the snapshot's buffer.
+	// Restored unread: its bytes stay in the ledger file until the first
+	// reader loads them, and appends land in memory past them.
 	s.anoms = st.Anomalies
 	s.alarmBins = sv.AlarmBins
 	s.restored = true
@@ -627,14 +639,16 @@ func (s *Server) capture() *cpTicket {
 	return t
 }
 
-// writeCheckpoints is the one goroutine that touches the snapshot file: it
-// encodes each completed ticket and atomically replaces the file (temp
-// file, fsync, rename, directory fsync), off the ingest lock. Write
+// writeCheckpoints is the one goroutine that touches the snapshot and
+// ledger files: for each completed ticket it appends the anomalies the
+// ledger file lacks and fsyncs them, then atomically replaces the snapshot
+// (temp file, fsync, rename, directory fsync), off the ingest lock. Write
 // failures (a full disk, an injected fault) are counted and surfaced on
 // /stats, never fatal: the daemon keeps collecting, one snapshot staler.
 func (s *Server) writeCheckpoints() {
 	defer s.writerWG.Done()
 	var enc checkpoint.Encoder
+	defer enc.Close()
 	for t := range s.cpWrite {
 		start := time.Now()
 		err := enc.WriteFile(s.cfg.CheckpointPath, t.st, s.cfg.Faults)
@@ -995,6 +1009,7 @@ func (s *Server) Stats() Stats {
 	st.CheckpointFallbacks = s.cpFallbacks
 	st.RestoreErr = s.restoreErr
 	st.CheckpointErr = s.cpErr
+	st.LedgerErr = s.ledgerErr
 	if s.cfg.CheckpointPath != "" {
 		// Read after lastCpBin, which never runs ahead of it.
 		st.CheckpointLagBins = int(c.ctr.lastClosed.Load()) - s.lastCpBin
@@ -1037,13 +1052,30 @@ func (s *Server) Stats() Stats {
 }
 
 // Anomalies returns the characterized anomalies collected so far, oldest
-// first. It takes a view of the ledger under mu and decodes it after: the
-// view's bytes never change, since appends land past it.
+// first, or nil when the restored ledger failed its check; Stats.LedgerErr
+// then says why. The first call after a restore reads the ledger's bytes
+// from its file and checks them.
 func (s *Server) Anomalies() []netwide.Anomaly {
+	anoms, _ := s.ledger()
+	return anoms
+}
+
+// ledger takes a view of the ledger under mu and decodes it after: the
+// view's bytes never change, since appends land past it, and a restored
+// prefix is loaded once, for every view, without mu. A ledger that fails
+// its check is never served; the error lands on Stats.LedgerErr.
+func (s *Server) ledger() ([]netwide.Anomaly, error) {
 	s.mu.Lock()
 	l := s.anoms.View()
 	s.mu.Unlock()
-	return l.Anomalies()
+	anoms, err := l.Anomalies()
+	if err != nil {
+		s.mu.Lock()
+		s.ledgerErr = err.Error()
+		s.mu.Unlock()
+		return nil, err
+	}
+	return anoms, nil
 }
 
 // Drain performs the graceful shutdown: stop accepting datagrams, flush
@@ -1178,7 +1210,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
-	anoms := s.Anomalies()
+	anoms, err := s.ledger()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	if anoms == nil {
 		anoms = []netwide.Anomaly{} // render [] rather than null
 	}

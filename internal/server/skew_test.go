@@ -97,9 +97,11 @@ func TestSkewedReplayInProcess(t *testing.T) {
 // 23-engine (Géant) replay at Grace 48, every exporter passes a bin within
 // a bin of sending it, so once the early seal is armed at most a few bins
 // are open, where the grace rule alone holds Grace of them. The control
-// leg adds one engine that sends a single datagram and so never vouches:
-// the early seal stays off, and the grace rule's wait is back. Under
-// -short the replay is Abilene's 11 engines.
+// leg adds one exporter that sends a single datagram of routable records
+// and so never vouches — a NetFlow v5 engine 0 beside the IPFIX domains,
+// a stream of its own: the early seal stays off, and the grace rule's wait
+// is back. (An engine no PoP owns would not hold it: it never fills a
+// bin.) Under -short the replay is Abilene's 11 engines.
 func TestEarlySealHoldsFewBins(t *testing.T) {
 	run := testRun(t)
 	if !testing.Short() {
@@ -119,7 +121,7 @@ func TestEarlySealHoldsFewBins(t *testing.T) {
 			t.Fatal(err)
 		}
 		if silent {
-			c.ingest(enginePkt(t, uint8(ds.Top.NumPoPs()), 0, 0, collectRecords(t, run, 1)))
+			c.ingest(enginePkt(t, 0, 0, 0, collectRecords(t, run, 1)))
 		}
 		be, err := newBinExporters(ds, flowwire.FormatIPFIX)
 		if err != nil {

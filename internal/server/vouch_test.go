@@ -18,11 +18,12 @@ type vouchStep struct {
 	lateRecs uint64
 }
 
-// trackVouched gives the collector a stream key that has vouched for every
-// bin below f.
+// trackVouched gives the collector a routed stream key that has vouched
+// for every bin below f.
 func trackVouched(c *collector, key engineKey, f int) {
 	e := &engineSeq{started: true}
 	c.seq[key] = e
+	c.route(e)
 	c.vouch(e, f)
 }
 
@@ -31,11 +32,13 @@ func trackVouched(c *collector, key engineKey, f int) {
 // visibly behind: once armed, a bin closes once every tracked export
 // stream has sent an in-order datagram past it; a stream's first datagram,
 // a datagram behind its cursor or one with loss outstanding vouches for
-// nothing; a restart, a watermark reset and a restore forget what was
-// vouched; and a datagram stamped in a bin every tracked stream has passed
-// is late, from the stream itself or from a stream never seen before. The
-// early seal arms once the grace rule has sealed a bin on its own; all but
-// the first scenario start armed.
+// nothing, and loss stops being outstanding once the grace rule has sealed
+// the bin it was found at; a stream no PoP owns never counts; a restart,
+// a watermark reset and a restore forget what was vouched; and a datagram
+// stamped in a bin every tracked stream has passed is late, from the
+// stream itself or from a stream never seen before. The early seal arms
+// once the grace rule has sealed a bin on its own; all but the first
+// scenario start armed.
 func TestVouchedFrontiers(t *testing.T) {
 	run := testRun(t)
 	ds := run.Dataset()
@@ -83,6 +86,19 @@ func TestVouchedFrontiers(t *testing.T) {
 		}},
 		{"a gap never filled blocks until the grace rule", true, []vouchStep{
 			{0, 0, 0, -1, 0}, {0, 20, 1, -1, 0}, {0, 30, 2, -1, 0}, {0, 40, 5, 1, 0},
+			// The grace rule sealed bin 1, where the gap was found: the loss
+			// is gone for good, and the stream vouches again.
+			{0, 50, 6, 5, 0},
+		}},
+		{"loss found later moves the bin the grace rule must seal", true, []vouchStep{
+			{0, 0, 0, -1, 0}, {0, 20, 1, -1, 0}, {0, 40, 3, -1, 0}, // gaps found at bins 1 and 3
+			{0, 50, 5, 1, 0}, {0, 60, 6, 2, 0}, // bin 3 not sealed yet: no vouch
+			{0, 70, 7, 3, 0}, {0, 80, 8, 7, 0}, // sealed through 3: the next in-order datagram vouches
+		}},
+		{"a stream no PoP owns never holds the seal", true, []vouchStep{
+			{0, 0, 0, -1, 0}, {1, 0, 0, -1, 0}, {0, 10, 1, -1, 0}, {1, 10, 1, 0, 0},
+			{200, 0, 1, 0, 0}, // one spoofed datagram, from an engine past the PoPs: unroutable
+			{0, 20, 2, 0, 0}, {1, 20, 2, 1, 0}, {0, 30, 3, 1, 0}, {1, 30, 3, 2, 0},
 		}},
 		{"a restart forgets the frontier", true, []vouchStep{
 			{0, 0, 0, -1, 0}, {0, 10, 1, 0, 0},
@@ -114,7 +130,9 @@ func TestVouchedFrontiers(t *testing.T) {
 	}
 
 	// A restore forgets every frontier: the restored cursors vouch again
-	// from their next in-order datagram, each of them.
+	// from their next in-order datagram, each of them, and count toward the
+	// early seal once they deliver again (until the grace rule first seals
+	// after the restart, the early seal is off anyway).
 	t.Run("a restore forgets the frontiers", func(t *testing.T) {
 		c := newColl(t, nil, true)
 		for _, s := range []vouchStep{{0, 0, 0, -1, 0}, {1, 0, 0, -1, 0}, {0, 10, 3, -1, 0}, {1, 10, 3, 2, 0}} {
@@ -125,13 +143,39 @@ func TestVouchedFrontiers(t *testing.T) {
 		}
 		sv := c.state()
 		r := newColl(t, &sv, true)
-		r.ingest(enginePkt(t, 0, 20, 4, recs))
-		if r.sealedThrough != 2 {
-			t.Fatalf("restored collector sealed through %d on engine 0 alone, want 2", r.sealedThrough)
+		for i, s := range []vouchStep{
+			{1, 20, 3, 2, 0}, // engine 1 vouches for bin 3 again
+			{0, 20, 4, 2, 0}, // engine 0 for bin 4; engine 1 holds bin 3
+			{1, 30, 4, 3, 0},
+		} {
+			r.ingest(enginePkt(t, s.engine, s.seq, s.bin, recs))
+			if r.sealedThrough != s.sealed {
+				t.Fatalf("restored step %d (engine %d bin %d): sealed through %d, want %d", i, s.engine, s.bin, r.sealedThrough, s.sealed)
+			}
 		}
-		r.ingest(enginePkt(t, 1, 20, 4, recs))
-		if r.sealedThrough != 3 {
-			t.Fatalf("restored collector sealed through %d once both engines vouched, want 3", r.sealedThrough)
+	})
+
+	// Loss a restored cursor carries was found at or below the restored
+	// watermark: the stream vouches again once the grace rule has sealed
+	// through it.
+	t.Run("restored loss blocks until the restored watermark is sealed", func(t *testing.T) {
+		c := newColl(t, nil, true)
+		for _, s := range []vouchStep{{0, 0, 0, -1, 0}, {0, 20, 3, -1, 0}} { // records 10-19 lost
+			c.ingest(enginePkt(t, s.engine, s.seq, s.bin, recs))
+		}
+		sv := c.state()
+		if sv.Engines[0].Charged == 0 || sv.Watermark != 3 {
+			t.Fatalf("the snapshot carries charge %d at watermark %d, want a charge at 3", sv.Engines[0].Charged, sv.Watermark)
+		}
+		r := newColl(t, &sv, true)
+		for i, s := range []vouchStep{
+			{0, 30, 4, 0, 0}, {0, 40, 6, 2, 0}, // bin 3 not sealed yet: no vouch
+			{0, 50, 7, 3, 0}, {0, 60, 8, 7, 0}, // sealed through 3: the stream vouches again
+		} {
+			r.ingest(enginePkt(t, s.engine, s.seq, s.bin, recs))
+			if r.sealedThrough != s.sealed {
+				t.Fatalf("restored step %d (bin %d): sealed through %d, want %d", i, s.bin, r.sealedThrough, s.sealed)
+			}
 		}
 	})
 
